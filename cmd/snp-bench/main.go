@@ -139,12 +139,8 @@ func main() {
 		violated := false
 		for _, r := range rows {
 			fmt.Println(" ", r)
-			if r.FalseAccused != 0 {
-				fmt.Fprintf(os.Stderr, "  ACCURACY VIOLATION: %s under %s implicated honest nodes\n", r.App, r.Plan)
-				violated = true
-			}
-			if !r.Detected {
-				fmt.Fprintf(os.Stderr, "  DETECTION VIOLATION: %s under %s missed tamper-log\n", r.App, r.Plan)
+			for _, v := range r.Violations {
+				fmt.Fprintf(os.Stderr, "  GUARANTEE VIOLATION: %s under %s: %s\n", r.App, r.Plan, v)
 				violated = true
 			}
 		}
@@ -170,12 +166,8 @@ func main() {
 		violated := false
 		for _, r := range rows {
 			fmt.Println(" ", r)
-			if r.FalseAccused != 0 {
-				fmt.Fprintf(os.Stderr, "  ACCURACY VIOLATION: %s under %s implicated honest nodes\n", r.App, r.Plan)
-				violated = true
-			}
-			if !r.Detected {
-				fmt.Fprintf(os.Stderr, "  DETECTION VIOLATION: %s under %s missed tamper-log\n", r.App, r.Plan)
+			for _, v := range r.Violations {
+				fmt.Fprintf(os.Stderr, "  GUARANTEE VIOLATION: %s under %s: %s\n", r.App, r.Plan, v)
 				violated = true
 			}
 		}

@@ -59,20 +59,7 @@ func remote(addr string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if strong := v.StrongNodes(); len(strong) > 0 {
-		fmt.Printf("provably faulty: %v\n", strong)
-		for _, f := range v.Failures {
-			fmt.Printf("  %s@%d: %s\n", f.Node, f.Seq, f.Reason)
-		}
-		for _, id := range v.RedHosts {
-			fmt.Printf("  RED: %s\n", id)
-		}
-	} else {
-		fmt.Println("no provable evidence of misbehavior")
-	}
-	for _, l := range v.Unreachable {
-		fmt.Printf("  lead (unreachable, not evidence): %s: %s\n", l.Node, l.Err)
-	}
+	fmt.Print(v.Format())
 	if st, err := cl.Stats(); err == nil {
 		fmt.Println("frontend:", st)
 	}

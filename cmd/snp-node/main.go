@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/supervisor"
 	"repro/internal/types"
 )
@@ -37,7 +38,7 @@ func main() {
 	supervisor.MaybeChild()
 
 	config := flag.String("config", "", "run one node daemon from this NodeConfig file and exit when it stops")
-	app := flag.String("app", "", "supervise mode: workload to deploy ("+strings.Join(supervisor.AppNames(), ", ")+")")
+	app := flag.String("app", "", "supervise mode: workload to deploy ("+strings.Join(live.AppNames(), ", ")+")")
 	dir := flag.String("dir", "", "supervise mode: deployment root (configs, per-node logs, data stores)")
 	seed := flag.Int64("seed", 1, "supervise mode: deployment seed (keys, backoff jitter)")
 	tickMs := flag.Int("tick-ms", 0, "supervise mode: per-node tick period in ms (0 = daemon default)")

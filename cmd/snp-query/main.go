@@ -26,14 +26,13 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
+	"repro/internal/live"
 	"repro/internal/queryfront"
-	"repro/internal/supervisor"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -41,7 +40,7 @@ import (
 func main() {
 	serve := flag.Bool("serve", false, "run a query frontend (needs -addr, -app, -nodes)")
 	addr := flag.String("addr", "127.0.0.1:7070", "serve: listen address for query clients")
-	app := flag.String("app", "", "serve: deployment workload ("+strings.Join(supervisor.AppNames(), ", ")+")")
+	app := flag.String("app", "", "serve: deployment workload ("+strings.Join(live.AppNames(), ", ")+")")
 	seed := flag.Int64("seed", 1, "serve: deployment seed (directory key derivation must match the daemons)")
 	nodes := flag.String("nodes", "", "serve: comma-separated id=host:port pairs for the deployment's daemons")
 	tpropMs := flag.Int("tprop-ms", 0, "serve: deployment propagation bound in ms (0 = daemon default; must match)")
@@ -75,7 +74,7 @@ func runServe(addr, appName, nodes string, seed int64, tpropMs int, cacheDir str
 	if nodes == "" {
 		return fmt.Errorf("snp-query: -serve needs -nodes (id=host:port,...)")
 	}
-	app, err := supervisor.AppByName(appName)
+	app, err := live.AppByName(appName)
 	if err != nil {
 		return err
 	}
@@ -94,21 +93,14 @@ func runServe(addr, appName, nodes string, seed int64, tpropMs int, cacheDir str
 		cluster.AddPeer(id, a)
 	}
 
-	// The directory and protocol parameters must mirror the daemons'
-	// (supervisor.RunDaemon): key i belongs to the i-th node of the app's
-	// canonical node list, regardless of which subset -nodes lists.
-	cfg := core.DefaultConfig()
-	cfg.Tprop = types.Time(supervisor.NodeConfig{TpropMs: tpropMs}.Tprop())
-	cfg.DeltaClock = cfg.Tprop / 2
-	cfg.CheckpointEvery = 0
-	dir := core.NewDirectory()
-	for i, id := range app.Nodes {
-		key, keyErr := cryptoutil.PooledKey(cfg.Suite, seed*1000+int64(100+i))
-		if keyErr != nil {
-			return keyErr
-		}
-		dir.Register(id, key.Public())
+	// The directory and protocol parameters are the daemons' own derivation:
+	// key i belongs to the i-th node of the app's canonical node list,
+	// regardless of which subset -nodes lists.
+	dep, err := live.NewDeployment(app, seed, time.Duration(tpropMs)*time.Millisecond)
+	if err != nil {
+		return err
 	}
+	cfg, dir := dep.Cfg, dep.Dir
 	if cacheDir != "" {
 		cache, cacheErr := core.OpenAuditCache(cacheDir, cfg.Suite)
 		if cacheErr != nil {
@@ -155,7 +147,7 @@ func runClient(addr, targets string, doAudit, doStats bool) error {
 		if err != nil {
 			return err
 		}
-		printVerdict(v)
+		fmt.Printf("audit finished in %v\n%s", v.Elapsed, v.Format())
 	}
 	if doStats {
 		st, err := cl.Stats()
@@ -165,31 +157,4 @@ func runClient(addr, targets string, doAudit, doStats bool) error {
 		fmt.Println(st)
 	}
 	return nil
-}
-
-// printVerdict renders an audit verdict in the paper's evidence tiers.
-func printVerdict(v *queryfront.AuditResult) {
-	fmt.Printf("audit finished in %v\n", v.Elapsed)
-	if strong := v.StrongNodes(); len(strong) > 0 {
-		fmt.Printf("PROVABLY FAULTY: %v\n", strong)
-		for _, f := range v.Failures {
-			fmt.Printf("  %s@%d: %s\n", f.Node, f.Seq, f.Reason)
-		}
-		for _, id := range v.RedHosts {
-			fmt.Printf("  %s: red provenance vertex\n", id)
-		}
-	} else {
-		fmt.Println("no provable evidence of misbehavior")
-	}
-	if len(v.Unreachable) > 0 {
-		leads := append([]queryfront.Lead(nil), v.Unreachable...)
-		sort.Slice(leads, func(i, j int) bool { return leads[i].Node < leads[j].Node })
-		fmt.Println("unreachable (unattributable leads, not evidence):")
-		for _, l := range leads {
-			fmt.Printf("  %s: %s\n", l.Node, l.Err)
-		}
-	}
-	if len(v.Notes) > 0 {
-		fmt.Printf("missing-ack notes in scope: %d\n", len(v.Notes))
-	}
 }

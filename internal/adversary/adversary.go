@@ -73,6 +73,15 @@ type Profile struct {
 	New   func() Behavior
 }
 
+// On returns the plan arming a fresh instance of the behavior on each node.
+func (p Profile) On(nodes []types.NodeID) Plan {
+	plan := Plan{}
+	for _, id := range nodes {
+		plan[id] = []Behavior{p.New()}
+	}
+	return plan
+}
+
 // Catalog returns every behavior in the library, one profile per threat in
 // the §2 model, in a fixed order.
 func Catalog() []Profile {

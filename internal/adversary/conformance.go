@@ -199,8 +199,9 @@ func answers(q *core.Querier, queries []Query) []string {
 	return out
 }
 
-// honestNodes returns the deployment's nodes minus the compromised set.
-func honestNodes(all, compromised []types.NodeID) []types.NodeID {
+// HonestNodes returns the deployment's nodes minus the compromised set, in
+// deployment order.
+func HonestNodes(all, compromised []types.NodeID) []types.NodeID {
 	bad := nodeSet(compromised)
 	var out []types.NodeID
 	for _, id := range all {
@@ -230,7 +231,7 @@ func (a App) RunBaseline(seed int64) (*Baseline, error) {
 	if len(v.Notes) != 0 {
 		return nil, fmt.Errorf("adversary: honest %s/seed=%d run reported missing acks: %v", a.Name, seed, v.Notes)
 	}
-	base := &Baseline{Queries: pickQueries(q, honestNodes(net.Nodes(), a.Compromised))}
+	base := &Baseline{Queries: pickQueries(q, HonestNodes(net.Nodes(), a.Compromised))}
 	if len(base.Queries) == 0 {
 		return nil, fmt.Errorf("adversary: %s/seed=%d baseline offers no honest queries", a.Name, seed)
 	}
@@ -260,19 +261,9 @@ func (r *Result) String() string {
 }
 
 // RunConformance arms one behavior on the app's compromised nodes, repeats
-// the baseline's run and queries, and checks the detection-guarantee
-// invariant:
-//
-//   - accuracy, always: provable evidence (failures, red vertices) never
-//     implicates an honest node;
-//   - Provable behaviors: provable evidence implicates a compromised node;
-//   - Traceable behaviors: some evidence (provable or lead) implicates a
-//     compromised node, or every honest answer is bit-identical to the
-//     baseline;
-//   - Benign behaviors: no provable evidence, and every honest answer is
-//     bit-identical to the baseline.
-//
-// base may be nil, in which case the baseline is computed on the fly.
+// the baseline's run and queries, and holds the verdict to the §4.2
+// guarantee (Verdict.CheckGuarantee). base may be nil, in which case the
+// baseline is computed on the fly.
 func (a App) RunConformance(p Profile, seed int64, base *Baseline) (*Result, error) {
 	if base == nil {
 		var err error
@@ -280,11 +271,7 @@ func (a App) RunConformance(p Profile, seed int64, base *Baseline) (*Result, err
 			return nil, err
 		}
 	}
-	plan := Plan{}
-	for _, id := range a.Compromised {
-		plan[id] = []Behavior{p.New()}
-	}
-	net, err := a.run(seed, plan)
+	net, err := a.run(seed, p.On(a.Compromised))
 	if err != nil {
 		return nil, err
 	}
@@ -304,32 +291,6 @@ func (a App) RunConformance(p Profile, seed int64, base *Baseline) (*Result, err
 		}
 	}
 
-	if accused := v.FalselyAccused(a.Compromised); len(accused) != 0 {
-		r.Violations = append(r.Violations,
-			fmt.Sprintf("provable evidence implicates honest nodes %v", accused))
-	}
-	switch p.Class {
-	case Provable:
-		if len(v.StrongNodes()) == 0 {
-			r.Violations = append(r.Violations, "no provable evidence for a provable behavior")
-		}
-	case Traceable:
-		if !r.Detected && !r.AnswersIdentical {
-			r.Violations = append(r.Violations,
-				"honest answers diverged but no evidence implicates a compromised node")
-		}
-	case Benign:
-		if len(v.StrongNodes()) != 0 {
-			r.Violations = append(r.Violations, "benign behavior produced provable evidence")
-		}
-		if !r.AnswersIdentical {
-			r.Violations = append(r.Violations, "benign behavior perturbed honest answers")
-		}
-	}
-	// The invariant's either/or, independent of class expectations: evidence
-	// implicating a compromised node, or bit-identical honest answers.
-	if !r.Detected && !r.AnswersIdentical {
-		r.Violations = append(r.Violations, "neither evidence nor unchanged honest answers")
-	}
+	r.Violations = v.CheckGuarantee(p.Class, a.Compromised, "", r.AnswersIdentical)
 	return r, nil
 }

@@ -3,6 +3,7 @@ package adversary
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -86,6 +87,66 @@ func (v *Verdict) FalselyAccused(compromised []types.NodeID) []types.NodeID {
 	return out
 }
 
+// CheckGuarantee holds the verdict to the §4.2 detection guarantee and
+// returns every breach (empty for a conforming run). It is the one oracle
+// every execution mode — simulator, live TCP, multi-process, the query
+// frontend — is judged by:
+//
+//   - accuracy, always: provable evidence (failures, red vertices) never
+//     implicates a node outside compromised;
+//   - Provable behaviors: there is provable evidence;
+//   - Traceable behaviors: some evidence (provable or lead) implicates a
+//     compromised node, or every honest answer is identical to the
+//     adversary-free baseline's;
+//   - Benign behaviors (and adversary-free runs, with compromised empty):
+//     no provable evidence, and identical honest answers;
+//   - degradation: victim, an honest node the run cut off from the auditor
+//     ("" when there is none), is an unresponsive lead and never appears in
+//     the provable tier.
+//
+// identical says whether the run's honest answers matched the baseline's;
+// runs that compare no answers pass false for an armed run (evidence is then
+// required) and true for an adversary-free one.
+func (v *Verdict) CheckGuarantee(class Class, compromised []types.NodeID, victim types.NodeID, identical bool) []string {
+	var out []string
+	strong := v.StrongNodes()
+	if accused := v.FalselyAccused(compromised); len(accused) != 0 {
+		out = append(out, fmt.Sprintf("provable evidence implicates honest nodes %v", accused))
+	}
+	detected := v.Detected(compromised)
+	switch class {
+	case Provable:
+		if len(strong) == 0 {
+			out = append(out, "no provable evidence for a provable behavior")
+		}
+	case Traceable:
+		if !detected && !identical {
+			out = append(out, "honest answers diverged but no evidence implicates a compromised node")
+		}
+	case Benign:
+		if len(strong) != 0 {
+			out = append(out, "benign behavior produced provable evidence")
+		}
+		if !identical {
+			out = append(out, "benign behavior perturbed honest answers")
+		}
+	}
+	// The invariant's either/or, independent of class expectations: evidence
+	// implicating a compromised node, or bit-identical honest answers.
+	if !detected && !identical {
+		out = append(out, "neither evidence nor unchanged honest answers")
+	}
+	if victim != "" {
+		if _, lead := v.Unresponsive[victim]; !lead {
+			out = append(out, fmt.Sprintf("cut-off node %s missing from the unresponsive tier", victim))
+		}
+		if slices.Contains(strong, victim) {
+			out = append(out, fmt.Sprintf("cut-off honest node %s in the provable tier", victim))
+		}
+	}
+	return out
+}
+
 func (v *Verdict) String() string {
 	return fmt.Sprintf("failures=%d redHosts=%v unresponsive=%d notes=%d",
 		len(v.Failures), v.RedHosts, len(v.Unresponsive), len(v.Notes))
@@ -108,25 +169,55 @@ func sortedNodeSet(seen map[types.NodeID]bool) []types.NodeID {
 	return out
 }
 
-// AuditAll audits every node of the deployment through q — retrieve,
-// verify, replay, quiescence finalization, and the §5.5 consistency check
-// over all peer-held authenticators — and assembles the Verdict. maint may
-// be nil. The audit order is the sorted node order, so verdicts are
+// Sweep is the one audit sweep every execution mode runs: audit targets
+// (the whole membership when empty) through q — retrieve, verify, replay —
+// then finalize quiescence and run the §5.5 consistency check over the
+// authenticators the reachable peers hold about each target, and assemble
+// the Verdict. maint may be nil. Targets are audited in the given order
+// (sorted node order for the whole membership), so verdicts are
 // deterministic.
-func AuditAll(q *core.Querier, maint *core.Maintainer) *Verdict {
+//
+// Targets that fail to answer are retried every retryEvery, their sticky
+// yellow state cleared between attempts, until they answer or the deadline
+// passes; a zero deadline means one attempt. Nodes still unresponsive then
+// stay in the Verdict's Unresponsive tier — unattributable leads, exactly
+// what §4.2 allows the system to say about a peer it cannot reach — and are
+// not asked for authenticators either: that costs evidence, never accuracy,
+// and saves a retry deadline per (peer, target) pair on a live network.
+func Sweep(q *core.Querier, maint *core.Maintainer, targets []types.NodeID,
+	deadline time.Time, retryEvery time.Duration) *Verdict {
 	v := &Verdict{Unresponsive: make(map[types.NodeID]error)}
-	nodes := q.Fetch.Nodes()
-	for _, id := range nodes {
-		if err := q.EnsureAudited(id, 0); err != nil {
-			v.Unresponsive[id] = err
+	all := q.Fetch.Nodes()
+	if len(targets) == 0 {
+		targets = all
+	}
+	for pending := targets; ; {
+		var again []types.NodeID
+		for _, id := range pending {
+			if err := q.EnsureAudited(id, 0); err != nil {
+				v.Unresponsive[id] = err
+				again = append(again, id)
+			} else {
+				delete(v.Unresponsive, id)
+			}
 		}
+		if len(again) == 0 || !time.Now().Before(deadline) {
+			break
+		}
+		if wait := min(retryEvery, time.Until(deadline)); wait > 0 {
+			time.Sleep(wait)
+		}
+		for _, id := range again {
+			q.ForgetUnreachable(id)
+		}
+		pending = again
 	}
 	q.Auditor.Finalize()
-	// The §5.5 consistency check: every authenticator any peer holds about
-	// a node must lie on the chain that node presented.
-	for _, target := range nodes {
-		for _, peer := range nodes {
-			if peer == target {
+	// The §5.5 consistency check: every authenticator a reachable peer holds
+	// about a target must lie on the chain that target presented.
+	for _, target := range targets {
+		for _, peer := range all {
+			if _, down := v.Unresponsive[peer]; down || peer == target {
 				continue
 			}
 			for _, a := range q.Fetch.AuthsAbout(peer, target, 0, types.Time(math.MaxInt64)) {
@@ -138,49 +229,9 @@ func AuditAll(q *core.Querier, maint *core.Maintainer) *Verdict {
 	return v
 }
 
-// AuditUntil is AuditAll with retry-until-deadline semantics for live
-// networks: nodes that fail to answer are retried every retryEvery (their
-// sticky yellow state cleared between attempts) until they answer or the
-// deadline passes. Nodes still unresponsive at the deadline stay in the
-// Verdict's Unresponsive tier — unattributable leads, exactly what §4.2
-// allows the system to say about a peer it cannot reach. Finalization and
-// the §5.5 consistency sweep run once, after the retry loop settles.
-func AuditUntil(q *core.Querier, maint *core.Maintainer, deadline time.Time, retryEvery time.Duration) *Verdict {
-	v := &Verdict{Unresponsive: make(map[types.NodeID]error)}
-	nodes := q.Fetch.Nodes()
-	pending := nodes
-	for {
-		var again []types.NodeID
-		for _, id := range pending {
-			q.ForgetUnreachable(id)
-			if err := q.EnsureAudited(id, 0); err != nil {
-				v.Unresponsive[id] = err
-				again = append(again, id)
-			} else {
-				delete(v.Unresponsive, id)
-			}
-		}
-		if len(again) == 0 || !time.Now().Before(deadline) {
-			break
-		}
-		pending = again
-		if wait := min(retryEvery, time.Until(deadline)); wait > 0 {
-			time.Sleep(wait)
-		}
-	}
-	q.Auditor.Finalize()
-	for _, target := range nodes {
-		for _, peer := range nodes {
-			if peer == target {
-				continue
-			}
-			for _, a := range q.Fetch.AuthsAbout(peer, target, 0, types.Time(math.MaxInt64)) {
-				q.Auditor.CheckAuthenticator(a)
-			}
-		}
-	}
-	v.Refresh(q, maint)
-	return v
+// AuditAll is one Sweep of the whole deployment, no retries.
+func AuditAll(q *core.Querier, maint *core.Maintainer) *Verdict {
+	return Sweep(q, maint, nil, time.Time{}, 0)
 }
 
 // Refresh re-snapshots the evidence that later queries may have extended

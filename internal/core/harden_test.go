@@ -245,7 +245,11 @@ func TestNewNodeStoreBacked(t *testing.T) {
 		t.Error("restarted node did not extend its chain")
 	}
 	lastSeq := n2.Log.Len()
-	if e, err := n2.Log.Entry(lastSeq); err != nil || e.T < n2.Log.EntryAt(want).T {
+	before, err := n2.Log.Entry(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := n2.Log.Entry(lastSeq); err != nil || e.T < before.T {
 		t.Errorf("restarted node's timestamps went backwards (err=%v)", err)
 	}
 }

@@ -1,4 +1,12 @@
-package supervisor
+// Package live is what every live (wall-clock, real-socket) driver of an SNP
+// deployment shares: the workload registry in node-local form, the
+// deployment parameters every process must derive identically from (app,
+// seed, Tprop), and the one-node runtime — start or recover a core.Node on a
+// transport.Cluster, then drive it tick by tick. livetcp runs N of these
+// nodes in one process, a supervisor daemon runs one, and audit-side
+// processes (multiproc's parent, the query frontends) take only the
+// parameters.
+package live
 
 import (
 	"fmt"
@@ -10,16 +18,20 @@ import (
 	"repro/internal/types"
 )
 
-// NodeApp is one workload from a single node's point of view. Unlike
-// livetcp.App, which drives a whole deployment from one process, every
-// callback here touches only the local node: each daemon seeds its own base
-// tuples, steps its own protocol proxy, and probes its own convergence
-// condition, and the pieces only meet over the network.
-type NodeApp struct {
+// App is one workload from a single node's point of view: every callback
+// touches only the local node — it seeds its own base tuples, steps its own
+// protocol proxy, and probes its own convergence condition — and the pieces
+// only meet over the network. That is the only form a multi-process
+// deployment can run, and a one-process harness simply runs one per node.
+type App struct {
 	Name        string
 	Nodes       []types.NodeID
 	Compromised []types.NodeID
-	Factory     types.MachineFactory
+	// Victim is the honest node fault-injection suites cut off with a
+	// one-way partition: chosen so its own sends still propagate (outbound
+	// stays open) and the compromised node stays on the audit paths.
+	Victim  types.NodeID
+	Factory types.MachineFactory
 
 	// Start seeds the node-local share of the workload once, on a fresh
 	// (non-recovery) start. May be nil.
@@ -44,30 +56,31 @@ func AppNames() []string { return []string{"mincost", "quagga"} }
 // AppByName builds the named workload. Each call returns an independent
 // driver (quagga's per-node speakers are private to the returned value), so
 // a daemon and a harness in different processes each construct their own.
-func AppByName(name string) (NodeApp, error) {
+func AppByName(name string) (App, error) {
 	switch name {
 	case "mincost":
-		return minCostNodeApp(), nil
+		return minCostApp(), nil
 	case "quagga":
-		return quaggaNodeApp(), nil
+		return quaggaApp(), nil
 	}
-	return NodeApp{}, fmt.Errorf("supervisor: unknown app %q (have %v)", name, AppNames())
+	return App{}, fmt.Errorf("live: unknown app %q (have %v)", name, AppNames())
 }
 
-// minCostNodeApp is the §3.3 running example split across processes:
+// minCostApp is the §3.3 running example split across processes:
 // routers b, c, d with the Figure 2 link costs, router b compromised. Each
 // router inserts only its own endpoint of each link, and convergence is c
 // learning bestCost(@c,d,5).
-func minCostNodeApp() NodeApp {
+func minCostApp() App {
 	links := map[types.NodeID][]types.Tuple{
 		"b": {mincost.Link("b", "d", 3), mincost.Link("b", "c", 2)},
 		"c": {mincost.Link("c", "b", 2), mincost.Link("c", "d", 5)},
 		"d": {mincost.Link("d", "b", 3), mincost.Link("d", "c", 5)},
 	}
-	return NodeApp{
+	return App{
 		Name:        "mincost",
 		Nodes:       []types.NodeID{"b", "c", "d"},
 		Compromised: []types.NodeID{"b"},
+		Victim:      "d",
 		Factory:     mincost.Factory(),
 		Start: func(n *core.Node) error {
 			for _, l := range links[n.ID] {
@@ -86,11 +99,11 @@ func minCostNodeApp() NodeApp {
 	}
 }
 
-// quaggaNodeApp is the livetcp Quagga slice, one speaker per process: two
-// tier-1 peers, the regional provider as30 under both (compromised), and
-// the stub as51 under as30. as51 announces p51 and as20 announces p20;
-// convergence is each endpoint holding the far prefix.
-func quaggaNodeApp() NodeApp {
+// quaggaApp is a 4-network slice of the paper's Quagga topology, one
+// speaker per node: two tier-1 peers, the regional provider as30 under both
+// (compromised), and the stub as51 under as30. as51 announces p51 and as20
+// announces p20; convergence is each endpoint holding the far prefix.
+func quaggaApp() App {
 	links := []bgp.ASLink{
 		{A: "as10", B: "as20", RelAB: bgp.Peer},
 		{A: "as30", B: "as10", RelAB: bgp.Provider},
@@ -107,10 +120,11 @@ func quaggaNodeApp() NodeApp {
 		}
 		return speakers[id]
 	}
-	return NodeApp{
+	return App{
 		Name:        "quagga",
 		Nodes:       []types.NodeID{"as10", "as20", "as30", "as51"},
 		Compromised: []types.NodeID{"as30"},
+		Victim:      "as20",
 		Factory:     bgp.Factory(),
 		Start: func(n *core.Node) error {
 			if prefix, ok := announces[n.ID]; ok {
@@ -125,7 +139,8 @@ func quaggaNodeApp() NodeApp {
 			speakerFor(n.ID).Recover(n)
 		},
 		Step: func(n *core.Node, tick int) {
-			// Reconcile every few ticks, matching the livetcp cadence.
+			// Reconcile every few ticks: Sync diffs desired exports against
+			// proxy state, so extra calls are cheap but not free.
 			if tick%4 == 0 {
 				speakerFor(n.ID).Sync(n)
 			}

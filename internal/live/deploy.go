@@ -1,0 +1,172 @@
+package live
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/cryptoutil"
+	"repro/internal/seclog"
+	"repro/internal/transport"
+	"repro/internal/types"
+)
+
+// DefaultTprop is the commitment protocol's propagation bound for live
+// deployments: well above loopback scheduling noise, small enough to keep
+// missed-ack settling fast.
+const DefaultTprop = 400 * time.Millisecond
+
+// Deployment is what every process of one live deployment derives
+// identically from (app, seed, Tprop): the protocol configuration, the key
+// directory (key i belongs to the i-th node of the app's canonical node
+// list), and each node's private key. Maint is this process's maintainer —
+// the one its local nodes report missing acks to and its audits score
+// evidence against. Callers that back logs with a store or share an audit
+// cache set Cfg.LogDir / Cfg.AuditCache before starting nodes or queriers.
+type Deployment struct {
+	App   App
+	Cfg   core.Config
+	Dir   *core.Directory
+	Maint *core.Maintainer
+
+	keys map[types.NodeID]cryptoutil.PrivateKey
+}
+
+// NewDeployment derives the deployment parameters; tprop <= 0 selects
+// DefaultTprop. The skew bound is Tprop/2: live nodes share (or closely
+// track) one machine clock, and the margin absorbs injected delays.
+func NewDeployment(app App, seed int64, tprop time.Duration) (*Deployment, error) {
+	if tprop <= 0 {
+		tprop = DefaultTprop
+	}
+	cfg := core.DefaultConfig()
+	cfg.Tprop = types.Time(tprop)
+	cfg.DeltaClock = cfg.Tprop / 2
+	cfg.CheckpointEvery = 0
+	d := &Deployment{App: app, Cfg: cfg, Dir: core.NewDirectory(), Maint: core.NewMaintainer(),
+		keys: make(map[types.NodeID]cryptoutil.PrivateKey, len(app.Nodes))}
+	for i, id := range app.Nodes {
+		key, err := cryptoutil.PooledKey(cfg.Suite, seed*1000+int64(100+i))
+		if err != nil {
+			return nil, err
+		}
+		d.keys[id] = key
+		d.Dir.Register(id, key.Public())
+	}
+	return d, nil
+}
+
+// SettleWindow is how long a driver keeps the deployment running before an
+// audit so every in-flight exchange resolves — delivered and acked, or
+// retransmitted and finally reported to the maintainer (which takes
+// 2·Tprop). Auditing earlier would see honest nodes with unacked sends the
+// maintainer has not been told about yet, which the finalizer would have to
+// treat as provable evidence; after it, such sends are at worst
+// unattributable leads.
+func (d *Deployment) SettleWindow() time.Duration {
+	return 5*time.Duration(d.Cfg.Tprop)/2 + 200*time.Millisecond
+}
+
+// NewQuerier builds an audit session over fetch, scored against this
+// process's maintainer, with the app's audit hooks installed.
+func (d *Deployment) NewQuerier(fetch core.Fetcher) *core.Querier {
+	q := core.NewQuerier(core.NewAuditor(d.Cfg, d.Dir, d.App.Factory, d.Maint), fetch)
+	if d.App.ConfigureQuerier != nil {
+		d.App.ConfigureQuerier(q)
+	}
+	return q
+}
+
+// Node is one running node of a deployment: a core.Node served on a
+// cluster, driven by the app's node-local callbacks.
+type Node struct {
+	ID types.NodeID
+
+	app       App
+	cluster   *transport.Cluster
+	log       *seclog.Log // closed by Stop
+	recovered bool
+	ticks     int
+}
+
+// Start brings node id up on the cluster: build it (with recover, reopen
+// its store through crash recovery instead), arm it (adversary behaviors,
+// crash rules; may be nil), and serve it on addr with the app's convergence
+// probe installed. The caller then calls Seed — at once in a one-node
+// daemon, after every node is serving in a one-process harness, so the
+// first sends find their peers listening.
+func (d *Deployment) Start(c *transport.Cluster, id types.NodeID, addr string, recover bool,
+	arm func(*core.Node) error) (*Node, error) {
+	key, ok := d.keys[id]
+	if !ok {
+		return nil, fmt.Errorf("live: node %s is not in the %s deployment %v", id, d.App.Name, d.App.Nodes)
+	}
+	cfg := d.Cfg
+	cfg.LogRecover = recover
+	node, err := core.NewNode(id, cfg, key, d.Dir, d.Maint, transport.WallClock{}, c, d.App.Factory(id))
+	if err != nil {
+		return nil, fmt.Errorf("live: starting %s: %w", id, err)
+	}
+	if arm != nil {
+		err = arm(node)
+	}
+	if err == nil {
+		// Exporting the process's maintainer over the notes RPC lets
+		// out-of-process auditors merge the §5.4 missing-ack shield.
+		c.SetMaintainer(d.Maint)
+		if d.App.Probe != nil {
+			c.SetProbe(id, d.App.Probe)
+		}
+		_, err = c.Serve(node, addr)
+	}
+	if err != nil {
+		_ = node.Log.Close()
+		return nil, err
+	}
+	return &Node{ID: id, app: d.App, cluster: c, log: node.Log, recovered: recover}, nil
+}
+
+// Seed inserts the node's share of the workload on a fresh start, or
+// re-derives the app's driver state from the recovered machine after a
+// crash restart.
+func (n *Node) Seed() error {
+	var seedErr error
+	err := n.cluster.With(n.ID, func(cn *core.Node) {
+		switch {
+		case n.recovered && n.app.Recovered != nil:
+			n.app.Recovered(cn)
+		case !n.recovered && n.app.Start != nil:
+			seedErr = n.app.Start(cn)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return seedErr
+}
+
+// Tick runs one driver step: the app's periodic work, then the node's
+// protocol Tick (batching, retransmission, missed-ack notification), then —
+// every syncEvery ticks, when positive — a durable log sync. A node fault
+// from Tick is sticky and stays readable via core.Node.Err; only a node
+// that is no longer served is an error here.
+func (n *Node) Tick(syncEvery int) error {
+	n.ticks++
+	return n.cluster.With(n.ID, func(cn *core.Node) {
+		if n.app.Step != nil {
+			n.app.Step(cn, n.ticks)
+		}
+		_ = cn.Tick()
+		if syncEvery > 0 && n.ticks%syncEvery == 0 {
+			_ = cn.Log.Sync()
+		}
+	})
+}
+
+// Stop takes the node down: stop serving (draining in-flight handlers),
+// then sync and close its log. Stopping a node whose cluster has already
+// closed just closes the log.
+func (n *Node) Stop() error {
+	_ = n.cluster.StopNode(n.ID)
+	return n.log.Close()
+}

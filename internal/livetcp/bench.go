@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/live"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -23,10 +24,11 @@ type BenchRow struct {
 	// the armed node — the metric a paper-style "time to detection over a
 	// real network" table reports.
 	DetectLatency time.Duration
-	Detected      bool
-	FalseAccused  int
-	Unresponsive  int
-	Stats         transport.Stats
+	// Violations are the run's breaches of the §4.2 guarantee
+	// (adversary.Verdict.CheckGuarantee); a conforming run has none.
+	Violations   []string
+	Unresponsive int
+	Stats        transport.Stats
 }
 
 // String renders the row as one table line.
@@ -35,33 +37,42 @@ func (r BenchRow) String() string {
 	if !r.Converged {
 		conv = "partial"
 	}
-	return fmt.Sprintf("%-8s %-18s %-9s converge=%-8s detect=%-8s detected=%-5v false-acc=%d unresponsive=%d frames=%d drops=%d reconnects=%d",
+	return fmt.Sprintf("%-8s %-18s %-9s converge=%-8s detect=%-8s violations=%d unresponsive=%d frames=%d drops=%d reconnects=%d",
 		r.App, r.Plan, conv,
 		r.ConvergeTime.Round(time.Millisecond),
 		r.DetectLatency.Round(time.Millisecond),
-		r.Detected, r.FalseAccused, r.Unresponsive,
+		len(r.Violations), r.Unresponsive,
 		r.Stats.FramesSent, r.Stats.Dropped(), r.Stats.Reconnects)
 }
 
-// benchPlan is one fault plan of the bench matrix, mirroring the
-// conformance suite's three shapes.
+// benchPlan is one fault plan of the live matrix, shared by Bench and the
+// conformance suite. cutsVictim marks the plan that cuts the app's Victim
+// off (rules receives it); the guarantee demands such a node surface as an
+// unattributable lead, never as provable evidence.
 type benchPlan struct {
-	name   string
-	victim map[string]types.NodeID
-	rules  func(app App) []transport.FaultRule
-	tcfg   func() *transport.Config
+	name       string
+	cutsVictim bool
+	rules      func(victim types.NodeID) []transport.FaultRule
+	tcfg       func() *transport.Config
+}
+
+// victim returns the node the plan cuts off in app ("" when none).
+func (bp benchPlan) victim(app live.App) types.NodeID {
+	if bp.cutsVictim {
+		return app.Victim
+	}
+	return ""
 }
 
 func benchPlans() []benchPlan {
-	victims := map[string]types.NodeID{"mincost": "d", "quagga": "as20"}
 	return []benchPlan{
 		{
-			name: "none",
-			rules: func(App) []transport.FaultRule { return nil },
+			name:  "none",
+			rules: func(types.NodeID) []transport.FaultRule { return nil },
 		},
 		{
 			name: "drop+delay",
-			rules: func(App) []transport.FaultRule {
+			rules: func(types.NodeID) []transport.FaultRule {
 				return []transport.FaultRule{{
 					From: "*", To: "*",
 					Drop:     0.03,
@@ -71,15 +82,18 @@ func benchPlans() []benchPlan {
 			},
 		},
 		{
-			name:   "partition",
-			victim: victims,
-			rules: func(app App) []transport.FaultRule {
-				return []transport.FaultRule{{From: "*", To: string(victims[app.Name]), Partition: true}}
+			// One-way partition of an honest node: everything sent to it —
+			// data plane and audit retrievals alike — vanishes. Chosen so
+			// its own announcements still propagate (outbound is open).
+			name:       "partition",
+			cutsVictim: true,
+			rules: func(victim types.NodeID) []transport.FaultRule {
+				return []transport.FaultRule{{From: "*", To: string(victim), Partition: true}}
 			},
 		},
 		{
 			name: "reset+slow-reader",
-			rules: func(App) []transport.FaultRule {
+			rules: func(types.NodeID) []transport.FaultRule {
 				return []transport.FaultRule{{
 					From: "*", To: "*",
 					ResetEvery: 7,
@@ -88,7 +102,7 @@ func benchPlans() []benchPlan {
 			},
 			tcfg: func() *transport.Config {
 				cfg := transport.DefaultConfig()
-				cfg.WriteTimeout = 250 * time.Millisecond
+				cfg.WriteTimeout = 250 * time.Millisecond // stalls must trip it
 				cfg.RetryMax = 300 * time.Millisecond
 				return &cfg
 			},
@@ -108,11 +122,14 @@ func Bench(seed int64) ([]BenchRow, error) {
 	}
 	var rows []BenchRow
 	for _, bp := range benchPlans() {
-		for _, mkApp := range []func() App{MinCostApp, QuaggaApp} {
-			app := mkApp()
+		for _, name := range live.AppNames() {
+			app, err := live.AppByName(name)
+			if err != nil {
+				return nil, err
+			}
 			row, err := benchOne(app, bp, profile, seed)
 			if err != nil {
-				return nil, fmt.Errorf("livetcp: %s under %s: %w", app.Name, bp.name, err)
+				return nil, fmt.Errorf("livetcp: %s under %s: %w", name, bp.name, err)
 			}
 			rows = append(rows, row)
 		}
@@ -120,15 +137,11 @@ func Bench(seed int64) ([]BenchRow, error) {
 	return rows, nil
 }
 
-func benchOne(app App, bp benchPlan, profile adversary.Profile, seed int64) (BenchRow, error) {
-	plan := adversary.Plan{}
-	for _, id := range app.Compromised {
-		plan[id] = []adversary.Behavior{profile.New()}
-	}
+func benchOne(app live.App, bp benchPlan, profile adversary.Profile, seed int64) (BenchRow, error) {
 	opts := Options{
 		Seed:               seed,
-		Fault:              transport.NewFaultPlan(seed, bp.rules(app)...),
-		OnNode:             plan.Hook(),
+		Fault:              transport.NewFaultPlan(seed, bp.rules(bp.victim(app))...),
+		OnNode:             profile.On(app.Compromised).Hook(),
 		AuditRetryDeadline: time.Second,
 	}
 	if bp.tcfg != nil {
@@ -142,17 +155,16 @@ func benchOne(app App, bp benchPlan, profile adversary.Profile, seed int64) (Ben
 
 	row := BenchRow{App: app.Name, Plan: bp.name}
 	start := time.Now()
-	err = h.RunUntil(func() bool { return app.Converged(h) }, 8*time.Second)
+	err = h.RunUntil(h.Converged, 8*time.Second)
 	row.ConvergeTime = time.Since(start)
 	row.Converged = err == nil
 	h.Settle()
 
 	q := h.NewQuerier()
 	auditStart := time.Now()
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(2*time.Second), 300*time.Millisecond)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
 	row.DetectLatency = time.Since(auditStart)
-	row.Detected = v.Detected(app.Compromised)
-	row.FalseAccused = len(v.FalselyAccused(app.Compromised))
+	row.Violations = v.CheckGuarantee(profile.Class, app.Compromised, bp.victim(app), false)
 	row.Unresponsive = len(v.Unresponsive)
 	row.Stats = h.Cluster.Stats()
 	return row, nil

@@ -8,69 +8,26 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/provgraph"
 	"repro/internal/transport"
-	"repro/internal/types"
 )
 
-// faultCase is one fault plan of the live conformance matrix. victim names
-// the honest node the plan cuts off (empty when the plan degrades every
-// link evenly); the invariant demands such a node surface as an
-// unattributable lead, never as provable evidence.
-type faultCase struct {
-	name   string
-	victim map[string]types.NodeID // per app
-	rules  func(app App) []transport.FaultRule
-	tcfg   func() *transport.Config
-}
-
-func liveFaultCases() []faultCase {
-	return []faultCase{
-		{
-			name: "drop+delay",
-			rules: func(App) []transport.FaultRule {
-				return []transport.FaultRule{{
-					From: "*", To: "*",
-					Drop:     0.03,
-					DelayMin: time.Millisecond, DelayMax: 10 * time.Millisecond,
-					Reorder: 0.02,
-				}}
-			},
-		},
-		{
-			name: "partition",
-			// One-way partition of an honest node: everything sent to it —
-			// data plane and audit retrievals alike — vanishes. Chosen so
-			// its own announcements still propagate (outbound is open).
-			victim: map[string]types.NodeID{"mincost": "d", "quagga": "as20"},
-			rules: func(app App) []transport.FaultRule {
-				victim := map[string]types.NodeID{"mincost": "d", "quagga": "as20"}[app.Name]
-				return []transport.FaultRule{{From: "*", To: string(victim), Partition: true}}
-			},
-		},
-		{
-			name: "reset+slow-reader",
-			rules: func(App) []transport.FaultRule {
-				return []transport.FaultRule{{
-					From: "*", To: "*",
-					ResetEvery: 7,
-					StallEvery: 9, StallFor: 600 * time.Millisecond,
-				}}
-			},
-			tcfg: func() *transport.Config {
-				cfg := transport.DefaultConfig()
-				cfg.WriteTimeout = 250 * time.Millisecond // stalls must trip it
-				cfg.RetryMax = 300 * time.Millisecond
-				return &cfg
-			},
-		},
+// mustApp resolves a registry workload.
+func mustApp(t *testing.T, name string) live.App {
+	t.Helper()
+	app, err := live.AppByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return app
 }
 
 // TestLiveConformance reruns the adversary conformance slice over loopback
-// TCP under fault plans: tamper-log (a Provable behavior) armed on each
-// app's compromised node, across 3 fault plans × 2 apps × 2 seeds. The
-// §4.2 invariant, live form:
+// TCP under the fault-plan matrix Bench runs (minus its fault-free row):
+// tamper-log (a Provable behavior) armed on each registry app's compromised
+// node, across fault plans × apps × 2 seeds, each verdict held to the §4.2
+// guarantee's live form by the one check (Verdict.CheckGuarantee):
 //
 //   - provable evidence (audit failures, red hosts) never names an honest
 //     node, no matter what the network does;
@@ -82,35 +39,34 @@ func TestLiveConformance(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, fc := range liveFaultCases() {
-		for _, mkApp := range []func() App{MinCostApp, QuaggaApp} {
+	for _, bp := range benchPlans() {
+		if bp.name == "none" {
+			continue
+		}
+		for _, name := range live.AppNames() {
 			for _, seed := range seeds {
-				app := mkApp()
-				t.Run(fmt.Sprintf("%s/%s/seed=%d", fc.name, app.Name, seed), func(t *testing.T) {
-					runLiveCase(t, fc, mkApp(), seed)
+				t.Run(fmt.Sprintf("%s/%s/seed=%d", bp.name, name, seed), func(t *testing.T) {
+					runLiveCase(t, bp, mustApp(t, name), seed)
 				})
 			}
 		}
 	}
 }
 
-func runLiveCase(t *testing.T, fc faultCase, app App, seed int64) {
+func runLiveCase(t *testing.T, bp benchPlan, app live.App, seed int64) {
 	profile, ok := adversary.ProfileByName("tamper-log")
 	if !ok {
 		t.Fatal("tamper-log profile missing from catalog")
 	}
-	plan := adversary.Plan{}
-	for _, id := range app.Compromised {
-		plan[id] = []adversary.Behavior{profile.New()}
-	}
+	victim := bp.victim(app)
 	opts := Options{
 		Seed:               seed,
-		Fault:              transport.NewFaultPlan(seed, fc.rules(app)...),
-		OnNode:             plan.Hook(),
+		Fault:              transport.NewFaultPlan(seed, bp.rules(victim)...),
+		OnNode:             profile.On(app.Compromised).Hook(),
 		AuditRetryDeadline: time.Second,
 	}
-	if fc.tcfg != nil {
-		opts.Transport = fc.tcfg()
+	if bp.tcfg != nil {
+		opts.Transport = bp.tcfg()
 	}
 	h, err := New(app, opts)
 	if err != nil {
@@ -120,46 +76,16 @@ func runLiveCase(t *testing.T, fc faultCase, app App, seed int64) {
 
 	// Convergence is best-effort under faults: a plan may legitimately
 	// keep updates from some node, but must never corrupt the verdict.
-	if err := h.RunUntil(func() bool { return app.Converged(h) }, 8*time.Second); err != nil {
-		t.Logf("note: %v (acceptable under plan %s)", err, fc.name)
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
+		t.Logf("note: %v (acceptable under plan %s)", err, bp.name)
 	}
 	h.Settle()
 
 	q := h.NewQuerier()
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(2*time.Second), 300*time.Millisecond)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
 	t.Logf("verdict: %v; unreachable: %v", v, q.Unreachable())
-
-	// Accuracy, unconditionally: provable evidence only ever names the
-	// compromised set.
-	if accused := v.FalselyAccused(app.Compromised); len(accused) != 0 {
-		t.Errorf("provable evidence implicates honest nodes %v\nfailures: %v\nred: %v",
-			accused, v.Failures, v.RedHosts)
-	}
-	// Completeness: tamper-log is Provable — the armed node must be
-	// exposed by hard evidence even on a faulty network.
-	bad := map[types.NodeID]bool{}
-	for _, id := range app.Compromised {
-		bad[id] = true
-	}
-	exposed := false
-	for _, id := range v.StrongNodes() {
-		if bad[id] {
-			exposed = true
-		}
-	}
-	if !exposed {
-		t.Errorf("tamper-log on %v yielded no provable evidence: %v", app.Compromised, v)
-	}
-	// Degradation: a partitioned honest node is a lead, not a suspect.
-	if victim := fc.victim[app.Name]; victim != "" {
-		if _, lead := v.Unresponsive[victim]; !lead {
-			t.Errorf("partitioned node %s missing from the unresponsive tier: %v", victim, v)
-		}
-		for _, id := range v.StrongNodes() {
-			if id == victim {
-				t.Errorf("partitioned honest node %s in the provable tier", victim)
-			}
-		}
+	for _, breach := range v.CheckGuarantee(profile.Class, app.Compromised, victim, false) {
+		t.Errorf("§4.2 violated: %s\nfailures: %v\nred: %v", breach, v.Failures, v.RedHosts)
 	}
 	if stats := h.Cluster.Stats(); stats.FramesSent == 0 {
 		t.Error("no frames crossed the wire — the run did not exercise TCP")
@@ -172,7 +98,7 @@ func runLiveCase(t *testing.T, fc faultCase, app App, seed int64) {
 // notes and yellow vertices are expected — that is what graceful
 // degradation looks like.
 func TestLiveHonestBaseline(t *testing.T) {
-	app := MinCostApp()
+	app := mustApp(t, "mincost")
 	h, err := New(app, Options{
 		Seed: 7,
 		Fault: transport.NewFaultPlan(7, transport.FaultRule{
@@ -186,14 +112,14 @@ func TestLiveHonestBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if err := h.RunUntil(func() bool { return app.Converged(h) }, 8*time.Second); err != nil {
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
 		t.Logf("note: %v", err)
 	}
 	h.Settle()
 	q := h.NewQuerier()
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(2*time.Second), 300*time.Millisecond)
-	if len(v.Failures) != 0 || len(v.RedHosts) != 0 {
-		t.Errorf("honest lossy run produced provable evidence: %v\nfailures: %v", v, v.Failures)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
+	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {
+		t.Errorf("honest lossy run: %s: %v\nfailures: %v", breach, v, v.Failures)
 	}
 	if len(v.Unresponsive) != 0 {
 		t.Errorf("every node serves audits, none should be unresponsive: %v", v.Unresponsive)
@@ -205,7 +131,7 @@ func TestLiveHonestBaseline(t *testing.T) {
 // boundary vertices (with Unreachable recording why), never red, and
 // ForgetUnreachable + a healed network must upgrade the same query.
 func TestLiveQuerierDegradation(t *testing.T) {
-	app := MinCostApp()
+	app := mustApp(t, "mincost")
 	fault := transport.NewFaultPlan(3, transport.FaultRule{
 		From: "auditor", To: "d", Partition: true,
 	})
@@ -214,7 +140,7 @@ func TestLiveQuerierDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if err := h.RunUntil(func() bool { return app.Converged(h) }, 8*time.Second); err != nil {
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
 		t.Fatal(err) // only the audit link is cut; the workload must converge
 	}
 	h.Settle()

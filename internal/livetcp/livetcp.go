@@ -13,38 +13,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
+	"repro/internal/live"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-// App is one live workload: the node set, how to start and drive it, and
-// how to probe convergence. Unlike the simulator apps, everything runs on
-// the wall clock — Step is invoked on every harness tick, and Converged is
-// polled under a deadline (best-effort under lossy fault plans: a fault
-// plan is allowed to keep a workload from converging, but never to turn
-// honest nodes into provable suspects).
-type App struct {
-	Name        string
-	Nodes       []types.NodeID
-	Compromised []types.NodeID
-	Factory     types.MachineFactory
-
-	// Start seeds the workload once every node is serving.
-	Start func(h *Harness) error
-	// Step drives periodic application work (e.g. BGP reconciliation) on
-	// each tick, before the nodes' protocol Tick. May be nil.
-	Step func(h *Harness)
-	// Converged probes whether the workload reached its goal state.
-	Converged func(h *Harness) bool
-	// ConfigureQuerier installs app-specific audit hooks (BGP's maybe-rule
-	// validator). May be nil.
-	ConfigureQuerier func(q *core.Querier)
-}
+// tickEvery is the harness tick period.
+const tickEvery = 10 * time.Millisecond
 
 // Options configures a live run. Zero values select defaults tuned for
-// loopback: Tprop well above scheduling noise but small enough to keep
-// missed-ack settling fast.
+// loopback.
 type Options struct {
 	// Seed drives key generation, the transport's jitter streams, and the
 	// fault plan (runs with equal Seed and Fault rules make identical
@@ -52,13 +30,6 @@ type Options struct {
 	Seed int64
 	// Fault, when non-nil, injects network faults on every link.
 	Fault *transport.FaultPlan
-	// Tprop is the commitment protocol's propagation bound in wall time
-	// (default 400ms); DeltaClock the skew bound (default Tprop/2 — all
-	// nodes share the machine clock, the margin absorbs injected delays).
-	Tprop      time.Duration
-	DeltaClock time.Duration
-	// TickEvery is the harness tick period (default 10ms).
-	TickEvery time.Duration
 	// OnNode arms adversary behaviors (adversary.Plan.Hook) on each node
 	// before it starts serving. May be nil.
 	OnNode func(*core.Node)
@@ -76,15 +47,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Tprop <= 0 {
-		o.Tprop = 400 * time.Millisecond
-	}
-	if o.DeltaClock <= 0 {
-		o.DeltaClock = o.Tprop / 2
-	}
-	if o.TickEvery <= 0 {
-		o.TickEvery = 10 * time.Millisecond
-	}
 	if o.AuditCallTimeout <= 0 {
 		o.AuditCallTimeout = 500 * time.Millisecond
 	}
@@ -94,24 +56,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Harness is one running live deployment.
+// Harness is one running live deployment: every node of the app's
+// node-local form (live.App) on one TCP cluster in this process, all
+// sharing the deployment's maintainer.
 type Harness struct {
-	App     App
+	*live.Deployment
 	Opts    Options
 	Cluster *transport.Cluster
-	Cfg     core.Config
-	Dir     *core.Directory
-	Maint   *core.Maintainer
 
-	keys     map[types.NodeID]cryptoutil.PrivateKey
-	nodes    map[types.NodeID]*core.Node
+	nodes    map[types.NodeID]*live.Node
 	fetchers []*transport.RemoteFetcher
 }
 
 // New builds the deployment: a TCP cluster on loopback, one node per
-// App.Nodes entry (armed via Options.OnNode before serving), and the
-// workload seeded via App.Start.
-func New(app App, opts Options) (*Harness, error) {
+// App.Nodes entry (armed via Options.OnNode before serving), and — once
+// every node is serving — each node's share of the workload seeded.
+func New(app live.App, opts Options) (*Harness, error) {
 	opts = opts.withDefaults()
 	tcfg := transport.DefaultConfig()
 	if opts.Transport != nil {
@@ -119,63 +79,43 @@ func New(app App, opts Options) (*Harness, error) {
 	}
 	tcfg.Seed = opts.Seed
 	tcfg.Fault = opts.Fault
-
-	cfg := core.DefaultConfig()
-	cfg.Tprop = types.Time(opts.Tprop)
-	cfg.DeltaClock = types.Time(opts.DeltaClock)
-	cfg.CheckpointEvery = 0
-	cfg.LogDir = opts.LogDir
-
-	h := &Harness{
-		App:     app,
-		Opts:    opts,
-		Cluster: transport.NewClusterWith(tcfg),
-		Cfg:     cfg,
-		Dir:     core.NewDirectory(),
-		Maint:   core.NewMaintainer(),
-		keys:    make(map[types.NodeID]cryptoutil.PrivateKey),
-		nodes:   make(map[types.NodeID]*core.Node),
+	d, err := live.NewDeployment(app, opts.Seed, 0)
+	if err != nil {
+		return nil, err
 	}
-	// All in-process nodes share one maintainer; exporting it over the
-	// notes RPC lets out-of-process auditors (the query frontend) merge
-	// the §5.4 missing-ack shield before scoring evidence.
-	h.Cluster.SetMaintainer(h.Maint)
-	for i, id := range app.Nodes {
-		key, err := cryptoutil.PooledKey(cfg.Suite, opts.Seed*1000+int64(100+i))
-		if err != nil {
-			h.Close()
-			return nil, err
-		}
-		h.keys[id] = key
-		h.Dir.Register(id, key.Public())
+	d.Cfg.LogDir = opts.LogDir
+	h := &Harness{
+		Deployment: d,
+		Opts:       opts,
+		Cluster:    transport.NewClusterWith(tcfg),
+		nodes:      make(map[types.NodeID]*live.Node),
 	}
 	for _, id := range app.Nodes {
-		if err := h.startNode(id, false); err != nil {
-			h.Close()
-			return nil, err
+		if err == nil {
+			err = h.startNode(id, false)
 		}
 	}
-	if app.Start != nil {
-		if err := app.Start(h); err != nil {
-			h.Close()
-			return nil, err
+	// Seed only once every node is serving, so first sends find their peers.
+	for _, id := range app.Nodes {
+		if err == nil {
+			err = h.nodes[id].Seed()
 		}
+	}
+	if err != nil {
+		h.Close()
+		return nil, err
 	}
 	return h, nil
 }
 
 func (h *Harness) startNode(id types.NodeID, recover bool) error {
-	cfg := h.Cfg
-	cfg.LogRecover = recover
-	node, err := core.NewNode(id, cfg, h.keys[id], h.Dir, h.Maint,
-		transport.WallClock{}, h.Cluster, h.App.Factory(id))
+	node, err := h.Start(h.Cluster, id, "127.0.0.1:0", recover, func(n *core.Node) error {
+		if h.Opts.OnNode != nil {
+			h.Opts.OnNode(n)
+		}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	if h.Opts.OnNode != nil {
-		h.Opts.OnNode(node)
-	}
-	if _, err := h.Cluster.Serve(node, "127.0.0.1:0"); err != nil {
 		return err
 	}
 	h.nodes[id] = node
@@ -187,13 +127,26 @@ func (h *Harness) With(id types.NodeID, fn func(*core.Node)) error {
 	return h.Cluster.With(id, fn)
 }
 
-// tick runs one harness step: application work, then every node's
-// protocol Tick (batching, retransmission, missed-ack notification).
+// tick runs one runtime step on every node, in deployment order.
 func (h *Harness) tick() {
-	if h.App.Step != nil {
-		h.App.Step(h)
+	for _, id := range h.App.Nodes {
+		_ = h.nodes[id].Tick(0)
 	}
-	_ = h.Cluster.TickAll()
+}
+
+// Converged reports whether every node's convergence probe holds
+// (best-effort under lossy fault plans: a plan is allowed to keep a
+// workload from converging, but never to turn honest nodes into provable
+// suspects).
+func (h *Harness) Converged() bool {
+	for _, id := range h.App.Nodes {
+		ok := true
+		_ = h.With(id, func(n *core.Node) { ok = h.App.Probe == nil || h.App.Probe(n) })
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // RunFor drives the deployment for d of wall time.
@@ -201,7 +154,7 @@ func (h *Harness) RunFor(d time.Duration) {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		h.tick()
-		time.Sleep(h.Opts.TickEvery)
+		time.Sleep(tickEvery)
 	}
 }
 
@@ -217,19 +170,14 @@ func (h *Harness) RunUntil(probe func() bool, timeout time.Duration) error {
 			return fmt.Errorf("livetcp: %s did not converge within %v", h.App.Name, timeout)
 		}
 		h.tick()
-		time.Sleep(h.Opts.TickEvery)
+		time.Sleep(tickEvery)
 	}
 }
 
-// Settle keeps ticking long enough for every in-flight exchange to resolve
-// — delivered and acked, or retransmitted and finally reported to the
-// maintainer (which takes 2·Tprop). Auditing before this window closes
-// would see honest nodes with unacked sends the maintainer has not been
-// told about yet, which the finalizer would have to treat as provable
-// evidence; after it, such sends are at worst unattributable leads.
-func (h *Harness) Settle() {
-	h.RunFor(5*h.Opts.Tprop/2 + 200*time.Millisecond)
-}
+// Settle keeps ticking through the deployment's settling window (see
+// live.Deployment.SettleWindow) so an audit afterwards sees every exchange
+// resolved.
+func (h *Harness) Settle() { h.RunFor(h.SettleWindow()) }
 
 // NewQuerier builds an audit session over the remote (TCP) audit path. The
 // querier's retrieve calls dial the nodes like any external auditor would,
@@ -240,17 +188,13 @@ func (h *Harness) NewQuerier() *core.Querier {
 	f.CallTimeout = h.Opts.AuditCallTimeout
 	f.RetryDeadline = h.Opts.AuditRetryDeadline
 	h.fetchers = append(h.fetchers, f)
-	auditor := core.NewAuditor(h.Cfg, h.Dir, h.App.Factory, h.Maint)
-	q := core.NewQuerier(auditor, f)
-	if h.App.ConfigureQuerier != nil {
-		h.App.ConfigureQuerier(q)
-	}
-	return q
+	return h.Deployment.NewQuerier(f)
 }
 
 // Restart crash-restarts a node: stop serving (draining in-flight
 // handlers), close its log store, then reopen the store through the
-// recovery path and rejoin the cluster on a fresh port. Requires
+// recovery path, rejoin the cluster on a fresh port, and let the app
+// re-derive its driver state from the recovered machine. Requires
 // Options.LogDir. The rest of the cluster keeps running throughout and
 // reconnects via the transport's backoff path.
 func (h *Harness) Restart(id types.NodeID) error {
@@ -261,13 +205,13 @@ func (h *Harness) Restart(id types.NodeID) error {
 	if !ok {
 		return fmt.Errorf("livetcp: no node %s", id)
 	}
-	if err := h.Cluster.StopNode(id); err != nil {
+	if err := node.Stop(); err != nil {
 		return err
 	}
-	if err := node.Log.Close(); err != nil {
+	if err := h.startNode(id, true); err != nil {
 		return err
 	}
-	return h.startNode(id, true)
+	return h.nodes[id].Seed()
 }
 
 // HeadHash returns a node's current log head (flushing the store first),
@@ -286,10 +230,14 @@ func (h *Harness) HeadHash(id types.NodeID) ([]byte, error) {
 }
 
 // Close tears the deployment down: audit fetchers first, then the cluster
-// (listeners, links, in-flight handlers).
+// (listeners, links, in-flight handlers), then every node's log — flushing
+// active tails and releasing mapped tables and the store's compactor.
 func (h *Harness) Close() {
 	for _, f := range h.fetchers {
 		f.Close()
 	}
 	h.Cluster.Close()
+	for _, node := range h.nodes {
+		_ = node.Stop()
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/quantile"
 	"repro/internal/queryfront"
 	"repro/internal/types"
@@ -52,13 +53,16 @@ func QPSLive(seed int64, workers, queries int, dir string) ([]QPSLiveRow, *query
 	if queries <= 0 {
 		queries = 32
 	}
-	app := QuaggaApp()
+	app, err := live.AppByName("quagga")
+	if err != nil {
+		return nil, nil, err
+	}
 	h, err := New(app, Options{Seed: seed, LogDir: filepath.Join(dir, "store")})
 	if err != nil {
 		return nil, nil, err
 	}
 	defer h.Close()
-	if err := h.RunUntil(func() bool { return app.Converged(h) }, 15*time.Second); err != nil {
+	if err := h.RunUntil(h.Converged, 15*time.Second); err != nil {
 		return nil, nil, err
 	}
 	h.Settle()

@@ -20,14 +20,14 @@ import (
 // backoff finds the new listener — and (3) a full audit spanning the
 // restart yields zero provable evidence: an honest crash is not a fault.
 func TestLiveRestartRecovery(t *testing.T) {
-	app := MinCostApp()
+	app := mustApp(t, "mincost")
 	h, err := New(app, Options{Seed: 11, LogDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 
-	if err := h.RunUntil(func() bool { return app.Converged(h) }, 8*time.Second); err != nil {
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Quiesce so the crash has a clean cut: every pre-restart exchange
@@ -79,10 +79,9 @@ func TestLiveRestartRecovery(t *testing.T) {
 	h.Settle()
 
 	q := h.NewQuerier()
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(2*time.Second), 300*time.Millisecond)
-	if len(v.Failures) != 0 || len(v.RedHosts) != 0 {
-		t.Errorf("audit spanning an honest restart produced provable evidence: %v\nfailures: %v",
-			v, v.Failures)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
+	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {
+		t.Errorf("audit spanning an honest restart: %s: %v\nfailures: %v", breach, v, v.Failures)
 	}
 	if len(v.Unresponsive) != 0 {
 		t.Errorf("rejoined node should answer audits: %v", v.Unresponsive)
@@ -101,7 +100,7 @@ func TestLiveRestartRecovery(t *testing.T) {
 // audit may see missing acks but never provable evidence against the
 // honest crashed node.
 func TestLiveRestartMidFlight(t *testing.T) {
-	app := MinCostApp()
+	app := mustApp(t, "mincost")
 	h, err := New(app, Options{
 		Seed:   13,
 		LogDir: t.TempDir(),
@@ -122,16 +121,15 @@ func TestLiveRestartMidFlight(t *testing.T) {
 	if err := h.Restart("d"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.RunUntil(func() bool { return app.Converged(h) }, 8*time.Second); err != nil {
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
 		t.Logf("note: %v", err)
 	}
 	h.Settle()
 
 	q := h.NewQuerier()
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(2*time.Second), 300*time.Millisecond)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
 	t.Logf("verdict: %v", v)
-	if len(v.Failures) != 0 || len(v.RedHosts) != 0 {
-		t.Errorf("mid-flight restart of an honest node produced provable evidence: %v\nfailures: %v",
-			v, v.Failures)
+	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {
+		t.Errorf("mid-flight restart of an honest node: %s: %v\nfailures: %v", breach, v, v.Failures)
 	}
 }

@@ -37,21 +37,17 @@ func verdictKey(v *adversary.Verdict) string {
 // against the tamperer, zero false accusations — and the cache must
 // actually serve hits across the sessions.
 func TestConcurrentQueriersSharedCache(t *testing.T) {
-	app := MinCostApp()
+	app := mustApp(t, "mincost")
 	profile, ok := adversary.ProfileByName("tamper-log")
 	if !ok {
 		t.Fatal("tamper-log profile missing from catalog")
 	}
-	plan := adversary.Plan{}
-	for _, id := range app.Compromised {
-		plan[id] = []adversary.Behavior{profile.New()}
-	}
-	h, err := New(app, Options{Seed: 5, OnNode: plan.Hook()})
+	h, err := New(app, Options{Seed: 5, OnNode: profile.On(app.Compromised).Hook()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if err := h.RunUntil(func() bool { return app.Converged(h) }, 8*time.Second); err != nil {
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
 		t.Logf("note: %v", err)
 	}
 	h.Settle()
@@ -60,8 +56,8 @@ func TestConcurrentQueriersSharedCache(t *testing.T) {
 	ref := adversary.AuditAll(h.NewQuerier(), h.Maint)
 	refKey := verdictKey(ref)
 	t.Logf("reference verdict: %v", ref)
-	if accused := ref.FalselyAccused(app.Compromised); len(accused) != 0 {
-		t.Fatalf("reference run already accuses honest nodes %v", accused)
+	if breaches := ref.CheckGuarantee(profile.Class, app.Compromised, "", false); len(breaches) != 0 {
+		t.Fatalf("reference run already violates §4.2: %v", breaches)
 	}
 
 	// Concurrent sessions over one persistent cache. The queriers are
@@ -91,9 +87,8 @@ func TestConcurrentQueriersSharedCache(t *testing.T) {
 	wg.Wait()
 
 	for i, v := range verdicts {
-		if accused := v.FalselyAccused(app.Compromised); len(accused) != 0 {
-			t.Errorf("session %d: provable evidence implicates honest nodes %v\nfailures: %v\nred: %v",
-				i, accused, v.Failures, v.RedHosts)
+		for _, breach := range v.CheckGuarantee(profile.Class, app.Compromised, "", false) {
+			t.Errorf("session %d: §4.2 violated: %s\nfailures: %v\nred: %v", i, breach, v.Failures, v.RedHosts)
 		}
 		if got := verdictKey(v); got != refKey {
 			t.Errorf("session %d verdict diverged from the serial reference:\n got: %s\nwant: %s", i, got, refKey)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/live"
 	"repro/internal/supervisor"
 	"repro/internal/types"
 )
@@ -13,9 +14,9 @@ import (
 // plan with tamper-log armed, measuring supervised-recovery latency and
 // detection quality across OS-process crashes.
 type BenchRow struct {
-	App   string
-	Plan  string
-	Seed  int64
+	App  string
+	Plan string
+	Seed int64
 
 	// Converged reports whether the workload converged after the crashes.
 	Converged    bool
@@ -27,37 +28,36 @@ type BenchRow struct {
 	TimeToHeal       time.Duration
 	// DetectLatency is the audit wall time until the verdict settled.
 	DetectLatency time.Duration
-	Detected      bool
-	FalseAccused  int
-	Unresponsive  int
-	Restarts      int
-	TornBytes     int64
+	// Violations are the run's breaches of the §4.2 guarantee
+	// (adversary.Verdict.CheckGuarantee); a conforming run has none.
+	Violations   []string
+	Unresponsive int
+	Restarts     int
+	TornBytes    int64
 }
 
 func (r BenchRow) String() string {
-	return fmt.Sprintf("%-8s %-10s seed=%d conv=%-5v heal=%-8s restart=%-8s detect=%-8s hit=%-5v false=%d unresp=%d restarts=%d torn=%dB",
+	return fmt.Sprintf("%-8s %-10s seed=%d conv=%-5v heal=%-8s restart=%-8s detect=%-8s violations=%d unresp=%d restarts=%d torn=%dB",
 		r.App, r.Plan, r.Seed, r.Converged,
 		r.TimeToHeal.Round(time.Millisecond), r.RestartToHealthy.Round(time.Millisecond),
 		r.DetectLatency.Round(time.Millisecond),
-		r.Detected, r.FalseAccused, r.Unresponsive, r.Restarts, r.TornBytes)
+		len(r.Violations), r.Unresponsive, r.Restarts, r.TornBytes)
 }
 
-// benchPlans returns the per-app crash plans the bench runs: one kill and
-// one torn-tail crash per deployment, on distinct honest nodes.
-func benchPlans(app string) []supervisor.CrashRule {
-	switch app {
-	case "mincost":
-		return []supervisor.CrashRule{
-			{Node: "c", Mode: supervisor.ModeKill, AtAppend: 3, Jitter: 1},
-			{Node: "d", Mode: supervisor.ModeTorn, AtAppend: 4, Jitter: 1},
-		}
-	case "quagga":
-		return []supervisor.CrashRule{
-			{Node: "as10", Mode: supervisor.ModeKill, AtAppend: 4, Jitter: 1},
-			{Node: "as51", Mode: supervisor.ModeTorn, AtAppend: 3, Jitter: 1},
-		}
+// crashRules is the crash plan the bench and the conformance suite run
+// against app: a clean SIGKILL on its first honest node and a torn-tail
+// SIGKILL on its last. Both triggers sit well below the converged heads of
+// the registry's workloads, so they fire mid-exchange even when the other
+// crash disrupts the workload.
+func crashRules(app live.App) []supervisor.CrashRule {
+	honest := adversary.HonestNodes(app.Nodes, app.Compromised)
+	if len(honest) < 2 {
+		return nil
 	}
-	return nil
+	return []supervisor.CrashRule{
+		{Node: honest[0], Mode: supervisor.ModeKill, AtAppend: 3, Jitter: 1},
+		{Node: honest[len(honest)-1], Mode: supervisor.ModeTorn, AtAppend: 3, Jitter: 1},
+	}
 }
 
 // Bench runs the multi-process crash benchmark: for each app, a supervised
@@ -67,7 +67,7 @@ func benchPlans(app string) []supervisor.CrashRule {
 // callers decide which deviations are fatal.
 func Bench(dir string, seed int64) ([]BenchRow, error) {
 	var rows []BenchRow
-	for _, name := range supervisor.AppNames() {
+	for _, name := range live.AppNames() {
 		row, err := benchOne(fmt.Sprintf("%s/%s", dir, name), name, seed)
 		if err != nil {
 			return rows, fmt.Errorf("multiproc bench %s: %w", name, err)
@@ -78,7 +78,7 @@ func Bench(dir string, seed int64) ([]BenchRow, error) {
 }
 
 func benchOne(dir, appName string, seed int64) (BenchRow, error) {
-	app, err := supervisor.AppByName(appName)
+	app, err := live.AppByName(appName)
 	if err != nil {
 		return BenchRow{}, err
 	}
@@ -93,7 +93,7 @@ func benchOne(dir, appName string, seed int64) (BenchRow, error) {
 		Dir:         dir,
 		App:         appName,
 		Behaviors:   behaviors,
-		Crash:       &supervisor.CrashPlan{Seed: seed, Rules: benchPlans(appName)},
+		Crash:       &supervisor.CrashPlan{Seed: seed, Rules: crashRules(app)},
 		TickMs:      5,
 		SyncEvery:   5,
 		BackoffBase: 20 * time.Millisecond,
@@ -136,10 +136,9 @@ func benchOne(dir, appName string, seed int64) (BenchRow, error) {
 	}
 	q := h.NewQuerier()
 	auditStart := time.Now()
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(30*time.Second), 500*time.Millisecond)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(30*time.Second), 500*time.Millisecond)
 	row.DetectLatency = time.Since(auditStart)
-	row.Detected = v.Detected(app.Compromised)
-	row.FalseAccused = len(v.FalselyAccused(app.Compromised))
+	row.Violations = v.CheckGuarantee(adversary.Provable, app.Compromised, "", false)
 	row.Unresponsive = len(v.Unresponsive)
 	return row, nil
 }

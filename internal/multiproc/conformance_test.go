@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/live"
 	"repro/internal/multiproc"
 	"repro/internal/supervisor"
 	"repro/internal/types"
@@ -44,45 +45,40 @@ func workDir(t *testing.T) string {
 	return dir
 }
 
-// crashCase is one app with a seeded crash plan that kills distinct honest
-// nodes: one clean SIGKILL mid-run, one SIGKILL in the middle of a split
-// segment write (a genuinely torn tail for recovery to truncate), and — on
-// the app with an honest node to spare — one SIGKILL on the compactor
+// crashCase is one app's seeded crash plan, killing distinct honest nodes:
+// the bench's plan — one clean SIGKILL mid-run, one SIGKILL in the middle of
+// a split segment write (a genuinely torn tail for recovery to truncate) —
+// and, on an app with an honest node to spare, one SIGKILL on the compactor
 // goroutine mid-fold (replacement table durable, manifest swap uncommitted;
 // recovery must come back on the old table set and collect the orphan).
 type crashCase struct {
-	app     string
+	app     live.App
 	rules   []supervisor.CrashRule
 	kill    types.NodeID // the ModeKill target
 	torn    types.NodeID // the ModeTorn target
 	compact types.NodeID // the ModeCompact target (empty: none in this case)
 }
 
-func crashCases() []crashCase {
-	return []crashCase{
-		// Triggers sit well below the converged heads (8 for mincost, 9/5
-		// for quagga's as10/as51), so every rule fires mid-exchange even
-		// when the other crashes in the plan disrupt the workload. The
-		// compact rule needs a couple of appends past its trigger to seal
-		// the tables its fold dies in, so its trigger sits lowest. mincost
-		// deploys only three processes (b compromised), so only quagga has
-		// an honest node free for the compact crash.
-		{
-			app: "mincost", kill: "c", torn: "d",
-			rules: []supervisor.CrashRule{
-				{Node: "c", Mode: supervisor.ModeKill, AtAppend: 3, Jitter: 1},
-				{Node: "d", Mode: supervisor.ModeTorn, AtAppend: 4, Jitter: 1},
-			},
-		},
-		{
-			app: "quagga", kill: "as10", torn: "as51", compact: "as20",
-			rules: []supervisor.CrashRule{
-				{Node: "as10", Mode: supervisor.ModeKill, AtAppend: 4, Jitter: 1},
-				{Node: "as51", Mode: supervisor.ModeTorn, AtAppend: 3, Jitter: 1},
-				{Node: "as20", Mode: supervisor.ModeCompact, AtAppend: 2, Jitter: 1},
-			},
-		},
+// crashCaseFor derives the case from the registry entry alone. The compact
+// rule needs a couple of appends past its trigger to seal the tables its
+// fold dies in, so its trigger sits lowest. mincost deploys only three
+// processes (b compromised), so only quagga has an honest node free for it.
+func crashCaseFor(t *testing.T, name string) crashCase {
+	t.Helper()
+	app, err := live.AppByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rules := multiproc.CrashRules(app)
+	if len(rules) != 2 {
+		t.Fatalf("%s: no crash plan (needs two honest nodes)", name)
+	}
+	cc := crashCase{app: app, rules: rules, kill: rules[0].Node, torn: rules[1].Node}
+	if honest := adversary.HonestNodes(app.Nodes, app.Compromised); len(honest) > 2 {
+		cc.compact = honest[1]
+		cc.rules = append(cc.rules, supervisor.CrashRule{Node: cc.compact, Mode: supervisor.ModeCompact, AtAppend: 2, Jitter: 1})
+	}
+	return cc
 }
 
 // TestCrashConformance re-proves the §4.2 detection guarantee when the
@@ -101,21 +97,17 @@ func TestCrashConformance(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, cc := range crashCases() {
+	for _, name := range live.AppNames() {
 		for _, seed := range seeds {
-			cc, seed := cc, seed
-			t.Run(fmt.Sprintf("%s/seed=%d", cc.app, seed), func(t *testing.T) {
-				runCrashCase(t, cc, seed)
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				runCrashCase(t, crashCaseFor(t, name), seed)
 			})
 		}
 	}
 }
 
 func runCrashCase(t *testing.T, cc crashCase, seed int64) {
-	app, err := supervisor.AppByName(cc.app)
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := cc.app
 	behaviors := make(map[types.NodeID][]string)
 	for _, id := range app.Compromised {
 		behaviors[id] = []string{"tamper-log"}
@@ -123,7 +115,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 	h, err := multiproc.New(multiproc.Options{
 		Seed:        seed,
 		Dir:         workDir(t),
-		App:         cc.app,
+		App:         app.Name,
 		Behaviors:   behaviors,
 		Crash:       &supervisor.CrashPlan{Seed: seed, Rules: cc.rules},
 		TickMs:      5,
@@ -190,29 +182,14 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 		t.Logf("note: %v", err)
 	}
 	q := h.NewQuerier()
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(30*time.Second), 500*time.Millisecond)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(30*time.Second), 500*time.Millisecond)
 	t.Logf("verdict: %v; unreachable: %v", v, q.Unreachable())
 
-	// Accuracy, unconditionally: provable evidence only ever names the
-	// compromised set, process crashes or not.
-	if accused := v.FalselyAccused(app.Compromised); len(accused) != 0 {
-		t.Errorf("provable evidence implicates honest nodes %v\nfailures: %v\nred: %v",
-			accused, v.Failures, v.RedHosts)
-	}
-	// Completeness: tamper-log is Provable — crashes elsewhere in the
-	// deployment must not mask the tamperer.
-	bad := make(map[types.NodeID]bool)
-	for _, id := range app.Compromised {
-		bad[id] = true
-	}
-	exposed := false
-	for _, id := range v.StrongNodes() {
-		if bad[id] {
-			exposed = true
-		}
-	}
-	if !exposed {
-		t.Errorf("tamper-log on %v yielded no provable evidence: %v", app.Compromised, v)
+	// The §4.2 guarantee, process-crash form: provable evidence only ever
+	// names the compromised set — crashing is not tampering — and crashes
+	// elsewhere in the deployment do not mask the (Provable) tamperer.
+	for _, breach := range v.CheckGuarantee(adversary.Provable, app.Compromised, "", false) {
+		t.Errorf("§4.2 violated: %s\nfailures: %v\nred: %v", breach, v.Failures, v.RedHosts)
 	}
 	// Healed crash victims answer audits again: they are neither provable
 	// evidence (checked above) nor stuck unresponsive leads.
@@ -312,9 +289,9 @@ func TestUnreachableHealsAcrossRestart(t *testing.T) {
 	if err := h.SyncNotes(); err != nil {
 		t.Logf("note: %v", err)
 	}
-	v := adversary.AuditUntil(q, h.Maint, time.Now().Add(20*time.Second), 500*time.Millisecond)
-	if len(v.Failures) != 0 || len(v.RedHosts) != 0 {
-		t.Errorf("honest crash+recovery produced provable evidence: %v\nfailures: %v", v, v.Failures)
+	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(20*time.Second), 500*time.Millisecond)
+	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {
+		t.Errorf("honest crash+recovery: %s: %v\nfailures: %v", breach, v, v.Failures)
 	}
 	if why, ok := v.Unresponsive["d"]; ok {
 		t.Errorf("recovered d still unresponsive: %v", why)

@@ -10,11 +10,10 @@ package multiproc
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
+	"repro/internal/live"
 	"repro/internal/supervisor"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -26,7 +25,7 @@ type Options struct {
 	// per directory).
 	Seed int64
 	Dir  string
-	// App names the workload (supervisor.AppByName).
+	// App names the workload (live.AppByName).
 	App string
 	// Behaviors maps nodes to adversary profile names armed in-process.
 	Behaviors map[types.NodeID][]string
@@ -42,25 +41,22 @@ type Options struct {
 }
 
 // Harness is one running multi-process deployment, seen from the parent:
-// the supervisor owning the children, and the audit-side state (directory,
-// maintainer, queriers) the parent needs to score evidence.
+// the supervisor owning the children, and the audit-side deployment
+// parameters — directory, protocol configuration, and the parent-side
+// maintainer (Maint) that SyncNotes merges every child's missing-ack
+// reports into before an audit.
 type Harness struct {
+	*live.Deployment
 	Opts Options
 	Sup  *supervisor.Supervisor
-	App  supervisor.NodeApp
-	Cfg  core.Config
-	Dir  *core.Directory
-	// Maint is the parent-side maintainer; SyncNotes merges every child
-	// process's missing-ack reports into it before an audit.
-	Maint *core.Maintainer
 
 	fetch    *transport.RemoteFetcher
 	fetchers []*transport.RemoteFetcher
 }
 
 // New launches the deployment: a supervisor with one daemon process per
-// node, plus the parent-side audit state (the same key derivation the
-// children use, so both sides agree on the directory).
+// node, plus the parent-side audit state (the same derivation the children
+// run, so both sides agree on the directory).
 func New(opts Options) (*Harness, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("multiproc: Options.Dir is required")
@@ -84,82 +80,35 @@ func New(opts Options) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	app := sup.App()
-
-	cfg := core.DefaultConfig()
-	cfg.Tprop = types.Time(supervisor.NodeConfig{}.Tprop())
-	cfg.DeltaClock = cfg.Tprop / 2
-	cfg.CheckpointEvery = 0
-	dir := core.NewDirectory()
-	for i, id := range app.Nodes {
-		key, err := cryptoutil.PooledKey(cfg.Suite, opts.Seed*1000+int64(100+i))
-		if err != nil {
-			return nil, err
-		}
-		dir.Register(id, key.Public())
+	dep, err := live.NewDeployment(sup.App(), opts.Seed, 0)
+	if err != nil {
+		return nil, err
 	}
-
-	h := &Harness{
-		Opts:  opts,
-		Sup:   sup,
-		App:   app,
-		Cfg:   cfg,
-		Dir:   dir,
-		Maint: core.NewMaintainer(),
-	}
+	h := &Harness{Deployment: dep, Opts: opts, Sup: sup}
 	if err := sup.Start(); err != nil {
 		sup.Stop(2 * time.Second)
 		return nil, err
 	}
-	h.fetch = sup.Cluster().NewFetcher("harness")
-	h.fetch.CallTimeout = opts.AuditCallTimeout
-	h.fetch.RetryDeadline = opts.AuditRetryDeadline
+	h.fetch = h.newFetcher("harness")
 	return h, nil
 }
 
-// DataDir is where the children keep their segment stores (shared
-// filesystem — the parent reads sidecars from it directly).
-func (h *Harness) DataDir() string { return filepath.Join(h.Opts.Dir, "data") }
-
-// Health probes one child over the wire.
-func (h *Harness) Health(id types.NodeID, probeSeq uint64) (transport.Health, error) {
-	return h.fetch.Health(id, probeSeq)
+func (h *Harness) newFetcher(id types.NodeID) *transport.RemoteFetcher {
+	f := h.Sup.Cluster().NewFetcher(id)
+	f.CallTimeout = h.Opts.AuditCallTimeout
+	f.RetryDeadline = h.Opts.AuditRetryDeadline
+	h.fetchers = append(h.fetchers, f)
+	return f
 }
 
 // SyncNotes pulls every child process's missing-ack reports (§5.4) into
-// the parent-side maintainer. In a one-process deployment all nodes share
-// a maintainer; across processes each daemon holds only its own reports,
-// so an audit that skipped this merge would miss leads.
-func (h *Harness) SyncNotes() error {
-	var firstErr error
-	for _, id := range h.App.Nodes {
-		notes, err := h.fetch.Notes(id)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("multiproc: notes from %s: %w", id, err)
-			}
-			continue
-		}
-		for _, n := range notes {
-			h.Maint.NotifyMissingAck(n.Reporter, n.ID)
-		}
-	}
-	return firstErr
-}
+// the parent-side maintainer; see transport.RemoteFetcher.SyncNotes.
+func (h *Harness) SyncNotes() error { return h.fetch.SyncNotes(h.Maint) }
 
 // NewQuerier builds an audit session over the wire, dialing the child
 // processes like any external auditor.
 func (h *Harness) NewQuerier() *core.Querier {
-	f := h.Sup.Cluster().NewFetcher("auditor")
-	f.CallTimeout = h.Opts.AuditCallTimeout
-	f.RetryDeadline = h.Opts.AuditRetryDeadline
-	h.fetchers = append(h.fetchers, f)
-	auditor := core.NewAuditor(h.Cfg, h.Dir, h.App.Factory, h.Maint)
-	q := core.NewQuerier(auditor, f)
-	if h.App.ConfigureQuerier != nil {
-		h.App.ConfigureQuerier(q)
-	}
-	return q
+	return h.Deployment.NewQuerier(h.newFetcher("auditor"))
 }
 
 // WaitCrashed waits until every node the crash plan names has died and been
@@ -208,7 +157,7 @@ func (h *Harness) WaitCrashed(timeout time.Duration) (map[types.NodeID]superviso
 // sequence must return the captured hash, and the live head must be at or
 // past it. It returns the health report so callers can inspect TornBytes.
 func (h *Harness) VerifyRecovered(id types.NodeID, st supervisor.SyncedState) (transport.Health, error) {
-	hr, err := h.Health(id, st.Seq)
+	hr, err := h.fetch.Health(id, st.Seq)
 	if err != nil {
 		return hr, fmt.Errorf("multiproc: probing recovered %s: %w", id, err)
 	}
@@ -223,22 +172,15 @@ func (h *Harness) VerifyRecovered(id types.NodeID, st supervisor.SyncedState) (t
 	return hr, nil
 }
 
-// Settle sleeps long enough for every in-flight exchange among the
-// children to resolve (the livetcp settling window: the daemons tick
+// Settle sleeps through the deployment's settling window (the daemons tick
 // themselves, the parent only has to wait).
-func (h *Harness) Settle() {
-	tprop := supervisor.NodeConfig{}.Tprop()
-	time.Sleep(5*tprop/2 + 200*time.Millisecond)
-}
+func (h *Harness) Settle() { time.Sleep(h.SettleWindow()) }
 
-// Close tears the deployment down: audit fetchers, then the supervised
-// children (graceful, with a kill fallback).
+// Close tears the deployment down: the parent's fetchers, then the
+// supervised children (graceful, with a kill fallback).
 func (h *Harness) Close() {
 	for _, f := range h.fetchers {
 		f.Close()
-	}
-	if h.fetch != nil {
-		h.fetch.Close()
 	}
 	h.Sup.Stop(5 * time.Second)
 }

@@ -72,15 +72,7 @@ func (c *Client) Close() error {
 // Explain submits one provenance macroquery and returns the explanation.
 func (c *Client) Explain(req ExplainRequest) (*ExplainResult, error) {
 	res := new(ExplainResult)
-	err := c.call(FrameExplainReq, FrameExplainResp,
-		req.MarshalWire,
-		func(r *wire.Reader) error {
-			if err := res.UnmarshalWire(r); err != nil {
-				return err
-			}
-			return r.Finish()
-		})
-	if err != nil {
+	if err := c.call(FrameExplainReq, req.MarshalWire, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -89,17 +81,8 @@ func (c *Client) Explain(req ExplainRequest) (*ExplainResult, error) {
 // Audit audits the named targets (the whole deployment when none) and
 // returns the verdict tiers.
 func (c *Client) Audit(targets ...types.NodeID) (*AuditResult, error) {
-	req := AuditRequest{Targets: targets}
 	res := new(AuditResult)
-	err := c.call(FrameAuditReq, FrameAuditResp,
-		req.MarshalWire,
-		func(r *wire.Reader) error {
-			if err := res.UnmarshalWire(r); err != nil {
-				return err
-			}
-			return r.Finish()
-		})
-	if err != nil {
+	if err := c.call(FrameAuditReq, AuditRequest{Targets: targets}.MarshalWire, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -108,23 +91,17 @@ func (c *Client) Audit(targets ...types.NodeID) (*AuditResult, error) {
 // Stats fetches the frontend's counter snapshot.
 func (c *Client) Stats() (*FrontStats, error) {
 	res := new(FrontStats)
-	err := c.call(FrameStatsReq, FrameStatsResp, nil,
-		func(r *wire.Reader) error {
-			if err := res.UnmarshalWire(r); err != nil {
-				return err
-			}
-			return r.Finish()
-		})
-	if err != nil {
+	if err := c.call(FrameStatsReq, nil, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// call performs one request/response exchange. Transport failures close
-// the connection (the next call redials); frontend-reported errors are
-// returned as-is, with sheds wrapped in ErrOverloaded.
-func (c *Client) call(reqKind, respKind byte, body func(*wire.Writer), parse func(*wire.Reader) error) error {
+// call performs one request/response exchange, decoding the answer into
+// res. Transport failures close the connection (the next call redials);
+// frontend-reported errors are returned as-is, with sheds wrapped in
+// ErrOverloaded.
+func (c *Client) call(reqKind byte, body func(*wire.Writer), res wire.Unmarshaler) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
@@ -138,56 +115,23 @@ func (c *Client) call(reqKind, respKind byte, body func(*wire.Writer), parse fun
 		c.conn = conn
 	}
 	c.reqID++
-	reqID := c.reqID
-	w := wire.NewWriter(256)
-	w.Raw([]byte{0, 0, 0, 0})
-	w.String(c.ID)
-	w.Byte(reqKind)
-	w.Uint(reqID)
-	if body != nil {
-		body(w)
-	}
-	buf, err := transport.FinishFrame(w, c.MaxFrame)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
+	err := transport.Exchange(c.conn, c.CallTimeout, c.MaxFrame, types.NodeID(c.ID), reqKind, c.reqID, body,
+		func(r *wire.Reader) error {
+			if err := res.UnmarshalWire(r); err != nil {
+				return err
+			}
+			return r.Finish()
+		})
+	var refused *transport.RemoteError
+	switch {
+	case errors.As(err, &refused):
+		if strings.HasPrefix(refused.Msg, "overloaded:") {
+			return fmt.Errorf("%w: %s", ErrOverloaded, refused.Msg)
+		}
+		return fmt.Errorf("queryfront: %s", refused.Msg)
+	case err != nil:
 		c.conn.Close()
 		c.conn = nil
-		return err
 	}
-	c.conn.SetDeadline(time.Now().Add(c.CallTimeout))
-	if _, err := c.conn.Write(buf); err != nil {
-		return fail(err)
-	}
-	for {
-		payload, err := transport.ReadFrame(c.conn, c.MaxFrame)
-		if err != nil {
-			return fail(err)
-		}
-		_, kind, r, err := transport.BeginFrame(payload)
-		if err != nil {
-			return fail(err)
-		}
-		if kind != respKind {
-			return fail(fmt.Errorf("queryfront: unexpected response kind %d", kind))
-		}
-		if r.Uint() != reqID {
-			continue // stale answer from an abandoned call on this conn
-		}
-		if !r.Bool() {
-			msg := r.String()
-			if err := r.Err(); err != nil {
-				return fail(err)
-			}
-			if strings.HasPrefix(msg, "overloaded:") {
-				return fmt.Errorf("%w: %s", ErrOverloaded, msg)
-			}
-			return fmt.Errorf("queryfront: %s", msg)
-		}
-		if err := parse(r); err != nil {
-			return fail(err)
-		}
-		return nil
-	}
+	return err
 }

@@ -19,7 +19,6 @@ package queryfront
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"sync"
@@ -363,34 +362,11 @@ func decodeRequest(payload []byte) (*request, error) {
 	return req, nil
 }
 
-// reply writes one response frame: [len][ID][kind][reqID][ok][body|error].
+// reply writes one response frame (transport.ReplyFrame's layout).
 func (s *Server) reply(fc *frontConn, kind byte, reqID uint64, qerr error, body func(*wire.Writer)) error {
-	w := wire.NewWriter(512)
-	w.Raw([]byte{0, 0, 0, 0})
-	w.String(string(s.cfg.ID))
-	w.Byte(kind)
-	w.Uint(reqID)
-	if qerr != nil {
-		w.Bool(false)
-		w.String(qerr.Error())
-	} else {
-		w.Bool(true)
-		body(w)
-	}
-	buf, err := transport.FinishFrame(w, s.cfg.MaxFrame)
+	buf, err := transport.ReplyFrame(s.cfg.ID, kind, reqID, s.cfg.MaxFrame, qerr, body)
 	if err != nil {
-		// The answer outgrew the frame bound (an explanation bigger than
-		// MaxFrame): report in-band so the client sees a checked failure.
-		w = wire.NewWriter(128)
-		w.Raw([]byte{0, 0, 0, 0})
-		w.String(string(s.cfg.ID))
-		w.Byte(kind)
-		w.Uint(reqID)
-		w.Bool(false)
-		w.String(err.Error())
-		if buf, err = transport.FinishFrame(w, s.cfg.MaxFrame); err != nil {
-			return err
-		}
+		return err
 	}
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
@@ -429,11 +405,13 @@ func (s *Server) run(fetch *transport.RemoteFetcher, req *request) {
 	// Clamp the remote-call budgets to the time this query has left, so a
 	// query that waited in the queue cannot blow its deadline inside one
 	// slow unreachable peer.
-	fetch.CallTimeout = minDur(s.cfg.CallTimeout, remaining)
-	fetch.RetryDeadline = minDur(s.cfg.RetryDeadline, remaining)
+	fetch.CallTimeout = min(s.cfg.CallTimeout, remaining)
+	fetch.RetryDeadline = min(s.cfg.RetryDeadline, remaining)
 
+	// Merge the deployment's §5.4 missing-ack reports before any evidence
+	// is scored, best-effort: unreachable nodes are the sweep's to report.
 	maint := core.NewMaintainer()
-	s.syncNotes(fetch, maint)
+	_ = fetch.SyncNotes(maint)
 	auditor := core.NewAuditor(s.cfg.Base, s.cfg.Dir, s.cfg.Factory, maint)
 	q := core.NewQuerier(auditor, fetch)
 	q.Parallelism = 1 // sessions provide the concurrency; stay strictly lazy
@@ -449,7 +427,11 @@ func (s *Server) run(fetch *transport.RemoteFetcher, req *request) {
 			res.MarshalWire(w)
 		})
 	case FrameAuditReq:
-		res := s.runAudit(q, maint, req.audit.Targets)
+		// One sweep of the targets (the whole membership when empty).
+		// Unreachable targets degrade to leads, never failures; the query's
+		// deadline is enforced through the fetcher's clamped budgets, so the
+		// sweep itself does not retry.
+		res := auditResultOf(adversary.Sweep(q, maint, req.audit.Targets, time.Time{}, 0))
 		s.finish(req, "audit", nil, func(w *wire.Writer) {
 			res.Elapsed = time.Since(req.admitted)
 			res.MarshalWire(w)
@@ -467,25 +449,6 @@ func (s *Server) finish(req *request, kind string, err error, body func(*wire.Wr
 	s.served.Add(1)
 	s.ring(kind).record(time.Since(req.admitted))
 	_ = s.reply(req.conn, req.kind+1, req.reqID, nil, body)
-}
-
-// syncNotes merges the deployment's §5.4 missing-ack reports into this
-// query's maintainer before any evidence is scored. Without it, an honest
-// node whose send was never acked (receiver partitioned, say) would
-// replay as a protocol violation — a false accusation. Unreachable nodes
-// are skipped best-effort: a missed note can only move evidence from
-// "lead" to "nothing", never create an accusation... except the
-// missing-ack shield itself, which is why every reachable node is asked.
-func (s *Server) syncNotes(fetch *transport.RemoteFetcher, maint *core.Maintainer) {
-	for _, id := range fetch.Nodes() {
-		notes, err := fetch.Notes(id)
-		if err != nil {
-			continue
-		}
-		for _, n := range notes {
-			maint.NotifyMissingAck(n.Reporter, n.ID)
-		}
-	}
 }
 
 // runExplain answers one Explain macroquery.
@@ -512,51 +475,6 @@ func (s *Server) runExplain(q *core.Querier, er *ExplainRequest) (*ExplainResult
 	return res, nil
 }
 
-// runAudit audits the targets (whole membership when empty) and scores
-// the evidence tiers, mirroring adversary.AuditAll but scoped and
-// deadline-aware. Unreachable targets degrade to leads, never failures.
-func (s *Server) runAudit(q *core.Querier, maint *core.Maintainer, targets []types.NodeID) *AuditResult {
-	all := q.Fetch.Nodes()
-	if len(targets) == 0 {
-		targets = all
-	}
-	v := &adversary.Verdict{Unresponsive: make(map[types.NodeID]error)}
-	for _, id := range targets {
-		if err := q.EnsureAudited(id, 0); err != nil {
-			v.Unresponsive[id] = err
-		}
-	}
-	q.Auditor.Finalize()
-	// The §5.5 consistency check: every authenticator a reachable peer
-	// holds about a target must lie on the chain the target presented.
-	for _, target := range targets {
-		for _, peer := range all {
-			if peer == target {
-				continue
-			}
-			if _, down := v.Unresponsive[peer]; down {
-				continue // costs evidence, never accuracy
-			}
-			for _, a := range q.Fetch.AuthsAbout(peer, target, 0, types.Time(math.MaxInt64)) {
-				q.Auditor.CheckAuthenticator(a)
-			}
-		}
-	}
-	v.Refresh(q, maint)
-
-	res := &AuditResult{}
-	for _, f := range v.Failures {
-		res.Failures = append(res.Failures, FailureInfo{Node: f.Node, Seq: f.Seq, Reason: f.Reason})
-	}
-	res.RedHosts = append(res.RedHosts, v.RedHosts...)
-	sortNodes(res.RedHosts)
-	res.Unreachable = leads(v.Unresponsive)
-	for _, n := range v.Notes {
-		res.Notes = append(res.Notes, NoteInfo{Reporter: n.Reporter, Src: n.ID.Src, Dst: n.ID.Dst, Seq: n.ID.Seq})
-	}
-	return res
-}
-
 // leads flattens an unreachable map into a wire-stable sorted slice.
 func leads(m map[types.NodeID]error) []Lead {
 	out := make([]Lead, 0, len(m))
@@ -565,11 +483,4 @@ func leads(m map[types.NodeID]error) []Lead {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

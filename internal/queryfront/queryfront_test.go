@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/mincost"
 	"repro/internal/core"
-	"repro/internal/livetcp"
 	"repro/internal/queryfront"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -29,7 +29,7 @@ func ghostFront(t *testing.T, cfg queryfront.Config) (*queryfront.Server, *trans
 	cluster.AddPeer("ghost-b", "127.0.0.1:1")
 	cfg.Cluster = cluster
 	cfg.Dir = core.NewDirectory()
-	cfg.Factory = livetcp.MinCostApp().Factory
+	cfg.Factory = mincost.Factory()
 	cfg.Base = core.DefaultConfig()
 	srv, err := queryfront.Serve(cfg, "127.0.0.1:0")
 	if err != nil {
@@ -100,7 +100,7 @@ func TestShedAndCount(t *testing.T) {
 		if len(res.Failures) != 0 || len(res.RedHosts) != 0 {
 			t.Errorf("unreachable-only deployment produced provable evidence: %+v", res)
 		}
-		if got := res.UnreachableNodes(); !reflect.DeepEqual(got, []types.NodeID{"ghost-a", "ghost-b"}) {
+		if got := res.Verdict().LeadNodes(); !reflect.DeepEqual(got, []types.NodeID{"ghost-a", "ghost-b"}) {
 			t.Errorf("leads = %v, want both ghosts", got)
 		}
 	}

@@ -7,10 +7,13 @@
 package queryfront
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -215,31 +218,66 @@ type AuditResult struct {
 	Elapsed time.Duration
 }
 
-// StrongNodes returns the nodes implicated by provable evidence, sorted.
-func (q *AuditResult) StrongNodes() []types.NodeID {
-	seen := map[types.NodeID]bool{}
-	for _, f := range q.Failures {
-		seen[f.Node] = true
+// auditResultOf puts a sweep's verdict in wire form.
+func auditResultOf(v *adversary.Verdict) *AuditResult {
+	res := &AuditResult{Unreachable: leads(v.Unresponsive)}
+	for _, f := range v.Failures {
+		res.Failures = append(res.Failures, FailureInfo{Node: f.Node, Seq: f.Seq, Reason: f.Reason})
 	}
-	for _, h := range q.RedHosts {
-		seen[h] = true
+	res.RedHosts = append(res.RedHosts, v.RedHosts...)
+	sortNodes(res.RedHosts)
+	for _, n := range v.Notes {
+		res.Notes = append(res.Notes, NoteInfo{Reporter: n.Reporter, Src: n.ID.Src, Dst: n.ID.Dst, Seq: n.ID.Seq})
 	}
-	out := make([]types.NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sortNodes(out)
-	return out
+	return res
 }
 
-// UnreachableNodes returns just the lead node IDs, sorted.
-func (q *AuditResult) UnreachableNodes() []types.NodeID {
-	out := make([]types.NodeID, 0, len(q.Unreachable))
-	for _, l := range q.Unreachable {
-		out = append(out, l.Node)
+// Verdict converts the wire form back into the verdict the frontend's
+// sweep produced, so a remote analyst scores it — evidence tiers, the §4.2
+// check — exactly as an in-process one would.
+func (q *AuditResult) Verdict() *adversary.Verdict {
+	v := &adversary.Verdict{RedHosts: q.RedHosts, Unresponsive: make(map[types.NodeID]error, len(q.Unreachable))}
+	for _, f := range q.Failures {
+		v.Failures = append(v.Failures, core.Failure{Node: f.Node, Seq: f.Seq, Reason: f.Reason})
 	}
-	sortNodes(out)
-	return out
+	for _, l := range q.Unreachable {
+		v.Unresponsive[l.Node] = errors.New(l.Err)
+	}
+	for _, n := range q.Notes {
+		v.Notes = append(v.Notes, core.MissingAckNote{Reporter: n.Reporter,
+			ID: types.MessageID{Src: n.Src, Dst: n.Dst, Seq: n.Seq}})
+	}
+	return v
+}
+
+// StrongNodes returns the nodes implicated by provable evidence, sorted.
+func (q *AuditResult) StrongNodes() []types.NodeID { return q.Verdict().StrongNodes() }
+
+// Format renders the verdict in the paper's evidence tiers: provable
+// evidence first, then the unreachable leads (sorted on the wire already).
+func (q *AuditResult) Format() string {
+	var b strings.Builder
+	if strong := q.StrongNodes(); len(strong) > 0 {
+		fmt.Fprintf(&b, "PROVABLY FAULTY: %v\n", strong)
+		for _, f := range q.Failures {
+			fmt.Fprintf(&b, "  %s@%d: %s\n", f.Node, f.Seq, f.Reason)
+		}
+		for _, id := range q.RedHosts {
+			fmt.Fprintf(&b, "  %s: red provenance vertex\n", id)
+		}
+	} else {
+		b.WriteString("no provable evidence of misbehavior\n")
+	}
+	if len(q.Unreachable) > 0 {
+		b.WriteString("unreachable (unattributable leads, not evidence):\n")
+		for _, l := range q.Unreachable {
+			fmt.Fprintf(&b, "  %s: %s\n", l.Node, l.Err)
+		}
+	}
+	if len(q.Notes) > 0 {
+		fmt.Fprintf(&b, "missing-ack notes in scope: %d\n", len(q.Notes))
+	}
+	return b.String()
 }
 
 // MarshalWire implements wire.Marshaler.

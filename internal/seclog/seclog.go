@@ -460,6 +460,11 @@ func (l *Log) Append(e *Entry) uint64 {
 	if e.Type == ECkpt {
 		l.ckpts = append(l.ckpts, ckptRef{seq: seq, size: size})
 	}
+	if l.store != nil && l.storeErr == nil && l.store.hooks.AfterAppend != nil {
+		// After the indexes above cover the record: a hook may Sync, and
+		// sealing resolves every staged record through them (sealInfo).
+		l.store.hooks.AfterAppend(seq)
+	}
 	l.evict()
 	return seq
 }
@@ -512,29 +517,6 @@ func (l *Log) Entry(seq uint64) (*Entry, error) {
 		l.storeErr = err
 	}
 	return e, err
-}
-
-// HashAt returns h_k. It panics for truncated or out-of-range entries; use
-// Hash on any path that consumes peer-influenced sequence numbers.
-func (l *Log) HashAt(seq uint64) []byte {
-	h, err := l.Hash(seq)
-	if err != nil {
-		//snpvet:allow nopanic documented panic-on-misuse accessor for locally validated sequence numbers; peer-influenced paths use Hash, which returns an error
-		panic(err)
-	}
-	return h
-}
-
-// EntryAt returns entry seq (1-based). It panics for truncated or
-// out-of-range entries (or on a store read failure); use Entry on any path
-// that consumes peer-influenced sequence numbers.
-func (l *Log) EntryAt(seq uint64) *Entry {
-	e, err := l.Entry(seq)
-	if err != nil {
-		//snpvet:allow nopanic documented panic-on-misuse accessor for locally validated sequence numbers; peer-influenced paths use Entry, which returns an error
-		panic(err)
-	}
-	return e
 }
 
 // Authenticator signs the current head (or, with seq, an earlier retained
@@ -608,7 +590,16 @@ func (l *Log) Truncate(seq uint64) {
 	if seq > l.Len()+1 {
 		seq = l.Len() + 1
 	}
-	l.baseHash = l.HashAt(seq - 1)
+	base, err := l.Hash(seq - 1)
+	if err != nil {
+		// Unreachable after the clamps above; fail sticky with the log
+		// untouched rather than corrupt the retention boundary.
+		if l.storeErr == nil {
+			l.storeErr = err
+		}
+		return
+	}
+	l.baseHash = base
 	l.hashes = append([][]byte(nil), l.hashes[seq-l.first:]...)
 	if seq > l.hotFirst {
 		drop := int(seq - l.hotFirst)
@@ -681,8 +672,8 @@ func (l *Log) ColdEntries() uint64 {
 func (l *Log) Err() error { return l.storeErr }
 
 // StoreHooks are crash-injection points for fault testing a store-backed
-// log. AfterAppend runs after each record is staged (seq is the record's
-// sequence number); MidFlush runs between the two halves of a split group
+// log. AfterAppend runs after each record is staged and indexed, so it may
+// call Flush or Sync (seq is the record's sequence number); MidFlush runs between the two halves of a split group
 // write, so a hook that SIGKILLs the process leaves a torn last record on
 // disk for recovery to truncate; MidCompact runs on the compactor goroutine
 // after the replacement table is durable but before the manifest swap

@@ -239,9 +239,6 @@ func (s *Store) append(rec []byte) error {
 			return err
 		}
 	}
-	if s.hooks.AfterAppend != nil {
-		s.hooks.AfterAppend(s.head())
-	}
 	return nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/types"
 )
 
@@ -83,16 +84,14 @@ func (p *CrashPlan) RuleFor(node types.NodeID) (CrashRule, bool) {
 // The supervisor writes one per child as JSON and points the child at it
 // via the SNP_NODE_CONFIG environment variable.
 type NodeConfig struct {
-	// ID is this daemon's node identity; App names the workload driver
-	// (see AppByName).
+	// ID is this daemon's node identity, one of the nodes of App — the
+	// workload's name in the live registry (live.AppByName), whose node
+	// order fixes each node's key index.
 	ID  types.NodeID `json:"id"`
 	App string       `json:"app"`
 	// Seed drives key derivation (shared by every process in the
 	// deployment) and the transport's jitter streams.
 	Seed int64 `json:"seed"`
-	// Nodes is the full deployment in order — the order fixes each node's
-	// key index, so every process derives the same directory.
-	Nodes []types.NodeID `json:"nodes"`
 	// Addrs maps every node (this one included) to its fixed listen
 	// address. Fixed ports are what let a restarted process rejoin: peers
 	// keep dialing the same address through the transport's backoff.
@@ -110,7 +109,7 @@ type NodeConfig struct {
 	// immediately re-die.
 	Crash *CrashRule `json:"crash,omitempty"`
 	// TpropMs is the commitment protocol's propagation bound (default
-	// 400ms); TickMs the daemon tick period (default 10ms); SyncEvery how
+	// live.DefaultTprop); TickMs the daemon tick period (default 10ms); SyncEvery how
 	// many ticks between durable log syncs (default 20).
 	TpropMs   int `json:"tprop_ms,omitempty"`
 	TickMs    int `json:"tick_ms,omitempty"`
@@ -119,7 +118,7 @@ type NodeConfig struct {
 
 func (c NodeConfig) withDefaults() NodeConfig {
 	if c.TpropMs <= 0 {
-		c.TpropMs = 400
+		c.TpropMs = int(live.DefaultTprop / time.Millisecond)
 	}
 	if c.TickMs <= 0 {
 		c.TickMs = 10
@@ -144,15 +143,6 @@ func (c NodeConfig) validate() error {
 	}
 	if c.DataDir == "" {
 		return fmt.Errorf("supervisor: config for %s has no data dir", c.ID)
-	}
-	found := false
-	for _, id := range c.Nodes {
-		if id == c.ID {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("supervisor: node %s is not in the deployment %v", c.ID, c.Nodes)
 	}
 	return nil
 }

@@ -10,10 +10,9 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
+	"repro/internal/live"
 	"repro/internal/seclog"
 	"repro/internal/transport"
-	"repro/internal/types"
 )
 
 // ChildConfigEnv points a child process at its NodeConfig file. The
@@ -124,25 +123,24 @@ func installCrashRule(n *core.Node, rule *CrashRule) error {
 	return nil
 }
 
-// RunDaemon runs one node daemon to completion: build the node (fresh or
-// through crash recovery), arm behaviors and crash rules, serve the
-// transport, drive the workload on a wall-clock tick loop, and drain
-// gracefully on SIGTERM/SIGINT. It returns once the daemon has shut down
-// cleanly; crash rules never return (the process dies).
+// RunDaemon runs one node daemon to completion: derive the deployment,
+// start the node through the shared runtime (fresh or through crash
+// recovery, behaviors and crash rule armed before it serves), drive it on a
+// wall-clock tick loop, and drain gracefully on SIGTERM/SIGINT. It returns
+// once the daemon has shut down cleanly; crash rules never return (the
+// process dies).
 func RunDaemon(cfg NodeConfig) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	app, err := AppByName(cfg.App)
+	app, err := live.AppByName(cfg.App)
 	if err != nil {
 		return err
 	}
 	logger := log.New(os.Stdout, string(cfg.ID)+": ", log.Ltime|log.Lmicroseconds)
 
-	tcfg := transport.DefaultConfig()
-	tcfg.Seed = cfg.Seed
-	cluster := transport.NewClusterWith(tcfg)
+	cluster := transport.NewClusterWith(transport.Config{Seed: cfg.Seed})
 	defer cluster.Close()
 	for id, addr := range cfg.Addrs {
 		if id != cfg.ID {
@@ -150,70 +148,31 @@ func RunDaemon(cfg NodeConfig) error {
 		}
 	}
 
-	ccfg := core.DefaultConfig()
-	ccfg.Tprop = types.Time(cfg.Tprop())
-	ccfg.DeltaClock = ccfg.Tprop / 2
-	ccfg.CheckpointEvery = 0
-	ccfg.LogDir = cfg.DataDir
-	ccfg.LogRecover = cfg.Recover
-
-	dir := core.NewDirectory()
-	var key cryptoutil.PrivateKey
-	for i, id := range cfg.Nodes {
-		k, keyErr := cryptoutil.PooledKey(ccfg.Suite, cfg.Seed*1000+int64(100+i))
-		if keyErr != nil {
-			return keyErr
-		}
-		dir.Register(id, k.Public())
-		if id == cfg.ID {
-			key = k
-		}
-	}
-	maint := core.NewMaintainer()
-	node, err := core.NewNode(cfg.ID, ccfg, key, dir, maint,
-		transport.WallClock{}, cluster, app.Factory(cfg.ID))
+	dep, err := live.NewDeployment(app, cfg.Seed, cfg.Tprop())
 	if err != nil {
-		return fmt.Errorf("supervisor: starting %s: %w", cfg.ID, err)
-	}
-	for _, name := range cfg.Behaviors {
-		p, ok := adversary.ProfileByName(name)
-		if !ok {
-			return fmt.Errorf("supervisor: unknown behavior %q on %s", name, cfg.ID)
-		}
-		p.New().Install(node)
-	}
-	if err := installCrashRule(node, cfg.Crash); err != nil {
 		return err
 	}
-	cluster.SetMaintainer(maint)
-	if app.Probe != nil {
-		cluster.SetProbe(cfg.ID, app.Probe)
-	}
-	if _, err := cluster.Serve(node, cfg.Addrs[cfg.ID]); err != nil {
+	dep.Cfg.LogDir = cfg.DataDir
+	node, err := dep.Start(cluster, cfg.ID, cfg.Addrs[cfg.ID], cfg.Recover, func(n *core.Node) error {
+		for _, name := range cfg.Behaviors {
+			p, ok := adversary.ProfileByName(name)
+			if !ok {
+				return fmt.Errorf("supervisor: unknown behavior %q on %s", name, cfg.ID)
+			}
+			p.New().Install(n)
+		}
+		if cfg.Recover {
+			logger.Printf("recovered: head=%d torn=%dB", n.Log.Len(), n.Log.RecoveredTornBytes())
+		}
+		return installCrashRule(n, cfg.Crash)
+	})
+	if err != nil {
 		return err
 	}
-
-	switch {
-	case cfg.Recover:
-		logger.Printf("recovered: head=%d torn=%dB", node.Log.Len(), node.Log.RecoveredTornBytes())
-		if app.Recovered != nil {
-			if err := cluster.With(cfg.ID, func(n *core.Node) { app.Recovered(n) }); err != nil {
-				return err
-			}
-		}
-	default:
-		logger.Printf("serving on %s", cfg.Addrs[cfg.ID])
-		if app.Start != nil {
-			var startErr error
-			if err := cluster.With(cfg.ID, func(n *core.Node) { startErr = app.Start(n) }); err != nil {
-				return err
-			}
-			if startErr != nil {
-				return startErr
-			}
-		}
+	logger.Printf("serving on %s", cfg.Addrs[cfg.ID])
+	if err := node.Seed(); err != nil {
+		return err
 	}
-
 	// Publish a sidecar before the first crash trigger can fire, so the
 	// supervisor always has a synced state to hold recovery against.
 	if err := cluster.With(cfg.ID, func(n *core.Node) { _ = n.Log.Sync() }); err != nil {
@@ -224,37 +183,19 @@ func RunDaemon(cfg NodeConfig) error {
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	ticker := time.NewTicker(time.Duration(cfg.TickMs) * time.Millisecond)
 	defer ticker.Stop()
-	tick := 0
 	for {
 		select {
 		case s := <-sig:
 			logger.Printf("%v: draining", s)
 			cluster.Drain(2 * time.Second)
-			if err := cluster.StopNode(cfg.ID); err != nil {
+			if err := node.Stop(); err != nil {
 				return err
 			}
-			if err := node.Log.Sync(); err != nil {
-				return err
-			}
-			if err := node.Log.Close(); err != nil {
-				return err
-			}
-			logger.Printf("stopped at head=%d", node.Log.Len())
+			logger.Print("stopped")
 			return nil
 		case <-ticker.C:
-			tick++
-			if err := cluster.With(cfg.ID, func(n *core.Node) {
-				if app.Step != nil {
-					app.Step(n, tick)
-				}
-			}); err != nil {
+			if err := node.Tick(cfg.SyncEvery); err != nil {
 				return err
-			}
-			_ = cluster.TickAll()
-			if tick%cfg.SyncEvery == 0 {
-				if err := cluster.With(cfg.ID, func(n *core.Node) { _ = n.Log.Sync() }); err != nil {
-					return err
-				}
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
+	"repro/internal/live"
 	"repro/internal/queryfront"
 	"repro/internal/seclog"
 	"repro/internal/transport"
@@ -44,7 +44,7 @@ type Options struct {
 	// Seed drives key derivation, crash-plan resolution, and backoff
 	// jitter.
 	Seed int64
-	// App names the workload (see AppByName).
+	// App names the workload (see live.AppByName).
 	App string
 	// Behaviors maps nodes to adversary profile names to arm on them.
 	Behaviors map[types.NodeID][]string
@@ -128,7 +128,7 @@ type child struct {
 // restart storms are capped.
 type Supervisor struct {
 	opts  Options
-	app   NodeApp
+	app   live.App
 	addrs map[types.NodeID]string
 	log   *log.Logger
 	logF  *os.File
@@ -151,7 +151,7 @@ func New(opts Options) (*Supervisor, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("supervisor: Options.Dir is required")
 	}
-	app, err := AppByName(opts.App)
+	app, err := live.AppByName(opts.App)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func New(opts Options) (*Supervisor, error) {
 
 // App returns the resolved workload (the harness side needs its node list,
 // compromised set, factory, and querier hooks).
-func (s *Supervisor) App() NodeApp { return s.app }
+func (s *Supervisor) App() live.App { return s.app }
 
 // Addrs returns every node's fixed listen address.
 func (s *Supervisor) Addrs() map[types.NodeID]string {
@@ -194,29 +194,21 @@ func (s *Supervisor) Cluster() *transport.Cluster { return s.probe }
 // Options.QueryFront asked for one.
 func (s *Supervisor) Front() *queryfront.Server { return s.front }
 
-// startFront builds the audit-side state the frontend needs — the same
-// key derivation the children use, so both sides agree on the directory —
-// and serves it on the configured address over the probe cluster.
+// startFront derives the audit-side deployment parameters — the same
+// derivation the children run, so both sides agree on the directory — and
+// serves a frontend on the configured address over the probe cluster.
 func (s *Supervisor) startFront() error {
-	cfg := core.DefaultConfig()
-	cfg.Tprop = types.Time(NodeConfig{TpropMs: s.opts.TpropMs}.Tprop())
-	cfg.DeltaClock = cfg.Tprop / 2
-	cfg.CheckpointEvery = 0
-	dir := core.NewDirectory()
-	for i, id := range s.app.Nodes {
-		key, err := cryptoutil.PooledKey(cfg.Suite, s.opts.Seed*1000+int64(100+i))
-		if err != nil {
-			return err
-		}
-		dir.Register(id, key.Public())
-	}
-	cache, err := core.OpenAuditCache(filepath.Join(s.opts.Dir, "qfcache"), cfg.Suite)
+	dep, err := live.NewDeployment(s.app, s.opts.Seed, NodeConfig{TpropMs: s.opts.TpropMs}.Tprop())
 	if err != nil {
 		return err
 	}
-	cfg.AuditCache = cache
+	cache, err := core.OpenAuditCache(filepath.Join(s.opts.Dir, "qfcache"), dep.Cfg.Suite)
+	if err != nil {
+		return err
+	}
+	dep.Cfg.AuditCache = cache
 	front, err := queryfront.Serve(queryfront.Config{
-		Cluster: s.probe, Base: cfg, Dir: dir,
+		Cluster: s.probe, Base: dep.Cfg, Dir: dep.Dir,
 		Factory: s.app.Factory, ConfigureQuerier: s.app.ConfigureQuerier,
 		Sessions: s.opts.QueryFrontSessions,
 	}, s.opts.QueryFront)
@@ -292,7 +284,6 @@ func (s *Supervisor) configFor(id types.NodeID, recover bool) NodeConfig {
 		ID:        id,
 		App:       s.opts.App,
 		Seed:      s.opts.Seed,
-		Nodes:     s.app.Nodes,
 		Addrs:     s.addrs,
 		DataDir:   filepath.Join(s.opts.Dir, "data"),
 		Recover:   recover,
@@ -514,11 +505,6 @@ func (s *Supervisor) StartToHealthy(id types.NodeID) []time.Duration {
 		return append([]time.Duration(nil), c.latencies...)
 	}
 	return nil
-}
-
-// Health proxies one health probe through the supervisor's fetcher.
-func (s *Supervisor) Health(id types.NodeID, probeSeq uint64) (transport.Health, error) {
-	return s.fetch.Health(id, probeSeq)
 }
 
 // WaitHealthy blocks until every non-failed child answers a health probe,

@@ -81,10 +81,9 @@ func TestNodeConfigRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.json")
 	cfg := supervisor.NodeConfig{
-		ID:    "c",
-		App:   "mincost",
-		Seed:  3,
-		Nodes: []types.NodeID{"b", "c", "d"},
+		ID:   "c",
+		App:  "mincost",
+		Seed: 3,
 		Addrs: map[types.NodeID]string{
 			"b": "127.0.0.1:1", "c": "127.0.0.1:2", "d": "127.0.0.1:3",
 		},
@@ -100,7 +99,7 @@ func TestNodeConfigRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.ID != cfg.ID || got.App != cfg.App || got.Seed != cfg.Seed ||
-		got.DataDir != cfg.DataDir || len(got.Nodes) != 3 ||
+		got.DataDir != cfg.DataDir ||
 		got.Addrs["d"] != cfg.Addrs["d"] || got.Behaviors[0] != "tamper-log" ||
 		got.Crash == nil || *got.Crash != *cfg.Crash {
 		t.Errorf("round trip mangled the config: %+v", got)
@@ -109,7 +108,7 @@ func TestNodeConfigRoundTrip(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", got)
 	}
 
-	// Validation: a config whose ID is not in the node set must not load.
+	// Validation: a config whose ID has no listen address must not load.
 	bad := cfg
 	bad.ID = "z"
 	_ = supervisor.WriteNodeConfig(path, bad)

@@ -61,14 +61,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := bytes.NewReader(data)
 		for {
-			payload, err := readFrame(rd, fuzzMaxFrame)
+			payload, err := ReadFrame(rd, fuzzMaxFrame)
 			if err != nil {
 				return // checked rejection ends the stream, as in serveConn
 			}
 			if len(payload) > fuzzMaxFrame {
-				t.Fatalf("readFrame returned %d bytes past the %d bound", len(payload), fuzzMaxFrame)
+				t.Fatalf("ReadFrame returned %d bytes past the %d bound", len(payload), fuzzMaxFrame)
 			}
-			from, kind, r, err := beginFrame(payload)
+			from, kind, r, err := BeginFrame(payload)
 			if err != nil {
 				return
 			}

@@ -17,13 +17,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Health/notes frame kinds (the upper end of the RPC range; isRPCKind spans
-// frameRetrieveReq..frameNotesResp).
+// Health/notes request kinds (the upper end of the RPC range; see isRPCKind).
 const (
-	frameHealthReq  byte = 0x16
-	frameHealthResp byte = 0x17
-	frameNotesReq   byte = 0x18
-	frameNotesResp  byte = 0x19
+	frameHealthReq byte = 0x16
+	frameNotesReq  byte = 0x18
 )
 
 // Health is one node's liveness report: the live log head, the last durably
@@ -132,7 +129,7 @@ func (c *Cluster) buildHealth(m *member, probeSeq uint64) Health {
 // pass 0 to skip the probe.
 func (f *RemoteFetcher) Health(node types.NodeID, probeSeq uint64) (Health, error) {
 	var h Health
-	err := f.call(node, frameHealthReq, frameHealthResp,
+	err := f.call(node, frameHealthReq,
 		func(w *wire.Writer) { w.Uint(probeSeq) },
 		func(r *wire.Reader) error {
 			r.Value(&h)
@@ -146,7 +143,7 @@ func (f *RemoteFetcher) Health(node types.NodeID, probeSeq uint64) (Health, erro
 // scoring evidence.
 func (f *RemoteFetcher) Notes(node types.NodeID) ([]core.MissingAckNote, error) {
 	var out []core.MissingAckNote
-	err := f.call(node, frameNotesReq, frameNotesResp, nil,
+	err := f.call(node, frameNotesReq, nil,
 		func(r *wire.Reader) error {
 			n := r.Count() // adversary-controlled; bounded against input size
 			if err := r.Err(); err != nil {
@@ -165,6 +162,26 @@ func (f *RemoteFetcher) Notes(node types.NodeID) ([]core.MissingAckNote, error) 
 		return nil, err
 	}
 	return out, nil
+}
+
+// SyncNotes merges every node's missing-ack reports (§5.4) into maint and
+// returns the first fetch error. In a one-process deployment all nodes share
+// a maintainer; across processes each daemon holds only its own reports, and
+// an audit that skipped this merge would replay an honest node's never-acked
+// send as a protocol violation instead of a lead. Unreachable nodes are
+// skipped: a missed note can lose a lead, so every reachable node is asked.
+func (f *RemoteFetcher) SyncNotes(maint *core.Maintainer) error {
+	var first error
+	for _, id := range f.Nodes() {
+		notes, err := f.Notes(id)
+		if err != nil && first == nil {
+			first = fmt.Errorf("transport: notes from %s: %w", id, err)
+		}
+		for _, n := range notes {
+			maint.NotifyMissingAck(n.Reporter, n.ID)
+		}
+	}
+	return first
 }
 
 // Drain waits until every outbound link queue is empty (all staged frames
@@ -201,32 +218,14 @@ func (c *Cluster) queuesEmpty() bool {
 	return true
 }
 
-// serveHealthRPC answers the health/notes frame kinds (split out of
-// serveRPC's switch; same framing contract).
-func (c *Cluster) serveHealthRPC(m *member, kind byte, reqID uint64, r *wire.Reader, w *wire.Writer) error {
-	switch kind {
-	case frameHealthReq:
-		probeSeq := r.Uint()
-		if err := r.Finish(); err != nil {
-			c.decodeErrors.Add(1)
-			return err
-		}
-		w.Byte(frameHealthResp)
-		w.Uint(reqID)
-		w.Bool(true)
-		c.buildHealth(m, probeSeq).MarshalWire(w)
-	case frameNotesReq:
-		if err := r.Finish(); err != nil {
-			c.decodeErrors.Add(1)
-			return err
-		}
-		c.mu.Lock()
-		maint := c.maint
-		c.mu.Unlock()
-		notes := maint.Notes() // nil-safe: returns nil for a nil maintainer
-		w.Byte(frameNotesResp)
-		w.Uint(reqID)
-		w.Bool(true)
+// serveNotes answers the notes RPC with the process-local maintainer's
+// missing-ack reports (none for a cluster without a maintainer).
+func (c *Cluster) serveNotes() (func(*wire.Writer), error) {
+	c.mu.Lock()
+	maint := c.maint
+	c.mu.Unlock()
+	notes := maint.Notes() // nil-safe: returns nil for a nil maintainer
+	return func(w *wire.Writer) {
 		w.Uint(uint64(len(notes)))
 		for _, n := range notes {
 			w.String(string(n.Reporter))
@@ -234,9 +233,5 @@ func (c *Cluster) serveHealthRPC(m *member, kind byte, reqID uint64, r *wire.Rea
 			w.String(string(n.ID.Dst))
 			w.Uint(n.ID.Seq)
 		}
-	default:
-		c.decodeErrors.Add(1)
-		return fmt.Errorf("transport: unknown audit frame kind %d", kind)
-	}
-	return nil
+	}, nil
 }

@@ -24,125 +24,174 @@ import (
 	"repro/internal/wire"
 )
 
-// Audit frame kinds (disjoint from the data-plane kinds). The range
-// 0x20–0x2F is reserved for the query frontend (internal/queryfront),
-// which speaks the same framing on its own listener.
+// Audit request kinds (disjoint from the data-plane kinds); a response's
+// kind is its request's plus one. The range 0x20–0x2F is reserved for the
+// query frontend (internal/queryfront), which speaks the same framing on its
+// own listener.
 const (
-	frameRetrieveReq  byte = 0x10
-	frameRetrieveResp byte = 0x11
-	frameAuthReq      byte = 0x12
-	frameAuthResp     byte = 0x13
-	frameAuthsReq     byte = 0x14
-	frameAuthsResp    byte = 0x15
+	frameRetrieveReq byte = 0x10
+	frameAuthReq     byte = 0x12
+	frameAuthsReq    byte = 0x14
 )
 
-func isRPCKind(k byte) bool { return k >= frameRetrieveReq && k <= frameNotesResp }
+func isRPCKind(k byte) bool { return k >= frameRetrieveReq && k <= frameNotesReq+1 }
 
-// serveRPC answers one audit request on the connection it arrived on. The
-// node lock is held only for the node call itself; encoding and the
-// response write happen outside it. A non-nil return closes the connection.
+// serveRPC answers one audit request on the connection it arrived on: each
+// kind decodes its arguments into a handler, the request is validated as a
+// whole, and only then is the node called. The node lock is held only for
+// the node call itself; encoding and the response write happen outside it.
+// A non-nil return closes the connection.
 func (c *Cluster) serveRPC(m *member, conn net.Conn, from types.NodeID, kind byte, r *wire.Reader) error {
 	reqID := r.Uint()
-	if err := r.Err(); err != nil {
-		c.decodeErrors.Add(1)
-		return err
-	}
-	w := wire.NewWriter(512)
-	w.Raw([]byte{0, 0, 0, 0})
-	w.String(string(m.node.ID))
+	// handle returns the answer as a body encoder or an in-band refusal.
+	var handle func() (func(*wire.Writer), error)
 	switch kind {
 	case frameRetrieveReq:
 		var req core.RetrieveRequest
 		r.Value(&req)
-		if err := r.Finish(); err != nil {
-			c.decodeErrors.Add(1)
-			return err
-		}
-		w.Byte(frameRetrieveResp)
-		w.Uint(reqID)
-		m.mu.Lock()
-		resp, err := m.node.HandleRetrieve(req)
-		m.mu.Unlock()
-		if err != nil {
-			w.Bool(false)
-			w.String(err.Error())
-		} else {
-			w.Bool(true)
-			resp.MarshalWire(w)
+		handle = func() (func(*wire.Writer), error) {
+			m.mu.Lock()
+			resp, err := m.node.HandleRetrieve(req)
+			m.mu.Unlock()
+			return func(w *wire.Writer) { resp.MarshalWire(w) }, err
 		}
 	case frameAuthReq:
-		if err := r.Finish(); err != nil {
-			c.decodeErrors.Add(1)
-			return err
-		}
-		w.Byte(frameAuthResp)
-		w.Uint(reqID)
-		m.mu.Lock()
-		auth, err := m.node.LatestAuth()
-		m.mu.Unlock()
-		if err != nil {
-			w.Bool(false)
-			w.String(err.Error())
-		} else {
-			w.Bool(true)
-			auth.MarshalWire(w)
+		handle = func() (func(*wire.Writer), error) {
+			m.mu.Lock()
+			auth, err := m.node.LatestAuth()
+			m.mu.Unlock()
+			return func(w *wire.Writer) { auth.MarshalWire(w) }, err
 		}
 	case frameAuthsReq:
 		target := types.NodeID(r.String())
 		t1 := types.Time(r.Int())
 		t2 := types.Time(r.Int())
-		if err := r.Finish(); err != nil {
-			c.decodeErrors.Add(1)
-			return err
+		handle = func() (func(*wire.Writer), error) {
+			m.mu.Lock()
+			auths := m.node.AuthsAbout(target, t1, t2)
+			m.mu.Unlock()
+			return func(w *wire.Writer) {
+				w.Uint(uint64(len(auths)))
+				for i := range auths {
+					auths[i].MarshalWire(w)
+				}
+			}, nil
 		}
-		w.Byte(frameAuthsResp)
-		w.Uint(reqID)
-		m.mu.Lock()
-		auths := m.node.AuthsAbout(target, t1, t2)
-		m.mu.Unlock()
-		w.Bool(true)
-		w.Uint(uint64(len(auths)))
-		for i := range auths {
-			auths[i].MarshalWire(w)
+	case frameHealthReq:
+		probeSeq := r.Uint()
+		handle = func() (func(*wire.Writer), error) {
+			return c.buildHealth(m, probeSeq).MarshalWire, nil
 		}
-	case frameHealthReq, frameNotesReq:
-		if err := c.serveHealthRPC(m, kind, reqID, r, w); err != nil {
-			return err
-		}
+	case frameNotesReq:
+		handle = c.serveNotes
 	default:
 		c.decodeErrors.Add(1)
 		return fmt.Errorf("transport: unknown audit frame kind %d", kind)
 	}
+	if err := r.Finish(); err != nil {
+		c.decodeErrors.Add(1)
+		return err
+	}
+	body, refusal := handle()
 	c.rpcServed.Add(1)
-	buf, err := finishFrame(w, c.cfg.MaxFrame)
+	buf, err := ReplyFrame(m.node.ID, kind+1, reqID, c.cfg.MaxFrame, refusal, body)
 	if err != nil {
-		// The answer outgrew the frame bound (a segment larger than
-		// MaxFrame): report the error in-band so the querier sees a checked
-		// failure instead of a hung read.
-		w = wire.NewWriter(128)
-		w.Raw([]byte{0, 0, 0, 0})
-		w.String(string(m.node.ID))
-		w.Byte(kind + 1)
-		w.Uint(reqID)
-		w.Bool(false)
-		w.String(err.Error())
-		if buf, err = finishFrame(w, c.cfg.MaxFrame); err != nil {
-			return err
-		}
+		return err
 	}
 	return c.writeFrame(conn, buf)
 }
 
-// remoteError is an application-level failure reported by a reachable
-// node (audit refused, empty log, evidence beyond head). It is final: the
-// node answered, so retrying cannot change the outcome.
-type remoteError struct {
-	node types.NodeID
-	msg  string
+// ReplyFrame builds one response frame, [len][from][kind][reqID][ok]
+// followed by the body (ok) or rerr's text (refused) — the answering half
+// of Exchange, shared by the node RPCs and the query frontend. An answer
+// that outgrows maxFrame (a segment or an explanation bigger than the
+// frame bound) is replaced by an in-band error, so the caller sees a
+// checked failure instead of a hung read.
+func ReplyFrame(from types.NodeID, kind byte, reqID uint64, maxFrame int, rerr error, body func(*wire.Writer)) ([]byte, error) {
+	w := wire.NewWriter(512)
+	w.Raw([]byte{0, 0, 0, 0})
+	w.String(string(from))
+	w.Byte(kind)
+	w.Uint(reqID)
+	if rerr != nil {
+		w.Bool(false)
+		w.String(rerr.Error())
+	} else {
+		w.Bool(true)
+		body(w)
+	}
+	buf, err := FinishFrame(w, maxFrame)
+	if err != nil && rerr == nil {
+		return ReplyFrame(from, kind, reqID, maxFrame, err, nil)
+	}
+	return buf, err
 }
 
-func (e *remoteError) Error() string {
-	return fmt.Sprintf("transport: %s: %s", e.node, e.msg)
+// Exchange performs one request/response conversation on conn under
+// timeout: it writes [len][from][kind][reqID][body] and reads frames until
+// the answer to reqID arrives (kind+1; stale answers to abandoned requests
+// on the same connection are skipped), then hands the body of an ok answer
+// to parse. A *RemoteError return means the peer refused in-band (or the
+// request outgrew maxFrame and was never sent) and conn is still usable;
+// any other error means conn is broken and the caller must close it.
+func Exchange(conn net.Conn, timeout time.Duration, maxFrame int, from types.NodeID, kind byte, reqID uint64,
+	body func(*wire.Writer), parse func(*wire.Reader) error) error {
+	w := wire.NewWriter(256)
+	w.Raw([]byte{0, 0, 0, 0})
+	w.String(string(from))
+	w.Byte(kind)
+	w.Uint(reqID)
+	if body != nil {
+		body(w)
+	}
+	buf, err := FinishFrame(w, maxFrame)
+	if err != nil {
+		return &RemoteError{Msg: err.Error()}
+	}
+	conn.SetDeadline(time.Now().Add(timeout))
+	if _, err := conn.Write(buf); err != nil {
+		return err
+	}
+	for {
+		payload, err := ReadFrame(conn, maxFrame)
+		if err != nil {
+			return err
+		}
+		_, got, r, err := BeginFrame(payload)
+		if err != nil {
+			return err
+		}
+		if got != kind+1 {
+			return fmt.Errorf("transport: unexpected response kind %d", got)
+		}
+		if r.Uint() != reqID {
+			continue
+		}
+		if !r.Bool() {
+			msg := r.String()
+			if err := r.Err(); err != nil {
+				return err
+			}
+			return &RemoteError{Msg: msg}
+		}
+		return parse(r)
+	}
+}
+
+// RemoteError is an application-level failure reported in-band by a
+// reachable peer (audit refused, empty log, evidence beyond head, frontend
+// overloaded). It is final: the peer answered, so retrying the same request
+// cannot change the outcome.
+type RemoteError struct {
+	Node types.NodeID // filled in by RemoteFetcher; empty from Exchange
+	Msg  string
+}
+
+func (e *RemoteError) Error() string {
+	if e.Node == "" {
+		return "transport: " + e.Msg
+	}
+	return fmt.Sprintf("transport: %s: %s", e.Node, e.Msg)
 }
 
 // ErrFetcherClosed is returned by calls made on (or racing with) a closed
@@ -276,7 +325,7 @@ func (f *RemoteFetcher) jitter(backoff time.Duration) time.Duration {
 }
 
 // call performs one logical audit call with retry-until-deadline.
-func (f *RemoteFetcher) call(node types.NodeID, reqKind, respKind byte,
+func (f *RemoteFetcher) call(node types.NodeID, reqKind byte,
 	body func(w *wire.Writer), parse func(r *wire.Reader) error) error {
 	deadline := time.Now().Add(f.RetryDeadline)
 	backoff := f.c.cfg.RetryBase
@@ -294,11 +343,12 @@ func (f *RemoteFetcher) call(node types.NodeID, reqKind, respKind byte,
 	}
 	var lastErr error
 	for {
-		err := f.attempt(node, reqKind, respKind, body, parse)
+		err := f.attempt(node, reqKind, body, parse)
 		if err == nil {
 			return nil
 		}
-		if _, final := err.(*remoteError); final || errors.Is(err, ErrFetcherClosed) {
+		var refused *RemoteError
+		if errors.As(err, &refused) || errors.Is(err, ErrFetcherClosed) {
 			return err
 		}
 		lastErr = err
@@ -314,7 +364,7 @@ func (f *RemoteFetcher) call(node types.NodeID, reqKind, respKind byte,
 }
 
 // attempt performs one request/response exchange under CallTimeout.
-func (f *RemoteFetcher) attempt(node types.NodeID, reqKind, respKind byte,
+func (f *RemoteFetcher) attempt(node types.NodeID, reqKind byte,
 	body func(w *wire.Writer), parse func(r *wire.Reader) error) error {
 	rc, err := f.rconnFor(node)
 	if err != nil {
@@ -328,7 +378,7 @@ func (f *RemoteFetcher) attempt(node types.NodeID, reqKind, respKind byte,
 		addr, ok := f.c.addrs[node]
 		f.c.mu.Unlock()
 		if !ok {
-			return &remoteError{node: node, msg: "unknown peer"}
+			return &RemoteError{Node: node, Msg: "unknown peer"}
 		}
 		conn, err = f.c.cfg.Fault.Dial(f.id, node, addr, f.c.cfg.DialTimeout)
 		if err != nil {
@@ -349,60 +399,21 @@ func (f *RemoteFetcher) attempt(node types.NodeID, reqKind, respKind byte,
 		rc.connMu.Unlock()
 		f.mu.Unlock()
 	}
-	reqID := f.nextReqID()
-	w := wire.NewWriter(256)
-	w.Raw([]byte{0, 0, 0, 0})
-	w.String(string(f.id))
-	w.Byte(reqKind)
-	w.Uint(reqID)
-	if body != nil {
-		body(w)
-	}
-	buf, err := finishFrame(w, f.c.cfg.MaxFrame)
-	if err != nil {
-		return &remoteError{node: node, msg: err.Error()}
-	}
-	fail := func(err error) error {
+	err = Exchange(conn, f.CallTimeout, f.c.cfg.MaxFrame, f.id, reqKind, f.nextReqID(), body, parse)
+	var refused *RemoteError
+	switch {
+	case errors.As(err, &refused):
+		refused.Node = node
+	case err != nil:
 		rc.closeConn()
-		return err
 	}
-	conn.SetDeadline(time.Now().Add(f.CallTimeout))
-	if _, err := conn.Write(buf); err != nil {
-		return fail(err)
-	}
-	for {
-		payload, err := readFrame(conn, f.c.cfg.MaxFrame)
-		if err != nil {
-			return fail(err)
-		}
-		_, kind, r, err := beginFrame(payload)
-		if err != nil {
-			return fail(err)
-		}
-		if kind != respKind {
-			return fail(fmt.Errorf("transport: unexpected response kind %d from %s", kind, node))
-		}
-		if r.Uint() != reqID {
-			continue // stale answer from an abandoned attempt on this conn
-		}
-		if !r.Bool() {
-			msg := r.String()
-			if err := r.Err(); err != nil {
-				return fail(err)
-			}
-			return &remoteError{node: node, msg: msg}
-		}
-		if err := parse(r); err != nil {
-			return fail(err)
-		}
-		return nil
-	}
+	return err
 }
 
 // Retrieve implements core.Fetcher.
 func (f *RemoteFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*core.RetrieveResponse, error) {
 	resp := new(core.RetrieveResponse)
-	err := f.call(node, frameRetrieveReq, frameRetrieveResp,
+	err := f.call(node, frameRetrieveReq,
 		func(w *wire.Writer) { req.MarshalWire(w) },
 		func(r *wire.Reader) error {
 			r.Value(resp)
@@ -417,7 +428,7 @@ func (f *RemoteFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*
 // LatestAuth implements core.Fetcher.
 func (f *RemoteFetcher) LatestAuth(node types.NodeID) (seclog.Authenticator, error) {
 	var auth seclog.Authenticator
-	err := f.call(node, frameAuthReq, frameAuthResp, nil,
+	err := f.call(node, frameAuthReq, nil,
 		func(r *wire.Reader) error {
 			r.Value(&auth)
 			return r.Finish()
@@ -431,7 +442,7 @@ func (f *RemoteFetcher) LatestAuth(node types.NodeID) (seclog.Authenticator, err
 // never accuse.
 func (f *RemoteFetcher) AuthsAbout(observer, target types.NodeID, t1, t2 types.Time) []seclog.Authenticator {
 	var out []seclog.Authenticator
-	err := f.call(observer, frameAuthsReq, frameAuthsResp,
+	err := f.call(observer, frameAuthsReq,
 		func(w *wire.Writer) {
 			w.String(string(target))
 			w.Int(int64(t1))

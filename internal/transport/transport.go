@@ -323,7 +323,7 @@ func (c *Cluster) serveConn(m *member, conn net.Conn) {
 		if c.cfg.ReadIdle > 0 {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadIdle))
 		}
-		payload, err := readFrame(conn, c.cfg.MaxFrame)
+		payload, err := ReadFrame(conn, c.cfg.MaxFrame)
 		if err != nil {
 			if err != io.EOF {
 				c.decodeErrors.Add(1)
@@ -331,7 +331,7 @@ func (c *Cluster) serveConn(m *member, conn net.Conn) {
 			return
 		}
 		c.framesReceived.Add(1)
-		from, kind, r, err := beginFrame(payload)
+		from, kind, r, err := BeginFrame(payload)
 		if err != nil {
 			c.decodeErrors.Add(1)
 			return
@@ -643,12 +643,20 @@ func encodePacketFrame(from types.NodeID, pkt *core.Packet, maxFrame int) ([]byt
 	default:
 		return nil, fmt.Errorf("transport: cannot frame packet kind %d", pkt.Kind)
 	}
-	return finishFrame(w, maxFrame)
+	return FinishFrame(w, maxFrame)
 }
 
-// finishFrame patches the length prefix and enforces the frame bound on
-// the outbound path too (a local bug must not emit frames peers reject).
-func finishFrame(w *wire.Writer, maxFrame int) ([]byte, error) {
+// The framing is shared with sibling daemons that listen on their own
+// sockets but speak the same wire format (the query frontend in
+// internal/queryfront): a frame is a 4-byte big-endian length prefix
+// (bounded by MaxFrame), the sender's node ID string, a one-byte kind, then
+// the kind-specific body. ReadFrame/BeginFrame/FinishFrame here and
+// Exchange/ReplyFrame in rpc.go are that seam.
+
+// FinishFrame patches the length prefix a caller reserved with
+// w.Raw([]byte{0,0,0,0}) and enforces the frame bound on the outbound path
+// too (a local bug must not emit frames peers reject).
+func FinishFrame(w *wire.Writer, maxFrame int) ([]byte, error) {
 	buf := w.Bytes()
 	n := len(buf) - 4
 	if maxFrame > 0 && n > maxFrame {
@@ -658,10 +666,10 @@ func finishFrame(w *wire.Writer, maxFrame int) ([]byte, error) {
 	return buf, nil
 }
 
-// readFrame reads one length-prefixed frame payload. The length is
+// ReadFrame reads one length-prefixed frame payload. The length is
 // adversary-controlled input: anything beyond maxFrame is rejected with a
 // checked error before any allocation, never a panic or an OOM.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
+func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -683,9 +691,9 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	return buf, nil
 }
 
-// beginFrame parses a frame payload's common prefix (sender, kind) and
-// returns the reader positioned at the body.
-func beginFrame(payload []byte) (types.NodeID, byte, *wire.Reader, error) {
+// BeginFrame parses a frame payload's common prefix (sender, kind) and
+// returns the reader positioned at the kind-specific body.
+func BeginFrame(payload []byte) (types.NodeID, byte, *wire.Reader, error) {
 	r := wire.NewReader(payload)
 	from := types.NodeID(r.String())
 	kind := r.Byte()
@@ -693,30 +701,6 @@ func beginFrame(payload []byte) (types.NodeID, byte, *wire.Reader, error) {
 		return "", 0, nil, err
 	}
 	return from, kind, r, nil
-}
-
-// The framing is shared with sibling daemons that listen on their own
-// sockets but speak the same wire format (the query frontend in
-// internal/queryfront). The exported trio below is that seam: a frame is
-// a 4-byte big-endian length prefix (bounded by MaxFrame), the sender's
-// node ID string, a one-byte kind, then the kind-specific body.
-
-// ReadFrame reads one length-prefixed frame payload from r, rejecting
-// hostile lengths beyond maxFrame before any allocation.
-func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	return readFrame(r, maxFrame)
-}
-
-// BeginFrame parses a frame payload's common prefix and returns the wire
-// reader positioned at the kind-specific body.
-func BeginFrame(payload []byte) (types.NodeID, byte, *wire.Reader, error) {
-	return beginFrame(payload)
-}
-
-// FinishFrame patches the length prefix a caller reserved with
-// w.Raw([]byte{0,0,0,0}) and enforces the frame bound outbound.
-func FinishFrame(w *wire.Writer, maxFrame int) ([]byte, error) {
-	return finishFrame(w, maxFrame)
 }
 
 // decodePacketBody decodes a data frame's body into a core.Packet.
