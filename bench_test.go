@@ -1,7 +1,9 @@
-// Benchmarks regenerating the paper's evaluation figures (§7). Each bench
-// runs one configuration (or query) and reports the figure's metrics via
-// b.ReportMetric, so `go test -bench=. -benchmem` prints the same series
-// the paper plots. EXPERIMENTS.md records paper-vs-measured values.
+// Benchmarks regenerating the paper's evaluation figures (§7). BenchmarkEval
+// runs every row of eval.Catalog as a sub-benchmark and reports the row's
+// metrics via b.ReportMetric, so `go test -bench=. -benchmem` prints the same
+// series the paper plots. The deterministic ones are pinned by the golden
+// test in internal/eval; ns/op here is a smoke reading — `go run ./bench`
+// is the timing record.
 package repro
 
 import (
@@ -14,167 +16,24 @@ import (
 
 const benchScale = eval.Scale(0.02)
 
-func benchConfig(b *testing.B, name eval.ConfigName) *eval.RunResult {
-	b.Helper()
-	b.ReportAllocs()
-	var res *eval.RunResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = eval.Run(name, eval.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkEval(b *testing.B) {
+	for _, row := range eval.Catalog() {
+		b.Run(row.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res eval.Result
+			for i := 0; i < b.N; i++ {
+				eval.Measure([]eval.Row{row}, eval.Options{Scale: benchScale}, func(_ eval.Row, r eval.Result, err error) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					res = r
+				})
+			}
+			for _, m := range res.Metrics {
+				b.ReportMetric(m.Value, m.Name)
+			}
+		})
 	}
-	return res
-}
-
-// --- Figure 5: network traffic normalized to baseline ---------------------
-
-func benchFig5(b *testing.B, name eval.ConfigName) {
-	res := benchConfig(b, name)
-	row := eval.Figure5(res)
-	b.ReportMetric(row.Factor, "traffic-factor")
-	b.ReportMetric(float64(row.BaselineBytes), "baseline-bytes")
-	b.ReportMetric(float64(row.AuthBytes), "auth-bytes")
-	b.ReportMetric(float64(row.AckBytes), "ack-bytes")
-	b.ReportMetric(float64(row.Messages), "messages")
-}
-
-func BenchmarkFig5Quagga(b *testing.B)      { benchFig5(b, eval.Quagga) }
-
-// BenchmarkFig5QuaggaParallel is the same run through the sharded simulation
-// driver (4 workers, pinned so the parallel path runs even when GOMAXPROCS
-// is 1). Its reported metric series is bit-identical to
-// BenchmarkFig5Quagga's — the equivalence tests pin that — so the two
-// ns/op values isolate the scheduler's wall-clock effect.
-func BenchmarkFig5QuaggaParallel(b *testing.B) {
-	b.ReportAllocs()
-	var res *eval.RunResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = eval.Run(eval.Quagga, eval.Options{Scale: benchScale, SimWorkers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	row := eval.Figure5(res)
-	b.ReportMetric(row.Factor, "traffic-factor")
-	b.ReportMetric(float64(row.BaselineBytes), "baseline-bytes")
-	b.ReportMetric(float64(row.AuthBytes), "auth-bytes")
-	b.ReportMetric(float64(row.AckBytes), "ack-bytes")
-	b.ReportMetric(float64(row.Messages), "messages")
-}
-func BenchmarkFig5ChordSmall(b *testing.B)  { benchFig5(b, eval.ChordSmall) }
-func BenchmarkFig5ChordLarge(b *testing.B)  { benchFig5(b, eval.ChordLarge) }
-func BenchmarkFig5HadoopSmall(b *testing.B) { benchFig5(b, eval.HadoopSmall) }
-func BenchmarkFig5HadoopLarge(b *testing.B) { benchFig5(b, eval.HadoopLarge) }
-
-// --- Figure 6: per-node log growth ----------------------------------------
-
-func benchFig6(b *testing.B, name eval.ConfigName) {
-	res := benchConfig(b, name)
-	row := eval.Figure6(res)
-	b.ReportMetric(row.MBPerMin, "MB/min/node")
-	b.ReportMetric(float64(row.CkptBytes), "ckpt-bytes")
-}
-
-func BenchmarkFig6Quagga(b *testing.B)      { benchFig6(b, eval.Quagga) }
-func BenchmarkFig6ChordSmall(b *testing.B)  { benchFig6(b, eval.ChordSmall) }
-func BenchmarkFig6ChordLarge(b *testing.B)  { benchFig6(b, eval.ChordLarge) }
-func BenchmarkFig6HadoopSmall(b *testing.B) { benchFig6(b, eval.HadoopSmall) }
-func BenchmarkFig6HadoopLarge(b *testing.B) { benchFig6(b, eval.HadoopLarge) }
-
-// --- Figure 7: additional CPU load -----------------------------------------
-
-func benchFig7(b *testing.B, name eval.ConfigName) {
-	res := benchConfig(b, name)
-	costs, err := eval.MeasureCryptoCosts(cryptoutil.Ed25519SHA256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := eval.Figure7(res, costs)
-	b.ReportMetric(row.PerNodePct, "cpu-pct/node")
-	b.ReportMetric(float64(row.Signs), "signs")
-	b.ReportMetric(float64(row.Verifies), "verifies")
-}
-
-func BenchmarkFig7Quagga(b *testing.B)      { benchFig7(b, eval.Quagga) }
-func BenchmarkFig7ChordSmall(b *testing.B)  { benchFig7(b, eval.ChordSmall) }
-func BenchmarkFig7HadoopSmall(b *testing.B) { benchFig7(b, eval.HadoopSmall) }
-
-// --- Figure 8: query turnaround and downloads ------------------------------
-
-func reportFig8(b *testing.B, row eval.Fig8Row, err error) {
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(row.LogBytes+row.AuthBytes+row.CkptBytes), "dl-bytes")
-	b.ReportMetric(row.Turnaround.Seconds()*1000, "turnaround-ms")
-	b.ReportMetric(float64(row.Answer), "answer-vertices")
-}
-
-func BenchmarkFig8QuaggaDisappear(b *testing.B) {
-	res := benchConfig(b, eval.Quagga)
-	row, err := eval.QuaggaDisappearQuery(res)
-	reportFig8(b, row, err)
-}
-
-func BenchmarkFig8QuaggaBadGadget(b *testing.B) {
-	res := benchConfig(b, eval.Quagga)
-	row, err := eval.QuaggaBadGadgetQuery(res)
-	reportFig8(b, row, err)
-}
-
-func BenchmarkFig8ChordLookupSmall(b *testing.B) {
-	res := benchConfig(b, eval.ChordSmall)
-	row, err := eval.ChordLookupQuery(res)
-	reportFig8(b, row, err)
-}
-
-func BenchmarkFig8ChordLookupLarge(b *testing.B) {
-	res := benchConfig(b, eval.ChordLarge)
-	row, err := eval.ChordLookupQuery(res)
-	reportFig8(b, row, err)
-}
-
-func BenchmarkFig4HadoopSquirrel(b *testing.B) {
-	res := benchConfig(b, eval.HadoopSmall)
-	row, err := eval.HadoopSquirrelQuery(res)
-	reportFig8(b, row, err)
-}
-
-// --- Figure 9: Chord scalability -------------------------------------------
-
-func BenchmarkFig9ChordScalability(b *testing.B) {
-	b.ReportAllocs()
-	var rows []eval.Fig9Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = eval.Figure9([]int{10, 50, 100}, eval.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.SNPBytesPerSec, "B/s/node@N="+itoa(r.N))
-	}
-}
-
-// --- §5.6 batching ablation -------------------------------------------------
-
-func BenchmarkBatchingAblation(b *testing.B) {
-	b.ReportAllocs()
-	var without, with eval.BatchRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		without, with, err = eval.BatchingAblation(eval.Options{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(without.TrafficFactor, "factor-unbatched")
-	b.ReportMetric(with.TrafficFactor, "factor-batched")
-	b.ReportMetric(float64(without.Signs)/float64(with.Signs), "sign-reduction")
 }
 
 // --- Audit micro-benchmarks --------------------------------------------------
@@ -281,18 +140,4 @@ func BenchmarkSHA1HashKiB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cryptoutil.RSA1024SHA1.Hash(buf)
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

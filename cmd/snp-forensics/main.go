@@ -4,16 +4,18 @@
 //
 // Usage:
 //
-//	snp-forensics -scenario eclipse|badgadget|squirrel|suppress
+//	snp-forensics -scenario badgadget|suppress
 //	snp-forensics -connect 127.0.0.1:7070    # audit a live deployment
 //	                                         # through its query frontend
+//
+// The Chord eclipse and MapReduce squirrel investigations are programs of
+// their own: go run ./examples/chord-eclipse, ./examples/mapreduce-squirrel.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os/exec"
 
 	"repro/internal/apps/bgp"
 	"repro/internal/apps/mincost"
@@ -25,7 +27,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "suppress", "eclipse | badgadget | squirrel | suppress")
+	scenario := flag.String("scenario", "suppress", "badgadget | suppress (eclipse and squirrel: go run ./examples/chord-eclipse, ./examples/mapreduce-squirrel)")
 	connect := flag.String("connect", "", "audit a live deployment through the query frontend at this address instead of running a canned scenario")
 	flag.Parse()
 	if *connect != "" {
@@ -37,10 +39,6 @@ func main() {
 		suppress()
 	case "badgadget":
 		badGadget()
-	case "eclipse":
-		delegate("examples/chord-eclipse")
-	case "squirrel":
-		delegate("examples/mapreduce-squirrel")
 	default:
 		log.Fatalf("unknown scenario %q", *scenario)
 	}
@@ -62,15 +60,6 @@ func remote(addr string) {
 	fmt.Print(v.Format())
 	if st, err := cl.Stats(); err == nil {
 		fmt.Println("frontend:", st)
-	}
-}
-
-// delegate reuses the example binaries for the larger scenarios.
-func delegate(pkg string) {
-	out, err := exec.Command("go", "run", "./"+pkg).CombinedOutput()
-	fmt.Print(string(out))
-	if err != nil {
-		log.Fatal(err)
 	}
 }
 

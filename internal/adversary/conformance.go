@@ -10,7 +10,6 @@ import (
 	"repro/internal/provgraph"
 	"repro/internal/simnet"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // App is one application configuration the conformance suite runs behaviors
@@ -72,21 +71,7 @@ func QuaggaApp() App {
 			if err != nil {
 				return err
 			}
-			stubs := []types.NodeID{"as51", "as52", "as53", "as61", "as62", "as63"}
-			trace := workload.BGPTrace(seed, 40, len(stubs), 50)
-			for i, u := range trace {
-				u := u
-				at := types.Second + types.Time(int64(i))*(horizon-6*types.Second)/types.Time(len(trace))
-				stub := stubs[u.Origin]
-				net.AtNode(stub, at, func() {
-					sp := d.Speakers[stub]
-					if u.Withdraw {
-						sp.Withdraw(net.Node(stub), u.Prefix)
-					} else {
-						sp.Announce(net.Node(stub), u.Prefix)
-					}
-				})
-			}
+			d.InjectTrace(seed, 40, 50, types.Second, horizon-6*types.Second)
 			return nil
 		},
 		NewQuerier: func(net *simnet.Net) *core.Querier {

@@ -27,6 +27,7 @@ import (
 	"repro/internal/dlog"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // Rel classifies a neighbor relationship (Gao–Rexford).
@@ -406,6 +407,9 @@ type Deployment struct {
 	Net      *simnet.Net
 	Speakers map[types.NodeID]*Speaker
 	Names    []types.NodeID
+	// Stubs are the networks whose every neighbor is a provider, in name
+	// order: the origins InjectTrace announces from.
+	Stubs []types.NodeID
 }
 
 // Relations expands a link list into each network's view of its neighbors
@@ -447,6 +451,9 @@ func Deploy(net *simnet.Net, links []ASLink, syncEvery, duration types.Time) (*D
 			return nil, err
 		}
 		d.Speakers[n] = NewSpeaker(n, rels[n])
+		if isStub(rels[n]) {
+			d.Stubs = append(d.Stubs, n)
+		}
 	}
 	for i, n := range names {
 		n := n
@@ -458,6 +465,36 @@ func Deploy(net *simnet.Net, links []ASLink, syncEvery, duration types.Time) (*D
 		})
 	}
 	return d, nil
+}
+
+func isStub(neighbors map[types.NodeID]Rel) bool {
+	for _, r := range neighbors {
+		if r != Provider {
+			return false
+		}
+	}
+	return true
+}
+
+// InjectTrace schedules a RouteViews-style update trace (workload.BGPTrace
+// over the deployment's stubs) on the simulator: update i of n fires at
+// start + i*span/n on the stub it originates from, as an announcement or a
+// withdrawal.
+func (d *Deployment) InjectTrace(seed int64, updates, prefixPool int, start, span types.Time) {
+	trace := workload.BGPTrace(seed, updates, len(d.Stubs), prefixPool)
+	for i, u := range trace {
+		u := u
+		stub := d.Stubs[u.Origin]
+		at := start + types.Time(int64(i))*span/types.Time(len(trace))
+		d.Net.AtNode(stub, at, func() {
+			sp := d.Speakers[stub]
+			if u.Withdraw {
+				sp.Withdraw(d.Net.Node(stub), u.Prefix)
+			} else {
+				sp.Announce(d.Net.Node(stub), u.Prefix)
+			}
+		})
+	}
 }
 
 // Factory returns the replay machine factory for the BGP proxy.

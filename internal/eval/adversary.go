@@ -78,6 +78,10 @@ func (s AdversarySummary) FalseAccusations() int {
 	return n
 }
 
+// AdversaryConfigs are the configurations the scenario family runs on: one
+// per application.
+var AdversaryConfigs = []ConfigName{Quagga, ChordSmall, HadoopSmall}
+
 // CompromisedFor picks k deterministic compromised nodes for a
 // configuration and behavior: transit routers for Quagga, spread ring
 // members for Chord, and for Hadoop a position matched to the behavior —

@@ -88,7 +88,6 @@ func (r *RunResult) NewQuerier() *core.Querier {
 type Options struct {
 	Scale  Scale
 	Tbatch types.Time // 0 = no batching
-	Suite  cryptoutil.Suite
 	Seed   int64
 	// LogDir, when set, backs every node's tamper-evident log with an
 	// on-disk segment store rooted there (core.Config.LogDir). All
@@ -132,9 +131,6 @@ func (o Options) simCfg() simnet.Config {
 	cfg.Core.AuditCache = o.AuditCache
 	cfg.Workers = o.SimWorkers
 	cfg.OnNode = o.OnNode
-	if o.Suite != nil {
-		cfg.Core.Suite = o.Suite
-	}
 	return cfg
 }
 
@@ -185,21 +181,7 @@ func runQuagga(o Options) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	stubs := []types.NodeID{"as51", "as52", "as53", "as61", "as62", "as63"}
-	trace := workload.BGPTrace(o.Seed, updates, len(stubs), 200)
-	for i, u := range trace {
-		u := u
-		at := types.Second + types.Time(int64(i))*(dur-5*types.Second)/types.Time(len(trace))
-		stub := stubs[u.Origin]
-		net.AtNode(stub, at, func() {
-			sp := d.Speakers[stub]
-			if u.Withdraw {
-				sp.Withdraw(net.Node(stub), u.Prefix)
-			} else {
-				sp.Announce(net.Node(stub), u.Prefix)
-			}
-		})
-	}
+	d.InjectTrace(o.Seed, updates, 200, types.Second, dur-5*types.Second)
 	net.Run(dur)
 	if err := finishRun(net); err != nil {
 		return nil, err

@@ -39,14 +39,6 @@ func (r QPSRow) String() string {
 		r.P50.Round(10*time.Microsecond), r.P99.Round(10*time.Microsecond), r.Hits, r.Misses)
 }
 
-// NsPerQuery is the pass's mean wall-clock cost per query.
-func (r QPSRow) NsPerQuery() int64 {
-	if r.Queries == 0 {
-		return 0
-	}
-	return r.Elapsed.Nanoseconds() / int64(r.Queries)
-}
-
 // QueryThroughput runs the Quagga workload store-backed under dir, then
 // measures sustained audit-query throughput: workers concurrent goroutines
 // each repeatedly open a fresh Querier scope, audit one node (round-robin
@@ -67,7 +59,7 @@ func QueryThroughput(o Options, workers, queries int, dir string) ([]QPSRow, err
 	if o.LogHotTail == 0 {
 		o.LogHotTail = DefaultHotTail
 	}
-	cache, err := core.OpenAuditCache(filepath.Join(dir, "auditcache"), o.Suite)
+	cache, err := core.OpenAuditCache(filepath.Join(dir, "auditcache"), o.simCfg().Core.Suite)
 	if err != nil {
 		return nil, err
 	}

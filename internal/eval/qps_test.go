@@ -37,16 +37,3 @@ func TestQueryThroughput(t *testing.T) {
 		}
 	}
 }
-
-// TestColdReadProbe smoke-tests the snp-bench cold-read row: both read
-// paths decode every sealed entry and report positive per-op costs.
-func TestColdReadProbe(t *testing.T) {
-	row, err := ColdReadProbe(t.TempDir(), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(row)
-	if row.MmapNsPerOp <= 0 || row.PreadNsPerOp <= 0 {
-		t.Errorf("non-positive per-op costs: %+v", row)
-	}
-}

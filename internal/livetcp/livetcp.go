@@ -40,18 +40,18 @@ type Options struct {
 	// taken from this Options).
 	Transport *transport.Config
 	// AuditCallTimeout / AuditRetryDeadline bound the remote audit path:
-	// per-attempt and total per-call budgets (defaults 500ms / 2s — an
-	// unreachable peer costs at most the deadline per logical call).
+	// per-attempt and total per-call budgets (defaults
+	// transport.AuditCallTimeout / AuditRetryDeadline).
 	AuditCallTimeout   time.Duration
 	AuditRetryDeadline time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.AuditCallTimeout <= 0 {
-		o.AuditCallTimeout = 500 * time.Millisecond
+		o.AuditCallTimeout = transport.AuditCallTimeout
 	}
 	if o.AuditRetryDeadline <= 0 {
-		o.AuditRetryDeadline = 2 * time.Second
+		o.AuditRetryDeadline = transport.AuditRetryDeadline
 	}
 	return o
 }

@@ -35,7 +35,7 @@ type Options struct {
 	TickMs, SyncEvery int
 	BackoffBase       time.Duration
 	// AuditCallTimeout / AuditRetryDeadline bound the parent's audit and
-	// probe RPCs (defaults 500ms / 2s).
+	// probe RPCs (defaults transport.AuditCallTimeout / AuditRetryDeadline).
 	AuditCallTimeout   time.Duration
 	AuditRetryDeadline time.Duration
 }
@@ -62,10 +62,10 @@ func New(opts Options) (*Harness, error) {
 		return nil, fmt.Errorf("multiproc: Options.Dir is required")
 	}
 	if opts.AuditCallTimeout <= 0 {
-		opts.AuditCallTimeout = 500 * time.Millisecond
+		opts.AuditCallTimeout = transport.AuditCallTimeout
 	}
 	if opts.AuditRetryDeadline <= 0 {
-		opts.AuditRetryDeadline = 2 * time.Second
+		opts.AuditRetryDeadline = transport.AuditRetryDeadline
 	}
 	sup, err := supervisor.New(supervisor.Options{
 		Dir:         opts.Dir,

@@ -65,7 +65,8 @@ type Config struct {
 	// the time remaining.
 	QueryTimeout time.Duration
 	// CallTimeout / RetryDeadline bound each session's remote audit
-	// calls: per-attempt and total per logical call (defaults 500ms/2s).
+	// calls: per-attempt and total per logical call (defaults
+	// transport.AuditCallTimeout / AuditRetryDeadline).
 	CallTimeout   time.Duration
 	RetryDeadline time.Duration
 	// MaxFrame bounds frames on the query listener (default the
@@ -87,10 +88,10 @@ func (c Config) withDefaults() Config {
 		c.QueryTimeout = 15 * time.Second
 	}
 	if c.CallTimeout <= 0 {
-		c.CallTimeout = 500 * time.Millisecond
+		c.CallTimeout = transport.AuditCallTimeout
 	}
 	if c.RetryDeadline <= 0 {
-		c.RetryDeadline = 2 * time.Second
+		c.RetryDeadline = transport.AuditRetryDeadline
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = transport.DefaultMaxFrame

@@ -50,9 +50,8 @@ type Options struct {
 	Behaviors map[types.NodeID][]string
 	// Crash schedules seeded process deaths (nil: none).
 	Crash *CrashPlan
-	// TpropMs/TickMs/SyncEvery are passed through to every child's
-	// NodeConfig.
-	TpropMs, TickMs, SyncEvery int
+	// TickMs/SyncEvery are passed through to every child's NodeConfig.
+	TickMs, SyncEvery int
 	// MaxRestarts is the per-node restart-storm cap: more than this many
 	// restarts inside RestartWindow marks the node failed and stops
 	// respawning it (defaults 5 in 30s).
@@ -62,11 +61,6 @@ type Options struct {
 	// 50ms and 2s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// ProbeEvery is the health-probe period (default 250ms);
-	// ProbeFailLimit the number of consecutive failed probes after which a
-	// live-but-unresponsive child is killed and restarted (default 40).
-	ProbeEvery     time.Duration
-	ProbeFailLimit int
 	// QueryFront, when non-empty, hosts a query frontend on this listen
 	// address over the supervisor's probe cluster, so remote analysts can
 	// audit the deployment without their own key material: the frontend
@@ -94,14 +88,16 @@ func (o Options) withDefaults() Options {
 	if o.BackoffMax < o.BackoffBase {
 		o.BackoffMax = o.BackoffBase
 	}
-	if o.ProbeEvery <= 0 {
-		o.ProbeEvery = 250 * time.Millisecond
-	}
-	if o.ProbeFailLimit <= 0 {
-		o.ProbeFailLimit = 40
-	}
 	return o
 }
+
+// probeEvery is the health-probe period; probeFailLimit the number of
+// consecutive failed probes after which a live-but-unresponsive child is
+// killed and restarted.
+const (
+	probeEvery     = 250 * time.Millisecond
+	probeFailLimit = 40
+)
 
 // child is one supervised node process.
 type child struct {
@@ -198,7 +194,7 @@ func (s *Supervisor) Front() *queryfront.Server { return s.front }
 // derivation the children run, so both sides agree on the directory — and
 // serves a frontend on the configured address over the probe cluster.
 func (s *Supervisor) startFront() error {
-	dep, err := live.NewDeployment(s.app, s.opts.Seed, NodeConfig{TpropMs: s.opts.TpropMs}.Tprop())
+	dep, err := live.NewDeployment(s.app, s.opts.Seed, live.DefaultTprop)
 	if err != nil {
 		return err
 	}
@@ -288,7 +284,6 @@ func (s *Supervisor) configFor(id types.NodeID, recover bool) NodeConfig {
 		DataDir:   filepath.Join(s.opts.Dir, "data"),
 		Recover:   recover,
 		Behaviors: s.opts.Behaviors[id],
-		TpropMs:   s.opts.TpropMs,
 		TickMs:    s.opts.TickMs,
 		SyncEvery: s.opts.SyncEvery,
 	}
@@ -396,7 +391,7 @@ func (s *Supervisor) onExit(c *child, err error) {
 // respawns them).
 func (s *Supervisor) monitor() {
 	defer close(s.monDone)
-	ticker := time.NewTicker(s.opts.ProbeEvery)
+	ticker := time.NewTicker(probeEvery)
 	defer ticker.Stop()
 	for {
 		select {
@@ -428,7 +423,7 @@ func (s *Supervisor) monitor() {
 				}
 			default:
 				c.probeFails++
-				if c.probeFails > s.opts.ProbeFailLimit {
+				if c.probeFails > probeFailLimit {
 					s.log.Printf("%s: %d probes failed, killing hung child", id, c.probeFails)
 					c.probeFails = 0
 					if c.cmd != nil && c.cmd.Process != nil {

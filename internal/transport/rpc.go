@@ -206,6 +206,15 @@ var ErrFetcherClosed = errors.New("transport: fetcher closed")
 // deadline.
 const minRetryBackoff = 2 * time.Millisecond
 
+// AuditCallTimeout and AuditRetryDeadline are the budgets the audit drivers
+// (livetcp, multiproc, queryfront) give their fetchers unless configured
+// otherwise: per attempt and per logical call, so an unreachable peer costs
+// an audit at most the deadline.
+const (
+	AuditCallTimeout   = 500 * time.Millisecond
+	AuditRetryDeadline = 2 * time.Second
+)
+
 // RemoteFetcher implements core.Fetcher over the wire: every audit call
 // dials (or reuses) a connection to the target node and performs one
 // request/response exchange under a per-attempt timeout, retrying with

@@ -58,11 +58,6 @@ type Config struct {
 	// WriteTimeout is the per-frame write deadline (default 2s); a peer
 	// that stalls reading trips it, and the sender resets and reconnects.
 	WriteTimeout time.Duration
-	// ReadIdle, when positive, is the per-frame read deadline on inbound
-	// connections: a peer that goes silent mid-frame (or holds an idle
-	// connection past it) is disconnected and must reconnect. Zero keeps
-	// inbound connections open indefinitely.
-	ReadIdle time.Duration
 	// RetryBase/RetryMax bound the exponential reconnect backoff
 	// (defaults 20ms and 1s). The actual wait is jittered in
 	// [backoff/2, backoff] from a per-link RNG seeded by Seed.
@@ -316,13 +311,10 @@ func (c *Cluster) StopNode(id types.NodeID) error {
 
 // serveConn handles one inbound connection: data frames are dispatched
 // into the member node under its lock; audit frames are answered in place
-// (rpc.go). A decode error or read timeout drops the connection — the
+// (rpc.go). A decode error drops the connection — the
 // remote side reconnects through its normal backoff path.
 func (c *Cluster) serveConn(m *member, conn net.Conn) {
 	for {
-		if c.cfg.ReadIdle > 0 {
-			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadIdle))
-		}
 		payload, err := ReadFrame(conn, c.cfg.MaxFrame)
 		if err != nil {
 			if err != io.EOF {
