@@ -60,7 +60,7 @@ func BenchmarkAuditorReplaySingleNode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		auditor := core.NewAuditor(res.Net.Cfg.Core, res.Net.Dir, res.Factory, res.Net.Maintainer)
-		if err := auditor.Replay(node, resp, auth); err != nil {
+		if err := auditor.Commit(auditor.Prepare(node, resp, auth)); err != nil {
 			b.Fatal(err)
 		}
 		auditor.Finalize()

@@ -212,6 +212,16 @@ func runAdversary(c config) error {
 	return nil
 }
 
+// printRow prints one live-scenario row and its breaches of the §4.2
+// guarantee, and reports whether it had any.
+func printRow(c config, row fmt.Stringer, app, plan string, violations []string) bool {
+	fmt.Fprintln(c.out, " ", row)
+	for _, v := range violations {
+		fmt.Fprintf(c.err, "  GUARANTEE VIOLATION: %s under %s: %s\n", app, plan, v)
+	}
+	return len(violations) > 0
+}
+
 // runLiveTCP is the live-TCP detection scenario: tamper-log armed per app,
 // run over loopback TCP under the fault-plan matrix, audited over the wire.
 // Reports wall-clock convergence and detection latency — the
@@ -224,11 +234,7 @@ func runLiveTCP(c config) error {
 	}
 	violated := false
 	for _, r := range rows {
-		fmt.Fprintln(c.out, " ", r)
-		for _, v := range r.Violations {
-			fmt.Fprintf(c.err, "  GUARANTEE VIOLATION: %s under %s: %s\n", r.App, r.Plan, v)
-			violated = true
-		}
+		violated = printRow(c, r, r.App, r.Plan, r.Violations) || violated
 	}
 	if violated {
 		return errors.New("live-TCP scenarios violated the detection guarantee")
@@ -252,11 +258,7 @@ func runMultiproc(c config) error {
 	rows, err := multiproc.Bench(dir, c.opts.Seed)
 	violated := false
 	for _, r := range rows {
-		fmt.Fprintln(c.out, " ", r)
-		for _, v := range r.Violations {
-			fmt.Fprintf(c.err, "  GUARANTEE VIOLATION: %s under %s: %s\n", r.App, r.Plan, v)
-			violated = true
-		}
+		violated = printRow(c, r, r.App, r.Plan, r.Violations) || violated
 	}
 	if err != nil {
 		return err

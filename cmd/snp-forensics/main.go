@@ -5,11 +5,11 @@
 // Usage:
 //
 //	snp-forensics -scenario badgadget|suppress
-//	snp-forensics -connect 127.0.0.1:7070    # audit a live deployment
-//	                                         # through its query frontend
 //
-// The Chord eclipse and MapReduce squirrel investigations are programs of
-// their own: go run ./examples/chord-eclipse, ./examples/mapreduce-squirrel.
+// To audit a live deployment through its query frontend, use
+// snp-query -connect <addr> -audit -stats. The Chord eclipse and MapReduce
+// squirrel investigations are programs of their own:
+// go run ./examples/chord-eclipse, ./examples/mapreduce-squirrel.
 package main
 
 import (
@@ -21,19 +21,13 @@ import (
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
 	"repro/internal/provgraph"
-	"repro/internal/queryfront"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
 func main() {
 	scenario := flag.String("scenario", "suppress", "badgadget | suppress (eclipse and squirrel: go run ./examples/chord-eclipse, ./examples/mapreduce-squirrel)")
-	connect := flag.String("connect", "", "audit a live deployment through the query frontend at this address instead of running a canned scenario")
 	flag.Parse()
-	if *connect != "" {
-		remote(*connect)
-		return
-	}
 	switch *scenario {
 	case "suppress":
 		suppress()
@@ -41,25 +35,6 @@ func main() {
 		badGadget()
 	default:
 		log.Fatalf("unknown scenario %q", *scenario)
-	}
-}
-
-// remote investigates a live deployment over the wire: a full audit
-// through its query frontend, reported in the §4.2 evidence tiers.
-func remote(addr string) {
-	cl, err := queryfront.Dial(addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cl.Close()
-	fmt.Printf("Auditing the deployment behind %s…\n", addr)
-	v, err := cl.Audit()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(v.Format())
-	if st, err := cl.Stats(); err == nil {
-		fmt.Println("frontend:", st)
 	}
 }
 

@@ -158,12 +158,6 @@ func TamperOutputs(name string, f func(ev types.Event, outs []types.Output) []ty
 	return &custom{name: name, install: func(n *core.Node) { chainTamper(n, f) }}
 }
 
-// TamperPackets builds a bespoke behavior over the outgoing-packet hook
-// (see core.Node.TamperPacket for the contract).
-func TamperPackets(name string, f func(dst types.NodeID, pkt *core.Packet) []*core.Packet) Behavior {
-	return &custom{name: name, install: func(n *core.Node) { chainPacket(n, f) }}
-}
-
 type custom struct {
 	name    string
 	install func(*core.Node)

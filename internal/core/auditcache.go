@@ -24,11 +24,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/cryptoutil"
-	"repro/internal/seclog"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -39,10 +42,21 @@ const auditCacheDomain = "snpaudit1"
 
 const auditCacheVersion = 1
 
+// On disk the cache is a directory with one file per key,
+// <hex(key)>.audit = H(body) || body. A put writes a temp file in the same
+// directory and renames it into place, so a reader sees the old body, the
+// new body, or no file, and a crash leaves at worst a temp file that the
+// next open removes. Nothing is fsynced: a body the file system tore fails
+// the integrity prefix and is a miss like any other.
+const (
+	auditCacheExt = ".audit"
+	auditCacheTmp = ".tmp"
+)
+
 // AuditCache is a handle on the durable audit cache, shared by every
 // Auditor built from the same Config. Safe for concurrent use.
 type AuditCache struct {
-	store *seclog.CacheStore
+	dir   string
 	suite cryptoutil.Suite
 
 	hits   atomic.Uint64
@@ -54,18 +68,27 @@ func OpenAuditCache(dir string, suite cryptoutil.Suite) (*AuditCache, error) {
 	if suite == nil {
 		suite = cryptoutil.Ed25519SHA256
 	}
-	st, err := seclog.OpenCacheStore(dir, types.NodeID("auditcache"), suite)
-	if err != nil {
-		return nil, err
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("core: audit cache dir: %w", err)
 	}
-	return &AuditCache{store: st, suite: suite}, nil
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("core: audit cache dir: %w", err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f.Name(), auditCacheTmp) {
+			_ = os.Remove(filepath.Join(dir, f.Name())) // left by a crashed put
+		}
+	}
+	return &AuditCache{dir: dir, suite: suite}, nil
 }
 
-// Sync makes all cached entries durable.
-func (c *AuditCache) Sync() error { return c.store.Sync() }
+// Sync has nothing to flush: a put is complete when its rename returns, and
+// the cache promises no more durability than that.
+func (c *AuditCache) Sync() error { return nil }
 
-// Close syncs and releases the cache.
-func (c *AuditCache) Close() error { return c.store.Close() }
+// Close releases the cache. The handle holds no open files.
+func (c *AuditCache) Close() error { return nil }
 
 // Hits returns how many Prepare calls were served from the cache.
 func (c *AuditCache) Hits() uint64 { return c.hits.Load() }
@@ -84,11 +107,16 @@ func (c *AuditCache) key(node types.NodeID, from, to uint64, headHash []byte) []
 	return c.suite.Hash([]byte(auditCacheDomain), []byte(node), fb[:], tb[:], headHash)
 }
 
+// path returns the file that holds the body stored under key.
+func (c *AuditCache) path(key []byte) string {
+	return filepath.Join(c.dir, hex.EncodeToString(key)+auditCacheExt)
+}
+
 // get loads and integrity-checks the body stored under key.
 func (c *AuditCache) get(key []byte) ([]byte, bool) {
-	payload, ok := c.store.Get(key)
+	payload, err := os.ReadFile(c.path(key))
 	hs := c.suite.HashSize()
-	if !ok || len(payload) < hs {
+	if err != nil || len(payload) < hs {
 		return nil, false
 	}
 	sum, body := payload[:hs], payload[hs:]
@@ -98,10 +126,23 @@ func (c *AuditCache) get(key []byte) ([]byte, bool) {
 	return body, true
 }
 
-// put stores body under key with an integrity prefix.
+// put stores body under key with an integrity prefix. A failed put is just
+// a future miss.
 func (c *AuditCache) put(key, body []byte) {
-	payload := append(c.suite.Hash(body), body...)
-	_ = c.store.Put(key, payload) // a failed put is just a future miss
+	f, err := os.CreateTemp(c.dir, "put-*"+auditCacheTmp)
+	if err != nil {
+		return
+	}
+	_, err = f.Write(append(c.suite.Hash(body), body...))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), c.path(key))
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cryptoutil"
@@ -195,7 +199,8 @@ func TestAuditCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAuditCachePersists proves entries survive Sync + reopen from disk.
+// TestAuditCachePersists proves a reopened cache serves the entries the
+// first handle put, and that open clears what a crashed put left behind.
 func TestAuditCachePersists(t *testing.T) {
 	cfg := DefaultConfig()
 	nodes, dir, factory := cachePair(t, cfg)
@@ -217,12 +222,20 @@ func TestAuditCachePersists(t *testing.T) {
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A put that crashed before its rename leaves its temp file behind.
+	crashed := filepath.Join(cacheDir, "put-crashed"+auditCacheTmp)
+	if err := os.WriteFile(crashed, []byte("half a body"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 
 	cache2, err := OpenAuditCache(cacheDir, cfg.suite())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cache2.Close()
+	if _, err := os.Stat(crashed); !os.IsNotExist(err) {
+		t.Fatalf("temp file of a crashed put survived open (stat err=%v)", err)
+	}
 	ccfg.AuditCache = cache2
 	a2 := NewAuditor(ccfg, dir, factory, nil)
 	for id, n := range nodes {
@@ -303,6 +316,7 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 	seed := NewAuditor(ccfg, dir, factory, nil)
 	baseline := make(map[types.NodeID][]byte)
 	keys := make(map[types.NodeID][]byte)
+	raw0 := make(map[types.NodeID][]byte) // the files as a clean replay writes them
 	for id, n := range nodes {
 		p := seed.Prepare(id, resps[id], evidenceFor(t, n))
 		if p.err != nil {
@@ -312,6 +326,11 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 		seg := resps[id].Segment
 		hashes := p.audited.hashes
 		keys[id] = cache.key(id, seg.From, seg.To(), hashes[seg.To()])
+		raw, err := os.ReadFile(cache.path(keys[id]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw0[id] = raw
 	}
 
 	poisons := []struct {
@@ -388,23 +407,68 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 		})
 	}
 
-	// Raw corruption of the stored payload: the integrity prefix rejects it.
-	for id, n := range nodes {
-		body, _ := cache.get(keys[id])
-		garbled := append([]byte(nil), body...)
-		garbled[len(garbled)/2] ^= 0x01
-		_ = cache.store.Put(keys[id], garbled) // no integrity prefix at all
-		a := NewAuditor(ccfg, dir, factory, nil)
-		p := a.Prepare(id, resps[id], evidenceFor(t, n))
-		if p.err != nil {
-			t.Fatalf("%s: prepare error on corrupt payload: %v", id, p.err)
-		}
-		if !bytes.Equal(preparedImage(p), baseline[id]) {
-			t.Errorf("%s: corrupt payload fallback diverges from baseline", id)
-		}
-		if len(a.Failures()) != 0 {
-			t.Errorf("%s: corrupt payload produced accusations: %v", id, a.Failures())
-		}
+	// Damage to the files themselves. Each must cost exactly one miss: a
+	// fresh replay equal to the baseline, no failure against the honest
+	// node, and a healed entry that the next audit hits.
+	other := map[types.NodeID]types.NodeID{"n1": "n2", "n2": "n1"}
+	hs := cfg.suite().HashSize()
+	damages := []struct {
+		name   string
+		damage func(id types.NodeID, raw []byte) []byte
+	}{
+		{"zero-length file", func(types.NodeID, []byte) []byte { return nil }},
+		{"truncated mid-body", func(_ types.NodeID, raw []byte) []byte { return raw[:hs+(len(raw)-hs)/2] }},
+		{"one flipped bit", func(_ types.NodeID, raw []byte) []byte {
+			raw[hs+(len(raw)-hs)/2] ^= 0x01
+			return raw
+		}},
+		{"no integrity prefix", func(_ types.NodeID, raw []byte) []byte { return raw[hs:] }},
+		{"body of another segment's key", func(id types.NodeID, _ []byte) []byte {
+			raw, err := os.ReadFile(cache.path(keys[other[id]]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}},
+	}
+	for _, tc := range damages {
+		t.Run(tc.name, func(t *testing.T) {
+			for id, n := range nodes {
+				raw, err := os.ReadFile(cache.path(keys[id]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(cache.path(keys[id]), tc.damage(id, raw), 0o600); err != nil {
+					t.Fatal(err)
+				}
+				hits, misses := cache.Hits(), cache.Misses()
+				a := NewAuditor(ccfg, dir, factory, nil)
+				p := a.Prepare(id, resps[id], evidenceFor(t, n))
+				if p.err != nil {
+					t.Fatalf("%s: prepare error on damaged file: %v", id, p.err)
+				}
+				if !bytes.Equal(preparedImage(p), baseline[id]) {
+					t.Errorf("%s: fallback result diverges from baseline", id)
+				}
+				if err := a.Commit(p); err != nil {
+					t.Fatal(err)
+				}
+				if len(a.Failures()) != 0 {
+					t.Errorf("%s: damaged file produced accusations: %v", id, a.Failures())
+				}
+				if cache.Hits() != hits || cache.Misses() != misses+1 {
+					t.Errorf("%s: hits %d→%d misses %d→%d, want one miss", id, hits, cache.Hits(), misses, cache.Misses())
+				}
+				healed, err := os.ReadFile(cache.path(keys[id]))
+				if err != nil || !bytes.Equal(healed, raw0[id]) {
+					t.Errorf("%s: entry not healed (err=%v)", id, err)
+				}
+				a2 := NewAuditor(ccfg, dir, factory, nil)
+				if p2 := a2.Prepare(id, resps[id], evidenceFor(t, n)); p2.err != nil || cache.Hits() != hits+1 {
+					t.Errorf("%s: healed entry not served (err=%v, hits=%d)", id, p2.err, cache.Hits())
+				}
+			}
+		})
 	}
 }
 
@@ -450,5 +514,49 @@ func TestAuditCacheNeverCachesFailures(t *testing.T) {
 		// The segment never verified, so the cache must not even have
 		// been consulted (the key is derived from verified hashes).
 		t.Fatalf("cache consulted for unverifiable segment (h=%d m=%d)", cache.Hits(), cache.Misses())
+	}
+}
+
+// TestAuditCacheConcurrentPutGet: rename is the only commit point, so
+// readers racing writers of one key see a whole body some writer put, never
+// a torn one and never a missing file.
+func TestAuditCacheConcurrentPutGet(t *testing.T) {
+	cache, err := OpenAuditCache(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	key := cache.key("n1", 1, 9, []byte("head"))
+	const writers, rounds = 8, 50
+	bodies := make(map[string]bool)
+	body := func(w int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("writer-%d ", w)), 1+w*700) }
+	for w := 0; w < writers; w++ {
+		bodies[string(body(w))] = true
+	}
+	cache.put(key, body(0))
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				cache.put(key, body(w))
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				got, ok := cache.get(key)
+				if !ok || !bodies[string(got)] {
+					t.Errorf("get during concurrent puts: ok=%v len=%d, want a whole put body", ok, len(got))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if left, _ := filepath.Glob(filepath.Join(cache.dir, "*"+auditCacheTmp)); len(left) != 0 {
+		t.Errorf("puts left temp files behind: %v", left)
 	}
 }

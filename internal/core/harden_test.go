@@ -169,15 +169,15 @@ func TestAuditorRejectsMalformedResponses(t *testing.T) {
 	a := NewAuditor(cfg, dir, factory, nil)
 
 	evidence := seclog.Authenticator{Node: "n1", Seq: 1}
-	if err := a.Replay("n1", &RetrieveResponse{}, evidence); err == nil {
+	if err := a.Commit(a.Prepare("n1", &RetrieveResponse{}, evidence)); err == nil {
 		t.Error("nil segment accepted")
 	}
 	a2 := NewAuditor(cfg, dir, factory, nil)
-	if err := a2.Replay("n1", &RetrieveResponse{Segment: &seclog.SegmentData{Node: "n1", From: 0}}, evidence); err == nil {
+	if err := a2.Commit(a2.Prepare("n1", &RetrieveResponse{Segment: &seclog.SegmentData{Node: "n1", From: 0}}, evidence)); err == nil {
 		t.Error("empty segment accepted")
 	}
 	a3 := NewAuditor(cfg, dir, factory, nil)
-	if err := a3.Replay("n1", &RetrieveResponse{Segment: &seclog.SegmentData{Node: "other", From: 1}}, evidence); err == nil {
+	if err := a3.Commit(a3.Prepare("n1", &RetrieveResponse{Segment: &seclog.SegmentData{Node: "other", From: 1}}, evidence)); err == nil {
 		t.Error("foreign segment accepted")
 	}
 	if len(a3.Failures()) == 0 {

@@ -112,7 +112,7 @@ type Querier struct {
 
 	// Parallelism bounds the audit worker pool started by BeginAuditScope;
 	// zero means GOMAXPROCS. When the effective pool would be a single
-	// worker, BeginAuditScope keeps the strictly lazy sequential path
+	// worker, BeginAuditScope starts no pool and every audit runs inline
 	// (speculation cannot pay for itself without a spare core).
 	Parallelism int
 
@@ -156,9 +156,9 @@ type auditTask struct {
 	authErr  error
 	fetchErr error
 	prep     *PreparedAudit
-	// prepDur is the duration of the Prepare call alone (fetch excluded),
-	// so inline fills can report replay cost the way the sequential path
-	// does: fetch time is modeled separately as download time.
+	// prepDur is the duration of the Prepare call alone (fetch excluded):
+	// inline fills report it as replay cost, and fetch time is modeled
+	// separately as download time.
 	prepDur time.Duration
 }
 
@@ -205,7 +205,7 @@ func (pf *prefetcher) nextNode() (types.NodeID, *auditTask, bool) {
 }
 
 // fill runs the thread-safe half of one node's audit into t and publishes it.
-func (pf *prefetcher) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, t *auditTask) {
+func (t *auditTask) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, hint types.Time) {
 	defer close(t.done)
 	auth, err := fetch.LatestAuth(node)
 	if err != nil {
@@ -213,7 +213,7 @@ func (pf *prefetcher) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, t
 		return
 	}
 	t.auth = auth
-	resp, err := fetch.Retrieve(node, RetrieveRequest{Auth: auth, StartTime: pf.hint})
+	resp, err := fetch.Retrieve(node, RetrieveRequest{Auth: auth, StartTime: hint})
 	if err != nil {
 		t.fetchErr = err
 		return
@@ -230,7 +230,7 @@ func (pf *prefetcher) run(auditor *Auditor, fetch Fetcher) {
 		if !ok {
 			return
 		}
-		pf.fill(auditor, fetch, node, t)
+		t.fill(auditor, fetch, node, pf.hint)
 	}
 }
 
@@ -260,7 +260,7 @@ func (q *Querier) BeginAuditScope(nodes []types.NodeID, startHint types.Time) {
 	if workers <= 1 {
 		// No parallelism to exploit: speculative preparation of nodes the
 		// query may never demand would compete with the query itself for
-		// the single core, so stay on the strictly lazy sequential path.
+		// the single core, so stay strictly lazy: each demand fills inline.
 		return
 	}
 	pf := &prefetcher{
@@ -300,54 +300,37 @@ func (q *Querier) EnsureAudited(node types.NodeID, startHint types.Time) error {
 		return err
 	}
 	q.Metrics.Microqueries++
+	// With no scope, or a scope prepared for another hint, the task is
+	// private to this call; either way an unstarted task is filled inline
+	// rather than waiting for pool capacity.
+	var t *auditTask
+	var started bool
 	if pf := q.pf; pf != nil && pf.hint == startHint {
-		t, started := pf.claim(node)
-		if !started {
-			// Not yet picked up by a worker: run the preparation inline
-			// rather than waiting for pool capacity. ReplayTime counts the
-			// Prepare and the commit but not the fetch, matching the
-			// sequential path (fetch cost is modeled as download time).
-			pf.fill(q.Auditor, q.Fetch, node, t)
-			start := wallNow()
-			err := q.commitTask(node, t)
-			q.Metrics.ReplayTime += t.prepDur + wallSince(start)
-			return err
-		}
-		// Worker-prepared: ReplayTime records the demand thread's actual
-		// stall (wait for the worker, then commit) — zero when preparation
-		// already finished in the background.
+		t, started = pf.claim(node)
+	} else {
+		t = &auditTask{done: make(chan struct{})}
+	}
+	if !started {
+		// ReplayTime counts the Prepare and the commit but not the fetch
+		// (fetch cost is modeled as download time).
+		t.fill(q.Auditor, q.Fetch, node, startHint)
 		start := wallNow()
-		<-t.done
 		err := q.commitTask(node, t)
-		q.Metrics.ReplayTime += wallSince(start)
+		q.Metrics.ReplayTime += t.prepDur + wallSince(start)
 		return err
 	}
-	auth, err := q.Fetch.LatestAuth(node)
-	if err != nil {
-		q.yellowNodes[node] = err
-		return err
-	}
-	q.Metrics.AuthBytes += int64(auth.WireSize())
-	resp, err := q.Fetch.Retrieve(node, RetrieveRequest{Auth: auth, StartTime: startHint})
-	if err != nil {
-		q.yellowNodes[node] = err
-		return err
-	}
-	q.Metrics.NodesContacted++
-	q.accountDownload(resp)
+	// Worker-prepared: ReplayTime records the demand thread's actual stall
+	// (wait for the worker, then commit) — zero when preparation already
+	// finished in the background.
 	start := wallNow()
-	replayErr := q.Auditor.Replay(node, resp, auth)
+	<-t.done
+	err := q.commitTask(node, t)
 	q.Metrics.ReplayTime += wallSince(start)
-	if replayErr != nil {
-		// The node answered but its log is provably bad; failures are
-		// recorded and its vertices will be red.
-		return nil
-	}
-	return nil
+	return err
 }
 
-// commitTask performs the serial half of a prefetched audit, with metric
-// accounting in exactly the order the sequential path uses.
+// commitTask performs the serial half of an audit. The order of the metric
+// updates is part of the deterministic series.
 func (q *Querier) commitTask(node types.NodeID, t *auditTask) error {
 	if t.authErr != nil {
 		q.yellowNodes[node] = t.authErr
@@ -363,8 +346,8 @@ func (q *Querier) commitTask(node types.NodeID, t *auditTask) error {
 	if err := q.Auditor.Commit(t.prep); err != nil {
 		// The node answered but its log is provably bad; failures are
 		// recorded and its vertices will be red. The prepared audit is kept
-		// so a re-demand (the node never becomes Audited) replays the same
-		// evidence, as the sequential path would.
+		// so a re-demand within the scope (the node never becomes Audited)
+		// replays the same evidence.
 		return nil
 	}
 	// Committed: the node is now Audited, so this op stream, replica

@@ -45,9 +45,8 @@ func (f Failure) String() string {
 //     bit-identical to a fully sequential audit of the same nodes in the
 //     same order.
 //
-// Replay is the sequential convenience: Prepare immediately followed by
-// Commit. All Commit-side methods (and everything else on Auditor) must be
-// called from a single goroutine.
+// All Commit-side methods (and everything else on Auditor) must be called
+// from a single goroutine.
 type Auditor struct {
 	Builder *provgraph.Builder
 	Stats   *cryptoutil.Stats
@@ -172,7 +171,7 @@ type PreparedAudit struct {
 }
 
 // Err returns the verification error Prepare recorded, if any (the same
-// error Replay would have returned).
+// error Commit will return).
 func (p *PreparedAudit) Err() error { return p.err }
 
 // prep is the Prepare-phase accumulator. Its fail/handle methods mirror the
@@ -420,8 +419,8 @@ func (a *Auditor) prepareFromCache(p *prep, seg *seclog.SegmentData, key []byte)
 
 // Commit applies a prepared audit to the shared graph and bookkeeping. It
 // must be called from the auditor's single commit goroutine; the caller
-// chooses the commit order, and the result is identical to having called
-// Replay sequentially in that order.
+// chooses the commit order, and the result is identical to having prepared
+// and committed the nodes one at a time in that order.
 func (a *Auditor) Commit(p *PreparedAudit) error {
 	if _, ok := a.covered[p.Node]; ok {
 		return nil // already replayed (one segment per node per query session)
@@ -458,17 +457,6 @@ func (a *Auditor) applyOps(ops []replayOp) {
 			a.recordImplied(op.node, op.seq, op.commit)
 		}
 	}
-}
-
-// Replay verifies one retrieved segment against the evidence and replays it
-// into the shared graph. A verification error means the node could not
-// produce a log matching its own commitments — provable misbehavior, also
-// recorded as a failure. Replay is Prepare followed immediately by Commit.
-func (a *Auditor) Replay(node types.NodeID, resp *RetrieveResponse, evidence seclog.Authenticator) error {
-	if _, ok := a.covered[node]; ok {
-		return nil // already replayed (one segment per node per query session)
-	}
-	return a.Commit(a.Prepare(node, resp, evidence))
 }
 
 // replayEntries expands entries into GCA events, re-verifying embedded peer

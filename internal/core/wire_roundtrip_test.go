@@ -57,7 +57,7 @@ func TestRetrieveResponseCrossProcessRoundTrip(t *testing.T) {
 	dir.Register("n1", key.Public())
 	a := core.NewAuditor(core.DefaultConfig(), dir,
 		func(types.NodeID) types.Machine { return fuzzMachine{} }, nil)
-	if err := a.Replay("n1", &remote, auth); err != nil {
+	if err := a.Commit(a.Prepare("n1", &remote, auth)); err != nil {
 		t.Fatalf("audit of decoded response failed: %v", err)
 	}
 	if fs := a.Failures(); len(fs) != 0 {

@@ -145,7 +145,7 @@ func LongRetention(name ConfigName, o Options, dir string) (*LongRetentionReport
 	// node's authenticator and replay it through the GCA (the querier's
 	// wiring supplies the app-specific maybe-rule validator).
 	q := res.NewQuerier()
-	if err := q.Auditor.Replay(target, &core.RetrieveResponse{Segment: recSeg}, auth); err != nil {
+	if err := q.Auditor.Commit(q.Auditor.Prepare(target, &core.RetrieveResponse{Segment: recSeg}, auth)); err != nil {
 		rep.AuditFailures = len(q.Auditor.Failures())
 		return rep, fmt.Errorf("eval: audit of recovered %s: %w", target, err)
 	}

@@ -163,18 +163,10 @@ func (g *Graph) CloseInterval(v *Vertex, t types.Time) {
 	}
 }
 
-// AtInstant returns the vertices of the given instant type for (host, tuple)
-// at exactly time t, in deterministic order.
-func (g *Graph) AtInstant(t VertexType, host types.NodeID, tup types.Tuple, at types.Time) []*Vertex {
-	vs := g.instant[instantKey(t, host, tup, at)]
-	out := append([]*Vertex(nil), vs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
-}
-
-// FirstInstant returns the first vertex AtInstant would return, or nil. It
-// scans for the minimum ID instead of copying and sorting the bucket; this
-// is the GCA's single most frequent lookup.
+// FirstInstant returns the vertex with the smallest ID among those of the
+// given instant type for (host, tuple) at exactly time at, or nil. It scans
+// for the minimum instead of copying and sorting the bucket; this is the
+// GCA's single most frequent lookup.
 func (g *Graph) FirstInstant(t VertexType, host types.NodeID, tup types.Tuple, at types.Time) *Vertex {
 	var best *Vertex
 	for _, v := range g.instant[instantKey(t, host, tup, at)] {

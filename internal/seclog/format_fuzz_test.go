@@ -151,34 +151,3 @@ func FuzzTableOpen(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCacheMetaDecode covers the audit-cache manifest parser the same way:
-// arbitrary bytes must never panic, anything accepted must be a non-empty
-// list of non-empty table addresses, and rejection must be total (a torn
-// cache manifest means an empty cache, never an error).
-func FuzzCacheMetaDecode(f *testing.F) {
-	w := wire.NewWriter(64)
-	w.Raw(cacheMetaMagic)
-	w.Uint(2)
-	w.BytesField(bytes.Repeat([]byte{1}, 32))
-	w.BytesField(bytes.Repeat([]byte{2}, 32))
-	real := w.Bytes()
-	f.Add(real)
-	f.Add(real[:len(real)-7])
-	w2 := wire.NewWriter(16)
-	w2.Raw(cacheMetaMagic)
-	w2.Uint(1 << 50) // hostile count
-	f.Add(w2.Bytes())
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		hashes, ok := decodeCacheMeta(raw)
-		if !ok {
-			return
-		}
-		for i, h := range hashes {
-			if len(h) == 0 {
-				t.Fatalf("accepted cache meta with empty address %d", i)
-			}
-		}
-	})
-}

@@ -797,40 +797,6 @@ func (l *Log) StoreTables() int {
 	return len(l.store.tables)
 }
 
-// TableSpan describes where one sealed table keeps its records on disk: the
-// table file path plus, per record, the offset and length of its canonical
-// encoding. It exists for read-path instrumentation — snp-bench's cold-read
-// row compares the mmap'd decode against a plain positioned read of the
-// same bytes — and the slices are copies, never aliases of the mapping.
-type TableSpan struct {
-	Path string
-	Base uint64
-	Offs []int64
-	Lens []int64
-}
-
-// StoreTableSpans returns a snapshot of the sealed tables' record layout
-// (nil for in-memory logs). Compaction may retire a table after the
-// snapshot is taken, so callers reading by path must tolerate a vanished
-// file.
-func (l *Log) StoreTableSpans() []TableSpan {
-	if l.store == nil {
-		return nil
-	}
-	l.store.mu.Lock()
-	defer l.store.mu.Unlock()
-	spans := make([]TableSpan, 0, len(l.store.tables))
-	for _, t := range l.store.tables {
-		spans = append(spans, TableSpan{
-			Path: t.path,
-			Base: t.base,
-			Offs: append([]int64(nil), t.offs...),
-			Lens: append([]int64(nil), t.lens...),
-		})
-	}
-	return spans
-}
-
 // CompactErr returns the first error the background compactor hit (nil for
 // healthy stores). Compaction failures are not sticky for the log itself —
 // the pre-compaction tables remain live and correct — but they mean disk

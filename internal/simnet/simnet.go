@@ -375,16 +375,6 @@ func (n *Net) AddNode(id types.NodeID, keySeed int64, machine types.Machine) (*c
 	return node, nil
 }
 
-// MustAddNode is AddNode that panics on error (setup-time convenience).
-func (n *Net) MustAddNode(id types.NodeID, keySeed int64, machine types.Machine) *core.Node {
-	node, err := n.AddNode(id, keySeed, machine)
-	if err != nil {
-		//snpvet:allow nopanic deploy-time convenience used only while building a simulation topology, before any peer-influenced input exists
-		panic(err)
-	}
-	return node
-}
-
 // Node returns a node by ID.
 func (n *Net) Node(id types.NodeID) *core.Node {
 	if sh := n.shards[id]; sh != nil {

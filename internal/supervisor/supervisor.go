@@ -505,41 +505,36 @@ func (s *Supervisor) StartToHealthy(id types.NodeID) []time.Duration {
 // WaitHealthy blocks until every non-failed child answers a health probe,
 // or the timeout passes.
 func (s *Supervisor) WaitHealthy(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var waiting []string
-		for _, id := range s.app.Nodes {
-			s.mu.Lock()
-			failed := s.children[id] != nil && s.children[id].failed != nil
-			s.mu.Unlock()
-			if failed {
-				continue
-			}
-			if _, err := s.fetch.Health(id, 0); err != nil {
-				waiting = append(waiting, string(id))
-			}
+	return s.waitAll(timeout, 20*time.Millisecond, "healthy", func(id types.NodeID) bool {
+		s.mu.Lock()
+		failed := s.children[id] != nil && s.children[id].failed != nil
+		s.mu.Unlock()
+		if failed {
+			return true
 		}
-		if len(waiting) == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			sort.Strings(waiting)
-			return fmt.Errorf("supervisor: %v not healthy after %v", waiting, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		_, err := s.fetch.Health(id, 0)
+		return err == nil
+	})
 }
 
 // WaitConverged blocks until every node reports its workload convergence
 // probe true, or the timeout passes. Crashes and restarts may happen
 // underneath; unreachable nodes simply aren't converged yet.
 func (s *Supervisor) WaitConverged(timeout time.Duration) error {
+	return s.waitAll(timeout, 50*time.Millisecond, "converged", func(id types.NodeID) bool {
+		h, err := s.fetch.Health(id, 0)
+		return err == nil && h.Converged
+	})
+}
+
+// waitAll polls every node with ok until none is left waiting or the
+// timeout passes; state names the awaited condition in the error.
+func (s *Supervisor) waitAll(timeout, every time.Duration, state string, ok func(types.NodeID) bool) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		var waiting []string
 		for _, id := range s.app.Nodes {
-			h, err := s.fetch.Health(id, 0)
-			if err != nil || !h.Converged {
+			if !ok(id) {
 				waiting = append(waiting, string(id))
 			}
 		}
@@ -548,9 +543,9 @@ func (s *Supervisor) WaitConverged(timeout time.Duration) error {
 		}
 		if time.Now().After(deadline) {
 			sort.Strings(waiting)
-			return fmt.Errorf("supervisor: %v not converged after %v", waiting, timeout)
+			return fmt.Errorf("supervisor: %v not %s after %v", waiting, state, timeout)
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(every)
 	}
 }
 

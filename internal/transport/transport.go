@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/seclog"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -137,9 +136,8 @@ func (s Stats) Dropped() uint64 {
 
 // Cluster manages a set of local nodes reachable over TCP. It implements
 // core.Sender (outbound) and dispatches inbound packets into the owning
-// node under a per-node lock. It also implements core.Fetcher for its
-// *local* nodes; NewFetcher builds the remote fetcher that audits nodes
-// over the wire.
+// node under a per-node lock. NewFetcher builds the core.Fetcher that
+// audits nodes over the wire.
 type Cluster struct {
 	cfg Config
 
@@ -565,48 +563,6 @@ func (c *Cluster) Close() {
 	}
 	c.wg.Wait()      // link workers (close their outbound conns on exit)
 	c.serveWg.Wait() // accept loops and inbound handlers
-}
-
-// ---------------------------------------------------------------------------
-// core.Fetcher over local nodes (queries contact nodes through With).
-
-// Retrieve implements core.Fetcher for local nodes.
-func (c *Cluster) Retrieve(node types.NodeID, req core.RetrieveRequest) (resp *core.RetrieveResponse, err error) {
-	werr := c.With(node, func(n *core.Node) { resp, err = n.HandleRetrieve(req) })
-	if werr != nil {
-		return nil, werr
-	}
-	return resp, err
-}
-
-// LatestAuth implements core.Fetcher.
-func (c *Cluster) LatestAuth(node types.NodeID) (seclog.Authenticator, error) {
-	var auth seclog.Authenticator
-	var err error
-	werr := c.With(node, func(n *core.Node) { auth, err = n.LatestAuth() })
-	if werr != nil {
-		return auth, werr
-	}
-	return auth, err
-}
-
-// AuthsAbout implements core.Fetcher.
-func (c *Cluster) AuthsAbout(observer, target types.NodeID, t1, t2 types.Time) []seclog.Authenticator {
-	var out []seclog.Authenticator
-	_ = c.With(observer, func(n *core.Node) { out = n.AuthsAbout(target, t1, t2) })
-	return out
-}
-
-// Nodes implements core.Fetcher (local nodes only).
-func (c *Cluster) Nodes() []types.NodeID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]types.NodeID, 0, len(c.nodes))
-	for id := range c.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -77,7 +77,9 @@ func TestMinCostOverTCP(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 
 	auditor := core.NewAuditor(cfg, dir, mincost.Factory(), maint)
-	q := core.NewQuerier(auditor, cluster)
+	fetch := cluster.NewFetcher("auditor")
+	defer fetch.Close()
+	q := core.NewQuerier(auditor, fetch)
 	expl, err := q.Explain("c", mincost.BestCost("c", "d", 5), core.QueryOpts{})
 	if err != nil {
 		t.Fatalf("Explain over TCP: %v (failures %v)", err, auditor.Failures())
