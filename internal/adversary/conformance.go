@@ -5,11 +5,13 @@ import (
 
 	"repro/internal/apps/bgp"
 	"repro/internal/apps/chord"
+	"repro/internal/apps/mapreduce"
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
 	"repro/internal/provgraph"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // App is one application configuration the conformance suite runs behaviors
@@ -102,9 +104,39 @@ func ChordApp() App {
 	}
 }
 
+// MapReduceApp is a WordCount job (§7.1's Hadoop configuration, scaled down:
+// 6 mappers, 3 reducers, one 2 KiB split each) with one mapper compromised.
+// A mapper, not a reducer: the dataflow is one-way and a reducer never
+// sends, so suppress, forge and equivocate would have nothing to act on
+// there and would (correctly) fail "no provable evidence for a provable
+// behavior".
+func MapReduceApp() App {
+	const mappers, reducers = 6, 3
+	var reducerNames []types.NodeID
+	for j := 0; j < reducers; j++ {
+		reducerNames = append(reducerNames, mapreduce.ReducerName(j))
+	}
+	return App{
+		Name:        "mapreduce",
+		Horizon:     30 * types.Second,
+		Compromised: []types.NodeID{mapreduce.MapperName(2)},
+		Deploy: func(net *simnet.Net, seed int64) error {
+			_, err := mapreduce.Deploy(net, mapreduce.Job{
+				Mappers: mappers, Reducers: reducers,
+				Splits:  workload.Corpus(seed, mappers, 2<<10),
+				StartAt: types.Second, ReduceAt: 15 * types.Second,
+			})
+			return err
+		},
+		NewQuerier: func(net *simnet.Net) *core.Querier {
+			return net.NewQuerier(mapreduce.Factory(reducerNames))
+		},
+	}
+}
+
 // Apps returns the conformance application set in a fixed order.
 func Apps() []App {
-	return []App{MinCostApp(), QuaggaApp(), ChordApp()}
+	return []App{MinCostApp(), QuaggaApp(), ChordApp(), MapReduceApp()}
 }
 
 // Query is one provenance question re-asked across runs.

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/types"
 )
 
 // conformanceSeeds returns the seed set the suite runs. The full matrix is
@@ -28,12 +30,28 @@ func conformanceSeeds(t *testing.T) []int64 {
 	return []int64{1, 2, 3}
 }
 
-func conformanceApps(t *testing.T) []adversary.App {
-	apps := adversary.Apps()
-	if testing.Short() {
-		return apps[:2] // mincost + quagga; chord is the slowest deployment
+// appsExcept returns the conformance apps minus the named ones.
+func appsExcept(skip ...string) []adversary.App {
+	var out []adversary.App
+	for _, app := range adversary.Apps() {
+		if !slices.Contains(skip, app.Name) {
+			out = append(out, app)
+		}
 	}
-	return apps
+	return out
+}
+
+// conformanceApps is the matrix's app axis: every conformance app plus
+// Quagga with two compromised routers at once (k=2). -short drops chord,
+// the slowest deployment, and the k=2 row.
+func conformanceApps() []adversary.App {
+	if testing.Short() {
+		return appsExcept("chord")
+	}
+	k2 := adversary.QuaggaApp()
+	k2.Name = "quagga-k2"
+	k2.Compromised = []types.NodeID{"as30", "as40"}
+	return append(adversary.Apps(), k2)
 }
 
 // corruptDir flips a byte in every regular file under dir (cache tables and
@@ -77,9 +95,9 @@ func corruptDir(t *testing.T, dir string) {
 // poisoned cache entry may cost a fresh replay, never a provable accusation
 // of an honest node.
 func TestConformanceStored(t *testing.T) {
-	apps := adversary.Apps()[:2] // mincost + quagga; chord adds the least here
+	apps := appsExcept("chord") // chord adds the least here
 	if testing.Short() {
-		apps = apps[:1]
+		apps = appsExcept("chord", "quagga")
 	}
 	for _, poison := range []bool{false, true} {
 		name := "cache"
@@ -146,7 +164,7 @@ func TestConformanceStored(t *testing.T) {
 // yields evidence implicating only compromised nodes or leaves the honest
 // nodes' provenance answers bit-identical to the adversary-free baseline.
 func TestConformance(t *testing.T) {
-	for _, app := range conformanceApps(t) {
+	for _, app := range conformanceApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			for _, seed := range conformanceSeeds(t) {

@@ -28,7 +28,7 @@ func (m *stubMachine) Step(ev types.Event) []types.Output {
 		SendTime: ev.Time, Seq: m.seq,
 	}}}
 }
-func (m *stubMachine) Snapshot() []byte             { return nil }
+func (m *stubMachine) Snapshot() []byte              { return nil }
 func (m *stubMachine) Restore(snapshot []byte) error { return nil }
 
 // failingKey signs successfully until broken, then fails every signature.

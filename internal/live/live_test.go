@@ -1,0 +1,179 @@
+package live
+
+import (
+	"bytes"
+	"os"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/apps/bgp"
+	"repro/internal/core"
+	"repro/internal/dlog"
+	"repro/internal/transport"
+	"repro/internal/types"
+)
+
+// TestRegistry holds every registry entry to what the live drivers assume
+// of it: the name round-trips, the compromised set and the partition victim
+// are disjoint members of the deployment, and the callbacks every driver
+// calls unconditionally are set.
+func TestRegistry(t *testing.T) {
+	for _, name := range AppNames() {
+		app, err := AppByName(name)
+		if err != nil {
+			t.Fatalf("AppByName(%q): %v", name, err)
+		}
+		if app.Name != name {
+			t.Errorf("AppByName(%q).Name = %q", name, app.Name)
+		}
+		if !slices.Contains(app.Nodes, app.Victim) {
+			t.Errorf("%s: victim %s is not one of %v", name, app.Victim, app.Nodes)
+		}
+		if slices.Contains(app.Compromised, app.Victim) {
+			t.Errorf("%s: victim %s is compromised", name, app.Victim)
+		}
+		for _, id := range app.Compromised {
+			if !slices.Contains(app.Nodes, id) {
+				t.Errorf("%s: compromised %s is not one of %v", name, id, app.Nodes)
+			}
+		}
+		if app.Factory == nil || app.Probe == nil {
+			t.Errorf("%s: Factory or Probe is nil", name)
+		}
+	}
+
+	_, err := AppByName("nope")
+	if err == nil {
+		t.Fatal("unknown app accepted")
+	}
+	for _, name := range AppNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list valid app %q", err, name)
+		}
+	}
+}
+
+// directoryKeys marshals every node's public key, in the app's node order.
+func directoryKeys(t *testing.T, d *Deployment) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, id := range d.App.Nodes {
+		key, err := d.Dir.Key(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, key.Marshal())
+	}
+	return out
+}
+
+// TestNewDeploymentDerivation pins what lets separate processes agree
+// without talking: equal (app, seed, tprop) yield equal keys and protocol
+// configuration, and the seed is what tells two deployments apart.
+func TestNewDeploymentDerivation(t *testing.T) {
+	for _, name := range AppNames() {
+		app, err := AppByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deploy := func(seed int64) *Deployment {
+			d, err := NewDeployment(app, seed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		a, b, other := deploy(1), deploy(1), deploy(2)
+		if !reflect.DeepEqual(a.Cfg, b.Cfg) {
+			t.Errorf("%s: same seed, different Cfg:\n%+v\n%+v", name, a.Cfg, b.Cfg)
+		}
+		ka, kb, ko := directoryKeys(t, a), directoryKeys(t, b), directoryKeys(t, other)
+		for i, id := range app.Nodes {
+			if !bytes.Equal(ka[i], kb[i]) {
+				t.Errorf("%s: same seed, different key for %s", name, id)
+			}
+			if bytes.Equal(ka[i], ko[i]) {
+				t.Errorf("%s: seeds 1 and 2 give %s the same key", name, id)
+			}
+		}
+		if got := a.Cfg.Tprop; got != types.Time(DefaultTprop) {
+			t.Errorf("%s: tprop 0 selected %v, want DefaultTprop", name, got)
+		}
+		if a.Cfg.DeltaClock != a.Cfg.Tprop/2 {
+			t.Errorf("%s: DeltaClock = %v, want Tprop/2 = %v", name, a.Cfg.DeltaClock, a.Cfg.Tprop/2)
+		}
+	}
+}
+
+// TestStartRefusesOutsider: a node id the deployment has no key for is
+// refused before anything is opened — no listener, no log store.
+func TestStartRefusesOutsider(t *testing.T) {
+	app, err := AppByName("mincost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDeployment(app, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Cfg.LogDir = t.TempDir()
+	c := transport.NewCluster()
+	defer c.Close()
+
+	n, err := d.Start(c, "zz", "127.0.0.1:0", false, nil)
+	if err == nil {
+		_ = n.Stop()
+		t.Fatal("Start accepted a node outside the deployment")
+	}
+	if !strings.Contains(err.Error(), "zz") {
+		t.Errorf("error %q does not name the node", err)
+	}
+	if c.With("zz", func(*core.Node) {}) == nil {
+		t.Error("the refused node is being served")
+	}
+	entries, err := os.ReadDir(d.Cfg.LogDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("the refused Start left %d entries in the log directory", len(entries))
+	}
+}
+
+// TestQuaggaAppsAreIndependent: each AppByName value owns its speakers. A
+// daemon and a harness (or two harnesses in one test binary) each build
+// their own; were the speakers shared, the second deployment's as51 would
+// find p51 already originated and never insert it.
+func TestQuaggaAppsAreIndependent(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		app, err := AppByName("quagga")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDeployment(app, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := transport.NewCluster()
+		defer c.Close()
+		n, err := d.Start(c, "as51", "127.0.0.1:0", false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Stop()
+		if err := n.Seed(); err != nil {
+			t.Fatal(err)
+		}
+		originated := false
+		if err := c.With("as51", func(cn *core.Node) {
+			originated = cn.Machine.(*dlog.Machine).Lookup(bgp.Origin("as51", "p51"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !originated {
+			t.Errorf("deployment %d: as51 did not originate p51", i)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/provgraph"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 // mustApp resolves a registry workload.
@@ -23,8 +24,72 @@ func mustApp(t *testing.T, name string) live.App {
 	return app
 }
 
+// faultPlan is one row of the live fault matrix. cutsVictim marks the plan
+// that cuts the app's Victim off (rules receives it); the guarantee demands
+// such a node surface as an unattributable lead, never as provable evidence.
+type faultPlan struct {
+	name       string
+	cutsVictim bool
+	rules      func(victim types.NodeID) []transport.FaultRule
+	tcfg       func() *transport.Config
+}
+
+// victim returns the node the plan cuts off in app ("" when none).
+func (fp faultPlan) victim(app live.App) types.NodeID {
+	if fp.cutsVictim {
+		return app.Victim
+	}
+	return ""
+}
+
+func faultPlans() []faultPlan {
+	return []faultPlan{
+		{
+			name:  "none",
+			rules: func(types.NodeID) []transport.FaultRule { return nil },
+		},
+		{
+			name: "drop+delay",
+			rules: func(types.NodeID) []transport.FaultRule {
+				return []transport.FaultRule{{
+					From: "*", To: "*",
+					Drop:     0.03,
+					DelayMin: time.Millisecond, DelayMax: 10 * time.Millisecond,
+					Reorder: 0.02,
+				}}
+			},
+		},
+		{
+			// One-way partition of an honest node: everything sent to it —
+			// data plane and audit retrievals alike — vanishes. Chosen so
+			// its own announcements still propagate (outbound is open).
+			name:       "partition",
+			cutsVictim: true,
+			rules: func(victim types.NodeID) []transport.FaultRule {
+				return []transport.FaultRule{{From: "*", To: string(victim), Partition: true}}
+			},
+		},
+		{
+			name: "reset+slow-reader",
+			rules: func(types.NodeID) []transport.FaultRule {
+				return []transport.FaultRule{{
+					From: "*", To: "*",
+					ResetEvery: 7,
+					StallEvery: 9, StallFor: 600 * time.Millisecond,
+				}}
+			},
+			tcfg: func() *transport.Config {
+				cfg := transport.DefaultConfig()
+				cfg.WriteTimeout = 250 * time.Millisecond // stalls must trip it
+				cfg.RetryMax = 300 * time.Millisecond
+				return &cfg
+			},
+		},
+	}
+}
+
 // TestLiveConformance reruns the adversary conformance slice over loopback
-// TCP under the fault-plan matrix Bench runs (minus its fault-free row):
+// TCP under the fault-plan matrix (its fault-free row included):
 // tamper-log (a Provable behavior) armed on each registry app's compromised
 // node, across fault plans × apps × 2 seeds, each verdict held to the §4.2
 // guarantee's live form by the one check (Verdict.CheckGuarantee):
@@ -39,34 +104,31 @@ func TestLiveConformance(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, bp := range benchPlans() {
-		if bp.name == "none" {
-			continue
-		}
+	for _, fp := range faultPlans() {
 		for _, name := range live.AppNames() {
 			for _, seed := range seeds {
-				t.Run(fmt.Sprintf("%s/%s/seed=%d", bp.name, name, seed), func(t *testing.T) {
-					runLiveCase(t, bp, mustApp(t, name), seed)
+				t.Run(fmt.Sprintf("%s/%s/seed=%d", fp.name, name, seed), func(t *testing.T) {
+					runLiveCase(t, fp, mustApp(t, name), seed)
 				})
 			}
 		}
 	}
 }
 
-func runLiveCase(t *testing.T, bp benchPlan, app live.App, seed int64) {
+func runLiveCase(t *testing.T, fp faultPlan, app live.App, seed int64) {
 	profile, ok := adversary.ProfileByName("tamper-log")
 	if !ok {
 		t.Fatal("tamper-log profile missing from catalog")
 	}
-	victim := bp.victim(app)
+	victim := fp.victim(app)
 	opts := Options{
 		Seed:               seed,
-		Fault:              transport.NewFaultPlan(seed, bp.rules(victim)...),
+		Fault:              transport.NewFaultPlan(seed, fp.rules(victim)...),
 		OnNode:             profile.On(app.Compromised).Hook(),
 		AuditRetryDeadline: time.Second,
 	}
-	if bp.tcfg != nil {
-		opts.Transport = bp.tcfg()
+	if fp.tcfg != nil {
+		opts.Transport = fp.tcfg()
 	}
 	h, err := New(app, opts)
 	if err != nil {
@@ -76,18 +138,26 @@ func runLiveCase(t *testing.T, bp benchPlan, app live.App, seed int64) {
 
 	// Convergence is best-effort under faults: a plan may legitimately
 	// keep updates from some node, but must never corrupt the verdict.
+	start := time.Now()
 	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
-		t.Logf("note: %v (acceptable under plan %s)", err, bp.name)
+		t.Logf("note: %v (acceptable under plan %s)", err, fp.name)
 	}
+	converge := time.Since(start)
 	h.Settle()
 
 	q := h.NewQuerier()
+	auditStart := time.Now()
 	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
+	audit := time.Since(auditStart)
 	t.Logf("verdict: %v; unreachable: %v", v, q.Unreachable())
 	for _, breach := range v.CheckGuarantee(profile.Class, app.Compromised, victim, false) {
 		t.Errorf("§4.2 violated: %s\nfailures: %v\nred: %v", breach, v.Failures, v.RedHosts)
 	}
-	if stats := h.Cluster.Stats(); stats.FramesSent == 0 {
+	stats := h.Cluster.Stats()
+	t.Logf("converge=%v audit=%v frames=%d drops=%d reconnects=%d",
+		converge.Round(time.Millisecond), audit.Round(time.Millisecond),
+		stats.FramesSent, stats.Dropped(), stats.Reconnects)
+	if stats.FramesSent == 0 {
 		t.Error("no frames crossed the wire — the run did not exercise TCP")
 	}
 }

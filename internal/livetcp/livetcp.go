@@ -4,8 +4,7 @@
 // deterministic simulator, where the §4.2 detection guarantee is pinned
 // exhaustively, and a deployment where connections reset, peers stall, and
 // processes restart: the conformance tests in this package re-assert the
-// guarantee's live form, and snp-bench's livetcp figure measures detection
-// latency over it.
+// guarantee's live form.
 package livetcp
 
 import (

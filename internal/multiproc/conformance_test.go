@@ -46,11 +46,12 @@ func workDir(t *testing.T) string {
 }
 
 // crashCase is one app's seeded crash plan, killing distinct honest nodes:
-// the bench's plan — one clean SIGKILL mid-run, one SIGKILL in the middle of
-// a split segment write (a genuinely torn tail for recovery to truncate) —
-// and, on an app with an honest node to spare, one SIGKILL on the compactor
-// goroutine mid-fold (replacement table durable, manifest swap uncommitted;
-// recovery must come back on the old table set and collect the orphan).
+// one clean SIGKILL mid-run on the first, one SIGKILL in the middle of a
+// split segment write on the last (a genuinely torn tail for recovery to
+// truncate), and, on an app with an honest node to spare, one SIGKILL on the
+// compactor goroutine mid-fold (replacement table durable, manifest swap
+// uncommitted; recovery must come back on the old table set and collect the
+// orphan).
 type crashCase struct {
 	app     live.App
 	rules   []supervisor.CrashRule
@@ -59,22 +60,29 @@ type crashCase struct {
 	compact types.NodeID // the ModeCompact target (empty: none in this case)
 }
 
-// crashCaseFor derives the case from the registry entry alone. The compact
-// rule needs a couple of appends past its trigger to seal the tables its
-// fold dies in, so its trigger sits lowest. mincost deploys only three
-// processes (b compromised), so only quagga has an honest node free for it.
+// crashCaseFor derives the case from the registry entry alone. The kill and
+// torn triggers sit well below the converged heads of the registry's
+// workloads, so they fire mid-exchange even when the other crash disrupts
+// the workload. The compact rule needs a couple of appends past its trigger
+// to seal the tables its fold dies in, so its trigger sits lowest. mincost
+// deploys only three processes (b compromised), so only quagga has an
+// honest node free for it.
 func crashCaseFor(t *testing.T, name string) crashCase {
 	t.Helper()
 	app, err := live.AppByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := multiproc.CrashRules(app)
-	if len(rules) != 2 {
+	honest := adversary.HonestNodes(app.Nodes, app.Compromised)
+	if len(honest) < 2 {
 		t.Fatalf("%s: no crash plan (needs two honest nodes)", name)
 	}
-	cc := crashCase{app: app, rules: rules, kill: rules[0].Node, torn: rules[1].Node}
-	if honest := adversary.HonestNodes(app.Nodes, app.Compromised); len(honest) > 2 {
+	cc := crashCase{app: app, kill: honest[0], torn: honest[len(honest)-1]}
+	cc.rules = []supervisor.CrashRule{
+		{Node: cc.kill, Mode: supervisor.ModeKill, AtAppend: 3, Jitter: 1},
+		{Node: cc.torn, Mode: supervisor.ModeTorn, AtAppend: 3, Jitter: 1},
+	}
+	if len(honest) > 2 {
 		cc.compact = honest[1]
 		cc.rules = append(cc.rules, supervisor.CrashRule{Node: cc.compact, Mode: supervisor.ModeCompact, AtAppend: 2, Jitter: 1})
 	}
@@ -112,6 +120,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 	for _, id := range app.Compromised {
 		behaviors[id] = []string{"tamper-log"}
 	}
+	start := time.Now()
 	h, err := multiproc.New(multiproc.Options{
 		Seed:        seed,
 		Dir:         workDir(t),
@@ -139,6 +148,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 	if err := h.Sup.WaitHealthy(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("time-to-heal=%v (launch to every node healthy again)", time.Since(start).Round(time.Millisecond))
 	// Convergence is best-effort with a tamperer in the mix; it must never
 	// corrupt the verdict below.
 	if err := h.Sup.WaitConverged(30 * time.Second); err != nil {
@@ -154,6 +164,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 			t.Errorf("recovery broke %s's chain: %v", id, err)
 			continue
 		}
+		t.Logf("%s: restarts=%d start-to-healthy=%v torn=%dB", id, h.Sup.Restarts(id), h.Sup.StartToHealthy(id), hr.TornBytes)
 		switch id {
 		case cc.torn:
 			if hr.TornBytes == 0 {

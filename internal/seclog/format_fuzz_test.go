@@ -24,7 +24,7 @@ func FuzzManifestDecode(f *testing.F) {
 		tables: []manifestTable{{hash: h, base: 1, count: 4}, {hash: h, base: 5, count: 4}},
 	})
 	f.Add(real)
-	f.Add(real[:len(real)-3])              // torn rewrite
+	f.Add(real[:len(real)-3])               // torn rewrite
 	f.Add(append([]byte(nil), real[:8]...)) // magic only
 	doctored := append([]byte(nil), real...)
 	doctored[len(doctored)/2] ^= 0xff

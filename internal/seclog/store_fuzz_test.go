@@ -57,9 +57,9 @@ func FuzzStoreOpen(f *testing.F) {
 	}
 	f.Add(seglog, segmeta)
 	f.Add(seglog, []byte{})
-	f.Add(seglog[:len(seglog)-3], segmeta)          // torn data tail
-	f.Add(seglog, segmeta[:len(segmeta)/2])         // torn sidecar
-	f.Add(seglog[:len(seglog)/2], segmeta)          // lost synced entries
+	f.Add(seglog[:len(seglog)-3], segmeta)  // torn data tail
+	f.Add(seglog, segmeta[:len(segmeta)/2]) // torn sidecar
+	f.Add(seglog[:len(seglog)/2], segmeta)  // lost synced entries
 	f.Add(append([]byte(nil), storeMagic...), segmeta)
 	f.Add([]byte{}, []byte{})
 
