@@ -9,6 +9,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/eval"
@@ -65,6 +66,30 @@ func BenchmarkAuditorReplaySingleNode(b *testing.B) {
 		}
 		auditor.Finalize()
 	}
+}
+
+// BenchmarkSweepCold times what the evidence workload times, as a go
+// benchmark a profiler can be pointed at: one cold whole-deployment
+// adversary.AuditAll of a Quagga run — fresh querier, empty verification
+// cache — at the GOMAXPROCS the benchmark runs with.
+func BenchmarkSweepCold(b *testing.B) {
+	res, err := eval.Run(eval.Quagga, eval.Options{Scale: benchScale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := res.Net.LogStats().Entries
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cryptoutil.DefaultVerifyCache.Reset()
+		q := res.NewQuerier()
+		b.StartTimer()
+		if v := adversary.AuditAll(q, res.Net.Maintainer); len(v.StrongNodes()) != 0 || len(v.Unresponsive) != 0 {
+			b.Fatalf("honest deployment audited with evidence: %v", v)
+		}
+	}
+	b.ReportMetric(float64(entries)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 }
 
 // --- Crypto microbenches (Figure 7's unit costs, §7.6) ----------------------

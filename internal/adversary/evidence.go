@@ -175,7 +175,10 @@ func sortedNodeSet(seen map[types.NodeID]bool) []types.NodeID {
 // authenticators the reachable peers hold about each target, and assemble
 // the Verdict. maint may be nil. Targets are audited in the given order
 // (sorted node order for the whole membership), so verdicts are
-// deterministic.
+// deterministic. The sweep runs under an audit scope over its targets: the
+// per-node half of auditing (Theorem 2: each vertex has one host) is
+// prepared on q's worker pool while this goroutine commits in target order,
+// which changes the wall-clock time and nothing else.
 //
 // Targets that fail to answer are retried every retryEvery, their sticky
 // yellow state cleared between attempts, until they answer or the deadline
@@ -191,6 +194,8 @@ func Sweep(q *core.Querier, maint *core.Maintainer, targets []types.NodeID,
 	if len(targets) == 0 {
 		targets = all
 	}
+	q.BeginAuditScope(targets, 0)
+	defer q.CloseScope()
 	for pending := targets; ; {
 		var again []types.NodeID
 		for _, id := range pending {

@@ -172,17 +172,17 @@ func encodeAuditBody(hadMachine bool, snapshot []byte, endTime types.Time, ops [
 				marshalOutput(w, &op.outs[j])
 			}
 		case opSeedExist:
-			w.String(string(op.node))
-			op.tup.MarshalWire(w)
-			w.Int(int64(op.t))
+			w.String(string(op.seed.node))
+			op.seed.tup.MarshalWire(w)
+			w.Int(int64(op.seed.t))
 		case opSeedBelieve:
-			w.String(string(op.node))
-			w.String(string(op.origin))
-			op.tup.MarshalWire(w)
-			w.Int(int64(op.t))
+			w.String(string(op.seed.node))
+			w.String(string(op.seed.origin))
+			op.seed.tup.MarshalWire(w)
+			w.Int(int64(op.seed.t))
 		case opImplied:
-			w.String(string(op.node))
-			w.Uint(op.seq)
+			w.String(string(op.commit.node))
+			w.Uint(op.commit.seq)
 			w.BytesField(op.commit.hash)
 			w.Int(int64(op.commit.t))
 			w.String(string(op.commit.reporter))
@@ -227,22 +227,19 @@ func decodeAuditBody(raw []byte) (*cachedAudit, error) {
 				op.outs = append(op.outs, out)
 			}
 		case opSeedExist:
-			op.node = types.NodeID(r.String())
-			if err := op.tup.UnmarshalWire(r); err != nil {
+			op.seed = &seedOp{node: types.NodeID(r.String())}
+			if err := op.seed.tup.UnmarshalWire(r); err != nil {
 				return nil, err
 			}
-			op.t = types.Time(r.Int())
+			op.seed.t = types.Time(r.Int())
 		case opSeedBelieve:
-			op.node = types.NodeID(r.String())
-			op.origin = types.NodeID(r.String())
-			if err := op.tup.UnmarshalWire(r); err != nil {
+			op.seed = &seedOp{node: types.NodeID(r.String()), origin: types.NodeID(r.String())}
+			if err := op.seed.tup.UnmarshalWire(r); err != nil {
 				return nil, err
 			}
-			op.t = types.Time(r.Int())
+			op.seed.t = types.Time(r.Int())
 		case opImplied:
-			op.node = types.NodeID(r.String())
-			op.seq = r.Uint()
-			ic := &impliedCommit{}
+			ic := &impliedCommit{node: types.NodeID(r.String()), seq: r.Uint()}
 			ic.hash = r.BytesField()
 			ic.t = types.Time(r.Int())
 			ic.reporter = types.NodeID(r.String())
@@ -368,12 +365,12 @@ func sameMessage(a, b *types.Message) bool {
 }
 
 // checkImplied compares a cached implied op against the re-derived one.
-func checkImplied(cached *replayOp, node types.NodeID, seq uint64, ic *impliedCommit) bool {
+func checkImplied(cached *replayOp, ic *impliedCommit) bool {
 	if cached == nil || cached.commit == nil {
 		return false
 	}
 	cc := cached.commit
-	if cached.node != node || cached.seq != seq ||
+	if cc.node != ic.node || cc.seq != ic.seq ||
 		!bytes.Equal(cc.hash, ic.hash) || cc.t != ic.t || cc.reporter != ic.reporter ||
 		len(cc.msgs) != len(ic.msgs) {
 		return false

@@ -21,9 +21,9 @@ func FuzzAuditCacheDecode(f *testing.F) {
 			Body:  []types.Tuple{types.MakeTuple("b", types.I(1))},
 			First: true,
 		}}},
-		{kind: opSeedExist, node: "n1", tup: types.MakeTuple("s", types.I(2)), t: 5},
-		{kind: opSeedBelieve, node: "n1", origin: "n2", tup: types.MakeTuple("s", types.I(3)), t: 6},
-		{kind: opImplied, node: "n2", seq: 4, commit: &impliedCommit{
+		{kind: opSeedExist, seed: &seedOp{node: "n1", tup: types.MakeTuple("s", types.I(2)), t: 5}},
+		{kind: opSeedBelieve, seed: &seedOp{node: "n1", origin: "n2", tup: types.MakeTuple("s", types.I(3)), t: 6}},
+		{kind: opImplied, commit: &impliedCommit{node: "n2", seq: 4,
 			hash: []byte{1, 2, 3}, t: 7, reporter: "n1",
 			msgs: []types.Message{{Src: "n1", Dst: "n2", Pol: types.PolAppear,
 				Tuple: types.MakeTuple("m", types.I(9)), SendTime: 7, Seq: 4}},

@@ -343,7 +343,7 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 		{"implied commitment retargeted", func(ca *cachedAudit) {
 			for i := range ca.ops {
 				if ca.ops[i].kind == opImplied {
-					ca.ops[i].seq += 5 // vouch for a position the peer never signed
+					ca.ops[i].commit.seq += 5 // vouch for a position the peer never signed
 					return
 				}
 			}

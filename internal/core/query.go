@@ -103,16 +103,20 @@ type Explanation struct {
 // prepared audits serially, in demand order. Because commits — and all
 // metric accounting — happen only at the demand points, every deterministic
 // observable (graph, failures, downloaded bytes) is bit-identical to a
-// fully sequential audit; only wall-clock time changes. The Querier itself
-// must be driven from a single goroutine.
+// fully sequential audit; only wall-clock time changes. The pool works
+// under a bounded window: at most as many fetched-but-uncommitted audits
+// exist as there are workers, so a scope's memory is bounded by the worker
+// count and not by its length. The Querier itself must be driven from a
+// single goroutine.
 type Querier struct {
 	Auditor *Auditor
 	Fetch   Fetcher
 	Metrics QueryMetrics
 
-	// Parallelism bounds the audit worker pool started by BeginAuditScope;
-	// zero means GOMAXPROCS. When the effective pool would be a single
-	// worker, BeginAuditScope starts no pool and every audit runs inline
+	// Parallelism bounds the audit worker pool started by BeginAuditScope,
+	// and with it the window of prepared audits awaiting their commit; zero
+	// means GOMAXPROCS. When the effective pool would be a single worker,
+	// BeginAuditScope starts no pool and every audit runs inline
 	// (speculation cannot pay for itself without a spare core).
 	Parallelism int
 
@@ -144,7 +148,15 @@ func (q *Querier) Unreachable() map[types.NodeID]error {
 // retry-until-deadline loops (a partition healing, a node restarting)
 // call this between attempts.
 func (q *Querier) ForgetUnreachable(node types.NodeID) {
+	if _, yellow := q.yellowNodes[node]; !yellow {
+		return
+	}
 	delete(q.yellowNodes, node)
+	// The scope still holds the task that recorded the failure, and claim
+	// would hand it out again instead of fetching afresh.
+	if q.pf != nil {
+		q.pf.dropUnreachable(node)
+	}
 }
 
 // auditTask is one node's background fetch-and-prepare. The fields after
@@ -160,48 +172,106 @@ type auditTask struct {
 	// inline fills report it as replay cost, and fetch time is modeled
 	// separately as download time.
 	prepDur time.Duration
+	// windowed marks a scope task that still occupies a slot of the
+	// prefetcher's window (guarded by prefetcher.mu).
+	windowed bool
 }
 
-// prefetcher coordinates the audit worker pool of one scope.
+// prefetcher coordinates the audit worker pool of one scope. Workers prepare
+// queued nodes in order, but only while fewer than window tasks await a
+// commit: what a worker has fetched stays in memory (decoded segment, op
+// stream, replica machine) until the demand thread commits it, and an
+// unbounded pool over a long scope held the whole deployment's worth (+24%
+// peak heap on a ten-node sweep). A commit frees its slot.
 type prefetcher struct {
 	mu      sync.Mutex
+	freed   *sync.Cond // a slot was freed, or the scope stopped
 	tasks   map[types.NodeID]*auditTask
 	queue   []types.NodeID
 	next    int
 	hint    types.Time
+	window  int // the worker count
+	held    int // tasks claimed and not yet committed
 	stopped bool
 	wg      sync.WaitGroup
 }
 
 // claim marks node as owned by the caller and returns a fresh task to fill
 // in, or the existing task if another worker already owns it (started=true).
+// The caller is the demand thread and cannot wait for the window, but its
+// task counts against it: demanding in queue order, it finds a node unclaimed
+// only when every earlier one is committed, so the bound holds exactly.
 func (pf *prefetcher) claim(node types.NodeID) (t *auditTask, started bool) {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	if t, ok := pf.tasks[node]; ok {
 		return t, true
 	}
-	t = &auditTask{done: make(chan struct{})}
-	pf.tasks[node] = t
-	return t, false
+	return pf.newTask(node), false
 }
 
-// nextNode hands a worker the next unclaimed scope node, or false when the
-// scope is exhausted or stopped.
+// newTask registers a task for node in the window. The caller holds pf.mu.
+func (pf *prefetcher) newTask(node types.NodeID) *auditTask {
+	t := &auditTask{done: make(chan struct{}), windowed: true}
+	pf.tasks[node] = t
+	pf.held++
+	return t
+}
+
+// nextNode hands a worker the next unclaimed scope node once the window has
+// room for it, or false when the scope is exhausted or stopped.
 func (pf *prefetcher) nextNode() (types.NodeID, *auditTask, bool) {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	for !pf.stopped && pf.next < len(pf.queue) {
+		if pf.held >= pf.window {
+			pf.freed.Wait()
+			continue
+		}
 		node := pf.queue[pf.next]
 		pf.next++
 		if _, taken := pf.tasks[node]; taken {
 			continue
 		}
-		t := &auditTask{done: make(chan struct{})}
-		pf.tasks[node] = t
-		return node, t, true
+		return node, pf.newTask(node), true
 	}
 	return "", nil, false
+}
+
+// release frees t's window slot, if it holds one.
+func (pf *prefetcher) release(t *auditTask) {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	pf.releaseLocked(t)
+}
+
+func (pf *prefetcher) releaseLocked(t *auditTask) {
+	if t.windowed {
+		t.windowed = false
+		pf.held--
+		pf.freed.Signal()
+	}
+}
+
+// dropUnreachable forgets node's task if it finished without an answer from
+// the node, so that the next demand fetches again. A task that reached
+// Prepare stays: committed, it is spent; verification-failed, it is the
+// evidence a re-demand replays (see commitTask).
+func (pf *prefetcher) dropUnreachable(node types.NodeID) {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	t, ok := pf.tasks[node]
+	if !ok {
+		return
+	}
+	select {
+	case <-t.done:
+		if t.authErr != nil || t.fetchErr != nil {
+			delete(pf.tasks, node)
+			pf.releaseLocked(t) // no demand will commit it now
+		}
+	default: // still being filled: its outcome is not known yet
+	}
 }
 
 // fill runs the thread-safe half of one node's audit into t and publishes it.
@@ -243,19 +313,23 @@ func (pf *prefetcher) run(auditor *Auditor, fetch Fetcher) {
 // each one signs a fresh authenticator, bumping that node's own crypto Stats
 // by a schedule-dependent amount — so run-level accounting (Figure 7) must
 // be snapshotted before scoped queries, which is how the harnesses order it.
-// Any previous scope is closed first.
+// Nodes this querier has already audited, or holds as unreachable, are left
+// out: no demand will ever commit them. Any previous scope is closed first.
 func (q *Querier) BeginAuditScope(nodes []types.NodeID, startHint types.Time) {
 	q.CloseScope()
 	q.pf = nil
-	if len(nodes) == 0 {
-		return
+	queue := make([]types.NodeID, 0, len(nodes))
+	for _, n := range nodes {
+		if _, yellow := q.yellowNodes[n]; !yellow && !q.Auditor.Audited(n) {
+			queue = append(queue, n)
+		}
 	}
 	workers := q.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(nodes) {
-		workers = len(nodes)
+	if workers > len(queue) {
+		workers = len(queue)
 	}
 	if workers <= 1 {
 		// No parallelism to exploit: speculative preparation of nodes the
@@ -264,10 +338,12 @@ func (q *Querier) BeginAuditScope(nodes []types.NodeID, startHint types.Time) {
 		return
 	}
 	pf := &prefetcher{
-		tasks: make(map[types.NodeID]*auditTask),
-		queue: append([]types.NodeID(nil), nodes...),
-		hint:  startHint,
+		tasks:  make(map[types.NodeID]*auditTask),
+		queue:  queue,
+		hint:   startHint,
+		window: workers,
 	}
+	pf.freed = sync.NewCond(&pf.mu)
 	q.pf = pf
 	pf.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -286,6 +362,7 @@ func (q *Querier) CloseScope() {
 	}
 	pf.mu.Lock()
 	pf.stopped = true
+	pf.freed.Broadcast()
 	pf.mu.Unlock()
 	pf.wg.Wait()
 }
@@ -305,8 +382,10 @@ func (q *Querier) EnsureAudited(node types.NodeID, startHint types.Time) error {
 	// rather than waiting for pool capacity.
 	var t *auditTask
 	var started bool
-	if pf := q.pf; pf != nil && pf.hint == startHint {
+	pf := q.pf
+	if pf != nil && pf.hint == startHint {
 		t, started = pf.claim(node)
+		defer pf.release(t) // committed below, whatever the outcome
 	} else {
 		t = &auditTask{done: make(chan struct{})}
 	}
@@ -342,7 +421,9 @@ func (q *Querier) commitTask(node types.NodeID, t *auditTask) error {
 		return t.fetchErr
 	}
 	q.Metrics.NodesContacted++
-	q.accountDownload(t.prep.resp)
+	q.Metrics.LogBytes += t.prep.wire.log
+	q.Metrics.CkptBytes += t.prep.wire.ckpt
+	q.Metrics.AuthBytes += t.prep.wire.auth
 	if err := q.Auditor.Commit(t.prep); err != nil {
 		// The node answered but its log is provably bad; failures are
 		// recorded and its vertices will be red. The prepared audit is kept
@@ -350,24 +431,11 @@ func (q *Querier) commitTask(node types.NodeID, t *auditTask) error {
 		// replays the same evidence.
 		return nil
 	}
-	// Committed: the node is now Audited, so this op stream, replica
-	// machine, and response can never be consumed again — release them
-	// rather than pinning a whole segment's decoded form in pf.tasks.
+	// Committed: the node is now Audited, so this op stream and replica
+	// machine can never be consumed again — release them rather than
+	// pinning them in pf.tasks.
 	t.prep = nil
 	return nil
-}
-
-func (q *Querier) accountDownload(resp *RetrieveResponse) {
-	for _, e := range resp.Segment.Entries {
-		if e.Type == seclog.ECkpt {
-			q.Metrics.CkptBytes += int64(e.WireSize())
-		} else {
-			q.Metrics.LogBytes += int64(e.WireSize())
-		}
-	}
-	if resp.NewAuth != nil {
-		q.Metrics.AuthBytes += int64(resp.NewAuth.WireSize())
-	}
 }
 
 // consistencyCheck runs §5.5's equivocation check for node over [t1, t2]:
@@ -416,7 +484,7 @@ func (q *Querier) Explain(node types.NodeID, tuple types.Tuple, opts QueryOpts) 
 		}
 		q.consistencyCheck(node, root.T1, t2)
 	}
-	visited := make(map[string]bool)
+	visited := make(map[*provgraph.Vertex]bool)
 	expl := q.expand(root, opts, 0, visited)
 	q.Auditor.Finalize()
 	return expl, nil
@@ -464,7 +532,7 @@ func (q *Querier) findRoot(node types.NodeID, tuple types.Tuple, opts QueryOpts)
 // expand is the recursive macroquery walk: each visited vertex is resolved
 // via the shared graph, auditing new hosts as the traversal crosses node
 // boundaries (exactly the repeated microquery navigation of §4.4).
-func (q *Querier) expand(v *provgraph.Vertex, opts QueryOpts, depth int, visited map[string]bool) *Explanation {
+func (q *Querier) expand(v *provgraph.Vertex, opts QueryOpts, depth int, visited map[*provgraph.Vertex]bool) *Explanation {
 	q.Metrics.Microqueries++
 	e := &Explanation{Vertex: v}
 	// Crossing onto another node: audit it so the vertex can be verified
@@ -475,11 +543,11 @@ func (q *Querier) expand(v *provgraph.Vertex, opts QueryOpts, depth int, visited
 		}
 	}
 	e.Color, e.Note = q.colorOf(v)
-	if visited[v.ID()] {
+	if visited[v] {
 		e.Revisit = true
 		return e
 	}
-	visited[v.ID()] = true
+	visited[v] = true
 	if opts.Scope > 0 && depth >= opts.Scope {
 		e.Truncated = true
 		return e

@@ -75,9 +75,11 @@ type sentEnvelope struct {
 	prevHash []byte
 }
 
-// impliedCommit is a chain position another node vouches for: an envelope
-// or ack signature embedded in an audited log.
+// impliedCommit is a chain position (node, seq) another node vouches for: an
+// envelope or ack signature embedded in an audited log.
 type impliedCommit struct {
+	node     types.NodeID
+	seq      uint64
 	hash     []byte
 	t        types.Time
 	reporter types.NodeID
@@ -139,21 +141,48 @@ const (
 )
 
 // replayOp is one deferred commit-side action, recorded by Prepare in
-// exactly the order the sequential auditor would have performed it.
+// exactly the order the sequential auditor would have performed it. A log
+// entry yields two or three of them and a prepared audit holds them all
+// until its commit, so only the event — nearly every op — is stored inline;
+// the other kinds carry a pointer.
 type replayOp struct {
 	kind opKind
-
-	fail Failure // opFail
 
 	ev   types.Event    // opEvent
 	outs []types.Output // opEvent: replica machine outputs
 
-	node   types.NodeID // opSeed*/opImplied target
+	commit *impliedCommit // opImplied
+	seed   *seedOp        // opSeedExist, opSeedBelieve
+	fail   *Failure       // opFail
+}
+
+// seedOp is a checkpoint item to seed as an exist vertex on node, or as a
+// believe vertex on node about origin.
+type seedOp struct {
+	node   types.NodeID
 	origin types.NodeID // opSeedBelieve
-	tup    types.Tuple  // opSeed*
-	t      types.Time   // opSeed*
-	seq    uint64       // opImplied
-	commit *impliedCommit
+	tup    types.Tuple
+	t      types.Time
+}
+
+// wireBytes is what one retrieve downloaded, in Figure 8's categories.
+type wireBytes struct{ log, ckpt, auth int64 }
+
+func downloaded(resp *RetrieveResponse) wireBytes {
+	var b wireBytes
+	if resp.Segment != nil {
+		for _, e := range resp.Segment.Entries {
+			if e.Type == seclog.ECkpt {
+				b.ckpt += int64(e.WireSize())
+			} else {
+				b.log += int64(e.WireSize())
+			}
+		}
+	}
+	if resp.NewAuth != nil {
+		b.auth = int64(resp.NewAuth.WireSize())
+	}
+	return b
 }
 
 // PreparedAudit is the result of the thread-safe phase of one node's audit:
@@ -162,7 +191,7 @@ type replayOp struct {
 type PreparedAudit struct {
 	Node types.NodeID
 
-	resp    *RetrieveResponse
+	wire    wireBytes // summed here so the decoded response need not outlive Prepare
 	err     error
 	ops     []replayOp
 	audited *auditedNode
@@ -201,7 +230,7 @@ func (p *prep) fail(node types.NodeID, seq uint64, format string, args ...any) {
 		return
 	}
 	p.ops = append(p.ops, replayOp{kind: opFail,
-		fail: Failure{Node: node, Seq: seq, Reason: fmt.Sprintf(format, args...)}})
+		fail: &Failure{Node: node, Seq: seq, Reason: fmt.Sprintf(format, args...)}})
 }
 
 // seedExist records a checkpoint-seeded exist vertex; in cached mode it also
@@ -209,12 +238,12 @@ func (p *prep) fail(node types.NodeID, seq uint64, format string, args ...any) {
 func (p *prep) seedExist(node types.NodeID, tup types.Tuple, t types.Time) {
 	if p.cur != nil {
 		c := p.cur.next(opSeedExist)
-		if c == nil || c.node != node || !c.tup.Equal(tup) || c.t != t {
+		if c == nil || c.seed.node != node || !c.seed.tup.Equal(tup) || c.seed.t != t {
 			p.cur.bad = true
 			return
 		}
 	}
-	p.ops = append(p.ops, replayOp{kind: opSeedExist, node: node, tup: tup, t: t})
+	p.ops = append(p.ops, replayOp{kind: opSeedExist, seed: &seedOp{node: node, tup: tup, t: t}})
 }
 
 // seedBelieve records a checkpoint-seeded believe vertex; in cached mode it
@@ -222,26 +251,26 @@ func (p *prep) seedExist(node types.NodeID, tup types.Tuple, t types.Time) {
 func (p *prep) seedBelieve(node, origin types.NodeID, tup types.Tuple, t types.Time) {
 	if p.cur != nil {
 		c := p.cur.next(opSeedBelieve)
-		if c == nil || c.node != node || c.origin != origin || !c.tup.Equal(tup) || c.t != t {
+		if c == nil || c.seed.node != node || c.seed.origin != origin || !c.seed.tup.Equal(tup) || c.seed.t != t {
 			p.cur.bad = true
 			return
 		}
 	}
-	p.ops = append(p.ops, replayOp{kind: opSeedBelieve, node: node, origin: origin, tup: tup, t: t})
+	p.ops = append(p.ops, replayOp{kind: opSeedBelieve, seed: &seedOp{node: node, origin: origin, tup: tup, t: t}})
 }
 
 // implied records a re-verified implied chain commitment. The recorded op is
 // always built from the re-derived values — in cached mode the cached copy
 // is only compared, never adopted, so a poisoned entry cannot plant a
 // commitment the segment does not prove.
-func (p *prep) implied(node types.NodeID, seq uint64, ic *impliedCommit) {
+func (p *prep) implied(ic *impliedCommit) {
 	if p.cur != nil {
-		if !checkImplied(p.cur.next(opImplied), node, seq, ic) {
+		if !checkImplied(p.cur.next(opImplied), ic) {
 			p.cur.bad = true
 			return
 		}
 	}
-	p.ops = append(p.ops, replayOp{kind: opImplied, node: node, seq: seq, commit: ic})
+	p.ops = append(p.ops, replayOp{kind: opImplied, commit: ic})
 }
 
 // machineFor lazily creates the replica machine, mirroring the sequential
@@ -283,7 +312,7 @@ func (p *prep) handleEvent(ev types.Event) {
 // prepared concurrently (and concurrently with commits of other nodes).
 func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence seclog.Authenticator) *PreparedAudit {
 	p := &prep{a: a, node: node}
-	out := &PreparedAudit{Node: node, resp: resp}
+	out := &PreparedAudit{Node: node, wire: downloaded(resp)}
 	seg := resp.Segment
 	if seg == nil {
 		p.fail(node, 0, "returned a response without a segment")
@@ -446,15 +475,15 @@ func (a *Auditor) applyOps(ops []replayOp) {
 		op := &ops[i]
 		switch op.kind {
 		case opFail:
-			a.failures = append(a.failures, op.fail)
+			a.failures = append(a.failures, *op.fail)
 		case opEvent:
 			a.Builder.ApplyReplayed(op.ev, op.outs)
 		case opSeedExist:
-			a.Builder.SeedExist(op.node, op.tup, op.t)
+			a.Builder.SeedExist(op.seed.node, op.seed.tup, op.seed.t)
 		case opSeedBelieve:
-			a.Builder.SeedBelieve(op.node, op.origin, op.tup, op.t)
+			a.Builder.SeedBelieve(op.seed.node, op.seed.origin, op.seed.tup, op.seed.t)
 		case opImplied:
-			a.recordImplied(op.node, op.seq, op.commit)
+			a.recordImplied(op.commit)
 		}
 	}
 }
@@ -540,7 +569,7 @@ func (p *prep) replayRcv(node types.NodeID, seq uint64, e *seclog.Entry) {
 	// *against the sender*, and flagging them red would accuse the honest
 	// receiver — Theorem 5 forbids that).
 	if implied {
-		p.implied(src, e.PeerSeq, &impliedCommit{hash: hx, t: e.PeerTime, reporter: node, msgs: e.Msgs})
+		p.implied(&impliedCommit{node: src, seq: e.PeerSeq, hash: hx, t: e.PeerTime, reporter: node, msgs: e.Msgs})
 	}
 }
 
@@ -577,7 +606,7 @@ func (p *prep) replayAck(node types.NodeID, seq uint64, e *seclog.Entry) {
 	// the receive vertices the ack proves must exist before a conflict on
 	// this position reaches handle-extra-msg.
 	if implied {
-		p.implied(dst, e.PeerSeq, &impliedCommit{hash: hy, t: e.PeerTime, reporter: node, msgs: pend.msgs})
+		p.implied(&impliedCommit{node: dst, seq: e.PeerSeq, hash: hy, t: e.PeerTime, reporter: node, msgs: pend.msgs})
 	}
 }
 
@@ -631,7 +660,8 @@ func (p *prep) replayCkpt(node types.NodeID, seq uint64, e *seclog.Entry, atSegm
 	}
 }
 
-func (a *Auditor) recordImplied(node types.NodeID, seq uint64, c *impliedCommit) {
+func (a *Auditor) recordImplied(c *impliedCommit) {
+	node, seq := c.node, c.seq
 	m := a.implied[node]
 	if m == nil {
 		m = make(map[uint64]*impliedCommit)

@@ -1,7 +1,11 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/apps/mincost"
@@ -157,5 +161,121 @@ func TestFaultyNodesFromLiveQuery(t *testing.T) {
 		if f != "b" {
 			t.Errorf("faulty nodes include honest %s:\n%s", f, expl.Format())
 		}
+	}
+}
+
+// flakyFetcher fails the first Retrieve of one node and counts, per node,
+// how many retrieves it let through.
+type flakyFetcher struct {
+	core.Fetcher
+	victim types.NodeID
+
+	mu    sync.Mutex
+	calls map[types.NodeID]int
+}
+
+func (f *flakyFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*core.RetrieveResponse, error) {
+	f.mu.Lock()
+	f.calls[node]++
+	first := f.calls[node] == 1
+	f.mu.Unlock()
+	if node == f.victim && first {
+		return nil, errors.New("connection reset (injected)")
+	}
+	return f.Fetcher.Retrieve(node, req)
+}
+
+// TestSweepRetriesUnderScope pins the retry contract Sweep's callers rely on
+// (a partition healing, a daemon restarting): a target whose first retrieve
+// fails is fetched again on the next pass, although the sweep's audit scope
+// holds the failed attempt's task.
+func TestSweepRetriesUnderScope(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", workers), func(t *testing.T) {
+			net := figure2(t, nil)
+			q := net.NewQuerier(mincost.Factory())
+			q.Parallelism = workers
+			fetch := &flakyFetcher{Fetcher: q.Fetch, victim: "c", calls: map[types.NodeID]int{}}
+			q.Fetch = fetch
+			v := adversary.Sweep(q, net.Maintainer, nil, time.Now().Add(3*time.Second), time.Millisecond)
+			if len(v.Unresponsive) != 0 {
+				t.Fatalf("unresponsive after the retry pass: %v", v.Unresponsive)
+			}
+			if !q.Auditor.Audited("c") {
+				t.Error("c not audited on the second pass")
+			}
+			if got := fetch.calls["c"]; got != 2 {
+				t.Errorf("c retrieved %d times, want 2", got)
+			}
+			if len(v.Failures) != 0 || len(v.RedHosts) != 0 {
+				t.Errorf("honest deployment accused: %v", v)
+			}
+		})
+	}
+}
+
+// windowFetcher counts retrieves that have completed and whose audit the
+// demand thread has not committed yet.
+type windowFetcher struct {
+	core.Fetcher
+	limit int
+
+	mu          sync.Mutex
+	outstanding int
+	peak        int
+	overflow    chan struct{} // closed when outstanding first exceeds limit
+}
+
+func (f *windowFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*core.RetrieveResponse, error) {
+	resp, err := f.Fetcher.Retrieve(node, req)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.outstanding++
+	f.peak = max(f.peak, f.outstanding)
+	if f.outstanding == f.limit+1 {
+		close(f.overflow)
+	}
+	return resp, err
+}
+
+func (f *windowFetcher) committed() {
+	f.mu.Lock()
+	f.outstanding--
+	f.mu.Unlock()
+}
+
+// TestAuditScopeWindow pins the prefetcher's memory bound: however long the
+// scope, at most Parallelism fetched audits await their commit.
+func TestAuditScopeWindow(t *testing.T) {
+	const workers = 2
+	net := figure2(t, nil)
+	nodes := net.Nodes()
+	if len(nodes) <= workers+1 {
+		t.Fatalf("need more than %d nodes, have %d", workers+1, len(nodes))
+	}
+	q := net.NewQuerier(mincost.Factory())
+	q.Parallelism = workers
+	fetch := &windowFetcher{Fetcher: q.Fetch, limit: workers, overflow: make(chan struct{})}
+	q.Fetch = fetch
+	q.BeginAuditScope(nodes, 0)
+	defer q.CloseScope()
+	// Nothing is demanded yet, so nothing can be committed: a pool that is
+	// not held back by the window runs through the whole scope now.
+	select {
+	case <-fetch.overflow:
+		t.Fatalf("more than %d retrieves completed before any commit", workers)
+	case <-time.After(100 * time.Millisecond):
+	}
+	for _, n := range nodes {
+		if err := q.EnsureAudited(n, 0); err != nil {
+			t.Fatalf("EnsureAudited(%s): %v", n, err)
+		}
+		fetch.committed()
+	}
+	if fetch.peak > workers {
+		t.Errorf("%d fetched audits awaited their commit at once, window is %d", fetch.peak, workers)
+	}
+	if got := q.Metrics.NodesContacted; got != len(nodes) {
+		t.Errorf("NodesContacted = %d, want %d", got, len(nodes))
 	}
 }

@@ -29,16 +29,16 @@ type Builder struct {
 
 	machines map[types.NodeID]types.Machine
 
-	// pending is keyed by full send-vertex identity (content included) so
-	// that a logged transmission only matches a machine output with
-	// identical payload; ackpend/unacked are keyed by message ID because
-	// acknowledgments reference messages by ID. All three are grouped per
-	// node with incrementally sorted keys, because they are iterated (in
-	// sorted order, filtered by node) on every single event.
-	pending map[types.NodeID]*ordmap[string, *Vertex]
-	ackpend map[types.NodeID]*ordmap[types.MessageID, *Vertex]
-	unacked map[types.NodeID]*ordmap[types.MessageID, *Vertex]
-	nopreds map[string]bool
+	// pending is keyed by the send vertex itself — its identity includes
+	// the content, so a logged transmission only matches a machine output
+	// with identical payload; ackpend/unacked are keyed by message ID
+	// because acknowledgments reference messages by ID. All three are
+	// grouped per node, because they are visited on every single event of
+	// that node (see insmap and unackedSet for what a visit costs). nopreds
+	// is a flag on the vertex.
+	pending map[types.NodeID]*insmap[*Vertex]
+	ackpend map[types.NodeID]*insmap[types.MessageID]
+	unacked map[types.NodeID]*unackedSet
 
 	// MissedAckKnown reports whether the maintainer was notified about a
 	// missing acknowledgment (§5.4): if so, an unacked send is left yellow
@@ -52,11 +52,10 @@ type Builder struct {
 	MaybeValidator func(rule string, host types.NodeID, head types.Tuple, body []types.Tuple) bool
 }
 
-// sendVID computes the send-vertex identity (payload included) a logged
-// transmission must match.
-func sendVID(m *types.Message) string {
-	probe := &Vertex{Type: VSend, Host: m.Src, Remote: m.Dst, Msg: m}
-	return probe.ID()
+// sendVertex returns the send vertex (payload included) a logged
+// transmission of m must match, or nil.
+func (b *Builder) sendVertex(m *types.Message) *Vertex {
+	return b.G.Find(&Vertex{Type: VSend, Host: m.Src, Msg: m})
 }
 
 // NewBuilder returns a Builder over a fresh graph. factory creates the
@@ -68,46 +67,53 @@ func NewBuilder(factory types.MachineFactory, tprop types.Time) *Builder {
 		factory:  factory,
 		tprop:    tprop,
 		machines: make(map[types.NodeID]types.Machine),
-		pending:  make(map[types.NodeID]*ordmap[string, *Vertex]),
-		ackpend:  make(map[types.NodeID]*ordmap[types.MessageID, *Vertex]),
-		unacked:  make(map[types.NodeID]*ordmap[types.MessageID, *Vertex]),
-		nopreds:  make(map[string]bool),
+		pending:  make(map[types.NodeID]*insmap[*Vertex]),
+		ackpend:  make(map[types.NodeID]*insmap[types.MessageID]),
+		unacked:  make(map[types.NodeID]*unackedSet),
 	}
 }
 
-func (b *Builder) pendingFor(i types.NodeID) *ordmap[string, *Vertex] {
-	om := b.pending[i]
-	if om == nil {
-		om = newOrdmap[string, *Vertex](strings.Compare)
-		b.pending[i] = om
+// forNode returns m[i], creating it with mk on first use.
+func forNode[T any](m map[types.NodeID]*T, i types.NodeID, mk func() *T) *T {
+	x := m[i]
+	if x == nil {
+		x = mk()
+		m[i] = x
 	}
-	return om
-}
-
-func (b *Builder) ackpendFor(i types.NodeID) *ordmap[types.MessageID, *Vertex] {
-	om := b.ackpend[i]
-	if om == nil {
-		om = newOrdmap[types.MessageID, *Vertex](cmpMessageID)
-		b.ackpend[i] = om
-	}
-	return om
-}
-
-func (b *Builder) unackedFor(i types.NodeID) *ordmap[types.MessageID, *Vertex] {
-	om := b.unacked[i]
-	if om == nil {
-		om = newOrdmap[types.MessageID, *Vertex](cmpMessageID)
-		b.unacked[i] = om
-	}
-	return om
+	return x
 }
 
 // delUnackedIf removes node's unacked entry for id if it is exactly v.
 func (b *Builder) delUnackedIf(node types.NodeID, id types.MessageID, v *Vertex) {
-	if om := b.unacked[node]; om != nil {
-		if cur, ok := om.get(id); ok && cur == v {
-			om.del(id)
-		}
+	if u := b.unacked[node]; u != nil && u.byID[id] == v {
+		delete(u.byID, id)
+	}
+}
+
+// flagPending turns node's pending sends red: the machine produced them and
+// the history moved on without transmitting them.
+func (b *Builder) flagPending(node types.NodeID) {
+	if m := b.pending[node]; m != nil {
+		m.drain(func(v *Vertex) {
+			b.G.SetColor(v, Red)
+			b.delUnackedIf(node, v.Msg.ID(), v)
+		})
+	}
+}
+
+// flagUnacked turns red node's sends from before cutoff that are still
+// unacknowledged, unless the maintainer was told about the missing ack.
+func (b *Builder) flagUnacked(node types.NodeID, cutoff types.Time) {
+	if u := b.unacked[node]; u != nil {
+		u.expire(cutoff, func(id types.MessageID, v *Vertex) {
+			// A sender that reported the missing ack in time (§5.4) is not
+			// at fault — the receiver or the channel is — and the send stays
+			// yellow: red here would accuse the honest sender, exactly what
+			// the report exists to prevent.
+			if b.MissedAckKnown == nil || !b.MissedAckKnown(node, id) {
+				b.G.SetColor(v, Red)
+			}
+		})
 	}
 }
 
@@ -209,38 +215,15 @@ func (b *Builder) InstallMachine(id types.NodeID, m types.Machine) {
 // each node's final local time.
 func (b *Builder) Finalize(end map[types.NodeID]types.Time) {
 	for _, node := range sortedNodeKeys(b.pending) {
-		om := b.pending[node]
-		for _, vid := range om.snapshot() {
-			v, _ := om.get(vid)
-			b.G.SetColor(v, Red)
-			om.del(vid)
-			b.delUnackedIf(node, v.Msg.ID(), v)
-		}
+		b.flagPending(node)
 	}
 	for _, node := range sortedNodeKeys(b.ackpend) {
-		om := b.ackpend[node]
-		for _, id := range om.snapshot() {
-			v, _ := om.get(id)
-			b.G.SetColor(v, Red)
-			om.del(id)
-		}
+		b.flagAckpend(node)
 	}
 	for _, node := range sortedNodeKeys(b.unacked) {
-		om := b.unacked[node]
-		t, okT := end[node]
-		for _, id := range om.snapshot() {
-			v, _ := om.get(id)
-			if !okT || v.T1 >= t-2*b.tprop {
-				continue // too recent to judge
-			}
-			if b.MissedAckKnown != nil && b.MissedAckKnown(node, id) {
-				// The sender reported the missing ack; the fault is known and
-				// cannot be attributed to the sender (§5.4).
-				om.del(id)
-				continue
-			}
-			b.G.SetColor(v, Red)
-			om.del(id)
+		// Without an end time nothing of the node is old enough to judge.
+		if t, ok := end[node]; ok {
+			b.flagUnacked(node, t-2*b.tprop)
 		}
 	}
 }
@@ -250,15 +233,8 @@ func (b *Builder) Finalize(end map[types.NodeID]types.Time) {
 // holds proof of). Both endpoints' vertices are created red unless already
 // present (Figure 11, handle-extra-msg).
 func (b *Builder) HandleExtraMsg(m *types.Message) {
-	b.addRedUnlessPresent(&Vertex{Type: VSend, Host: m.Src, Remote: m.Dst, Msg: m, T1: m.SendTime})
-	b.addRedUnlessPresent(&Vertex{Type: VReceive, Host: m.Dst, Remote: m.Src, Msg: m, T1: m.SendTime})
-}
-
-func (b *Builder) addRedUnlessPresent(v *Vertex) {
-	if b.G.Get(v.ID()) == nil {
-		v.Color = Red
-		b.G.Add(v)
-	}
+	b.G.Add(&Vertex{Type: VSend, Host: m.Src, Remote: m.Dst, Msg: m, T1: m.SendTime, Color: Red})
+	b.G.Add(&Vertex{Type: VReceive, Host: m.Dst, Remote: m.Src, Msg: m, T1: m.SendTime, Color: Red})
 }
 
 // ---------------------------------------------------------------------------
@@ -298,9 +274,9 @@ func (b *Builder) handleEventSnd(ev types.Event) {
 	if ev.IsAck() {
 		// i acknowledges a message it received earlier: the receive vertex
 		// is no longer provisional.
-		if om := b.ackpend[i]; om != nil {
-			if v1, ok := om.get(*ev.AckID); ok {
-				om.del(*ev.AckID)
+		if m := b.ackpend[i]; m != nil {
+			if v1 := m.get(*ev.AckID); v1 != nil {
+				m.del(*ev.AckID)
 				b.G.SetColor(v1, Black)
 			}
 		}
@@ -308,12 +284,11 @@ func (b *Builder) handleEventSnd(ev types.Event) {
 		return
 	}
 	m := ev.Msg
-	vid := sendVID(m)
-	if om := b.pending[i]; om != nil {
-		if _, ok := om.get(vid); ok {
+	if pend := b.pending[i]; pend != nil {
+		if v := b.sendVertex(m); v != nil && pend.get(v) != nil {
 			// The send was produced by the machine with identical content:
 			// legitimate.
-			om.del(vid)
+			pend.del(v)
 			b.flagAckpend(i)
 			return
 		}
@@ -335,23 +310,22 @@ func (b *Builder) handleEventRcv(ev types.Event) {
 		// i received an acknowledgment for its own message: the ack proves
 		// the peer received it, so the peer's receive vertex exists and i's
 		// send vertex turns black.
-		om := b.unacked[i]
-		if om == nil {
+		u := b.unacked[i]
+		if u == nil {
 			return
 		}
-		v1, ok := om.get(*ev.AckID)
-		if !ok {
+		v1 := u.byID[*ev.AckID]
+		if v1 == nil {
 			return // ack for an unknown message; ignore
 		}
-		rcv := b.addReceiveVertex(v1.Msg, ev.AckTime)
-		_ = rcv
-		om.del(*ev.AckID)
+		b.addReceiveVertex(v1.Msg, ev.AckTime)
+		delete(u.byID, *ev.AckID)
 		b.G.SetColor(v1, Black)
 		return
 	}
 	m := ev.Msg
 	v1 := b.addReceiveVertex(m, ev.Time)
-	b.ackpendFor(i).set(m.ID(), v1)
+	forNode(b.ackpend, i, newInsmap[types.MessageID]).set(m.ID(), v1)
 	switch m.Pol {
 	case types.PolAppear:
 		b.appearRemoteTuple(i, m.Tuple, m.Src, v1, ev.Time)
@@ -396,7 +370,7 @@ func (b *Builder) handleOutput(i types.NodeID, out types.Output, t types.Time) {
 			vwhy = b.G.FirstInstant(VAppear, i, m.Tuple, t)
 		}
 		v1 := b.addSendVertex(m, vwhy, t)
-		b.pendingFor(i).set(sendVID(m), v1)
+		forNode(b.pending, i, newInsmap[*Vertex]).set(v1, v1)
 	}
 }
 
@@ -465,11 +439,12 @@ func (b *Builder) underiveVertex(i types.NodeID, tup types.Tuple, rule string, b
 // of the same rule, tuple, and instant. It is stored in the vertex's Remote
 // field, which derive/underive vertices do not otherwise use.
 func bodyFingerprint(body []types.Tuple) types.NodeID {
-	s := ""
+	var sb strings.Builder
 	for _, t := range body {
-		s += t.Key() + ";"
+		sb.WriteString(t.Key())
+		sb.WriteByte(';')
 	}
-	return types.NodeID(s)
+	return types.NodeID(sb.String())
 }
 
 // ---------------------------------------------------------------------------
@@ -530,70 +505,35 @@ func (b *Builder) disappearRemoteTuple(i types.NodeID, tup types.Tuple, j types.
 
 func (b *Builder) flagAllPending(i types.NodeID, t types.Time) {
 	b.flagAckpend(i)
-	if om := b.pending[i]; om != nil && om.size() > 0 {
-		for _, vid := range om.snapshot() {
-			v, _ := om.get(vid)
-			b.G.SetColor(v, Red)
-			om.del(vid)
-			b.delUnackedIf(i, v.Msg.ID(), v)
-		}
-	}
-	if om := b.unacked[i]; om != nil && om.size() > 0 {
-		for _, id := range om.snapshot() {
-			v2, _ := om.get(id)
-			if v2.T1 >= t-2*b.tprop {
-				continue
-			}
-			if b.MissedAckKnown != nil && b.MissedAckKnown(i, id) {
-				// The sender reported the missing ack in time (§5.4): the
-				// fault lies with the receiver or the channel, and the send
-				// stays yellow — red here would accuse the honest sender,
-				// exactly what the report exists to prevent.
-				om.del(id)
-				continue
-			}
-			b.G.SetColor(v2, Red)
-			om.del(id)
-		}
-	}
+	b.flagPending(i)
+	b.flagUnacked(i, t-2*b.tprop)
 }
 
+// flagAckpend turns node's provisional receives red: the history moved on
+// without acknowledging them.
 func (b *Builder) flagAckpend(i types.NodeID) {
-	om := b.ackpend[i]
-	if om == nil || om.size() == 0 {
-		return
-	}
-	for _, id := range om.snapshot() {
-		v, _ := om.get(id)
-		b.G.SetColor(v, Red)
-		om.del(id)
+	if m := b.ackpend[i]; m != nil {
+		m.drain(func(v *Vertex) { b.G.SetColor(v, Red) })
 	}
 }
 
 func (b *Builder) addSendVertex(m *types.Message, vwhy *Vertex, t types.Time) *Vertex {
-	probe := &Vertex{Type: VSend, Host: m.Src, Remote: m.Dst, Msg: m, T1: t}
-	v1 := b.G.Get(probe.ID())
-	if v1 == nil {
-		probe.Color = Yellow
-		v1 = b.G.Add(probe)
-		b.nopreds[v1.ID()] = true
-		b.unackedFor(m.Src).set(m.ID(), v1)
+	probe := &Vertex{Type: VSend, Host: m.Src, Remote: m.Dst, Msg: m, T1: t, Color: Yellow}
+	v1 := b.G.Add(probe)
+	if v1 == probe { // new
+		v1.nopred = true
+		forNode(b.unacked, m.Src, newUnackedSet).set(m.ID(), v1)
 	}
-	if b.nopreds[v1.ID()] && vwhy != nil {
+	if v1.nopred && vwhy != nil {
 		_ = b.G.AddEdge(vwhy, v1)
-		delete(b.nopreds, v1.ID())
+		v1.nopred = false
 	}
 	return v1
 }
 
 func (b *Builder) addReceiveVertex(m *types.Message, t types.Time) *Vertex {
 	send := b.addSendVertex(m, nil, m.SendTime)
-	probe := &Vertex{Type: VReceive, Host: m.Dst, Remote: m.Src, Msg: m, T1: t}
-	v1 := b.G.Get(probe.ID())
-	if v1 == nil {
-		probe.Color = Yellow
-		v1 = b.G.Add(probe)
-	}
+	v1 := b.G.Add(&Vertex{Type: VReceive, Host: m.Dst, Remote: m.Src, Msg: m, T1: t, Color: Yellow})
 	_ = b.G.AddEdge(send, v1)
 	return v1
 }

@@ -340,12 +340,12 @@ func TestCompositionality(t *testing.T) {
 		// Every vertex of the projection must appear in the solo build and
 		// vice versa.
 		for _, v := range proj.Vertices() {
-			if solo.G.Get(v.ID()) == nil {
+			if solo.G.Find(v) == nil {
 				t.Errorf("%s: projection vertex %s missing from solo build", node, v)
 			}
 		}
 		for _, v := range solo.G.Vertices() {
-			if proj.Get(v.ID()) == nil {
+			if proj.Find(v) == nil {
 				t.Errorf("%s: solo vertex %s missing from projection", node, v)
 			}
 		}

@@ -1,92 +1,146 @@
 package provgraph
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/types"
 )
 
 // Graph is a provenance graph: a set of vertices plus directed edges, with
 // the lookup indices the GCA needs (open exist/believe vertices, appear
-// vertices by instant). The zero value is not ready; use New.
+// vertices by instant). Every index is keyed by a comparable struct or a
+// dense vertex index; no string is built per vertex or per lookup. The zero
+// value is not ready; use New.
 type Graph struct {
-	vertices map[string]*Vertex
-	order    []*Vertex // insertion order, for deterministic iteration
-	edges    map[[2]string]bool
+	index map[vkey]*Vertex      // identity → vertex
+	order []*Vertex             // insertion order; order[v.idx] == v
+	edges map[[2]int32]struct{} // (from.idx, to.idx)
 
-	// openExist maps host|tuple to the open exist vertex, if any.
-	openExist map[string]*Vertex
-	// openBelieve maps host|origin|tuple to the open believe vertex.
-	openBelieve map[string]*Vertex
-	// instant indexes appear/disappear/believe-appear/believe-disappear
-	// vertices by type|host|tuple|time (origin-wildcard, matching the
-	// pseudocode's believe-appear(i,?,τ,t) lookups).
-	instant map[string][]*Vertex
+	byHost map[types.NodeID][]*Vertex
+	tuples map[hostTuple]*tupleIndex
+	// instant holds, per (type, host, tuple, time) of the appear/disappear/
+	// believe-appear/believe-disappear vertices (origin-wildcard, matching
+	// the pseudocode's believe-appear(i,?,τ,t) lookups), the one with the
+	// smallest ID.
+	instant map[instantKey]*Vertex
+}
+
+// vkey is a vertex's identity as a comparable value: exactly the fields
+// ID() renders for the vertex's type, so two vertices have equal keys when
+// and only when they have equal IDs.
+//
+//	send, receive:     a, b = message source and destination, n = its
+//	                   sequence number, tuple = the message's tuple
+//	derive, underive:  a = body fingerprint (Remote), b = Rule, n = T1
+//	every other type:  a = Remote, n = T1
+type vkey struct {
+	typ   VertexType
+	pol   types.Polarity // send, receive
+	host  types.NodeID
+	a, b  types.NodeID
+	tuple string // Tuple.Key()
+	n     uint64
+}
+
+func (v *Vertex) key() vkey {
+	k := vkey{typ: v.Type, host: v.Host}
+	switch v.Type {
+	case VSend, VReceive:
+		m := v.Msg
+		k.a, k.b, k.n, k.tuple = m.Src, m.Dst, m.Seq, m.Tuple.Key()
+		// Every polarity outside the three defined ones renders as "?".
+		k.pol = min(m.Pol, types.PolBoth+1)
+	case VDerive, VUnderive:
+		k.a, k.b, k.n, k.tuple = v.Remote, types.NodeID(v.Rule), uint64(v.T1), v.Tuple.Key()
+	default:
+		k.a, k.n, k.tuple = v.Remote, uint64(v.T1), v.Tuple.Key()
+	}
+	return k
+}
+
+type hostTuple struct {
+	host  types.NodeID
+	tuple string // Tuple.Key()
+}
+
+type instantKey struct {
+	typ   VertexType
+	host  types.NodeID
+	tuple string
+	at    types.Time
+}
+
+// tupleIndex is everything the graph knows about one tuple on one host.
+type tupleIndex struct {
+	vertices    []*Vertex // insertion order
+	openExist   *Vertex
+	openBelieve []*Vertex // at most one per origin
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		vertices:    make(map[string]*Vertex),
-		edges:       make(map[[2]string]bool),
-		openExist:   make(map[string]*Vertex),
-		openBelieve: make(map[string]*Vertex),
-		instant:     make(map[string][]*Vertex),
+		index:   make(map[vkey]*Vertex),
+		edges:   make(map[[2]int32]struct{}),
+		byHost:  make(map[types.NodeID][]*Vertex),
+		tuples:  make(map[hostTuple]*tupleIndex),
+		instant: make(map[instantKey]*Vertex),
 	}
-}
-
-func existKey(host types.NodeID, tup types.Tuple) string {
-	return string(host) + "|" + tup.Key()
-}
-
-func believeKey(host, origin types.NodeID, tup types.Tuple) string {
-	return string(host) + "|" + string(origin) + "|" + tup.Key()
-}
-
-// instantKey is an internal index key; it is built without fmt because the
-// GCA performs an instant lookup for every body tuple of every derivation.
-func instantKey(t VertexType, host types.NodeID, tup types.Tuple, at types.Time) string {
-	var sb strings.Builder
-	sb.Grow(len(host) + len(tup.Key()) + 28)
-	sb.WriteString(strconv.FormatUint(uint64(t), 10))
-	sb.WriteByte('|')
-	sb.WriteString(string(host))
-	sb.WriteByte('|')
-	sb.WriteString(tup.Key())
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatInt(int64(at), 10))
-	return sb.String()
 }
 
 // Add inserts v if no vertex with the same ID exists and returns the vertex
 // that is in the graph afterwards (v or the pre-existing one).
 func (g *Graph) Add(v *Vertex) *Vertex {
-	if old, ok := g.vertices[v.ID()]; ok {
+	k := v.key()
+	if old, ok := g.index[k]; ok {
 		return old
 	}
-	g.vertices[v.ID()] = v
+	v.idx = int32(len(g.order))
+	g.index[k] = v
 	g.order = append(g.order, v)
+	g.byHost[v.Host] = append(g.byHost[v.Host], v)
+	ht := hostTuple{v.Host, v.Tuple.Key()}
+	ti := g.tuples[ht]
+	if ti == nil {
+		ti = new(tupleIndex)
+		g.tuples[ht] = ti
+	}
+	ti.vertices = append(ti.vertices, v)
 	switch v.Type {
 	case VExist:
 		if v.Open() {
-			g.openExist[existKey(v.Host, v.Tuple)] = v
+			ti.openExist = v
 		}
 	case VBelieve:
 		if v.Open() {
-			g.openBelieve[believeKey(v.Host, v.Remote, v.Tuple)] = v
+			ti.closeBelieve(v.Remote)
+			ti.openBelieve = append(ti.openBelieve, v)
 		}
 	case VAppear, VDisappear, VBelieveAppear, VBelieveDisappear:
-		k := instantKey(v.Type, v.Host, v.Tuple, v.T1)
-		g.instant[k] = append(g.instant[k], v)
+		ik := instantKey{v.Type, v.Host, ht.tuple, v.T1}
+		if first, ok := g.instant[ik]; !ok || v.ID() < first.ID() {
+			g.instant[ik] = v
+		}
 	}
 	return v
 }
 
-// Get returns the vertex with the given ID, or nil.
-func (g *Graph) Get(id string) *Vertex { return g.vertices[id] }
+// closeBelieve drops the open believe vertex from origin, if any.
+func (ti *tupleIndex) closeBelieve(origin types.NodeID) {
+	for i, w := range ti.openBelieve {
+		if w.Remote == origin {
+			ti.openBelieve = append(ti.openBelieve[:i], ti.openBelieve[i+1:]...)
+			return
+		}
+	}
+}
+
+// Find returns the vertex of g with the same ID as probe, or nil. The probe
+// need not be in any graph.
+func (g *Graph) Find(probe *Vertex) *Vertex { return g.index[probe.key()] }
 
 // Vertices returns all vertices in insertion order.
 func (g *Graph) Vertices() []*Vertex { return g.order }
@@ -97,18 +151,18 @@ func (g *Graph) Len() int { return len(g.order) }
 // EdgeCount returns the number of edges.
 func (g *Graph) EdgeCount() int { return len(g.edges) }
 
-// AddEdge inserts the edge (from → to) if it is not already present. It
-// returns an error for edges outside Table 1; the GCA never produces such
-// edges, so an error indicates a bug in the caller.
+// AddEdge inserts the edge (from → to) between two vertices of g if it is
+// not already present. It returns an error for edges outside Table 1; the
+// GCA never produces such edges, so an error indicates a bug in the caller.
 func (g *Graph) AddEdge(from, to *Vertex) error {
 	if !LegalEdge(from.Type, to.Type) {
 		return fmt.Errorf("provgraph: illegal edge %s -> %s", from.Type, to.Type)
 	}
-	k := [2]string{from.ID(), to.ID()}
-	if g.edges[k] {
+	k := [2]int32{from.idx, to.idx}
+	if _, ok := g.edges[k]; ok {
 		return nil
 	}
-	g.edges[k] = true
+	g.edges[k] = struct{}{}
 	from.out = append(from.out, to)
 	to.in = append(to.in, from)
 	return nil
@@ -116,18 +170,29 @@ func (g *Graph) AddEdge(from, to *Vertex) error {
 
 // HasEdge reports whether the edge (from → to) is present.
 func (g *Graph) HasEdge(from, to *Vertex) bool {
-	return g.edges[[2]string{from.ID(), to.ID()}]
+	_, ok := g.edges[[2]int32{from.idx, to.idx}]
+	return ok
 }
 
 // OpenExist returns the open exist vertex for (host, tuple), or nil.
 func (g *Graph) OpenExist(host types.NodeID, tup types.Tuple) *Vertex {
-	return g.openExist[existKey(host, tup)]
+	if ti := g.tuples[hostTuple{host, tup.Key()}]; ti != nil {
+		return ti.openExist
+	}
+	return nil
 }
 
 // OpenBelieve returns the open believe vertex for (host, origin, tuple), or
 // nil.
 func (g *Graph) OpenBelieve(host, origin types.NodeID, tup types.Tuple) *Vertex {
-	return g.openBelieve[believeKey(host, origin, tup)]
+	if ti := g.tuples[hostTuple{host, tup.Key()}]; ti != nil {
+		for _, v := range ti.openBelieve {
+			if v.Remote == origin {
+				return v
+			}
+		}
+	}
+	return nil
 }
 
 // OpenBelieveAny returns an open believe vertex on host for tuple from any
@@ -136,10 +201,8 @@ func (g *Graph) OpenBelieve(host, origin types.NodeID, tup types.Tuple) *Vertex 
 // result is deterministic.
 func (g *Graph) OpenBelieveAny(host types.NodeID, tup types.Tuple) *Vertex {
 	var best *Vertex
-	prefix := string(host) + "|"
-	suffix := "|" + tup.Key()
-	for k, v := range g.openBelieve {
-		if len(k) >= len(prefix)+len(suffix) && k[:len(prefix)] == prefix && k[len(k)-len(suffix):] == suffix {
+	if ti := g.tuples[hostTuple{host, tup.Key()}]; ti != nil {
+		for _, v := range ti.openBelieve {
 			if best == nil || v.Remote < best.Remote {
 				best = v
 			}
@@ -155,26 +218,23 @@ func (g *Graph) CloseInterval(v *Vertex, t types.Time) {
 		return
 	}
 	v.T2 = t
+	ti := g.tuples[hostTuple{v.Host, v.Tuple.Key()}]
+	if ti == nil {
+		return
+	}
 	switch v.Type {
 	case VExist:
-		delete(g.openExist, existKey(v.Host, v.Tuple))
+		ti.openExist = nil
 	case VBelieve:
-		delete(g.openBelieve, believeKey(v.Host, v.Remote, v.Tuple))
+		ti.closeBelieve(v.Remote)
 	}
 }
 
 // FirstInstant returns the vertex with the smallest ID among those of the
-// given instant type for (host, tuple) at exactly time at, or nil. It scans
-// for the minimum instead of copying and sorting the bucket; this is the
-// GCA's single most frequent lookup.
+// given instant type for (host, tuple) at exactly time at, or nil. This is
+// the GCA's single most frequent lookup; Add keeps the answer ready.
 func (g *Graph) FirstInstant(t VertexType, host types.NodeID, tup types.Tuple, at types.Time) *Vertex {
-	var best *Vertex
-	for _, v := range g.instant[instantKey(t, host, tup, at)] {
-		if best == nil || v.ID() < best.ID() {
-			best = v
-		}
-	}
-	return best
+	return g.instant[instantKey{t, host, tup.Key(), at}]
 }
 
 // SetColor upgrades v's color following the dominance order
@@ -187,27 +247,16 @@ func (g *Graph) SetColor(v *Vertex, c Color) {
 }
 
 // ByHost returns the vertices hosted on node id, in insertion order.
-func (g *Graph) ByHost(id types.NodeID) []*Vertex {
-	var out []*Vertex
-	for _, v := range g.order {
-		if v.Host == id {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+func (g *Graph) ByHost(id types.NodeID) []*Vertex { return g.byHost[id] }
 
 // TupleVertices returns all vertices about the given tuple on host, in
 // insertion order. It is the entry point for provenance queries ("explain
 // bestCost(@c,d,5)").
 func (g *Graph) TupleVertices(host types.NodeID, tup types.Tuple) []*Vertex {
-	var out []*Vertex
-	for _, v := range g.order {
-		if v.Host == host && v.Tuple.Key() == tup.Key() {
-			out = append(out, v)
-		}
+	if ti := g.tuples[hostTuple{host, tup.Key()}]; ti != nil {
+		return ti.vertices
 	}
-	return out
+	return nil
 }
 
 // RedVertices returns all red vertices, in insertion order.
@@ -238,12 +287,35 @@ func (g *Graph) HostsWithColor(c Color) []types.NodeID {
 	return out
 }
 
+// Digest returns the hex SHA-256 over, in insertion order, each vertex's ID,
+// color, T2 and sorted out-neighbour IDs. Two graphs with equal digests were
+// built by the same sequence of Adds and hold the same colors, intervals and
+// edges; the equivalence tests and the golden file under testdata/ compare
+// graphs by it.
+func (g *Graph) Digest() string {
+	h := sha256.New()
+	var outs []string
+	for _, v := range g.Vertices() {
+		outs = outs[:0]
+		for _, w := range v.Out() {
+			outs = append(outs, w.ID())
+		}
+		sort.Strings(outs)
+		fmt.Fprintf(h, "%s\x00%d\x00%d", v.ID(), v.Color, v.T2)
+		for _, id := range outs {
+			fmt.Fprintf(h, "\x00%s", id)
+		}
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // Subgraph reports whether every vertex and edge of g is present in h, with
 // h's colors at least as dominant and intervals equal or narrowed (the ⊆*
 // relation of Appendix B.2, used to state monotonicity).
 func (g *Graph) Subgraph(h *Graph) bool {
 	for _, v := range g.order {
-		w := h.Get(v.ID())
+		w := h.Find(v)
 		if w == nil {
 			return false
 		}
@@ -255,7 +327,8 @@ func (g *Graph) Subgraph(h *Graph) bool {
 		}
 	}
 	for e := range g.edges {
-		if !h.edges[e] {
+		// Both ends were found in h by the loop above.
+		if !h.HasEdge(h.Find(g.order[e[0]]), h.Find(g.order[e[1]])) {
 			return false
 		}
 	}
@@ -268,33 +341,21 @@ func (g *Graph) Subgraph(h *Graph) bool {
 // cannot vouch for remote vertices).
 func (g *Graph) Project(id types.NodeID) *Graph {
 	p := New()
-	include := map[string]bool{}
-	for _, v := range g.order {
-		if v.Host != id {
-			continue
-		}
+	copies := map[*Vertex]*Vertex{}
+	include := func(v *Vertex, c Color) {
 		cp := *v
-		cp.in, cp.out = nil, nil
-		p.Add(&cp)
-		include[v.ID()] = true
+		cp.in, cp.out, cp.Color = nil, nil, c
+		copies[v] = p.Add(&cp)
+	}
+	for _, v := range g.byHost[id] {
+		include(v, v.Color)
 	}
 	remote := func(v *Vertex) {
-		if v.Host == id || (v.Type != VSend && v.Type != VReceive) {
-			return
+		if v.Host != id && (v.Type == VSend || v.Type == VReceive) && copies[v] == nil {
+			include(v, Yellow)
 		}
-		if include[v.ID()] {
-			return
-		}
-		cp := *v
-		cp.in, cp.out = nil, nil
-		cp.Color = Yellow
-		p.Add(&cp)
-		include[v.ID()] = true
 	}
-	for _, v := range g.order {
-		if v.Host != id {
-			continue
-		}
+	for _, v := range g.byHost[id] {
 		for _, w := range v.in {
 			remote(w)
 		}
@@ -303,8 +364,8 @@ func (g *Graph) Project(id types.NodeID) *Graph {
 		}
 	}
 	for e := range g.edges {
-		if include[e[0]] && include[e[1]] {
-			_ = p.AddEdge(p.Get(e[0]), p.Get(e[1]))
+		if from, to := copies[g.order[e[0]]], copies[g.order[e[1]]]; from != nil && to != nil {
+			_ = p.AddEdge(from, to)
 		}
 	}
 	return p
@@ -315,26 +376,25 @@ func (g *Graph) Project(id types.NodeID) *Graph {
 // believe vertex per (host, origin, tuple). It returns the first violation.
 func (g *Graph) Validate() error {
 	for e := range g.edges {
-		from, to := g.vertices[e[0]], g.vertices[e[1]]
-		if from == nil || to == nil {
-			return fmt.Errorf("provgraph: edge references missing vertex %v", e)
-		}
-		if !LegalEdge(from.Type, to.Type) {
+		if from, to := g.order[e[0]], g.order[e[1]]; !LegalEdge(from.Type, to.Type) {
 			return fmt.Errorf("provgraph: illegal edge %s -> %s", from, to)
 		}
 	}
-	open := map[string]int{}
+	type openKey struct {
+		typ          VertexType
+		host, origin types.NodeID
+		tuple        string
+	}
+	open := map[openKey]int{}
 	for _, v := range g.order {
 		if v.Open() {
-			var k string
+			k := openKey{v.Type, v.Host, v.Remote, v.Tuple.Key()}
 			if v.Type == VExist {
-				k = "e|" + existKey(v.Host, v.Tuple)
-			} else {
-				k = "b|" + believeKey(v.Host, v.Remote, v.Tuple)
+				k.origin = ""
 			}
 			open[k]++
 			if open[k] > 1 {
-				return fmt.Errorf("provgraph: %d open interval vertices for %s", open[k], k)
+				return fmt.Errorf("provgraph: %d open interval vertices for %v", open[k], k)
 			}
 		}
 	}

@@ -111,6 +111,31 @@ func TestOpenIntervalIndices(t *testing.T) {
 	}
 }
 
+func TestOpenBelieveAnySmallestOrigin(t *testing.T) {
+	g := New()
+	tup := types.MakeTuple("x", types.N("a"), types.I(1))
+	open := map[types.NodeID]*Vertex{}
+	for i, origin := range []types.NodeID{"m", "c", "t"} {
+		open[origin] = g.Add(&Vertex{Type: VBelieve, Host: "a", Remote: origin, Tuple: tup, T1: types.Time(i + 1), T2: Forever})
+	}
+	// The same tuple believed on another host, and another tuple on this
+	// one, must not leak into the lookup.
+	g.Add(&Vertex{Type: VBelieve, Host: "b", Remote: "a0", Tuple: tup, T1: 1, T2: Forever})
+	g.Add(&Vertex{Type: VBelieve, Host: "a", Remote: "a0", Tuple: types.MakeTuple("y", types.N("a")), T1: 1, T2: Forever})
+	for _, want := range []types.NodeID{"c", "m", "t"} {
+		if got := g.OpenBelieveAny("a", tup); got != open[want] {
+			t.Fatalf("OpenBelieveAny = %v, want the believe vertex from %s", got, want)
+		}
+		g.CloseInterval(open[want], 9)
+		if g.OpenBelieve("a", want, tup) != nil {
+			t.Fatalf("closed believe from %s still indexed", want)
+		}
+	}
+	if got := g.OpenBelieveAny("a", tup); got != nil {
+		t.Fatalf("OpenBelieveAny = %v after every origin closed", got)
+	}
+}
+
 func TestAddDeduplicates(t *testing.T) {
 	g := New()
 	tup := types.MakeTuple("x", types.N("a"))

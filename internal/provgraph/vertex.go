@@ -101,12 +101,18 @@ type Vertex struct {
 	// live in an earlier log segment (§5.6).
 	FromCheckpoint bool
 
-	id  string
-	in  []*Vertex
-	out []*Vertex
+	id  string // rendered on first use
+	idx int32  // position in the owning graph's insertion order
+	// nopred marks a send vertex the GCA created that has no incoming edge
+	// yet (the pseudocode's nopreds set).
+	nopred bool
+	in     []*Vertex
+	out    []*Vertex
 }
 
-// ID returns a stable unique identifier for the vertex.
+// ID returns a stable unique identifier for the vertex. The graph itself is
+// keyed by the same fields as a comparable value (vkey); the string exists
+// for canonical ordering and for output, and is rendered on first use.
 func (v *Vertex) ID() string {
 	if v.id == "" {
 		v.id = v.computeID()

@@ -2,7 +2,9 @@ package queryfront_test
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -159,5 +161,75 @@ func runFrontCase(t *testing.T, name string, seed int64) {
 			t.Errorf("explain names honest nodes %v as faulty", accused)
 		}
 		t.Logf("explain: %d vertices, faulty=%v, unreachable=%v", res.Vertices, res.Faulty, res.Unreachable)
+	}
+}
+
+// TestFrontSessionParallelism pins the frontend's concurrency contract: a
+// session's querier gets the cores the session pool leaves idle. With one
+// session on a four-core frontend a whole-deployment audit of an armed
+// deployment runs the audit pipeline through the session's RemoteFetcher
+// (which is safe for concurrent use) and must return the same conforming
+// verdict; with as many sessions as cores the pool already fills the machine
+// and every query stays strictly lazy.
+func TestFrontSessionParallelism(t *testing.T) {
+	const cores = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cores))
+
+	app, err := live.AppByName("mincost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, _ := adversary.ProfileByName("tamper-log")
+	h, err := livetcp.New(app, livetcp.Options{Seed: 1, OnNode: profile.On(app.Compromised).Hook()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	h.Settle()
+
+	for _, tc := range []struct{ sessions, want int }{{1, cores}, {cores, 1}, {2 * cores, 1}} {
+		t.Run(fmt.Sprintf("sessions=%d", tc.sessions), func(t *testing.T) {
+			var mu sync.Mutex
+			var seen []int
+			srv, err := queryfront.Serve(queryfront.Config{
+				Cluster: h.Cluster, Base: h.Cfg, Dir: h.Dir, Factory: app.Factory,
+				ConfigureQuerier: func(q *core.Querier) {
+					mu.Lock()
+					seen = append(seen, q.Parallelism)
+					mu.Unlock()
+					if app.ConfigureQuerier != nil {
+						app.ConfigureQuerier(q)
+					}
+				},
+				Sessions: tc.sessions, QueryTimeout: 20 * time.Second,
+			}, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			cl, err := queryfront.Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			res, err := cl.Audit()
+			if err != nil {
+				t.Fatalf("remote audit: %v", err)
+			}
+			for _, breach := range res.Verdict().CheckGuarantee(profile.Class, app.Compromised, "", false) {
+				t.Errorf("§4.2 violated: %s\nfailures: %v\nred: %v", breach, res.Failures, res.RedHosts)
+			}
+			if len(res.Unreachable) != 0 {
+				t.Errorf("unreachable nodes on a healthy network: %v", res.Unreachable)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != 1 || seen[0] != tc.want {
+				t.Errorf("querier Parallelism = %v, want [%d]", seen, tc.want)
+			}
+		})
 	}
 }

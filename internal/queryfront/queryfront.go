@@ -2,9 +2,14 @@
 // provenance macroqueries (§5.1) over the framed-TCP transport against a
 // running deployment. Clients submit Explain and audit queries; the
 // frontend answers them from a bounded pool of Querier sessions — each
-// single-goroutine, as core.Querier requires — that share one
+// driven by one goroutine, as core.Querier requires — that share one
 // transport.Cluster, per-session RemoteFetchers, and one persistent audit
-// cache. Overload is handled the way the transport handles full peer
+// cache. The pool is the first source of concurrency; the cores it cannot
+// occupy (GOMAXPROCS / Sessions per session, at least one) go to each
+// query's own audit pipeline, so a whole-deployment audit on a lightly
+// loaded frontend prepares its nodes in parallel, while a single-node
+// audit or an Explain — scopes of one node — stays lazy whatever the
+// share. Overload is handled the way the transport handles full peer
 // queues: a bounded admission queue sheds and counts rather than blocking
 // or violating deadlines, and FrontStats exposes the counters (served/
 // shed/expired/failed, cache hit ratio, per-kind p50/p99) over a stats
@@ -20,6 +25,7 @@ package queryfront
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,7 +60,9 @@ type Config struct {
 	ConfigureQuerier func(*core.Querier)
 
 	// Sessions bounds the querier pool (default 4). Each session is one
-	// goroutine owning one RemoteFetcher; queries never share a Querier.
+	// goroutine owning one RemoteFetcher; queries never share a Querier. A
+	// session's queries get GOMAXPROCS / Sessions audit workers (at least
+	// one, which means none: see core.Querier.Parallelism).
 	Sessions int
 	// QueueLen bounds the admission queue (default 4×Sessions). A full
 	// queue sheds new queries with a counted, in-band error.
@@ -378,8 +386,10 @@ func (s *Server) reply(fc *frontConn, kind byte, reqID uint64, qerr error, body 
 
 // session is one pool worker: a goroutine that owns one RemoteFetcher and
 // runs admitted queries serially. Each query gets a fresh Auditor and
-// Querier (satisfying the single-goroutine contract) over the shared
-// persistent cache; concurrency comes from the pool, not from sharing.
+// Querier, driven by this goroutine alone (the single-goroutine contract),
+// over the shared persistent cache; nothing but the cache and the cluster
+// is shared between sessions. Within a query the Querier's audit workers
+// call the session's fetcher concurrently, which RemoteFetcher allows.
 func (s *Server) session(i int) {
 	defer s.wg.Done()
 	fetch := s.cfg.Cluster.NewFetcher(types.NodeID(fmt.Sprintf("%s-%d", s.cfg.ID, i)))
@@ -415,7 +425,9 @@ func (s *Server) run(fetch *transport.RemoteFetcher, req *request) {
 	_ = fetch.SyncNotes(maint)
 	auditor := core.NewAuditor(s.cfg.Base, s.cfg.Dir, s.cfg.Factory, maint)
 	q := core.NewQuerier(auditor, fetch)
-	q.Parallelism = 1 // sessions provide the concurrency; stay strictly lazy
+	// The session's share of the cores: with as many sessions as cores the
+	// pool already fills the machine and every audit stays lazy.
+	q.Parallelism = max(1, runtime.GOMAXPROCS(0)/s.cfg.Sessions)
 	if s.cfg.ConfigureQuerier != nil {
 		s.cfg.ConfigureQuerier(q)
 	}

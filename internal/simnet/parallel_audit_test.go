@@ -2,10 +2,13 @@ package simnet_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/apps/bgp"
 	"repro/internal/apps/mincost"
+	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -150,23 +153,58 @@ func TestParallelAuditRevisit(t *testing.T) {
 	}
 }
 
-// BenchmarkProvgraphRebuild times the serial commit half in isolation:
-// replaying one audited node into a fresh graph. It is the floor on query
-// latency that parallel preparation cannot remove.
+// BenchmarkProvgraphRebuild times the serial commit half in isolation, the
+// floor on audit latency that parallel preparation cannot remove: the
+// prepared op streams of a small trace-driven BGP deployment (verified and
+// replayed once, outside the timer) are committed into a fresh graph per
+// iteration. ns/vertex and B/vertex name what one vertex of the rebuilt
+// graph costs in time and in allocation.
 func BenchmarkProvgraphRebuild(b *testing.B) {
-	cfg := simnet.DefaultConfig()
-	net := simnet.New(cfg)
-	if err := mincost.Deploy(net, mincost.Figure2Topology, 1*types.Second); err != nil {
+	const horizon = 20 * types.Second
+	net := simnet.New(simnet.DefaultConfig())
+	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, horizon)
+	if err != nil {
 		b.Fatal(err)
 	}
-	net.Run(30 * types.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := net.NewQuerier(mincost.Factory())
-		if err := q.EnsureAudited("b", 0); err != nil {
+	d.InjectTrace(1, 40, 50, types.Second, horizon-6*types.Second)
+	net.Run(horizon)
+	newAuditor := func() *core.Auditor {
+		return core.NewAuditor(net.Cfg.Core, net.Dir, bgp.Factory(), net.Maintainer)
+	}
+	var prepared []*core.PreparedAudit
+	preparer := newAuditor()
+	for _, id := range net.Nodes() {
+		auth, err := net.LatestAuth(id)
+		if err != nil {
 			b.Fatal(err)
 		}
-		q.Auditor.Finalize()
+		resp, err := net.Retrieve(id, core.RetrieveRequest{Auth: auth})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := preparer.Prepare(id, resp, auth)
+		if p.Err() != nil {
+			b.Fatal(p.Err())
+		}
+		prepared = append(prepared, p)
 	}
+	var before, after runtime.MemStats
+	vertices := 0
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := newAuditor()
+		for _, p := range prepared {
+			if err := a.Commit(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		a.Finalize()
+		vertices += a.Graph().Len()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(vertices), "ns/vertex")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(vertices), "B/vertex")
 }
