@@ -212,3 +212,35 @@ func (r *RetrieveResponse) WireSize() int {
 	}
 	return n
 }
+
+// MarshalWire implements wire.Marshaler (the frontend's audit answer).
+func (f Failure) MarshalWire(w *wire.Writer) {
+	w.String(string(f.Node))
+	w.Uint(f.Seq)
+	w.String(f.Reason)
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (f *Failure) UnmarshalWire(r *wire.Reader) error {
+	f.Node = types.NodeID(r.String())
+	f.Seq = r.Uint()
+	f.Reason = r.String()
+	return r.Err()
+}
+
+// MarshalWire implements wire.Marshaler (the notes RPC, the audit answer).
+func (n MissingAckNote) MarshalWire(w *wire.Writer) {
+	w.String(string(n.Reporter))
+	w.String(string(n.ID.Src))
+	w.String(string(n.ID.Dst))
+	w.Uint(n.ID.Seq)
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (n *MissingAckNote) UnmarshalWire(r *wire.Reader) error {
+	n.Reporter = types.NodeID(r.String())
+	n.ID.Src = types.NodeID(r.String())
+	n.ID.Dst = types.NodeID(r.String())
+	n.ID.Seq = r.Uint()
+	return r.Err()
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/transport"
@@ -18,56 +17,32 @@ import (
 // counted in FrontStats.
 var ErrOverloaded = errors.New("queryfront: overloaded")
 
-// Client is a query-frontend client: one connection, calls serialized.
-// For concurrent queries, open one Client per caller goroutine — the
-// frontend's session pool provides the server-side concurrency. A Client
-// redials transparently after a broken connection.
+// Client is a query-frontend client: a transport.Caller with one target and
+// no retries, naming itself "snp-query" on the wire. Calls serialize on its
+// one connection, so for concurrent queries open one Client per caller
+// goroutine — the frontend's session pool provides the server-side
+// concurrency. A call waits up to 30s for its answer (more than the server's
+// QueryTimeout, so deadline verdicts arrive in-band instead of as client-side
+// timeouts); a broken connection fails the call and the next one redials.
 type Client struct {
-	// CallTimeout bounds one call's write+read on the wire (default 30s;
-	// it should exceed the server's QueryTimeout so deadline verdicts
-	// arrive in-band instead of as client-side timeouts).
-	CallTimeout time.Duration
-	// MaxFrame bounds response frames (default the transport default).
-	MaxFrame int
-	// ID names the client on the wire (default "snp-query").
-	ID string
-
-	addr string
-
-	mu    sync.Mutex
-	conn  net.Conn
-	reqID uint64
+	caller *transport.Caller
 }
 
 // Dial connects to a frontend at addr. The initial connection is eager so
 // a bad address fails here, not on the first query.
 func Dial(addr string) (*Client, error) {
-	c := &Client{
-		CallTimeout: 30 * time.Second,
-		MaxFrame:    transport.DefaultMaxFrame,
-		ID:          "snp-query",
-		addr:        addr,
-	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
+	caller := transport.NewCaller("snp-query", transport.DefaultMaxFrame, transport.Backoff{}, 0,
+		func(types.NodeID) (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) })
+	caller.CallTimeout = 30 * time.Second
+	if err := caller.Connect(frontID); err != nil {
 		return nil, err
 	}
-	c.conn = conn
-	return c, nil
+	return &Client{caller: caller}, nil
 }
 
-// Close closes the connection. The client is unusable afterwards.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addr = ""
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
+// Close fails a call in flight and closes the connection. The client is
+// unusable afterwards: calls return transport.ErrClosed.
+func (c *Client) Close() { c.caller.Close() }
 
 // Explain submits one provenance macroquery and returns the explanation.
 func (c *Client) Explain(req ExplainRequest) (*ExplainResult, error) {
@@ -97,41 +72,17 @@ func (c *Client) Stats() (*FrontStats, error) {
 	return res, nil
 }
 
-// call performs one request/response exchange, decoding the answer into
-// res. Transport failures close the connection (the next call redials);
-// frontend-reported errors are returned as-is, with sheds wrapped in
-// ErrOverloaded.
-func (c *Client) call(reqKind byte, body func(*wire.Writer), res wire.Unmarshaler) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		if c.addr == "" {
-			return errors.New("queryfront: client closed")
-		}
-		conn, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		c.conn = conn
-	}
-	c.reqID++
-	err := transport.Exchange(c.conn, c.CallTimeout, c.MaxFrame, types.NodeID(c.ID), reqKind, c.reqID, body,
-		func(r *wire.Reader) error {
-			if err := res.UnmarshalWire(r); err != nil {
-				return err
-			}
-			return r.Finish()
-		})
+// call performs one exchange, decoding the answer into res. Errors the
+// frontend reported in-band lose the transport's prefix, with sheds wrapped
+// in ErrOverloaded.
+func (c *Client) call(kind byte, body func(*wire.Writer), res wire.Unmarshaler) error {
+	err := c.caller.Call(frontID, kind, body, func(r *wire.Reader) { r.Value(res) })
 	var refused *transport.RemoteError
-	switch {
-	case errors.As(err, &refused):
+	if errors.As(err, &refused) {
 		if strings.HasPrefix(refused.Msg, "overloaded:") {
 			return fmt.Errorf("%w: %s", ErrOverloaded, refused.Msg)
 		}
 		return fmt.Errorf("queryfront: %s", refused.Msg)
-	case err != nil:
-		c.conn.Close()
-		c.conn = nil
 	}
 	return err
 }

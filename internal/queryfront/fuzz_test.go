@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -23,23 +24,30 @@ func fuzzFrame(from string, kind byte, body func(*wire.Writer)) []byte {
 	if err != nil {
 		panic(err)
 	}
-	return buf[4:] // decodeRequest takes the payload, past the length prefix
+	return buf[4:] // the payload, past the length prefix
 }
 
-// FuzzQueryFrameDecode feeds arbitrary bytes to the query-frame decoder
-// and the response-body decoders. Every byte is adversary-controlled (any
-// client can connect to the frontend, and a hostile frontend can answer a
-// client): decoding must return checked errors — never panic, and never
-// let a hostile count drive an allocation unbounded by the input size.
-func FuzzQueryFrameDecode(f *testing.F) {
-	explain := ExplainRequest{
+// Sample requests, shared by the two fuzz targets' seeds.
+var (
+	sampleExplain = ExplainRequest{
 		Node:  "as10",
 		Tuple: types.MakeTuple("route", types.N("as10"), types.N("as51"), types.I(2)),
 		Mode:  1, Direction: 1, At: 5, Scope: 8, SkipConsistency: true, StartHint: 3,
 	}
-	f.Add(fuzzFrame("c", FrameExplainReq, explain.MarshalWire))
-	audit := AuditRequest{Targets: []types.NodeID{"as10", "as20", "as30"}}
-	f.Add(fuzzFrame("c", FrameAuditReq, audit.MarshalWire))
+	sampleAudit = AuditRequest{Targets: []types.NodeID{"as10", "as20", "as30"}}
+)
+
+// hostileAuditBody is an audit request claiming 2^32 targets in five bytes.
+func hostileAuditBody(w *wire.Writer) { w.Uint(1 << 32) }
+
+// FuzzQueryFrameDecode feeds arbitrary bytes to the response-body decoders
+// (requests reach theirs through FuzzRequestDecode). Every byte is
+// adversary-controlled — a hostile frontend can answer a client: decoding
+// must return checked errors — never panic, and never let a hostile count
+// drive an allocation unbounded by the input size.
+func FuzzQueryFrameDecode(f *testing.F) {
+	f.Add(fuzzFrame("c", FrameExplainReq, sampleExplain.MarshalWire))
+	f.Add(fuzzFrame("c", FrameAuditReq, sampleAudit.MarshalWire))
 	f.Add(fuzzFrame("c", FrameStatsReq, nil))
 
 	// Response bodies, so mutations explore the client-side decoders too.
@@ -51,10 +59,10 @@ func FuzzQueryFrameDecode(f *testing.F) {
 	}
 	f.Add(fuzzFrame("front", FrameExplainResp, res.MarshalWire))
 	ares := AuditResult{
-		Failures:    []FailureInfo{{Node: "as30", Seq: 7, Reason: "replay mismatch"}},
+		Failures:    []core.Failure{{Node: "as30", Seq: 7, Reason: "replay mismatch"}},
 		RedHosts:    []types.NodeID{"as30"},
 		Unreachable: []Lead{{Node: "as20", Err: "partitioned"}},
-		Notes:       []NoteInfo{{Reporter: "as10", Src: "as10", Dst: "as20", Seq: 4}},
+		Notes:       []core.MissingAckNote{{Reporter: "as10", ID: types.MessageID{Src: "as10", Dst: "as20", Seq: 4}}},
 		Elapsed:     time.Second,
 	}
 	f.Add(fuzzFrame("front", FrameAuditResp, ares.MarshalWire))
@@ -64,35 +72,10 @@ func FuzzQueryFrameDecode(f *testing.F) {
 
 	// Hostile counts: an audit request claiming 2^32 targets in 16 bytes,
 	// and truncated bodies.
-	hostile := wire.NewWriter(64)
-	hostile.Raw([]byte{0, 0, 0, 0})
-	hostile.String("c")
-	hostile.Byte(FrameAuditReq)
-	hostile.Uint(1)
-	hostile.Uint(1 << 32)
-	hb, err := transport.FinishFrame(hostile, transport.DefaultMaxFrame)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(hb[4:])
+	f.Add(fuzzFrame("c", FrameAuditReq, hostileAuditBody))
 	f.Add(fuzzFrame("c", FrameExplainReq, nil)) // truncated: no body at all
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// The server path: request decoding. Errors are checked rejections.
-		if req, err := decodeRequest(payload); err == nil && req != nil {
-			// Whatever decodes must re-encode (the bench and CLI round-trip
-			// requests through the client encoder).
-			switch {
-			case req.explain != nil:
-				w := wire.NewWriter(64)
-				req.explain.MarshalWire(w)
-			case req.audit != nil:
-				if len(req.audit.Targets) > maxTargets {
-					t.Fatalf("decoded %d targets past the bound", len(req.audit.Targets))
-				}
-			}
-		}
-		// The client path: response-body decoding from the same bytes.
 		_, _, r, err := transport.BeginFrame(payload)
 		if err != nil {
 			return
@@ -112,5 +95,54 @@ func FuzzQueryFrameDecode(f *testing.F) {
 		_ = ar.UnmarshalWire(wire.NewReader(rest))
 		var fs FrontStats
 		_ = fs.UnmarshalWire(wire.NewReader(rest))
+	})
+}
+
+// FuzzRequestDecode feeds arbitrary bodies to the decode half of every kind
+// the frontend registers — through the Handler values themselves, no socket
+// — and never runs anything: whatever a hostile client sends, deciding
+// whether it is a query touches neither the admission queue nor a querier. A
+// body a kind accepts is within the request bounds and re-encodes.
+func FuzzRequestDecode(f *testing.F) {
+	for _, body := range []func(*wire.Writer){sampleExplain.MarshalWire, sampleAudit.MarshalWire, hostileAuditBody} {
+		w := wire.NewWriter(64)
+		body(w)
+		f.Add(w.Bytes())
+	}
+	f.Add([]byte{}) // stats, and everyone else's truncation
+
+	handlers := new(Server).handlers()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for kind, h := range handlers {
+			r := wire.NewReader(body)
+			run := h("fuzz", r)
+			if r.Finish() != nil {
+				continue
+			}
+			if run == nil {
+				t.Fatalf("kind %#x accepted %x and returned nothing to run", kind, body)
+			}
+			switch kind {
+			case FrameExplainReq:
+				var req ExplainRequest
+				if err := wire.Decode(body, &req); err != nil {
+					t.Fatalf("explain accepted %x, its codec does not: %v", body, err)
+				}
+				if err := wire.Decode(wire.Encode(req), new(ExplainRequest)); err != nil {
+					t.Fatalf("decoded explain request does not re-encode: %v", err)
+				}
+			case FrameAuditReq:
+				var req AuditRequest
+				if err := wire.Decode(body, &req); err != nil {
+					t.Fatalf("audit accepted %x, its codec does not: %v", body, err)
+				}
+				if len(req.Targets) > maxTargets {
+					t.Fatalf("decoded %d targets past the bound", len(req.Targets))
+				}
+				if err := wire.Decode(wire.Encode(req), new(AuditRequest)); err != nil {
+					t.Fatalf("decoded audit request does not re-encode: %v", err)
+				}
+			}
+		}
 	})
 }

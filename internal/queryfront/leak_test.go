@@ -28,11 +28,14 @@ func goroutinesIn(marker string) []string {
 
 // TestServerCloseReapsGoroutines runs repeated serve → traffic → close
 // cycles of a frontend over one live deployment and requires every frontend
-// goroutine (accept loop, per-connection readers and their shutdown
-// watchers, session workers) to be gone after each Close — including the
-// reader of a client that is still connected and idle — and the session
-// fetchers' connections to be released, so the deployment's own inbound
-// handlers drain back to where they were.
+// goroutine to be gone after each Close: the session workers (Server methods
+// of this package) and the listener's accept and read loops, which are
+// transport.Server methods like the deployment's own — so those are held to
+// the count the deployment showed before the frontend started. That covers
+// the reader of a client that is still connected and idle, and the session
+// fetchers' connections, whose node-side read loops must drain too. Both
+// markers must match something while a client is connected, or the test
+// would be checking nothing.
 func TestServerCloseReapsGoroutines(t *testing.T) {
 	app, err := live.AppByName("mincost")
 	if err != nil {
@@ -48,7 +51,7 @@ func TestServerCloseReapsGoroutines(t *testing.T) {
 	}
 	h.Settle()
 
-	const server, handler = "repro/internal/queryfront.(*Server)", "repro/internal/transport.(*Cluster).serveConn"
+	const server, handler = "repro/internal/queryfront.(*Server)", "repro/internal/transport.(*Server)."
 	settled := func(marker string, atMost int) []string {
 		left := goroutinesIn(marker)
 		for wait := 0; len(left) > atMost && wait < 100; wait++ {
@@ -57,7 +60,7 @@ func TestServerCloseReapsGoroutines(t *testing.T) {
 		}
 		return left
 	}
-	handlers := len(goroutinesIn(handler)) // the nodes' own data-plane links
+	handlers := len(goroutinesIn(handler)) // the nodes' accept loops and data-plane links
 
 	cycles := 4
 	if testing.Short() {
@@ -87,8 +90,9 @@ func TestServerCloseReapsGoroutines(t *testing.T) {
 			t.Errorf("cycle %d: stats: %v", cycle, err)
 		}
 		cl.Close()
-		if len(goroutinesIn(server)) == 0 {
-			t.Fatal("a serving frontend shows no goroutines (test is vacuous)")
+		if len(goroutinesIn(server)) == 0 || len(goroutinesIn(handler)) <= handlers {
+			t.Fatalf("a serving frontend with a client connected shows %d session and %d serving goroutines (%d before it started): the leak check is vacuous",
+				len(goroutinesIn(server)), len(goroutinesIn(handler)), handlers)
 		}
 		srv.Close()
 		idle.Close()
@@ -98,7 +102,7 @@ func TestServerCloseReapsGoroutines(t *testing.T) {
 				cycle, len(left), strings.Join(left, "\n\n"))
 		}
 		if left := settled(handler, handlers); len(left) > handlers {
-			t.Fatalf("cycle %d: %d node-side handlers still serve the closed frontend's fetchers (had %d):\n%s",
+			t.Fatalf("cycle %d: %d serving goroutines left of the closed frontend or its fetchers' node-side connections (had %d):\n%s",
 				cycle, len(left), handlers, strings.Join(left, "\n\n"))
 		}
 	}

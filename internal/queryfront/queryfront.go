@@ -1,6 +1,9 @@
 // Package queryfront is the live query frontend: a daemon that serves
-// provenance macroqueries (§5.1) over the framed-TCP transport against a
-// running deployment. Clients submit Explain and audit queries; the
+// provenance macroqueries (§5.1) against a running deployment. It is a
+// transport.Server with three registered kinds — stats, answered inline, and
+// explain and audit, whose run half is admission (enqueue or shed) — so the
+// listener, the whole-request validation and the drain on Close are the
+// ones the nodes' own servers use. Clients submit Explain and audit queries; the
 // frontend answers them from a bounded pool of Querier sessions — each
 // driven by one goroutine, as core.Querier requires — that share one
 // transport.Cluster, per-session RemoteFetchers, and one persistent audit
@@ -24,7 +27,6 @@ package queryfront
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"sort"
 	"sync"
@@ -77,13 +79,14 @@ type Config struct {
 	// transport.AuditCallTimeout / AuditRetryDeadline).
 	CallTimeout   time.Duration
 	RetryDeadline time.Duration
-	// MaxFrame bounds frames on the query listener (default the
-	// transport default).
-	MaxFrame int
-	// ID names the frontend on the wire and to fault plans (default
-	// "queryfront"); session fetchers dial as "<ID>-<n>".
-	ID types.NodeID
 }
+
+// frontID names the frontend on the wire and to fault plans (session
+// fetchers dial as "queryfront-<n>"); answers are written under replyTimeout.
+const (
+	frontID      types.NodeID = "queryfront"
+	replyTimeout              = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Sessions <= 0 {
@@ -101,31 +104,16 @@ func (c Config) withDefaults() Config {
 	if c.RetryDeadline <= 0 {
 		c.RetryDeadline = transport.AuditRetryDeadline
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = transport.DefaultMaxFrame
-	}
-	if c.ID == "" {
-		c.ID = "queryfront"
-	}
 	return c
 }
 
-// request is one admitted query waiting for a session.
+// request is one admitted query waiting for a session: exactly one of
+// explain and audit is set.
 type request struct {
-	kind     byte
-	reqID    uint64
 	explain  *ExplainRequest
 	audit    *AuditRequest
-	conn     *frontConn
+	reply    transport.Reply
 	admitted time.Time
-	deadline time.Time
-}
-
-// frontConn serializes response writes to one client connection: session
-// workers finish out of order, so each response write takes the lock.
-type frontConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
 }
 
 // latRing keeps the most recent latency samples for one query kind plus a
@@ -162,11 +150,12 @@ func (l *latRing) snapshot() (count uint64, p50, p99 time.Duration) {
 // Server is a running query frontend.
 type Server struct {
 	cfg Config
-	ln  net.Listener
+	srv *transport.Server
 
 	queue chan *request
 	quit  chan struct{}
-	wg    sync.WaitGroup
+	once  sync.Once      // closes quit
+	wg    sync.WaitGroup // session workers
 
 	served  atomic.Uint64
 	shed    atomic.Uint64
@@ -178,9 +167,8 @@ type Server struct {
 	cacheHits0   uint64
 	cacheMisses0 uint64
 
-	mu      sync.Mutex
-	kinds   map[string]*latRing
-	closing bool
+	mu    sync.Mutex
+	kinds map[string]*latRing
 }
 
 // Serve starts a frontend listening on addr ("host:0" picks a port; see
@@ -192,16 +180,18 @@ func Serve(cfg Config, addr string) (*Server, error) {
 	if cfg.Cluster == nil || cfg.Dir == nil || cfg.Factory == nil {
 		return nil, fmt.Errorf("queryfront: Config needs Cluster, Dir, and Factory")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:   cfg,
-		ln:    ln,
+		srv:   &transport.Server{ID: frontID, MaxFrame: transport.DefaultMaxFrame, WriteTimeout: replyTimeout},
 		queue: make(chan *request, cfg.QueueLen),
 		quit:  make(chan struct{}),
 		kinds: map[string]*latRing{},
+	}
+	for kind, h := range s.handlers() {
+		s.srv.Handle(kind, h)
+	}
+	if err := s.srv.Listen(addr); err != nil {
+		return nil, err
 	}
 	if c := cfg.Base.AuditCache; c != nil {
 		s.cacheHits0, s.cacheMisses0 = c.Hits(), c.Misses()
@@ -210,27 +200,19 @@ func Serve(cfg Config, addr string) (*Server, error) {
 		s.wg.Add(1)
 		go s.session(i)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv.Start()
 	return s, nil
 }
 
 // Addr returns the listener's bound address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops accepting, tears down client connections and the session
 // pool, and waits for in-flight queries to finish. Queued-but-unstarted
 // queries are dropped; their clients see their connections close.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return
-	}
-	s.closing = true
-	s.mu.Unlock()
-	close(s.quit)
-	s.ln.Close()
+	s.once.Do(func() { close(s.quit) })
+	s.srv.Close()
 	s.wg.Wait()
 }
 
@@ -277,111 +259,39 @@ func (s *Server) ring(kind string) *latRing {
 	return r
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go s.serveConn(conn)
+// handlers returns the frontend's kinds: each decodes its request, and runs
+// by answering inline (stats) or going through admission (explain, audit).
+func (s *Server) handlers() map[byte]transport.Handler {
+	return map[byte]transport.Handler{
+		FrameStatsReq: func(types.NodeID, *wire.Reader) func(transport.Reply) {
+			return func(reply transport.Reply) { reply(nil, s.Stats().MarshalWire) }
+		},
+		FrameExplainReq: func(_ types.NodeID, r *wire.Reader) func(transport.Reply) {
+			req := &request{explain: new(ExplainRequest)}
+			r.Value(req.explain)
+			return func(reply transport.Reply) { s.admit(req, reply) }
+		},
+		FrameAuditReq: func(_ types.NodeID, r *wire.Reader) func(transport.Reply) {
+			req := &request{audit: new(AuditRequest)}
+			r.Value(req.audit)
+			return func(reply transport.Reply) { s.admit(req, reply) }
+		},
 	}
 }
 
-// serveConn reads query frames off one client connection until it closes
-// or turns hostile (decode error, unknown kind). Stats requests are
-// answered inline; explain/audit requests go through the admission queue.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	fc := &frontConn{conn: conn}
-	// Unblock the read when the server shuts down mid-connection.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-s.quit:
-			conn.Close()
-		case <-stop:
-		}
-	}()
-	for {
-		payload, err := transport.ReadFrame(conn, s.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		req, err := decodeRequest(payload)
-		if err != nil {
-			return
-		}
-		switch req.kind {
-		case FrameStatsReq:
-			body := s.Stats()
-			_ = s.reply(fc, FrameStatsResp, req.reqID, nil, body.MarshalWire)
-		case FrameExplainReq, FrameAuditReq:
-			req.conn = fc
-			req.admitted = time.Now()
-			req.deadline = req.admitted.Add(s.cfg.QueryTimeout)
-			select {
-			case s.queue <- req:
-			default:
-				// Shed-and-count, mirroring Cluster.Send's full-queue
-				// semantics: the client gets an immediate in-band error
-				// instead of unbounded queueing.
-				s.shed.Add(1)
-				_ = s.reply(fc, req.kind+1, req.reqID,
-					fmt.Errorf("overloaded: admission queue full (%d queued, %d sessions)",
-						s.cfg.QueueLen, s.cfg.Sessions), nil)
-			}
-		}
-	}
-}
-
-// decodeRequest parses one query frame into a request. Hostile input —
-// truncated bodies, implausible counts, unknown kinds — returns an error.
-func decodeRequest(payload []byte) (*request, error) {
-	_, kind, r, err := transport.BeginFrame(payload)
-	if err != nil {
-		return nil, err
-	}
-	req := &request{kind: kind, reqID: r.Uint()}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case FrameExplainReq:
-		req.explain = new(ExplainRequest)
-		if err := req.explain.UnmarshalWire(r); err != nil {
-			return nil, err
-		}
-	case FrameAuditReq:
-		req.audit = new(AuditRequest)
-		if err := req.audit.UnmarshalWire(r); err != nil {
-			return nil, err
-		}
-	case FrameStatsReq:
-		// no body
+// admit queues one decoded query for a session, or sheds it: shed-and-count,
+// mirroring Cluster.Send's full-queue semantics, so the client gets an
+// immediate in-band error instead of unbounded queueing.
+func (s *Server) admit(req *request, reply transport.Reply) {
+	req.reply = reply
+	req.admitted = time.Now()
+	select {
+	case s.queue <- req:
 	default:
-		return nil, fmt.Errorf("queryfront: unknown query frame kind %d", kind)
+		s.shed.Add(1)
+		reply(fmt.Errorf("overloaded: admission queue full (%d queued, %d sessions)",
+			s.cfg.QueueLen, s.cfg.Sessions), nil)
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// reply writes one response frame (transport.ReplyFrame's layout).
-func (s *Server) reply(fc *frontConn, kind byte, reqID uint64, qerr error, body func(*wire.Writer)) error {
-	buf, err := transport.ReplyFrame(s.cfg.ID, kind, reqID, s.cfg.MaxFrame, qerr, body)
-	if err != nil {
-		return err
-	}
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	fc.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	_, werr := fc.conn.Write(buf)
-	return werr
 }
 
 // session is one pool worker: a goroutine that owns one RemoteFetcher and
@@ -392,7 +302,7 @@ func (s *Server) reply(fc *frontConn, kind byte, reqID uint64, qerr error, body 
 // call the session's fetcher concurrently, which RemoteFetcher allows.
 func (s *Server) session(i int) {
 	defer s.wg.Done()
-	fetch := s.cfg.Cluster.NewFetcher(types.NodeID(fmt.Sprintf("%s-%d", s.cfg.ID, i)))
+	fetch := s.cfg.Cluster.NewFetcher(types.NodeID(fmt.Sprintf("%s-%d", frontID, i)))
 	defer fetch.Close()
 	for {
 		select {
@@ -406,11 +316,10 @@ func (s *Server) session(i int) {
 
 // run executes one admitted query on a session's fetcher.
 func (s *Server) run(fetch *transport.RemoteFetcher, req *request) {
-	remaining := time.Until(req.deadline)
+	remaining := s.cfg.QueryTimeout - time.Since(req.admitted)
 	if remaining <= 0 {
 		s.expired.Add(1)
-		_ = s.reply(req.conn, req.kind+1, req.reqID,
-			fmt.Errorf("deadline expired after %v in the admission queue", time.Since(req.admitted).Round(time.Millisecond)), nil)
+		req.reply(fmt.Errorf("deadline expired after %v in the admission queue", time.Since(req.admitted).Round(time.Millisecond)), nil)
 		return
 	}
 	// Clamp the remote-call budgets to the time this query has left, so a
@@ -432,14 +341,13 @@ func (s *Server) run(fetch *transport.RemoteFetcher, req *request) {
 		s.cfg.ConfigureQuerier(q)
 	}
 
-	switch req.kind {
-	case FrameExplainReq:
+	if req.explain != nil {
 		res, err := s.runExplain(q, req.explain)
 		s.finish(req, "explain", err, func(w *wire.Writer) {
 			res.Elapsed = time.Since(req.admitted)
 			res.MarshalWire(w)
 		})
-	case FrameAuditReq:
+	} else {
 		// One sweep of the targets (the whole membership when empty).
 		// Unreachable targets degrade to leads, never failures; the query's
 		// deadline is enforced through the fetcher's clamped budgets, so the
@@ -456,12 +364,12 @@ func (s *Server) run(fetch *transport.RemoteFetcher, req *request) {
 func (s *Server) finish(req *request, kind string, err error, body func(*wire.Writer)) {
 	if err != nil {
 		s.failed.Add(1)
-		_ = s.reply(req.conn, req.kind+1, req.reqID, err, nil)
+		req.reply(err, nil)
 		return
 	}
 	s.served.Add(1)
 	s.ring(kind).record(time.Since(req.admitted))
-	_ = s.reply(req.conn, req.kind+1, req.reqID, nil, body)
+	req.reply(nil, body)
 }
 
 // runExplain answers one Explain macroquery.

@@ -2,6 +2,8 @@ package queryfront_test
 
 import (
 	"errors"
+	"io"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -218,10 +220,10 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	resIn := queryfront.AuditResult{
-		Failures:    []queryfront.FailureInfo{{Node: "c", Seq: 9, Reason: "mismatch"}},
+		Failures:    []core.Failure{{Node: "c", Seq: 9, Reason: "mismatch"}},
 		RedHosts:    []types.NodeID{"c"},
 		Unreachable: []queryfront.Lead{{Node: "d", Err: "partitioned"}},
-		Notes:       []queryfront.NoteInfo{{Reporter: "a", Src: "a", Dst: "d", Seq: 2}},
+		Notes:       []core.MissingAckNote{{Reporter: "a", ID: types.MessageID{Src: "a", Dst: "d", Seq: 2}}},
 		Elapsed:     3 * time.Millisecond,
 	}
 	var resOut queryfront.AuditResult
@@ -258,5 +260,59 @@ func roundTrip(t *testing.T, enc func(*wire.Writer), dec func(*wire.Reader) erro
 	}
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientCloseInterruptsCall is the frontend-level case of transport's
+// TestRemoteFetcherCloseConcurrent: against a peer that swallows requests
+// and never answers, Close returns at once while a Stats call is parked
+// mid-exchange, the parked call then fails, and later calls report the
+// closed client. (The client used to hold one mutex across the whole
+// exchange, so Close waited out the call's timeout.)
+func TestClientCloseInterruptsCall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				_, _ = io.Copy(io.Discard, conn)
+				conn.Close()
+			}()
+		}
+	}()
+
+	cl, err := queryfront.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := cl.Stats()
+		parked <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the call reach its read
+
+	start := time.Now()
+	cl.Close()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("Close took %v behind an in-flight call", took)
+	}
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Error("the parked call succeeded against a mute peer")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the parked call did not fail after Close")
+	}
+	if _, err := cl.Stats(); !errors.Is(err, transport.ErrClosed) {
+		t.Errorf("call after Close = %v, want transport.ErrClosed", err)
 	}
 }

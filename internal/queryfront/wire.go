@@ -1,15 +1,16 @@
-// Query-frontend wire protocol: the frame kinds and request/response
-// bodies carried over the transport's framing (length prefix, sender ID,
-// kind byte, body). Kinds 0x20–0x2F are reserved for this protocol; the
-// node RPC range stops at 0x19. Every decoder treats its input as hostile:
-// counts are bounded against the remaining input via wire.Reader.Count,
-// and malformed frames surface as checked errors, never panics.
+// Query-frontend wire protocol: the frame kinds and the request/response
+// bodies, one codec per struct (core.Failure and core.MissingAckNote bring
+// their own); framing, request ids and the whole-request check are
+// transport.Server's and transport.Caller's. Kinds 0x20–0x2F are reserved for
+// this protocol; the node RPC range stops at 0x19. Every decoder treats its
+// input as hostile: counts are bounded against the remaining input
+// (wire.ReadSlice, wire.Reader.Count), and malformed frames surface as
+// checked errors, never panics.
 package queryfront
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -100,12 +101,7 @@ type AuditRequest struct {
 }
 
 // MarshalWire implements wire.Marshaler.
-func (q AuditRequest) MarshalWire(w *wire.Writer) {
-	w.Uint(uint64(len(q.Targets)))
-	for _, id := range q.Targets {
-		w.String(string(id))
-	}
-}
+func (q AuditRequest) MarshalWire(w *wire.Writer) { wire.WriteSlice(w, q.Targets, writeNode) }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (q *AuditRequest) UnmarshalWire(r *wire.Reader) error {
@@ -123,11 +119,31 @@ func (q *AuditRequest) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
+func writeNode(id types.NodeID, w *wire.Writer) { w.String(string(id)) }
+
+func readNode(id *types.NodeID, r *wire.Reader) error {
+	*id = types.NodeID(r.String())
+	return r.Err()
+}
+
 // Lead is one unreachable node with the error that made it a yellow,
 // unattributable lead (§4.2's "unavailable" tier — never an accusation).
 type Lead struct {
 	Node types.NodeID
 	Err  string
+}
+
+// MarshalWire implements wire.Marshaler.
+func (l Lead) MarshalWire(w *wire.Writer) {
+	w.String(string(l.Node))
+	w.String(l.Err)
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (l *Lead) UnmarshalWire(r *wire.Reader) error {
+	l.Node = types.NodeID(r.String())
+	l.Err = r.String()
+	return r.Err()
 }
 
 // ExplainResult is the answer to an ExplainRequest: the rendered
@@ -151,15 +167,8 @@ type ExplainResult struct {
 func (q ExplainResult) MarshalWire(w *wire.Writer) {
 	w.String(q.Rendered)
 	w.Uint(uint64(q.Vertices))
-	w.Uint(uint64(len(q.Faulty)))
-	for _, id := range q.Faulty {
-		w.String(string(id))
-	}
-	w.Uint(uint64(len(q.Unreachable)))
-	for _, l := range q.Unreachable {
-		w.String(string(l.Node))
-		w.String(l.Err)
-	}
+	wire.WriteSlice(w, q.Faulty, writeNode)
+	wire.WriteSlice(w, q.Unreachable, Lead.MarshalWire)
 	w.Int(int64(q.Elapsed))
 }
 
@@ -167,85 +176,39 @@ func (q ExplainResult) MarshalWire(w *wire.Writer) {
 func (q *ExplainResult) UnmarshalWire(r *wire.Reader) error {
 	q.Rendered = r.String()
 	q.Vertices = int(r.Uint())
-	n := r.Count() // adversary-controlled; bounded against input size
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.Faulty = make([]types.NodeID, n)
-	for i := range q.Faulty {
-		q.Faulty[i] = types.NodeID(r.String())
-	}
-	n = r.Count() // adversary-controlled; bounded against input size
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.Unreachable = make([]Lead, n)
-	for i := range q.Unreachable {
-		q.Unreachable[i].Node = types.NodeID(r.String())
-		q.Unreachable[i].Err = r.String()
-	}
+	q.Faulty = wire.ReadSlice(r, readNode)
+	q.Unreachable = wire.ReadSlice(r, (*Lead).UnmarshalWire)
 	q.Elapsed = time.Duration(r.Int())
 	return r.Err()
-}
-
-// FailureInfo is one provable audit finding (core.Failure in wire form).
-type FailureInfo struct {
-	Node   types.NodeID
-	Seq    uint64
-	Reason string
-}
-
-// NoteInfo is one §5.4 missing-ack report (core.MissingAckNote in wire
-// form): Reporter observed that its send Src→Dst at Seq was never acked.
-type NoteInfo struct {
-	Reporter types.NodeID
-	Src      types.NodeID
-	Dst      types.NodeID
-	Seq      uint64
 }
 
 // AuditResult is the answer to an AuditRequest, separated into the
 // paper's evidence tiers.
 type AuditResult struct {
 	// Failures and RedHosts are the provable tier (§5.5).
-	Failures []FailureInfo
+	Failures []core.Failure
 	RedHosts []types.NodeID
 	// Unreachable are the unattributable leads, sorted by node.
 	Unreachable []Lead
 	// Notes are the merged §5.4 missing-ack reports.
-	Notes []NoteInfo
+	Notes []core.MissingAckNote
 	// Elapsed is the server-side service time, admission queue included.
 	Elapsed time.Duration
 }
 
 // auditResultOf puts a sweep's verdict in wire form.
 func auditResultOf(v *adversary.Verdict) *AuditResult {
-	res := &AuditResult{Unreachable: leads(v.Unresponsive)}
-	for _, f := range v.Failures {
-		res.Failures = append(res.Failures, FailureInfo{Node: f.Node, Seq: f.Seq, Reason: f.Reason})
-	}
-	res.RedHosts = append(res.RedHosts, v.RedHosts...)
-	sortNodes(res.RedHosts)
-	for _, n := range v.Notes {
-		res.Notes = append(res.Notes, NoteInfo{Reporter: n.Reporter, Src: n.ID.Src, Dst: n.ID.Dst, Seq: n.ID.Seq})
-	}
-	return res
+	return &AuditResult{Failures: v.Failures, RedHosts: v.RedHosts, Unreachable: leads(v.Unresponsive), Notes: v.Notes}
 }
 
 // Verdict converts the wire form back into the verdict the frontend's
 // sweep produced, so a remote analyst scores it — evidence tiers, the §4.2
 // check — exactly as an in-process one would.
 func (q *AuditResult) Verdict() *adversary.Verdict {
-	v := &adversary.Verdict{RedHosts: q.RedHosts, Unresponsive: make(map[types.NodeID]error, len(q.Unreachable))}
-	for _, f := range q.Failures {
-		v.Failures = append(v.Failures, core.Failure{Node: f.Node, Seq: f.Seq, Reason: f.Reason})
-	}
+	v := &adversary.Verdict{Failures: q.Failures, RedHosts: q.RedHosts, Notes: q.Notes,
+		Unresponsive: make(map[types.NodeID]error, len(q.Unreachable))}
 	for _, l := range q.Unreachable {
 		v.Unresponsive[l.Node] = errors.New(l.Err)
-	}
-	for _, n := range q.Notes {
-		v.Notes = append(v.Notes, core.MissingAckNote{Reporter: n.Reporter,
-			ID: types.MessageID{Src: n.Src, Dst: n.Dst, Seq: n.Seq}})
 	}
 	return v
 }
@@ -282,71 +245,19 @@ func (q *AuditResult) Format() string {
 
 // MarshalWire implements wire.Marshaler.
 func (q AuditResult) MarshalWire(w *wire.Writer) {
-	w.Uint(uint64(len(q.Failures)))
-	for _, f := range q.Failures {
-		w.String(string(f.Node))
-		w.Uint(f.Seq)
-		w.String(f.Reason)
-	}
-	w.Uint(uint64(len(q.RedHosts)))
-	for _, id := range q.RedHosts {
-		w.String(string(id))
-	}
-	w.Uint(uint64(len(q.Unreachable)))
-	for _, l := range q.Unreachable {
-		w.String(string(l.Node))
-		w.String(l.Err)
-	}
-	w.Uint(uint64(len(q.Notes)))
-	for _, n := range q.Notes {
-		w.String(string(n.Reporter))
-		w.String(string(n.Src))
-		w.String(string(n.Dst))
-		w.Uint(n.Seq)
-	}
+	wire.WriteSlice(w, q.Failures, core.Failure.MarshalWire)
+	wire.WriteSlice(w, q.RedHosts, writeNode)
+	wire.WriteSlice(w, q.Unreachable, Lead.MarshalWire)
+	wire.WriteSlice(w, q.Notes, core.MissingAckNote.MarshalWire)
 	w.Int(int64(q.Elapsed))
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (q *AuditResult) UnmarshalWire(r *wire.Reader) error {
-	n := r.Count() // adversary-controlled; bounded against input size
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.Failures = make([]FailureInfo, n)
-	for i := range q.Failures {
-		q.Failures[i].Node = types.NodeID(r.String())
-		q.Failures[i].Seq = r.Uint()
-		q.Failures[i].Reason = r.String()
-	}
-	n = r.Count() // adversary-controlled; bounded against input size
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.RedHosts = make([]types.NodeID, n)
-	for i := range q.RedHosts {
-		q.RedHosts[i] = types.NodeID(r.String())
-	}
-	n = r.Count() // adversary-controlled; bounded against input size
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.Unreachable = make([]Lead, n)
-	for i := range q.Unreachable {
-		q.Unreachable[i].Node = types.NodeID(r.String())
-		q.Unreachable[i].Err = r.String()
-	}
-	n = r.Count() // adversary-controlled; bounded against input size
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.Notes = make([]NoteInfo, n)
-	for i := range q.Notes {
-		q.Notes[i].Reporter = types.NodeID(r.String())
-		q.Notes[i].Src = types.NodeID(r.String())
-		q.Notes[i].Dst = types.NodeID(r.String())
-		q.Notes[i].Seq = r.Uint()
-	}
+	q.Failures = wire.ReadSlice(r, (*core.Failure).UnmarshalWire)
+	q.RedHosts = wire.ReadSlice(r, readNode)
+	q.Unreachable = wire.ReadSlice(r, (*Lead).UnmarshalWire)
+	q.Notes = wire.ReadSlice(r, (*core.MissingAckNote).UnmarshalWire)
 	q.Elapsed = time.Duration(r.Int())
 	return r.Err()
 }
@@ -359,6 +270,23 @@ type KindStats struct {
 	Count uint64
 	P50   time.Duration
 	P99   time.Duration
+}
+
+// MarshalWire implements wire.Marshaler.
+func (k KindStats) MarshalWire(w *wire.Writer) {
+	w.String(k.Kind)
+	w.Uint(k.Count)
+	w.Int(int64(k.P50))
+	w.Int(int64(k.P99))
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (k *KindStats) UnmarshalWire(r *wire.Reader) error {
+	k.Kind = r.String()
+	k.Count = r.Uint()
+	k.P50 = time.Duration(r.Int())
+	k.P99 = time.Duration(r.Int())
+	return r.Err()
 }
 
 // FrontStats is the frontend's counter snapshot: pool shape, admission
@@ -415,13 +343,7 @@ func (s FrontStats) MarshalWire(w *wire.Writer) {
 	w.Uint(s.Failed)
 	w.Uint(s.CacheHits)
 	w.Uint(s.CacheMisses)
-	w.Uint(uint64(len(s.Kinds)))
-	for _, k := range s.Kinds {
-		w.String(k.Kind)
-		w.Uint(k.Count)
-		w.Int(int64(k.P50))
-		w.Int(int64(k.P99))
-	}
+	wire.WriteSlice(w, s.Kinds, KindStats.MarshalWire)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -434,20 +356,6 @@ func (s *FrontStats) UnmarshalWire(r *wire.Reader) error {
 	s.Failed = r.Uint()
 	s.CacheHits = r.Uint()
 	s.CacheMisses = r.Uint()
-	n := r.Count() // adversary-controlled; bounded against input size
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.Kinds = make([]KindStats, n)
-	for i := range s.Kinds {
-		s.Kinds[i].Kind = r.String()
-		s.Kinds[i].Count = r.Uint()
-		s.Kinds[i].P50 = time.Duration(r.Int())
-		s.Kinds[i].P99 = time.Duration(r.Int())
-	}
+	s.Kinds = wire.ReadSlice(r, (*KindStats).UnmarshalWire)
 	return r.Err()
-}
-
-func sortNodes(ids []types.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

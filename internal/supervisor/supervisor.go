@@ -58,7 +58,7 @@ type Options struct {
 	MaxRestarts   int
 	RestartWindow time.Duration
 	// BackoffBase/BackoffMax bound the jittered respawn backoff (defaults
-	// 50ms and 2s).
+	// 50ms and 2s; the schedule is transport.Backoff).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// QueryFront, when non-empty, hosts a query frontend on this listen
@@ -85,9 +85,6 @@ func (o Options) withDefaults() Options {
 	if o.BackoffMax < o.BackoffBase {
 		o.BackoffMax = 2 * time.Second
 	}
-	if o.BackoffMax < o.BackoffBase {
-		o.BackoffMax = o.BackoffBase
-	}
 	return o
 }
 
@@ -107,8 +104,9 @@ type child struct {
 	done chan struct{} // closed when Wait returns for the current cmd
 
 	rng        *rand.Rand
-	restarts   []time.Time // respawn times inside the storm window
-	total      int         // lifetime respawn count
+	restarts   []time.Time   // respawn times inside the storm window
+	total      int           // lifetime respawn count
+	backoff    time.Duration // before the latest respawn; doubles per respawn, never resets
 	lastStart  time.Time
 	healthyAt  time.Time // zero until the first successful probe per start
 	latencies  []time.Duration
@@ -365,15 +363,16 @@ func (s *Supervisor) onExit(c *child, err error) {
 		return
 	}
 	c.total++
-	backoff := s.opts.BackoffBase << (c.total - 1)
-	if backoff > s.opts.BackoffMax || backoff <= 0 {
-		backoff = s.opts.BackoffMax
-	}
-	wait := backoff/2 + time.Duration(c.rng.Int63n(int64(backoff/2)+1))
+	c.backoff = transport.Backoff{Base: s.opts.BackoffBase, Max: s.opts.BackoffMax}.Next(c.backoff)
+	wait := transport.Jitter(c.rng, c.backoff)
 	s.log.Printf("%s: exited (%v), respawning in %v", c.id, err, wait)
 	s.mu.Unlock()
 
-	time.Sleep(wait)
+	select {
+	case <-time.After(wait):
+	case <-s.stopMon: // Stop does not wait out a backoff
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopping || c.failed != nil {

@@ -17,12 +17,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Health/notes request kinds (the upper end of the RPC range; see isRPCKind).
-const (
-	frameHealthReq byte = 0x16
-	frameNotesReq  byte = 0x18
-)
-
 // Health is one node's liveness report: the live log head, the last durably
 // synced (sidecar-recorded) position, crash-recovery forensics, the node's
 // sticky fault state, and the app-level convergence probe. ProbeHash echoes
@@ -129,12 +123,9 @@ func (c *Cluster) buildHealth(m *member, probeSeq uint64) Health {
 // pass 0 to skip the probe.
 func (f *RemoteFetcher) Health(node types.NodeID, probeSeq uint64) (Health, error) {
 	var h Health
-	err := f.call(node, frameHealthReq,
+	err := f.Call(node, frameHealthReq,
 		func(w *wire.Writer) { w.Uint(probeSeq) },
-		func(r *wire.Reader) error {
-			r.Value(&h)
-			return r.Finish()
-		})
+		func(r *wire.Reader) { r.Value(&h) })
 	return h, err
 }
 
@@ -143,21 +134,8 @@ func (f *RemoteFetcher) Health(node types.NodeID, probeSeq uint64) (Health, erro
 // scoring evidence.
 func (f *RemoteFetcher) Notes(node types.NodeID) ([]core.MissingAckNote, error) {
 	var out []core.MissingAckNote
-	err := f.call(node, frameNotesReq, nil,
-		func(r *wire.Reader) error {
-			n := r.Count() // adversary-controlled; bounded against input size
-			if err := r.Err(); err != nil {
-				return err
-			}
-			out = make([]core.MissingAckNote, n)
-			for i := range out {
-				out[i].Reporter = types.NodeID(r.String())
-				out[i].ID.Src = types.NodeID(r.String())
-				out[i].ID.Dst = types.NodeID(r.String())
-				out[i].ID.Seq = r.Uint()
-			}
-			return r.Finish()
-		})
+	err := f.Call(node, frameNotesReq, nil,
+		func(r *wire.Reader) { out = wire.ReadSlice(r, (*core.MissingAckNote).UnmarshalWire) })
 	if err != nil {
 		return nil, err
 	}
@@ -216,22 +194,4 @@ func (c *Cluster) queuesEmpty() bool {
 		}
 	}
 	return true
-}
-
-// serveNotes answers the notes RPC with the process-local maintainer's
-// missing-ack reports (none for a cluster without a maintainer).
-func (c *Cluster) serveNotes() (func(*wire.Writer), error) {
-	c.mu.Lock()
-	maint := c.maint
-	c.mu.Unlock()
-	notes := maint.Notes() // nil-safe: returns nil for a nil maintainer
-	return func(w *wire.Writer) {
-		w.Uint(uint64(len(notes)))
-		for _, n := range notes {
-			w.String(string(n.Reporter))
-			w.String(string(n.ID.Src))
-			w.String(string(n.ID.Dst))
-			w.Uint(n.ID.Seq)
-		}
-	}, nil
 }

@@ -12,20 +12,43 @@ import (
 	"repro/internal/types"
 )
 
-// clusterGoroutines returns the stacks of goroutines running this package's
-// worker methods — the accept loops, inbound handlers, and link workers that
-// Close must reap. Matching only Cluster methods keeps the test immune to
+// The goroutines Close must reap: every member's accept loop and
+// per-connection read loops (Server methods) and the link workers (Cluster
+// methods). Matching on the owning types' methods keeps the tests immune to
 // runtime/netpoll goroutines (and the test functions themselves).
-func clusterGoroutines() []string {
+const (
+	servingMarker = "repro/internal/transport.(*Server)."
+	linkMarker    = "repro/internal/transport.(*Cluster).linkWorker"
+)
+
+// goroutinesIn returns the stacks of goroutines with a frame containing any
+// of the markers.
+func goroutinesIn(markers ...string) []string {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	var stacks []string
 	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-		if strings.Contains(g, "repro/internal/transport.(*Cluster)") {
-			stacks = append(stacks, g)
+		for _, m := range markers {
+			if strings.Contains(g, m) {
+				stacks = append(stacks, g)
+				break
+			}
 		}
 	}
 	return stacks
+}
+
+func clusterGoroutines() []string { return goroutinesIn(servingMarker, linkMarker) }
+
+// mustMatch fails the test when marker matches no goroutine at a point where
+// connections are known to be open: a marker that went stale (the function
+// it names was renamed or removed) would otherwise turn every "none left"
+// check below into a check of nothing.
+func mustMatch(t *testing.T, marker string) {
+	t.Helper()
+	if len(goroutinesIn(marker)) == 0 {
+		t.Fatalf("no goroutine matches %q while connections are open: the leak check is vacuous", marker)
+	}
 }
 
 // TestClusterCloseReapsGoroutines runs repeated open → serve → traffic →
@@ -70,6 +93,8 @@ func TestClusterCloseReapsGoroutines(t *testing.T) {
 					t.Fatalf("cycle %d: Health(%s): %v", cycle, id, err)
 				}
 			}
+			mustMatch(t, servingMarker)
+			mustMatch(t, linkMarker)
 			// One node stopped mid-run: its handlers must drain on StopNode,
 			// and the peers' link workers keep backing off against it.
 			if err := cluster.StopNode(ids[2]); err != nil {
@@ -100,7 +125,7 @@ func TestFetcherCloseReleasesConnections(t *testing.T) {
 	defer cluster.Close()
 	ids, _ := serveTestNodes(t, cluster, 2, "")
 
-	before := len(clusterGoroutines())
+	before := len(goroutinesIn(servingMarker))
 	fetchers := make([]*RemoteFetcher, 4)
 	for i := range fetchers {
 		fetchers[i] = cluster.NewFetcher(types.NodeID(fmt.Sprintf("auditor-%d", i)))
@@ -110,7 +135,7 @@ func TestFetcherCloseReleasesConnections(t *testing.T) {
 			}
 		}
 	}
-	if len(clusterGoroutines()) <= before {
+	if len(goroutinesIn(servingMarker)) <= before {
 		t.Fatal("fetcher traffic spawned no server-side handlers (test is vacuous)")
 	}
 	for _, f := range fetchers {
@@ -118,7 +143,7 @@ func TestFetcherCloseReleasesConnections(t *testing.T) {
 	}
 	leaked := -1
 	for wait := 0; wait < 100; wait++ {
-		if leaked = len(clusterGoroutines()) - before; leaked <= 0 {
+		if leaked = len(goroutinesIn(servingMarker)) - before; leaked <= 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -1,159 +1,276 @@
 package transport
 
-// The audit control plane over TCP: queriers retrieve log segments, fresh
-// authenticators, and peer-held evidence from live nodes with the same
-// framing the data plane uses. Each call is one request/response exchange
-// on a per-target connection; the RemoteFetcher below retries transient
-// network failures with backoff until a deadline, then surfaces a checked
-// error — which the querier records as an unreachable (yellow) node, an
-// unattributable lead, never a provable accusation.
+// The one request/response mechanism in the tree. A Server owns a listener,
+// its connections and their drain-on-Close, and dispatches frames to the
+// Handlers registered per kind; a Caller owns one connection per target,
+// request ids, the per-attempt timeout, jittered retry until a deadline and
+// the Close semantics. audit.go puts a Cluster member's kinds on one and the
+// typed audit methods on the other; internal/queryfront does the same for
+// the query protocol.
+//
+// An answered request is [len][from][kind][reqID][body]; its answer is
+// [len][from][kind+1][reqID][ok] followed by the body (ok) or the refusal's
+// text. A one-way frame is [len][from][kind][body].
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/seclog"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
 
-// Audit request kinds (disjoint from the data-plane kinds); a response's
-// kind is its request's plus one. The range 0x20–0x2F is reserved for the
-// query frontend (internal/queryfront), which speaks the same framing on its
-// own listener.
-const (
-	frameRetrieveReq byte = 0x10
-	frameAuthReq     byte = 0x12
-	frameAuthsReq    byte = 0x14
-)
+// Reply answers one request: with refusal's text in-band, or — refusal nil —
+// with the body that body encodes. It may be called from any goroutine (the
+// frontend's sessions answer out of order; writes serialise per connection)
+// and at most once. An answer that outgrows MaxFrame becomes an in-band
+// error, so the caller sees a checked failure instead of a hung read; an
+// answer to a connection that has gone, or to a closed Server, is dropped.
+type Reply func(refusal error, body func(*wire.Writer))
 
-func isRPCKind(k byte) bool { return k >= frameRetrieveReq && k <= frameNotesReq+1 }
+// Handler is one registered kind, in two halves: decode, then run. The
+// handler reads its arguments from r, touching no state and checking no
+// error, and returns the function that acts on them; between the two the
+// Server checks that the reads succeeded and consumed the whole body, so a
+// request is validated as a whole before anything behind the listener is
+// called. run gets the Reply of an answered kind, nil for a one-way kind.
+type Handler func(from types.NodeID, r *wire.Reader) (run func(Reply))
 
-// serveRPC answers one audit request on the connection it arrived on: each
-// kind decodes its arguments into a handler, the request is validated as a
-// whole, and only then is the node called. The node lock is held only for
-// the node call itself; encoding and the response write happen outside it.
-// A non-nil return closes the connection.
-func (c *Cluster) serveRPC(m *member, conn net.Conn, from types.NodeID, kind byte, r *wire.Reader) error {
-	reqID := r.Uint()
-	// handle returns the answer as a body encoder or an in-band refusal.
-	var handle func() (func(*wire.Writer), error)
-	switch kind {
-	case frameRetrieveReq:
-		var req core.RetrieveRequest
-		r.Value(&req)
-		handle = func() (func(*wire.Writer), error) {
-			m.mu.Lock()
-			resp, err := m.node.HandleRetrieve(req)
-			m.mu.Unlock()
-			return func(w *wire.Writer) { resp.MarshalWire(w) }, err
-		}
-	case frameAuthReq:
-		handle = func() (func(*wire.Writer), error) {
-			m.mu.Lock()
-			auth, err := m.node.LatestAuth()
-			m.mu.Unlock()
-			return func(w *wire.Writer) { auth.MarshalWire(w) }, err
-		}
-	case frameAuthsReq:
-		target := types.NodeID(r.String())
-		t1 := types.Time(r.Int())
-		t2 := types.Time(r.Int())
-		handle = func() (func(*wire.Writer), error) {
-			m.mu.Lock()
-			auths := m.node.AuthsAbout(target, t1, t2)
-			m.mu.Unlock()
-			return func(w *wire.Writer) {
-				w.Uint(uint64(len(auths)))
-				for i := range auths {
-					auths[i].MarshalWire(w)
-				}
-			}, nil
-		}
-	case frameHealthReq:
-		probeSeq := r.Uint()
-		handle = func() (func(*wire.Writer), error) {
-			return c.buildHealth(m, probeSeq).MarshalWire, nil
-		}
-	case frameNotesReq:
-		handle = c.serveNotes
-	default:
-		c.decodeErrors.Add(1)
-		return fmt.Errorf("transport: unknown audit frame kind %d", kind)
+// ServerStats counts what a Server's read loops saw. Servers may share one
+// (a Cluster's members do).
+type ServerStats struct {
+	Frames       atomic.Uint64 // frames read
+	DecodeErrors atomic.Uint64 // malformed frames and broken reads (connection dropped)
+	Served       atomic.Uint64 // answers given
+}
+
+// Server serves registered frame kinds on one listener. Fill in the fields,
+// register with Handle/HandleOneWay, then Listen and Start.
+type Server struct {
+	// ID names the server in its answers.
+	ID types.NodeID
+	// MaxFrame bounds frames in both directions.
+	MaxFrame int
+	// WriteTimeout is the per-answer write deadline (default that of
+	// DefaultConfig): a client that stalls reading loses its connection.
+	WriteTimeout time.Duration
+	// Stats receives the counts (default: the server's own).
+	Stats *ServerStats
+
+	kinds map[byte]registration
+	ln    net.Listener
+
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup // accept loop + one read loop per connection
+}
+
+type registration struct {
+	h      Handler
+	oneWay bool
+}
+
+// Handle registers the handler of an answered kind (answers are kind+1).
+func (s *Server) Handle(kind byte, h Handler) { s.register(kind, h, false) }
+
+// HandleOneWay registers the handler of a kind that gets no answer.
+func (s *Server) HandleOneWay(kind byte, h Handler) { s.register(kind, h, true) }
+
+func (s *Server) register(kind byte, h Handler, oneWay bool) {
+	if s.kinds == nil {
+		s.kinds = make(map[byte]registration)
 	}
-	if err := r.Finish(); err != nil {
-		c.decodeErrors.Add(1)
-		return err
-	}
-	body, refusal := handle()
-	c.rpcServed.Add(1)
-	buf, err := ReplyFrame(m.node.ID, kind+1, reqID, c.cfg.MaxFrame, refusal, body)
+	s.kinds[kind] = registration{h, oneWay}
+}
+
+// Listen binds addr ("host:0" picks a port; see Addr). Nothing is accepted
+// before Start.
+func (s *Server) Listen(addr string) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return c.writeFrame(conn, buf)
+	if s.WriteTimeout <= 0 {
+		s.WriteTimeout = DefaultConfig().WriteTimeout
+	}
+	if s.Stats == nil {
+		s.Stats = new(ServerStats)
+	}
+	s.ln, s.conns = ln, make(map[net.Conn]struct{})
+	return nil
 }
 
-// ReplyFrame builds one response frame, [len][from][kind][reqID][ok]
-// followed by the body (ok) or rerr's text (refused) — the answering half
-// of Exchange, shared by the node RPCs and the query frontend. An answer
-// that outgrows maxFrame (a segment or an explanation bigger than the
-// frame bound) is replaced by an in-band error, so the caller sees a
-// checked failure instead of a hung read.
-func ReplyFrame(from types.NodeID, kind byte, reqID uint64, maxFrame int, rerr error, body func(*wire.Writer)) ([]byte, error) {
-	w := wire.NewWriter(512)
-	w.Raw([]byte{0, 0, 0, 0})
-	w.String(string(from))
-	w.Byte(kind)
+// Addr returns the bound address.
+func (s *Server) Addr() string { return s.ln.Addr().String() }
+
+// Start begins accepting connections.
+func (s *Server) Start() {
+	s.wg.Add(1)
+	go s.accept()
+}
+
+func (s *Server) accept() {
+	defer s.wg.Done()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go s.serve(conn)
+	}
+}
+
+// Close stops accepting, resets every connection and returns once every read
+// loop — and so every handler running on one — has returned. Idempotent.
+func (s *Server) Close() {
+	s.mu.Lock()
+	if !s.closed {
+		s.closed = true
+		s.ln.Close()
+		for conn := range s.conns {
+			conn.Close()
+		}
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+}
+
+// inbound is one decoded frame, ready to run.
+type inbound struct {
+	kind   byte
+	reqID  uint64
+	oneWay bool
+	run    func(Reply)
+}
+
+// decode is everything that happens to a frame before anything is called:
+// the common prefix, the kind lookup, an answered kind's request id, the
+// kind's own decoder and — whatever that decoder read — the whole-body check.
+func (s *Server) decode(payload []byte) (inbound, error) {
+	from, kind, r, err := BeginFrame(payload)
+	if err != nil {
+		return inbound{}, err
+	}
+	reg, ok := s.kinds[kind]
+	if !ok {
+		return inbound{}, fmt.Errorf("transport: unknown frame kind %d", kind)
+	}
+	in := inbound{kind: kind, oneWay: reg.oneWay}
+	if !reg.oneWay {
+		in.reqID = r.Uint()
+	}
+	in.run = reg.h(from, r)
+	return in, r.Finish()
+}
+
+// serve is one connection's read loop. Handlers run on it, so requests on
+// one connection are served in order (a handler that wants otherwise hands
+// its Reply to another goroutine, as the frontend's admission does). A
+// decode error drops the connection; the remote side redials.
+func (s *Server) serve(conn net.Conn) {
+	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
+	var wmu sync.Mutex // serialises answer writes
+	for {
+		payload, err := ReadFrame(conn, s.MaxFrame)
+		if err != nil {
+			if err != io.EOF {
+				s.Stats.DecodeErrors.Add(1)
+			}
+			return
+		}
+		s.Stats.Frames.Add(1)
+		in, err := s.decode(payload)
+		if err != nil {
+			s.Stats.DecodeErrors.Add(1)
+			return
+		}
+		if in.oneWay {
+			in.run(nil)
+			continue
+		}
+		in.run(func(refusal error, body func(*wire.Writer)) {
+			s.Stats.Served.Add(1)
+			buf, err := replyFrame(s.ID, in.kind+1, in.reqID, s.MaxFrame, refusal, body)
+			if err == nil {
+				wmu.Lock()
+				conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+				_, err = conn.Write(buf)
+				wmu.Unlock()
+			}
+			if err != nil {
+				conn.Close() // the read loop ends on its next read
+			}
+		})
+	}
+}
+
+// replyFrame builds one answer frame; an answer that outgrows maxFrame (a
+// segment or an explanation bigger than the frame bound) is replaced by an
+// in-band error.
+func replyFrame(from types.NodeID, kind byte, reqID uint64, maxFrame int, refusal error, body func(*wire.Writer)) ([]byte, error) {
+	w := newFrame(from, kind)
 	w.Uint(reqID)
-	if rerr != nil {
+	if refusal != nil {
 		w.Bool(false)
-		w.String(rerr.Error())
+		w.String(refusal.Error())
 	} else {
 		w.Bool(true)
 		body(w)
 	}
 	buf, err := FinishFrame(w, maxFrame)
-	if err != nil && rerr == nil {
-		return ReplyFrame(from, kind, reqID, maxFrame, err, nil)
+	if err != nil && refusal == nil {
+		return replyFrame(from, kind, reqID, maxFrame, err, nil)
 	}
 	return buf, err
 }
 
-// Exchange performs one request/response conversation on conn under
-// timeout: it writes [len][from][kind][reqID][body] and reads frames until
-// the answer to reqID arrives (kind+1; stale answers to abandoned requests
-// on the same connection are skipped), then hands the body of an ok answer
-// to parse. A *RemoteError return means the peer refused in-band (or the
-// request outgrew maxFrame and was never sent) and conn is still usable;
-// any other error means conn is broken and the caller must close it.
-func Exchange(conn net.Conn, timeout time.Duration, maxFrame int, from types.NodeID, kind byte, reqID uint64,
-	body func(*wire.Writer), parse func(*wire.Reader) error) error {
-	w := wire.NewWriter(256)
-	w.Raw([]byte{0, 0, 0, 0})
-	w.String(string(from))
-	w.Byte(kind)
+// exchange performs one request/response conversation on conn under
+// CallTimeout: it writes the request under a fresh id and reads frames until
+// the answer to that id arrives (stale answers to abandoned requests are
+// skipped), then hands the body of an ok answer to parse and checks that
+// parse consumed it. A *RemoteError means the peer refused in-band (or the
+// request outgrew the frame bound and was never sent) and conn is still
+// usable; any other error means conn is broken and must be closed.
+func (c *Caller) exchange(conn net.Conn, kind byte, body func(*wire.Writer), parse func(*wire.Reader)) error {
+	reqID := c.reqID.Add(1)
+	w := newFrame(c.id, kind)
 	w.Uint(reqID)
 	if body != nil {
 		body(w)
 	}
-	buf, err := FinishFrame(w, maxFrame)
+	buf, err := FinishFrame(w, c.maxFrame)
 	if err != nil {
 		return &RemoteError{Msg: err.Error()}
 	}
-	conn.SetDeadline(time.Now().Add(timeout))
+	conn.SetDeadline(time.Now().Add(c.CallTimeout))
 	if _, err := conn.Write(buf); err != nil {
 		return err
 	}
 	for {
-		payload, err := ReadFrame(conn, maxFrame)
+		payload, err := ReadFrame(conn, c.maxFrame)
 		if err != nil {
 			return err
 		}
@@ -174,7 +291,8 @@ func Exchange(conn net.Conn, timeout time.Duration, maxFrame int, from types.Nod
 			}
 			return &RemoteError{Msg: msg}
 		}
-		return parse(r)
+		parse(r)
+		return r.Finish()
 	}
 }
 
@@ -183,7 +301,7 @@ func Exchange(conn net.Conn, timeout time.Duration, maxFrame int, from types.Nod
 // overloaded). It is final: the peer answered, so retrying the same request
 // cannot change the outcome.
 type RemoteError struct {
-	Node types.NodeID // filled in by RemoteFetcher; empty from Exchange
+	Node types.NodeID // the target, filled in by Caller
 	Msg  string
 }
 
@@ -194,53 +312,61 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: %s: %s", e.Node, e.Msg)
 }
 
-// ErrFetcherClosed is returned by calls made on (or racing with) a closed
-// RemoteFetcher. It is final: the caller tore the fetcher down, so
-// retrying cannot succeed.
-var ErrFetcherClosed = errors.New("transport: fetcher closed")
+// ErrClosed is returned by calls made on (or racing with) a closed Caller.
+// It is final: the owner tore the caller down, so retrying cannot succeed.
+var ErrClosed = errors.New("transport: caller closed")
 
-// minRetryBackoff floors the retry backoff. Without it a zero/unset
-// RetryBase (a Cluster whose config was zeroed rather than built via
-// NewClusterWith) turns the retry loop into a hot spin: jitter(0) is 0
-// and backoff *= 2 keeps it at 0, so the loop hammers dial until the
-// deadline.
-const minRetryBackoff = 2 * time.Millisecond
+// Backoff is the one retry schedule: Base, 2·Base, 4·Base, … capped at Max.
+// Base is floored at 2ms — without the floor a zeroed configuration turns a
+// retry loop into a hot spin, jitter of 0 being 0 and 2·0 staying 0 — and a
+// Max below Base counts as unset: the stock cap (DefaultConfig's RetryMax),
+// or Base where that is larger still, never the floor — a dead peer must
+// cost O(log) attempts, not O(n).
+type Backoff struct {
+	Base, Max time.Duration
+}
 
-// AuditCallTimeout and AuditRetryDeadline are the budgets the audit drivers
-// (livetcp, multiproc, queryfront) give their fetchers unless configured
-// otherwise: per attempt and per logical call, so an unreachable peer costs
-// an audit at most the deadline.
-const (
-	AuditCallTimeout   = 500 * time.Millisecond
-	AuditRetryDeadline = 2 * time.Second
-)
+// Next returns the wait that follows prev (0: the first).
+func (b Backoff) Next(prev time.Duration) time.Duration {
+	base, limit := max(b.Base, 2*time.Millisecond), b.Max
+	if limit < base {
+		limit = max(DefaultConfig().RetryMax, base)
+	}
+	if prev <= 0 {
+		return base
+	}
+	return min(2*prev, limit)
+}
 
-// RemoteFetcher implements core.Fetcher over the wire: every audit call
-// dials (or reuses) a connection to the target node and performs one
-// request/response exchange under a per-attempt timeout, retrying with
-// jittered exponential backoff until RetryDeadline. Unreachable or
-// stalling peers therefore cost bounded time and surface as checked
-// errors; the query layer records them as yellow vertices and the verdict
-// layer as unattributable leads (§4.2's "unavailable" tier).
-//
-// A RemoteFetcher is safe for concurrent use (the querier's audit worker
-// pool fans calls out); calls to the same target serialize on that
-// target's connection.
-type RemoteFetcher struct {
-	// CallTimeout bounds each dial+write+read attempt (default 3s).
+// Jitter draws the actual wait for a backoff of d, uniform in [d/2, d].
+func Jitter(rng *rand.Rand, d time.Duration) time.Duration {
+	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
+}
+
+// Caller is the client half: it keeps one connection per target, dialed
+// through the function it was built with, and performs each call as one
+// request/response exchange under CallTimeout, retrying transient failures
+// with jittered backoff until RetryDeadline. An unreachable or stalling peer
+// therefore costs bounded time and surfaces as a checked error. A Caller is
+// safe for concurrent use; calls to one target serialize on its connection.
+type Caller struct {
+	// CallTimeout bounds each write+read attempt.
 	CallTimeout time.Duration
-	// RetryDeadline bounds the total time spent on one logical call,
-	// retries included (default 10s). Application-level refusals are
-	// final and are not retried.
+	// RetryDeadline bounds the total time spent on one logical call, retries
+	// included; zero means a single attempt. In-band refusals are final and
+	// are not retried.
 	RetryDeadline time.Duration
 
-	c  *Cluster
-	id types.NodeID
+	id       types.NodeID
+	maxFrame int
+	backoff  Backoff
+	dial     func(target types.NodeID) (net.Conn, error)
+
+	reqID atomic.Uint64
 
 	mu     sync.Mutex
 	conns  map[types.NodeID]*rconn
 	rng    *rand.Rand
-	reqID  uint64
 	closed bool
 }
 
@@ -251,12 +377,6 @@ type rconn struct {
 	mu     sync.Mutex
 	connMu sync.Mutex
 	conn   net.Conn
-}
-
-func (rc *rconn) get() net.Conn {
-	rc.connMu.Lock()
-	defer rc.connMu.Unlock()
-	return rc.conn
 }
 
 // closeConn closes and clears the conn if present. Both Close and a
@@ -270,221 +390,136 @@ func (rc *rconn) closeConn() {
 	rc.connMu.Unlock()
 }
 
-// NewFetcher builds a remote fetcher that audits this cluster's peers over
-// TCP. id names the querier on the wire and to the fault plan, so plans
-// can partition audit traffic (rules matching From: id) independently of
-// the data plane.
-func (c *Cluster) NewFetcher(id types.NodeID) *RemoteFetcher {
+// NewCaller builds a caller that names itself id on the wire. seed (mixed
+// with id) drives its backoff jitter; dial connects to a target.
+func NewCaller(id types.NodeID, maxFrame int, backoff Backoff, seed int64, dial func(target types.NodeID) (net.Conn, error)) *Caller {
 	h := fnv.New64a()
 	h.Write([]byte(id))
-	return &RemoteFetcher{
-		CallTimeout:   3 * time.Second,
-		RetryDeadline: 10 * time.Second,
-		c:             c,
-		id:            id,
-		conns:         make(map[types.NodeID]*rconn),
-		rng:           rand.New(rand.NewSource(c.cfg.Seed ^ int64(h.Sum64()))),
+	return &Caller{
+		id:       id,
+		maxFrame: maxFrame,
+		backoff:  backoff,
+		dial:     dial,
+		conns:    make(map[types.NodeID]*rconn),
+		rng:      rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
 	}
 }
 
-// Close fails in-flight calls and drops the fetcher's connections. The
+// Close fails in-flight calls and drops the caller's connections. The
 // pinned semantics: an in-flight exchange fails with a read/write error
-// and is not retried (the retry loop then sees ErrFetcherClosed), later
-// calls fail fast with ErrFetcherClosed, no connection is closed twice,
-// and no connection leaks (an attempt whose dial races Close tears its
-// own conn down). Close is idempotent and safe against concurrent calls.
-func (f *RemoteFetcher) Close() {
-	f.mu.Lock()
-	f.closed = true
-	conns := make([]*rconn, 0, len(f.conns))
-	for _, rc := range f.conns {
+// and is not retried (the retry loop then sees ErrClosed), later calls fail
+// fast with ErrClosed, no connection is closed twice, and no connection
+// leaks (an attempt whose dial races Close tears its own conn down). Close
+// is idempotent and safe against concurrent calls.
+func (c *Caller) Close() {
+	c.mu.Lock()
+	c.closed = true
+	conns := make([]*rconn, 0, len(c.conns))
+	for _, rc := range c.conns {
 		conns = append(conns, rc)
 	}
-	f.mu.Unlock()
+	c.mu.Unlock()
 	for _, rc := range conns {
 		rc.closeConn()
 	}
 }
 
-func (f *RemoteFetcher) rconnFor(node types.NodeID) (*rconn, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, ErrFetcherClosed
+func (c *Caller) rconnFor(target types.NodeID) (*rconn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, ErrClosed
 	}
-	rc, ok := f.conns[node]
+	rc, ok := c.conns[target]
 	if !ok {
 		rc = &rconn{}
-		f.conns[node] = rc
+		c.conns[target] = rc
 	}
 	return rc, nil
 }
 
-func (f *RemoteFetcher) nextReqID() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.reqID++
-	return f.reqID
-}
-
-func (f *RemoteFetcher) jitter(backoff time.Duration) time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return backoff/2 + time.Duration(f.rng.Int63n(int64(backoff/2)+1))
-}
-
-// call performs one logical audit call with retry-until-deadline.
-func (f *RemoteFetcher) call(node types.NodeID, reqKind byte,
-	body func(w *wire.Writer), parse func(r *wire.Reader) error) error {
-	deadline := time.Now().Add(f.RetryDeadline)
-	backoff := f.c.cfg.RetryBase
-	if backoff < minRetryBackoff {
-		backoff = minRetryBackoff
-	}
-	retryMax := f.c.cfg.RetryMax
-	if retryMax <= 0 {
-		// An unset cap must not pin the backoff at its floor; grow toward
-		// the stock cap so a dead peer costs O(log) attempts, not O(n).
-		retryMax = DefaultConfig().RetryMax
-	}
-	if retryMax < backoff {
-		retryMax = backoff
-	}
-	var lastErr error
+// Call performs one logical call of kind against target: body encodes the
+// request (nil: empty), parse reads the ok answer's body.
+func (c *Caller) Call(target types.NodeID, kind byte, body func(*wire.Writer), parse func(*wire.Reader)) error {
+	deadline := time.Now().Add(c.RetryDeadline)
+	var backoff time.Duration
 	for {
-		err := f.attempt(node, reqKind, body, parse)
-		if err == nil {
-			return nil
-		}
+		err := c.attempt(target, kind, body, parse)
 		var refused *RemoteError
-		if errors.As(err, &refused) || errors.Is(err, ErrFetcherClosed) {
+		if err == nil || c.RetryDeadline <= 0 || errors.As(err, &refused) || errors.Is(err, ErrClosed) {
 			return err
 		}
-		lastErr = err
-		wait := f.jitter(backoff)
-		if backoff *= 2; backoff > retryMax {
-			backoff = retryMax
-		}
+		backoff = c.backoff.Next(backoff)
+		c.mu.Lock()
+		wait := Jitter(c.rng, backoff)
+		c.mu.Unlock()
 		if time.Now().Add(wait).After(deadline) {
-			return fmt.Errorf("transport: %s unreachable within retry deadline: %w", node, lastErr)
+			return fmt.Errorf("transport: %s unreachable within retry deadline: %w", target, err)
 		}
 		time.Sleep(wait)
 	}
 }
 
-// attempt performs one request/response exchange under CallTimeout.
-func (f *RemoteFetcher) attempt(node types.NodeID, reqKind byte,
-	body func(w *wire.Writer), parse func(r *wire.Reader) error) error {
-	rc, err := f.rconnFor(node)
+// Connect dials target now unless a connection is already up, so a bad
+// address fails here and not on the first call.
+func (c *Caller) Connect(target types.NodeID) error {
+	rc, err := c.rconnFor(target)
 	if err != nil {
 		return err
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	conn := rc.get()
-	if conn == nil {
-		f.c.mu.Lock()
-		addr, ok := f.c.addrs[node]
-		f.c.mu.Unlock()
-		if !ok {
-			return &RemoteError{Node: node, Msg: "unknown peer"}
-		}
-		conn, err = f.c.cfg.Fault.Dial(f.id, node, addr, f.c.cfg.DialTimeout)
-		if err != nil {
-			return err
-		}
-		// Publish under f.mu so the dial cannot slip past a concurrent
-		// Close: Close sets closed before snapshotting the rconns, so
-		// either we observe closed here and tear the fresh conn down
-		// ourselves, or Close observes the conn and closes it.
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			conn.Close()
-			return ErrFetcherClosed
-		}
-		rc.connMu.Lock()
-		rc.conn = conn
-		rc.connMu.Unlock()
-		f.mu.Unlock()
+	_, err = c.connect(rc, target)
+	return err
+}
+
+// connect returns rc's connection, dialing it if need be. Callers hold rc.mu.
+func (c *Caller) connect(rc *rconn, target types.NodeID) (net.Conn, error) {
+	rc.connMu.Lock()
+	conn := rc.conn
+	rc.connMu.Unlock()
+	if conn != nil {
+		return conn, nil
 	}
-	err = Exchange(conn, f.CallTimeout, f.c.cfg.MaxFrame, f.id, reqKind, f.nextReqID(), body, parse)
+	conn, err := c.dial(target)
+	if err != nil {
+		return nil, err
+	}
+	// Publish under c.mu so the dial cannot slip past a concurrent Close:
+	// Close sets closed before snapshotting the rconns, so either we observe
+	// closed here and tear the fresh conn down ourselves, or Close observes
+	// the conn and closes it.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		conn.Close()
+		return nil, ErrClosed
+	}
+	rc.connMu.Lock()
+	rc.conn = conn
+	rc.connMu.Unlock()
+	return conn, nil
+}
+
+// attempt performs one request/response exchange under CallTimeout.
+func (c *Caller) attempt(target types.NodeID, kind byte, body func(*wire.Writer), parse func(*wire.Reader)) error {
+	rc, err := c.rconnFor(target)
+	if err != nil {
+		return err
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	conn, err := c.connect(rc, target)
+	if err != nil {
+		return err
+	}
+	err = c.exchange(conn, kind, body, parse)
 	var refused *RemoteError
 	switch {
 	case errors.As(err, &refused):
-		refused.Node = node
+		refused.Node = target
 	case err != nil:
 		rc.closeConn()
 	}
 	return err
-}
-
-// Retrieve implements core.Fetcher.
-func (f *RemoteFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*core.RetrieveResponse, error) {
-	resp := new(core.RetrieveResponse)
-	err := f.call(node, frameRetrieveReq,
-		func(w *wire.Writer) { req.MarshalWire(w) },
-		func(r *wire.Reader) error {
-			r.Value(resp)
-			return r.Finish()
-		})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// LatestAuth implements core.Fetcher.
-func (f *RemoteFetcher) LatestAuth(node types.NodeID) (seclog.Authenticator, error) {
-	var auth seclog.Authenticator
-	err := f.call(node, frameAuthReq, nil,
-		func(r *wire.Reader) error {
-			r.Value(&auth)
-			return r.Finish()
-		})
-	return auth, err
-}
-
-// AuthsAbout implements core.Fetcher. Unreachable observers contribute no
-// evidence (the Fetcher interface carries no error here): the consistency
-// check simply sees fewer vouching peers, which can only weaken detection,
-// never accuse.
-func (f *RemoteFetcher) AuthsAbout(observer, target types.NodeID, t1, t2 types.Time) []seclog.Authenticator {
-	var out []seclog.Authenticator
-	err := f.call(observer, frameAuthsReq,
-		func(w *wire.Writer) {
-			w.String(string(target))
-			w.Int(int64(t1))
-			w.Int(int64(t2))
-		},
-		func(r *wire.Reader) error {
-			n := r.Count() // adversary-controlled; bounded against input size
-			if err := r.Err(); err != nil {
-				return err
-			}
-			out = make([]seclog.Authenticator, n)
-			for i := range out {
-				if err := out[i].UnmarshalWire(r); err != nil {
-					return err
-				}
-			}
-			return r.Finish()
-		})
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-// Nodes implements core.Fetcher: the full registered membership (local and
-// remote), sorted. This is the set AuditAll sweeps.
-func (f *RemoteFetcher) Nodes() []types.NodeID {
-	f.c.mu.Lock()
-	defer f.c.mu.Unlock()
-	out := make([]types.NodeID, 0, len(f.c.addrs))
-	for id := range f.c.addrs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

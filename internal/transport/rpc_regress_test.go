@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // countingServer accepts connections, counts them, and handles each one
@@ -94,10 +97,11 @@ func TestRetryBackoffFloorNoHotSpin(t *testing.T) {
 }
 
 // TestRemoteFetcherCloseConcurrent pins the Close vs in-flight call
-// semantics under -race: concurrent callers blocked mid-exchange fail
-// once Close lands (they do not keep redialing the peer), post-Close
-// calls fail fast with ErrFetcherClosed, and no connection is closed
-// twice or leaked (the race detector plus the nil-conn guard in
+// semantics under -race, for a cluster's fetcher and for the bare Caller
+// under it (which is also all a queryfront.Client is): concurrent callers
+// blocked mid-exchange fail once Close lands (they do not keep redialing the
+// peer), post-Close calls fail fast with ErrClosed, and no connection is
+// closed twice or leaked (the race detector plus the nil-conn guard in
 // closeConn cover that).
 func TestRemoteFetcherCloseConcurrent(t *testing.T) {
 	// The server swallows requests and never answers, so in-flight calls
@@ -106,48 +110,65 @@ func TestRemoteFetcherCloseConcurrent(t *testing.T) {
 		_, _ = io.Copy(io.Discard, conn)
 		conn.Close()
 	})
+	addr := srv.ln.Addr().String()
 
 	c := NewClusterWith(Config{})
 	defer c.Close()
-	c.AddPeer("mute", srv.ln.Addr().String())
+	c.AddPeer("mute", addr)
 
-	for round := 0; round < 8; round++ {
-		f := c.NewFetcher("querier")
-		f.CallTimeout = 400 * time.Millisecond
-		f.RetryDeadline = 2 * time.Second
+	// Each input builds a fresh caller and returns its call and its Close.
+	inputs := map[string]func() (call func() error, closeIt func()){
+		"fetcher": func() (func() error, func()) {
+			f := c.NewFetcher("querier")
+			f.CallTimeout, f.RetryDeadline = 400*time.Millisecond, 2*time.Second
+			return func() error { _, err := f.LatestAuth("mute"); return err }, f.Close
+		},
+		"caller": func() (func() error, func()) {
+			cl := NewCaller("querier", DefaultMaxFrame, Backoff{}, 1,
+				func(types.NodeID) (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) })
+			cl.CallTimeout, cl.RetryDeadline = 400*time.Millisecond, 2*time.Second
+			return func() error { return cl.Call("mute", 0x42, nil, func(*wire.Reader) {}) }, cl.Close
+		},
+	}
+	for name, build := range inputs {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < 8; round++ {
+				call, closeIt := build()
 
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				if _, err := f.LatestAuth("mute"); err == nil {
-					t.Error("call against a mute peer succeeded")
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for w := 0; w < 4; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						if err := call(); err == nil {
+							t.Error("call against a mute peer succeeded")
+						}
+					}()
 				}
-			}()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			time.Sleep(time.Duration(round) * 3 * time.Millisecond)
-			f.Close()
-			f.Close() // idempotent
-		}()
-		close(start)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					time.Sleep(time.Duration(round) * 3 * time.Millisecond)
+					closeIt()
+					closeIt() // idempotent
+				}()
+				close(start)
 
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("calls did not unwind after Close; in-flight calls must fail, not retry to the full deadline")
-		}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatal("calls did not unwind after Close; in-flight calls must fail, not retry to the full deadline")
+				}
 
-		if _, err := f.LatestAuth("mute"); !errors.Is(err, ErrFetcherClosed) {
-			t.Fatalf("post-Close call error = %v, want ErrFetcherClosed", err)
-		}
+				if err := call(); !errors.Is(err, ErrClosed) {
+					t.Fatalf("post-Close call error = %v, want ErrClosed", err)
+				}
+			}
+		})
 	}
 }

@@ -9,10 +9,14 @@
 //
 // Framing is trivial: a 4-byte big-endian length (bounded by MaxFrame),
 // then the sender's node ID, a 1-byte frame kind, and the wire-encoded
-// body. Data frames carry envelopes and acks; audit frames (rpc.go) carry
+// body. Data frames carry envelopes and acks; audit frames (audit.go) carry
 // the retrieve protocol so queriers can audit live nodes remotely. Each
 // node listens on its own address; a Cluster serializes delivery into each
 // node (core.Node is single-threaded by contract).
+// Listening and calling are one core (rpc.go): a member is a Server with
+// two one-way data kinds and five audit kinds, RemoteFetcher a Caller with
+// typed audit methods, and the query frontend and its client
+// (internal/queryfront) are a Server and a Caller too.
 //
 // A seeded FaultPlan (faultplan.go) can be installed on a Cluster to
 // inject drops, delays, reorders, resets, one-way partitions, and
@@ -54,12 +58,13 @@ const DefaultMaxFrame = 16 << 20
 type Config struct {
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline (default 2s); a peer
-	// that stalls reading trips it, and the sender resets and reconnects.
+	// WriteTimeout is the per-frame write deadline, on links and on the
+	// members' servers (default 2s); a peer that stalls reading trips it,
+	// and the sender resets and reconnects.
 	WriteTimeout time.Duration
-	// RetryBase/RetryMax bound the exponential reconnect backoff
-	// (defaults 20ms and 1s). The actual wait is jittered in
-	// [backoff/2, backoff] from a per-link RNG seeded by Seed.
+	// RetryBase/RetryMax bound the exponential reconnect and retry backoff
+	// (defaults 20ms and 1s; Backoff has the rules). The actual wait is
+	// jittered in [backoff/2, backoff] from a per-link RNG seeded by Seed.
 	RetryBase time.Duration
 	// RetryMax caps the backoff growth.
 	RetryMax time.Duration
@@ -99,12 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBase <= 0 {
 		c.RetryBase = d.RetryBase
 	}
-	if c.RetryMax < c.RetryBase {
-		c.RetryMax = d.RetryMax
-	}
-	if c.RetryMax < c.RetryBase {
-		c.RetryMax = c.RetryBase
-	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = d.QueueLen
 	}
@@ -113,6 +112,8 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+func (c Config) backoff() Backoff { return Backoff{Base: c.RetryBase, Max: c.RetryMax} }
 
 // Stats is a snapshot of the cluster's failure counters.
 type Stats struct {
@@ -141,16 +142,15 @@ func (s Stats) Dropped() uint64 {
 type Cluster struct {
 	cfg Config
 
-	mu      sync.Mutex
-	addrs   map[types.NodeID]string
-	nodes   map[types.NodeID]*member
-	peers   map[linkKey]*peer
-	maint   *core.Maintainer                       // served by the notes RPC
-	probes  map[types.NodeID]func(*core.Node) bool // health convergence probes
-	closed  bool
-	quit    chan struct{}
-	wg      sync.WaitGroup // peer workers
-	serveWg sync.WaitGroup // accept loops + inbound handlers + fetchers
+	mu     sync.Mutex
+	addrs  map[types.NodeID]string
+	nodes  map[types.NodeID]*member
+	peers  map[linkKey]*peer
+	maint  *core.Maintainer                       // served by the notes RPC
+	probes map[types.NodeID]func(*core.Node) bool // health convergence probes
+	closed bool
+	quit   chan struct{}
+	wg     sync.WaitGroup // peer workers
 
 	framesSent     atomic.Uint64
 	queueFullDrops atomic.Uint64
@@ -160,41 +160,15 @@ type Cluster struct {
 	dials          atomic.Uint64
 	dialErrors     atomic.Uint64
 	reconnects     atomic.Uint64
-	framesReceived atomic.Uint64
-	decodeErrors   atomic.Uint64
-	rpcServed      atomic.Uint64
+	inbound        ServerStats // shared by every member's server
 }
 
-// member is one locally served node: its listener, its inbound
-// connections, and the lock serializing calls into the node.
+// member is one locally served node: the server its peers and auditors
+// reach it on, and the lock serializing calls into the node.
 type member struct {
 	mu   sync.Mutex
 	node *core.Node
-
-	ln     net.Listener
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup // accept loop + handlers for this node
-}
-
-func (m *member) track(conn net.Conn) {
-	m.connMu.Lock()
-	m.conns[conn] = struct{}{}
-	m.connMu.Unlock()
-}
-
-func (m *member) untrack(conn net.Conn) {
-	m.connMu.Lock()
-	delete(m.conns, conn)
-	m.connMu.Unlock()
-}
-
-func (m *member) closeConns() {
-	m.connMu.Lock()
-	for conn := range m.conns {
-		conn.Close()
-	}
-	m.connMu.Unlock()
+	srv  *Server
 }
 
 // peer is one directional link's outbound state: a bounded queue drained
@@ -240,49 +214,30 @@ func (c *Cluster) AddPeer(id types.NodeID, addr string) {
 // with StopNode re-registers it (the restart path); peers reconnect to the
 // new address transparently because links resolve the address at dial time.
 func (c *Cluster) Serve(node *core.Node, addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	m := &member{node: node, srv: &Server{
+		ID: node.ID, MaxFrame: c.cfg.MaxFrame, WriteTimeout: c.cfg.WriteTimeout, Stats: &c.inbound,
+	}}
+	c.register(m.srv, m)
+	if err := m.srv.Listen(addr); err != nil {
 		return "", err
 	}
-	m := &member{node: node, ln: ln, conns: make(map[net.Conn]struct{})}
+	var err error
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		ln.Close()
-		return "", errors.New("transport: cluster closed")
+	if _, dup := c.nodes[node.ID]; c.closed {
+		err = errors.New("transport: cluster closed")
+	} else if dup {
+		err = fmt.Errorf("transport: node %s already served (StopNode first)", node.ID)
+	} else {
+		c.addrs[node.ID] = m.srv.Addr()
+		c.nodes[node.ID] = m
 	}
-	if _, dup := c.nodes[node.ID]; dup {
-		c.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("transport: node %s already served (StopNode first)", node.ID)
-	}
-	c.addrs[node.ID] = ln.Addr().String()
-	c.nodes[node.ID] = m
 	c.mu.Unlock()
-
-	m.wg.Add(1)
-	c.serveWg.Add(1)
-	go func() {
-		defer c.serveWg.Done()
-		defer m.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			m.track(conn)
-			m.wg.Add(1)
-			c.serveWg.Add(1)
-			go func() {
-				defer c.serveWg.Done()
-				defer m.wg.Done()
-				defer m.untrack(conn)
-				defer conn.Close()
-				c.serveConn(m, conn)
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
+	if err != nil {
+		m.srv.Close()
+		return "", err
+	}
+	m.srv.Start()
+	return m.srv.Addr(), nil
 }
 
 // StopNode tears one served node down — listener closed, inbound
@@ -301,46 +256,8 @@ func (c *Cluster) StopNode(id types.NodeID) error {
 	if !ok {
 		return fmt.Errorf("transport: no local node %s", id)
 	}
-	m.ln.Close()
-	m.closeConns()
-	m.wg.Wait()
+	m.srv.Close()
 	return nil
-}
-
-// serveConn handles one inbound connection: data frames are dispatched
-// into the member node under its lock; audit frames are answered in place
-// (rpc.go). A decode error drops the connection — the
-// remote side reconnects through its normal backoff path.
-func (c *Cluster) serveConn(m *member, conn net.Conn) {
-	for {
-		payload, err := ReadFrame(conn, c.cfg.MaxFrame)
-		if err != nil {
-			if err != io.EOF {
-				c.decodeErrors.Add(1)
-			}
-			return
-		}
-		c.framesReceived.Add(1)
-		from, kind, r, err := BeginFrame(payload)
-		if err != nil {
-			c.decodeErrors.Add(1)
-			return
-		}
-		if isRPCKind(kind) {
-			if err := c.serveRPC(m, conn, from, kind, r); err != nil {
-				return
-			}
-			continue
-		}
-		pkt, err := decodePacketBody(kind, r)
-		if err != nil {
-			c.decodeErrors.Add(1)
-			return
-		}
-		m.mu.Lock()
-		_ = m.node.HandlePacket(from, pkt)
-		m.mu.Unlock()
-	}
 }
 
 // Send implements core.Sender. It never blocks and never performs network
@@ -474,16 +391,8 @@ func (c *Cluster) connect(p *peer) bool {
 // failDial advances the link's exponential backoff and schedules the next
 // dial attempt with jitter in [backoff/2, backoff].
 func (p *peer) failDial(cfg Config) {
-	if p.backoff == 0 {
-		p.backoff = cfg.RetryBase
-	} else {
-		p.backoff *= 2
-		if p.backoff > cfg.RetryMax {
-			p.backoff = cfg.RetryMax
-		}
-	}
-	wait := p.backoff/2 + time.Duration(p.rng.Int63n(int64(p.backoff/2)+1))
-	p.nextDial = time.Now().Add(wait)
+	p.backoff = cfg.backoff().Next(p.backoff)
+	p.nextDial = time.Now().Add(Jitter(p.rng, p.backoff))
 }
 
 // With runs fn with exclusive access to a local node (drivers use it to
@@ -535,9 +444,9 @@ func (c *Cluster) Stats() Stats {
 		Dials:          c.dials.Load(),
 		DialErrors:     c.dialErrors.Load(),
 		Reconnects:     c.reconnects.Load(),
-		FramesReceived: c.framesReceived.Load(),
-		DecodeErrors:   c.decodeErrors.Load(),
-		RPCServed:      c.rpcServed.Load(),
+		FramesReceived: c.inbound.Frames.Load(),
+		DecodeErrors:   c.inbound.DecodeErrors.Load(),
+		RPCServed:      c.inbound.Served.Load(),
 	}
 }
 
@@ -558,18 +467,16 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	close(c.quit)
 	for _, m := range members {
-		m.ln.Close()
-		m.closeConns()
+		m.srv.Close() // accept loop and inbound handlers
 	}
-	c.wg.Wait()      // link workers (close their outbound conns on exit)
-	c.serveWg.Wait() // accept loops and inbound handlers
+	c.wg.Wait() // link workers (close their outbound conns on exit)
 }
 
 // ---------------------------------------------------------------------------
 // Framing.
 
 // frame kinds: data frames reuse core's packet kinds; audit frames live in
-// a disjoint range (rpc.go).
+// a disjoint range (audit.go).
 const (
 	frameEnvelope = byte(core.PktEnvelope)
 	frameAck      = byte(core.PktAck)
@@ -579,10 +486,7 @@ const (
 // is assembled into a single buffer so one Write transmits it — which is
 // also what lets FaultPlan treat writes as frames.
 func encodePacketFrame(from types.NodeID, pkt *core.Packet, maxFrame int) ([]byte, error) {
-	w := wire.NewWriter(256)
-	w.Raw([]byte{0, 0, 0, 0}) // length prefix, patched below
-	w.String(string(from))
-	w.Byte(byte(pkt.Kind))
+	w := newFrame(from, byte(pkt.Kind))
 	switch pkt.Kind {
 	case core.PktEnvelope:
 		pkt.Envelope.MarshalWire(w)
@@ -594,12 +498,19 @@ func encodePacketFrame(from types.NodeID, pkt *core.Packet, maxFrame int) ([]byt
 	return FinishFrame(w, maxFrame)
 }
 
-// The framing is shared with sibling daemons that listen on their own
-// sockets but speak the same wire format (the query frontend in
-// internal/queryfront): a frame is a 4-byte big-endian length prefix
-// (bounded by MaxFrame), the sender's node ID string, a one-byte kind, then
-// the kind-specific body. ReadFrame/BeginFrame/FinishFrame here and
-// Exchange/ReplyFrame in rpc.go are that seam.
+// A frame is a 4-byte big-endian length prefix (bounded by MaxFrame), the
+// sender's node ID string, a one-byte kind, then the kind-specific body.
+// ReadFrame/BeginFrame/FinishFrame are the three steps every reader and
+// writer of frames (rpc.go, and tests that speak raw frames) goes through.
+
+// newFrame starts a frame: room for the length prefix, the sender, the kind.
+func newFrame(from types.NodeID, kind byte) *wire.Writer {
+	w := wire.NewWriter(256)
+	w.Raw([]byte{0, 0, 0, 0})
+	w.String(string(from))
+	w.Byte(kind)
+	return w
+}
 
 // FinishFrame patches the length prefix a caller reserved with
 // w.Raw([]byte{0,0,0,0}) and enforces the frame bound on the outbound path
@@ -651,21 +562,16 @@ func BeginFrame(payload []byte) (types.NodeID, byte, *wire.Reader, error) {
 	return from, kind, r, nil
 }
 
-// decodePacketBody decodes a data frame's body into a core.Packet.
-func decodePacketBody(kind byte, r *wire.Reader) (*core.Packet, error) {
+// decodePacket decodes a data frame's body into a core.Packet (the decode
+// half of the two one-way kinds; the server checks r afterwards).
+func decodePacket(kind byte, r *wire.Reader) *core.Packet {
 	pkt := &core.Packet{Kind: core.PacketKind(kind)}
-	switch kind {
-	case frameEnvelope:
+	if kind == frameEnvelope {
 		pkt.Envelope = new(core.Envelope)
 		r.Value(pkt.Envelope)
-	case frameAck:
+	} else {
 		pkt.Ack = new(core.Ack)
 		r.Value(pkt.Ack)
-	default:
-		return nil, fmt.Errorf("transport: unknown frame kind %d", kind)
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return pkt, nil
+	return pkt
 }

@@ -313,6 +313,34 @@ func (r *Reader) Value(m Unmarshaler) {
 	}
 }
 
+// WriteSlice appends a count and then each element of s through enc (a
+// MarshalWire method expression fits).
+func WriteSlice[T any](w *Writer, s []T, enc func(T, *Writer)) {
+	w.Uint(uint64(len(s)))
+	for _, v := range s {
+		enc(v, w)
+	}
+}
+
+// ReadSlice decodes what WriteSlice wrote: a count, validated by Count
+// against the bytes that remain before anything is allocated for it, then
+// that many elements through dec (an UnmarshalWire method expression fits).
+// A failed read leaves the error in r and returns nil.
+func ReadSlice[T any](r *Reader, dec func(*T, *Reader) error) []T {
+	n := r.Count() // adversary-controlled; bounded against input size
+	if r.err != nil {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		if err := dec(&out[i], r); err != nil {
+			r.fail(err)
+			return nil
+		}
+	}
+	return out
+}
+
 // Encode returns the canonical encoding of m.
 func Encode(m Marshaler) []byte {
 	w := NewWriter(64)
