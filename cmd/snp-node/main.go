@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "supervise mode: deployment seed (keys, backoff jitter)")
 	tickMs := flag.Int("tick-ms", 0, "supervise mode: per-node tick period in ms (0 = daemon default)")
 	syncEvery := flag.Int("sync-every", 0, "supervise mode: ticks between durable log syncs (0 = daemon default)")
-	queryFront := flag.String("queryfront", "", "supervise mode: also host a query frontend on this listen address (e.g. 127.0.0.1:7070); snp-query and snp-forensics -connect dial it")
+	queryFront := flag.String("queryfront", "", "supervise mode: also host a query frontend on this listen address (e.g. 127.0.0.1:7070); snp-query -connect dials it")
 	flag.Parse()
 
 	switch {

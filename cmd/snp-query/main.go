@@ -44,7 +44,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "serve: deployment seed (directory key derivation must match the daemons)")
 	nodes := flag.String("nodes", "", "serve: comma-separated id=host:port pairs for the deployment's daemons")
 	tpropMs := flag.Int("tprop-ms", 0, "serve: deployment propagation bound in ms (0 = daemon default; must match)")
-	cacheDir := flag.String("cache", "", "serve: persist the shared audit cache under this directory (empty: in-memory only)")
+	cacheDir := flag.String("cache", "", "serve: persist the shared audit cache under this directory (empty: no audit cache, every query replays)")
 	sessions := flag.Int("sessions", 0, "serve: querier-session pool size (0 = default)")
 	queueLen := flag.Int("queue", 0, "serve: admission-queue length (0 = default 4x sessions)")
 

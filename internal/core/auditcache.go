@@ -1,37 +1,39 @@
-// Persistent incremental-audit cache. Auditing an unchanged segment twice
-// repeats a fully deterministic computation: the replica-machine replay and
-// the op stream it produces depend only on the segment bytes, and those are
-// pinned by the chain hash the authenticator signs. The cache therefore
-// keys a serialized prepared-audit op stream by segment identity (node,
-// range, head chain hash) and lets Auditor.Prepare skip the replica-machine
-// replay for a segment it has audited before.
+// Persistent audit cache. Auditing an unchanged segment twice repeats a
+// fully deterministic computation: what the replica machine outputs at each
+// step depends only on the segment bytes, and those are pinned by the chain
+// hash the authenticator signs. The cache therefore keeps, per segment
+// identity (node, range, head chain hash), a recording of the machine — the
+// outputs of each event it was stepped with, and nothing else — and
+// Auditor.Prepare plays the recording back in place of a replica.
 //
 // What a hit may — and may not — trust. The cache lives in local files; a
 // tampered entry must never let the auditor construct a provable accusation
-// of an honest node (Theorem 5 discipline extends to our own disk). So the
-// hit path re-derives everything accusation-capable from the freshly
-// verified segment: failures, implied chain commitments (peer signatures
-// are re-verified), the sent-envelope map, checkpoint digests, and the
-// end-of-log time. The cached stream supplies only what is expensive and
-// machine-deterministic — the replica machine's outputs per event and its
-// final state snapshot — and every re-derived op must match its cached
-// counterpart in lockstep. Any divergence, decode failure, or integrity
-// mismatch silently falls back to a fresh replay, which then overwrites the
-// entry. A poisoned cache can at worst cost time or suppress detection of
-// an already-faulty node; it cannot manufacture evidence.
+// of an honest node (Theorem 5 discipline extends to our own disk). So
+// nothing accusation-capable is read from disk. A hit is the same walk over
+// the freshly verified segment as a miss (prep.replayEntries), with the
+// recording as its machine: failures, implied chain commitments (peer
+// signatures are re-verified), checkpoint seeds and digests, the
+// sent-envelope map and the end-of-log time all come from the segment,
+// every time. A body that does not decode, a recording the walk does not
+// consume exactly, or a walk that finds a failure is a miss: a fresh replay
+// through a real replica, which then overwrites the entry. A poisoned cache
+// can at worst cost time or suppress detection of an already-faulty node;
+// it cannot manufacture evidence.
 package core
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/provgraph"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -40,14 +42,20 @@ import (
 // suite hash.
 const auditCacheDomain = "snpaudit1"
 
-const auditCacheVersion = 1
+// auditCacheVersion is the first byte of every body; a body that starts
+// with any other is not decoded, and open removes it.
+const auditCacheVersion = 2
 
-// On disk the cache is a directory with one file per key,
-// <hex(key)>.audit = H(body) || body. A put writes a temp file in the same
-// directory and renames it into place, so a reader sees the old body, the
-// new body, or no file, and a crash leaves at worst a temp file that the
-// next open removes. Nothing is fsynced: a body the file system tore fails
-// the integrity prefix and is a miss like any other.
+// On disk the cache is a directory with one file per audited segment, named
+// <escaped node>.<from>.<to>.<hex(key)>.audit and holding H(name || body) ||
+// body, so that a body copied under another segment's name fails like a
+// damaged one. A put writes a temp file in the same directory and renames
+// it into place, so a reader sees the old body, the new body, or no file,
+// and a crash leaves at worst a temp file that the next open removes.
+// Nothing is fsynced: a body the file system tore fails the integrity
+// prefix and is a miss like any other. A node's log grows at its head, so a
+// put also removes the entries it supersedes: the same node's, from the
+// same start, ending earlier.
 const (
 	auditCacheExt = ".audit"
 	auditCacheTmp = ".tmp"
@@ -63,7 +71,8 @@ type AuditCache struct {
 	misses atomic.Uint64
 }
 
-// OpenAuditCache opens (or creates) the audit cache rooted at dir.
+// OpenAuditCache opens (or creates) the audit cache rooted at dir, removing
+// what a crashed put or an older format left there.
 func OpenAuditCache(dir string, suite cryptoutil.Suite) (*AuditCache, error) {
 	if suite == nil {
 		suite = cryptoutil.Ed25519SHA256
@@ -75,12 +84,28 @@ func OpenAuditCache(dir string, suite cryptoutil.Suite) (*AuditCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: audit cache dir: %w", err)
 	}
+	c := &AuditCache{dir: dir, suite: suite}
 	for _, f := range files {
-		if strings.HasSuffix(f.Name(), auditCacheTmp) {
-			_ = os.Remove(filepath.Join(dir, f.Name())) // left by a crashed put
+		path := filepath.Join(dir, f.Name())
+		if strings.HasSuffix(path, auditCacheTmp) ||
+			strings.HasSuffix(path, auditCacheExt) && !c.currentVersion(path) {
+			_ = os.Remove(path)
 		}
 	}
-	return &AuditCache{dir: dir, suite: suite}, nil
+	return c, nil
+}
+
+// currentVersion reports whether the body in the file at path starts with
+// this format's version byte.
+func (c *AuditCache) currentVersion(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var v [1]byte
+	_, err = f.ReadAt(v[:], int64(c.suite.HashSize()))
+	return err == nil && v[0] == auditCacheVersion
 }
 
 // Sync has nothing to flush: a put is complete when its rename returns, and
@@ -97,173 +122,163 @@ func (c *AuditCache) Hits() uint64 { return c.hits.Load() }
 // to a fresh replay (including entries rejected by validation).
 func (c *AuditCache) Misses() uint64 { return c.misses.Load() }
 
-// key derives the cache address of one audited segment. The head chain hash
+// key names the file of one audited segment's entry. The head chain hash
 // covers every entry byte in the range, so equal keys imply equal segments;
-// any chain divergence changes the key and invalidates the entry.
-func (c *AuditCache) key(node types.NodeID, from, to uint64, headHash []byte) []byte {
+// any chain divergence changes the key and invalidates the entry. The node
+// and range lead the name, in the clear, for put's sake.
+func (c *AuditCache) key(node types.NodeID, from, to uint64, headHash []byte) string {
 	var fb, tb [8]byte
 	binary.BigEndian.PutUint64(fb[:], from)
 	binary.BigEndian.PutUint64(tb[:], to)
-	return c.suite.Hash([]byte(auditCacheDomain), []byte(node), fb[:], tb[:], headHash)
+	sum := c.suite.Hash([]byte(auditCacheDomain), []byte(node), fb[:], tb[:], headHash)
+	escaped := strings.ReplaceAll(url.PathEscape(string(node)), ".", "%2E")
+	return fmt.Sprintf("%s.%d.%d.%x%s", escaped, from, to, sum, auditCacheExt)
 }
 
-// path returns the file that holds the body stored under key.
-func (c *AuditCache) path(key []byte) string {
-	return filepath.Join(c.dir, hex.EncodeToString(key)+auditCacheExt)
+// splitKey parses an entry's file name into its series, "<node>.<from>.",
+// and the last sequence number it covers; ok is false for any other name.
+func splitKey(key string) (series string, to uint64, ok bool) {
+	f := strings.Split(key, ".")
+	if len(f) != 5 || "."+f[4] != auditCacheExt {
+		return "", 0, false
+	}
+	to, err := strconv.ParseUint(f[2], 10, 64)
+	return f[0] + "." + f[1] + ".", to, err == nil
 }
 
 // get loads and integrity-checks the body stored under key.
-func (c *AuditCache) get(key []byte) ([]byte, bool) {
-	payload, err := os.ReadFile(c.path(key))
+func (c *AuditCache) get(key string) ([]byte, bool) {
+	payload, err := os.ReadFile(filepath.Join(c.dir, key))
 	hs := c.suite.HashSize()
 	if err != nil || len(payload) < hs {
 		return nil, false
 	}
 	sum, body := payload[:hs], payload[hs:]
-	if !bytes.Equal(sum, c.suite.Hash(body)) {
+	if !bytes.Equal(sum, c.suite.Hash([]byte(key), body)) {
 		return nil, false
 	}
 	return body, true
 }
 
-// put stores body under key with an integrity prefix. A failed put is just
-// a future miss.
-func (c *AuditCache) put(key, body []byte) {
+// put stores body under key with an integrity prefix and removes the
+// entries key supersedes. A failed put is just a future miss.
+func (c *AuditCache) put(key string, body []byte) {
 	f, err := os.CreateTemp(c.dir, "put-*"+auditCacheTmp)
 	if err != nil {
 		return
 	}
-	_, err = f.Write(append(c.suite.Hash(body), body...))
+	_, err = f.Write(append(c.suite.Hash([]byte(key), body), body...))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(f.Name(), c.path(key))
+		err = os.Rename(f.Name(), filepath.Join(c.dir, key))
 	}
 	if err != nil {
 		_ = os.Remove(f.Name())
+		return
+	}
+	series, to, _ := splitKey(key)
+	files, _ := os.ReadDir(c.dir)
+	for _, f := range files {
+		if s, t, ok := splitKey(f.Name()); ok && s == series && t < to {
+			_ = os.Remove(filepath.Join(c.dir, f.Name()))
+		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Op-stream serialization.
-//
-// Only cache-trustable material is stored per op: for opEvent the machine
-// outputs (the event itself is re-derived from the segment), for the seed
-// and implied ops their full fields — used solely to cross-check the
-// re-derived ops, never adopted. opFail is deliberately unrepresentable: a
-// replay that found a failure is never cached, and a stream claiming one
-// would be rejected.
+// The recorded machine.
 
-func encodeAuditBody(hadMachine bool, snapshot []byte, endTime types.Time, ops []replayOp) []byte {
+// recording is a types.Machine that answers each Step with the outputs a
+// real replica produced at that step of the same walk. It has no state:
+// Restore accepts anything, Snapshot has nothing to show (replayCkpt skips
+// the one comparison that would need it).
+type recording struct {
+	steps [][]types.Output
+	next  int // Step calls so far, however many were recorded
+}
+
+func (r *recording) Step(types.Event) []types.Output {
+	r.next++
+	if r.next > len(r.steps) {
+		return nil
+	}
+	return r.steps[r.next-1]
+}
+
+func (r *recording) Restore([]byte) error { return nil }
+func (r *recording) Snapshot() []byte     { return nil }
+
+// spent reports whether the walk stepped exactly as often as the recorded
+// one: one step short or long, and the recording is of some other walk.
+func (r *recording) spent() bool { return r.next == len(r.steps) }
+
+// record extracts the recording a finished replay leaves behind.
+func record(ops []replayOp) *recording {
+	r := &recording{}
+	for i := range ops {
+		if ops[i].kind == opEvent && provgraph.StepsMachine(ops[i].ev) {
+			r.steps = append(r.steps, ops[i].outs)
+		}
+	}
+	return r
+}
+
+// recording returns the playable recording stored under key, or nil.
+func (c *AuditCache) recording(key string) *recording {
+	body, ok := c.get(key)
+	if !ok {
+		return nil
+	}
+	r, err := decodeRecording(body)
+	if err != nil {
+		return nil
+	}
+	return r
+}
+
+// encode serializes r as a cache body: the version byte, then the outputs
+// of each step.
+func (r *recording) encode() []byte {
 	w := wire.NewWriter(1024)
 	w.Byte(auditCacheVersion)
-	w.Bool(hadMachine)
-	w.BytesField(snapshot)
-	w.Int(int64(endTime))
-	w.Uint(uint64(len(ops)))
-	for i := range ops {
-		op := &ops[i]
-		w.Byte(byte(op.kind))
-		switch op.kind {
-		case opEvent:
-			w.Uint(uint64(len(op.outs)))
-			for j := range op.outs {
-				marshalOutput(w, &op.outs[j])
-			}
-		case opSeedExist:
-			w.String(string(op.seed.node))
-			op.seed.tup.MarshalWire(w)
-			w.Int(int64(op.seed.t))
-		case opSeedBelieve:
-			w.String(string(op.seed.node))
-			w.String(string(op.seed.origin))
-			op.seed.tup.MarshalWire(w)
-			w.Int(int64(op.seed.t))
-		case opImplied:
-			w.String(string(op.commit.node))
-			w.Uint(op.commit.seq)
-			w.BytesField(op.commit.hash)
-			w.Int(int64(op.commit.t))
-			w.String(string(op.commit.reporter))
-			w.Uint(uint64(len(op.commit.msgs)))
-			for j := range op.commit.msgs {
-				op.commit.msgs[j].MarshalWire(w)
-			}
+	w.Uint(uint64(len(r.steps)))
+	for _, outs := range r.steps {
+		w.Uint(uint64(len(outs)))
+		for j := range outs {
+			marshalOutput(w, &outs[j])
 		}
 	}
 	return w.Bytes()
 }
 
-// cachedAudit is a decoded cache body.
-type cachedAudit struct {
-	hadMachine bool
-	snapshot   []byte
-	endTime    types.Time
-	ops        []replayOp
-}
-
-func decodeAuditBody(raw []byte) (*cachedAudit, error) {
+func decodeRecording(raw []byte) (*recording, error) {
 	r := wire.NewReader(raw)
 	if v := r.Byte(); v != auditCacheVersion {
 		return nil, fmt.Errorf("core: audit cache version %d", v)
 	}
-	ca := &cachedAudit{}
-	ca.hadMachine = r.Bool()
-	ca.snapshot = r.BytesField()
-	ca.endTime = types.Time(r.Int())
-	nops := r.Count()
-	for i := 0; i < nops; i++ {
-		var op replayOp
-		op.kind = opKind(r.Byte())
-		switch op.kind {
-		case opEvent:
-			nouts := r.Count()
-			for j := 0; j < nouts; j++ {
-				var out types.Output
-				if err := unmarshalOutput(r, &out); err != nil {
-					return nil, err
-				}
-				op.outs = append(op.outs, out)
-			}
-		case opSeedExist:
-			op.seed = &seedOp{node: types.NodeID(r.String())}
-			if err := op.seed.tup.UnmarshalWire(r); err != nil {
+	rec := &recording{}
+	nsteps := r.Count()
+	for i := 0; i < nsteps; i++ {
+		var outs []types.Output
+		nouts := r.Count()
+		for j := 0; j < nouts; j++ {
+			var out types.Output
+			if err := unmarshalOutput(r, &out); err != nil {
 				return nil, err
 			}
-			op.seed.t = types.Time(r.Int())
-		case opSeedBelieve:
-			op.seed = &seedOp{node: types.NodeID(r.String()), origin: types.NodeID(r.String())}
-			if err := op.seed.tup.UnmarshalWire(r); err != nil {
-				return nil, err
-			}
-			op.seed.t = types.Time(r.Int())
-		case opImplied:
-			ic := &impliedCommit{node: types.NodeID(r.String()), seq: r.Uint()}
-			ic.hash = r.BytesField()
-			ic.t = types.Time(r.Int())
-			ic.reporter = types.NodeID(r.String())
-			nmsgs := r.Count()
-			for j := 0; j < nmsgs; j++ {
-				var m types.Message
-				if err := m.UnmarshalWire(r); err != nil {
-					return nil, err
-				}
-				ic.msgs = append(ic.msgs, m)
-			}
-			op.commit = ic
-		default:
-			return nil, fmt.Errorf("core: audit cache op kind %d", op.kind)
+			outs = append(outs, out)
 		}
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		ca.ops = append(ca.ops, op)
+		rec.steps = append(rec.steps, outs)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	return ca, nil
+	return rec, nil
 }
 
 func marshalOutput(w *wire.Writer, o *types.Output) {
@@ -324,61 +339,4 @@ func unmarshalOutput(r *wire.Reader, o *types.Output) error {
 		o.Msg = &m
 	}
 	return r.Err()
-}
-
-// ---------------------------------------------------------------------------
-// The lockstep cursor. A prep running in cached mode walks the segment
-// exactly as a fresh replay would, and the cursor pairs each re-derived op
-// with the next cached one. Machine outputs flow cache→replay; everything
-// else flows replay→cache as a consistency check.
-
-type cacheCursor struct {
-	ca          *cachedAudit
-	pos         int
-	bad         bool
-	needMachine bool
-}
-
-// next consumes the next cached op, requiring the given kind.
-func (c *cacheCursor) next(kind opKind) *replayOp {
-	if c.bad || c.pos >= len(c.ca.ops) {
-		c.bad = true
-		return nil
-	}
-	op := &c.ca.ops[c.pos]
-	c.pos++
-	if op.kind != kind {
-		c.bad = true
-		return nil
-	}
-	return op
-}
-
-// done reports whether the walk consumed the stream exactly.
-func (c *cacheCursor) done() bool { return !c.bad && c.pos == len(c.ca.ops) }
-
-func sameTuple(a, b types.Tuple) bool { return a.Equal(b) }
-
-func sameMessage(a, b *types.Message) bool {
-	return a.Src == b.Src && a.Dst == b.Dst && a.Pol == b.Pol &&
-		a.Seq == b.Seq && a.SendTime == b.SendTime && a.Tuple.Equal(b.Tuple)
-}
-
-// checkImplied compares a cached implied op against the re-derived one.
-func checkImplied(cached *replayOp, ic *impliedCommit) bool {
-	if cached == nil || cached.commit == nil {
-		return false
-	}
-	cc := cached.commit
-	if cc.node != ic.node || cc.seq != ic.seq ||
-		!bytes.Equal(cc.hash, ic.hash) || cc.t != ic.t || cc.reporter != ic.reporter ||
-		len(cc.msgs) != len(ic.msgs) {
-		return false
-	}
-	for i := range ic.msgs {
-		if !sameMessage(&cc.msgs[i], &ic.msgs[i]) {
-			return false
-		}
-	}
-	return true
 }

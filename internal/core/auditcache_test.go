@@ -15,9 +15,10 @@ import (
 	"repro/internal/wire"
 )
 
-// countMachine is a deterministic machine with real state, so the cached
-// final snapshot actually carries information: inserts accumulate into sum
-// and fire a send to the peer, receives accumulate separately.
+// countMachine is a deterministic machine with real state, so that the
+// mid-segment checkpoint comparison has something to compare: inserts
+// accumulate into sum and fire a send to the peer, receives accumulate
+// separately.
 type countMachine struct {
 	self, peer types.NodeID
 	seq        uint64
@@ -125,19 +126,16 @@ func evidenceFor(t *testing.T, n *Node) seclog.Authenticator {
 	return auth
 }
 
-// preparedImage canonicalizes a PreparedAudit for bit-identity comparison:
-// the serialized op stream, the machine's final snapshot, and the end time.
-func preparedImage(p *PreparedAudit) []byte {
-	var snap []byte
-	if p.machine != nil {
-		snap = p.machine.Snapshot()
-	}
-	return encodeAuditBody(p.machine != nil, snap, p.endTime, p.ops)
+// samePrepared reports whether two prepared audits would commit identically:
+// the same op stream (events, machine outputs, seeds, implied commitments,
+// failures), the same chain and sent-envelope bookkeeping, the same end time.
+func samePrepared(p, q *PreparedAudit) bool {
+	return reflect.DeepEqual(p.ops, q.ops) && reflect.DeepEqual(p.audited, q.audited) && p.endTime == q.endTime
 }
 
 // TestAuditCacheHitBitIdentical pins the hard rule: a cache hit must be
 // bit-identical to a fresh replay — same op stream (events, outputs, seeds,
-// implied commitments), same machine state, same bookkeeping.
+// implied commitments), same bookkeeping.
 func TestAuditCacheHitBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	nodes, dir, factory := cachePair(t, cfg)
@@ -164,14 +162,11 @@ func TestAuditCacheHitBitIdentical(t *testing.T) {
 		if pb.err != nil || pc.err != nil || pw.err != nil {
 			t.Fatalf("%s: prepare errors %v/%v/%v", id, pb.err, pc.err, pw.err)
 		}
-		if !bytes.Equal(preparedImage(pb), preparedImage(pc)) || !bytes.Equal(preparedImage(pb), preparedImage(pw)) {
-			t.Fatalf("%s: prepared audits diverge across cache states", id)
+		if !samePrepared(pb, pc) {
+			t.Fatalf("%s: a miss diverges from an uncached replay", id)
 		}
-		if !reflect.DeepEqual(pb.ops, pw.ops) {
-			t.Fatalf("%s: cached op stream is not deeply identical", id)
-		}
-		if !reflect.DeepEqual(pb.audited.sent, pw.audited.sent) {
-			t.Fatalf("%s: sent-envelope map diverges on cache hit", id)
+		if !samePrepared(pc, pw) {
+			t.Fatalf("%s: a hit diverges from the miss that recorded it", id)
 		}
 		for i := range pb.ops {
 			if pb.ops[i].kind == opImplied {
@@ -199,8 +194,46 @@ func TestAuditCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAuditCacheHitBuildsNoMachine: the replica machine is what a hit
+// saves. A cold Prepare builds one per node, a warm one none at all — not
+// even to restore a checkpoint into.
+func TestAuditCacheHitBuildsNoMachine(t *testing.T) {
+	cfg := DefaultConfig()
+	nodes, dir, factory := cachePair(t, cfg)
+	resps := retrieveAll(t, nodes)
+	cache, err := OpenAuditCache(t.TempDir(), cfg.suite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	cfg.AuditCache = cache
+
+	built := 0
+	counting := func(self types.NodeID) types.Machine {
+		built++
+		return factory(self)
+	}
+	for _, want := range []int{len(nodes), 0} {
+		built = 0
+		a := NewAuditor(cfg, dir, counting, nil)
+		for id, n := range nodes {
+			p := a.Prepare(id, resps[id], evidenceFor(t, n))
+			if p.err != nil {
+				t.Fatal(p.err)
+			}
+			if err := a.Commit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if built != want {
+			t.Fatalf("machines built = %d, want %d (hits=%d misses=%d)", built, want, cache.Hits(), cache.Misses())
+		}
+	}
+}
+
 // TestAuditCachePersists proves a reopened cache serves the entries the
-// first handle put, and that open clears what a crashed put left behind.
+// first handle put, and that open clears what a crashed put or an older
+// format left behind.
 func TestAuditCachePersists(t *testing.T) {
 	cfg := DefaultConfig()
 	nodes, dir, factory := cachePair(t, cfg)
@@ -222,9 +255,14 @@ func TestAuditCachePersists(t *testing.T) {
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A put that crashed before its rename leaves its temp file behind.
+	// A put that crashed before its rename leaves its temp file behind, and
+	// a version 1 cache left bodies no version 2 key will ever name.
 	crashed := filepath.Join(cacheDir, "put-crashed"+auditCacheTmp)
 	if err := os.WriteFile(crashed, []byte("half a body"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(cacheDir, "00ff"+auditCacheExt) // H(body) || body, named by the key alone
+	if err := os.WriteFile(stale, append(cfg.suite().Hash(v1AuditBody), v1AuditBody...), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,6 +273,9 @@ func TestAuditCachePersists(t *testing.T) {
 	defer cache2.Close()
 	if _, err := os.Stat(crashed); !os.IsNotExist(err) {
 		t.Fatalf("temp file of a crashed put survived open (stat err=%v)", err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("version 1 body survived open (stat err=%v)", err)
 	}
 	ccfg.AuditCache = cache2
 	a2 := NewAuditor(ccfg, dir, factory, nil)
@@ -293,13 +334,70 @@ func TestAuditCacheInvalidatedOnDivergence(t *testing.T) {
 	}
 }
 
+// TestAuditCacheDropsSupersededEntries: a log grows at its head, so each
+// audit of a longer prefix replaces the entry of the shorter one — and only
+// that one.
+func TestAuditCacheDropsSupersededEntries(t *testing.T) {
+	cfg := DefaultConfig()
+	nodes, dir, factory := cachePair(t, cfg)
+	cache, err := OpenAuditCache(t.TempDir(), cfg.suite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	cfg.AuditCache = cache
+	entries := func(series string) []string {
+		names, err := filepath.Glob(filepath.Join(cache.dir, series+"*"+auditCacheExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	// Neither another start of n1's nor another node's is n1's to drop.
+	bystanders := []string{"n1.2.1.00" + auditCacheExt, "n10.1.1.00" + auditCacheExt}
+	for _, name := range bystanders {
+		if err := os.WriteFile(filepath.Join(cache.dir, name), nil, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	n1 := nodes["n1"]
+	for head := int64(0); head < 5; head++ {
+		if err := n1.InsertBase(ins(100 + head)); err != nil {
+			t.Fatal(err)
+		}
+		a := NewAuditor(cfg, dir, factory, nil)
+		for id, n := range retrieveAll(t, nodes) {
+			if p := a.Prepare(id, n, evidenceFor(t, nodes[id])); p.err != nil {
+				t.Fatal(p.err)
+			}
+		}
+		if got := entries("n1.1."); len(got) != 1 {
+			t.Fatalf("head %d: n1 has entries %v, want one", head, got)
+		}
+	}
+	for _, name := range bystanders {
+		if _, err := os.Stat(filepath.Join(cache.dir, name)); err != nil {
+			t.Fatalf("a put removed %s: %v", name, err)
+		}
+	}
+	// n1's inserts reach n2, whose log grew five times as well.
+	if got := entries("n2.1."); len(got) != 1 {
+		t.Fatalf("n2 has entries %v, want one", got)
+	}
+	if got, want := cache.Misses(), uint64(2*5); got != want {
+		t.Fatalf("misses = %d, want %d: every head is a new segment", got, want)
+	}
+}
+
 // TestAuditCachePoisonedNoFalseAccusation is the hostile-cache matrix: an
 // attacker who can rewrite the cache files must never be able to make the
-// auditor accuse an honest node. Structural poison is detected and falls
-// back to a fresh replay with a bit-identical result; semantically valid
-// poison of the machine outputs is the worst case and still yields zero
-// failures, because every accusation-capable op is re-derived from the
-// verified segment.
+// auditor accuse an honest node. A recording that does not fit the walk is
+// detected and falls back to a fresh replay with a bit-identical result;
+// one that fits but lies about the machine's outputs is the worst case and
+// still yields zero failures, because nothing accusation-capable is read
+// from disk.
 func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 	cfg := DefaultConfig()
 	nodes, dir, factory := cachePair(t, cfg)
@@ -312,21 +410,21 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 	defer cache.Close()
 	ccfg := cfg
 	ccfg.AuditCache = cache
+	path := func(key string) string { return filepath.Join(cache.dir, key) }
 
 	seed := NewAuditor(ccfg, dir, factory, nil)
-	baseline := make(map[types.NodeID][]byte)
-	keys := make(map[types.NodeID][]byte)
+	baseline := make(map[types.NodeID]*PreparedAudit)
+	keys := make(map[types.NodeID]string)
 	raw0 := make(map[types.NodeID][]byte) // the files as a clean replay writes them
 	for id, n := range nodes {
 		p := seed.Prepare(id, resps[id], evidenceFor(t, n))
 		if p.err != nil {
 			t.Fatal(p.err)
 		}
-		baseline[id] = preparedImage(p)
+		baseline[id] = p
 		seg := resps[id].Segment
-		hashes := p.audited.hashes
-		keys[id] = cache.key(id, seg.From, seg.To(), hashes[seg.To()])
-		raw, err := os.ReadFile(cache.path(keys[id]))
+		keys[id] = cache.key(id, seg.From, seg.To(), p.audited.hashes[seg.To()])
+		raw, err := os.ReadFile(path(keys[id]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,51 +433,31 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 
 	poisons := []struct {
 		name   string
-		mutate func(ca *cachedAudit)
+		fits   bool // the walk consumes the recording exactly: served as a hit
+		mutate func(rec *recording)
 	}{
-		{"truncated op stream", func(ca *cachedAudit) { ca.ops = ca.ops[:len(ca.ops)-1] }},
-		{"extra op", func(ca *cachedAudit) { ca.ops = append(ca.ops, replayOp{kind: opEvent}) }},
-		{"wrong end time", func(ca *cachedAudit) { ca.endTime++ }},
-		{"implied commitment retargeted", func(ca *cachedAudit) {
-			for i := range ca.ops {
-				if ca.ops[i].kind == opImplied {
-					ca.ops[i].commit.seq += 5 // vouch for a position the peer never signed
+		{"machine outputs forged", true, func(rec *recording) {
+			for i := range rec.steps {
+				if len(rec.steps[i]) > 0 {
+					rec.steps[i][0].Tuple = types.MakeTuple("forged", types.N("n2"))
 					return
 				}
 			}
 		}},
-		{"implied hash forged", func(ca *cachedAudit) {
-			for i := range ca.ops {
-				if ca.ops[i].kind == opImplied {
-					ca.ops[i].commit.hash[0] ^= 0xff
-					return
-				}
-			}
-		}},
-		{"machine outputs forged", func(ca *cachedAudit) {
-			for i := range ca.ops {
-				if ca.ops[i].kind == opEvent && len(ca.ops[i].outs) > 0 {
-					ca.ops[i].outs[0].Tuple = types.MakeTuple("forged", types.N("n2"))
-					return
-				}
-			}
-		}},
-		{"snapshot forged", func(ca *cachedAudit) { ca.snapshot = []byte{0xde, 0xad} }},
+		{"recording one step short", false, func(rec *recording) { rec.steps = rec.steps[:len(rec.steps)-1] }},
+		{"recording one step long", false, func(rec *recording) { rec.steps = append(rec.steps, nil) }},
 	}
 	for _, tc := range poisons {
 		t.Run(tc.name, func(t *testing.T) {
 			for id, n := range nodes {
-				body, ok := cache.get(keys[id])
-				if !ok {
-					t.Fatalf("no cached body for %s", id)
+				rec := cache.recording(keys[id])
+				if rec == nil {
+					t.Fatalf("no cached recording for %s", id)
 				}
-				ca, err := decodeAuditBody(body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tc.mutate(ca)
-				cache.put(keys[id], encodeAuditBody(ca.hadMachine, ca.snapshot, ca.endTime, ca.ops))
+				tc.mutate(rec)
+				cache.put(keys[id], rec.encode())
 
+				hits := cache.Hits()
 				a := NewAuditor(ccfg, dir, factory, nil)
 				p := a.Prepare(id, resps[id], evidenceFor(t, n))
 				if p.err != nil {
@@ -391,17 +469,23 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 				for _, f := range a.Failures() {
 					t.Errorf("%s: poisoned cache produced an accusation: %v", id, f)
 				}
-				if tc.name != "machine outputs forged" && tc.name != "snapshot forged" {
-					// Structural poison must be rejected outright and the
-					// fresh fallback must reproduce the baseline exactly.
-					if !bytes.Equal(preparedImage(p), baseline[id]) {
+				if hit := cache.Hits() == hits+1; hit != tc.fits {
+					t.Errorf("%s: served as a hit = %v, want %v", id, hit, tc.fits)
+				}
+				if !tc.fits {
+					// A recording of some other walk must be rejected outright
+					// and the fresh fallback must reproduce the baseline exactly
+					// and heal the entry.
+					if !samePrepared(p, baseline[id]) {
 						t.Errorf("%s: fallback result diverges from baseline", id)
+					}
+					if healed, err := os.ReadFile(path(keys[id])); err != nil || !bytes.Equal(healed, raw0[id]) {
+						t.Errorf("%s: entry not healed (err=%v)", id, err)
 					}
 				}
 				// Heal the entry for the next subtest.
-				a2 := NewAuditor(ccfg, dir, factory, nil)
-				if p2 := a2.Prepare(id, resps[id], evidenceFor(t, n)); p2.err != nil {
-					t.Fatal(p2.err)
+				if err := os.WriteFile(path(keys[id]), raw0[id], 0o600); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})
@@ -424,21 +508,24 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 		}},
 		{"no integrity prefix", func(_ types.NodeID, raw []byte) []byte { return raw[hs:] }},
 		{"body of another segment's key", func(id types.NodeID, _ []byte) []byte {
-			raw, err := os.ReadFile(cache.path(keys[other[id]]))
+			raw, err := os.ReadFile(path(keys[other[id]]))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return raw
 		}},
+		{"version 1 body", func(id types.NodeID, _ []byte) []byte {
+			return append(cfg.suite().Hash([]byte(keys[id]), v1AuditBody), v1AuditBody...)
+		}},
 	}
 	for _, tc := range damages {
 		t.Run(tc.name, func(t *testing.T) {
 			for id, n := range nodes {
-				raw, err := os.ReadFile(cache.path(keys[id]))
+				raw, err := os.ReadFile(path(keys[id]))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(cache.path(keys[id]), tc.damage(id, raw), 0o600); err != nil {
+				if err := os.WriteFile(path(keys[id]), tc.damage(id, raw), 0o600); err != nil {
 					t.Fatal(err)
 				}
 				hits, misses := cache.Hits(), cache.Misses()
@@ -447,7 +534,7 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 				if p.err != nil {
 					t.Fatalf("%s: prepare error on damaged file: %v", id, p.err)
 				}
-				if !bytes.Equal(preparedImage(p), baseline[id]) {
+				if !samePrepared(p, baseline[id]) {
 					t.Errorf("%s: fallback result diverges from baseline", id)
 				}
 				if err := a.Commit(p); err != nil {
@@ -459,7 +546,7 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 				if cache.Hits() != hits || cache.Misses() != misses+1 {
 					t.Errorf("%s: hits %d→%d misses %d→%d, want one miss", id, hits, cache.Hits(), misses, cache.Misses())
 				}
-				healed, err := os.ReadFile(cache.path(keys[id]))
+				healed, err := os.ReadFile(path(keys[id]))
 				if err != nil || !bytes.Equal(healed, raw0[id]) {
 					t.Errorf("%s: entry not healed (err=%v)", id, err)
 				}

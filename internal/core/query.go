@@ -179,8 +179,8 @@ type auditTask struct {
 
 // prefetcher coordinates the audit worker pool of one scope. Workers prepare
 // queued nodes in order, but only while fewer than window tasks await a
-// commit: what a worker has fetched stays in memory (decoded segment, op
-// stream, replica machine) until the demand thread commits it, and an
+// commit: what a worker has prepared stays in memory (the op stream and the
+// segment entries it points into) until the demand thread commits it, and an
 // unbounded pool over a long scope held the whole deployment's worth (+24%
 // peak heap on a ten-node sweep). A commit frees its slot.
 type prefetcher struct {
@@ -431,9 +431,8 @@ func (q *Querier) commitTask(node types.NodeID, t *auditTask) error {
 		// replays the same evidence.
 		return nil
 	}
-	// Committed: the node is now Audited, so this op stream and replica
-	// machine can never be consumed again — release them rather than
-	// pinning them in pf.tasks.
+	// Committed: the node is now Audited, so this op stream can never be
+	// consumed again — release it rather than pinning it in pf.tasks.
 	t.prep = nil
 	return nil
 }

@@ -35,9 +35,10 @@ func (f Failure) String() string {
 //   - Prepare — verify the segment against its authenticator, re-verify
 //     every embedded peer signature and checkpoint digest, and replay the
 //     entries through a fresh replica of the node's deterministic machine,
-//     recording the machine outputs. Prepare touches only thread-safe state
-//     (the directory, the verification cache, atomic Stats counters) and may
-//     run on any number of goroutines, one node per goroutine.
+//     recording the machine outputs. The replica lives and dies inside
+//     Prepare. Prepare touches only thread-safe state (the directory, the
+//     verification cache, atomic Stats counters) and may run on any number
+//     of goroutines, one node per goroutine.
 //   - Commit — apply the prepared op stream to the shared provenance graph,
 //     merge failures and implied chain commitments, and run the
 //     equivocation cross-checks. Commits are serial and ordered by the
@@ -90,7 +91,7 @@ type impliedCommit struct {
 // machine used for replay; maint, when non-nil, excuses unacked sends whose
 // loss was reported (§5.4).
 func NewAuditor(cfg Config, dir *Directory, factory types.MachineFactory, maint *Maintainer) *Auditor {
-	b := provgraph.NewBuilder(factory, cfg.Tprop)
+	b := provgraph.NewBuilder(cfg.Tprop)
 	if maint != nil {
 		b.MissedAckKnown = maint.WasNotified
 	}
@@ -195,7 +196,6 @@ type PreparedAudit struct {
 	err     error
 	ops     []replayOp
 	audited *auditedNode
-	machine types.Machine
 	endTime types.Time
 }
 
@@ -203,104 +203,28 @@ type PreparedAudit struct {
 // error Commit will return).
 func (p *PreparedAudit) Err() error { return p.err }
 
-// prep is the Prepare-phase accumulator. Its fail/handle methods mirror the
-// sequential auditor's, but record ops instead of mutating shared state.
+// prep is one Prepare call at work: the audit it is filling in and the
+// machine it steps. Its methods record ops; they mutate no shared state.
 type prep struct {
-	a       *Auditor
-	node    types.NodeID
-	ops     []replayOp
-	audited *auditedNode
+	*PreparedAudit
+	a *Auditor
+	// machine is the node's replica, or a recording of one that replayed
+	// these very entries before (see auditcache.go). Either way it is local
+	// to Prepare: the commit phase sees its outputs and nothing else.
 	machine types.Machine
-	endTime types.Time
-
-	// cur, when non-nil, runs this prep in cached mode: machine outputs
-	// come from the cached op stream instead of a replica machine, and
-	// every re-derived op must match its cached counterpart (see
-	// auditcache.go). Any failure or divergence poisons the cursor and the
-	// caller falls back to a fresh replay.
-	cur *cacheCursor
 }
 
-func (p *prep) fail(node types.NodeID, seq uint64, format string, args ...any) {
-	if p.cur != nil {
-		// A cached entry claims a clean replay; a failure on the same
-		// bytes means the entry cannot be trusted. Record nothing — the
-		// fresh replay will re-derive (and this time keep) the failure.
-		p.cur.bad = true
-		return
-	}
+func (p *prep) fail(seq uint64, format string, args ...any) {
 	p.ops = append(p.ops, replayOp{kind: opFail,
-		fail: &Failure{Node: node, Seq: seq, Reason: fmt.Sprintf(format, args...)}})
+		fail: &Failure{Node: p.Node, Seq: seq, Reason: fmt.Sprintf(format, args...)}})
 }
 
-// seedExist records a checkpoint-seeded exist vertex; in cached mode it also
-// cross-checks the cached op.
-func (p *prep) seedExist(node types.NodeID, tup types.Tuple, t types.Time) {
-	if p.cur != nil {
-		c := p.cur.next(opSeedExist)
-		if c == nil || c.seed.node != node || !c.seed.tup.Equal(tup) || c.seed.t != t {
-			p.cur.bad = true
-			return
-		}
-	}
-	p.ops = append(p.ops, replayOp{kind: opSeedExist, seed: &seedOp{node: node, tup: tup, t: t}})
-}
-
-// seedBelieve records a checkpoint-seeded believe vertex; in cached mode it
-// also cross-checks the cached op.
-func (p *prep) seedBelieve(node, origin types.NodeID, tup types.Tuple, t types.Time) {
-	if p.cur != nil {
-		c := p.cur.next(opSeedBelieve)
-		if c == nil || c.seed.node != node || c.seed.origin != origin || !c.seed.tup.Equal(tup) || c.seed.t != t {
-			p.cur.bad = true
-			return
-		}
-	}
-	p.ops = append(p.ops, replayOp{kind: opSeedBelieve, seed: &seedOp{node: node, origin: origin, tup: tup, t: t}})
-}
-
-// implied records a re-verified implied chain commitment. The recorded op is
-// always built from the re-derived values — in cached mode the cached copy
-// is only compared, never adopted, so a poisoned entry cannot plant a
-// commitment the segment does not prove.
-func (p *prep) implied(ic *impliedCommit) {
-	if p.cur != nil {
-		if !checkImplied(p.cur.next(opImplied), ic) {
-			p.cur.bad = true
-			return
-		}
-	}
-	p.ops = append(p.ops, replayOp{kind: opImplied, commit: ic})
-}
-
-// machineFor lazily creates the replica machine, mirroring the sequential
-// Builder.MachineFor.
-func (p *prep) machineFor() types.Machine {
-	if p.machine == nil {
-		p.machine = p.a.factory(p.node)
-	}
-	return p.machine
-}
-
-// handleEvent mirrors Builder.HandleEvent: it steps the replica machine for
-// machine-bound events and records the event with its outputs for the
-// commit phase.
+// handleEvent steps the machine for machine-bound events and records the
+// event with its outputs for the commit phase.
 func (p *prep) handleEvent(ev types.Event) {
 	var outs []types.Output
-	if p.cur != nil {
-		c := p.cur.next(opEvent)
-		if c == nil {
-			return
-		}
-		if provgraph.StepsMachine(ev) {
-			p.cur.needMachine = true
-			outs = c.outs
-		} else if len(c.outs) != 0 {
-			p.cur.bad = true // non-machine events never produce outputs
-			return
-		}
-	} else if provgraph.StepsMachine(ev) {
-		outs = p.machineFor().Step(ev)
+	if provgraph.StepsMachine(ev) {
+		outs = p.machine.Step(ev)
 	}
 	p.ops = append(p.ops, replayOp{kind: opEvent, ev: ev, outs: outs})
 }
@@ -311,25 +235,22 @@ func (p *prep) handleEvent(ev types.Event) {
 // write any Auditor state that Commit mutates, so distinct nodes may be
 // prepared concurrently (and concurrently with commits of other nodes).
 func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence seclog.Authenticator) *PreparedAudit {
-	p := &prep{a: a, node: node}
-	out := &PreparedAudit{Node: node, wire: downloaded(resp)}
+	p := &prep{a: a, PreparedAudit: &PreparedAudit{Node: node, wire: downloaded(resp)}}
 	seg := resp.Segment
 	if seg == nil {
-		p.fail(node, 0, "returned a response without a segment")
-		out.ops = p.ops
-		out.err = fmt.Errorf("core: retrieve response without a segment")
-		return out
+		p.fail(0, "returned a response without a segment")
+		p.err = fmt.Errorf("core: retrieve response without a segment")
+		return p.PreparedAudit
 	}
 	if seg.Node != node {
-		p.fail(node, 0, "returned a segment for %s", seg.Node)
-		out.ops = p.ops
-		out.err = fmt.Errorf("core: segment node mismatch")
-		return out
+		p.fail(0, "returned a segment for %s", seg.Node)
+		p.err = fmt.Errorf("core: segment node mismatch")
+		return p.PreparedAudit
 	}
 	pub, err := a.dir.Key(node)
 	if err != nil {
-		out.err = err
-		return out
+		p.err = err
+		return p.PreparedAudit
 	}
 	// Pick the freshest valid commitment to verify against: the new
 	// authenticator if it checks out, otherwise the evidence we held.
@@ -339,66 +260,56 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 		if resp.NewAuth.VerifyCounted(a.Stats, pub) {
 			auth = *resp.NewAuth
 		} else {
-			p.fail(node, resp.NewAuth.Seq, "returned an invalid fresh authenticator")
+			p.fail(resp.NewAuth.Seq, "returned an invalid fresh authenticator")
 		}
 	}
 	hashes, err := seg.VerifyAgainst(a.suite, a.Stats, pub, auth)
 	if err != nil {
-		p.fail(node, auth.Seq, "log does not match authenticator: %v", err)
-		out.ops = p.ops
-		out.err = err
-		return out
+		p.fail(auth.Seq, "log does not match authenticator: %v", err)
+		p.err = err
+		return p.PreparedAudit
 	}
 	// Evidence older than the fresh authenticator must also lie on this
 	// chain (otherwise the node forked its log).
 	if evidence.Node == node && evidence.Seq != auth.Seq &&
 		evidence.Seq >= seg.From && evidence.Seq <= seg.To() {
 		if !bytes.Equal(hashes[evidence.Seq-seg.From], evidence.Hash) {
-			p.fail(node, evidence.Seq, "evidence authenticator is not on the returned chain (fork)")
+			p.fail(evidence.Seq, "evidence authenticator is not on the returned chain (fork)")
 		}
 	}
 
-	p.audited = &auditedNode{from: seg.From, to: seg.To(),
-		hashes: make(map[uint64][]byte), sent: make(map[types.MessageID]*sentEnvelope)}
+	p.audited = &auditedNode{from: seg.From, to: seg.To(), hashes: make(map[uint64][]byte, len(hashes))}
 	for i, h := range hashes {
 		p.audited.hashes[seg.From+uint64(i)] = h
 	}
 
-	// Try the persistent audit cache: an unchanged segment (same node,
-	// range, and head chain hash) replays to a bit-identical op stream, so
-	// a validated hit skips the replica-machine replay entirely. Failures
-	// recorded before this point mean the response is already suspect —
-	// audit it the slow way.
+	// Failures recorded before this point mean the response is already
+	// suspect — audit it without the cache.
 	cache := a.cfg.AuditCache
-	var key []byte
-	if cache != nil && len(hashes) > 0 && len(p.ops) == 0 {
-		key = cache.key(node, seg.From, seg.To(), hashes[len(hashes)-1])
-		if hit := a.prepareFromCache(p, seg, key); hit {
+	if cache == nil || len(hashes) == 0 || len(p.ops) != 0 {
+		p.replayEntries(seg, a.factory(node))
+		return p.PreparedAudit
+	}
+	// An unchanged segment (same node, range and head chain hash) steps its
+	// machine to the same outputs, so a recording of them stands in for the
+	// replica. The walk is the same one and derives everything else afresh;
+	// a recording that does not fit it exactly, or a walk that finds a
+	// failure, proves the entry is not a clean replay of these bytes.
+	key := cache.key(node, seg.From, seg.To(), hashes[len(hashes)-1])
+	if rec := cache.recording(key); rec != nil {
+		p.replayEntries(seg, rec)
+		if rec.spent() && cleanOps(p.ops) {
 			cache.hits.Add(1)
-			out.ops = p.ops
-			out.audited = p.audited
-			out.machine = p.machine
-			out.endTime = p.endTime
-			return out
+			return p.PreparedAudit
 		}
-		cache.misses.Add(1)
+		p.ops = nil // not a hit: forget what that walk recorded
 	}
-
-	p.replayEntries(node, seg)
-
-	if key != nil && cleanOps(p.ops) {
-		var snapshot []byte
-		if p.machine != nil {
-			snapshot = p.machine.Snapshot()
-		}
-		cache.put(key, encodeAuditBody(p.machine != nil, snapshot, p.endTime, p.ops))
+	cache.misses.Add(1)
+	p.replayEntries(seg, a.factory(node))
+	if cleanOps(p.ops) {
+		cache.put(key, record(p.ops).encode())
 	}
-
-	out.ops = p.ops
-	out.audited = p.audited
-	out.machine = p.machine
-	out.endTime = p.endTime
-	return out
+	return p.PreparedAudit
 }
 
 // cleanOps reports whether an op stream records no failures; only clean
@@ -409,40 +320,6 @@ func cleanOps(ops []replayOp) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// prepareFromCache attempts to satisfy p from the cached entry under key.
-// On success p holds the validated ops, the re-derived bookkeeping, and a
-// machine restored from the cached final snapshot; on any mismatch p is
-// left untouched and the caller replays fresh.
-func (a *Auditor) prepareFromCache(p *prep, seg *seclog.SegmentData, key []byte) bool {
-	body, ok := a.cfg.AuditCache.get(key)
-	if !ok {
-		return false
-	}
-	ca, err := decodeAuditBody(body)
-	if err != nil || !cleanOps(ca.ops) {
-		return false
-	}
-	pc := &prep{a: a, node: p.node, cur: &cacheCursor{ca: ca},
-		audited: &auditedNode{from: p.audited.from, to: p.audited.to,
-			hashes: p.audited.hashes, sent: make(map[types.MessageID]*sentEnvelope)}}
-	pc.replayEntries(p.node, seg)
-	if !pc.cur.done() || pc.cur.needMachine != ca.hadMachine || pc.endTime != ca.endTime {
-		return false
-	}
-	var m types.Machine
-	if ca.hadMachine {
-		m = a.factory(p.node)
-		if err := m.Restore(ca.snapshot); err != nil {
-			return false
-		}
-	}
-	p.ops = pc.ops
-	p.audited.sent = pc.audited.sent
-	p.machine = m
-	p.endTime = pc.endTime
 	return true
 }
 
@@ -460,9 +337,6 @@ func (a *Auditor) Commit(p *PreparedAudit) error {
 	}
 	a.covered[p.Node] = p.audited
 	a.applyOps(p.ops)
-	if p.machine != nil {
-		a.Builder.InstallMachine(p.Node, p.machine)
-	}
 	if p.endTime > a.endTimes[p.Node] {
 		a.endTimes[p.Node] = p.endTime
 	}
@@ -488,9 +362,13 @@ func (a *Auditor) applyOps(ops []replayOp) {
 	}
 }
 
-// replayEntries expands entries into GCA events, re-verifying embedded peer
-// signatures and checkpoints along the way.
-func (p *prep) replayEntries(node types.NodeID, seg *seclog.SegmentData) {
+// replayEntries walks the verified segment through m: it expands entries
+// into GCA events, re-verifying embedded peer signatures and checkpoints
+// along the way, and steps m with every machine-bound one.
+func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
+	node := p.Node
+	p.machine = m
+	p.audited.sent, p.endTime = make(map[types.MessageID]*sentEnvelope), 0
 	for i, e := range seg.Entries {
 		seq := seg.From + uint64(i)
 		if e.T > p.endTime {
@@ -505,7 +383,7 @@ func (p *prep) replayEntries(node types.NodeID, seg *seclog.SegmentData) {
 				Tuple: e.Tuple, MaybeRule: e.MaybeRule, MaybeBody: e.MaybeBody})
 		case seclog.ESnd:
 			if len(e.Msgs) == 0 {
-				p.fail(node, seq, "empty snd entry")
+				p.fail(seq, "empty snd entry")
 				continue
 			}
 			prev := seg.BaseHash
@@ -516,24 +394,24 @@ func (p *prep) replayEntries(node types.NodeID, seg *seclog.SegmentData) {
 			for j := range e.Msgs {
 				msg := e.Msgs[j]
 				if msg.Src != node {
-					p.fail(node, seq, "snd entry with foreign source %s", msg.Src)
+					p.fail(seq, "snd entry with foreign source %s", msg.Src)
 				}
 				p.handleEvent(types.Event{Kind: types.EvSnd, Node: node, Time: e.T, Msg: &msg})
 			}
 		case seclog.ERcv:
-			p.replayRcv(node, seq, e)
+			p.replayRcv(seq, e)
 		case seclog.EAck:
-			p.replayAck(node, seq, e)
+			p.replayAck(seq, e)
 		case seclog.ECkpt:
-			p.replayCkpt(node, seq, e, i == 0)
+			p.replayCkpt(seq, e, i == 0)
 		}
 	}
 }
 
-func (p *prep) replayRcv(node types.NodeID, seq uint64, e *seclog.Entry) {
-	a := p.a
+func (p *prep) replayRcv(seq uint64, e *seclog.Entry) {
+	a, node := p.a, p.Node
 	if len(e.Msgs) == 0 {
-		p.fail(node, seq, "empty rcv entry")
+		p.fail(seq, "empty rcv entry")
 		return
 	}
 	src := e.Msgs[0].Src
@@ -543,16 +421,16 @@ func (p *prep) replayRcv(node types.NodeID, seq uint64, e *seclog.Entry) {
 	hx := seclog.ChainHash(a.suite, a.Stats, e.PeerPrevHash, sndEntry)
 	implied := false
 	if pub, err := a.dir.Key(src); err != nil {
-		p.fail(node, seq, "rcv from unknown node %s", src)
+		p.fail(seq, "rcv from unknown node %s", src)
 	} else if !seclog.VerifyCommitment(a.Stats, pub, e.PeerTime, hx, e.PeerSig) {
-		p.fail(node, seq, "rcv entry carries an invalid signature from %s", src)
+		p.fail(seq, "rcv entry carries an invalid signature from %s", src)
 	} else {
 		implied = true
 	}
 	for j := range e.Msgs {
 		msg := e.Msgs[j]
 		if msg.Dst != node {
-			p.fail(node, seq, "rcv entry with foreign destination %s", msg.Dst)
+			p.fail(seq, "rcv entry with foreign destination %s", msg.Dst)
 			continue
 		}
 		id := msg.ID()
@@ -569,20 +447,21 @@ func (p *prep) replayRcv(node types.NodeID, seq uint64, e *seclog.Entry) {
 	// *against the sender*, and flagging them red would accuse the honest
 	// receiver — Theorem 5 forbids that).
 	if implied {
-		p.implied(&impliedCommit{node: src, seq: e.PeerSeq, hash: hx, t: e.PeerTime, reporter: node, msgs: e.Msgs})
+		p.ops = append(p.ops, replayOp{kind: opImplied,
+			commit: &impliedCommit{node: src, seq: e.PeerSeq, hash: hx, t: e.PeerTime, reporter: node, msgs: e.Msgs}})
 	}
 }
 
-func (p *prep) replayAck(node types.NodeID, seq uint64, e *seclog.Entry) {
-	a := p.a
+func (p *prep) replayAck(seq uint64, e *seclog.Entry) {
+	a, node := p.a, p.Node
 	if len(e.AckIDs) == 0 {
-		p.fail(node, seq, "empty ack entry")
+		p.fail(seq, "empty ack entry")
 		return
 	}
 	pend := p.audited.sent[e.AckIDs[0]]
 	dst := e.AckIDs[0].Dst
 	if pend == nil {
-		p.fail(node, seq, "ack entry without a matching snd entry")
+		p.fail(seq, "ack entry without a matching snd entry")
 		return
 	}
 	// Reconstruct the receiver's rcv entry and re-verify its signature.
@@ -591,9 +470,9 @@ func (p *prep) replayAck(node types.NodeID, seq uint64, e *seclog.Entry) {
 	hy := seclog.ChainHash(a.suite, a.Stats, e.PeerPrevHash, rcvEntry)
 	implied := false
 	if pub, err := a.dir.Key(dst); err != nil {
-		p.fail(node, seq, "ack from unknown node %s", dst)
+		p.fail(seq, "ack from unknown node %s", dst)
 	} else if !seclog.VerifyCommitment(a.Stats, pub, e.PeerTime, hy, e.PeerSig) {
-		p.fail(node, seq, "ack entry carries an invalid signature from %s", dst)
+		p.fail(seq, "ack entry carries an invalid signature from %s", dst)
 	} else {
 		implied = true
 	}
@@ -606,38 +485,37 @@ func (p *prep) replayAck(node types.NodeID, seq uint64, e *seclog.Entry) {
 	// the receive vertices the ack proves must exist before a conflict on
 	// this position reaches handle-extra-msg.
 	if implied {
-		p.implied(&impliedCommit{node: dst, seq: e.PeerSeq, hash: hy, t: e.PeerTime, reporter: node, msgs: pend.msgs})
+		p.ops = append(p.ops, replayOp{kind: opImplied,
+			commit: &impliedCommit{node: dst, seq: e.PeerSeq, hash: hy, t: e.PeerTime, reporter: node, msgs: pend.msgs}})
 	}
 }
 
-func (p *prep) replayCkpt(node types.NodeID, seq uint64, e *seclog.Entry, atSegmentStart bool) {
-	a := p.a
+func (p *prep) replayCkpt(seq uint64, e *seclog.Entry, atSegmentStart bool) {
+	a, node := p.a, p.Node
 	ck := e.Ckpt
 	if ck == nil {
-		p.fail(node, seq, "checkpoint entry without payload")
+		p.fail(seq, "checkpoint entry without payload")
 		return
 	}
 	if err := ck.VerifyFull(a.suite, a.Stats); err != nil {
-		p.fail(node, seq, "checkpoint payload does not match digests: %v", err)
+		p.fail(seq, "checkpoint payload does not match digests: %v", err)
 		return
 	}
 	if atSegmentStart {
 		// Start of replay: restore the machine and seed the graph with the
-		// extant tuples (their causes live in an earlier segment). In
-		// cached mode the restore is deferred — the cached final snapshot
-		// is restored once the whole walk validates (Prepare).
-		if p.cur != nil {
-			p.cur.needMachine = true
-		} else if err := p.machineFor().Restore(ck.MachineState); err != nil {
-			p.fail(node, seq, "checkpoint state does not restore: %v", err)
+		// extant tuples (their causes live in an earlier segment).
+		if err := p.machine.Restore(ck.MachineState); err != nil {
+			p.fail(seq, "checkpoint state does not restore: %v", err)
 			return
 		}
 		for _, it := range ck.Items {
 			if it.Local {
-				p.seedExist(node, it.Tuple, it.Appeared)
+				p.ops = append(p.ops, replayOp{kind: opSeedExist,
+					seed: &seedOp{node: node, tup: it.Tuple, t: it.Appeared}})
 			}
 			for _, b := range it.Believed {
-				p.seedBelieve(node, b.Origin, it.Tuple, b.Since)
+				p.ops = append(p.ops, replayOp{kind: opSeedBelieve,
+					seed: &seedOp{node: node, origin: b.Origin, tup: it.Tuple, t: b.Since}})
 			}
 		}
 		return
@@ -646,17 +524,16 @@ func (p *prep) replayCkpt(node types.NodeID, seq uint64, e *seclog.Entry, atSegm
 	// otherwise the node checkpointed state it never reached ("if a faulty
 	// node adds a nonexistent tuple to its checkpoint, this will be
 	// discovered when ... replay will begin before the checkpoint and end
-	// after it", §5.6). In cached mode there is no stepped machine to
-	// compare; the check passed when the entry was cached (the same bytes
-	// replay to the same state), so it is safely skipped.
-	if p.cur != nil {
-		p.cur.needMachine = true
+	// after it", §5.6). A recording has no state to compare; the check
+	// passed when it was made (the same bytes replay to the same state), so
+	// it is safely skipped.
+	if _, recorded := p.machine.(*recording); recorded {
 		return
 	}
-	snap := p.machineFor().Snapshot()
+	snap := p.machine.Snapshot()
 	a.Stats.CountHash(len(snap))
 	if !bytes.Equal(a.suite.Hash(snap), ck.StateHash) {
-		p.fail(node, seq, "checkpoint disagrees with replayed state")
+		p.fail(seq, "checkpoint disagrees with replayed state")
 	}
 }
 

@@ -215,12 +215,18 @@ func TestSweepRetriesUnderScope(t *testing.T) {
 }
 
 // windowFetcher counts retrieves that have completed and whose audit the
-// demand thread has not committed yet.
+// demand thread has not committed yet. A commit is visible to the test only
+// as EnsureAudited returning, by when the window slot is free again and a
+// worker may have fetched into it. So a retrieve that completes while a
+// demand for another node is in progress is counted once that demand has
+// been: every count is then taken with no commit unaccounted for.
 type windowFetcher struct {
 	core.Fetcher
 	limit int
 
 	mu          sync.Mutex
+	accounted   *sync.Cond   // the demand in progress has been counted
+	demanding   types.NodeID // the node EnsureAudited is running for, if any
 	outstanding int
 	peak        int
 	overflow    chan struct{} // closed when outstanding first exceeds limit
@@ -230,6 +236,10 @@ func (f *windowFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*
 	resp, err := f.Fetcher.Retrieve(node, req)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	// The demand may be waiting for this very retrieve; it waits for no other.
+	for f.demanding != "" && f.demanding != node {
+		f.accounted.Wait()
+	}
 	f.outstanding++
 	f.peak = max(f.peak, f.outstanding)
 	if f.outstanding == f.limit+1 {
@@ -238,10 +248,18 @@ func (f *windowFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*
 	return resp, err
 }
 
-func (f *windowFetcher) committed() {
+// ensureAudited demands node and counts its commit.
+func (f *windowFetcher) ensureAudited(q *core.Querier, node types.NodeID) error {
+	f.mu.Lock()
+	f.demanding = node
+	f.mu.Unlock()
+	err := q.EnsureAudited(node, 0)
 	f.mu.Lock()
 	f.outstanding--
+	f.demanding = ""
+	f.accounted.Broadcast()
 	f.mu.Unlock()
+	return err
 }
 
 // TestAuditScopeWindow pins the prefetcher's memory bound: however long the
@@ -256,6 +274,7 @@ func TestAuditScopeWindow(t *testing.T) {
 	q := net.NewQuerier(mincost.Factory())
 	q.Parallelism = workers
 	fetch := &windowFetcher{Fetcher: q.Fetch, limit: workers, overflow: make(chan struct{})}
+	fetch.accounted = sync.NewCond(&fetch.mu)
 	q.Fetch = fetch
 	q.BeginAuditScope(nodes, 0)
 	defer q.CloseScope()
@@ -267,10 +286,9 @@ func TestAuditScopeWindow(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	for _, n := range nodes {
-		if err := q.EnsureAudited(n, 0); err != nil {
+		if err := fetch.ensureAudited(q, n); err != nil {
 			t.Fatalf("EnsureAudited(%s): %v", n, err)
 		}
-		fetch.committed()
 	}
 	if fetch.peak > workers {
 		t.Errorf("%d fetched audits awaited their commit at once, window is %d", fetch.peak, workers)

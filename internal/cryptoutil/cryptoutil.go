@@ -239,11 +239,18 @@ const verifyCacheMaxEntries = 1 << 20
 type VerifyCache struct {
 	mu sync.RWMutex
 	m  map[[sha256.Size]byte]bool
+	// busy holds the triples being verified right now. A caller that finds
+	// its triple here waits for that result and counts a hit, so hit counts
+	// do not depend on how concurrent callers interleave.
+	busy map[[sha256.Size]byte]struct{}
+	done *sync.Cond // a verification finished; waits on mu
 }
 
 // NewVerifyCache returns an empty cache.
 func NewVerifyCache() *VerifyCache {
-	return &VerifyCache{m: make(map[[sha256.Size]byte]bool)}
+	c := &VerifyCache{m: make(map[[sha256.Size]byte]bool), busy: make(map[[sha256.Size]byte]struct{})}
+	c.done = sync.NewCond(&c.mu)
+	return c
 }
 
 // DefaultVerifyCache is the process-wide cache used by seclog; nodes and
@@ -284,13 +291,29 @@ func (c *VerifyCache) Verify(stats *Stats, pub PublicKey, msg, sig []byte) bool 
 		stats.CountVerifyCacheHit()
 		return v
 	}
+	c.mu.Lock()
+	for {
+		if v, ok = c.m[k]; ok {
+			c.mu.Unlock()
+			stats.CountVerifyCacheHit()
+			return v
+		}
+		if _, busy := c.busy[k]; !busy {
+			break
+		}
+		c.done.Wait()
+	}
+	c.busy[k] = struct{}{}
+	c.mu.Unlock()
 	v = pub.Verify(msg, sig)
 	c.mu.Lock()
 	if len(c.m) >= verifyCacheMaxEntries {
 		c.m = make(map[[sha256.Size]byte]bool)
 	}
 	c.m[k] = v
+	delete(c.busy, k)
 	c.mu.Unlock()
+	c.done.Broadcast()
 	return v
 }
 

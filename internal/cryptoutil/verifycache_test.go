@@ -1,6 +1,9 @@
 package cryptoutil
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestVerifyCache(t *testing.T) {
 	key, err := PooledKey(Ed25519SHA256, 42)
@@ -54,5 +57,43 @@ func TestVerifyCache(t *testing.T) {
 	}
 	if stats.VerifyCacheHits.Load() != before {
 		t.Fatal("reset cache still served a hit")
+	}
+}
+
+// TestVerifyCacheConcurrentHitCount: callers that race for one uncached
+// triple share one verification, so the hit count is the same however they
+// interleave — the pipelined audit sweep is held to the serial one's counts.
+func TestVerifyCacheConcurrentHitCount(t *testing.T) {
+	key, err := PooledKey(Ed25519SHA256, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := key.Public()
+	const callers, rounds = 8, 50
+	for round := 0; round < rounds; round++ {
+		msg := []byte{byte(round)}
+		sig, err := key.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewVerifyCache()
+		stats := new(Stats)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if !c.Verify(stats, pub, msg, sig) {
+					t.Error("valid signature rejected")
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if hits := stats.VerifyCacheHits.Load(); hits != callers-1 {
+			t.Fatalf("round %d: %d hits from %d concurrent callers, want %d", round, hits, callers, callers-1)
+		}
 	}
 }

@@ -70,10 +70,9 @@ type RunResult struct {
 	Factory  types.MachineFactory
 	Duration types.Time
 	// BGP deployment (for queriers with the maybe validator), when relevant.
-	BGP    *bgp.Deployment
-	MR     *mapreduce.Deployment
-	Chord  []types.NodeID
-	RealMR bool
+	BGP   *bgp.Deployment
+	MR    *mapreduce.Deployment
+	Chord []types.NodeID
 }
 
 // NewQuerier builds a query session appropriate for the run's application.

@@ -7,9 +7,11 @@ import (
 )
 
 // Builder runs the graph-construction algorithm of Appendix B (Figures
-// 10–11) over a history of events, replaying each node's deterministic
-// state machine and translating events and machine outputs into provenance
-// vertices and edges.
+// 10–11) over a history of events, translating each event and the outputs
+// its node's deterministic state machine produced for it into provenance
+// vertices and edges. The Builder holds no machine: whoever replays the
+// history (core.Auditor.Prepare) steps one and hands the outputs over with
+// the event.
 //
 // The Builder maintains the four bookkeeping sets of the pseudocode:
 //
@@ -23,11 +25,8 @@ import (
 // G(e)) or from a single node (building the projection G|i; Theorem 2 says
 // they agree).
 type Builder struct {
-	G       *Graph
-	factory types.MachineFactory
-	tprop   types.Time
-
-	machines map[types.NodeID]types.Machine
+	G     *Graph
+	tprop types.Time
 
 	// pending is keyed by the send vertex itself — its identity includes
 	// the content, so a logged transmission only matches a machine output
@@ -58,18 +57,15 @@ func (b *Builder) sendVertex(m *types.Message) *Vertex {
 	return b.G.Find(&Vertex{Type: VSend, Host: m.Src, Msg: m})
 }
 
-// NewBuilder returns a Builder over a fresh graph. factory creates the
-// deterministic state machine for each node; tprop is the maximum message
-// propagation delay Tprop (§5.2, assumption 4).
-func NewBuilder(factory types.MachineFactory, tprop types.Time) *Builder {
+// NewBuilder returns a Builder over a fresh graph. tprop is the maximum
+// message propagation delay Tprop (§5.2, assumption 4).
+func NewBuilder(tprop types.Time) *Builder {
 	return &Builder{
-		G:        New(),
-		factory:  factory,
-		tprop:    tprop,
-		machines: make(map[types.NodeID]types.Machine),
-		pending:  make(map[types.NodeID]*insmap[*Vertex]),
-		ackpend:  make(map[types.NodeID]*insmap[types.MessageID]),
-		unacked:  make(map[types.NodeID]*unackedSet),
+		G:       New(),
+		tprop:   tprop,
+		pending: make(map[types.NodeID]*insmap[*Vertex]),
+		ackpend: make(map[types.NodeID]*insmap[types.MessageID]),
+		unacked: make(map[types.NodeID]*unackedSet),
 	}
 }
 
@@ -117,21 +113,6 @@ func (b *Builder) flagUnacked(node types.NodeID, cutoff types.Time) {
 	}
 }
 
-// MachineFor returns (creating if necessary) the state machine for node id.
-func (b *Builder) MachineFor(id types.NodeID) types.Machine {
-	m, ok := b.machines[id]
-	if !ok {
-		m = b.factory(id)
-		b.machines[id] = m
-	}
-	return m
-}
-
-// RestoreMachine initializes node id's machine from a checkpoint snapshot.
-func (b *Builder) RestoreMachine(id types.NodeID, snapshot []byte) error {
-	return b.MachineFor(id).Restore(snapshot)
-}
-
 // SeedExist records, without provenance, that tuple existed on host since
 // appeared — used when replay starts from a checkpoint (§5.6). The vertex is
 // marked FromCheckpoint; its causes live in an earlier log segment.
@@ -161,35 +142,11 @@ func StepsMachine(ev types.Event) bool {
 	return ev.Kind != types.EvSnd && !ev.IsAck()
 }
 
-// HandleEvent processes one history event: steps 3–5 of the GCA main loop.
-// Events must be presented in per-node chronological order.
-func (b *Builder) HandleEvent(ev types.Event) {
-	b.applyEventGraph(ev)
-	if !StepsMachine(ev) {
-		return
-	}
-	outs := b.MachineFor(ev.Node).Step(ev)
-	for _, out := range outs {
-		b.handleOutput(ev.Node, out, ev.Time)
-	}
-}
-
-// ApplyReplayed is HandleEvent with the machine outputs precomputed by a
-// replica machine (the parallel audit pipeline's verify/decode phase runs the
-// deterministic machine off-thread and hands the outputs here). The graph
-// bookkeeping is identical to HandleEvent; the Builder's own machine for the
-// node is not stepped — the caller installs the fully replayed replica via
-// InstallMachine when its node's commit completes.
+// ApplyReplayed processes one history event: steps 3–5 of the GCA main
+// loop. outs is what the node's machine produced when it was stepped with ev
+// (nothing for the events StepsMachine excludes). Events must be presented
+// in per-node chronological order.
 func (b *Builder) ApplyReplayed(ev types.Event, outs []types.Output) {
-	b.applyEventGraph(ev)
-	for _, out := range outs {
-		b.handleOutput(ev.Node, out, ev.Time)
-	}
-}
-
-// applyEventGraph runs the event-side graph bookkeeping (Figure 11, left
-// column) without stepping any machine.
-func (b *Builder) applyEventGraph(ev types.Event) {
 	switch ev.Kind {
 	case types.EvIns:
 		b.handleEventIns(ev)
@@ -200,12 +157,9 @@ func (b *Builder) applyEventGraph(ev types.Event) {
 	case types.EvRcv:
 		b.handleEventRcv(ev)
 	}
-}
-
-// InstallMachine adopts a machine replayed elsewhere (a parallel audit
-// worker's replica) as node id's machine, replacing any existing one.
-func (b *Builder) InstallMachine(id types.NodeID, m types.Machine) {
-	b.machines[id] = m
+	for _, out := range outs {
+		b.handleOutput(ev.Node, out, ev.Time)
+	}
 }
 
 // Finalize flags leftover bookkeeping at the end of a complete history

@@ -98,12 +98,29 @@ func correctHistory() []types.Event {
 	}
 }
 
+// replay feeds events to b the way an auditor does: it steps a fresh test
+// machine per node and hands each event over with that machine's outputs.
+func replay(b *Builder, events []types.Event) {
+	factory := newTestMachine("n2")
+	machines := make(map[types.NodeID]types.Machine)
+	for _, ev := range events {
+		var outs []types.Output
+		if StepsMachine(ev) {
+			m := machines[ev.Node]
+			if m == nil {
+				m = factory(ev.Node)
+				machines[ev.Node] = m
+			}
+			outs = m.Step(ev)
+		}
+		b.ApplyReplayed(ev, outs)
+	}
+}
+
 func build(t *testing.T, events []types.Event) *Builder {
 	t.Helper()
-	b := NewBuilder(newTestMachine("n2"), 100)
-	for _, ev := range events {
-		b.HandleEvent(ev)
-	}
+	b := NewBuilder(100)
+	replay(b, events)
 	if err := b.G.Validate(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
 	}
@@ -248,11 +265,9 @@ func TestMissingAckFinalize(t *testing.T) {
 	}
 
 	// With a maintainer notification, the vertex stays yellow.
-	b2 := NewBuilder(newTestMachine("n2"), 100)
+	b2 := NewBuilder(100)
 	b2.MissedAckKnown = func(types.NodeID, types.MessageID) bool { return true }
-	for _, ev := range events {
-		b2.HandleEvent(ev)
-	}
+	replay(b2, events)
 	b2.Finalize(map[types.NodeID]types.Time{"n1": 1000})
 	if n := len(b2.G.RedVertices()); n != 0 {
 		t.Errorf("red vertices with maintainer notification = %d, want 0", n)
@@ -315,10 +330,8 @@ func TestMonotonicity(t *testing.T) {
 	events := correctHistory()
 	full := build(t, events)
 	for n := 0; n <= len(events); n++ {
-		prefix := NewBuilder(newTestMachine("n2"), 100)
-		for _, ev := range events[:n] {
-			prefix.HandleEvent(ev)
-		}
+		prefix := NewBuilder(100)
+		replay(prefix, events[:n])
 		if !prefix.G.Subgraph(full.G) {
 			t.Errorf("G(prefix %d) is not a subgraph of G(full)", n)
 		}
@@ -330,12 +343,14 @@ func TestCompositionality(t *testing.T) {
 	events := correctHistory()
 	full := build(t, events)
 	for _, node := range []types.NodeID{"n1", "n2"} {
-		solo := NewBuilder(newTestMachine("n2"), 100)
+		solo := NewBuilder(100)
+		var own []types.Event
 		for _, ev := range events {
 			if ev.Node == node {
-				solo.HandleEvent(ev)
+				own = append(own, ev)
 			}
 		}
+		replay(solo, own)
 		proj := full.G.Project(node)
 		// Every vertex of the projection must appear in the solo build and
 		// vice versa.
@@ -440,7 +455,7 @@ func TestExtraMsgLeavesExistingAlone(t *testing.T) {
 }
 
 func TestSeedExistFromCheckpoint(t *testing.T) {
-	b := NewBuilder(newTestMachine("n2"), 100)
+	b := NewBuilder(100)
 	tup := types.MakeTuple("base", types.N("n1"), types.I(1))
 	v := b.SeedExist("n1", tup, 3)
 	if !v.FromCheckpoint || !v.Open() || v.Color != Black {

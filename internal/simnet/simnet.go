@@ -189,9 +189,6 @@ type Config struct {
 	// the parallel scheduler; negative uses GOMAXPROCS. Every observable is
 	// bit-identical across worker counts (see the package comment).
 	Workers int
-	// Baseline disables all SNP machinery accounting except payload
-	// metering (used to measure the baseline system).
-	Baseline bool
 	// OnNode, when set, is invoked with every node AddNode creates — after
 	// registration, before any event executes. The adversary-injection
 	// framework (internal/adversary) uses it to arm Byzantine behaviors on
