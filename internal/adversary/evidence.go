@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/provgraph"
+	"repro/internal/seclog"
 	"repro/internal/types"
 )
 
@@ -218,20 +219,26 @@ func Sweep(q *core.Querier, maint *core.Maintainer, targets []types.NodeID,
 		pending = again
 	}
 	q.Auditor.Finalize()
-	// The §5.5 consistency check: every authenticator a reachable peer holds
-	// about a target must lie on the chain that target presented.
 	for _, target := range targets {
-		for _, peer := range all {
-			if _, down := v.Unresponsive[peer]; down || peer == target {
-				continue
-			}
-			for _, a := range q.Fetch.AuthsAbout(peer, target, 0, types.Time(math.MaxInt64)) {
-				q.Auditor.CheckAuthenticator(a)
-			}
-		}
+		CheckConsistency(q.Fetch, all, v.Unresponsive, target, q.Auditor.CheckAuthenticator)
 	}
 	v.Refresh(q, maint)
 	return v
+}
+
+// CheckConsistency is the §5.5 consistency check for one target: every
+// authenticator a peer holds about it goes to check, which must find it on
+// the chain the target presented. Peers in down are not asked.
+func CheckConsistency(fetch core.Fetcher, peers []types.NodeID, down map[types.NodeID]error,
+	target types.NodeID, check func(seclog.Authenticator)) {
+	for _, peer := range peers {
+		if _, skip := down[peer]; skip || peer == target {
+			continue
+		}
+		for _, a := range fetch.AuthsAbout(peer, target, 0, types.Time(math.MaxInt64)) {
+			check(a)
+		}
+	}
 }
 
 // AuditAll is one Sweep of the whole deployment, no retries.

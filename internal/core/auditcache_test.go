@@ -423,7 +423,7 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 		}
 		baseline[id] = p
 		seg := resps[id].Segment
-		keys[id] = cache.key(id, seg.From, seg.To(), p.audited.hashes[seg.To()])
+		keys[id] = cache.key(id, seg.From, seg.To(), p.audited.hashAt(seg.To()))
 		raw, err := os.ReadFile(path(keys[id]))
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cryptoutil"
@@ -57,16 +58,72 @@ type Auditor struct {
 	dir     *Directory
 	factory types.MachineFactory
 
-	covered  map[types.NodeID]*auditedNode
+	covered  map[types.NodeID]*AuditedHead
 	implied  map[types.NodeID]map[uint64]*impliedCommit
 	failures []Failure
 	endTimes map[types.NodeID]types.Time
 }
 
-type auditedNode struct {
-	from, to uint64
-	hashes   map[uint64][]byte // seq -> h_seq
-	sent     map[types.MessageID]*sentEnvelope
+// AuditedHead is the chain one node presented to an audit, verified against
+// an authenticator the node signed: the hashes of log positions from..to. It
+// is immutable once Prepare returns, so the auditor's bookkeeping and whoever
+// keeps it past the audit share the one flat slice.
+type AuditedHead struct {
+	node  types.NodeID
+	from  uint64
+	size  int    // bytes per hash
+	chain []byte // h_from ‖ … ‖ h_to
+}
+
+// to is the last position of the chain (from-1 for an empty one).
+func (h *AuditedHead) to() uint64 { return h.from + uint64(len(h.chain)/h.size) - 1 }
+
+// hashAt returns h_seq, or nil for a position outside the chain.
+func (h *AuditedHead) hashAt(seq uint64) []byte {
+	if seq < h.from || seq-h.from >= uint64(len(h.chain)/h.size) {
+		return nil
+	}
+	i := int(seq-h.from) * h.size
+	return h.chain[i : i+h.size : i+h.size]
+}
+
+// Bytes is the memory the chain occupies.
+func (h *AuditedHead) Bytes() int { return len(h.chain) }
+
+// Confirms reports whether auth, the node's answer to LatestAuth, is its valid
+// signature over exactly the last position of this chain: the log has not
+// grown, been rolled back or forked since the audit that replayed the chain,
+// and the node stands by all of it.
+func (h *AuditedHead) Confirms(dir *Directory, auth seclog.Authenticator) bool {
+	head := h.hashAt(auth.Seq)
+	if auth.Node != h.node || auth.Seq != h.to() || head == nil || !bytes.Equal(auth.Hash, head) {
+		return false
+	}
+	pub, err := dir.Key(h.node)
+	return err == nil && auth.Verify(pub)
+}
+
+// CheckAuthenticator is the §5.5 consistency check of one authenticator a peer
+// holds: if its signer signed it and h is the signer's chain, the position it
+// commits to must carry the same hash there; the failure returned otherwise
+// is proof of a fork. h may be nil (the signer's chain is not held).
+func (h *AuditedHead) CheckAuthenticator(dir *Directory, stats *cryptoutil.Stats, auth seclog.Authenticator) (Failure, bool) {
+	pub, err := dir.Key(auth.Node)
+	if err != nil {
+		return Failure{}, false // unknown signer; nothing to verify
+	}
+	stats.CountVerify()
+	if !auth.VerifyCounted(stats, pub) {
+		return Failure{}, false // not valid evidence
+	}
+	if h == nil || auth.Node != h.node {
+		return Failure{}, false
+	}
+	if on := h.hashAt(auth.Seq); on != nil && !bytes.Equal(on, auth.Hash) {
+		return Failure{Node: auth.Node, Seq: auth.Seq,
+			Reason: "authenticator held by a peer is not on the presented chain (fork)"}, true
+	}
+	return Failure{}, false
 }
 
 type sentEnvelope struct {
@@ -102,7 +159,7 @@ func NewAuditor(cfg Config, dir *Directory, factory types.MachineFactory, maint 
 		suite:    cfg.suite(),
 		dir:      dir,
 		factory:  factory,
-		covered:  make(map[types.NodeID]*auditedNode),
+		covered:  make(map[types.NodeID]*AuditedHead),
 		implied:  make(map[types.NodeID]map[uint64]*impliedCommit),
 		endTimes: make(map[types.NodeID]types.Time),
 	}
@@ -126,6 +183,10 @@ func (a *Auditor) Audited(id types.NodeID) bool {
 	_, ok := a.covered[id]
 	return ok
 }
+
+// AuditedHead returns the chain node id presented, or nil if its log has not
+// been replayed.
+func (a *Auditor) AuditedHead(id types.NodeID) *AuditedHead { return a.covered[id] }
 
 // ---------------------------------------------------------------------------
 // Prepared audits: the op stream recorded by the parallel phase.
@@ -195,7 +256,7 @@ type PreparedAudit struct {
 	wire    wireBytes // summed here so the decoded response need not outlive Prepare
 	err     error
 	ops     []replayOp
-	audited *auditedNode
+	audited *AuditedHead
 	endTime types.Time
 }
 
@@ -212,6 +273,9 @@ type prep struct {
 	// these very entries before (see auditcache.go). Either way it is local
 	// to Prepare: the commit phase sees its outputs and nothing else.
 	machine types.Machine
+	// sent is the envelope of every snd entry walked so far, by its first
+	// message: what an ack entry's signature is re-verified against.
+	sent map[types.MessageID]*sentEnvelope
 }
 
 func (p *prep) fail(seq uint64, format string, args ...any) {
@@ -278,9 +342,10 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 		}
 	}
 
-	p.audited = &auditedNode{from: seg.From, to: seg.To(), hashes: make(map[uint64][]byte, len(hashes))}
-	for i, h := range hashes {
-		p.audited.hashes[seg.From+uint64(i)] = h
+	size := a.suite.HashSize()
+	p.audited = &AuditedHead{node: node, from: seg.From, size: size, chain: make([]byte, 0, len(hashes)*size)}
+	for _, h := range hashes {
+		p.audited.chain = append(p.audited.chain, h...)
 	}
 
 	// Failures recorded before this point mean the response is already
@@ -362,13 +427,42 @@ func (a *Auditor) applyOps(ops []replayOp) {
 	}
 }
 
+// cleanOpCount is the number of ops replayEntries records for a segment it
+// finds no failure in, so that the op stream is allocated once.
+func cleanOpCount(seg *seclog.SegmentData) int {
+	n := 0
+	for i, e := range seg.Entries {
+		switch e.Type {
+		case seclog.EIns, seclog.EDel:
+			n++
+		case seclog.ESnd:
+			n += len(e.Msgs)
+		case seclog.ERcv:
+			n += 2*len(e.Msgs) + 1
+		case seclog.EAck:
+			n += len(e.AckIDs) + 1
+		case seclog.ECkpt:
+			if i == 0 && e.Ckpt != nil {
+				for _, it := range e.Ckpt.Items {
+					n += len(it.Believed)
+					if it.Local {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
 // replayEntries walks the verified segment through m: it expands entries
 // into GCA events, re-verifying embedded peer signatures and checkpoints
 // along the way, and steps m with every machine-bound one.
 func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 	node := p.Node
 	p.machine = m
-	p.audited.sent, p.endTime = make(map[types.MessageID]*sentEnvelope), 0
+	p.sent, p.endTime = make(map[types.MessageID]*sentEnvelope), 0
+	p.ops = slices.Grow(p.ops, cleanOpCount(seg))
 	for i, e := range seg.Entries {
 		seq := seg.From + uint64(i)
 		if e.T > p.endTime {
@@ -388,15 +482,15 @@ func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 			}
 			prev := seg.BaseHash
 			if seq > seg.From {
-				prev = p.audited.hashes[seq-1]
+				prev = p.audited.hashAt(seq - 1)
 			}
-			p.audited.sent[e.Msgs[0].ID()] = &sentEnvelope{msgs: e.Msgs, seq: seq, t: e.T, prevHash: prev}
+			p.sent[e.Msgs[0].ID()] = &sentEnvelope{msgs: e.Msgs, seq: seq, t: e.T, prevHash: prev}
 			for j := range e.Msgs {
-				msg := e.Msgs[j]
+				msg := &e.Msgs[j]
 				if msg.Src != node {
 					p.fail(seq, "snd entry with foreign source %s", msg.Src)
 				}
-				p.handleEvent(types.Event{Kind: types.EvSnd, Node: node, Time: e.T, Msg: &msg})
+				p.handleEvent(types.Event{Kind: types.EvSnd, Node: node, Time: e.T, Msg: msg})
 			}
 		case seclog.ERcv:
 			p.replayRcv(seq, e)
@@ -428,14 +522,14 @@ func (p *prep) replayRcv(seq uint64, e *seclog.Entry) {
 		implied = true
 	}
 	for j := range e.Msgs {
-		msg := e.Msgs[j]
+		msg := &e.Msgs[j]
 		if msg.Dst != node {
 			p.fail(seq, "rcv entry with foreign destination %s", msg.Dst)
 			continue
 		}
 		id := msg.ID()
 		p.handleEvent(types.Event{Kind: types.EvRcv, Node: node, Time: e.T,
-			Msg: &msg, SameBatch: j > 0})
+			Msg: msg, SameBatch: j > 0})
 		// The rcv entry commits the receiver to acknowledging: synthesize
 		// the ack transmission (acks are implicit in the log, §5.4).
 		p.handleEvent(types.Event{Kind: types.EvSnd, Node: node, Time: e.T,
@@ -458,7 +552,7 @@ func (p *prep) replayAck(seq uint64, e *seclog.Entry) {
 		p.fail(seq, "empty ack entry")
 		return
 	}
-	pend := p.audited.sent[e.AckIDs[0]]
+	pend := p.sent[e.AckIDs[0]]
 	dst := e.AckIDs[0].Dst
 	if pend == nil {
 		p.fail(seq, "ack entry without a matching snd entry")
@@ -555,7 +649,7 @@ func (a *Auditor) recordImplied(c *impliedCommit) {
 	m[seq] = c
 	// If the node is already audited, check against its presented chain.
 	if audited, ok := a.covered[node]; ok {
-		if h, ok := audited.hashes[seq]; ok && !bytes.Equal(h, c.hash) {
+		if h := audited.hashAt(seq); h != nil && !bytes.Equal(h, c.hash) {
 			a.equivocation(node, seq, c, c)
 		}
 	}
@@ -563,7 +657,7 @@ func (a *Auditor) recordImplied(c *impliedCommit) {
 
 // crossCheck compares a freshly audited chain with every implied commitment
 // collected so far.
-func (a *Auditor) crossCheck(node types.NodeID, audited *auditedNode) {
+func (a *Auditor) crossCheck(node types.NodeID, audited *AuditedHead) {
 	keys := make([]uint64, 0, len(a.implied[node]))
 	for seq := range a.implied[node] {
 		keys = append(keys, seq)
@@ -571,7 +665,7 @@ func (a *Auditor) crossCheck(node types.NodeID, audited *auditedNode) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, seq := range keys {
 		c := a.implied[node][seq]
-		if h, ok := audited.hashes[seq]; ok && !bytes.Equal(h, c.hash) {
+		if h := audited.hashAt(seq); h != nil && !bytes.Equal(h, c.hash) {
 			a.equivocation(node, seq, c, c)
 		}
 	}
@@ -592,21 +686,8 @@ func (a *Auditor) equivocation(node types.NodeID, seq uint64, c1, c2 *impliedCom
 // CheckAuthenticator cross-checks an externally collected authenticator
 // (from the consistency check of §5.5) against an audited node's chain.
 func (a *Auditor) CheckAuthenticator(auth seclog.Authenticator) {
-	pub, err := a.dir.Key(auth.Node)
-	if err != nil {
-		return // unknown signer; nothing to verify
-	}
-	a.Stats.CountVerify()
-	if !auth.VerifyCounted(a.Stats, pub) {
-		return // not valid evidence
-	}
-	audited, ok := a.covered[auth.Node]
-	if !ok {
-		return
-	}
-	if h, ok := audited.hashes[auth.Seq]; ok && !bytes.Equal(h, auth.Hash) {
-		a.failures = append(a.failures, Failure{Node: auth.Node, Seq: auth.Seq,
-			Reason: "authenticator held by a peer is not on the presented chain (fork)"})
+	if f, forked := a.covered[auth.Node].CheckAuthenticator(a.dir, a.Stats, auth); forked {
+		a.failures = append(a.failures, f)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/livetcp"
 	"repro/internal/queryfront"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 // TestFrontConformance re-proves the §4.2 guarantee through the query
@@ -26,17 +29,25 @@ import (
 // an in-process one (Verdict.CheckGuarantee): the tamperer exposed with
 // provable evidence, no honest node accused, the partitioned victim parked
 // in the unreachable-leads tier.
+//
+// Every node is then audited on its own, twice over, and both verdicts are held
+// to the same check. Under the partition the victim's §5.4 reports cannot be
+// merged, so no audit may be answered from the ledger of audited heads; the
+// "reachable" cases run the tamperer without the partition, where the second
+// audit of every honest node is answered from the ledger and must equal the
+// first, and the tamperer's never is.
 func TestFrontConformance(t *testing.T) {
 	names := live.AppNames()
 	if testing.Short() {
 		names = names[:1]
 	}
 	for _, name := range names {
-		t.Run(name+"/seed=1", func(t *testing.T) { runFrontCase(t, name, 1) })
+		t.Run(name+"/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, true) })
+		t.Run(name+"/reachable/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, false) })
 	}
 }
 
-func runFrontCase(t *testing.T, name string, seed int64) {
+func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 	app, err := live.AppByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +56,13 @@ func runFrontCase(t *testing.T, name string, seed int64) {
 	if !ok {
 		t.Fatal("tamper-log profile missing from catalog")
 	}
-	h, err := livetcp.New(app, livetcp.Options{
-		Seed:   seed,
-		Fault:  transport.NewFaultPlan(seed, transport.FaultRule{From: "*", To: string(app.Victim), Partition: true}),
-		OnNode: profile.On(app.Compromised).Hook(),
-	})
+	opts := livetcp.Options{Seed: seed, OnNode: profile.On(app.Compromised).Hook()}
+	victim := types.NodeID("")
+	if partition {
+		victim = app.Victim
+		opts.Fault = transport.NewFaultPlan(seed, transport.FaultRule{From: "*", To: string(victim), Partition: true})
+	}
+	h, err := livetcp.New(app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +130,7 @@ func runFrontCase(t *testing.T, name string, seed int64) {
 		t.Fatalf("got %d verdicts, want %d", len(verdicts), clients*perClient)
 	}
 	for i, res := range verdicts {
-		for _, breach := range res.Verdict().CheckGuarantee(profile.Class, app.Compromised, app.Victim, false) {
+		for _, breach := range res.Verdict().CheckGuarantee(profile.Class, app.Compromised, victim, false) {
 			t.Errorf("verdict %d: §4.2 violated: %s\nfailures: %v\nred: %v", i, breach, res.Failures, res.RedHosts)
 		}
 	}
@@ -129,6 +142,72 @@ func runFrontCase(t *testing.T, name string, seed int64) {
 	}
 	if stats.CacheHits == 0 {
 		t.Error("six audits over a shared persistent cache recorded no hits")
+	}
+	if stats.LedgerHits+stats.LedgerMisses != 0 || stats.LedgerBytes != 0 {
+		t.Errorf("whole-deployment audits touched the ledger: %v", stats)
+	}
+
+	// Every node on its own, twice, the targets side by side.
+	var honest uint64
+	for _, id := range app.Nodes {
+		compromised := slices.Contains(app.Compromised, id)
+		if !compromised {
+			honest++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, err := queryfront.Dial(srv.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			var asked [2]*queryfront.AuditResult
+			for i := range asked {
+				res, err := cl.Audit(id)
+				if err != nil {
+					t.Errorf("audit of %s: %v", id, err)
+					return
+				}
+				// A verdict on one node owes evidence only when that node is
+				// the tamperer, and the cut-off tier only when it is the victim.
+				class, cutOff, identical := adversary.Traceable, types.NodeID(""), true
+				if compromised {
+					class, identical = profile.Class, false
+				}
+				if id == victim {
+					cutOff = victim
+				}
+				for _, breach := range res.Verdict().CheckGuarantee(class, app.Compromised, cutOff, identical) {
+					t.Errorf("audit %d of %s: §4.2 violated: %s\nfailures: %v\nred: %v", i, id, breach, res.Failures, res.RedHosts)
+				}
+				res.Elapsed = 0
+				for j := range res.Unreachable {
+					res.Unreachable[j].Err = "" // names the session that asked
+				}
+				asked[i] = res
+			}
+			if !reflect.DeepEqual(asked[0], asked[1]) {
+				t.Errorf("two audits of %s over an unchanged deployment differ:\n%+v\n%+v", id, asked[0], asked[1])
+			}
+		}()
+	}
+	wg.Wait()
+	single := srv.Stats()
+	t.Logf("front stats after the single-node audits: %v", single)
+	if got := single.LedgerHits + single.LedgerMisses; got != 2*uint64(len(app.Nodes)) {
+		t.Errorf("ledger counted %d single-node audits, want %d", got, 2*len(app.Nodes))
+	}
+	if partition {
+		if single.LedgerHits != 0 || single.LedgerBytes != 0 {
+			t.Errorf("audits over a partial notes merge used the ledger: %v", single)
+		}
+		if single.NotesSyncErrors == 0 {
+			t.Error("no notes-sync error counted with the victim cut off")
+		}
+	} else if single.LedgerHits != honest {
+		t.Errorf("ledger hits = %d, want one per honest node (%d)", single.LedgerHits, honest)
 	}
 
 	// One Explain macroquery over the wire: the converged route on a

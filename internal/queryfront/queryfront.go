@@ -15,19 +15,40 @@
 // share. Overload is handled the way the transport handles full peer
 // queues: a bounded admission queue sheds and counts rather than blocking
 // or violating deadlines, and FrontStats exposes the counters (served/
-// shed/expired/failed, cache hit ratio, per-kind p50/p99) over a stats
-// RPC on the same listener.
+// shed/expired/failed, cache hit ratio, ledger hits and held bytes, partial
+// notes merges, per-kind p50/p99) over a stats RPC on the same listener.
 //
-// The evidence semantics are unchanged by the extra hop: every query runs
-// a fresh Auditor over the shared cache, merges the deployment's §5.4
-// missing-ack notes first (so honest nodes with unacked sends surface as
-// leads, never as provable evidence), and reports unreachable peers as
+// The evidence semantics are unchanged by the extra hop: every query merges
+// the deployment's §5.4 missing-ack notes first (so honest nodes with unacked
+// sends surface as leads, never as provable evidence), audits with a fresh
+// Auditor over the shared cache, and reports unreachable peers as
 // unattributable leads (§4.2's "unavailable" tier).
+//
+// One kind of query need not audit again. SNP audits work from authenticators
+// (§5.4–5.5): once a node's log has been verified and replayed up to a head it
+// signed, and found clean, nothing about that node can change until the head
+// or the notes do. So the frontend keeps a ledger of audited heads (ledger.go).
+// An audit of a single target that ran in full and found nothing — no failure,
+// no red host, the target responsive, the notes merge complete — records the
+// target's verified chain hashes (one hash per log entry) and the notes it was
+// scored against. A later audit of that target is a hit if the notes merge is
+// complete and equal and the target's LatestAuth is its valid signature over
+// exactly the held head; an extension, a rollback or a fork moves the head, and
+// the full audit runs. A hit skips retrieve, verification, replay and graph
+// construction, whose result is on record, and runs the part of the sweep that
+// depends on the peers: every peer's authenticators about the target, checked
+// against the held chain by the code that checks them against a retrieved one.
+// Its answer is the full audit's. An entry is dropped when it cannot be
+// confirmed, when the live check finds a fork, or to keep the chains held
+// under ledgerCap; held state can only ever confirm "still clean", never
+// accuse. Audits of several targets and Explains neither read nor fill the
+// ledger.
 package queryfront
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,6 +57,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/quantile"
+	"repro/internal/seclog"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -162,10 +184,14 @@ type Server struct {
 	expired atomic.Uint64
 	failed  atomic.Uint64
 
+	notesSyncErrs atomic.Uint64
+
 	// cacheHits0/cacheMisses0 are the shared cache's counters at start;
 	// Stats reports deltas so a pre-warmed cache does not skew the ratio.
 	cacheHits0   uint64
 	cacheMisses0 uint64
+
+	ledger *ledger
 
 	mu    sync.Mutex
 	kinds map[string]*latRing
@@ -186,6 +212,8 @@ func Serve(cfg Config, addr string) (*Server, error) {
 		queue: make(chan *request, cfg.QueueLen),
 		quit:  make(chan struct{}),
 		kinds: map[string]*latRing{},
+
+		ledger: newLedger(),
 	}
 	for kind, h := range s.handlers() {
 		s.srv.Handle(kind, h)
@@ -225,7 +253,10 @@ func (s *Server) Stats() FrontStats {
 		Shed:     s.shed.Load(),
 		Expired:  s.expired.Load(),
 		Failed:   s.failed.Load(),
+
+		NotesSyncErrors: s.notesSyncErrs.Load(),
 	}
+	s.ledger.fill(&st)
 	if c := s.cfg.Base.AuditCache; c != nil {
 		st.CacheHits = c.Hits() - s.cacheHits0
 		st.CacheMisses = c.Misses() - s.cacheMisses0
@@ -294,12 +325,20 @@ func (s *Server) admit(req *request, reply transport.Reply) {
 	}
 }
 
+// auditFetcher is what a session's queries ask of the deployment: the audit
+// RPCs and the §5.4 notes merge. A session's is a transport.RemoteFetcher.
+type auditFetcher interface {
+	core.Fetcher
+	SyncNotes(*core.Maintainer) error
+}
+
 // session is one pool worker: a goroutine that owns one RemoteFetcher and
-// runs admitted queries serially. Each query gets a fresh Auditor and
+// runs admitted queries serially. A query that audits gets a fresh Auditor and
 // Querier, driven by this goroutine alone (the single-goroutine contract),
-// over the shared persistent cache; nothing but the cache and the cluster
-// is shared between sessions. Within a query the Querier's audit workers
-// call the session's fetcher concurrently, which RemoteFetcher allows.
+// over the shared persistent cache; nothing but the cache, the cluster and
+// the ledger of audited heads is shared between sessions. Within a query the
+// Querier's audit workers call the session's fetcher concurrently, which
+// RemoteFetcher allows.
 func (s *Server) session(i int) {
 	defer s.wg.Done()
 	fetch := s.cfg.Cluster.NewFetcher(types.NodeID(fmt.Sprintf("%s-%d", frontID, i)))
@@ -328,36 +367,108 @@ func (s *Server) run(fetch *transport.RemoteFetcher, req *request) {
 	fetch.CallTimeout = min(s.cfg.CallTimeout, remaining)
 	fetch.RetryDeadline = min(s.cfg.RetryDeadline, remaining)
 
-	// Merge the deployment's §5.4 missing-ack reports before any evidence
-	// is scored, best-effort: unreachable nodes are the sweep's to report.
-	maint := core.NewMaintainer()
-	_ = fetch.SyncNotes(maint)
-	auditor := core.NewAuditor(s.cfg.Base, s.cfg.Dir, s.cfg.Factory, maint)
-	q := core.NewQuerier(auditor, fetch)
+	if req.explain != nil {
+		res, err := s.explain(fetch, req.explain)
+		s.finish(req, "explain", err, func(w *wire.Writer) {
+			res.Elapsed = time.Since(req.admitted)
+			res.MarshalWire(w)
+		})
+	} else {
+		res := auditResultOf(s.audit(fetch, req.audit.Targets))
+		s.finish(req, "audit", nil, func(w *wire.Writer) {
+			res.Elapsed = time.Since(req.admitted)
+			res.MarshalWire(w)
+		})
+	}
+}
+
+// syncNotes merges the deployment's §5.4 missing-ack reports before any
+// evidence is scored, best-effort: unreachable nodes are the sweep's to
+// report. complete is false when a node's reports may be missing.
+func (s *Server) syncNotes(fetch auditFetcher) (maint *core.Maintainer, complete bool) {
+	maint = core.NewMaintainer()
+	if err := fetch.SyncNotes(maint); err != nil {
+		s.notesSyncErrs.Add(1)
+		return maint, false
+	}
+	return maint, true
+}
+
+// querier builds one query's fresh audit state over the merged notes.
+func (s *Server) querier(fetch core.Fetcher, maint *core.Maintainer) *core.Querier {
+	q := core.NewQuerier(core.NewAuditor(s.cfg.Base, s.cfg.Dir, s.cfg.Factory, maint), fetch)
 	// The session's share of the cores: with as many sessions as cores the
 	// pool already fills the machine and every audit stays lazy.
 	q.Parallelism = max(1, runtime.GOMAXPROCS(0)/s.cfg.Sessions)
 	if s.cfg.ConfigureQuerier != nil {
 		s.cfg.ConfigureQuerier(q)
 	}
+	return q
+}
 
-	if req.explain != nil {
-		res, err := s.runExplain(q, req.explain)
-		s.finish(req, "explain", err, func(w *wire.Writer) {
-			res.Elapsed = time.Since(req.admitted)
-			res.MarshalWire(w)
-		})
-	} else {
-		// One sweep of the targets (the whole membership when empty).
-		// Unreachable targets degrade to leads, never failures; the query's
-		// deadline is enforced through the fetcher's clamped budgets, so the
-		// sweep itself does not retry.
-		res := auditResultOf(adversary.Sweep(q, maint, req.audit.Targets, time.Time{}, 0))
-		s.finish(req, "audit", nil, func(w *wire.Writer) {
-			res.Elapsed = time.Since(req.admitted)
-			res.MarshalWire(w)
-		})
+// audit answers one audit query: one sweep of the targets (the whole
+// membership when empty). Unreachable targets degrade to leads, never
+// failures; the query's deadline is enforced through the fetcher's clamped
+// budgets, so the sweep itself does not retry.
+//
+// A single target goes to the ledger first, and into it afterwards if its
+// sweep found nothing. Only a single target: the verdict on several is not the
+// union of theirs (implied-commitment cross-checks and send/receive matching
+// see both graphs). And only over a complete notes merge, which both the
+// entry and the comparison with it are made of.
+func (s *Server) audit(fetch auditFetcher, targets []types.NodeID) *adversary.Verdict {
+	maint, complete := s.syncNotes(fetch)
+	single := len(targets) == 1
+	if single && complete {
+		if v := s.confirm(fetch, maint, targets[0]); v != nil {
+			s.ledger.hits.Add(1)
+			return v
+		}
 	}
+	q := s.querier(fetch, maint)
+	v := adversary.Sweep(q, maint, targets, time.Time{}, 0)
+	if single {
+		s.ledger.misses.Add(1)
+		if complete {
+			s.ledger.record(targets[0], q.Auditor.AuditedHead(targets[0]), v)
+		}
+	}
+	return v
+}
+
+// confirm answers a single-target audit from the ledger, or returns nil for
+// the full audit to run (see the package comment for why this is sound). The
+// entry must be confirmed by what the sweep's result depends on besides the
+// peers: equal notes, and the target still signing exactly the held head. What
+// remains of the sweep is the §5.5 consistency check, run here against the held
+// chain; its failures are the only evidence a confirmed answer can carry. An
+// entry that is not confirmed, or whose chain a peer's authenticator is off,
+// loses its place.
+func (s *Server) confirm(fetch core.Fetcher, maint *core.Maintainer, target types.NodeID) *adversary.Verdict {
+	e := s.ledger.lookup(target)
+	if e == nil {
+		return nil
+	}
+	notes := maint.Notes()
+	confirmed := slices.Equal(notes, e.notes)
+	if confirmed {
+		auth, err := fetch.LatestAuth(target)
+		confirmed = err == nil && e.head.Confirms(s.cfg.Dir, auth)
+	}
+	if !confirmed {
+		s.ledger.drop(target, e)
+		return nil
+	}
+	v := &adversary.Verdict{Unresponsive: map[types.NodeID]error{}, Notes: notes}
+	adversary.CheckConsistency(fetch, fetch.Nodes(), nil, target, func(a seclog.Authenticator) {
+		if f, forked := e.head.CheckAuthenticator(s.cfg.Dir, nil, a); forked {
+			v.Failures = append(v.Failures, f)
+		}
+	})
+	if len(v.Failures) != 0 {
+		s.ledger.drop(target, e)
+	}
+	return v
 }
 
 // finish accounts one executed query and sends its response.
@@ -372,8 +483,11 @@ func (s *Server) finish(req *request, kind string, err error, body func(*wire.Wr
 	req.reply(nil, body)
 }
 
-// runExplain answers one Explain macroquery.
-func (s *Server) runExplain(q *core.Querier, er *ExplainRequest) (*ExplainResult, error) {
+// explain answers one Explain macroquery. It audits afresh whatever the
+// ledger holds: the answer is a walk of the graph a ledger entry does not keep.
+func (s *Server) explain(fetch auditFetcher, er *ExplainRequest) (*ExplainResult, error) {
+	maint, _ := s.syncNotes(fetch)
+	q := s.querier(fetch, maint)
 	q.BeginAuditScope([]types.NodeID{er.Node}, er.StartHint)
 	defer q.CloseScope()
 	if err := q.EnsureAudited(er.Node, er.StartHint); err != nil {

@@ -291,7 +291,7 @@ func (k *KindStats) UnmarshalWire(r *wire.Reader) error {
 
 // FrontStats is the frontend's counter snapshot: pool shape, admission
 // outcomes (mirroring the transport's drop-and-count semantics), audit
-// cache effectiveness, and per-kind latency digests.
+// cache and ledger effectiveness, and per-kind latency digests.
 type FrontStats struct {
 	Sessions int
 	QueueCap int
@@ -310,6 +310,17 @@ type FrontStats struct {
 	CacheMisses uint64
 	// Kinds holds per-query-kind latency digests, sorted by kind.
 	Kinds []KindStats
+	// NotesSyncErrors counts queries whose §5.4 notes merge was partial (a
+	// node did not answer); they run best-effort and stay out of the ledger.
+	NotesSyncErrors uint64
+	// LedgerHits counts single-target audits answered from the ledger of
+	// audited heads plus the live checks; LedgerMisses the ones that took
+	// the full audit. LedgerEvictions counts entries dropped to keep
+	// LedgerBytes, the chain hashes held, under the cap.
+	LedgerHits      uint64
+	LedgerMisses    uint64
+	LedgerEvictions uint64
+	LedgerBytes     uint64
 }
 
 // HitRatio returns the audit-cache hit ratio in [0, 1] (0 when the cache
@@ -326,6 +337,8 @@ func (s FrontStats) String() string {
 	out := fmt.Sprintf("sessions=%d queue=%d served=%d shed=%d expired=%d failed=%d cache=%.0f%% (%d/%d)",
 		s.Sessions, s.QueueCap, s.Served, s.Shed, s.Expired, s.Failed,
 		100*s.HitRatio(), s.CacheHits, s.CacheHits+s.CacheMisses)
+	out += fmt.Sprintf(" ledger=%d/%d evicted=%d held=%dB notes-sync-errors=%d",
+		s.LedgerHits, s.LedgerHits+s.LedgerMisses, s.LedgerEvictions, s.LedgerBytes, s.NotesSyncErrors)
 	for _, k := range s.Kinds {
 		out += fmt.Sprintf(" %s{n=%d p50=%v p99=%v}", k.Kind, k.Count,
 			k.P50.Round(10*time.Microsecond), k.P99.Round(10*time.Microsecond))
@@ -344,6 +357,11 @@ func (s FrontStats) MarshalWire(w *wire.Writer) {
 	w.Uint(s.CacheHits)
 	w.Uint(s.CacheMisses)
 	wire.WriteSlice(w, s.Kinds, KindStats.MarshalWire)
+	w.Uint(s.NotesSyncErrors)
+	w.Uint(s.LedgerHits)
+	w.Uint(s.LedgerMisses)
+	w.Uint(s.LedgerEvictions)
+	w.Uint(s.LedgerBytes)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -357,5 +375,13 @@ func (s *FrontStats) UnmarshalWire(r *wire.Reader) error {
 	s.CacheHits = r.Uint()
 	s.CacheMisses = r.Uint()
 	s.Kinds = wire.ReadSlice(r, (*KindStats).UnmarshalWire)
+	if r.Remaining() == 0 {
+		return r.Err() // a frontend from before the ledger
+	}
+	s.NotesSyncErrors = r.Uint()
+	s.LedgerHits = r.Uint()
+	s.LedgerMisses = r.Uint()
+	s.LedgerEvictions = r.Uint()
+	s.LedgerBytes = r.Uint()
 	return r.Err()
 }
