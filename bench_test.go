@@ -60,7 +60,7 @@ func BenchmarkAuditorReplaySingleNode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		auditor := core.NewAuditor(res.Net.Cfg.Core, res.Net.Dir, res.Factory, res.Net.Maintainer)
+		auditor := core.NewAuditor(res.Net.Cfg.Core, res.Net.Dir, res.Workload.Factory, res.Net.Maintainer)
 		if err := auditor.Commit(auditor.Prepare(node, resp, auth)); err != nil {
 			b.Fatal(err)
 		}
@@ -90,79 +90,4 @@ func BenchmarkSweepCold(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(entries)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
-}
-
-// --- Crypto microbenches (Figure 7's unit costs, §7.6) ----------------------
-
-func BenchmarkEd25519Sign(b *testing.B) {
-	key, err := cryptoutil.PooledKey(cryptoutil.Ed25519SHA256, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := key.Sign(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEd25519Verify(b *testing.B) {
-	key, err := cryptoutil.PooledKey(cryptoutil.Ed25519SHA256, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]byte, 64)
-	sig, _ := key.Sign(msg)
-	pub := key.Public()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !pub.Verify(msg, sig) {
-			b.Fatal("verify failed")
-		}
-	}
-}
-
-func BenchmarkRSASign(b *testing.B) {
-	key, err := cryptoutil.PooledKey(cryptoutil.RSA1024SHA1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := key.Sign(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSAVerify(b *testing.B) {
-	key, err := cryptoutil.PooledKey(cryptoutil.RSA1024SHA1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]byte, 64)
-	sig, _ := key.Sign(msg)
-	pub := key.Public()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !pub.Verify(msg, sig) {
-			b.Fatal("verify failed")
-		}
-	}
-}
-
-func BenchmarkSHA1HashKiB(b *testing.B) {
-	buf := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cryptoutil.RSA1024SHA1.Hash(buf)
-	}
 }

@@ -42,16 +42,17 @@ func main() {
 // evasion); replay of its log exposes the suppressed sends.
 func suppress() {
 	net := simnet.New(simnet.DefaultConfig())
-	if err := mincost.Deploy(net, mincost.Figure2Topology, types.Second); err != nil {
+	w := mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)
+	if err := net.Deploy(w); err != nil {
 		log.Fatal(err)
 	}
 	net.Node("b").DropSend = func(m types.Message) bool {
 		return m.Dst == "c" && m.Tuple.Rel == "cost"
 	}
-	net.Run(30 * types.Second)
+	net.Run(w.Horizon)
 	fmt.Printf("Router b silently dropped %d advertisements to c.\n", net.Node("b").DropCount)
 	fmt.Println("Auditing b…")
-	q := net.NewQuerier(mincost.Factory())
+	q := net.QuerierFor(w)
 	if err := q.EnsureAudited("b", 0); err != nil {
 		log.Fatal(err)
 	}
@@ -73,19 +74,19 @@ func badGadget() {
 		{A: "as2", B: "as3", RelAB: bgp.Sibling},
 		{A: "as3", B: "as1", RelAB: bgp.Sibling},
 	}
-	d, err := bgp.Deploy(net, links, types.Second, 90*types.Second)
-	if err != nil {
+	w, speakers := bgp.New(links, types.Second, 90*types.Second, nil)
+	if err := net.Deploy(w); err != nil {
 		log.Fatal(err)
 	}
-	d.Speakers["as1"].PreferVia("as2")
-	d.Speakers["as2"].PreferVia("as3")
-	d.Speakers["as3"].PreferVia("as1")
+	speakers["as1"].PreferVia("as2")
+	speakers["as2"].PreferVia("as3")
+	speakers["as3"].PreferVia("as1")
 	net.At(2*types.Second, func() {
-		d.Speakers["as0"].Announce(net.Node("as0"), "10.9.9.0/24")
+		speakers["as0"].Announce(net.Node("as0"), "10.9.9.0/24")
 	})
-	net.Run(90 * types.Second)
+	net.Run(w.Horizon)
 
-	q := d.NewQuerier()
+	q := net.QuerierFor(w)
 	if err := q.EnsureAudited("as1", 0); err != nil {
 		log.Fatal(err)
 	}

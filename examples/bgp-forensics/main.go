@@ -17,21 +17,21 @@ import (
 func main() {
 	cfg := simnet.DefaultConfig()
 	net := simnet.New(cfg)
-	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, 5*types.Minute)
-	if err != nil {
+	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 5*types.Minute, nil)
+	if err := net.Deploy(w); err != nil {
 		log.Fatal(err)
 	}
 	// as30's policy refuses to export routes via the tier-1 as10; pin
 	// as10's own choice away from as30 so the alternative actually reaches
 	// as30.
-	r1 := d.Speakers["as30"]
+	r1 := speakers["as30"]
 	r1.ExportFilter = func(to types.NodeID, prefix, path string) bool {
 		return strings.Contains(path, "as10")
 	}
-	d.Speakers["as10"].PreferVia("as40")
+	speakers["as10"].PreferVia("as40")
 
 	net.At(5*types.Second, func() {
-		d.Speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
+		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
 	})
 	// Traffic-engineering change at t=60s: as30 now prefers via as10;
 	// combined with its export filter, as52 loses its route.
@@ -43,10 +43,10 @@ func main() {
 			bgp.AdvRoute("as40", "10.0.0.0/24", "as61 as99", "as61"),
 			[]types.Tuple{bogus}, nil)
 	})
-	net.Run(5 * types.Minute)
+	net.Run(w.Horizon)
 
 	fmt.Println("=== Query 1 (Quagga-Disappear): why did as52's route vanish? ===")
-	q := d.NewQuerier()
+	q := net.QuerierFor(w)
 	gone := bgp.AdvRoute("as52", "10.0.0.0/24", "as30 as51", "as30")
 	expl, err := q.Explain("as52", gone, core.QueryOpts{Mode: core.ModeDisappear})
 	if err != nil {
@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("--> benign: faulty nodes = %v (the withdrawal traces to as30's policy)\n\n", expl.FaultyNodes())
 
 	fmt.Println("=== Query 2: who hijacked 10.0.0.0/24? ===")
-	q2 := d.NewQuerier()
+	q2 := net.QuerierFor(w)
 	hijacked := bgp.AdvRoute("as40", "10.0.0.0/24", "as61 as99", "as61")
 	expl2, err := q2.Explain("as40", hijacked, core.QueryOpts{})
 	if err != nil {

@@ -23,8 +23,8 @@ func main() {
 	p.Duration = 3 * types.Minute
 	p.StabilizeEvery = 20 * types.Second
 	p.FingerEvery = 20 * types.Second
-	names, err := chord.Deploy(net, p)
-	if err != nil {
+	w := chord.New(p)
+	if err := net.Deploy(w); err != nil {
 		log.Fatal(err)
 	}
 	attacker := chord.NodeName(2)
@@ -44,9 +44,9 @@ func main() {
 		}
 		return outs
 	}
-	net.Run(p.Duration)
+	net.Run(w.Horizon)
 
-	for _, n := range names {
+	for _, n := range w.Nodes {
 		if n == attacker {
 			continue
 		}
@@ -58,7 +58,7 @@ func main() {
 			fmt.Printf("Poisoned state on %s: %s\n", n, pr)
 			fmt.Printf("(%s's true ring ID is %d, not %d)\n\n",
 				attacker, chord.RingID(attacker), pr.Args[2].Int)
-			q := net.NewQuerier(chord.Factory())
+			q := net.QuerierFor(w)
 			expl, err := q.Explain(n, pr, core.QueryOpts{})
 			if err != nil {
 				log.Fatal(err)

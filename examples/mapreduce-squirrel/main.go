@@ -21,15 +21,15 @@ func main() {
 	cfg.Core.Tbatch = 100 * types.Millisecond
 	net := simnet.New(cfg)
 	splits := workload.Corpus(7, 8, 4<<10)
-	d, err := mapreduce.Deploy(net, mapreduce.Job{
+	w := mapreduce.New(mapreduce.Job{
 		Mappers: 8, Reducers: 4, Splits: splits,
-		StartAt: types.Second, ReduceAt: 20 * types.Second,
+		StartAt: types.Second, ReduceAt: 20 * types.Second, Duration: 30 * types.Second,
 	})
-	if err != nil {
+	if err := net.Deploy(w); err != nil {
 		log.Fatal(err)
 	}
 	badMapper := mapreduce.MapperName(3) // "Map-3" in the paper's figure
-	reducer := d.OutputOwner("squirrel")
+	reducer := mapreduce.Partition("squirrel", mapreduce.Reducers(w.Nodes))
 	injected := false
 	net.Node(badMapper).Tamper = func(ev types.Event, outs []types.Output) []types.Output {
 		if injected || ev.Kind != types.EvIns || ev.Tuple.Rel != "split" {
@@ -42,14 +42,14 @@ func main() {
 			SendTime: ev.Time, Seq: 9999,
 		}})
 	}
-	net.Run(30 * types.Second)
+	net.Run(w.Horizon)
 
 	total := net.Node(reducer).Machine.(*mapreduce.Machine).Outputs()["squirrel"]
 	fmt.Printf("WordCount finished. Suspicious output: (squirrel, %d)\n", total)
 	fmt.Printf("(the honest corpus contains only %d squirrels)\n\n",
 		workload.CountWord(splits, "squirrel"))
 
-	q := net.NewQuerier(d.Factory())
+	q := net.QuerierFor(w)
 	expl, err := q.Explain(reducer, mapreduce.Out(reducer, "squirrel", total), core.QueryOpts{})
 	if err != nil {
 		log.Fatal(err)

@@ -15,13 +15,14 @@ import (
 
 func main() {
 	net := simnet.New(simnet.DefaultConfig())
-	if err := mincost.Deploy(net, mincost.Figure2Topology, types.Second); err != nil {
+	w := mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)
+	if err := net.Deploy(w); err != nil {
 		log.Fatal(err)
 	}
-	net.Run(30 * types.Second)
+	net.Run(w.Horizon)
 
 	fmt.Println("MinCost network converged. Querying the provenance of bestCost(@c,d,5)…")
-	q := net.NewQuerier(mincost.Factory())
+	q := net.QuerierFor(w)
 	expl, err := q.Explain("c", mincost.BestCost("c", "d", 5), core.QueryOpts{})
 	if err != nil {
 		log.Fatalf("query failed: %v", err)

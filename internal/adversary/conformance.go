@@ -14,26 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// App is one application configuration the conformance suite runs behaviors
-// against. Deploy builds the workload on a fresh network (the same seed and
-// schedule every time, so the adversary-free run is a deterministic
-// baseline); Compromised names the node(s) a behavior is armed on.
-type App struct {
-	Name        string
-	Horizon     types.Time
-	Compromised []types.NodeID
-	Deploy      func(net *simnet.Net, seed int64) error
-	// NewQuerier builds the application's query session (BGP installs its
-	// maybe-rule validator); nil uses Factory directly.
-	NewQuerier func(net *simnet.Net) *core.Querier
-	// Store, when non-nil, backs every run of the app with on-disk state:
-	// store-backed logs and (optionally) a persistent audit cache shared
-	// across runs. Nil keeps the suite's default in-memory runs.
-	Store *StoreBacking
-}
-
-// StoreBacking selects on-disk backing for conformance runs. Sharing one
-// LogDir and Cache across a baseline and its adversarial re-runs is
+// StoreBacking selects on-disk backing for conformance runs: store-backed
+// logs and (optionally) a persistent audit cache shared across runs. Sharing
+// one LogDir and Cache across a baseline and its adversarial re-runs is
 // deliberate: successive runs re-deploy the same node names, so the cache
 // accumulates entries for chains that no longer exist — exactly the stale
 // state that must never help an adversary look honest or frame an honest
@@ -44,99 +27,60 @@ type StoreBacking struct {
 	Cache  *core.AuditCache
 }
 
-// MinCostApp is the paper's running example (§3.3, Figure 2): five routers,
+// Apps returns the conformance application set in a fixed order. Each entry
+// builds one application for a seed: a sizing of its package's one workload
+// with the nodes behaviors are armed on named. seed draws the generated
+// inputs (the BGP trace, the corpus), so the adversary-free run of (app,
+// seed) is a deterministic baseline. Every run builds its own value: a
+// workload carries its deployment's driver state (Quagga's speakers) and is
+// deployed once.
+func Apps() []func(seed int64) *workload.Workload {
+	return []func(int64) *workload.Workload{minCostApp, quaggaApp, chordApp, mapReduceApp}
+}
+
+// minCostApp is the paper's running example (§3.3, Figure 2): five routers,
 // router b compromised.
-func MinCostApp() App {
-	return App{
-		Name:        "mincost",
-		Horizon:     30 * types.Second,
-		Compromised: []types.NodeID{"b"},
-		Deploy: func(net *simnet.Net, seed int64) error {
-			return mincost.Deploy(net, mincost.Figure2Topology, types.Second)
-		},
-		NewQuerier: func(net *simnet.Net) *core.Querier {
-			return net.NewQuerier(mincost.Factory())
-		},
-	}
+func minCostApp(int64) *workload.Workload {
+	w := mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)
+	w.Compromised = []types.NodeID{"b"}
+	return w
 }
 
-// QuaggaApp is a small trace-driven BGP network (§7.1's Quagga shape) with
+// quaggaApp is a small trace-driven BGP network (§7.1's Quagga shape) with
 // the regional provider as30 compromised.
-func QuaggaApp() App {
-	horizon := 20 * types.Second
-	return App{
-		Name:        "quagga",
-		Horizon:     horizon,
-		Compromised: []types.NodeID{"as30"},
-		Deploy: func(net *simnet.Net, seed int64) error {
-			d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, horizon)
-			if err != nil {
-				return err
-			}
-			d.InjectTrace(seed, 40, 50, types.Second, horizon-6*types.Second)
-			return nil
-		},
-		NewQuerier: func(net *simnet.Net) *core.Querier {
-			q := net.NewQuerier(bgp.Factory())
-			q.Auditor.Builder.MaybeValidator = bgp.ValidateExport
-			return q
-		},
-	}
+func quaggaApp(seed int64) *workload.Workload {
+	const horizon = 20 * types.Second
+	w, _ := bgp.New(bgp.DefaultTopology(), types.Second, horizon, &bgp.Trace{
+		Seed: seed, Updates: 40, PrefixPool: 50, Start: types.Second, Span: horizon - 6*types.Second})
+	w.Compromised = []types.NodeID{"as30"}
+	return w
 }
 
-// ChordApp is a 12-node Chord ring (§7.1's Chord configuration, scaled
+// chordApp is a 12-node Chord ring (§7.1's Chord configuration, scaled
 // down) with one ring member compromised.
-func ChordApp() App {
-	return App{
-		Name:        "chord",
-		Horizon:     30 * types.Second,
-		Compromised: []types.NodeID{chord.NodeName(3)},
-		Deploy: func(net *simnet.Net, seed int64) error {
-			p := chord.DefaultParams(12)
-			p.Duration = 30 * types.Second
-			p.Lookups = 24
-			_, err := chord.Deploy(net, p)
-			return err
-		},
-		NewQuerier: func(net *simnet.Net) *core.Querier {
-			return net.NewQuerier(chord.Factory())
-		},
-	}
+func chordApp(int64) *workload.Workload {
+	p := chord.DefaultParams(12)
+	p.Duration = 30 * types.Second
+	p.Lookups = 24
+	w := chord.New(p)
+	w.Compromised = []types.NodeID{chord.NodeName(3)}
+	return w
 }
 
-// MapReduceApp is a WordCount job (§7.1's Hadoop configuration, scaled down:
+// mapReduceApp is a WordCount job (§7.1's Hadoop configuration, scaled down:
 // 6 mappers, 3 reducers, one 2 KiB split each) with one mapper compromised.
 // A mapper, not a reducer: the dataflow is one-way and a reducer never
 // sends, so suppress, forge and equivocate would have nothing to act on
 // there and would (correctly) fail "no provable evidence for a provable
 // behavior".
-func MapReduceApp() App {
-	const mappers, reducers = 6, 3
-	var reducerNames []types.NodeID
-	for j := 0; j < reducers; j++ {
-		reducerNames = append(reducerNames, mapreduce.ReducerName(j))
-	}
-	return App{
-		Name:        "mapreduce",
-		Horizon:     30 * types.Second,
-		Compromised: []types.NodeID{mapreduce.MapperName(2)},
-		Deploy: func(net *simnet.Net, seed int64) error {
-			_, err := mapreduce.Deploy(net, mapreduce.Job{
-				Mappers: mappers, Reducers: reducers,
-				Splits:  workload.Corpus(seed, mappers, 2<<10),
-				StartAt: types.Second, ReduceAt: 15 * types.Second,
-			})
-			return err
-		},
-		NewQuerier: func(net *simnet.Net) *core.Querier {
-			return net.NewQuerier(mapreduce.Factory(reducerNames))
-		},
-	}
-}
-
-// Apps returns the conformance application set in a fixed order.
-func Apps() []App {
-	return []App{MinCostApp(), QuaggaApp(), ChordApp(), MapReduceApp()}
+func mapReduceApp(seed int64) *workload.Workload {
+	const mappers = 6
+	w := mapreduce.New(mapreduce.Job{
+		Mappers: mappers, Reducers: 3, Splits: workload.Corpus(seed, mappers, 2<<10),
+		StartAt: types.Second, ReduceAt: 15 * types.Second, Duration: 30 * types.Second,
+	})
+	w.Compromised = []types.NodeID{mapreduce.MapperName(2)}
+	return w
 }
 
 // Query is one provenance question re-asked across runs.
@@ -159,24 +103,26 @@ type Baseline struct {
 // compares.
 const maxQueries = 3
 
-// run deploys the app on a fresh network (arming plan, if any), runs it to
-// the horizon, and returns the network.
-func (a App) run(seed int64, plan Plan) (*simnet.Net, error) {
+// run builds the app for seed, deploys it on a fresh network (arming p on
+// its compromised nodes, if non-nil; on store when non-nil), runs it to the
+// horizon, and returns both.
+func run(app func(int64) *workload.Workload, seed int64, p *Profile, store *StoreBacking) (*workload.Workload, *simnet.Net, error) {
+	w := app(seed)
 	cfg := simnet.DefaultConfig()
 	cfg.Seed = seed
-	if a.Store != nil {
-		cfg.Core.LogDir = a.Store.LogDir
-		cfg.Core.AuditCache = a.Store.Cache
+	if store != nil {
+		cfg.Core.LogDir = store.LogDir
+		cfg.Core.AuditCache = store.Cache
 	}
-	if plan != nil {
-		cfg.OnNode = plan.Hook()
+	if p != nil {
+		cfg.OnNode = p.On(w.Compromised).Hook()
 	}
 	net := simnet.New(cfg)
-	if err := a.Deploy(net, seed); err != nil {
-		return nil, err
+	if err := net.Deploy(w); err != nil {
+		return nil, nil, err
 	}
-	net.Run(a.Horizon)
-	return net, nil
+	net.Run(w.Horizon)
+	return w, net, nil
 }
 
 // pickQueries selects up to maxQueries deterministic honest-node questions
@@ -229,18 +175,18 @@ func HonestNodes(all, compromised []types.NodeID) []types.NodeID {
 	return out
 }
 
-// RunBaseline executes the adversary-free reference run for (app, seed). It
-// fails if the honest run itself produces any evidence — the no-false-alarm
-// half of the accuracy guarantee.
-func (a App) RunBaseline(seed int64) (*Baseline, error) {
-	net, err := a.run(seed, nil)
+// RunBaseline executes the adversary-free reference run for (app, seed), in
+// memory or on store. It fails if the honest run itself produces any
+// evidence — the no-false-alarm half of the accuracy guarantee.
+func RunBaseline(app func(int64) *workload.Workload, seed int64, store *StoreBacking) (*Baseline, error) {
+	a, net, err := run(app, seed, nil, store)
 	if err != nil {
 		return nil, err
 	}
 	// Store-backed runs re-deploy the same node names next run; release the
 	// mapped tables before then (a no-op for in-memory runs).
 	defer func() { _ = net.CloseLogs() }()
-	q := a.NewQuerier(net)
+	q := net.QuerierFor(a)
 	v := AuditAll(q, net.Maintainer)
 	if len(v.Failures) != 0 || len(v.RedHosts) != 0 || len(v.Unresponsive) != 0 {
 		return nil, fmt.Errorf("adversary: honest %s/seed=%d run yields evidence: %v", a.Name, seed, v)
@@ -278,22 +224,16 @@ func (r *Result) String() string {
 }
 
 // RunConformance arms one behavior on the app's compromised nodes, repeats
-// the baseline's run and queries, and holds the verdict to the §4.2
-// guarantee (Verdict.CheckGuarantee). base may be nil, in which case the
-// baseline is computed on the fly.
-func (a App) RunConformance(p Profile, seed int64, base *Baseline) (*Result, error) {
-	if base == nil {
-		var err error
-		if base, err = a.RunBaseline(seed); err != nil {
-			return nil, err
-		}
-	}
-	net, err := a.run(seed, p.On(a.Compromised))
+// the run and queries of base (RunBaseline of the same app, seed and store),
+// and holds the verdict to the §4.2 guarantee (Verdict.CheckGuarantee).
+func RunConformance(app func(int64) *workload.Workload, p Profile, seed int64, base *Baseline,
+	store *StoreBacking) (*Result, error) {
+	a, net, err := run(app, seed, &p, store)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = net.CloseLogs() }()
-	q := a.NewQuerier(net)
+	q := net.QuerierFor(a)
 	v := AuditAll(q, net.Maintainer)
 	got := answers(q, base.Queries)
 	v.Refresh(q, net.Maintainer) // queries may have appended evidence

@@ -11,6 +11,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // conformanceSeeds returns the seed set the suite runs. The full matrix is
@@ -31,10 +32,10 @@ func conformanceSeeds(t *testing.T) []int64 {
 }
 
 // appsExcept returns the conformance apps minus the named ones.
-func appsExcept(skip ...string) []adversary.App {
-	var out []adversary.App
+func appsExcept(skip ...string) []func(int64) *workload.Workload {
+	var out []func(int64) *workload.Workload
 	for _, app := range adversary.Apps() {
-		if !slices.Contains(skip, app.Name) {
+		if !slices.Contains(skip, app(1).Name) {
 			out = append(out, app)
 		}
 	}
@@ -44,13 +45,17 @@ func appsExcept(skip ...string) []adversary.App {
 // conformanceApps is the matrix's app axis: every conformance app plus
 // Quagga with two compromised routers at once (k=2). -short drops chord,
 // the slowest deployment, and the k=2 row.
-func conformanceApps() []adversary.App {
+func conformanceApps() []func(int64) *workload.Workload {
 	if testing.Short() {
 		return appsExcept("chord")
 	}
-	k2 := adversary.QuaggaApp()
-	k2.Name = "quagga-k2"
-	k2.Compromised = []types.NodeID{"as30", "as40"}
+	quagga := adversary.Apps()[1]
+	k2 := func(seed int64) *workload.Workload {
+		w := quagga(seed)
+		w.Name = "quagga-k2"
+		w.Compromised = []types.NodeID{"as30", "as40"}
+		return w
+	}
 	return append(adversary.Apps(), k2)
 }
 
@@ -106,17 +111,16 @@ func TestConformanceStored(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, app := range apps {
-				app := app
-				t.Run(app.Name, func(t *testing.T) {
+				t.Run(app(1).Name, func(t *testing.T) {
 					root := t.TempDir()
 					cacheDir := filepath.Join(root, "auditcache")
 					cache, err := core.OpenAuditCache(cacheDir, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					app.Store = &adversary.StoreBacking{
+					store := &adversary.StoreBacking{
 						LogDir: filepath.Join(root, "logs"), Cache: cache}
-					base, err := app.RunBaseline(1)
+					base, err := adversary.RunBaseline(app, 1, store)
 					if err != nil {
 						t.Fatalf("baseline: %v", err)
 					}
@@ -137,13 +141,13 @@ func TestConformanceStored(t *testing.T) {
 						if cache, err = core.OpenAuditCache(cacheDir, nil); err != nil {
 							t.Fatal(err)
 						}
-						app.Store.Cache = cache
+						store.Cache = cache
 					}
 					defer cache.Close()
 					for _, p := range adversary.Catalog() {
 						p := p
 						t.Run(p.Name, func(t *testing.T) {
-							res, err := app.RunConformance(p, 1, base)
+							res, err := adversary.RunConformance(app, p, 1, base, store)
 							if err != nil {
 								t.Fatalf("conformance run: %v", err)
 							}
@@ -165,19 +169,18 @@ func TestConformanceStored(t *testing.T) {
 // nodes' provenance answers bit-identical to the adversary-free baseline.
 func TestConformance(t *testing.T) {
 	for _, app := range conformanceApps() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
+		t.Run(app(1).Name, func(t *testing.T) {
 			for _, seed := range conformanceSeeds(t) {
 				seed := seed
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					base, err := app.RunBaseline(seed)
+					base, err := adversary.RunBaseline(app, seed, nil)
 					if err != nil {
 						t.Fatalf("baseline: %v", err)
 					}
 					for _, p := range adversary.Catalog() {
 						p := p
 						t.Run(p.Name, func(t *testing.T) {
-							res, err := app.RunConformance(p, seed, base)
+							res, err := adversary.RunConformance(app, p, seed, base, nil)
 							if err != nil {
 								t.Fatalf("conformance run: %v", err)
 							}

@@ -45,11 +45,12 @@ func TestWorkloadHeadsGolden(t *testing.T) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# Final log sequence number and chain-head hash of every node: adversary.Apps() at seed 1 (honest),\n"+
 		"# then eval.Run of the five configurations at scale %v, seed 1.\n# Regenerate: %s\n", headsScale, headsRegen)
-	for _, app := range adversary.Apps() {
+	for _, build := range adversary.Apps() {
+		app := build(1)
 		cfg := simnet.DefaultConfig()
 		cfg.Seed = 1
 		net := simnet.New(cfg)
-		if err := app.Deploy(net, 1); err != nil {
+		if err := net.Deploy(app); err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 		net.Run(app.Horizon)

@@ -42,18 +42,18 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 			t.Errorf("pipelined sweep diverged:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 		}
 	}
-	app := adversary.MinCostApp()
 	for _, p := range adversary.Catalog() {
 		t.Run("mincost/"+p.Name, func(t *testing.T) {
+			app := adversary.Apps()[0](1)
 			cfg := simnet.DefaultConfig()
 			cfg.Seed = 1
 			cfg.OnNode = p.On(app.Compromised).Hook()
 			net := simnet.New(cfg)
-			if err := app.Deploy(net, 1); err != nil {
+			if err := net.Deploy(app); err != nil {
 				t.Fatal(err)
 			}
 			net.Run(app.Horizon)
-			compare(t, func() *core.Querier { return app.NewQuerier(net) }, net.Maintainer)
+			compare(t, func() *core.Querier { return net.QuerierFor(app) }, net.Maintainer)
 		})
 	}
 	if testing.Short() {

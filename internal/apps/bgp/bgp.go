@@ -20,6 +20,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -402,20 +403,9 @@ func invert(r Rel) Rel {
 	}
 }
 
-// Deployment is a running BGP network: speakers plus their SNooPy nodes.
-type Deployment struct {
-	Net      *simnet.Net
-	Speakers map[types.NodeID]*Speaker
-	Names    []types.NodeID
-	// Stubs are the networks whose every neighbor is a provider, in name
-	// order: the origins InjectTrace announces from.
-	Stubs []types.NodeID
-}
-
 // Relations expands a link list into each network's view of its neighbors
 // (both directions, relationships inverted for the far side) — the
-// neighbor maps NewSpeaker takes. Harnesses that drive speakers over other
-// transports (the live-TCP cluster) build their deployments from this.
+// neighbor maps NewSpeaker takes.
 func Relations(links []ASLink) map[types.NodeID]map[types.NodeID]Rel {
 	rels := map[types.NodeID]map[types.NodeID]Rel{}
 	addRel := func(a, b types.NodeID, r Rel) {
@@ -431,40 +421,70 @@ func Relations(links []ASLink) map[types.NodeID]map[types.NodeID]Rel {
 	return rels
 }
 
-// Deploy builds the networks on net. syncEvery controls how often each
-// speaker reconciles (the paper's Quagga reacts to updates; our speaker
-// polls the proxy state).
-func Deploy(net *simnet.Net, links []ASLink, syncEvery, duration types.Time) (*Deployment, error) {
+// Trace sizes a RouteViews-style update trace (workload.BGPTrace over the
+// deployment's stubs — the networks whose every neighbor is a provider, in
+// name order): update i of Updates fires at Start + i*Span/Updates on the
+// stub it originates from, as an announcement or a withdrawal.
+type Trace struct {
+	Seed                int64
+	Updates, PrefixPool int
+	Start, Span         types.Time
+}
+
+// New is the Quagga workload over links: one speaker per network,
+// reconciling every syncEvery until duration (the paper's Quagga reacts to
+// updates; our speaker polls the proxy state), driven by trace when that is
+// non-nil. The speakers are returned beside it: scenario programs set
+// policies (PreferVia, ExportFilter) and originate prefixes through them.
+func New(links []ASLink, syncEvery, duration types.Time, trace *Trace) (*workload.Workload, map[types.NodeID]*Speaker) {
 	rels := Relations(links)
 	names := make([]types.NodeID, 0, len(rels))
 	for n := range rels {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	prog := Program()
-	if err := prog.Err(); err != nil {
-		return nil, err
+	slices.Sort(names)
+	speakers := make(map[types.NodeID]*Speaker, len(names))
+	w := &workload.Workload{
+		Name: "quagga", Nodes: names, Factory: Factory(), Horizon: duration,
+		// A fresh process over a recovered log: re-seed the speaker's
+		// origins from the machine so a node that crashed mid-convergence
+		// keeps originating its prefixes.
+		Recovered:        func(n *core.Node) { speakers[n.ID].Recover(n) },
+		ConfigureQuerier: func(q *core.Querier) { q.Auditor.Builder.MaybeValidator = ValidateExport },
 	}
-	d := &Deployment{Net: net, Speakers: map[types.NodeID]*Speaker{}, Names: names}
+	var stubs []types.NodeID
 	for i, n := range names {
-		if _, err := net.AddNode(n, int64(1000+i), dlog.NewMachine(prog, n)); err != nil {
-			return nil, err
-		}
-		d.Speakers[n] = NewSpeaker(n, rels[n])
+		w.KeySeeds = append(w.KeySeeds, int64(1000+i))
+		sp := NewSpeaker(n, rels[n])
+		speakers[n] = sp
 		if isStub(rels[n]) {
-			d.Stubs = append(d.Stubs, n)
+			stubs = append(stubs, n)
+		}
+		// Staggered so the networks do not reconcile in lockstep.
+		offset := types.Time(int64(i)) * syncEvery / types.Time(len(names)+1)
+		w.Every(n, offset+syncEvery, syncEvery, duration, sp.Sync)
+	}
+	if trace != nil {
+		updates := workload.BGPTrace(trace.Seed, trace.Updates, len(stubs), trace.PrefixPool)
+		for i, u := range updates {
+			sp := speakers[stubs[u.Origin]]
+			at := trace.Start + types.Time(int64(i))*trace.Span/types.Time(len(updates))
+			if u.Withdraw {
+				w.At(sp.Self, at, func(n *core.Node) { sp.Withdraw(n, u.Prefix) })
+			} else {
+				w.At(sp.Self, at, func(n *core.Node) { sp.Announce(n, u.Prefix) })
+			}
 		}
 	}
-	for i, n := range names {
-		n := n
-		offset := types.Time(int64(i)) * syncEvery / types.Time(len(names)+1)
-		// The reconciliation loop touches only n's speaker and node, so it
-		// runs on n's event shard and scales with the parallel scheduler.
-		net.PeriodicNode(n, offset+syncEvery, syncEvery, duration, func() {
-			d.Speakers[n].Sync(net.Node(n))
-		})
-	}
-	return d, nil
+	return w, speakers
+}
+
+// Deploy runs New's trace-free workload on net. It exists only because
+// bench/workloads.go calls it and bench/ was frozen when New replaced it;
+// it goes when bench/ is next opened.
+func Deploy(net *simnet.Net, links []ASLink, syncEvery, duration types.Time) (map[types.NodeID]*Speaker, error) {
+	w, speakers := New(links, syncEvery, duration, nil)
+	return speakers, net.Deploy(w)
 }
 
 func isStub(neighbors map[types.NodeID]Rel) bool {
@@ -476,36 +496,8 @@ func isStub(neighbors map[types.NodeID]Rel) bool {
 	return true
 }
 
-// InjectTrace schedules a RouteViews-style update trace (workload.BGPTrace
-// over the deployment's stubs) on the simulator: update i of n fires at
-// start + i*span/n on the stub it originates from, as an announcement or a
-// withdrawal.
-func (d *Deployment) InjectTrace(seed int64, updates, prefixPool int, start, span types.Time) {
-	trace := workload.BGPTrace(seed, updates, len(d.Stubs), prefixPool)
-	for i, u := range trace {
-		u := u
-		stub := d.Stubs[u.Origin]
-		at := start + types.Time(int64(i))*span/types.Time(len(trace))
-		d.Net.AtNode(stub, at, func() {
-			sp := d.Speakers[stub]
-			if u.Withdraw {
-				sp.Withdraw(d.Net.Node(stub), u.Prefix)
-			} else {
-				sp.Announce(d.Net.Node(stub), u.Prefix)
-			}
-		})
-	}
-}
-
 // Factory returns the replay machine factory for the BGP proxy.
 func Factory() types.MachineFactory { return dlog.Factory(Program()) }
-
-// NewQuerier builds a querier with the BGP maybe-rule validator installed.
-func (d *Deployment) NewQuerier() *core.Querier {
-	q := d.Net.NewQuerier(Factory())
-	q.Auditor.Builder.MaybeValidator = ValidateExport
-	return q
-}
 
 // DefaultTopology is a 10-network topology with two tier-1 peers, two
 // regional providers, and six stubs — the shape of the paper's Quagga

@@ -44,16 +44,16 @@ func TestValidateExport(t *testing.T) {
 
 func TestRoutesPropagate(t *testing.T) {
 	net := newNet()
-	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, 2*types.Minute)
-	if err != nil {
+	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 2*types.Minute, nil)
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
 	net.At(5*types.Second, func() {
-		d.Speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
+		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
 	})
 	net.Run(2 * types.Minute)
 	// Every other network must know a route to the prefix.
-	for _, n := range d.Names {
+	for _, n := range w.Nodes {
 		if n == "as51" {
 			continue
 		}
@@ -72,12 +72,12 @@ func TestRoutesPropagate(t *testing.T) {
 
 func TestRouteProvenanceClean(t *testing.T) {
 	net := newNet()
-	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, 2*types.Minute)
-	if err != nil {
+	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 2*types.Minute, nil)
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
 	net.At(5*types.Second, func() {
-		d.Speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
+		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
 	})
 	net.Run(2 * types.Minute)
 	// Find as52's believed route and explain it.
@@ -91,7 +91,7 @@ func TestRouteProvenanceClean(t *testing.T) {
 	if route.Rel == "" {
 		t.Fatal("as52 has no route")
 	}
-	q := d.NewQuerier()
+	q := net.QuerierFor(w)
 	expl, err := q.Explain("as52", route, core.QueryOpts{})
 	if err != nil {
 		t.Fatalf("Explain: %v (failures %v)", err, q.Auditor.Failures())
@@ -111,22 +111,22 @@ func TestRouteProvenanceClean(t *testing.T) {
 // alternative that its export policy filters out.
 func TestQuaggaDisappear(t *testing.T) {
 	net := newNet()
-	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, 5*types.Minute)
-	if err != nil {
+	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 5*types.Minute, nil)
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
 	// as30 (r1) policy: never export routes that traverse the tier-1 as10,
 	// and (mis)prefer routes via as10 when they exist.
-	r1 := d.Speakers["as30"]
+	r1 := speakers["as30"]
 	r1.ExportFilter = func(to types.NodeID, prefix, path string) bool {
 		return strings.Contains(path, "as10")
 	}
 	// Pin the tier-1's choice to the as40 route so that it actually offers
 	// as30 an alternative (its default pick would go via as30 itself and
 	// be withheld by poison reverse).
-	d.Speakers["as10"].PreferVia("as40")
+	speakers["as10"].PreferVia("as40")
 	net.At(5*types.Second, func() {
-		d.Speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
+		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
 	})
 	// At t=60s, flip r1's preference to routes via as10 (simulating a
 	// traffic-engineering change); the direct customer route is replaced by
@@ -144,7 +144,7 @@ func TestQuaggaDisappear(t *testing.T) {
 	}
 	// Dynamic query: why did the route disappear?
 	gone := bgp.AdvRoute("as52", "10.0.0.0/24", "as30 as51", "as30")
-	q := d.NewQuerier()
+	q := net.QuerierFor(w)
 	expl, err := q.Explain("as52", gone, core.QueryOpts{Mode: core.ModeDisappear})
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
@@ -175,24 +175,24 @@ func TestBadGadget(t *testing.T) {
 		{A: "as2", B: "as3", RelAB: bgp.Sibling},
 		{A: "as3", B: "as1", RelAB: bgp.Sibling},
 	}
-	d, err := bgp.Deploy(net, links, types.Second, 2*types.Minute)
-	if err != nil {
+	w, speakers := bgp.New(links, types.Second, 2*types.Minute, nil)
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
 	// Each gadget node prefers the route through its clockwise neighbor
 	// over its direct route to as0.
-	d.Speakers["as1"].PreferVia("as2")
-	d.Speakers["as2"].PreferVia("as3")
-	d.Speakers["as3"].PreferVia("as1")
+	speakers["as1"].PreferVia("as2")
+	speakers["as2"].PreferVia("as3")
+	speakers["as3"].PreferVia("as1")
 	net.At(2*types.Second, func() {
-		d.Speakers["as0"].Announce(net.Node("as0"), "10.9.9.0/24")
+		speakers["as0"].Announce(net.Node("as0"), "10.9.9.0/24")
 	})
 	net.Run(2 * types.Minute)
 
 	// The gadget must oscillate: some node's export to as0's prefix keeps
 	// being replaced. Count appear vertices for as1's route at as0... any
 	// fluttering advRoute tuple will do.
-	q := d.NewQuerier()
+	q := net.QuerierFor(w)
 	if err := q.EnsureAudited("as1", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +220,12 @@ func TestBadGadget(t *testing.T) {
 // maybe-rule validation exposes (§6.3).
 func TestRouteHijackDetected(t *testing.T) {
 	net := newNet()
-	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, 2*types.Minute)
-	if err != nil {
+	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 2*types.Minute, nil)
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
 	net.At(5*types.Second, func() {
-		d.Speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
+		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
 	})
 	// as61 hijacks the prefix at t=30s: it fires the export maybe rule with
 	// a fabricated body (claiming an import that does not exist).
@@ -240,7 +240,7 @@ func TestRouteHijackDetected(t *testing.T) {
 	// The upstream as40 believed the hijacked route; its provenance must
 	// show red on as61.
 	hijacked := bgp.AdvRoute("as40", "10.0.0.0/24", "as61 as99", "as61")
-	q := d.NewQuerier()
+	q := net.QuerierFor(w)
 	expl, err := q.Explain("as40", hijacked, core.QueryOpts{})
 	if err != nil {
 		t.Fatalf("Explain: %v", err)

@@ -14,9 +14,10 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/dlog"
-	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // Bits is the identifier ring width (m): IDs live in [0, 2^Bits).
@@ -313,28 +314,25 @@ func DefaultParams(n int) Params {
 	}
 }
 
-// Deploy creates the Chord nodes on net and schedules joins, timers, and
-// application lookups. It returns the node names.
-func Deploy(net *simnet.Net, p Params) ([]types.NodeID, error) {
-	prog := Program()
-	if err := prog.Err(); err != nil {
-		return nil, err
-	}
-	names := make([]types.NodeID, p.N)
+// New is the Chord workload under p: joins, the three maintenance timers
+// and the application lookups, each on the node it concerns. Nodes are
+// NodeName(0..N-1).
+func New(p Params) *workload.Workload {
+	w := &workload.Workload{Name: "chord", Factory: Factory(), Horizon: p.Duration}
 	ids := make(map[types.NodeID]int64, p.N)
 	used := make(map[int64]bool, p.N)
 	for i := 0; i < p.N; i++ {
-		names[i] = NodeName(i)
-		if _, err := net.AddNode(names[i], int64(i+1), dlog.NewMachine(prog, names[i])); err != nil {
-			return nil, err
-		}
-		id := RingID(names[i])
+		name := NodeName(i)
+		w.Nodes = append(w.Nodes, name)
+		w.KeySeeds = append(w.KeySeeds, int64(i+1))
+		id := RingID(name)
 		for used[id] { // resolve ring collisions deterministically
 			id = (id + 1) % RingSize
 		}
 		used[id] = true
-		ids[names[i]] = id
+		ids[name] = id
 	}
+	names := w.Nodes
 	// Ring order by identifier.
 	ring := append([]types.NodeID(nil), names...)
 	sort.Slice(ring, func(i, j int) bool { return ids[ring[i]] < ids[ring[j]] })
@@ -360,16 +358,15 @@ func Deploy(net *simnet.Net, p Params) ([]types.NodeID, error) {
 	}
 	joined := 0
 	for _, name := range names {
-		name := name
 		id := ids[name]
 		nodeTuple := types.MakeTuple("node", types.N(name), types.I(id))
 		if protocolJoiner[name] {
 			joined++
 			joinAt := types.Time(int64(joined)) * p.JoinSpread / types.Time(p.ProtocolJoins+1)
-			net.AtNode(name, joinAt, func() {
-				net.Node(name).InsertBase(nodeTuple)
-				net.Node(name).InsertBase(types.MakeTuple("pred", types.N(name), types.N(name), types.I(id)))
-				net.Node(name).InsertEvent(types.MakeTuple("joinEv", types.N(name), types.N(landmark)))
+			w.At(name, joinAt, func(n *core.Node) {
+				n.InsertBase(nodeTuple)
+				n.InsertBase(types.MakeTuple("pred", types.N(name), types.N(name), types.I(id)))
+				n.InsertEvent(types.MakeTuple("joinEv", types.N(name), types.N(landmark)))
 			})
 			continue
 		}
@@ -379,48 +376,40 @@ func Deploy(net *simnet.Net, p Params) ([]types.NodeID, error) {
 			s, pr = name, name
 		}
 		sid, pid := ids[s], ids[pr]
-		net.AtNode(name, 0, func() {
-			net.Node(name).InsertBase(nodeTuple)
-			net.Node(name).InsertBase(types.MakeTuple("succ", types.N(name), types.N(s), types.I(sid)))
-			net.Node(name).InsertBase(types.MakeTuple("pred", types.N(name), types.N(pr), types.I(pid)))
+		w.At(name, 0, func(n *core.Node) {
+			n.InsertBase(nodeTuple)
+			n.InsertBase(types.MakeTuple("succ", types.N(name), types.N(s), types.I(sid)))
+			n.InsertBase(types.MakeTuple("pred", types.N(name), types.N(pr), types.I(pid)))
 		})
 	}
 	// Timers, staggered per node to avoid synchronized bursts.
 	for i, name := range names {
-		name := name
 		offset := types.Time(int64(i)) * types.Second / types.Time(p.N)
-		net.PeriodicNode(name, p.JoinSpread+offset, p.StabilizeEvery, p.Duration, func() {
-			net.Node(name).InsertEvent(types.MakeTuple("stabEv", types.N(name)))
+		w.Every(name, p.JoinSpread+offset, p.StabilizeEvery, p.Duration, func(n *core.Node) {
+			n.InsertEvent(types.MakeTuple("stabEv", types.N(name)))
 		})
-		net.PeriodicNode(name, p.JoinSpread+offset+time25(p.FingerEvery), p.FingerEvery, p.Duration, func() {
-			n := net.Node(name)
+		w.Every(name, p.JoinSpread+offset+p.FingerEvery/4, p.FingerEvery, p.Duration, func(n *core.Node) {
 			for fi := int64(1); fi < Bits; fi += 2 {
 				n.InsertEvent(types.MakeTuple("fixEv", types.N(name), types.I(fi)))
 			}
 		})
-		net.PeriodicNode(name, p.JoinSpread+offset+time50(p.KeepAliveEvery), p.KeepAliveEvery, p.Duration, func() {
-			net.Node(name).InsertEvent(types.MakeTuple("kaEv", types.N(name)))
+		w.Every(name, p.JoinSpread+offset+p.KeepAliveEvery/2, p.KeepAliveEvery, p.Duration, func(n *core.Node) {
+			n.InsertEvent(types.MakeTuple("kaEv", types.N(name)))
 		})
 	}
 	// Application lookups spread over the second half of the run.
-	if p.Lookups > 0 {
-		start := p.Duration / 2
-		for li := 0; li < p.Lookups; li++ {
-			li := li
-			origin := names[li%len(names)]
-			key := RingID(types.NodeID(fmt.Sprintf("key-%d", li)))
-			at := start + types.Time(int64(li))*(p.Duration/2-types.Second)/types.Time(p.Lookups)
-			net.AtNode(origin, at, func() {
-				net.Node(origin).InsertEvent(types.MakeTuple("lookupEv",
-					types.N(origin), types.I(key), types.I(LookupEIDBase+int64(li))))
-			})
-		}
+	start := p.Duration / 2
+	for li := 0; li < p.Lookups; li++ {
+		origin := names[li%len(names)]
+		key := RingID(types.NodeID(fmt.Sprintf("key-%d", li)))
+		at := start + types.Time(int64(li))*(p.Duration/2-types.Second)/types.Time(p.Lookups)
+		w.At(origin, at, func(n *core.Node) {
+			n.InsertEvent(types.MakeTuple("lookupEv",
+				types.N(origin), types.I(key), types.I(LookupEIDBase+int64(li))))
+		})
 	}
-	return names, nil
+	return w
 }
-
-func time25(d types.Time) types.Time { return d / 4 }
-func time50(d types.Time) types.Time { return d / 2 }
 
 // Result builds a result(@n,k,owner,oid,eid) tuple for queries.
 func Result(n types.NodeID, k int64, owner types.NodeID, oid, eid int64) types.Tuple {

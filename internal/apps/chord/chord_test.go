@@ -24,15 +24,15 @@ func runChord(t *testing.T, n int, dur types.Time, mutate func(*simnet.Net)) (*s
 	p.FingerEvery = 20 * types.Second
 	p.KeepAliveEvery = 10 * types.Second
 	p.Lookups = n
-	names, err := chord.Deploy(net, p)
-	if err != nil {
+	w := chord.New(p)
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
 	if mutate != nil {
 		mutate(net)
 	}
-	net.Run(dur)
-	return net, names
+	net.Run(w.Horizon)
+	return net, w.Nodes
 }
 
 // ringConsistent checks that following succ pointers visits every node.

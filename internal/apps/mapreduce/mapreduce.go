@@ -16,9 +16,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/simnet"
+	"repro/internal/core"
 	"repro/internal/types"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // Tuple shapes:
@@ -99,12 +100,14 @@ func NewMachine(self types.NodeID, role Role, reducers []types.NodeID) *Machine 
 func Factory(reducers []types.NodeID) types.MachineFactory {
 	return func(self types.NodeID) types.Machine {
 		role := Mapper
-		if strings.HasPrefix(string(self), "red-") {
+		if isReducer(self) {
 			role = Reducer
 		}
 		return NewMachine(self, role, reducers)
 	}
 }
+
+func isReducer(id types.NodeID) bool { return strings.HasPrefix(string(id), "red-") }
 
 // Partition assigns a word to a reducer.
 func Partition(word string, reducers []types.NodeID) types.NodeID {
@@ -351,58 +354,51 @@ type Job struct {
 	Mappers  int
 	Reducers int
 	Splits   []string // one input split per mapper round-robin
-	// ShuffleAt is when the driver starts feeding splits; ReduceAt is when
-	// reducers are told all map output has arrived.
+	// StartAt is when the driver starts feeding splits; ReduceAt is when
+	// reducers are told all map output has arrived; Duration is when the
+	// job is over.
 	StartAt  types.Time
 	ReduceAt types.Time
+	Duration types.Time
 }
 
-// Deployment is a running job.
-type Deployment struct {
-	Net      *simnet.Net
-	Mappers  []types.NodeID
-	Reducers []types.NodeID
-}
-
-// Deploy creates the workers and schedules the job.
-func Deploy(net *simnet.Net, job Job) (*Deployment, error) {
-	d := &Deployment{Net: net}
-	for j := 0; j < job.Reducers; j++ {
-		d.Reducers = append(d.Reducers, ReducerName(j))
-	}
+// New is the WordCount workload for job: the mappers, then the reducers;
+// every mapper is fed its splits 10 ms apart from StartAt, every reducer is
+// told to reduce at ReduceAt.
+func New(job Job) *workload.Workload {
+	w := &workload.Workload{Name: "mapreduce", Horizon: job.Duration}
 	for i := 0; i < job.Mappers; i++ {
-		name := MapperName(i)
-		d.Mappers = append(d.Mappers, name)
-		if _, err := net.AddNode(name, int64(2000+i), NewMachine(name, Mapper, d.Reducers)); err != nil {
-			return nil, err
-		}
+		w.Nodes = append(w.Nodes, MapperName(i))
+		w.KeySeeds = append(w.KeySeeds, int64(2000+i))
 	}
 	for j := 0; j < job.Reducers; j++ {
-		name := d.Reducers[j]
-		if _, err := net.AddNode(name, int64(3000+j), NewMachine(name, Reducer, d.Reducers)); err != nil {
-			return nil, err
-		}
+		w.Nodes = append(w.Nodes, ReducerName(j))
+		w.KeySeeds = append(w.KeySeeds, int64(3000+j))
 	}
+	reducers := Reducers(w.Nodes)
+	w.Factory = Factory(reducers)
 	for si, text := range job.Splits {
-		si, text := si, text
-		mapper := d.Mappers[si%len(d.Mappers)]
-		net.AtNode(mapper, job.StartAt+types.Time(si)*10*types.Millisecond, func() {
-			net.Node(mapper).InsertBase(Split(mapper, int64(si), text))
+		mapper := w.Nodes[si%job.Mappers]
+		w.At(mapper, job.StartAt+types.Time(si)*10*types.Millisecond, func(n *core.Node) {
+			n.InsertBase(Split(mapper, int64(si), text))
 		})
 	}
-	for _, r := range d.Reducers {
-		r := r
-		net.AtNode(r, job.ReduceAt, func() {
-			net.Node(r).InsertBase(types.MakeTuple("reduceGo", types.N(r)))
+	for _, r := range reducers {
+		w.At(r, job.ReduceAt, func(n *core.Node) {
+			n.InsertBase(types.MakeTuple("reduceGo", types.N(r)))
 		})
 	}
-	return d, nil
+	return w
 }
 
-// Factory returns the replay machine factory for this deployment.
-func (d *Deployment) Factory() types.MachineFactory { return Factory(d.Reducers) }
-
-// OutputOwner returns the reducer responsible for a word.
-func (d *Deployment) OutputOwner(word string) types.NodeID {
-	return Partition(word, d.Reducers)
+// Reducers returns the reducers among a job's nodes, in order: the
+// partitioning table Partition and Factory take.
+func Reducers(nodes []types.NodeID) []types.NodeID {
+	var out []types.NodeID
+	for _, id := range nodes {
+		if isReducer(id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }

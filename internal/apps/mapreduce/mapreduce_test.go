@@ -9,34 +9,41 @@ import (
 	"repro/internal/provgraph"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
-func runJob(t *testing.T, splits []string, mutate func(*simnet.Net, *mapreduce.Deployment)) (*simnet.Net, *mapreduce.Deployment) {
+func runJob(t *testing.T, splits []string, mutate func(*simnet.Net, *workload.Workload)) (*simnet.Net, *workload.Workload) {
 	t.Helper()
 	cfg := simnet.DefaultConfig()
 	cfg.Core.CheckpointEvery = 0
 	cfg.Core.Tbatch = 100 * types.Millisecond // one envelope per map/reduce pair
 	net := simnet.New(cfg)
-	d, err := mapreduce.Deploy(net, mapreduce.Job{
+	d := mapreduce.New(mapreduce.Job{
 		Mappers:  4,
 		Reducers: 2,
 		Splits:   splits,
 		StartAt:  types.Second,
 		ReduceAt: 20 * types.Second,
+		Duration: 30 * types.Second,
 	})
-	if err != nil {
+	if err := net.Deploy(d); err != nil {
 		t.Fatal(err)
 	}
 	if mutate != nil {
 		mutate(net, d)
 	}
-	net.Run(30 * types.Second)
+	net.Run(d.Horizon)
 	return net, d
 }
 
-func outputsOf(net *simnet.Net, d *mapreduce.Deployment) map[string]int64 {
+// outputOwner returns the reducer responsible for a word.
+func outputOwner(d *workload.Workload, word string) types.NodeID {
+	return mapreduce.Partition(word, mapreduce.Reducers(d.Nodes))
+}
+
+func outputsOf(net *simnet.Net, d *workload.Workload) map[string]int64 {
 	total := map[string]int64{}
-	for _, r := range d.Reducers {
+	for _, r := range mapreduce.Reducers(d.Nodes) {
 		m := net.Node(r).Machine.(*mapreduce.Machine)
 		for w, c := range m.Outputs() {
 			total[w] += c
@@ -66,8 +73,8 @@ func TestOutputProvenance(t *testing.T) {
 		"squirrel squirrel",
 		"one squirrel here",
 	}, nil)
-	owner := d.OutputOwner("squirrel")
-	q := net.NewQuerier(d.Factory())
+	owner := outputOwner(d, "squirrel")
+	q := net.QuerierFor(d)
 	expl, err := q.Explain(owner, mapreduce.Out(owner, "squirrel", 3), core.QueryOpts{})
 	if err != nil {
 		t.Fatalf("Explain: %v (failures %v)", err, q.Auditor.Failures())
@@ -102,9 +109,9 @@ func TestCorruptMapperDetected(t *testing.T) {
 		"nothing to see here",    // map-001 (the corrupt one)
 		"a squirrel and a fox",   // map-002
 		"the dog chased the fox", // map-003
-	}, func(net *simnet.Net, d *mapreduce.Deployment) {
+	}, func(net *simnet.Net, d *workload.Workload) {
 		bad := net.Node(badMapper)
-		reducer := d.OutputOwner("squirrel")
+		reducer := outputOwner(d, "squirrel")
 		injected := false
 		bad.Tamper = func(ev types.Event, outs []types.Output) []types.Output {
 			if injected || ev.Kind != types.EvIns || ev.Tuple.Rel != "split" {
@@ -118,13 +125,13 @@ func TestCorruptMapperDetected(t *testing.T) {
 			}})
 		}
 	})
-	owner := d.OutputOwner("squirrel")
+	owner := outputOwner(d, "squirrel")
 	got := outputsOf(net, d)
 	if got["squirrel"] != forgedCount+2 {
 		t.Fatalf("squirrel count = %d, want %d", got["squirrel"], forgedCount+2)
 	}
 	// The analyst queries the suspicious output (Figure 4).
-	q := net.NewQuerier(d.Factory())
+	q := net.QuerierFor(d)
 	expl, err := q.Explain(owner, mapreduce.Out(owner, "squirrel", forgedCount+2), core.QueryOpts{})
 	if err != nil {
 		t.Fatalf("Explain: %v", err)

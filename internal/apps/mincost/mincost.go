@@ -14,9 +14,12 @@
 package mincost
 
 import (
+	"slices"
+
+	"repro/internal/core"
 	"repro/internal/dlog"
-	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // Program compiles the MinCost rule set.
@@ -86,48 +89,27 @@ var Figure2Topology = []Edge{
 
 // NodesOf returns the sorted set of nodes appearing in edges.
 func NodesOf(edges []Edge) []types.NodeID {
-	seen := map[types.NodeID]bool{}
-	for _, e := range edges {
-		seen[e.A] = true
-		seen[e.B] = true
-	}
 	var out []types.NodeID
-	for n := range seen {
-		out = append(out, n)
+	for _, e := range edges {
+		out = append(out, e.A, e.B)
 	}
-	for i := range out {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// Deploy creates one SNooPy node per router on net and schedules the
-// symmetric link insertions at linkTime (both endpoints know their local
-// link costs, §3.3).
-func Deploy(net *simnet.Net, edges []Edge, linkTime types.Time) error {
-	prog := Program()
-	if err := prog.Err(); err != nil {
-		return err
-	}
-	for i, id := range NodesOf(edges) {
-		if _, err := net.AddNode(id, int64(i+1), dlog.NewMachine(prog, id)); err != nil {
-			return err
-		}
+// New is the MinCost workload over edges: one router per endpoint, each
+// inserting its own end of every link at linkTime (both endpoints know
+// their local link costs, §3.3), run to horizon.
+func New(edges []Edge, linkTime, horizon types.Time) *workload.Workload {
+	w := &workload.Workload{Name: "mincost", Nodes: NodesOf(edges), Factory: Factory(), Horizon: horizon}
+	for i := range w.Nodes {
+		w.KeySeeds = append(w.KeySeeds, int64(i+1))
 	}
 	for _, e := range edges {
-		e := e
-		net.AtNode(e.A, linkTime, func() {
-			net.Node(e.A).InsertBase(Link(e.A, e.B, e.Cost))
-		})
-		net.AtNode(e.B, linkTime, func() {
-			net.Node(e.B).InsertBase(Link(e.B, e.A, e.Cost))
-		})
+		w.At(e.A, linkTime, func(n *core.Node) { n.InsertBase(Link(e.A, e.B, e.Cost)) })
+		w.At(e.B, linkTime, func(n *core.Node) { n.InsertBase(Link(e.B, e.A, e.Cost)) })
 	}
-	return nil
+	return w
 }
 
 // Factory returns the replay machine factory for MinCost.

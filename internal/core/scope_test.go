@@ -24,7 +24,7 @@ func figure2(t *testing.T, plan adversary.Plan) *simnet.Net {
 		cfg.OnNode = plan.Hook()
 	}
 	net := simnet.New(cfg)
-	if err := mincost.Deploy(net, mincost.Figure2Topology, types.Second); err != nil {
+	if err := net.Deploy(mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)); err != nil {
 		t.Fatal(err)
 	}
 	net.Run(30 * types.Second)

@@ -67,21 +67,12 @@ var AllConfigs = []ConfigName{Quagga, ChordSmall, ChordLarge, HadoopSmall, Hadoo
 type RunResult struct {
 	Config   ConfigName
 	Net      *simnet.Net
-	Factory  types.MachineFactory
+	Workload *workload.Workload
 	Duration types.Time
-	// BGP deployment (for queriers with the maybe validator), when relevant.
-	BGP   *bgp.Deployment
-	MR    *mapreduce.Deployment
-	Chord []types.NodeID
 }
 
 // NewQuerier builds a query session appropriate for the run's application.
-func (r *RunResult) NewQuerier() *core.Querier {
-	if r.BGP != nil {
-		return r.BGP.NewQuerier()
-	}
-	return r.Net.NewQuerier(r.Factory)
-}
+func (r *RunResult) NewQuerier() *core.Querier { return r.Net.QuerierFor(r.Workload) }
 
 // Options tweaks a run.
 type Options struct {
@@ -156,88 +147,62 @@ func Run(name ConfigName, o Options) (*RunResult, error) {
 	o = o.normalize()
 	switch name {
 	case Quagga:
-		return runQuagga(o)
+		return run(name, o, quagga(o))
 	case ChordSmall:
-		return runChord(o, 50)
+		return run(name, o, chordRing(o, 50))
 	case ChordLarge:
-		return runChord(o, 250)
-	case HadoopSmall:
-		return runHadoop(o, 20, 10, 8<<10)
-	case HadoopLarge:
-		return runHadoop(o, 60, 10, 16<<10)
+		return run(name, o, chordRing(o, 250))
+	case HadoopSmall, HadoopLarge:
+		if o.Tbatch == 0 {
+			// The paper's Hadoop instrumentation sends one message per
+			// (map, reduce) pair; batching reproduces that envelope shape.
+			o.Tbatch = 100 * types.Millisecond
+		}
+		if name == HadoopSmall {
+			return run(name, o, hadoop(o, 20, 10, 8<<10))
+		}
+		return run(name, o, hadoop(o, 60, 10, 16<<10))
 	default:
 		return nil, fmt.Errorf("eval: unknown config %q", name)
 	}
 }
 
-// runQuagga deploys the 10-network topology and injects a RouteViews-style
-// trace from the stub networks (§7.1: ~15,000 updates over 15 minutes).
-func runQuagga(o Options) (*RunResult, error) {
-	dur := o.Scale.dur(15 * types.Minute)
-	updates := o.Scale.count(15000)
+// run deploys w on a fresh simulated network and runs it to its horizon.
+func run(name ConfigName, o Options, w *workload.Workload) (*RunResult, error) {
 	net := simnet.New(o.simCfg())
-	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, dur)
-	if err != nil {
+	if err := net.Deploy(w); err != nil {
 		return nil, err
 	}
-	d.InjectTrace(o.Seed, updates, 200, types.Second, dur-5*types.Second)
-	net.Run(dur)
+	net.Run(w.Horizon)
 	if err := finishRun(net); err != nil {
 		return nil, err
 	}
-	return &RunResult{Config: Quagga, Net: net, Factory: bgp.Factory(),
-		Duration: dur, BGP: d}, nil
+	return &RunResult{Config: name, Net: net, Workload: w, Duration: w.Horizon}, nil
 }
 
-func runChord(o Options, n int) (*RunResult, error) {
-	name := ChordSmall
-	if n > 50 {
-		name = ChordLarge
-	}
+// quagga is the 10-network topology driven by a RouteViews-style trace from
+// the stub networks (§7.1: ~15,000 updates over 15 minutes).
+func quagga(o Options) *workload.Workload {
+	dur := o.Scale.dur(15 * types.Minute)
+	w, _ := bgp.New(bgp.DefaultTopology(), types.Second, dur, &bgp.Trace{
+		Seed: o.Seed, Updates: o.Scale.count(15000), PrefixPool: 200,
+		Start: types.Second, Span: dur - 5*types.Second,
+	})
+	return w
+}
+
+func chordRing(o Options, n int) *workload.Workload {
 	p := chord.DefaultParams(n)
 	p.Duration = o.Scale.dur(15 * types.Minute)
 	p.Lookups = o.Scale.count(2 * n)
-	cfg := o.simCfg()
-	net := simnet.New(cfg)
-	names, err := chord.Deploy(net, p)
-	if err != nil {
-		return nil, err
-	}
-	net.Run(p.Duration)
-	if err := finishRun(net); err != nil {
-		return nil, err
-	}
-	return &RunResult{Config: name, Net: net, Factory: chord.Factory(),
-		Duration: p.Duration, Chord: names}, nil
+	return chord.New(p)
 }
 
-func runHadoop(o Options, mappers, reducers, bytesPerSplit int) (*RunResult, error) {
-	name := HadoopSmall
-	if mappers > 20 {
-		name = HadoopLarge
-	}
-	cfg := o.simCfg()
-	if cfg.Core.Tbatch == 0 {
-		// The paper's Hadoop instrumentation sends one message per
-		// (map, reduce) pair; batching reproduces that envelope shape.
-		cfg.Core.Tbatch = 100 * types.Millisecond
-	}
-	net := simnet.New(cfg)
-	splits := workload.Corpus(o.Seed, mappers, bytesPerSplit)
-	dur := 60 * types.Second
-	d, err := mapreduce.Deploy(net, mapreduce.Job{
-		Mappers: mappers, Reducers: reducers, Splits: splits,
-		StartAt: types.Second, ReduceAt: 30 * types.Second,
+func hadoop(o Options, mappers, reducers, bytesPerSplit int) *workload.Workload {
+	return mapreduce.New(mapreduce.Job{
+		Mappers: mappers, Reducers: reducers, Splits: workload.Corpus(o.Seed, mappers, bytesPerSplit),
+		StartAt: types.Second, ReduceAt: 30 * types.Second, Duration: 60 * types.Second,
 	})
-	if err != nil {
-		return nil, err
-	}
-	net.Run(dur)
-	if err := finishRun(net); err != nil {
-		return nil, err
-	}
-	return &RunResult{Config: name, Net: net, Factory: d.Factory(),
-		Duration: dur, MR: d}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -496,13 +461,13 @@ func QuaggaBadGadgetQuery(res *RunResult) (Fig8Row, error) {
 // stored lookup result.
 func ChordLookupQuery(res *RunResult) (Fig8Row, error) {
 	q := res.NewQuerier()
-	// The candidate scan demands nodes in res.Chord order, so the scope
+	// The candidate scan demands nodes in deployment order, so the scope
 	// list doubles as the pipeline order: workers stay a few nodes ahead of
 	// the serial commit frontier.
-	q.BeginAuditScope(res.Chord, 0)
+	q.BeginAuditScope(res.Workload.Nodes, 0)
 	defer q.CloseScope()
 	name := fmt.Sprintf("Chord-Lookup(%s)", res.Config)
-	for _, n := range res.Chord {
+	for _, n := range res.Workload.Nodes {
 		if err := q.EnsureAudited(n, 0); err != nil {
 			continue
 		}
@@ -526,7 +491,7 @@ func HadoopSquirrelQuery(res *RunResult) (Fig8Row, error) {
 	q := res.NewQuerier()
 	q.BeginAuditScope(res.Net.Nodes(), 0)
 	defer q.CloseScope()
-	owner := res.MR.OutputOwner("squirrel")
+	owner := mapreduce.Partition("squirrel", mapreduce.Reducers(res.Workload.Nodes))
 	if err := q.EnsureAudited(owner, 0); err != nil {
 		return Fig8Row{}, err
 	}
@@ -569,7 +534,7 @@ func Figure9(sizes []int, o Options) ([]Fig9Row, error) {
 	o = o.normalize()
 	rows := make([]Fig9Row, 0, len(sizes))
 	for _, n := range sizes {
-		res, err := runChord(o, n)
+		res, err := run(ChordSmall, o, chordRing(o, n))
 		if err != nil {
 			return nil, err
 		}
@@ -580,7 +545,6 @@ func Figure9(sizes []int, o Options) ([]Fig9Row, error) {
 		row.SNPBytesPerSec = float64(t.TotalBytes()) / secs / float64(n)
 		row.BaseBytesPerSec = float64(t.BaselineBytes) / secs / float64(n)
 		row.LogKBPerMin = float64(s.GrossBytes-s.CkptBytes) / 1024 / (secs / 60) / float64(n)
-		// Chord-Large and Chord-Small share config names; override by size.
 		rows = append(rows, row)
 		// Release store-backed logs before the next size reuses node names.
 		_ = res.Net.CloseLogs()
@@ -608,7 +572,7 @@ func (r BatchRow) String() string {
 // BatchingAblation runs Quagga with and without message batching.
 func BatchingAblation(o Options) (without, with BatchRow, err error) {
 	o = o.normalize()
-	res1, err := runQuagga(o)
+	res1, err := Run(Quagga, o)
 	if err != nil {
 		return without, with, err
 	}
@@ -616,7 +580,7 @@ func BatchingAblation(o Options) (without, with BatchRow, err error) {
 	_ = res1.Net.CloseLogs()
 	o2 := o
 	o2.Tbatch = 100 * types.Millisecond
-	res2, err := runQuagga(o2)
+	res2, err := Run(Quagga, o2)
 	if err != nil {
 		return without, with, err
 	}

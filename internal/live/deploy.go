@@ -9,6 +9,7 @@ import (
 	"repro/internal/seclog"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // DefaultTprop is the commitment protocol's propagation bound for live
@@ -24,7 +25,7 @@ const DefaultTprop = 400 * time.Millisecond
 // evidence against. Callers that back logs with a store or share an audit
 // cache set Cfg.LogDir / Cfg.AuditCache before starting nodes or queriers.
 type Deployment struct {
-	App   App
+	App   *workload.Workload
 	Cfg   core.Config
 	Dir   *core.Directory
 	Maint *core.Maintainer
@@ -35,7 +36,7 @@ type Deployment struct {
 // NewDeployment derives the deployment parameters; tprop <= 0 selects
 // DefaultTprop. The skew bound is Tprop/2: live nodes share (or closely
 // track) one machine clock, and the margin absorbs injected delays.
-func NewDeployment(app App, seed int64, tprop time.Duration) (*Deployment, error) {
+func NewDeployment(app *workload.Workload, seed int64, tprop time.Duration) (*Deployment, error) {
 	if tprop <= 0 {
 		tprop = DefaultTprop
 	}
@@ -70,23 +71,24 @@ func (d *Deployment) SettleWindow() time.Duration {
 // NewQuerier builds an audit session over fetch, scored against this
 // process's maintainer, with the app's audit hooks installed.
 func (d *Deployment) NewQuerier(fetch core.Fetcher) *core.Querier {
-	q := core.NewQuerier(core.NewAuditor(d.Cfg, d.Dir, d.App.Factory, d.Maint), fetch)
-	if d.App.ConfigureQuerier != nil {
-		d.App.ConfigureQuerier(q)
-	}
-	return q
+	return d.App.NewQuerier(d.Cfg, d.Dir, d.Maint, fetch)
 }
 
 // Node is one running node of a deployment: a core.Node served on a
-// cluster, driven by the app's node-local callbacks.
+// cluster, driven by its share of the app's timeline.
 type Node struct {
 	ID types.NodeID
 
-	app       App
+	app       *workload.Workload
 	cluster   *transport.Cluster
 	log       *seclog.Log // closed by Stop
 	recovered bool
 	ticks     int
+
+	// seeded is the wall-clock origin of the timeline; pending holds the
+	// actions still to fire, At advanced to each one's next firing.
+	seeded  time.Time
+	pending []workload.Action
 }
 
 // Start brings node id up on the cluster: build it (with recover, reopen
@@ -94,7 +96,7 @@ type Node struct {
 // crash rules; may be nil), and serve it on addr with the app's convergence
 // probe installed. The caller then calls Seed — at once in a one-node
 // daemon, after every node is serving in a one-process harness, so the
-// first sends find their peers listening.
+// first sends find their peers listening — and Tick from then on.
 func (d *Deployment) Start(c *transport.Cluster, id types.NodeID, addr string, recover bool,
 	arm func(*core.Node) error) (*Node, error) {
 	key, ok := d.keys[id]
@@ -126,26 +128,53 @@ func (d *Deployment) Start(c *transport.Cluster, id types.NodeID, addr string, r
 	return &Node{ID: id, app: d.App, cluster: c, log: node.Log, recovered: recover}, nil
 }
 
-// Seed inserts the node's share of the workload on a fresh start, or
-// re-derives the app's driver state from the recovered machine after a
-// crash restart.
+// Seed starts the node's timeline: the whole of it on a fresh start; after
+// a crash restart the app re-derives its driver state from the recovered
+// machine (Recovered) and only the periodic actions resume — the one-shot
+// inputs are already in the recovered log. Actions due at offset zero fire
+// before Seed returns, and a node fault they cause is returned.
 func (n *Node) Seed() error {
-	var seedErr error
-	err := n.cluster.With(n.ID, func(cn *core.Node) {
-		switch {
-		case n.recovered && n.app.Recovered != nil:
-			n.app.Recovered(cn)
-		case !n.recovered && n.app.Start != nil:
-			seedErr = n.app.Start(cn)
+	for _, a := range n.app.Timeline[n.ID] {
+		if !n.recovered || a.Every > 0 {
+			n.pending = append(n.pending, a)
 		}
+	}
+	n.seeded = time.Now()
+	var fault error
+	err := n.cluster.With(n.ID, func(cn *core.Node) {
+		if n.recovered && n.app.Recovered != nil {
+			n.app.Recovered(cn)
+		}
+		n.fire(cn)
+		fault = cn.Err()
 	})
 	if err != nil {
 		return err
 	}
-	return seedErr
+	return fault
 }
 
-// Tick runs one driver step: the app's periodic work, then the node's
+// fire runs the pending actions that are due, in timeline order. A periodic
+// action fires once however many periods a stalled process missed.
+func (n *Node) fire(cn *core.Node) {
+	now := types.Time(time.Since(n.seeded))
+	keep := n.pending[:0]
+	for _, a := range n.pending {
+		if a.At <= now {
+			a.Do(cn)
+			if a.Every <= 0 {
+				continue
+			}
+			if a.At += ((now-a.At)/a.Every + 1) * a.Every; a.At >= a.Until {
+				continue
+			}
+		}
+		keep = append(keep, a)
+	}
+	n.pending = keep
+}
+
+// Tick runs one driver step: the timeline's due actions, then the node's
 // protocol Tick (batching, retransmission, missed-ack notification), then —
 // every syncEvery ticks, when positive — a durable log sync. A node fault
 // from Tick is sticky and stays readable via core.Node.Err; only a node
@@ -153,9 +182,7 @@ func (n *Node) Seed() error {
 func (n *Node) Tick(syncEvery int) error {
 	n.ticks++
 	return n.cluster.With(n.ID, func(cn *core.Node) {
-		if n.app.Step != nil {
-			n.app.Step(cn, n.ticks)
-		}
+		n.fire(cn)
 		_ = cn.Tick()
 		if syncEvery > 0 && n.ticks%syncEvery == 0 {
 			_ = cn.Log.Sync()

@@ -8,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/apps/bgp"
 	"repro/internal/core"
-	"repro/internal/dlog"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -142,13 +140,17 @@ func TestStartRefusesOutsider(t *testing.T) {
 	}
 }
 
-// TestQuaggaAppsAreIndependent: each AppByName value owns its speakers. A
-// daemon and a harness (or two harnesses in one test binary) each build
-// their own; were the speakers shared, the second deployment's as51 would
-// find p51 already originated and never insert it.
-func TestQuaggaAppsAreIndependent(t *testing.T) {
-	for i := 0; i < 2; i++ {
-		app, err := AppByName("quagga")
+// TestAppsAreIndependent: each AppByName value owns its per-node driver
+// state. A daemon and a harness (or two harnesses in one test binary) each
+// build their own; were quagga's speakers shared, the second deployment's
+// as51 would find p51 already originated and never insert it. Every registry
+// app is held to it the same way: on every node, the one-shot inputs of a
+// second value must log what the first value's logged.
+func TestAppsAreIndependent(t *testing.T) {
+	// seeded starts id under a fresh value of the app, fires its one-shot
+	// actions and returns how many entries they logged.
+	seeded := func(t *testing.T, name string, id types.NodeID) uint64 {
+		app, err := AppByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,22 +160,42 @@ func TestQuaggaAppsAreIndependent(t *testing.T) {
 		}
 		c := transport.NewCluster()
 		defer c.Close()
-		n, err := d.Start(c, "as51", "127.0.0.1:0", false, nil)
+		n, err := d.Start(c, id, "127.0.0.1:0", false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer n.Stop()
-		if err := n.Seed(); err != nil {
-			t.Fatal(err)
-		}
-		originated := false
-		if err := c.With("as51", func(cn *core.Node) {
-			originated = cn.Machine.(*dlog.Machine).Lookup(bgp.Origin("as51", "p51"))
+		var entries uint64
+		if err := c.With(id, func(cn *core.Node) {
+			for _, a := range app.Timeline[id] {
+				if a.Every == 0 {
+					a.Do(cn)
+				}
+			}
+			entries = cn.Log.Len()
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if !originated {
-			t.Errorf("deployment %d: as51 did not originate p51", i)
+		return entries
+	}
+	for _, name := range AppNames() {
+		app, err := AppByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		inputs := uint64(0)
+		for _, id := range app.Nodes {
+			first, second := seeded(t, name, id), seeded(t, name, id)
+			if first != second {
+				t.Errorf("%s: %s logged %d entries under the first value, %d under the second", name, id, first, second)
+			}
+			inputs += first
+		}
+		if inputs == 0 {
+			t.Errorf("%s: no node's one-shot inputs logged anything", name)
+		}
+	}
+	if n := seeded(t, "quagga", "as51"); n == 0 {
+		t.Error("quagga: as51 did not originate p51")
 	}
 }

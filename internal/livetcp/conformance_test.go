@@ -12,10 +12,11 @@ import (
 	"repro/internal/provgraph"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // mustApp resolves a registry workload.
-func mustApp(t *testing.T, name string) live.App {
+func mustApp(t *testing.T, name string) *workload.Workload {
 	t.Helper()
 	app, err := live.AppByName(name)
 	if err != nil {
@@ -35,7 +36,7 @@ type faultPlan struct {
 }
 
 // victim returns the node the plan cuts off in app ("" when none).
-func (fp faultPlan) victim(app live.App) types.NodeID {
+func (fp faultPlan) victim(app *workload.Workload) types.NodeID {
 	if fp.cutsVictim {
 		return app.Victim
 	}
@@ -90,8 +91,9 @@ func faultPlans() []faultPlan {
 
 // TestLiveConformance reruns the adversary conformance slice over loopback
 // TCP under the fault-plan matrix (its fault-free row included):
-// tamper-log (a Provable behavior) armed on each registry app's compromised
-// node, across fault plans × apps × 2 seeds, each verdict held to the §4.2
+// tamper-log (a Provable behavior) armed on the app's compromised node,
+// across fault plans × {mincost, quagga} × 2 seeds, plus chord and mapreduce
+// on the fault-free plan at one seed, each verdict held to the §4.2
 // guarantee's live form by the one check (Verdict.CheckGuarantee):
 //
 //   - provable evidence (audit failures, red hosts) never names an honest
@@ -99,13 +101,19 @@ func faultPlans() []faultPlan {
 //   - the armed node is still provably exposed;
 //   - honest nodes the plan makes unreachable degrade to the verdict's
 //     Unresponsive tier — unattributable leads.
+//
+// The lossy plans name mincost and quagga instead of ranging over
+// live.AppNames(): those two react to what they receive, so the next update
+// repairs a dropped one, while chord and mapreduce run a timed schedule, and
+// what a fault plan may do to such a schedule needs the liveness contract of
+// ROADMAP item 5 before a verdict about it means anything.
 func TestLiveConformance(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, fp := range faultPlans() {
-		for _, name := range live.AppNames() {
+		for _, name := range []string{"mincost", "quagga"} {
 			for _, seed := range seeds {
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", fp.name, name, seed), func(t *testing.T) {
 					runLiveCase(t, fp, mustApp(t, name), seed)
@@ -113,9 +121,14 @@ func TestLiveConformance(t *testing.T) {
 			}
 		}
 	}
+	for _, name := range []string{"chord", "mapreduce"} {
+		t.Run(fmt.Sprintf("none/%s/seed=1", name), func(t *testing.T) {
+			runLiveCase(t, faultPlans()[0], mustApp(t, name), 1)
+		})
+	}
 }
 
-func runLiveCase(t *testing.T, fp faultPlan, app live.App, seed int64) {
+func runLiveCase(t *testing.T, fp faultPlan, app *workload.Workload, seed int64) {
 	profile, ok := adversary.ProfileByName("tamper-log")
 	if !ok {
 		t.Fatal("tamper-log profile missing from catalog")

@@ -1,10 +1,12 @@
 // Package livetcp runs SNP deployments over real loopback TCP — wall-clock
 // time, genuine sockets, optional injected network faults — and audits them
-// with the remote (wire-level) audit path. It is the bridge between the
-// deterministic simulator, where the §4.2 detection guarantee is pinned
-// exhaustively, and a deployment where connections reset, peers stall, and
-// processes restart: the conformance tests in this package re-assert the
-// guarantee's live form.
+// with the remote (wire-level) audit path. It runs the same
+// workload.Workload values the simulator does (the sizings in the
+// internal/live registry), every node through the live.Node runtime. It is
+// the bridge between the deterministic simulator, where the §4.2 detection
+// guarantee is pinned exhaustively, and a deployment where connections
+// reset, peers stall, and processes restart: the conformance tests in this
+// package re-assert the guarantee's live form.
 package livetcp
 
 import (
@@ -15,6 +17,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // tickEvery is the harness tick period.
@@ -55,9 +58,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Harness is one running live deployment: every node of the app's
-// node-local form (live.App) on one TCP cluster in this process, all
-// sharing the deployment's maintainer.
+// Harness is one running live deployment: every node of the workload on
+// one TCP cluster in this process, all sharing the deployment's maintainer.
 type Harness struct {
 	*live.Deployment
 	Opts    Options
@@ -70,7 +72,7 @@ type Harness struct {
 // New builds the deployment: a TCP cluster on loopback, one node per
 // App.Nodes entry (armed via Options.OnNode before serving), and — once
 // every node is serving — each node's share of the workload seeded.
-func New(app live.App, opts Options) (*Harness, error) {
+func New(app *workload.Workload, opts Options) (*Harness, error) {
 	opts = opts.withDefaults()
 	tcfg := transport.DefaultConfig()
 	if opts.Transport != nil {
@@ -139,10 +141,10 @@ func (h *Harness) tick() {
 // suspects).
 func (h *Harness) Converged() bool {
 	for _, id := range h.App.Nodes {
-		ok := true
-		_ = h.With(id, func(n *core.Node) { ok = h.App.Probe == nil || h.App.Probe(n) })
-		if !ok {
-			return false
+		ok := false
+		err := h.With(id, func(n *core.Node) { ok = h.App.Probe == nil || h.App.Probe(n) })
+		if err != nil || !ok {
+			return false // a node that is not being served has not converged
 		}
 	}
 	return true
@@ -158,7 +160,7 @@ func (h *Harness) RunFor(d time.Duration) {
 }
 
 // RunUntil drives the deployment until probe returns true or the timeout
-// passes; the timeout is an error only if fatal is wanted by the caller.
+// passes, which is an error.
 func (h *Harness) RunUntil(probe func() bool, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

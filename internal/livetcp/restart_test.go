@@ -133,3 +133,33 @@ func TestLiveRestartMidFlight(t *testing.T) {
 		t.Errorf("mid-flight restart of an honest node: %s: %v\nfailures: %v", breach, v, v.Failures)
 	}
 }
+
+// TestConvergedNeedsEveryNodeServed: a node that is down — here taken down
+// the way a Restart that failed between stopping the node and starting its
+// replacement leaves it — has not converged, whatever its peers' probes
+// say; once it is served again the deployment converges again.
+func TestConvergedNeedsEveryNodeServed(t *testing.T) {
+	h, err := New(mustApp(t, "mincost"), Options{Seed: 17, LogDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.nodes["d"].Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Converged() {
+		t.Fatal("Converged holds with d not being served")
+	}
+	if err := h.startNode("d", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.nodes["d"].Seed(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
+		t.Fatalf("with d back: %v", err)
+	}
+}

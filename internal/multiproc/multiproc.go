@@ -1,5 +1,6 @@
 // Package multiproc runs SNP deployments across real OS processes — one
-// snp-node daemon per node under a supervisor — and audits them from the
+// snp-node daemon per node under a supervisor, each running its own node's
+// timeline of the registry workload it was named — and audits them from the
 // parent over the wire. It is the layer above livetcp in the realism
 // ladder: same framed-TCP protocol, but the failure unit is a process
 // (SIGKILL, torn log tails, supervised restart through crash recovery), and

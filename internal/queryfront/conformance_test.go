@@ -22,7 +22,7 @@ import (
 )
 
 // TestFrontConformance re-proves the §4.2 guarantee through the query
-// frontend for every registry workload: concurrent remote clients audit a
+// frontend for the registry's workloads: concurrent remote clients audit a
 // live deployment with an armed tamperer and its Victim cut off by a one-way
 // partition (data plane and audit traffic alike), and
 // every verdict that comes back over the wire is held to the same check as
@@ -36,13 +36,21 @@ import (
 // "reachable" cases run the tamperer without the partition, where the second
 // audit of every honest node is answered from the ledger and must equal the
 // first, and the tamperer's never is.
+//
+// The partition rows name mincost and quagga; the registry's timed
+// workloads, chord and mapreduce, run the reachable case only (what a fault
+// plan may do to a timed schedule waits for ROADMAP item 5's liveness
+// contract).
 func TestFrontConformance(t *testing.T) {
-	names := live.AppNames()
+	names := []string{"mincost", "quagga"}
 	if testing.Short() {
 		names = names[:1]
 	}
 	for _, name := range names {
 		t.Run(name+"/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, true) })
+		t.Run(name+"/reachable/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, false) })
+	}
+	for _, name := range []string{"chord", "mapreduce"} {
 		t.Run(name+"/reachable/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, false) })
 	}
 }

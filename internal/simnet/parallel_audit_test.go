@@ -162,11 +162,11 @@ func TestParallelAuditRevisit(t *testing.T) {
 func BenchmarkProvgraphRebuild(b *testing.B) {
 	const horizon = 20 * types.Second
 	net := simnet.New(simnet.DefaultConfig())
-	d, err := bgp.Deploy(net, bgp.DefaultTopology(), types.Second, horizon)
-	if err != nil {
+	w, _ := bgp.New(bgp.DefaultTopology(), types.Second, horizon, &bgp.Trace{
+		Seed: 1, Updates: 40, PrefixPool: 50, Start: types.Second, Span: horizon - 6*types.Second})
+	if err := net.Deploy(w); err != nil {
 		b.Fatal(err)
 	}
-	d.InjectTrace(1, 40, 50, types.Second, horizon-6*types.Second)
 	net.Run(horizon)
 	newAuditor := func() *core.Auditor {
 		return core.NewAuditor(net.Cfg.Core, net.Dir, bgp.Factory(), net.Maintainer)

@@ -39,7 +39,7 @@ func runMinCostWorkers(t *testing.T, workers int, seed int64) *simnet.Net {
 	cfg.Workers = workers
 	cfg.Seed = seed
 	net := simnet.New(cfg)
-	if err := mincost.Deploy(net, mincost.Figure2Topology, 1*types.Second); err != nil {
+	if err := net.Deploy(mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)); err != nil {
 		t.Fatal(err)
 	}
 	net.At(20*types.Second, func() {

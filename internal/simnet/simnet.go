@@ -52,6 +52,7 @@ import (
 	"repro/internal/seclog"
 	"repro/internal/types"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // event is one scheduled simulator action. src is the scheduling shard ("" =
@@ -370,6 +371,35 @@ func (n *Net) AddNode(id types.NodeID, keySeed int64, machine types.Machine) (*c
 		n.Cfg.OnNode(node)
 	}
 	return node, nil
+}
+
+// Deploy runs a workload on this network: one node per w.Nodes entry, keyed
+// by its KeySeeds entry, and every node's timeline on that node's own event
+// shard in timeline order — so actions due at one instant fire in the order
+// the workload lists them, whatever the worker count. A machine that
+// reports a broken protocol definition (Err) fails the deployment.
+func (n *Net) Deploy(w *workload.Workload) error {
+	for i, id := range w.Nodes {
+		machine := w.Factory(id)
+		if m, ok := machine.(interface{ Err() error }); ok && m.Err() != nil {
+			return m.Err()
+		}
+		if _, err := n.AddNode(id, w.KeySeeds[i], machine); err != nil {
+			return err
+		}
+	}
+	for _, id := range w.Nodes {
+		node := n.Node(id)
+		for _, a := range w.Timeline[id] {
+			fire := func() { a.Do(node) }
+			if a.Every > 0 {
+				n.PeriodicNode(id, a.At, a.Every, a.Until, fire)
+			} else {
+				n.AtNode(id, a.At, fire)
+			}
+		}
+	}
+	return nil
 }
 
 // Node returns a node by ID.
@@ -693,6 +723,12 @@ func (n *Net) AuthsAbout(observer, target types.NodeID, t1, t2 types.Time) []sec
 func (n *Net) NewQuerier(factory types.MachineFactory) *core.Querier {
 	auditor := core.NewAuditor(n.Cfg.Core, n.Dir, factory, n.Maintainer)
 	return core.NewQuerier(auditor, n)
+}
+
+// QuerierFor builds a query session against this network for a deployed
+// workload, with the workload's audit hooks installed.
+func (n *Net) QuerierFor(w *workload.Workload) *core.Querier {
+	return w.NewQuerier(n.Cfg.Core, n.Dir, n.Maintainer, n)
 }
 
 // LogStats aggregates per-node log growth (Figure 6).

@@ -27,7 +27,7 @@ func runMinCost(t *testing.T, mutate func(*simnet.Net)) *simnet.Net {
 	t.Helper()
 	cfg := simnet.DefaultConfig()
 	net := simnet.New(cfg)
-	if err := mincost.Deploy(net, mincost.Figure2Topology, 1*types.Second); err != nil {
+	if err := net.Deploy(mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if mutate != nil {
@@ -315,7 +315,7 @@ func TestCheckpointsWritten(t *testing.T) {
 	cfg := simnet.DefaultConfig()
 	cfg.Core.CheckpointEvery = 10 * types.Second
 	net := simnet.New(cfg)
-	if err := mincost.Deploy(net, mincost.Figure2Topology, types.Second); err != nil {
+	if err := net.Deploy(mincost.New(mincost.Figure2Topology, types.Second, 35*types.Second)); err != nil {
 		t.Fatal(err)
 	}
 	net.Run(35 * types.Second)

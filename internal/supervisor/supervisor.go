@@ -20,6 +20,7 @@ import (
 	"repro/internal/seclog"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // SyncedState is a node's durably-synced log position (sequence and chain
@@ -122,7 +123,7 @@ type child struct {
 // restart storms are capped.
 type Supervisor struct {
 	opts  Options
-	app   live.App
+	app   *workload.Workload
 	addrs map[types.NodeID]string
 	log   *log.Logger
 	logF  *os.File
@@ -168,7 +169,7 @@ func New(opts Options) (*Supervisor, error) {
 
 // App returns the resolved workload (the harness side needs its node list,
 // compromised set, factory, and querier hooks).
-func (s *Supervisor) App() live.App { return s.app }
+func (s *Supervisor) App() *workload.Workload { return s.app }
 
 // Addrs returns every node's fixed listen address.
 func (s *Supervisor) Addrs() map[types.NodeID]string {

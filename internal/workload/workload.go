@@ -1,7 +1,8 @@
-// Package workload generates the synthetic inputs for the evaluation
-// (§7.1): a RouteViews-style BGP update trace and a Zipf-distributed text
-// corpus standing in for the WebBase Wikipedia crawl. All generators are
-// seeded and deterministic.
+// Package workload holds the one definition of an application deployment
+// every driver runs (Workload, timeline.go) and generates the synthetic
+// inputs for the evaluation (§7.1): a RouteViews-style BGP update trace and
+// a Zipf-distributed text corpus standing in for the WebBase Wikipedia
+// crawl. All generators are seeded and deterministic.
 package workload
 
 import (
