@@ -1,10 +1,13 @@
 // Persistent audit cache. Auditing an unchanged segment twice repeats a
 // fully deterministic computation: what the replica machine outputs at each
 // step depends only on the segment bytes, and those are pinned by the chain
-// hash the authenticator signs. The cache therefore keeps, per segment
-// identity (node, range, head chain hash), a recording of the machine — the
-// outputs of each event it was stepped with, and nothing else — and
-// Auditor.Prepare plays the recording back in place of a replica.
+// hash the authenticator signs. The cache therefore keeps, per node and start
+// of replay, a recording of the machine — the outputs of each event it was
+// stepped with, and the chain hash and step count at each log entry to say
+// which walk that was — and Auditor.Prepare plays the recording back in place
+// of a replica. A log grows at its head and is audited through different ends
+// (RetrieveRequest.EndTime), so the recording of a walk answers any prefix of
+// it: the entry at which the prefix stops names its hash and its steps.
 //
 // What a hit may — and may not — trust. The cache lives in local files; a
 // tampered entry must never let the auditor construct a provable accusation
@@ -14,21 +17,20 @@
 // recording as its machine: failures, implied chain commitments (peer
 // signatures are re-verified), checkpoint seeds and digests, the
 // sent-envelope map and the end-of-log time all come from the segment,
-// every time. A body that does not decode, a recording the walk does not
-// consume exactly, or a walk that finds a failure is a miss: a fresh replay
-// through a real replica, which then overwrites the entry. A poisoned cache
-// can at worst cost time or suppress detection of an already-faulty node;
-// it cannot manufacture evidence.
+// every time. A body that does not decode, a recorded chain that is not the
+// verified one where the walk stops, a recording the walk does not consume
+// exactly, or a walk that finds a failure is a miss: a fresh replay through
+// a real replica, which then overwrites the entry. A poisoned cache can at
+// worst cost time or suppress detection of an already-faulty node; it cannot
+// manufacture evidence.
 package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -38,24 +40,20 @@ import (
 	"repro/internal/wire"
 )
 
-// auditCacheDomain separates audit-cache keys from every other use of the
-// suite hash.
-const auditCacheDomain = "snpaudit1"
-
 // auditCacheVersion is the first byte of every body; a body that starts
 // with any other is not decoded, and open removes it.
-const auditCacheVersion = 2
+const auditCacheVersion = 3
 
-// On disk the cache is a directory with one file per audited segment, named
-// <escaped node>.<from>.<to>.<hex(key)>.audit and holding H(name || body) ||
-// body, so that a body copied under another segment's name fails like a
-// damaged one. A put writes a temp file in the same directory and renames
-// it into place, so a reader sees the old body, the new body, or no file,
-// and a crash leaves at worst a temp file that the next open removes.
-// Nothing is fsynced: a body the file system tore fails the integrity
-// prefix and is a miss like any other. A node's log grows at its head, so a
-// put also removes the entries it supersedes: the same node's, from the
-// same start, ending earlier.
+// On disk the cache is a directory with one file per node and start of
+// replay, named <escaped node>.<from>.audit and holding H(name || body) ||
+// body, so that a body copied under another name fails like a damaged one. A
+// put writes a temp file in the same directory and renames it into place, so
+// a reader sees the old body, the new body, or no file, and a crash leaves
+// at worst a temp file that the next open removes. Nothing is fsynced: a
+// body the file system tore fails the integrity prefix and is a miss like
+// any other. The rename is also how an entry is superseded: a put happens
+// when the recording on file is too short for the walk or is of another log
+// (a deployment that reuses node names), and either way takes its place.
 const (
 	auditCacheExt = ".audit"
 	auditCacheTmp = ".tmp"
@@ -122,28 +120,11 @@ func (c *AuditCache) Hits() uint64 { return c.hits.Load() }
 // to a fresh replay (including entries rejected by validation).
 func (c *AuditCache) Misses() uint64 { return c.misses.Load() }
 
-// key names the file of one audited segment's entry. The head chain hash
-// covers every entry byte in the range, so equal keys imply equal segments;
-// any chain divergence changes the key and invalidates the entry. The node
-// and range lead the name, in the clear, for put's sake.
-func (c *AuditCache) key(node types.NodeID, from, to uint64, headHash []byte) string {
-	var fb, tb [8]byte
-	binary.BigEndian.PutUint64(fb[:], from)
-	binary.BigEndian.PutUint64(tb[:], to)
-	sum := c.suite.Hash([]byte(auditCacheDomain), []byte(node), fb[:], tb[:], headHash)
+// key names the file of the recording of node's log replayed from position
+// from on.
+func (c *AuditCache) key(node types.NodeID, from uint64) string {
 	escaped := strings.ReplaceAll(url.PathEscape(string(node)), ".", "%2E")
-	return fmt.Sprintf("%s.%d.%d.%x%s", escaped, from, to, sum, auditCacheExt)
-}
-
-// splitKey parses an entry's file name into its series, "<node>.<from>.",
-// and the last sequence number it covers; ok is false for any other name.
-func splitKey(key string) (series string, to uint64, ok bool) {
-	f := strings.Split(key, ".")
-	if len(f) != 5 || "."+f[4] != auditCacheExt {
-		return "", 0, false
-	}
-	to, err := strconv.ParseUint(f[2], 10, 64)
-	return f[0] + "." + f[1] + ".", to, err == nil
+	return fmt.Sprintf("%s.%d%s", escaped, from, auditCacheExt)
 }
 
 // get loads and integrity-checks the body stored under key.
@@ -160,8 +141,8 @@ func (c *AuditCache) get(key string) ([]byte, bool) {
 	return body, true
 }
 
-// put stores body under key with an integrity prefix and removes the
-// entries key supersedes. A failed put is just a future miss.
+// put stores body under key with an integrity prefix, in place of whatever
+// the key named before. A failed put is just a future miss.
 func (c *AuditCache) put(key string, body []byte) {
 	f, err := os.CreateTemp(c.dir, "put-*"+auditCacheTmp)
 	if err != nil {
@@ -176,14 +157,6 @@ func (c *AuditCache) put(key string, body []byte) {
 	}
 	if err != nil {
 		_ = os.Remove(f.Name())
-		return
-	}
-	series, to, _ := splitKey(key)
-	files, _ := os.ReadDir(c.dir)
-	for _, f := range files {
-		if s, t, ok := splitKey(f.Name()); ok && s == series && t < to {
-			_ = os.Remove(filepath.Join(c.dir, f.Name()))
-		}
 	}
 }
 
@@ -195,6 +168,14 @@ func (c *AuditCache) put(key string, body []byte) {
 // Restore accepts anything, Snapshot has nothing to show (replayCkpt skips
 // the one comparison that would need it).
 type recording struct {
+	// chain and cum say which walk was recorded: the chain hash of each entry
+	// walked (size bytes each), and how often the machine had been stepped
+	// when the walk was through with it.
+	size  int
+	chain []byte
+	cum   []int
+	// steps are the outputs of the steps to be played, in order: of the whole
+	// walk when it was recorded, of the prefix asked for when decoded.
 	steps [][]types.Output
 	next  int // Step calls so far, however many were recorded
 }
@@ -211,38 +192,50 @@ func (r *recording) Restore([]byte) error { return nil }
 func (r *recording) Snapshot() []byte     { return nil }
 
 // spent reports whether the walk stepped exactly as often as the recorded
-// one: one step short or long, and the recording is of some other walk.
+// one had by the same entry: one step short or long, and the recording is of
+// some other walk.
 func (r *recording) spent() bool { return r.next == len(r.steps) }
 
-// record extracts the recording a finished replay leaves behind.
-func record(ops []replayOp) *recording {
-	r := &recording{}
-	for i := range ops {
-		if ops[i].kind == opEvent && provgraph.StepsMachine(ops[i].ev) {
-			r.steps = append(r.steps, ops[i].outs)
+// record extracts the recording a finished replay leaves behind; the walk
+// counted its steps into p.cum.
+func record(p *prep) *recording {
+	r := &recording{size: p.audited.size, chain: p.audited.chain, cum: p.cum}
+	for i := range p.ops {
+		if p.ops[i].kind == opEvent && provgraph.StepsMachine(p.ops[i].ev) {
+			r.steps = append(r.steps, p.ops[i].outs)
 		}
 	}
 	return r
 }
 
-// recording returns the playable recording stored under key, or nil.
-func (c *AuditCache) recording(key string) *recording {
+// recording returns the recording stored under key, ready to play a walk of
+// the first n entries it recorded, or nil: there is none, it records fewer,
+// or its n-th entry is not the one whose verified chain hash is head.
+func (c *AuditCache) recording(key string, n int, head []byte) *recording {
 	body, ok := c.get(key)
 	if !ok {
 		return nil
 	}
-	r, err := decodeRecording(body)
-	if err != nil {
+	r, err := decodeRecording(body, c.suite.HashSize(), n)
+	if err != nil || !bytes.Equal(r.chain[(n-1)*r.size:n*r.size], head) {
 		return nil
 	}
 	return r
 }
 
-// encode serializes r as a cache body: the version byte, then the outputs
+// encode serializes r, the recording of a whole walk, as a cache body: the
+// version byte; the chain, then the steps each entry took; then the outputs
 // of each step.
 func (r *recording) encode() []byte {
-	w := wire.NewWriter(1024)
+	w := wire.NewWriter(1024 + len(r.chain))
 	w.Byte(auditCacheVersion)
+	w.Uint(uint64(len(r.cum)))
+	w.Raw(r.chain)
+	before := 0
+	for _, through := range r.cum {
+		w.Uint(uint64(through - before))
+		before = through
+	}
 	w.Uint(uint64(len(r.steps)))
 	for _, outs := range r.steps {
 		w.Uint(uint64(len(outs)))
@@ -253,14 +246,40 @@ func (r *recording) encode() []byte {
 	return w.Bytes()
 }
 
-func decodeRecording(raw []byte) (*recording, error) {
+// decodeRecording parses a cache body, whose hashes are size bytes long, as
+// far as a walk of the first n recorded entries needs it: the whole table,
+// and the outputs of the steps those entries took. A body that records fewer
+// than n entries is an error, like one that does not parse.
+func decodeRecording(raw []byte, size, n int) (*recording, error) {
 	r := wire.NewReader(raw)
 	if v := r.Byte(); v != auditCacheVersion {
 		return nil, fmt.Errorf("core: audit cache version %d", v)
 	}
-	rec := &recording{}
-	nsteps := r.Count()
-	for i := 0; i < nsteps; i++ {
+	// Every entry occupies size+1 bytes or more, which bounds the table by
+	// the input that carries it.
+	entries := r.Count()
+	if entries > r.Remaining()/(size+1) {
+		return nil, fmt.Errorf("core: audit cache body too short for %d entries", entries)
+	}
+	if n > entries {
+		return nil, fmt.Errorf("core: audit cache body records %d entries, not %d", entries, n)
+	}
+	rec := &recording{size: size, chain: r.Raw(entries * size), cum: make([]int, entries)}
+	through := 0
+	for i := range rec.cum {
+		// A step occupies a byte or more further on, so Count bounds this too.
+		through += r.Count()
+		rec.cum[i] = through
+	}
+	if nsteps := r.Count(); r.Err() != nil || nsteps != through {
+		return nil, fmt.Errorf("core: audit cache body does not count its steps")
+	}
+	play := 0
+	if n > 0 {
+		play = rec.cum[n-1]
+	}
+	rec.steps = make([][]types.Output, 0, play)
+	for i := 0; i < play; i++ {
 		var outs []types.Output
 		nouts := r.Count()
 		for j := 0; j < nouts; j++ {
@@ -274,6 +293,9 @@ func decodeRecording(raw []byte) (*recording, error) {
 			return nil, r.Err()
 		}
 		rec.steps = append(rec.steps, outs)
+	}
+	if n < entries {
+		return rec, nil // the rest is for a longer walk to read
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err

@@ -69,6 +69,13 @@ func (p *pipe) Send(from, to types.NodeID, pkt *Packet) {
 // mid-stream checkpoint on n1, and the rcv/ack traffic the sends provoke.
 func cachePair(t *testing.T, cfg Config) (map[types.NodeID]*Node, *Directory, types.MachineFactory) {
 	t.Helper()
+	return cachePairFrom(t, cfg, 1)
+}
+
+// cachePairFrom is cachePair with the inserted tuples numbered from first on:
+// another first, other logs under the same names.
+func cachePairFrom(t *testing.T, cfg Config, first int64) (map[types.NodeID]*Node, *Directory, types.MachineFactory) {
+	t.Helper()
 	dir := NewDirectory()
 	pp := &pipe{nodes: make(map[types.NodeID]*Node)}
 	other := map[types.NodeID]types.NodeID{"n1": "n2", "n2": "n1"}
@@ -88,11 +95,11 @@ func cachePair(t *testing.T, cfg Config) (map[types.NodeID]*Node, *Directory, ty
 		pp.nodes[id] = n
 	}
 	n1, n2 := pp.nodes["n1"], pp.nodes["n2"]
-	for i := int64(1); i <= 6; i++ {
+	for i := first; i < first+6; i++ {
 		if err := n1.InsertBase(ins(i)); err != nil {
 			t.Fatal(err)
 		}
-		if i == 3 {
+		if i == first+2 {
 			n1.WriteCheckpoint()
 		}
 		if err := n2.InsertBase(types.MakeTuple("u", types.N("n2"), types.I(i))); err != nil {
@@ -124,6 +131,30 @@ func evidenceFor(t *testing.T, n *Node) seclog.Authenticator {
 		t.Fatal(err)
 	}
 	return auth
+}
+
+// wholeRecording decodes every step of the recording stored under key.
+func wholeRecording(t *testing.T, cache *AuditCache, key string) *recording {
+	t.Helper()
+	body, ok := cache.get(key)
+	if !ok {
+		t.Fatalf("no cached recording under %s", key)
+	}
+	rec, err := decodeWhole(body, cache.suite.HashSize())
+	if err != nil {
+		t.Fatalf("recording under %s: %v", key, err)
+	}
+	return rec
+}
+
+// decodeWhole decodes every step of a body: its table says how many entries
+// it records, and a walk of all of them plays all of it.
+func decodeWhole(raw []byte, size int) (*recording, error) {
+	table, err := decodeRecording(raw, size, 0)
+	if err != nil {
+		return nil, err
+	}
+	return decodeRecording(raw, size, len(table.cum))
 }
 
 // samePrepared reports whether two prepared audits would commit identically:
@@ -256,13 +287,18 @@ func TestAuditCachePersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A put that crashed before its rename leaves its temp file behind, and
-	// a version 1 cache left bodies no version 2 key will ever name.
+	// the caches of versions 1 and 2 left bodies no version 3 key will ever
+	// name.
 	crashed := filepath.Join(cacheDir, "put-crashed"+auditCacheTmp)
 	if err := os.WriteFile(crashed, []byte("half a body"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	stale := filepath.Join(cacheDir, "00ff"+auditCacheExt) // H(body) || body, named by the key alone
 	if err := os.WriteFile(stale, append(cfg.suite().Hash(v1AuditBody), v1AuditBody...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	stale2 := "n1.1.9.00ff" + auditCacheExt // H(name || body) || body, named by node, range and key
+	if err := os.WriteFile(filepath.Join(cacheDir, stale2), append(cfg.suite().Hash([]byte(stale2), v2AuditBody), v2AuditBody...), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,6 +313,9 @@ func TestAuditCachePersists(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("version 1 body survived open (stat err=%v)", err)
 	}
+	if _, err := os.Stat(filepath.Join(cacheDir, stale2)); !os.IsNotExist(err) {
+		t.Fatalf("version 2 body survived open (stat err=%v)", err)
+	}
 	ccfg.AuditCache = cache2
 	a2 := NewAuditor(ccfg, dir, factory, nil)
 	for id, n := range nodes {
@@ -289,9 +328,8 @@ func TestAuditCachePersists(t *testing.T) {
 	}
 }
 
-// TestAuditCacheInvalidatedOnDivergence: growing the log changes the head
-// chain hash, so the old entry's key no longer matches — the audit replays
-// fresh and caches the new segment.
+// TestAuditCacheInvalidatedOnDivergence: a log that has grown is longer than
+// the walk on record — the audit replays fresh and records the longer one.
 func TestAuditCacheInvalidatedOnDivergence(t *testing.T) {
 	cfg := DefaultConfig()
 	nodes, dir, factory := cachePair(t, cfg)
@@ -334,9 +372,10 @@ func TestAuditCacheInvalidatedOnDivergence(t *testing.T) {
 	}
 }
 
-// TestAuditCacheDropsSupersededEntries: a log grows at its head, so each
-// audit of a longer prefix replaces the entry of the shorter one — and only
-// that one.
+// TestAuditCacheDropsSupersededEntries: a put leaves exactly one file per node
+// and start of replay, whatever it supersedes — the recording of a shorter
+// prefix of a log that has grown since, or the longer recording of a log that
+// is gone (a deployment that reuses node names).
 func TestAuditCacheDropsSupersededEntries(t *testing.T) {
 	cfg := DefaultConfig()
 	nodes, dir, factory := cachePair(t, cfg)
@@ -353,9 +392,18 @@ func TestAuditCacheDropsSupersededEntries(t *testing.T) {
 		}
 		return names
 	}
+	auditAll := func(nodes map[types.NodeID]*Node, dir *Directory) {
+		t.Helper()
+		a := NewAuditor(cfg, dir, factory, nil)
+		for id, n := range retrieveAll(t, nodes) {
+			if p := a.Prepare(id, n, evidenceFor(t, nodes[id])); p.err != nil {
+				t.Fatal(p.err)
+			}
+		}
+	}
 
 	// Neither another start of n1's nor another node's is n1's to drop.
-	bystanders := []string{"n1.2.1.00" + auditCacheExt, "n10.1.1.00" + auditCacheExt}
+	bystanders := []string{"n1.2" + auditCacheExt, "n10.1" + auditCacheExt}
 	for _, name := range bystanders {
 		if err := os.WriteFile(filepath.Join(cache.dir, name), nil, 0o600); err != nil {
 			t.Fatal(err)
@@ -367,13 +415,8 @@ func TestAuditCacheDropsSupersededEntries(t *testing.T) {
 		if err := n1.InsertBase(ins(100 + head)); err != nil {
 			t.Fatal(err)
 		}
-		a := NewAuditor(cfg, dir, factory, nil)
-		for id, n := range retrieveAll(t, nodes) {
-			if p := a.Prepare(id, n, evidenceFor(t, nodes[id])); p.err != nil {
-				t.Fatal(p.err)
-			}
-		}
-		if got := entries("n1.1."); len(got) != 1 {
+		auditAll(nodes, dir)
+		if got := entries("n1.1"); len(got) != 1 {
 			t.Fatalf("head %d: n1 has entries %v, want one", head, got)
 		}
 	}
@@ -383,11 +426,37 @@ func TestAuditCacheDropsSupersededEntries(t *testing.T) {
 		}
 	}
 	// n1's inserts reach n2, whose log grew five times as well.
-	if got := entries("n2.1."); len(got) != 1 {
+	if got := entries("n2.1"); len(got) != 1 {
 		t.Fatalf("n2 has entries %v, want one", got)
 	}
 	if got, want := cache.Misses(), uint64(2*5); got != want {
-		t.Fatalf("misses = %d, want %d: every head is a new segment", got, want)
+		t.Fatalf("misses = %d, want %d: every head is past the recording", got, want)
+	}
+
+	// The same names deployed again, with the history the first deployment had
+	// before it grew: shorter logs on other chains. Their recordings take the
+	// place of the longer ones, which no audit could ever hit again.
+	long, err := os.ReadFile(entries("n1.1")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes2, dir2, _ := cachePairFrom(t, cfg, 50)
+	auditAll(nodes2, dir2)
+	if got, want := cache.Misses(), uint64(2*5+2); got != want {
+		t.Fatalf("misses = %d, want %d: the redeployed logs are other logs", got, want)
+	}
+	for _, series := range []string{"n1.1", "n2.1"} {
+		if got := entries(series); len(got) != 1 {
+			t.Fatalf("after redeployment %s has entries %v, want one", series, got)
+		}
+	}
+	if short, err := os.ReadFile(entries("n1.1")[0]); err != nil || len(short) >= len(long) {
+		t.Fatalf("the stale longer recording of n1 survived (%d bytes, was %d; err=%v)", len(short), len(long), err)
+	}
+	hits := cache.Hits()
+	auditAll(nodes2, dir2)
+	if cache.Hits() != hits+2 {
+		t.Fatalf("the redeployed logs' recordings are not served (hits %d → %d)", hits, cache.Hits())
 	}
 }
 
@@ -423,7 +492,7 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 		}
 		baseline[id] = p
 		seg := resps[id].Segment
-		keys[id] = cache.key(id, seg.From, seg.To(), p.audited.hashAt(seg.To()))
+		keys[id] = cache.key(id, seg.From)
 		raw, err := os.ReadFile(path(keys[id]))
 		if err != nil {
 			t.Fatal(err)
@@ -444,16 +513,33 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 				}
 			}
 		}},
+		// The entries count as many steps as the walk takes; the body holds
+		// one fewer or one more, and says so.
 		{"recording one step short", false, func(rec *recording) { rec.steps = rec.steps[:len(rec.steps)-1] }},
 		{"recording one step long", false, func(rec *recording) { rec.steps = append(rec.steps, nil) }},
+		// The body is consistent with itself and of some other walk.
+		{"one step fewer recorded and counted", false, func(rec *recording) {
+			rec.steps = rec.steps[:len(rec.steps)-1]
+			rec.cum[len(rec.cum)-1]--
+		}},
+		{"one step more recorded and counted", false, func(rec *recording) {
+			rec.steps = append(rec.steps, nil)
+			rec.cum[len(rec.cum)-1]++
+		}},
+		{"one entry fewer recorded", false, func(rec *recording) {
+			rec.cum = rec.cum[:len(rec.cum)-1]
+			rec.chain = rec.chain[:len(rec.chain)-rec.size]
+			rec.steps = rec.steps[:rec.cum[len(rec.cum)-1]]
+		}},
+		{"recorded head hash wrong", false, func(rec *recording) { rec.chain[len(rec.chain)-1] ^= 0x01 }},
+		// What the table says of the entries before the last is for the walks
+		// that stop there (TestAuditCacheAnswersPrefixes).
+		{"recorded chain wrong below the head", true, func(rec *recording) { rec.chain[0] ^= 0x01 }},
 	}
 	for _, tc := range poisons {
 		t.Run(tc.name, func(t *testing.T) {
 			for id, n := range nodes {
-				rec := cache.recording(keys[id])
-				if rec == nil {
-					t.Fatalf("no cached recording for %s", id)
-				}
+				rec := wholeRecording(t, cache, keys[id])
 				tc.mutate(rec)
 				cache.put(keys[id], rec.encode())
 
@@ -516,6 +602,9 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 		}},
 		{"version 1 body", func(id types.NodeID, _ []byte) []byte {
 			return append(cfg.suite().Hash([]byte(keys[id]), v1AuditBody), v1AuditBody...)
+		}},
+		{"version 2 body", func(id types.NodeID, _ []byte) []byte {
+			return append(cfg.suite().Hash([]byte(keys[id]), v2AuditBody), v2AuditBody...)
 		}},
 	}
 	for _, tc := range damages {
@@ -613,7 +702,7 @@ func TestAuditCacheConcurrentPutGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cache.Close()
-	key := cache.key("n1", 1, 9, []byte("head"))
+	key := cache.key("n1", 1)
 	const writers, rounds = 8, 50
 	bodies := make(map[string]bool)
 	body := func(w int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("writer-%d ", w)), 1+w*700) }
@@ -645,5 +734,158 @@ func TestAuditCacheConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 	if left, _ := filepath.Glob(filepath.Join(cache.dir, "*"+auditCacheTmp)); len(left) != 0 {
 		t.Errorf("puts left temp files behind: %v", left)
+	}
+}
+
+// prefixesOf asks n for every prefix of its log a RetrieveRequest.EndTime can
+// cut, shortest first; the last is the whole log.
+func prefixesOf(t *testing.T, n *Node) []*RetrieveResponse {
+	t.Helper()
+	var out []*RetrieveResponse
+	for seq := n.Log.FirstSeq(); seq <= n.Log.Len(); seq++ {
+		e, err := n.Log.Entry(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := n.HandleRetrieve(RetrieveRequest{Auth: seclog.Authenticator{Node: n.ID}, EndTime: e.T})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) == 0 || out[len(out)-1].Segment.To() != resp.Segment.To() {
+			out = append(out, resp)
+		}
+	}
+	if last := out[len(out)-1].Segment.To(); last != n.Log.Len() {
+		t.Fatalf("longest prefix of %s ends at %d, log at %d", n.ID, last, n.Log.Len())
+	}
+	return out
+}
+
+// TestAuditCacheAnswersPrefixes: one recording answers every prefix of the
+// walk it recorded, bit-identically to a fresh replay of that prefix and
+// without a replica; a recording shorter than the walk is a miss that the
+// longer one replaces; and what the table says about the entry a prefix stops
+// at — its chain hash, the steps taken through it — decides a hit for that
+// prefix alone, never an accusation.
+func TestAuditCacheAnswersPrefixes(t *testing.T) {
+	cfg := DefaultConfig()
+	nodes, dir, factory := cachePair(t, cfg)
+	for id, n := range nodes {
+		prefixes := prefixesOf(t, n)
+		if len(prefixes) < 4 {
+			t.Fatalf("%s: %d prefixes; the test lost its teeth", id, len(prefixes))
+		}
+		evidence := seclog.Authenticator{Node: id}
+		fresh := func(resp *RetrieveResponse) *PreparedAudit {
+			p := NewAuditor(cfg, dir, factory, nil).Prepare(id, resp, evidence)
+			if p.err != nil {
+				t.Fatal(p.err)
+			}
+			return p
+		}
+		open := func() (*AuditCache, func(*RetrieveResponse) *PreparedAudit) {
+			cache, err := OpenAuditCache(t.TempDir(), cfg.suite())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cache.Close() })
+			ccfg := cfg
+			ccfg.AuditCache = cache
+			return cache, func(resp *RetrieveResponse) *PreparedAudit {
+				built := 0
+				counting := func(self types.NodeID) types.Machine { built++; return factory(self) }
+				hits := cache.Hits()
+				a := NewAuditor(ccfg, dir, counting, nil)
+				p := a.Prepare(id, resp, evidence)
+				if p.err != nil {
+					t.Fatal(p.err)
+				}
+				if err := a.Commit(p); err != nil || len(a.Failures()) != 0 {
+					t.Fatalf("%s through %d: commit %v, failures %v", id, resp.Segment.To(), err, a.Failures())
+				}
+				if !samePrepared(p, fresh(resp)) {
+					t.Fatalf("%s through %d: cached audit diverges from a fresh replay", id, resp.Segment.To())
+				}
+				if hit := cache.Hits() == hits+1; hit != (built == 0) {
+					t.Fatalf("%s through %d: hit=%v and %d machines built", id, resp.Segment.To(), hit, built)
+				}
+				return p
+			}
+		}
+		key := func(c *AuditCache) string { return c.key(id, prefixes[0].Segment.From) }
+		whole := prefixes[len(prefixes)-1]
+
+		// Longest first: one miss, then every prefix is a hit.
+		cache, audit := open()
+		audit(whole)
+		for _, resp := range prefixes {
+			audit(resp)
+		}
+		if cache.Misses() != 1 || cache.Hits() != uint64(len(prefixes)) {
+			t.Fatalf("%s: longest first: hits=%d misses=%d, want %d/1", id, cache.Hits(), cache.Misses(), len(prefixes))
+		}
+
+		// Shortest first: every walk is past the recording and replaces it.
+		cache, audit = open()
+		for _, resp := range prefixes {
+			audit(resp)
+		}
+		if cache.Hits() != 0 || cache.Misses() != uint64(len(prefixes)) {
+			t.Fatalf("%s: shortest first: hits=%d misses=%d, want 0/%d", id, cache.Hits(), cache.Misses(), len(prefixes))
+		}
+		if names, _ := filepath.Glob(filepath.Join(cache.dir, "*"+auditCacheExt)); len(names) != 1 {
+			t.Fatalf("%s: shortest first left %v, want one file", id, names)
+		}
+		for _, resp := range prefixes {
+			audit(resp)
+		}
+		if cache.Hits() != uint64(len(prefixes)) {
+			t.Fatalf("%s: the longest recording served %d of %d prefixes", id, cache.Hits(), len(prefixes))
+		}
+
+		// A table that is wrong about one entry: a miss for the prefix that
+		// stops there, which then puts its own recording; a hit, as harmless
+		// as ever, for the others.
+		// The entry is one that stepped the machine, before another that did:
+		// a step can be counted from either to the other.
+		cum := wholeRecording(t, cache, key(cache)).cum
+		var mid *RetrieveResponse
+		at := 0
+		for _, resp := range prefixes[1 : len(prefixes)-1] {
+			if i := int(resp.Segment.To() - resp.Segment.From); cum[i] > cum[i-1] && cum[i+1] > cum[i] {
+				mid, at = resp, i
+			}
+		}
+		if mid == nil {
+			t.Fatalf("%s: no prefix stops between two entries that step the machine (steps %v)", id, cum)
+		}
+		for _, tc := range []struct {
+			name   string
+			mutate func(rec *recording)
+		}{
+			{"chain hash", func(rec *recording) { rec.chain[(at+1)*rec.size-1] ^= 0x01 }},
+			{"one step too many", func(rec *recording) { rec.cum[at]++ }},
+			{"one step too few", func(rec *recording) { rec.cum[at]-- }},
+		} {
+			name, mutate := tc.name, tc.mutate
+			cache, audit = open()
+			audit(whole)
+			rec := wholeRecording(t, cache, key(cache))
+			mutate(rec)
+			cache.put(key(cache), rec.encode())
+			hits, misses := cache.Hits(), cache.Misses()
+			audit(whole)
+			audit(prefixes[0])
+			if cache.Hits() != hits+2 || cache.Misses() != misses {
+				t.Fatalf("%s: %s at %d: walks that stop elsewhere: hits %d→%d misses %d→%d", id, name, at, hits, cache.Hits(), misses, cache.Misses())
+			}
+			audit(mid)
+			if cache.Hits() != hits+2 || cache.Misses() != misses+1 {
+				t.Fatalf("%s: %s at %d: the walk that stops there: hits %d→%d misses %d→%d, want one miss", id, name, at, hits, cache.Hits(), misses, cache.Misses())
+			}
+			if got := wholeRecording(t, cache, key(cache)); len(got.cum) != at+1 {
+				t.Fatalf("%s: %s: the miss left a recording of %d entries, want its own %d", id, name, len(got.cum), at+1)
+			}
+		}
 	}
 }

@@ -80,6 +80,12 @@ type QueryOpts struct {
 	// then starts from the last checkpoint before it (§5.6). Zero fetches
 	// the whole retained log.
 	StartHint types.Time
+	// EndHint, the mirror of StartHint, bounds how far forward the retrieves
+	// of a Causes walk reach on the nodes it crosses onto: the root's
+	// CausalHorizon, in the local time of each. Zero retrieves every log
+	// through its head. A prefix cannot be extended once Finalize has flagged
+	// its end, so a bounded Explain wants a Querier of its own.
+	EndHint types.Time
 }
 
 // Explanation is one vertex of a query answer, with its resolved color and
@@ -163,11 +169,11 @@ func (q *Querier) ForgetUnreachable(node types.NodeID) {
 // done are written by exactly one worker before done is closed and read only
 // afterwards.
 type auditTask struct {
-	done     chan struct{}
-	auth     seclog.Authenticator
-	authErr  error
-	fetchErr error
-	prep     *PreparedAudit
+	done      chan struct{}
+	authBytes int64 // of the authenticator downloaded as evidence, if one was
+	authErr   error
+	fetchErr  error
+	prep      *PreparedAudit
 	// prepDur is the duration of the Prepare call alone (fetch excluded):
 	// inline fills report it as replay cost, and fetch time is modeled
 	// separately as download time.
@@ -274,22 +280,28 @@ func (pf *prefetcher) dropUnreachable(node types.NodeID) {
 	}
 }
 
-// fill runs the thread-safe half of one node's audit into t and publishes it.
-func (t *auditTask) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, hint types.Time) {
+// fill runs the thread-safe half of one node's audit into t and publishes it:
+// the retrieve req asks for, verified against req.Auth. A request that names
+// no evidence is for the log from StartTime through the head, against the
+// authenticator the node is first asked for.
+func (t *auditTask) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, req RetrieveRequest) {
 	defer close(t.done)
-	auth, err := fetch.LatestAuth(node)
-	if err != nil {
-		t.authErr = err
-		return
+	if req.Auth.Node == "" {
+		auth, err := fetch.LatestAuth(node)
+		if err != nil {
+			t.authErr = err
+			return
+		}
+		t.authBytes = int64(auth.WireSize())
+		req.Auth = auth
 	}
-	t.auth = auth
-	resp, err := fetch.Retrieve(node, RetrieveRequest{Auth: auth, StartTime: hint})
+	resp, err := fetch.Retrieve(node, req)
 	if err != nil {
 		t.fetchErr = err
 		return
 	}
 	start := wallNow()
-	t.prep = auditor.Prepare(node, resp, auth)
+	t.prep = auditor.Prepare(node, resp, req.Auth)
 	t.prepDur = wallSince(start)
 }
 
@@ -300,7 +312,7 @@ func (pf *prefetcher) run(auditor *Auditor, fetch Fetcher) {
 		if !ok {
 			return
 		}
-		t.fill(auditor, fetch, node, pf.hint)
+		t.fill(auditor, fetch, node, RetrieveRequest{StartTime: pf.hint})
 	}
 }
 
@@ -370,6 +382,13 @@ func (q *Querier) CloseScope() {
 // EnsureAudited retrieves and replays node's log if not already done.
 // startHint bounds how far back the segment must reach (zero = everything).
 func (q *Querier) EnsureAudited(node types.NodeID, startHint types.Time) error {
+	return q.ensureAudited(node, RetrieveRequest{StartTime: startHint})
+}
+
+// ensureAudited is EnsureAudited for the retrieve req describes. A request
+// that carries evidence is private to this call; one without goes through the
+// scope, if one is prepared for its StartTime.
+func (q *Querier) ensureAudited(node types.NodeID, req RetrieveRequest) error {
 	if q.Auditor.Audited(node) {
 		return nil
 	}
@@ -377,13 +396,13 @@ func (q *Querier) EnsureAudited(node types.NodeID, startHint types.Time) error {
 		return err
 	}
 	q.Metrics.Microqueries++
-	// With no scope, or a scope prepared for another hint, the task is
+	// With no scope, or a scope prepared for another request, the task is
 	// private to this call; either way an unstarted task is filled inline
 	// rather than waiting for pool capacity.
 	var t *auditTask
 	var started bool
 	pf := q.pf
-	if pf != nil && pf.hint == startHint {
+	if pf != nil && req.Auth.Node == "" && pf.hint == req.StartTime {
 		t, started = pf.claim(node)
 		defer pf.release(t) // committed below, whatever the outcome
 	} else {
@@ -392,7 +411,7 @@ func (q *Querier) EnsureAudited(node types.NodeID, startHint types.Time) error {
 	if !started {
 		// ReplayTime counts the Prepare and the commit but not the fetch
 		// (fetch cost is modeled as download time).
-		t.fill(q.Auditor, q.Fetch, node, startHint)
+		t.fill(q.Auditor, q.Fetch, node, req)
 		start := wallNow()
 		err := q.commitTask(node, t)
 		q.Metrics.ReplayTime += t.prepDur + wallSince(start)
@@ -415,7 +434,7 @@ func (q *Querier) commitTask(node types.NodeID, t *auditTask) error {
 		q.yellowNodes[node] = t.authErr
 		return t.authErr
 	}
-	q.Metrics.AuthBytes += int64(t.auth.WireSize())
+	q.Metrics.AuthBytes += t.authBytes
 	if t.fetchErr != nil {
 		q.yellowNodes[node] = t.fetchErr
 		return t.fetchErr
@@ -528,6 +547,58 @@ func (q *Querier) findRoot(node types.NodeID, tuple types.Tuple, opts QueryOpts)
 	return best
 }
 
+// CausalHorizon returns the EndHint for the Causes query that opts asks about
+// tuple on node, whose log must have been audited: the root's time plus
+// DeltaClock + 2·Tprop + Tbatch, in the local time of whichever node it is
+// handed to. The root's time is the end of its interval if that has closed (a
+// closed exist vertex is also explained by the disappearance that closed it).
+//
+// The contract. No cause happens after its effect and correct clocks differ
+// by at most DeltaClock, so no cause of the root lies past root + DeltaClock
+// on any node's clock. A send logged by then is acknowledged within 2·Tprop,
+// or is old enough at the first entry past the horizon for flagUnacked's own
+// cutoff (that entry's time − 2·Tprop) to judge it; the snd entry of a
+// batched output is at most Tbatch late. So the prefix of a log that ends
+// with its first entry past the horizon — what RetrieveRequest.EndTime asks
+// for — gives every vertex a cause walk can reach the neighbourhood and the
+// color the whole log would, with one exception: an interval vertex of a
+// crossed node that closes after the horizon is still open, as it was when
+// the root happened. What the prefix leaves out is whatever the node did
+// afterwards, and what Finalize flags at its end is no cause of the root. An
+// Explain bounded this way therefore vouches for the vertices it shows and
+// for the prefixes it audited, not for the rest of the logs it crossed: a
+// fault that surfaces there is the audit sweep's to find.
+//
+// Zero (no bound) when the query is not a Causes query or has no root.
+func (q *Querier) CausalHorizon(node types.NodeID, tuple types.Tuple, opts QueryOpts) types.Time {
+	if opts.Direction != Causes {
+		return 0
+	}
+	root := q.findRoot(node, tuple, opts)
+	if root == nil {
+		return 0
+	}
+	t := root.T1
+	if root.Interval() && !root.Open() {
+		t = root.T2
+	}
+	cfg := q.Auditor.cfg
+	return t + cfg.DeltaClock + 2*cfg.Tprop + cfg.Tbatch
+}
+
+// crossing is the retrieve that audits host when a walk under opts crosses
+// onto it: §5.4's retrieve(v, a) — the prefix of host's log through EndHint,
+// anchored on the latest commitment of host's within it that the audited logs
+// carry — or, without a bound or without such evidence, host's whole log.
+func (q *Querier) crossing(host types.NodeID, opts QueryOpts) RetrieveRequest {
+	if opts.Direction == Causes && opts.EndHint != 0 {
+		if auth, ok := q.Auditor.heldEvidence(host, opts.EndHint); ok {
+			return RetrieveRequest{Auth: auth, EndTime: opts.EndHint}
+		}
+	}
+	return RetrieveRequest{}
+}
+
 // expand is the recursive macroquery walk: each visited vertex is resolved
 // via the shared graph, auditing new hosts as the traversal crosses node
 // boundaries (exactly the repeated microquery navigation of §4.4).
@@ -537,7 +608,7 @@ func (q *Querier) expand(v *provgraph.Vertex, opts QueryOpts, depth int, visited
 	// Crossing onto another node: audit it so the vertex can be verified
 	// and its neighborhood reconstructed.
 	if !q.Auditor.Audited(v.Host) {
-		if err := q.EnsureAudited(v.Host, 0); err == nil {
+		if err := q.ensureAudited(v.Host, q.crossing(v.Host, opts)); err == nil {
 			q.Auditor.Finalize()
 		}
 	}

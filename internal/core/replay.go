@@ -134,12 +134,14 @@ type sentEnvelope struct {
 }
 
 // impliedCommit is a chain position (node, seq) another node vouches for: an
-// envelope or ack signature embedded in an audited log.
+// envelope or ack signature embedded in an audited log. With sig, which
+// Prepare has verified, it is an authenticator of node's the auditor holds.
 type impliedCommit struct {
 	node     types.NodeID
 	seq      uint64
 	hash     []byte
 	t        types.Time
+	sig      []byte
 	reporter types.NodeID
 	msgs     []types.Message // messages explaining the commitment, if any
 }
@@ -187,6 +189,34 @@ func (a *Auditor) Audited(id types.NodeID) bool {
 // AuditedHead returns the chain node id presented, or nil if its log has not
 // been replayed.
 func (a *Auditor) AuditedHead(id types.NodeID) *AuditedHead { return a.covered[id] }
+
+// AuditedSpan returns the part of node id's log that was replayed: positions
+// from..to, whose last entry carries the node's local time through. ok is
+// false if the log has not been replayed.
+func (a *Auditor) AuditedSpan(id types.NodeID) (from, to uint64, through types.Time, ok bool) {
+	h := a.covered[id]
+	if h == nil {
+		return 0, 0, 0, false
+	}
+	return h.from, h.to(), a.endTimes[id], true
+}
+
+// heldEvidence returns the highest position of node id's chain, committed to
+// at or before time through, that an audited log vouches for, as the
+// authenticator it is: id's own signature over (t, hash), which Prepare
+// verified when it walked the entry carrying it.
+func (a *Auditor) heldEvidence(id types.NodeID, through types.Time) (seclog.Authenticator, bool) {
+	var best *impliedCommit
+	for _, c := range a.implied[id] {
+		if c.t <= through && (best == nil || c.seq > best.seq) {
+			best = c
+		}
+	}
+	if best == nil {
+		return seclog.Authenticator{}, false
+	}
+	return seclog.Authenticator{Node: id, Seq: best.seq, T: best.t, Hash: best.hash, Sig: best.sig}, true
+}
 
 // ---------------------------------------------------------------------------
 // Prepared audits: the op stream recorded by the parallel phase.
@@ -276,6 +306,10 @@ type prep struct {
 	// sent is the envelope of every snd entry walked so far, by its first
 	// message: what an ack entry's signature is re-verified against.
 	sent map[types.MessageID]*sentEnvelope
+	// stepped counts the machine's steps; a walk that is to be recorded
+	// (cum non-nil) notes the count after each entry.
+	stepped int
+	cum     []int
 }
 
 func (p *prep) fail(seq uint64, format string, args ...any) {
@@ -289,6 +323,7 @@ func (p *prep) handleEvent(ev types.Event) {
 	var outs []types.Output
 	if provgraph.StepsMachine(ev) {
 		outs = p.machine.Step(ev)
+		p.stepped++
 	}
 	p.ops = append(p.ops, replayOp{kind: opEvent, ev: ev, outs: outs})
 }
@@ -355,13 +390,14 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 		p.replayEntries(seg, a.factory(node))
 		return p.PreparedAudit
 	}
-	// An unchanged segment (same node, range and head chain hash) steps its
-	// machine to the same outputs, so a recording of them stands in for the
-	// replica. The walk is the same one and derives everything else afresh;
-	// a recording that does not fit it exactly, or a walk that finds a
-	// failure, proves the entry is not a clean replay of these bytes.
-	key := cache.key(node, seg.From, seg.To(), hashes[len(hashes)-1])
-	if rec := cache.recording(key); rec != nil {
+	// The same entries (same node and start, same chain hash at the last of
+	// them) step their machine to the same outputs, so a recording of a walk
+	// that began with them stands in for the replica. The walk is the same one
+	// and derives everything else afresh; a recording that does not fit it
+	// exactly, or a walk that finds a failure, proves the entry is not a clean
+	// replay of these bytes.
+	key := cache.key(node, seg.From)
+	if rec := cache.recording(key, len(hashes), hashes[len(hashes)-1]); rec != nil {
 		p.replayEntries(seg, rec)
 		if rec.spent() && cleanOps(p.ops) {
 			cache.hits.Add(1)
@@ -370,9 +406,10 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 		p.ops = nil // not a hit: forget what that walk recorded
 	}
 	cache.misses.Add(1)
+	p.cum = make([]int, 0, len(hashes))
 	p.replayEntries(seg, a.factory(node))
 	if cleanOps(p.ops) {
-		cache.put(key, record(p.ops).encode())
+		cache.put(key, record(p).encode())
 	}
 	return p.PreparedAudit
 }
@@ -461,7 +498,7 @@ func cleanOpCount(seg *seclog.SegmentData) int {
 func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 	node := p.Node
 	p.machine = m
-	p.sent, p.endTime = make(map[types.MessageID]*sentEnvelope), 0
+	p.sent, p.endTime, p.stepped = make(map[types.MessageID]*sentEnvelope), 0, 0
 	p.ops = slices.Grow(p.ops, cleanOpCount(seg))
 	for i, e := range seg.Entries {
 		seq := seg.From + uint64(i)
@@ -478,7 +515,7 @@ func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 		case seclog.ESnd:
 			if len(e.Msgs) == 0 {
 				p.fail(seq, "empty snd entry")
-				continue
+				break
 			}
 			prev := seg.BaseHash
 			if seq > seg.From {
@@ -498,6 +535,9 @@ func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 			p.replayAck(seq, e)
 		case seclog.ECkpt:
 			p.replayCkpt(seq, e, i == 0)
+		}
+		if p.cum != nil {
+			p.cum = append(p.cum, p.stepped)
 		}
 	}
 }
@@ -542,7 +582,7 @@ func (p *prep) replayRcv(seq uint64, e *seclog.Entry) {
 	// receiver — Theorem 5 forbids that).
 	if implied {
 		p.ops = append(p.ops, replayOp{kind: opImplied,
-			commit: &impliedCommit{node: src, seq: e.PeerSeq, hash: hx, t: e.PeerTime, reporter: node, msgs: e.Msgs}})
+			commit: &impliedCommit{node: src, seq: e.PeerSeq, hash: hx, t: e.PeerTime, sig: e.PeerSig, reporter: node, msgs: e.Msgs}})
 	}
 }
 
@@ -580,7 +620,7 @@ func (p *prep) replayAck(seq uint64, e *seclog.Entry) {
 	// this position reaches handle-extra-msg.
 	if implied {
 		p.ops = append(p.ops, replayOp{kind: opImplied,
-			commit: &impliedCommit{node: dst, seq: e.PeerSeq, hash: hy, t: e.PeerTime, reporter: node, msgs: pend.msgs}})
+			commit: &impliedCommit{node: dst, seq: e.PeerSeq, hash: hy, t: e.PeerTime, sig: e.PeerSig, reporter: node, msgs: pend.msgs}})
 	}
 }
 

@@ -56,6 +56,7 @@ func FuzzQueryFrameDecode(f *testing.F) {
 		Faulty:      []types.NodeID{"as30"},
 		Unreachable: []Lead{{Node: "as20", Err: "partitioned"}},
 		Elapsed:     time.Millisecond,
+		Audited:     []AuditedSpan{{Node: "as30", From: 1, To: 40, Through: 3 * types.Second}},
 	}
 	f.Add(fuzzFrame("front", FrameExplainResp, res.MarshalWire))
 	ares := AuditResult{

@@ -10,11 +10,11 @@
 // cache. The pool is the first source of concurrency; the cores it cannot
 // occupy (GOMAXPROCS / Sessions per session, at least one) go to each
 // query's own audit pipeline, so a whole-deployment audit on a lightly
-// loaded frontend prepares its nodes in parallel, while a single-node
-// audit or an Explain — scopes of one node — stays lazy whatever the
-// share. Overload is handled the way the transport handles full peer
-// queues: a bounded admission queue sheds and counts rather than blocking
-// or violating deadlines, and FrontStats exposes the counters (served/
+// loaded frontend prepares its nodes in parallel; a single-node audit has
+// nothing to prepare ahead, and an Explain, which learns the next node from
+// the walk, opens no scope at all. Overload is handled the way the transport
+// handles full peer queues: a bounded admission queue sheds and counts rather
+// than blocking or violating deadlines, and FrontStats exposes the counters (served/
 // shed/expired/failed, cache hit ratio, ledger hits and held bytes, partial
 // notes merges, per-kind p50/p99) over a stats RPC on the same listener.
 //
@@ -43,6 +43,18 @@
 // under ledgerCap; held state can only ever confirm "still clean", never
 // accuse. Audits of several targets and Explains neither read nor fill the
 // ledger.
+//
+// What an Explain attests. A Causes query audits the root's log through its
+// head and asks every node the walk crosses onto for the paper's
+// retrieve(v, a): the prefix of its log through the root's causal horizon
+// (core.Querier.CausalHorizon), anchored on a commitment of that node's which
+// an already audited log carries. No cause of the root lies past the horizon,
+// so the explanation is the one whole logs would give; but the answer vouches
+// only for the vertices it shows and for the audited prefix of each log it
+// crossed, which ExplainResult.Audited lists. A fault that surfaces later in
+// a crossed log — a fork after the horizon, a send suppressed tomorrow — is
+// the audit sweep's to find, as in the paper; an audit query still reads
+// every log to its head. Effects queries are not bounded.
 package queryfront
 
 import (
@@ -485,18 +497,21 @@ func (s *Server) finish(req *request, kind string, err error, body func(*wire.Wr
 
 // explain answers one Explain macroquery. It audits afresh whatever the
 // ledger holds: the answer is a walk of the graph a ledger entry does not keep.
+// See the package comment for what the answer attests.
 func (s *Server) explain(fetch auditFetcher, er *ExplainRequest) (*ExplainResult, error) {
 	maint, _ := s.syncNotes(fetch)
 	q := s.querier(fetch, maint)
-	q.BeginAuditScope([]types.NodeID{er.Node}, er.StartHint)
-	defer q.CloseScope()
 	if err := q.EnsureAudited(er.Node, er.StartHint); err != nil {
 		// The query's root node is unreachable: that is an answer for the
 		// leads tier, not a retryable transport failure, but with no
 		// vertex to hang it on we surface it as a query error.
 		return nil, fmt.Errorf("root node %s unreachable: %w", er.Node, err)
 	}
-	expl, err := q.Explain(er.Node, er.Tuple, er.Opts())
+	// The root's log is audited in full; a log the walk crosses onto, through
+	// the root's causal horizon (this Querier answers nothing else).
+	opts := er.Opts()
+	opts.EndHint = q.CausalHorizon(er.Node, er.Tuple, opts)
+	expl, err := q.Explain(er.Node, er.Tuple, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -507,6 +522,11 @@ func (s *Server) explain(fetch auditFetcher, er *ExplainRequest) (*ExplainResult
 		Faulty:   expl.FaultyNodes(),
 	}
 	res.Unreachable = leads(q.Unreachable())
+	for _, id := range slices.Sorted(slices.Values(fetch.Nodes())) {
+		if from, to, through, ok := q.Auditor.AuditedSpan(id); ok {
+			res.Audited = append(res.Audited, AuditedSpan{Node: id, From: from, To: to, Through: through})
+		}
+	}
 	return res, nil
 }
 

@@ -235,6 +235,30 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Errorf("StrongNodes = %v, want [c]", got)
 	}
 
+	explIn := queryfront.ExplainResult{
+		Rendered: "tree", Vertices: 3,
+		Faulty:      []types.NodeID{"as30"},
+		Unreachable: []queryfront.Lead{{Node: "as20", Err: "partitioned"}},
+		Elapsed:     time.Millisecond,
+		Audited: []queryfront.AuditedSpan{
+			{Node: "as30", From: 1, To: 40, Through: 3 * types.Second},
+			{Node: "as52", From: 7, To: 90, Through: 18 * types.Second}},
+	}
+	var explOut queryfront.ExplainResult
+	roundTrip(t, explIn.MarshalWire, explOut.UnmarshalWire)
+	if !reflect.DeepEqual(explIn, explOut) {
+		t.Errorf("ExplainResult round trip: %+v != %+v", explOut, explIn)
+	}
+	// A frontend from before the audited spans ends the frame at Elapsed.
+	spans := wire.NewWriter(64)
+	wire.WriteSlice(spans, explIn.Audited, queryfront.AuditedSpan.MarshalWire)
+	older := wire.Encode(explIn)
+	older = older[:len(older)-spans.Len()]
+	explIn.Audited, explOut = nil, queryfront.ExplainResult{}
+	if err := wire.Decode(older, &explOut); err != nil || !reflect.DeepEqual(explIn, explOut) {
+		t.Errorf("ExplainResult without spans: %+v (err %v), want %+v", explOut, err, explIn)
+	}
+
 	statsIn := queryfront.FrontStats{
 		Sessions: 4, QueueCap: 16, Served: 10, Shed: 2, Expired: 1, Failed: 3,
 		CacheHits: 8, CacheMisses: 2,

@@ -146,9 +146,37 @@ func (l *Lead) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
+// AuditedSpan is the part of one node's log an Explain audited to give its
+// answer: positions From..To, the last of which carries the node's local
+// time Through. The root's log is audited through its head; a log the walk
+// crossed onto, through the root's causal horizon (core.Querier.CausalHorizon).
+type AuditedSpan struct {
+	Node     types.NodeID
+	From, To uint64
+	Through  types.Time
+}
+
+// MarshalWire implements wire.Marshaler.
+func (a AuditedSpan) MarshalWire(w *wire.Writer) {
+	w.String(string(a.Node))
+	w.Uint(a.From)
+	w.Uint(a.To)
+	w.Int(int64(a.Through))
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (a *AuditedSpan) UnmarshalWire(r *wire.Reader) error {
+	a.Node = types.NodeID(r.String())
+	a.From = r.Uint()
+	a.To = r.Uint()
+	a.Through = types.Time(r.Int())
+	return r.Err()
+}
+
 // ExplainResult is the answer to an ExplainRequest: the rendered
-// explanation tree, the provably faulty nodes it implicates, and the
-// unreachable-leads set the query accumulated.
+// explanation tree, the provably faulty nodes it implicates, the
+// unreachable-leads set the query accumulated, and how much of which logs
+// stands behind it.
 type ExplainResult struct {
 	// Rendered is the formatted explanation tree (Explanation.Format).
 	Rendered string
@@ -161,6 +189,9 @@ type ExplainResult struct {
 	Unreachable []Lead
 	// Elapsed is the server-side service time, admission queue included.
 	Elapsed time.Duration
+	// Audited are the log prefixes the answer vouches for, sorted by node: it
+	// says nothing of what a node logged after its span.
+	Audited []AuditedSpan
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -170,6 +201,7 @@ func (q ExplainResult) MarshalWire(w *wire.Writer) {
 	wire.WriteSlice(w, q.Faulty, writeNode)
 	wire.WriteSlice(w, q.Unreachable, Lead.MarshalWire)
 	w.Int(int64(q.Elapsed))
+	wire.WriteSlice(w, q.Audited, AuditedSpan.MarshalWire)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
@@ -179,6 +211,10 @@ func (q *ExplainResult) UnmarshalWire(r *wire.Reader) error {
 	q.Faulty = wire.ReadSlice(r, readNode)
 	q.Unreachable = wire.ReadSlice(r, (*Lead).UnmarshalWire)
 	q.Elapsed = time.Duration(r.Int())
+	if r.Remaining() == 0 {
+		return r.Err() // a frontend from before the audited spans
+	}
+	q.Audited = wire.ReadSlice(r, (*AuditedSpan).UnmarshalWire)
 	return r.Err()
 }
 

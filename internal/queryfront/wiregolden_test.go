@@ -118,8 +118,9 @@ func (c *stepClock) Now() types.Time {
 // deployment, and one audit answer body with every tier populated, compared
 // with testdata/wire.golden. The file was generated at the commit before the
 // RPC core was unified: a new snp-query must keep talking to old frontends.
-// Explain and audit answers end in Elapsed, a wall-clock reading; those lines
-// hold the frame without its length prefix and without that last varint.
+// Explain and audit answers carry Elapsed, a wall-clock reading; those lines
+// hold the frame without its length prefix and without that varint (the last
+// of an audit answer; in an explain answer the audited spans follow it).
 func TestWireGolden(t *testing.T) {
 	cluster := transport.NewCluster()
 	defer cluster.Close()
@@ -187,22 +188,24 @@ func TestWireGolden(t *testing.T) {
 	defer cl.Close()
 
 	var got bytes.Buffer
-	// record writes one exchange; elapsed >= 0 cuts the answer as described.
-	record := func(name string, elapsed time.Duration) {
+	// record writes one exchange; elapsed >= 0 cuts the answer as described,
+	// after bytes follow Elapsed in it.
+	record := func(name string, elapsed time.Duration, after int) {
 		t.Helper()
 		up, down := tp.take()
 		if len(up) == 0 || len(down) == 0 {
 			t.Fatalf("%s: nothing crossed the wire", name)
 		}
 		if elapsed >= 0 {
-			down = down[4 : len(down)-len(binary.AppendVarint(nil, int64(elapsed)))]
+			cut := len(down) - after
+			down = append(down[4:cut-len(binary.AppendVarint(nil, int64(elapsed)))], down[cut:]...)
 		}
 		fmt.Fprintf(&got, "%s request %s\n%s answer %s\n", name, hex.EncodeToString(up), name, hex.EncodeToString(down))
 	}
 	if _, err := cl.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	record("stats", -1)
+	record("stats", -1, 0)
 	ex, err := cl.Explain(queryfront.ExplainRequest{Node: "b", Tuple: mincost.BestCost("b", "c", 5), Scope: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +213,12 @@ func TestWireGolden(t *testing.T) {
 	if ex.Vertices < 5 {
 		t.Fatalf("explanation has %d vertices:\n%s", ex.Vertices, ex.Rendered)
 	}
-	record("explain", ex.Elapsed)
+	if len(ex.Audited) != 2 {
+		t.Fatalf("explanation audited %+v, want a span of b's log and one of a's", ex.Audited)
+	}
+	spans := wire.NewWriter(64)
+	wire.WriteSlice(spans, ex.Audited, queryfront.AuditedSpan.MarshalWire)
+	record("explain", ex.Elapsed, spans.Len())
 	au, err := cl.Audit()
 	if err != nil {
 		t.Fatal(err)
@@ -218,11 +226,11 @@ func TestWireGolden(t *testing.T) {
 	if len(au.Unreachable) != 1 || len(au.Notes) != 1 || len(au.Failures) != 0 {
 		t.Fatalf("audit = %+v, want d as the one lead, one note, no evidence", au)
 	}
-	record("audit", au.Elapsed)
+	record("audit", au.Elapsed, 0)
 	if _, err := cl.Explain(queryfront.ExplainRequest{Node: "b", Tuple: mincost.BestCost("b", "c", 9)}); err == nil {
 		t.Fatal("a tuple that never existed was explained")
 	}
-	record("refused", -1)
+	record("refused", -1, 0)
 
 	fmt.Fprintf(&got, "audit-body %s\n", hex.EncodeToString(wire.Encode(fullAuditResult())))
 
