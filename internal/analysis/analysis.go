@@ -92,8 +92,8 @@ func (p *Pass) Suppressed(pos token.Pos) bool {
 	return p.suppressed(p.Fset.Position(pos))
 }
 
-// A Fact is a serializable property attached to a package-level object.
-// Implementations must be gob-encodable pointer types.
+// A Fact is a property attached to a package-level object. Implementations
+// must be pointer types.
 type Fact interface {
 	AFact() // marker, as in upstream go/analysis
 }
@@ -114,19 +114,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	return p.facts.getObject(p.Analyzer.Name, obj, fact)
-}
-
-// ExportPackageFact attaches fact to the package being analyzed.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts != nil {
-		p.facts.setPackage(p.Analyzer.Name, p.Pkg, fact)
-	}
-}
-
-// ImportPackageFact copies the fact attached to pkg into fact.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.getPackage(p.Analyzer.Name, pkg, fact)
 }

@@ -1,11 +1,12 @@
-// Package analysistest runs an analyzer over GOPATH-style testdata trees
-// and checks its diagnostics against // want comments, mirroring the
-// upstream x/tools package of the same name.
+// Package analysistest runs an analyzer over testdata trees and checks its
+// diagnostics against // want comments, mirroring the upstream x/tools
+// package of the same name.
 //
-// Layout: <testdata>/src/<importpath>/*.go. A testdata package may import
-// other testdata packages (resolved under src/ first — so a stub of
-// repro/internal/wire can stand in for the real one) and the standard
-// library (resolved from compiler export data via the go tool).
+// Layout: <testdata>/src is a module of its own (a two-line go.mod), loaded
+// by the loader cmd/snp-vet uses, so its packages import each other by
+// <module>/<dir> and the standard library as usual. A module named repro can
+// carry a stub of repro/internal/wire under internal/wire that stands in for
+// the real one.
 //
 // Expectations ride on the offending line:
 //
@@ -18,12 +19,6 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -36,14 +31,18 @@ import (
 	"repro/internal/analysis/load"
 )
 
-// Run loads the named testdata packages (and their testdata/stdlib deps),
-// applies the analyzer through the standard driver, and reports any
-// mismatch against // want comments as test errors. It returns the driver
-// and load results for extra assertions (fact round-trips, suppression
-// reports).
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) (*driver.Result, *load.Result) {
+// Run loads the named packages of the testdata module (directories under
+// <testdata>/src) and what they import, applies the analyzer through the
+// standard driver, and reports any mismatch against // want comments as
+// test errors. It returns the driver result for extra assertions
+// (suppression reports).
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) *driver.Result {
 	t.Helper()
-	loaded, err := loadTestdata(testdata, pkgs)
+	patterns := make([]string, len(pkgs))
+	for i, p := range pkgs {
+		patterns[i] = "./" + p
+	}
+	loaded, err := load.Load(filepath.Join(testdata, "src"), patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) (*
 		t.Fatal(err)
 	}
 	checkWants(t, loaded, res)
-	return res, loaded
+	return res
 }
 
 type wantKey struct {
@@ -127,145 +126,3 @@ func checkWants(t *testing.T, loaded *load.Result, res *driver.Result) {
 		}
 	}
 }
-
-// loadTestdata parses and type-checks the requested testdata packages and
-// every testdata package they transitively import, dependencies first.
-func loadTestdata(testdata string, pkgs []string) (*load.Result, error) {
-	src, absErr := filepath.Abs(filepath.Join(testdata, "src"))
-	if absErr != nil {
-		return nil, absErr
-	}
-	fset := token.NewFileSet()
-
-	type tdPkg struct {
-		path    string
-		files   []*ast.File
-		names   []string
-		imports []string
-	}
-	parsed := map[string]*tdPkg{}
-	var stdImports []string
-
-	// Parse the requested packages and their testdata imports, collecting
-	// stdlib imports for one export-data listing.
-	var parse func(path string) error
-	parse = func(path string) error {
-		if parsed[path] != nil {
-			return nil
-		}
-		dir := filepath.Join(src, path)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("analysistest: package %s: %v", path, err)
-		}
-		p := &tdPkg{path: path}
-		parsed[path] = p
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			name := filepath.Join(dir, e.Name())
-			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-			if err != nil {
-				return err
-			}
-			p.files = append(p.files, f)
-			p.names = append(p.names, name)
-			for _, imp := range f.Imports {
-				ipath := strings.Trim(imp.Path.Value, `"`)
-				if st, err := os.Stat(filepath.Join(src, ipath)); err == nil && st.IsDir() {
-					p.imports = append(p.imports, ipath)
-					if err := parse(ipath); err != nil {
-						return err
-					}
-				} else {
-					stdImports = append(stdImports, ipath)
-				}
-			}
-		}
-		if len(p.files) == 0 {
-			return fmt.Errorf("analysistest: package %s has no Go files", path)
-		}
-		return nil
-	}
-	for _, p := range pkgs {
-		if err := parse(p); err != nil {
-			return nil, err
-		}
-	}
-
-	exports, err := load.StdExports(dedup(stdImports))
-	if err != nil {
-		return nil, err
-	}
-	gcImporter := importer.ForCompiler(fset, "gc", load.ExportLookup(exports))
-
-	// Topologically order testdata packages (dependencies first).
-	var order []*tdPkg
-	state := map[string]int{} // 0 unseen, 1 visiting, 2 done
-	var visit func(path string) error
-	visit = func(path string) error {
-		switch state[path] {
-		case 1:
-			return fmt.Errorf("analysistest: import cycle through %s", path)
-		case 2:
-			return nil
-		}
-		state[path] = 1
-		for _, imp := range parsed[path].imports {
-			if err := visit(imp); err != nil {
-				return err
-			}
-		}
-		state[path] = 2
-		order = append(order, parsed[path])
-		return nil
-	}
-	var paths []string
-	for p := range parsed {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-
-	checked := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if tp := checked[path]; tp != nil {
-			return tp, nil
-		}
-		return gcImporter.Import(path)
-	})
-	res := &load.Result{Fset: fset}
-	for _, p := range order {
-		tpkg, info, err := load.Check(p.path, fset, p.files, imp)
-		if err != nil {
-			return nil, err
-		}
-		checked[p.path] = tpkg
-		res.Pkgs = append(res.Pkgs, &load.Package{
-			Path: p.path, Dir: filepath.Join(src, p.path),
-			Filenames: p.names, Files: p.files, Types: tpkg, Info: info,
-		})
-	}
-	return res, nil
-}
-
-func dedup(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

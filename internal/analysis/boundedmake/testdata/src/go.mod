@@ -1,0 +1,3 @@
+module repro
+
+go 1.24

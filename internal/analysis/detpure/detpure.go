@@ -12,7 +12,7 @@
 // impurity established in an allowlisted package (transport wall-clock
 // deadlines, say) still flags the deterministic caller that reaches it.
 //
-// Wall-clock use inside non-deterministic packages (livetcp, transport,
+// Wall-clock use inside non-deterministic packages (live, transport,
 // supervisor, eval benchmarking) is fine and produces no diagnostic — only
 // packages listed in Deterministic are held to the invariant. A site in a
 // deterministic package that is genuinely metric-only can carry
@@ -58,8 +58,6 @@ type Impure struct {
 
 // AFact marks Impure as a fact.
 func (*Impure) AFact() {}
-
-func init() { analysis.RegisterFactType(&Impure{}) }
 
 // Analyzer is the detpure analyzer.
 var Analyzer = &analysis.Analyzer{

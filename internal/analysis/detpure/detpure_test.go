@@ -1,20 +1,18 @@
 package detpure_test
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/detpure"
 )
 
 func TestDetpure(t *testing.T) {
 	old := detpure.Deterministic
-	detpure.Deterministic = []string{"det"}
+	detpure.Deterministic = []string{"td/det"}
 	defer func() { detpure.Deterministic = old }()
 
-	res, _ := analysistest.Run(t, "testdata", detpure.Analyzer, "det")
+	res := analysistest.Run(t, "testdata", detpure.Analyzer, "det")
 
 	// The excused time.Now in det.excusedNow must be suppressed, not just
 	// unreported.
@@ -23,64 +21,5 @@ func TestDetpure(t *testing.T) {
 	}
 	if len(res.Suppressions) != 1 || !res.Suppressions[0].Used {
 		t.Errorf("suppressions = %+v, want exactly one, used", res.Suppressions)
-	}
-}
-
-// TestFactsRoundTrip pins the cross-process story: facts computed in one
-// driver run serialize, decode against a fresh type universe keyed only by
-// (package path, object path), and still name the same objects.
-func TestFactsRoundTrip(t *testing.T) {
-	old := detpure.Deterministic
-	detpure.Deterministic = []string{"det"}
-	defer func() { detpure.Deterministic = old }()
-
-	res, loaded := analysistest.Run(t, "testdata", detpure.Analyzer, "det")
-
-	data, err := res.Facts.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	fresh := analysis.NewFactStore()
-	if err := fresh.DecodeInto(data, loaded.TypesByPath()); err != nil {
-		t.Fatalf("DecodeInto: %v", err)
-	}
-
-	facts := fresh.ObjectFacts("detpure")
-	helperPkg := loaded.TypesByPath()["helper"]
-
-	// Package-level function fact.
-	wall := helperPkg.Scope().Lookup("WallDeadline")
-	f, ok := facts[wall].(*detpure.Impure)
-	if !ok {
-		t.Fatalf("no Impure fact for helper.WallDeadline after round-trip (facts: %v)", facts)
-	}
-	if len(f.Chain) == 0 || f.Chain[len(f.Chain)-1] != "time.Now" {
-		t.Errorf("helper.WallDeadline chain = %v, want ending in time.Now", f.Chain)
-	}
-
-	// Method fact, keyed "Clock.Stamp" on the wire.
-	var stamp *detpure.Impure
-	for obj, fact := range facts {
-		if obj.Name() == "Stamp" && obj.Pkg() == helperPkg {
-			stamp = fact.(*detpure.Impure)
-		}
-	}
-	if stamp == nil {
-		t.Fatal("no Impure fact for helper.Clock.Stamp after round-trip")
-	}
-
-	// Pure functions must carry no fact.
-	if _, ok := facts[helperPkg.Scope().Lookup("Pure")]; ok {
-		t.Error("helper.Pure unexpectedly has an Impure fact")
-	}
-
-	// Re-encoding the decoded store must be byte-identical: the encoding is
-	// deterministic and lossless.
-	data2, err := fresh.Encode()
-	if err != nil {
-		t.Fatalf("re-Encode: %v", err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Error("fact encoding is not stable across a decode/encode round-trip")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"helper"
+	"td/helper"
 )
 
 // ElapsedShape is the previously-live core/query.go shape: wall-clock

@@ -57,8 +57,6 @@ type Result struct {
 	Suppressed []Finding
 	// Suppressions are all allow comments seen, for the CI report.
 	Suppressions []*Suppression
-	// Facts is the fact store the run populated.
-	Facts *analysis.FactStore
 }
 
 // Run loads patterns (relative to dir) and applies every analyzer, in
@@ -75,7 +73,8 @@ var allowRe = regexp.MustCompile(`^//snpvet:allow\s+([A-Za-z0-9_]+)(?:\s+(.*\S))
 
 // RunLoaded applies analyzers to an already-loaded package set.
 func RunLoaded(loaded *load.Result, analyzers []*analysis.Analyzer) (*Result, error) {
-	out := &Result{Facts: analysis.NewFactStore()}
+	out := &Result{}
+	facts := analysis.NewFactStore()
 
 	// Scan suppression comments. Keyed by file, line, analyzer.
 	sups := map[string]map[int]map[string]*Suppression{}
@@ -144,7 +143,7 @@ func RunLoaded(loaded *load.Result, analyzers []*analysis.Analyzer) (*Result, er
 				return lookup(a.Name, pos) != nil
 			}
 			pass := analysis.NewPass(a, loaded.Fset, pkg.Files, pkg.Types, pkg.Info,
-				out.Facts, report, suppressed)
+				facts, report, suppressed)
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("driver: %s on %s: %v", a.Name, pkg.Path, err)
 			}

@@ -1,28 +1,18 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
-// A FactStore holds facts for a whole driver run. Within one process,
+// A FactStore holds facts for a whole driver run, which is one process:
 // facts are keyed by types.Object identity — the loader type-checks every
 // module package from source in one importer universe, so an object seen
 // while analyzing a dependency is the same object its importers resolve.
-//
-// The store also round-trips through a gob encoding (Encode/DecodeInto),
-// keyed by (package path, object path), which is what makes the
-// propagation trustworthy across driver processes and what the facts
-// round-trip test pins.
 type FactStore struct {
 	mu   sync.Mutex
 	objs map[factKey]Fact
-	pkgs map[pkgFactKey]Fact
 }
 
 type factKey struct {
@@ -30,14 +20,9 @@ type factKey struct {
 	obj      types.Object
 }
 
-type pkgFactKey struct {
-	analyzer string
-	pkg      *types.Package
-}
-
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{objs: make(map[factKey]Fact), pkgs: make(map[pkgFactKey]Fact)}
+	return &FactStore{objs: make(map[factKey]Fact)}
 }
 
 func (s *FactStore) setObject(analyzer string, obj types.Object, fact Fact) {
@@ -56,22 +41,6 @@ func (s *FactStore) getObject(analyzer string, obj types.Object, fact Fact) bool
 	return copyFact(got, fact)
 }
 
-func (s *FactStore) setPackage(analyzer string, pkg *types.Package, fact Fact) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pkgs[pkgFactKey{analyzer, pkg}] = fact
-}
-
-func (s *FactStore) getPackage(analyzer string, pkg *types.Package, fact Fact) bool {
-	s.mu.Lock()
-	got, ok := s.pkgs[pkgFactKey{analyzer, pkg}]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	return copyFact(got, fact)
-}
-
 // copyFact copies src into dst via reflection; both must be pointers to the
 // same concrete type.
 func copyFact(src, dst Fact) bool {
@@ -82,185 +51,4 @@ func copyFact(src, dst Fact) bool {
 	}
 	dv.Elem().Set(sv.Elem())
 	return true
-}
-
-// ObjectFacts returns the analyzer's facts as a deterministic list of
-// (object, fact) pairs, for diagnostics and tests.
-func (s *FactStore) ObjectFacts(analyzer string) map[types.Object]Fact {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[types.Object]Fact)
-	for k, f := range s.objs {
-		if k.analyzer == analyzer {
-			out[k.obj] = f
-		}
-	}
-	return out
-}
-
-// objectPath is a stable cross-process name for a package-level object: the
-// object's name, or "Recv.Name" for a method of a package-level named type.
-// It is the serialization key for exported facts.
-func objectPath(obj types.Object) (string, error) {
-	if fn, ok := obj.(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			t := sig.Recv().Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok {
-				return "", fmt.Errorf("analysis: fact on method of unnamed type %v", t)
-			}
-			return named.Obj().Name() + "." + fn.Name(), nil
-		}
-	}
-	if obj.Parent() != nil && obj.Pkg() != nil && obj.Parent() != obj.Pkg().Scope() {
-		return "", fmt.Errorf("analysis: fact on non-package-level object %v", obj)
-	}
-	return obj.Name(), nil
-}
-
-// resolveObjectPath inverts objectPath within pkg.
-func resolveObjectPath(pkg *types.Package, path string) types.Object {
-	for i := 0; i < len(path); i++ {
-		if path[i] == '.' {
-			recv := pkg.Scope().Lookup(path[:i])
-			tn, ok := recv.(*types.TypeName)
-			if !ok {
-				return nil
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				return nil
-			}
-			for m := 0; m < named.NumMethods(); m++ {
-				if named.Method(m).Name() == path[i+1:] {
-					return named.Method(m)
-				}
-			}
-			return nil
-		}
-	}
-	return pkg.Scope().Lookup(path)
-}
-
-// An encodedFact is one serialized fact.
-type encodedFact struct {
-	Analyzer string
-	PkgPath  string
-	Object   string // empty for package facts
-	TypeName string // registered gob concrete type
-	Data     []byte
-}
-
-var (
-	factTypesMu sync.Mutex
-	factTypes   = make(map[string]reflect.Type)
-)
-
-// RegisterFactType makes a concrete fact type encodable. Analyzers call it
-// from init for every fact type they export.
-func RegisterFactType(f Fact) {
-	t := reflect.TypeOf(f)
-	if t.Kind() != reflect.Pointer {
-		panic(fmt.Sprintf("analysis: fact type %T is not a pointer", f))
-	}
-	factTypesMu.Lock()
-	defer factTypesMu.Unlock()
-	factTypes[t.Elem().String()] = t.Elem()
-	gob.Register(f)
-}
-
-// Encode serializes every fact in the store. The output is deterministic:
-// entries are sorted by (analyzer, package, object).
-func (s *FactStore) Encode() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var all []encodedFact
-	for k, f := range s.objs {
-		if k.obj.Pkg() == nil {
-			continue
-		}
-		path, err := objectPath(k.obj)
-		if err != nil {
-			return nil, err
-		}
-		data, tn, err := encodeOneFact(f)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, encodedFact{k.analyzer, k.obj.Pkg().Path(), path, tn, data})
-	}
-	for k, f := range s.pkgs {
-		data, tn, err := encodeOneFact(f)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, encodedFact{k.analyzer, k.pkg.Path(), "", tn, data})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.PkgPath != b.PkgPath {
-			return a.PkgPath < b.PkgPath
-		}
-		return a.Object < b.Object
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(all); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func encodeOneFact(f Fact) (data []byte, typeName string, err error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).EncodeValue(reflect.ValueOf(f).Elem()); err != nil {
-		return nil, "", err
-	}
-	return buf.Bytes(), reflect.TypeOf(f).Elem().String(), nil
-}
-
-// DecodeInto loads facts serialized by Encode, resolving object paths
-// against the given packages (keyed by import path). Facts naming unknown
-// packages or objects are an error — a fact that silently fails to resolve
-// would silently weaken an invariant.
-func (s *FactStore) DecodeInto(data []byte, pkgs map[string]*types.Package) error {
-	var all []encodedFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&all); err != nil {
-		return err
-	}
-	for _, ef := range all {
-		factTypesMu.Lock()
-		t, ok := factTypes[ef.TypeName]
-		factTypesMu.Unlock()
-		if !ok {
-			return fmt.Errorf("analysis: fact type %q not registered", ef.TypeName)
-		}
-		fv := reflect.New(t)
-		if err := gob.NewDecoder(bytes.NewReader(ef.Data)).DecodeValue(fv.Elem()); err != nil {
-			return err
-		}
-		fact, ok := fv.Interface().(Fact)
-		if !ok {
-			return fmt.Errorf("analysis: decoded %q is not a Fact", ef.TypeName)
-		}
-		pkg := pkgs[ef.PkgPath]
-		if pkg == nil {
-			return fmt.Errorf("analysis: fact for unknown package %q", ef.PkgPath)
-		}
-		if ef.Object == "" {
-			s.setPackage(ef.Analyzer, pkg, fact)
-			continue
-		}
-		obj := resolveObjectPath(pkg, ef.Object)
-		if obj == nil {
-			return fmt.Errorf("analysis: fact for unknown object %s.%s", ef.PkgPath, ef.Object)
-		}
-		s.setObject(ef.Analyzer, obj, fact)
-	}
-	return nil
 }

@@ -42,16 +42,6 @@ type Result struct {
 	Pkgs []*Package
 }
 
-// TypesByPath returns the loaded packages keyed by import path (for fact
-// decoding).
-func (r *Result) TypesByPath() map[string]*types.Package {
-	out := make(map[string]*types.Package, len(r.Pkgs))
-	for _, p := range r.Pkgs {
-		out[p.Path] = p.Types
-	}
-	return out
-}
-
 type listPkg struct {
 	ImportPath string
 	Export     string
@@ -149,8 +139,7 @@ func check(pkgs []*listPkg, exports map[string]string) (*Result, error) {
 }
 
 // Check type-checks one package's parsed files with a fully populated
-// types.Info. Exported for the analysistest loader, which assembles its
-// own file sets from testdata trees.
+// types.Info.
 func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	conf := types.Config{Importer: imp}
 	info := &types.Info{
@@ -166,49 +155,6 @@ func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Import
 		return nil, nil, fmt.Errorf("load: type-checking %s: %v", path, err)
 	}
 	return tpkg, info, nil
-}
-
-// StdExports lists export-data files for the given standard-library
-// packages and their dependency closure. Used by the analysistest loader
-// to resolve stdlib imports of testdata packages.
-func StdExports(pkgs []string) (map[string]string, error) {
-	if len(pkgs) == 0 {
-		return map[string]string{}, nil
-	}
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, pkgs...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("load: go list %v: %v\n%s", pkgs, err, stderr.String())
-	}
-	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
-// ExportLookup adapts an ImportPath→export-file map to the lookup shape
-// the gc importer wants.
-func ExportLookup(exports map[string]string) func(string) (io.ReadCloser, error) {
-	return func(path string) (io.ReadCloser, error) {
-		f := exports[path]
-		if f == "" {
-			return nil, fmt.Errorf("load: no export data for %q", path)
-		}
-		return os.Open(f)
-	}
 }
 
 type importerFunc func(path string) (*types.Package, error)

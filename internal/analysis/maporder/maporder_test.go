@@ -9,7 +9,7 @@ import (
 
 func TestMapOrder(t *testing.T) {
 	old := maporder.Deterministic
-	maporder.Deterministic = []string{"mo"}
+	maporder.Deterministic = []string{"repro/mo"}
 	defer func() { maporder.Deterministic = old }()
 
 	analysistest.Run(t, "testdata", maporder.Analyzer, "mo")

@@ -9,10 +9,10 @@ import (
 
 func TestNoPanic(t *testing.T) {
 	old := nopanic.Packages
-	nopanic.Packages = []string{"np"}
+	nopanic.Packages = []string{"td/np"}
 	defer func() { nopanic.Packages = old }()
 
-	res, _ := analysistest.Run(t, "testdata", nopanic.Analyzer, "np")
+	res := analysistest.Run(t, "testdata", nopanic.Analyzer, "np")
 
 	// The Must* convenience carries a reasoned allow: suppressed, reported
 	// as in effect, and marked used.

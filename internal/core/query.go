@@ -73,9 +73,6 @@ type QueryOpts struct {
 	// Scope bounds the traversal depth (the scope k of §5.1); zero means
 	// unlimited.
 	Scope int
-	// SkipConsistency disables the §5.5 consistency check (used by
-	// benchmarks to isolate costs).
-	SkipConsistency bool
 	// StartHint bounds how far back the first retrieve must reach; replay
 	// then starts from the last checkpoint before it (§5.6). Zero fetches
 	// the whole retained log.
@@ -495,13 +492,11 @@ func (q *Querier) Explain(node types.NodeID, tuple types.Tuple, opts QueryOpts) 
 	if root == nil {
 		return nil, fmt.Errorf("core: no %v vertex for %s on %s", opts.Mode, tuple, node)
 	}
-	if !opts.SkipConsistency {
-		t2 := root.T2
-		if t2 == provgraph.Forever {
-			t2 = q.Auditor.endTimes[node]
-		}
-		q.consistencyCheck(node, root.T1, t2)
+	t2 := root.T2
+	if t2 == provgraph.Forever {
+		t2 = q.Auditor.endTimes[node]
 	}
+	q.consistencyCheck(node, root.T1, t2)
 	visited := make(map[*provgraph.Vertex]bool)
 	expl := q.expand(root, opts, 0, visited)
 	q.Auditor.Finalize()

@@ -1,6 +1,7 @@
 package dlog
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -1035,8 +1036,11 @@ func (m *Machine) Restore(snapshot []byte) error {
 // rebuildAgg reconstructs aggregate match state by re-joining every
 // aggregation rule over the restored store, quietly (no outputs).
 func (m *Machine) rebuildAgg() {
+	// A re-join that emits nothing must number nothing: the send counters
+	// it advances for the sends it swallows are put back.
 	m.quiet = true
-	defer func() { m.quiet = false }()
+	seqs := maps.Clone(m.seqs)
+	defer func() { m.quiet, m.seqs = false, seqs }()
 	for ri, r := range m.prog.rules {
 		if r.Agg == nil {
 			continue

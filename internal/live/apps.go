@@ -3,10 +3,10 @@
 // the deployment parameters every process must derive identically from
 // (app, seed, Tprop), and the one-node runtime — start or recover a
 // core.Node on a transport.Cluster, then drive it tick by tick, firing the
-// node's share of the workload's timeline by wall-clock offset. livetcp runs
-// N of these nodes in one process, a supervisor daemon runs one, and
-// audit-side processes (multiproc's parent, the query frontends) take only
-// the parameters.
+// node's share of the workload's timeline by wall-clock offset. Harness runs
+// N of these nodes in one process on one loopback cluster, a supervisor
+// daemon runs one, and audit-side processes (the supervisor's parent side,
+// the query frontends) take only the parameters.
 package live
 
 import (

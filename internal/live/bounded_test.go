@@ -1,4 +1,4 @@
-package livetcp
+package live
 
 import (
 	"testing"
@@ -15,7 +15,7 @@ import (
 // adversary.ExplainQueries picks of an honest Chord deployment (its keep-alives outlast every horizon).
 func TestLiveBoundedExplainMatchesFull(t *testing.T) {
 	app := mustApp(t, "chord")
-	h, err := New(app, Options{Seed: 1, AuditRetryDeadline: time.Second})
+	h, err := New(app, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

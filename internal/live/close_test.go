@@ -1,4 +1,4 @@
-package livetcp
+package live
 
 import (
 	"bytes"

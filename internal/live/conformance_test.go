@@ -1,4 +1,4 @@
-package livetcp
+package live
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/provgraph"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -18,11 +17,20 @@ import (
 // mustApp resolves a registry workload.
 func mustApp(t *testing.T, name string) *workload.Workload {
 	t.Helper()
-	app, err := live.AppByName(name)
+	app, err := AppByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return app
+}
+
+// querierWithin is h.NewQuerier with a total per-call audit budget shorter
+// than transport.AuditRetryDeadline, for the runs whose fault plans keep
+// audit calls failing.
+func querierWithin(h *Harness, retryDeadline time.Duration) *core.Querier {
+	q := h.NewQuerier()
+	q.Fetch.(*transport.RemoteFetcher).RetryDeadline = retryDeadline
+	return q
 }
 
 // faultPlan is one row of the live fault matrix. cutsVictim marks the plan
@@ -103,7 +111,7 @@ func faultPlans() []faultPlan {
 //     Unresponsive tier — unattributable leads.
 //
 // The lossy plans name mincost and quagga instead of ranging over
-// live.AppNames(): those two react to what they receive, so the next update
+// AppNames(): those two react to what they receive, so the next update
 // repairs a dropped one, while chord and mapreduce run a timed schedule, and
 // what a fault plan may do to such a schedule needs the liveness contract of
 // ROADMAP item 5 before a verdict about it means anything.
@@ -135,10 +143,9 @@ func runLiveCase(t *testing.T, fp faultPlan, app *workload.Workload, seed int64)
 	}
 	victim := fp.victim(app)
 	opts := Options{
-		Seed:               seed,
-		Fault:              transport.NewFaultPlan(seed, fp.rules(victim)...),
-		OnNode:             profile.On(app.Compromised).Hook(),
-		AuditRetryDeadline: time.Second,
+		Seed:   seed,
+		Fault:  transport.NewFaultPlan(seed, fp.rules(victim)...),
+		OnNode: profile.On(app.Compromised).Hook(),
 	}
 	if fp.tcfg != nil {
 		opts.Transport = fp.tcfg()
@@ -158,7 +165,7 @@ func runLiveCase(t *testing.T, fp faultPlan, app *workload.Workload, seed int64)
 	converge := time.Since(start)
 	h.Settle()
 
-	q := h.NewQuerier()
+	q := querierWithin(h, time.Second)
 	auditStart := time.Now()
 	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
 	audit := time.Since(auditStart)
@@ -189,7 +196,6 @@ func TestLiveHonestBaseline(t *testing.T) {
 			Drop:     0.05,
 			DelayMin: time.Millisecond, DelayMax: 8 * time.Millisecond,
 		}),
-		AuditRetryDeadline: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +205,7 @@ func TestLiveHonestBaseline(t *testing.T) {
 		t.Logf("note: %v", err)
 	}
 	h.Settle()
-	q := h.NewQuerier()
+	q := querierWithin(h, time.Second)
 	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
 	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {
 		t.Errorf("honest lossy run: %s: %v\nfailures: %v", breach, v, v.Failures)
@@ -218,7 +224,7 @@ func TestLiveQuerierDegradation(t *testing.T) {
 	fault := transport.NewFaultPlan(3, transport.FaultRule{
 		From: "auditor", To: "d", Partition: true,
 	})
-	h, err := New(app, Options{Seed: 3, Fault: fault, AuditRetryDeadline: 700 * time.Millisecond})
+	h, err := New(app, Options{Seed: 3, Fault: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,7 @@ func TestLiveQuerierDegradation(t *testing.T) {
 	}
 	h.Settle()
 
-	q := h.NewQuerier()
+	q := querierWithin(h, 700*time.Millisecond)
 	if err := q.EnsureAudited("d", 0); err == nil {
 		t.Fatal("audit of a partitioned node succeeded")
 	}

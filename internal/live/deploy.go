@@ -160,14 +160,15 @@ func (n *Node) fire(cn *core.Node) {
 	now := types.Time(time.Since(n.seeded))
 	keep := n.pending[:0]
 	for _, a := range n.pending {
+		if a.Every > 0 && a.At >= a.Until {
+			continue // no firing is left before Until (none ever was if it started there)
+		}
 		if a.At <= now {
 			a.Do(cn)
 			if a.Every <= 0 {
 				continue
 			}
-			if a.At += ((now-a.At)/a.Every + 1) * a.Every; a.At >= a.Until {
-				continue
-			}
+			a.At += ((now-a.At)/a.Every + 1) * a.Every
 		}
 		keep = append(keep, a)
 	}

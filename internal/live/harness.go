@@ -1,20 +1,10 @@
-// Package livetcp runs SNP deployments over real loopback TCP — wall-clock
-// time, genuine sockets, optional injected network faults — and audits them
-// with the remote (wire-level) audit path. It runs the same
-// workload.Workload values the simulator does (the sizings in the
-// internal/live registry), every node through the live.Node runtime. It is
-// the bridge between the deterministic simulator, where the §4.2 detection
-// guarantee is pinned exhaustively, and a deployment where connections
-// reset, peers stall, and processes restart: the conformance tests in this
-// package re-assert the guarantee's live form.
-package livetcp
+package live
 
 import (
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/workload"
@@ -23,8 +13,8 @@ import (
 // tickEvery is the harness tick period.
 const tickEvery = 10 * time.Millisecond
 
-// Options configures a live run. Zero values select defaults tuned for
-// loopback.
+// Options configures an in-process run. Zero values select defaults tuned
+// for loopback.
 type Options struct {
 	// Seed drives key generation, the transport's jitter streams, and the
 	// fault plan (runs with equal Seed and Fault rules make identical
@@ -41,31 +31,21 @@ type Options struct {
 	// Transport overrides the transport config (Seed and Fault are still
 	// taken from this Options).
 	Transport *transport.Config
-	// AuditCallTimeout / AuditRetryDeadline bound the remote audit path:
-	// per-attempt and total per-call budgets (defaults
-	// transport.AuditCallTimeout / AuditRetryDeadline).
-	AuditCallTimeout   time.Duration
-	AuditRetryDeadline time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.AuditCallTimeout <= 0 {
-		o.AuditCallTimeout = transport.AuditCallTimeout
-	}
-	if o.AuditRetryDeadline <= 0 {
-		o.AuditRetryDeadline = transport.AuditRetryDeadline
-	}
-	return o
-}
-
-// Harness is one running live deployment: every node of the workload on
-// one TCP cluster in this process, all sharing the deployment's maintainer.
+// Harness is one live deployment run in this process: every node of the
+// workload on one loopback TCP cluster — wall-clock time, genuine sockets,
+// optional injected network faults — all sharing the deployment's
+// maintainer, audited over the remote (wire-level) audit path. It is the
+// bridge between the deterministic simulator, where the §4.2 detection
+// guarantee is pinned exhaustively, and a deployment where connections
+// reset, peers stall, and nodes restart.
 type Harness struct {
-	*live.Deployment
-	Opts    Options
+	*Deployment
 	Cluster *transport.Cluster
 
-	nodes    map[types.NodeID]*live.Node
+	onNode   func(*core.Node)
+	nodes    map[types.NodeID]*Node
 	fetchers []*transport.RemoteFetcher
 }
 
@@ -73,23 +53,22 @@ type Harness struct {
 // App.Nodes entry (armed via Options.OnNode before serving), and — once
 // every node is serving — each node's share of the workload seeded.
 func New(app *workload.Workload, opts Options) (*Harness, error) {
-	opts = opts.withDefaults()
 	tcfg := transport.DefaultConfig()
 	if opts.Transport != nil {
 		tcfg = *opts.Transport
 	}
 	tcfg.Seed = opts.Seed
 	tcfg.Fault = opts.Fault
-	d, err := live.NewDeployment(app, opts.Seed, 0)
+	d, err := NewDeployment(app, opts.Seed, 0)
 	if err != nil {
 		return nil, err
 	}
 	d.Cfg.LogDir = opts.LogDir
 	h := &Harness{
 		Deployment: d,
-		Opts:       opts,
 		Cluster:    transport.NewClusterWith(tcfg),
-		nodes:      make(map[types.NodeID]*live.Node),
+		onNode:     opts.OnNode,
+		nodes:      make(map[types.NodeID]*Node),
 	}
 	for _, id := range app.Nodes {
 		if err == nil {
@@ -111,8 +90,8 @@ func New(app *workload.Workload, opts Options) (*Harness, error) {
 
 func (h *Harness) startNode(id types.NodeID, recover bool) error {
 	node, err := h.Start(h.Cluster, id, "127.0.0.1:0", recover, func(n *core.Node) error {
-		if h.Opts.OnNode != nil {
-			h.Opts.OnNode(n)
+		if h.onNode != nil {
+			h.onNode(n)
 		}
 		return nil
 	})
@@ -168,7 +147,7 @@ func (h *Harness) RunUntil(probe func() bool, timeout time.Duration) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("livetcp: %s did not converge within %v", h.App.Name, timeout)
+			return fmt.Errorf("live: %s did not converge within %v", h.App.Name, timeout)
 		}
 		h.tick()
 		time.Sleep(tickEvery)
@@ -176,18 +155,18 @@ func (h *Harness) RunUntil(probe func() bool, timeout time.Duration) error {
 }
 
 // Settle keeps ticking through the deployment's settling window (see
-// live.Deployment.SettleWindow) so an audit afterwards sees every exchange
+// Deployment.SettleWindow) so an audit afterwards sees every exchange
 // resolved.
 func (h *Harness) Settle() { h.RunFor(h.SettleWindow()) }
 
 // NewQuerier builds an audit session over the remote (TCP) audit path. The
 // querier's retrieve calls dial the nodes like any external auditor would,
 // so fault plans apply to audit traffic too ("auditor" is the dialing
-// identity fault rules see).
+// identity fault rules see). Its Fetch is a *transport.RemoteFetcher with
+// the audit drivers' budgets, closed by Close.
 func (h *Harness) NewQuerier() *core.Querier {
 	f := h.Cluster.NewFetcher("auditor")
-	f.CallTimeout = h.Opts.AuditCallTimeout
-	f.RetryDeadline = h.Opts.AuditRetryDeadline
+	f.CallTimeout, f.RetryDeadline = transport.AuditCallTimeout, transport.AuditRetryDeadline
 	h.fetchers = append(h.fetchers, f)
 	return h.Deployment.NewQuerier(f)
 }
@@ -199,12 +178,12 @@ func (h *Harness) NewQuerier() *core.Querier {
 // Options.LogDir. The rest of the cluster keeps running throughout and
 // reconnects via the transport's backoff path.
 func (h *Harness) Restart(id types.NodeID) error {
-	if h.Opts.LogDir == "" {
-		return fmt.Errorf("livetcp: Restart(%s) needs Options.LogDir", id)
+	if h.Cfg.LogDir == "" {
+		return fmt.Errorf("live: Restart(%s) needs Options.LogDir", id)
 	}
 	node, ok := h.nodes[id]
 	if !ok {
-		return fmt.Errorf("livetcp: no node %s", id)
+		return fmt.Errorf("live: no node %s", id)
 	}
 	if err := node.Stop(); err != nil {
 		return err

@@ -1,4 +1,4 @@
-package livetcp
+package live
 
 import (
 	"bytes"
@@ -108,7 +108,6 @@ func TestLiveRestartMidFlight(t *testing.T) {
 			From: "*", To: "*", Drop: 0.05,
 			DelayMin: time.Millisecond, DelayMax: 10 * time.Millisecond,
 		}),
-		AuditRetryDeadline: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestLiveRestartMidFlight(t *testing.T) {
 	}
 	h.Settle()
 
-	q := h.NewQuerier()
+	q := querierWithin(h, time.Second)
 	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
 	t.Logf("verdict: %v", v)
 	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/live"
-	"repro/internal/livetcp"
 	"repro/internal/queryfront"
 	"repro/internal/types"
 )
@@ -26,7 +25,7 @@ func TestFrontExplainMatchesWholeLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := livetcp.New(app, livetcp.Options{Seed: 1, AuditRetryDeadline: time.Second})
+	h, err := live.New(app, live.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

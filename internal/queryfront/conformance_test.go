@@ -15,7 +15,6 @@ import (
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
 	"repro/internal/live"
-	"repro/internal/livetcp"
 	"repro/internal/queryfront"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -64,13 +63,13 @@ func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 	if !ok {
 		t.Fatal("tamper-log profile missing from catalog")
 	}
-	opts := livetcp.Options{Seed: seed, OnNode: profile.On(app.Compromised).Hook()}
+	opts := live.Options{Seed: seed, OnNode: profile.On(app.Compromised).Hook()}
 	victim := types.NodeID("")
 	if partition {
 		victim = app.Victim
 		opts.Fault = transport.NewFaultPlan(seed, transport.FaultRule{From: "*", To: string(victim), Partition: true})
 	}
-	h, err := livetcp.New(app, opts)
+	h, err := live.New(app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ func TestFrontSessionParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile, _ := adversary.ProfileByName("tamper-log")
-	h, err := livetcp.New(app, livetcp.Options{Seed: 1, OnNode: profile.On(app.Compromised).Hook()})
+	h, err := live.New(app, live.Options{Seed: 1, OnNode: profile.On(app.Compromised).Hook()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ var (
 	sampleExplain = ExplainRequest{
 		Node:  "as10",
 		Tuple: types.MakeTuple("route", types.N("as10"), types.N("as51"), types.I(2)),
-		Mode:  1, Direction: 1, At: 5, Scope: 8, SkipConsistency: true, StartHint: 3,
+		Mode:  1, Direction: 1, At: 5, Scope: 8, StartHint: 3,
 	}
 	sampleAudit = AuditRequest{Targets: []types.NodeID{"as10", "as20", "as30"}}
 )

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/live"
-	"repro/internal/livetcp"
 	"repro/internal/queryfront"
 )
 
@@ -41,7 +40,7 @@ func TestServerCloseReapsGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := livetcp.New(app, livetcp.Options{Seed: 9})
+	h, err := live.New(app, live.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
 	"repro/internal/live"
-	"repro/internal/livetcp"
 	"repro/internal/seclog"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -22,7 +21,7 @@ import (
 // loopback TCP with a frontend on it, and a count of the queriers the
 // frontend built: an audit that builds none prepared and committed nothing.
 type ledgerFront struct {
-	h        *livetcp.Harness
+	h        *live.Harness
 	srv      *Server
 	queriers *atomic.Int64
 }
@@ -33,7 +32,7 @@ func newLedgerFront(t *testing.T) ledgerFront {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := livetcp.New(app, livetcp.Options{Seed: 1})
+	h, err := live.New(app, live.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

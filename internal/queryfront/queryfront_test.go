@@ -204,7 +204,7 @@ func TestWireRoundTrip(t *testing.T) {
 		Node:  "as10",
 		Tuple: types.MakeTuple("route", types.N("as10"), types.N("as51"), types.I(2)),
 		Mode:  core.ModeDisappear, Direction: core.Effects,
-		At: 7, Scope: 5, SkipConsistency: true, StartHint: 3,
+		At: 7, Scope: 5, StartHint: 3,
 	}
 	var reqOut queryfront.ExplainRequest
 	roundTrip(t, reqIn.MarshalWire, reqOut.UnmarshalWire)

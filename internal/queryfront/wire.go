@@ -37,14 +37,13 @@ const maxTargets = 1 << 16
 // ExplainRequest is one provenance macroquery: explain tuple on node
 // under the given query options (§5.1's modes, direction, and scope).
 type ExplainRequest struct {
-	Node            types.NodeID
-	Tuple           types.Tuple
-	Mode            core.QueryMode
-	Direction       core.Direction
-	At              types.Time
-	Scope           int
-	SkipConsistency bool
-	StartHint       types.Time
+	Node      types.NodeID
+	Tuple     types.Tuple
+	Mode      core.QueryMode
+	Direction core.Direction
+	At        types.Time
+	Scope     int
+	StartHint types.Time
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -55,7 +54,7 @@ func (q ExplainRequest) MarshalWire(w *wire.Writer) {
 	w.Byte(byte(q.Direction))
 	w.Int(int64(q.At))
 	w.Uint(uint64(q.Scope))
-	w.Bool(q.SkipConsistency)
+	w.Byte(0) // reserved: once switched the §5.5 consistency check off
 	w.Int(int64(q.StartHint))
 }
 
@@ -69,7 +68,7 @@ func (q *ExplainRequest) UnmarshalWire(r *wire.Reader) error {
 	q.Direction = core.Direction(r.Byte())
 	q.At = types.Time(r.Int())
 	q.Scope = int(r.Uint())
-	q.SkipConsistency = r.Bool()
+	reserved := r.Byte()
 	q.StartHint = types.Time(r.Int())
 	if err := r.Err(); err != nil {
 		return err
@@ -83,14 +82,16 @@ func (q *ExplainRequest) UnmarshalWire(r *wire.Reader) error {
 	if q.Scope < 0 || q.Scope > maxTargets {
 		return fmt.Errorf("queryfront: implausible scope %d", q.Scope)
 	}
+	if reserved != 0 {
+		return fmt.Errorf("queryfront: reserved byte is %#x, not 0", reserved)
+	}
 	return nil
 }
 
 // Opts converts the wire form back into core query options.
 func (q ExplainRequest) Opts() core.QueryOpts {
 	return core.QueryOpts{
-		Mode: q.Mode, Direction: q.Direction, At: q.At, Scope: q.Scope,
-		SkipConsistency: q.SkipConsistency, StartHint: q.StartHint,
+		Mode: q.Mode, Direction: q.Direction, At: q.At, Scope: q.Scope, StartHint: q.StartHint,
 	}
 }
 

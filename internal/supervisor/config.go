@@ -1,8 +1,9 @@
 // Package supervisor is the multi-process deployment layer: it launches one
 // snp-node daemon per node as a separate OS process, monitors liveness
 // through the transport's health RPC, and restarts crashed children with
-// jittered backoff — the piece that turns the single-process livetcp
-// harness into a deployment where the failure unit is a real process. A
+// jittered backoff — the piece that turns the single-process live.Harness
+// into a deployment where the failure unit is a real process — and audits
+// them from the parent over the wire. A
 // seeded CrashPlan injects process deaths at deterministic log positions
 // (including mid-flush, so recovery exercises the torn-tail path for real),
 // which is how the §4.2 conformance suite re-proves the detection guarantee

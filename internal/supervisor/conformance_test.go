@@ -1,50 +1,17 @@
-package multiproc_test
+package supervisor_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/live"
-	"repro/internal/multiproc"
 	"repro/internal/supervisor"
+	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
-
-// TestMain makes this test binary double as the node-daemon image: when the
-// supervisor spawns it with SNP_NODE_CONFIG set, it becomes a daemon and
-// never reaches the test runner.
-func TestMain(m *testing.M) {
-	supervisor.MaybeChild()
-	os.Exit(m.Run())
-}
-
-// workDir prefers tmpfs (daemons fsync their log segments on sync, and
-// block-device fsync latency in CI containers can be pathological) and keeps
-// the deployment directory when the test fails, so the per-daemon logs
-// survive for CI to upload as artifacts.
-func workDir(t *testing.T) string {
-	t.Helper()
-	root := os.TempDir()
-	if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
-		root = "/dev/shm"
-	}
-	dir, err := os.MkdirTemp(root, "snp-multiproc-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if t.Failed() {
-			t.Logf("deployment directory kept for post-mortem: %s", dir)
-			return
-		}
-		os.RemoveAll(dir)
-	})
-	return dir
-}
 
 // crashCase is one app's seeded crash plan, killing distinct honest nodes:
 // one clean SIGKILL mid-run on the first, one SIGKILL in the middle of a
@@ -136,6 +103,21 @@ func TestSupervisedConformance(t *testing.T) {
 	}
 }
 
+// startSupervised launches a supervised deployment and stops it (children,
+// fetchers, probe cluster) when the test ends.
+func startSupervised(t *testing.T, opts supervisor.Options) *supervisor.Supervisor {
+	t.Helper()
+	s, err := supervisor.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Stop(5 * time.Second) })
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // runCrashCase runs one supervised deployment under cc's crash plan — none,
 // when cc has no rules — and audits it.
 func runCrashCase(t *testing.T, cc crashCase, seed int64) {
@@ -144,7 +126,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 	for _, id := range app.Compromised {
 		behaviors[id] = []string{"tamper-log"}
 	}
-	opts := multiproc.Options{
+	opts := supervisor.Options{
 		Seed:        seed,
 		Dir:         workDir(t),
 		App:         app.Name,
@@ -157,16 +139,13 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 		opts.Crash = &supervisor.CrashPlan{Seed: seed, Rules: cc.rules}
 	}
 	start := time.Now()
-	h, err := multiproc.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := startSupervised(t, opts)
 
 	// Every planned crash must actually fire, and the supervisor must have
 	// captured each victim's last synced state before respawning it.
 	var pre map[types.NodeID]supervisor.SyncedState
 	if opts.Crash != nil {
+		var err error
 		if pre, err = h.WaitCrashed(45 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -174,13 +153,13 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 			t.Fatalf("crash plan hit %d nodes, want %d: %v", len(pre), len(cc.rules), pre)
 		}
 	}
-	if err := h.Sup.WaitHealthy(30 * time.Second); err != nil {
+	if err := h.WaitHealthy(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("time-to-heal=%v (launch to every node healthy again)", time.Since(start).Round(time.Millisecond))
 	// Convergence is best-effort with a tamperer in the mix; it must never
 	// corrupt the verdict below.
-	if err := h.Sup.WaitConverged(30 * time.Second); err != nil {
+	if err := h.WaitConverged(30 * time.Second); err != nil {
 		t.Logf("note: %v (acceptable with tamper-log armed)", err)
 	}
 	h.Settle()
@@ -193,7 +172,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 			t.Errorf("recovery broke %s's chain: %v", id, err)
 			continue
 		}
-		t.Logf("%s: restarts=%d start-to-healthy=%v torn=%dB", id, h.Sup.Restarts(id), h.Sup.StartToHealthy(id), hr.TornBytes)
+		t.Logf("%s: restarts=%d start-to-healthy=%v torn=%dB", id, h.Restarts(id), h.StartToHealthy(id), hr.TornBytes)
 		switch id {
 		case cc.torn:
 			if hr.TornBytes == 0 {
@@ -222,7 +201,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 		t.Logf("note: %v", err)
 	}
 	q := h.NewQuerier()
-	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(30*time.Second), 500*time.Millisecond)
+	v := adversary.Sweep(q, h.Deployment().Maint, nil, time.Now().Add(30*time.Second), 500*time.Millisecond)
 	t.Logf("verdict: %v; unreachable: %v", v, q.Unreachable())
 
 	// The §4.2 guarantee, process-crash form: provable evidence only ever
@@ -238,7 +217,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 			t.Errorf("recovered node %s still unresponsive after heal: %v", id, why)
 		}
 	}
-	if failed := h.Sup.Failed(); len(failed) != 0 {
+	if failed := h.Failed(); len(failed) != 0 {
 		t.Errorf("supervisor gave up on nodes: %v", failed)
 	}
 }
@@ -252,41 +231,37 @@ func TestUnreachableHealsAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process heal test in -short mode")
 	}
-	h, err := multiproc.New(multiproc.Options{
+	h := startSupervised(t, supervisor.Options{
 		Seed:      5,
 		Dir:       workDir(t),
 		App:       "mincost",
 		TickMs:    5,
 		SyncEvery: 5,
-		// A slow respawn leaves a wide window where d is genuinely down;
-		// short audit timeouts make EnsureAudited fail inside it.
-		BackoffBase:        800 * time.Millisecond,
-		AuditCallTimeout:   150 * time.Millisecond,
-		AuditRetryDeadline: 250 * time.Millisecond,
+		// A slow respawn leaves a wide window where d is genuinely down.
+		BackoffBase: 800 * time.Millisecond,
 	})
-	if err != nil {
+	if err := h.WaitHealthy(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	if err := h.Sup.WaitHealthy(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Sup.WaitConverged(30 * time.Second); err != nil {
+	if err := h.WaitConverged(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	h.Settle()
 
-	if err := h.Sup.Kill("d"); err != nil {
+	if err := h.Kill("d"); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); h.Sup.Running("d"); {
+	for deadline := time.Now().Add(10 * time.Second); h.Running("d"); {
 		if time.Now().After(deadline) {
 			t.Fatal("d still running after Kill")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// Short audit budgets make EnsureAudited fail inside that window.
 	q := h.NewQuerier()
+	f := q.Fetch.(*transport.RemoteFetcher)
+	f.CallTimeout, f.RetryDeadline = 150*time.Millisecond, 250*time.Millisecond
 	if err := q.EnsureAudited("d", 0); err == nil {
 		t.Fatal("audit of a dead process succeeded")
 	}
@@ -299,13 +274,13 @@ func TestUnreachableHealsAcrossRestart(t *testing.T) {
 
 	// Let the supervisor bring d back through crash recovery.
 	deadline := time.Now().Add(30 * time.Second)
-	for h.Sup.Restarts("d") == 0 || !h.Sup.Running("d") {
+	for h.Restarts("d") == 0 || !h.Running("d") {
 		if time.Now().After(deadline) {
-			t.Fatalf("d not respawned: restarts=%d running=%v", h.Sup.Restarts("d"), h.Sup.Running("d"))
+			t.Fatalf("d not respawned: restarts=%d running=%v", h.Restarts("d"), h.Running("d"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if err := h.Sup.WaitHealthy(30 * time.Second); err != nil {
+	if err := h.WaitHealthy(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -314,7 +289,7 @@ func TestUnreachableHealsAcrossRestart(t *testing.T) {
 	if _, ok := q.Unreachable()["d"]; ok {
 		t.Fatal("ForgetUnreachable left d marked")
 	}
-	f2 := h.Sup.Cluster().NewFetcher("auditor2")
+	f2 := h.Cluster().NewFetcher("auditor2")
 	f2.CallTimeout = time.Second
 	f2.RetryDeadline = 5 * time.Second
 	defer f2.Close()
@@ -329,7 +304,7 @@ func TestUnreachableHealsAcrossRestart(t *testing.T) {
 	if err := h.SyncNotes(); err != nil {
 		t.Logf("note: %v", err)
 	}
-	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(20*time.Second), 500*time.Millisecond)
+	v := adversary.Sweep(q, h.Deployment().Maint, nil, time.Now().Add(20*time.Second), 500*time.Millisecond)
 	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {
 		t.Errorf("honest crash+recovery: %s: %v\nfailures: %v", breach, v, v.Failures)
 	}

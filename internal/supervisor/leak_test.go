@@ -52,7 +52,7 @@ func TestStopReapsGoroutines(t *testing.T) {
 	if err := s.WaitHealthy(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Kill(s.App().Nodes[0]); err != nil {
+	if err := s.Kill(s.Deployment().App.Nodes[0]); err != nil {
 		t.Fatal(err)
 	}
 	const sup = "repro/internal/supervisor.(*Supervisor)."

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/live"
 	"repro/internal/queryfront"
 	"repro/internal/supervisor"
 	"repro/internal/types"
@@ -41,13 +40,8 @@ func TestQueryFrontHosting(t *testing.T) {
 	if err := sup.WaitConverged(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Let in-flight commitment exchanges resolve before auditing, as the
-	// multiproc harness does.
-	dep, err := live.NewDeployment(sup.App(), 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(dep.SettleWindow())
+	// Let in-flight commitment exchanges resolve before auditing.
+	sup.Settle()
 
 	front := sup.Front()
 	if front == nil {

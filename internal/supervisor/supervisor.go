@@ -1,6 +1,7 @@
 package supervisor
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -20,7 +21,6 @@ import (
 	"repro/internal/seclog"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // SyncedState is a node's durably-synced log position (sequence and chain
@@ -120,33 +120,43 @@ type child struct {
 // Supervisor launches one daemon process per node and keeps the deployment
 // alive: children that exit are respawned (through log recovery) with
 // jittered backoff, children that hang are killed and respawned, and
-// restart storms are capped.
+// restart storms are capped. It is also the audit side of the run: the
+// parent process's deployment parameters — the same derivation the children
+// run, so both sides agree on the directory — whose maintainer SyncNotes
+// merges every child's missing-ack reports into before an audit.
 type Supervisor struct {
 	opts  Options
-	app   *workload.Workload
+	dep   *live.Deployment
 	addrs map[types.NodeID]string
 	log   *log.Logger
 	logF  *os.File
 
 	probe      *transport.Cluster
-	fetch      *transport.RemoteFetcher
+	fetch      *transport.RemoteFetcher // health probes: short budgets
+	audit      *transport.RemoteFetcher // SyncNotes, VerifyRecovered: audit budgets
 	front      *queryfront.Server
 	frontCache *core.AuditCache
 
 	mu       sync.Mutex
+	fetchers []*transport.RemoteFetcher // handed out by newFetcher, closed by Stop
 	children map[types.NodeID]*child
 	stopping bool
 	stopMon  chan struct{}
 	monDone  chan struct{}
 }
 
-// New validates the options and resolves the workload; Start launches it.
+// New validates the options, resolves the workload and derives the
+// deployment parameters; Start launches it.
 func New(opts Options) (*Supervisor, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("supervisor: Options.Dir is required")
 	}
 	app, err := live.AppByName(opts.App)
+	if err != nil {
+		return nil, err
+	}
+	dep, err := live.NewDeployment(app, opts.Seed, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +169,7 @@ func New(opts Options) (*Supervisor, error) {
 	}
 	return &Supervisor{
 		opts:     opts,
-		app:      app,
+		dep:      dep,
 		addrs:    make(map[types.NodeID]string),
 		children: make(map[types.NodeID]*child),
 		stopMon:  make(chan struct{}),
@@ -167,9 +177,10 @@ func New(opts Options) (*Supervisor, error) {
 	}, nil
 }
 
-// App returns the resolved workload (the harness side needs its node list,
-// compromised set, factory, and querier hooks).
-func (s *Supervisor) App() *workload.Workload { return s.app }
+// Deployment returns the parent side's deployment parameters: the resolved
+// workload, protocol configuration, key directory, and the maintainer
+// audits are scored against.
+func (s *Supervisor) Deployment() *live.Deployment { return s.dep }
 
 // Addrs returns every node's fixed listen address.
 func (s *Supervisor) Addrs() map[types.NodeID]string {
@@ -189,22 +200,18 @@ func (s *Supervisor) Cluster() *transport.Cluster { return s.probe }
 // Options.QueryFront asked for one.
 func (s *Supervisor) Front() *queryfront.Server { return s.front }
 
-// startFront derives the audit-side deployment parameters — the same
-// derivation the children run, so both sides agree on the directory — and
-// serves a frontend on the configured address over the probe cluster.
+// startFront serves a frontend on the configured address over the probe
+// cluster, its sessions sharing a persistent audit cache of their own.
 func (s *Supervisor) startFront() error {
-	dep, err := live.NewDeployment(s.app, s.opts.Seed, live.DefaultTprop)
+	base := s.dep.Cfg
+	cache, err := core.OpenAuditCache(filepath.Join(s.opts.Dir, "qfcache"), base.Suite)
 	if err != nil {
 		return err
 	}
-	cache, err := core.OpenAuditCache(filepath.Join(s.opts.Dir, "qfcache"), dep.Cfg.Suite)
-	if err != nil {
-		return err
-	}
-	dep.Cfg.AuditCache = cache
+	base.AuditCache = cache
 	front, err := queryfront.Serve(queryfront.Config{
-		Cluster: s.probe, Base: dep.Cfg, Dir: dep.Dir,
-		Factory: s.app.Factory, ConfigureQuerier: s.app.ConfigureQuerier,
+		Cluster: s.probe, Base: base, Dir: s.dep.Dir,
+		Factory: s.dep.App.Factory, ConfigureQuerier: s.dep.App.ConfigureQuerier,
 		Sessions: s.opts.QueryFrontSessions,
 	}, s.opts.QueryFront)
 	if err != nil {
@@ -232,7 +239,7 @@ func (s *Supervisor) Start() error {
 
 	// Fixed ports: allocate by binding and releasing, so a restarted child
 	// rebinds the same address its peers keep dialing.
-	for _, id := range s.app.Nodes {
+	for _, id := range s.dep.App.Nodes {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return err
@@ -248,6 +255,7 @@ func (s *Supervisor) Start() error {
 	s.fetch = s.probe.NewFetcher("supervisor")
 	s.fetch.CallTimeout = 200 * time.Millisecond
 	s.fetch.RetryDeadline = 250 * time.Millisecond
+	s.audit = s.newFetcher("parent")
 
 	if s.opts.QueryFront != "" {
 		if err := s.startFront(); err != nil {
@@ -257,7 +265,7 @@ func (s *Supervisor) Start() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.app.Nodes {
+	for _, id := range s.dep.App.Nodes {
 		h := fnv.New64a()
 		h.Write([]byte(id))
 		c := &child{
@@ -399,7 +407,7 @@ func (s *Supervisor) monitor() {
 			return
 		case <-ticker.C:
 		}
-		for _, id := range s.app.Nodes {
+		for _, id := range s.dep.App.Nodes {
 			s.mu.Lock()
 			c := s.children[id]
 			probeIt := c != nil && c.running && c.failed == nil
@@ -533,7 +541,7 @@ func (s *Supervisor) waitAll(timeout, every time.Duration, state string, ok func
 	deadline := time.Now().Add(timeout)
 	for {
 		var waiting []string
-		for _, id := range s.app.Nodes {
+		for _, id := range s.dep.App.Nodes {
 			if !ok(id) {
 				waiting = append(waiting, string(id))
 			}
@@ -549,9 +557,85 @@ func (s *Supervisor) waitAll(timeout, every time.Duration, state string, ok func
 	}
 }
 
+// newFetcher dials the children over the wire with the audit drivers'
+// budgets; id names the caller to the children.
+func (s *Supervisor) newFetcher(id types.NodeID) *transport.RemoteFetcher {
+	f := s.probe.NewFetcher(id)
+	f.CallTimeout, f.RetryDeadline = transport.AuditCallTimeout, transport.AuditRetryDeadline
+	s.mu.Lock()
+	s.fetchers = append(s.fetchers, f)
+	s.mu.Unlock()
+	return f
+}
+
+// NewQuerier builds an audit session over the wire, dialing the child
+// processes like any external auditor. Its Fetch is a
+// *transport.RemoteFetcher, closed by Stop.
+func (s *Supervisor) NewQuerier() *core.Querier {
+	return s.dep.NewQuerier(s.newFetcher("auditor"))
+}
+
+// SyncNotes pulls every child process's missing-ack reports (§5.4) into
+// the parent-side maintainer; see transport.RemoteFetcher.SyncNotes.
+func (s *Supervisor) SyncNotes() error { return s.audit.SyncNotes(s.dep.Maint) }
+
+// Settle sleeps through the deployment's settling window (the daemons tick
+// themselves, the parent only has to wait).
+func (s *Supervisor) Settle() { time.Sleep(s.dep.SettleWindow()) }
+
+// WaitCrashed waits until every node the crash plan names has died and been
+// respawned at least once, then returns the pre-crash synced state the
+// supervisor captured for each (it reads the sidecar in the window between
+// a child dying and its replacement starting, so the capture is race-free).
+func (s *Supervisor) WaitCrashed(timeout time.Duration) (map[types.NodeID]SyncedState, error) {
+	if s.opts.Crash == nil {
+		return nil, fmt.Errorf("supervisor: no crash plan to wait for")
+	}
+	crashed := func(id types.NodeID) bool {
+		_, planned := s.opts.Crash.RuleFor(id)
+		return !planned || s.Restarts(id) > 0
+	}
+	if err := s.waitAll(timeout, 10*time.Millisecond, "crashed by the plan", crashed); err != nil {
+		return nil, err
+	}
+	pre := make(map[types.NodeID]SyncedState)
+	for _, id := range s.dep.App.Nodes {
+		if _, planned := s.opts.Crash.RuleFor(id); !planned {
+			continue
+		}
+		states := s.PreCrashStates(id)
+		if len(states) == 0 {
+			return nil, fmt.Errorf("supervisor: %s crashed but left no synced sidecar to verify against", id)
+		}
+		pre[id] = states[len(states)-1]
+	}
+	return pre, nil
+}
+
+// VerifyRecovered checks that a recovered child's chain still passes
+// through a captured pre-crash synced state: the health probe at that
+// sequence must return the captured hash, and the live head must be at or
+// past it. It returns the health report so callers can inspect TornBytes.
+func (s *Supervisor) VerifyRecovered(id types.NodeID, st SyncedState) (transport.Health, error) {
+	hr, err := s.audit.Health(id, st.Seq)
+	if err != nil {
+		return hr, fmt.Errorf("supervisor: probing recovered %s: %w", id, err)
+	}
+	if hr.HeadSeq < st.Seq {
+		return hr, fmt.Errorf("supervisor: %s recovered to head %d, behind its synced state %d",
+			id, hr.HeadSeq, st.Seq)
+	}
+	if !bytes.Equal(hr.ProbeHash, st.Hash) {
+		return hr, fmt.Errorf("supervisor: %s chain hash at %d diverged from its pre-crash synced state",
+			id, st.Seq)
+	}
+	return hr, nil
+}
+
 // Stop shuts the deployment down: SIGTERM every child for a graceful drain,
-// SIGKILL whatever remains at the timeout, then release the probe fetcher
-// and cluster. The supervisor cannot be restarted.
+// SIGKILL whatever remains at the timeout, then release the fetchers (the
+// probe's and every one NewQuerier handed out) and the cluster. The
+// supervisor cannot be restarted.
 func (s *Supervisor) Stop(timeout time.Duration) error {
 	s.mu.Lock()
 	if s.stopping {
@@ -594,6 +678,12 @@ func (s *Supervisor) Stop(timeout time.Duration) error {
 	}
 	if s.frontCache != nil {
 		_ = s.frontCache.Close()
+	}
+	s.mu.Lock()
+	fetchers := s.fetchers
+	s.mu.Unlock()
+	for _, f := range fetchers {
+		f.Close()
 	}
 	if s.fetch != nil {
 		close(s.stopMon)

@@ -18,19 +18,28 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// workDir returns a deployment directory on tmpfs when available: daemons
-// fsync on every log sync, and this container's block device has
-// pathological fsync latency.
+// workDir prefers tmpfs (daemons fsync their log segments on sync, and
+// block-device fsync latency in CI containers can be pathological) and keeps
+// the deployment directory when the test fails, so the per-daemon logs
+// survive for CI to upload as artifacts.
 func workDir(t *testing.T) string {
 	t.Helper()
+	root := os.TempDir()
 	if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
-		dir, err := os.MkdirTemp("/dev/shm", "snp-supervisor-*")
-		if err == nil {
-			t.Cleanup(func() { os.RemoveAll(dir) })
-			return dir
-		}
+		root = "/dev/shm"
 	}
-	return t.TempDir()
+	dir, err := os.MkdirTemp(root, "snp-supervisor-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("deployment directory kept for post-mortem: %s", dir)
+			return
+		}
+		os.RemoveAll(dir)
+	})
+	return dir
 }
 
 func TestCrashPlanResolution(t *testing.T) {
@@ -142,7 +151,7 @@ func TestRestartStormCap(t *testing.T) {
 	defer s.Stop(time.Second)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if failed := s.Failed(); len(failed) == len(s.App().Nodes) {
+		if failed := s.Failed(); len(failed) == len(s.Deployment().App.Nodes) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -150,7 +159,7 @@ func TestRestartStormCap(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	for _, id := range s.App().Nodes {
+	for _, id := range s.Deployment().App.Nodes {
 		if got := s.Restarts(id); got < 2 {
 			t.Errorf("%s: %d restarts before giving up, want the cap's worth", id, got)
 		}
@@ -224,7 +233,7 @@ func TestSupervisedMinCostSmoke(t *testing.T) {
 	if err := s.Stop(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range s.App().Nodes {
+	for _, id := range s.Deployment().App.Nodes {
 		if s.Running(id) {
 			t.Errorf("%s still running after Stop", id)
 		}

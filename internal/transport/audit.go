@@ -90,9 +90,10 @@ func (c *Cluster) register(srv *Server, m *member) {
 }
 
 // AuditCallTimeout and AuditRetryDeadline are the budgets the audit drivers
-// (livetcp, multiproc, queryfront) give their fetchers unless configured
-// otherwise: per attempt and per logical call, so an unreachable peer costs
-// an audit at most the deadline.
+// (live.Harness, supervisor.Supervisor, queryfront) give their fetchers:
+// per attempt and per logical call, so an unreachable peer costs an audit at
+// most the deadline. A caller that wants other budgets sets the fetcher's
+// exported fields.
 const (
 	AuditCallTimeout   = 500 * time.Millisecond
 	AuditRetryDeadline = 2 * time.Second
