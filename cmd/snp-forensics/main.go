@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/adversary"
 	"repro/internal/apps/bgp"
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
@@ -41,16 +42,22 @@ func main() {
 // suppress: a MinCost router silently drops its advertisements (passive
 // evasion); replay of its log exposes the suppressed sends.
 func suppress() {
-	net := simnet.New(simnet.DefaultConfig())
+	dropped := 0
+	cfg := simnet.DefaultConfig()
+	cfg.OnNode = adversary.Plan{"b": {adversary.Suppress(func(m types.Message) bool {
+		if m.Dst != "c" || m.Tuple.Rel != "cost" {
+			return false
+		}
+		dropped++
+		return true
+	})}}.Hook()
+	net := simnet.New(cfg)
 	w := mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)
 	if err := net.Deploy(w); err != nil {
 		log.Fatal(err)
 	}
-	net.Node("b").DropSend = func(m types.Message) bool {
-		return m.Dst == "c" && m.Tuple.Rel == "cost"
-	}
 	net.Run(w.Horizon)
-	fmt.Printf("Router b silently dropped %d advertisements to c.\n", net.Node("b").DropCount)
+	fmt.Printf("Router b silently dropped %d advertisements to c.\n", dropped)
 	fmt.Println("Auditing b…")
 	q := net.QuerierFor(w)
 	if err := q.EnsureAudited("b", 0); err != nil {
@@ -75,15 +82,13 @@ func badGadget() {
 		{A: "as3", B: "as1", RelAB: bgp.Sibling},
 	}
 	w, speakers := bgp.New(links, types.Second, 90*types.Second, nil)
-	if err := net.Deploy(w); err != nil {
-		log.Fatal(err)
-	}
 	speakers["as1"].PreferVia("as2")
 	speakers["as2"].PreferVia("as3")
 	speakers["as3"].PreferVia("as1")
-	net.At(2*types.Second, func() {
-		speakers["as0"].Announce(net.Node("as0"), "10.9.9.0/24")
-	})
+	w.At("as0", 2*types.Second, func(n *core.Node) { speakers["as0"].Announce(n, "10.9.9.0/24") })
+	if err := net.Deploy(w); err != nil {
+		log.Fatal(err)
+	}
 	net.Run(w.Horizon)
 
 	q := net.QuerierFor(w)

@@ -18,9 +18,6 @@ func main() {
 	cfg := simnet.DefaultConfig()
 	net := simnet.New(cfg)
 	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 5*types.Minute, nil)
-	if err := net.Deploy(w); err != nil {
-		log.Fatal(err)
-	}
 	// as30's policy refuses to export routes via the tier-1 as10; pin
 	// as10's own choice away from as30 so the alternative actually reaches
 	// as30.
@@ -30,19 +27,20 @@ func main() {
 	}
 	speakers["as10"].PreferVia("as40")
 
-	net.At(5*types.Second, func() {
-		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
-	})
+	w.At("as51", 5*types.Second, func(n *core.Node) { speakers["as51"].Announce(n, "10.0.0.0/24") })
 	// Traffic-engineering change at t=60s: as30 now prefers via as10;
 	// combined with its export filter, as52 loses its route.
-	net.At(60*types.Second, func() { r1.PreferVia("as10") })
+	w.At("as30", 60*types.Second, func(*core.Node) { r1.PreferVia("as10") })
 	// At t=120s, as61 hijacks the prefix with a fabricated import.
-	net.At(120*types.Second, func() {
+	w.At("as61", 120*types.Second, func(n *core.Node) {
 		bogus := bgp.AdvRoute("as61", "10.0.0.0/24", "as99", "as99")
-		net.Node("as61").InsertMaybe(bgp.ExportRule,
+		n.InsertMaybe(bgp.ExportRule,
 			bgp.AdvRoute("as40", "10.0.0.0/24", "as61 as99", "as61"),
 			[]types.Tuple{bogus}, nil)
 	})
+	if err := net.Deploy(w); err != nil {
+		log.Fatal(err)
+	}
 	net.Run(w.Horizon)
 
 	fmt.Println("=== Query 1 (Quagga-Disappear): why did as52's route vanish? ===")

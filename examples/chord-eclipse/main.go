@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/adversary"
 	"repro/internal/apps/chord"
 	"repro/internal/core"
 	"repro/internal/dlog"
@@ -18,17 +19,13 @@ import (
 func main() {
 	cfg := simnet.DefaultConfig()
 	cfg.Core.CheckpointEvery = 0
-	net := simnet.New(cfg)
 	p := chord.DefaultParams(8)
 	p.Duration = 3 * types.Minute
 	p.StabilizeEvery = 20 * types.Second
 	p.FingerEvery = 20 * types.Second
 	w := chord.New(p)
-	if err := net.Deploy(w); err != nil {
-		log.Fatal(err)
-	}
 	attacker := chord.NodeName(2)
-	net.Node(attacker).Tamper = func(ev types.Event, outs []types.Output) []types.Output {
+	lie := adversary.TamperOutputs("eclipse", func(ev types.Event, outs []types.Output) []types.Output {
 		for i, o := range outs {
 			if o.Kind != types.OutSend || o.Msg.Tuple.Rel != "notify" {
 				continue
@@ -43,6 +40,11 @@ func main() {
 			outs[i].Msg = &m
 		}
 		return outs
+	})
+	cfg.OnNode = adversary.Plan{attacker: {lie}}.Hook()
+	net := simnet.New(cfg)
+	if err := net.Deploy(w); err != nil {
+		log.Fatal(err)
 	}
 	net.Run(w.Horizon)
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/adversary"
 	"repro/internal/apps/mapreduce"
 	"repro/internal/core"
 	"repro/internal/simnet"
@@ -19,19 +20,15 @@ func main() {
 	cfg := simnet.DefaultConfig()
 	cfg.Core.CheckpointEvery = 0
 	cfg.Core.Tbatch = 100 * types.Millisecond
-	net := simnet.New(cfg)
 	splits := workload.Corpus(7, 8, 4<<10)
 	w := mapreduce.New(mapreduce.Job{
 		Mappers: 8, Reducers: 4, Splits: splits,
 		StartAt: types.Second, ReduceAt: 20 * types.Second, Duration: 30 * types.Second,
 	})
-	if err := net.Deploy(w); err != nil {
-		log.Fatal(err)
-	}
 	badMapper := mapreduce.MapperName(3) // "Map-3" in the paper's figure
 	reducer := mapreduce.Partition("squirrel", mapreduce.Reducers(w.Nodes))
 	injected := false
-	net.Node(badMapper).Tamper = func(ev types.Event, outs []types.Output) []types.Output {
+	inject := adversary.TamperOutputs("squirrel", func(ev types.Event, outs []types.Output) []types.Output {
 		if injected || ev.Kind != types.EvIns || ev.Tuple.Rel != "split" {
 			return outs
 		}
@@ -41,6 +38,11 @@ func main() {
 			Src: badMapper, Dst: reducer, Pol: types.PolAppear, Tuple: forged,
 			SendTime: ev.Time, Seq: 9999,
 		}})
+	})
+	cfg.OnNode = adversary.Plan{badMapper: {inject}}.Hook()
+	net := simnet.New(cfg)
+	if err := net.Deploy(w); err != nil {
+		log.Fatal(err)
 	}
 	net.Run(w.Horizon)
 

@@ -14,12 +14,10 @@
 package adversary
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/core"
 	"repro/internal/seclog"
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -114,39 +112,15 @@ type Plan map[types.NodeID][]Behavior
 
 // Hook adapts the plan to simnet.Config.OnNode / eval.Options.OnNode: every
 // node the deployment creates is checked against the plan and armed at
-// creation time, before any event runs.
+// creation time, before any event runs. It is the one arming path; a node
+// compromised mid-run is a timeline action that installs the behavior on
+// the node it is handed.
 func (p Plan) Hook() func(*core.Node) {
 	return func(n *core.Node) {
 		for _, b := range p[n.ID] {
 			b.Install(n)
 		}
 	}
-}
-
-// Compromised returns the plan's node set, sorted.
-func (p Plan) Compromised() []types.NodeID {
-	out := make([]types.NodeID, 0, len(p))
-	for id := range p {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Arm installs a plan's behaviors on the already-created nodes of a running
-// deployment (post-deploy injection — a node compromised mid-experiment).
-// Deploy-time arming uses Plan.Hook with simnet.Config.OnNode instead.
-func Arm(net *simnet.Net, p Plan) error {
-	for _, id := range p.Compromised() {
-		n := net.Node(id)
-		if n == nil {
-			return fmt.Errorf("adversary: no node %s to compromise", id)
-		}
-		for _, b := range p[id] {
-			b.Install(n)
-		}
-	}
-	return nil
 }
 
 // TamperOutputs builds a bespoke behavior over the machine-output hook: f
@@ -234,42 +208,27 @@ func MutateTuple(t types.Tuple) types.Tuple {
 // ---------------------------------------------------------------------------
 // Provable behaviors.
 
-type suppress struct {
-	match func(types.Message) bool
-}
-
 // Suppress drops matching machine-output messages before they are logged or
 // sent (passive evasion, §7.3's suppression scenario). A nil matcher
-// suppresses the node's first outgoing message and everything equal to it.
-// Replay of the node's own log exposes the machine outputs that were never
+// suppresses every send to the destination of the node's first outgoing
+// message: a deterministic, app-independent choice of what to hide. Replay
+// of the node's own log exposes the machine outputs that were never
 // transmitted: red send vertices.
 func Suppress(match func(types.Message) bool) Behavior {
-	return &suppress{match: match}
-}
-
-func (b *suppress) Name() string { return "suppress" }
-
-func (b *suppress) Install(n *core.Node) {
-	var target *types.MessageID
-	match := b.match
 	if match == nil {
+		var victim types.NodeID
 		match = func(m types.Message) bool {
-			if target == nil {
-				id := m.ID()
-				target = &id
+			if victim == "" {
+				victim = m.Dst
 			}
-			// Suppress every send to the first victim destination: a
-			// deterministic, app-independent choice of what to hide.
-			return m.Dst == target.Dst
+			return m.Dst == victim
 		}
 	}
-	prev := n.DropSend
-	n.DropSend = func(m types.Message) bool {
-		if prev != nil && prev(m) {
-			return true
-		}
-		return match(m)
-	}
+	return TamperOutputs("suppress", func(_ types.Event, outs []types.Output) []types.Output {
+		return slices.DeleteFunc(outs, func(o types.Output) bool {
+			return o.Kind == types.OutSend && match(*o.Msg)
+		})
+	})
 }
 
 type forge struct{ done bool }
@@ -488,6 +447,4 @@ func (dormant) Install(n *core.Node) {
 	chainRetrieve(n, func(req core.RetrieveRequest, resp *core.RetrieveResponse) (*core.RetrieveResponse, error) {
 		return resp, nil
 	})
-	prev := n.DropSend
-	n.DropSend = func(m types.Message) bool { return prev != nil && prev(m) }
 }

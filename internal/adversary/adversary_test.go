@@ -18,9 +18,7 @@ func runFigure2(t *testing.T, plan adversary.Plan) *simnet.Net {
 	t.Helper()
 	cfg := simnet.DefaultConfig()
 	cfg.Seed = 1
-	if plan != nil {
-		cfg.OnNode = plan.Hook()
-	}
+	cfg.OnNode = plan.Hook()
 	net := simnet.New(cfg)
 	if err := net.Deploy(mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)); err != nil {
 		t.Fatal(err)
@@ -92,8 +90,7 @@ func TestWithholdAcksLeavesLeadsNotAccusations(t *testing.T) {
 }
 
 func TestTruncatedLogIsRejected(t *testing.T) {
-	net := runFigure2(t, nil)
-	compromisePost(t, net, adversary.Plan{"b": {adversary.TruncateLog()}})
+	net := runFigure2(t, adversary.Plan{"b": {adversary.TruncateLog()}})
 	q := net.NewQuerier(mincost.Factory())
 	if err := q.EnsureAudited("b", 0); err != nil {
 		t.Fatalf("EnsureAudited: %v", err)
@@ -103,22 +100,22 @@ func TestTruncatedLogIsRejected(t *testing.T) {
 	}
 }
 
-func compromisePost(t *testing.T, net *simnet.Net, plan adversary.Plan) {
-	t.Helper()
-	if err := adversary.Arm(net, plan); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBehaviorsCompose(t *testing.T) {
 	// Suppression and forgery armed together on one node: both detection
 	// channels must fire, and both hooks must survive the chaining.
+	dropped := 0
 	plan := adversary.Plan{"b": {
-		adversary.Suppress(func(m types.Message) bool { return m.Dst == "c" && m.Tuple.Rel == "cost" }),
+		adversary.Suppress(func(m types.Message) bool {
+			if m.Dst != "c" || m.Tuple.Rel != "cost" {
+				return false
+			}
+			dropped++
+			return true
+		}),
 		adversary.Forge(),
 	}}
 	net := runFigure2(t, plan)
-	if net.Node("b").DropCount == 0 {
+	if dropped == 0 {
 		t.Fatal("composed suppression dropped nothing")
 	}
 	v, _ := auditFigure2(t, net)

@@ -2,14 +2,12 @@ package adversary
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/provgraph"
-	"repro/internal/seclog"
 	"repro/internal/types"
 )
 
@@ -220,25 +218,10 @@ func Sweep(q *core.Querier, maint *core.Maintainer, targets []types.NodeID,
 	}
 	q.Auditor.Finalize()
 	for _, target := range targets {
-		CheckConsistency(q.Fetch, all, v.Unresponsive, target, q.Auditor.CheckAuthenticator)
+		core.CheckConsistency(q.Fetch, all, v.Unresponsive, target, 0, provgraph.Forever, q.Auditor.CheckAuthenticator)
 	}
 	v.Refresh(q, maint)
 	return v
-}
-
-// CheckConsistency is the §5.5 consistency check for one target: every
-// authenticator a peer holds about it goes to check, which must find it on
-// the chain the target presented. Peers in down are not asked.
-func CheckConsistency(fetch core.Fetcher, peers []types.NodeID, down map[types.NodeID]error,
-	target types.NodeID, check func(seclog.Authenticator)) {
-	for _, peer := range peers {
-		if _, skip := down[peer]; skip || peer == target {
-			continue
-		}
-		for _, a := range fetch.AuthsAbout(peer, target, 0, types.Time(math.MaxInt64)) {
-			check(a)
-		}
-	}
 }
 
 // AuditAll is one Sweep of the whole deployment, no retries.

@@ -10,12 +10,18 @@ import (
 	"repro/internal/provgraph"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 func newNet() *simnet.Net {
 	cfg := simnet.DefaultConfig()
 	cfg.Core.CheckpointEvery = 0
 	return simnet.New(cfg)
+}
+
+// announce puts "id originates prefix at t" on id's own timeline.
+func announce(w *workload.Workload, speakers map[types.NodeID]*bgp.Speaker, id types.NodeID, at types.Time, prefix string) {
+	w.At(id, at, func(n *core.Node) { speakers[id].Announce(n, prefix) })
 }
 
 func TestValidateExport(t *testing.T) {
@@ -45,12 +51,10 @@ func TestValidateExport(t *testing.T) {
 func TestRoutesPropagate(t *testing.T) {
 	net := newNet()
 	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 2*types.Minute, nil)
+	announce(w, speakers, "as51", 5*types.Second, "10.0.0.0/24")
 	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
-	net.At(5*types.Second, func() {
-		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
-	})
 	net.Run(2 * types.Minute)
 	// Every other network must know a route to the prefix.
 	for _, n := range w.Nodes {
@@ -73,12 +77,10 @@ func TestRoutesPropagate(t *testing.T) {
 func TestRouteProvenanceClean(t *testing.T) {
 	net := newNet()
 	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 2*types.Minute, nil)
+	announce(w, speakers, "as51", 5*types.Second, "10.0.0.0/24")
 	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
-	net.At(5*types.Second, func() {
-		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
-	})
 	net.Run(2 * types.Minute)
 	// Find as52's believed route and explain it.
 	m := net.Node("as52").Machine.(*dlog.Machine)
@@ -112,9 +114,6 @@ func TestRouteProvenanceClean(t *testing.T) {
 func TestQuaggaDisappear(t *testing.T) {
 	net := newNet()
 	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 5*types.Minute, nil)
-	if err := net.Deploy(w); err != nil {
-		t.Fatal(err)
-	}
 	// as30 (r1) policy: never export routes that traverse the tier-1 as10,
 	// and (mis)prefer routes via as10 when they exist.
 	r1 := speakers["as30"]
@@ -125,15 +124,14 @@ func TestQuaggaDisappear(t *testing.T) {
 	// as30 an alternative (its default pick would go via as30 itself and
 	// be withheld by poison reverse).
 	speakers["as10"].PreferVia("as40")
-	net.At(5*types.Second, func() {
-		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
-	})
+	announce(w, speakers, "as51", 5*types.Second, "10.0.0.0/24")
 	// At t=60s, flip r1's preference to routes via as10 (simulating a
 	// traffic-engineering change); the direct customer route is replaced by
 	// one the export filter suppresses, so as52 loses its route.
-	net.At(60*types.Second, func() {
-		r1.PreferVia("as10")
-	})
+	w.At("as30", 60*types.Second, func(*core.Node) { r1.PreferVia("as10") })
+	if err := net.Deploy(w); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(5 * types.Minute)
 
 	m := net.Node("as52").Machine.(*dlog.Machine)
@@ -176,17 +174,15 @@ func TestBadGadget(t *testing.T) {
 		{A: "as3", B: "as1", RelAB: bgp.Sibling},
 	}
 	w, speakers := bgp.New(links, types.Second, 2*types.Minute, nil)
-	if err := net.Deploy(w); err != nil {
-		t.Fatal(err)
-	}
 	// Each gadget node prefers the route through its clockwise neighbor
 	// over its direct route to as0.
 	speakers["as1"].PreferVia("as2")
 	speakers["as2"].PreferVia("as3")
 	speakers["as3"].PreferVia("as1")
-	net.At(2*types.Second, func() {
-		speakers["as0"].Announce(net.Node("as0"), "10.9.9.0/24")
-	})
+	announce(w, speakers, "as0", 2*types.Second, "10.9.9.0/24")
+	if err := net.Deploy(w); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(2 * types.Minute)
 
 	// The gadget must oscillate: some node's export to as0's prefix keeps
@@ -221,20 +217,18 @@ func TestBadGadget(t *testing.T) {
 func TestRouteHijackDetected(t *testing.T) {
 	net := newNet()
 	w, speakers := bgp.New(bgp.DefaultTopology(), types.Second, 2*types.Minute, nil)
-	if err := net.Deploy(w); err != nil {
-		t.Fatal(err)
-	}
-	net.At(5*types.Second, func() {
-		speakers["as51"].Announce(net.Node("as51"), "10.0.0.0/24")
-	})
+	announce(w, speakers, "as51", 5*types.Second, "10.0.0.0/24")
 	// as61 hijacks the prefix at t=30s: it fires the export maybe rule with
 	// a fabricated body (claiming an import that does not exist).
-	net.At(30*types.Second, func() {
+	w.At("as61", 30*types.Second, func(n *core.Node) {
 		bogusBody := bgp.AdvRoute("as61", "10.0.0.0/24", "as99", "as99")
-		net.Node("as61").InsertMaybe(bgp.ExportRule,
+		n.InsertMaybe(bgp.ExportRule,
 			bgp.AdvRoute("as40", "10.0.0.0/24", "as61 as99", "as61"),
 			[]types.Tuple{bogusBody}, nil)
 	})
+	if err := net.Deploy(w); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(2 * types.Minute)
 
 	// The upstream as40 believed the hijacked route; its provenance must

@@ -49,10 +49,12 @@ func checkpointedMincost(t *testing.T, write func(n *core.Node)) (*simnet.Net, *
 	}
 	n := net.Node(ckptWriter)
 	ckSeq := n.Log.Len()
-	net.At(net.Now()+types.Second, func() {
-		_ = net.Node("c").InsertBase(mincost.Link("c", "d", 1))
-		_ = net.Node("d").InsertBase(mincost.Link("d", "c", 1))
-	})
+	for _, end := range [][2]types.NodeID{{"c", "d"}, {"d", "c"}} {
+		node := net.Node(end[0])
+		if err := net.AtNode(end[0], net.Now()+types.Second, func() { _ = node.InsertBase(mincost.Link(end[0], end[1], 1)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	net.Run(net.Now() + 10*types.Second)
 	if n.Log.Len() < ckSeq+5 {
 		t.Fatalf("only %d entries follow the checkpoint", n.Log.Len()-ckSeq)

@@ -253,3 +253,60 @@ func TestNewNodeStoreBacked(t *testing.T) {
 		t.Errorf("restarted node's timestamps went backwards (err=%v)", err)
 	}
 }
+
+// capture records what a node transmits.
+type capture struct{ pkts []*Packet }
+
+func (c *capture) Send(_, _ types.NodeID, pkt *Packet) { c.pkts = append(c.pkts, pkt) }
+
+// TestRecoveryReportsUnackedAndResendsUnlogged drives NewNode's LogRecover
+// path over a log holding the three cases a crash can leave behind: a send
+// that was acknowledged, a send whose ack never arrived, and an input whose
+// derived output never reached the log. Exactly the second is reported to
+// the maintainer, and exactly the third is transmitted — under the message
+// id the replayed machine assigns, so it collides with neither pre-crash
+// exchange.
+func TestRecoveryReportsUnackedAndResendsUnlogged(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LogDir, cfg.LogHotTail = t.TempDir(), 2 // most of the log is read back from the tables
+	n := testNode(t, cfg, nil)
+	for i := int64(1); i <= 2; i++ {
+		if err := n.InsertBase(ins(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := func(seq uint64) types.MessageID { return types.MessageID{Src: "n1", Dst: "peer", Seq: seq} }
+	n.Log.Append(&seclog.Entry{T: n.now(), Type: seclog.EAck, AckIDs: []types.MessageID{id(1)}})
+	// The crash lands between logging the third input and stepping on it.
+	n.Log.Append(&seclog.Entry{T: n.now(), Type: seclog.EIns, Tuple: ins(3)})
+	crashedAt := n.Log.Len()
+	if err := n.Log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.LogRecover = true
+	maint, wire := NewMaintainer(), &capture{}
+	dir := NewDirectory()
+	dir.Register("n1", n.key.Public())
+	r, err := NewNode("n1", cfg, n.key, dir, maint, &fixedClock{t: types.Second}, wire, &stubMachine{self: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Log.Close()
+
+	if notes := maint.Notes(); len(notes) != 1 || notes[0] != (MissingAckNote{Reporter: "n1", ID: id(2)}) {
+		t.Errorf("missing-ack reports = %v, want exactly n1's message 2", notes)
+	}
+	if len(wire.pkts) != 1 || wire.pkts[0].Kind != PktEnvelope || len(wire.pkts[0].Envelope.Msgs) != 1 {
+		t.Fatalf("recovery transmitted %d packets, want one envelope of one message", len(wire.pkts))
+	}
+	if m := wire.pkts[0].Envelope.Msgs[0]; m.ID() != id(3) || !m.Tuple.Equal(ins(3)) {
+		t.Errorf("re-sent %s, want message 3 carrying %s", m, ins(3))
+	}
+	if r.Log.Len() != crashedAt+1 {
+		t.Errorf("recovery appended %d entries, want the one snd", r.Log.Len()-crashedAt)
+	}
+	if e, err := r.Log.Entry(r.Log.Len()); err != nil || e.Type != seclog.ESnd {
+		t.Errorf("last entry after recovery = %v (err %v), want the re-staged snd", e, err)
+	}
+}

@@ -65,11 +65,10 @@ type Node struct {
 	// Fault-injection hooks; nil on correct nodes (the adversary framework
 	// in internal/adversary arms them — honest code paths never fork on
 	// them). Tamper rewrites the machine's outputs before they are logged
-	// and sent (a compromised primary system); DropSend suppresses matching
-	// messages entirely (passive evasion); RefuseAudit makes the node
-	// ignore retrieve requests (yields yellow vertices).
+	// and sent (a compromised primary system: forged sends, or suppressed
+	// ones — passive evasion); RefuseAudit makes the node ignore retrieve
+	// requests (yields yellow vertices).
 	Tamper      func(ev types.Event, outs []types.Output) []types.Output
-	DropSend    func(m types.Message) bool
 	RefuseAudit bool
 
 	// TamperPacket intercepts every outgoing packet — envelopes, acks,
@@ -86,9 +85,6 @@ type Node struct {
 	// runs after the honest response is assembled; implementations must not
 	// mutate the response's shared entries in place (copy before editing).
 	TamperRetrieve func(req RetrieveRequest, resp *RetrieveResponse) (*RetrieveResponse, error)
-
-	// DropCount counts messages suppressed via DropSend.
-	DropCount int
 
 	// failure is the node's first unrecoverable local fault (e.g. a signing
 	// failure): the node stops being able to uphold the commitment protocol
@@ -170,20 +166,11 @@ func NewNode(id types.NodeID, cfg Config, key cryptoutil.PrivateKey, dir *Direct
 	default:
 		lg = seclog.New(id, cfg.suite(), key, stats)
 	}
-	// A recovered log already has timestamped history: new entries must not
-	// go backwards, or retrieve's monotonic-timestamp searches break.
-	var lastT types.Time
-	if lg.Len() >= lg.FirstSeq() && lg.Len() > 0 {
-		if e, err := lg.Entry(lg.Len()); err == nil {
-			lastT = e.T
-		}
-	}
 	n := &Node{
 		ID:          id,
 		Machine:     machine,
 		Log:         lg,
 		Auths:       seclog.NewAuthSet(),
-		lastEntryT:  lastT,
 		Stats:       stats,
 		cfg:         cfg,
 		suite:       cfg.suite(),
@@ -197,13 +184,13 @@ func NewNode(id types.NodeID, cfg Config, key cryptoutil.PrivateKey, dir *Direct
 		outstanding: make(map[types.MessageID]*pendingEnvelope),
 	}
 	if cfg.LogRecover {
-		if err := n.rebuildMachineFromLog(); err != nil {
+		// recoverFromLog reports the missing acks before this flush: the
+		// report must see only the pre-crash snd entries, not the ones the
+		// re-staged outputs are about to append (those get acked through the
+		// normal protocol).
+		if err := n.recoverFromLog(); err != nil {
 			return nil, err
 		}
-		// Report before flushing: the missing-ack sweep must see only the
-		// pre-crash snd entries, not the ones the re-staged outputs are
-		// about to append (those get acked through the normal protocol).
-		n.reportUnackedAfterRecovery()
 		if err := n.flushAll(); err != nil {
 			return nil, err
 		}
@@ -211,14 +198,17 @@ func NewNode(id types.NodeID, cfg Config, key cryptoutil.PrivateKey, dir *Direct
 	return n, nil
 }
 
-// rebuildMachineFromLog re-derives the primary system's state after a
-// crash: the recovered log holds every input the machine ever consumed, in
-// order, so stepping a fresh machine through them reproduces the exact
-// pre-crash state — believed tuples, derivations, and the per-destination
-// message sequence counters. The counters matter as much as the tuples:
-// message IDs embed them, and a restarted node that reissued old IDs would
-// collide with its own pre-crash exchanges, breaking ack matching for
-// every peer and auditor.
+// recoverFromLog restores, in one pass over the recovered log, what a crash
+// destroys: the machine's state, the outputs the crash kept out of the log,
+// and the pending-ack table.
+//
+// The machine: the recovered log holds every input the machine ever
+// consumed, in order, so stepping a fresh machine through them reproduces
+// the exact pre-crash state — believed tuples, derivations, and the
+// per-destination message sequence counters. The counters matter as much
+// as the tuples: message IDs embed them, and a restarted node that reissued
+// old IDs would collide with its own pre-crash exchanges, breaking ack
+// matching for every peer and auditor.
 //
 // Step outputs are not discarded: the replay diffs them against the log's
 // snd entries, and any derived message with no matching snd entry is
@@ -228,9 +218,19 @@ func NewNode(id types.NodeID, cfg Config, key cryptoutil.PrivateKey, dir *Direct
 // treats a history that never sends it as suppression, which is provable
 // evidence. Re-staging (with the replayed machine's own deterministic
 // message IDs) makes the recovered node fulfill the commitment instead.
-func (n *Node) rebuildMachineFromLog() error {
+//
+// The pending-ack table: the recovered log may hold snd entries whose acks
+// never arrived, and the restarted node can neither retransmit them (the
+// pending envelopes are gone) nor know whether the acks were in flight when
+// it died. The §5.4 remedy is conservative: report every such exchange to
+// the maintainer immediately, so the auditor treats it as a known missing
+// ack — an unattributable lead — instead of provable evidence against this
+// (honest) node.
+func (n *Node) recoverFromLog() error {
 	var derived []types.Message
+	var sent [][]types.MessageID // one per snd entry, in log order
 	logged := make(map[types.MessageID]bool)
+	acked := make(map[types.MessageID]bool)
 	step := func(ev types.Event) {
 		for _, o := range n.Machine.Step(ev) {
 			if o.Kind == types.OutSend {
@@ -243,6 +243,9 @@ func (n *Node) rebuildMachineFromLog() error {
 		if err != nil {
 			return fmt.Errorf("core: recovery replay of %s at entry %d: %w", n.ID, seq, err)
 		}
+		// A recovered log already has timestamped history: new entries must
+		// not go backwards, or retrieve's monotonic-timestamp searches break.
+		n.lastEntryT = e.T
 		switch e.Type {
 		case seclog.EIns:
 			step(types.Event{Kind: types.EvIns, Node: n.ID, Time: e.T,
@@ -257,8 +260,15 @@ func (n *Node) rebuildMachineFromLog() error {
 					Msg: &msg, SameBatch: j > 0})
 			}
 		case seclog.ESnd:
+			ids := make([]types.MessageID, len(e.Msgs))
 			for i := range e.Msgs {
-				logged[e.Msgs[i].ID()] = true
+				ids[i] = e.Msgs[i].ID()
+				logged[ids[i]] = true
+			}
+			sent = append(sent, ids)
+		case seclog.EAck:
+			if len(e.AckIDs) > 0 {
+				acked[e.AckIDs[0]] = true
 			}
 		case seclog.ECkpt:
 			// A checkpoint heading the retained log stands in for the
@@ -276,52 +286,22 @@ func (n *Node) rebuildMachineFromLog() error {
 	// entry have no replayed derivation, and snd entries before it are
 	// gone, so both sides of the diff cover exactly the retained range.
 	for _, m := range derived {
-		if logged[m.ID()] {
+		if !logged[m.ID()] {
+			n.enqueue(m, m.SendTime)
+		}
+	}
+	if n.maintainer == nil {
+		return nil
+	}
+	for _, ids := range sent {
+		if len(ids) == 0 || acked[ids[0]] {
 			continue
 		}
-		n.outQ[m.Dst] = append(n.outQ[m.Dst], m)
-		if _, ok := n.queueSince[m.Dst]; !ok {
-			n.queueSince[m.Dst] = m.SendTime
-			if i, found := slices.BinarySearch(n.dstOrder, m.Dst); !found {
-				n.dstOrder = slices.Insert(n.dstOrder, i, m.Dst)
-			}
+		for _, id := range ids {
+			n.maintainer.NotifyMissingAck(n.ID, id)
 		}
 	}
 	return nil
-}
-
-// reportUnackedAfterRecovery handles the commitment-protocol state a crash
-// destroys: the in-memory pending-ack table. The recovered log may hold snd
-// entries whose acks never arrived, and the restarted node can neither
-// retransmit them (the pending envelopes are gone) nor know whether the
-// acks were in flight when it died. The §5.4 remedy is conservative: report
-// every such exchange to the maintainer immediately, so the auditor treats
-// it as a known missing ack — an unattributable lead — instead of provable
-// evidence against this (honest) node.
-func (n *Node) reportUnackedAfterRecovery() {
-	if n.maintainer == nil {
-		return
-	}
-	acked := make(map[types.MessageID]bool)
-	for seq := n.Log.FirstSeq(); seq <= n.Log.Len(); seq++ {
-		e, err := n.Log.Entry(seq)
-		if err != nil || e.Type != seclog.EAck || len(e.AckIDs) == 0 {
-			continue
-		}
-		acked[e.AckIDs[0]] = true
-	}
-	for seq := n.Log.FirstSeq(); seq <= n.Log.Len(); seq++ {
-		e, err := n.Log.Entry(seq)
-		if err != nil || e.Type != seclog.ESnd || len(e.Msgs) == 0 {
-			continue
-		}
-		if acked[e.Msgs[0].ID()] {
-			continue
-		}
-		for i := range e.Msgs {
-			n.maintainer.NotifyMissingAck(n.ID, e.Msgs[i].ID())
-		}
-	}
 }
 
 // fault records the node's first unrecoverable local fault and returns it.
@@ -470,26 +450,26 @@ func (n *Node) step(ev types.Event) error {
 		outs = n.Tamper(ev, outs)
 	}
 	for _, o := range outs {
-		if o.Kind != types.OutSend {
-			continue // derivations are reconstructed at query time
-		}
-		m := *o.Msg
-		if n.DropSend != nil && n.DropSend(m) {
-			n.DropCount++
-			continue
-		}
-		n.outQ[m.Dst] = append(n.outQ[m.Dst], m)
-		if _, ok := n.queueSince[m.Dst]; !ok {
-			n.queueSince[m.Dst] = ev.Time
-			if i, found := slices.BinarySearch(n.dstOrder, m.Dst); !found {
-				n.dstOrder = slices.Insert(n.dstOrder, i, m.Dst)
-			}
+		if o.Kind == types.OutSend { // derivations are reconstructed at query time
+			n.enqueue(*o.Msg, ev.Time)
 		}
 	}
 	if n.cfg.Tbatch == 0 {
 		return n.flushAll()
 	}
 	return nil
+}
+
+// enqueue stages m for its destination's next envelope; since is when the
+// queue, if m opens it, began to wait (the batching timer's start).
+func (n *Node) enqueue(m types.Message, since types.Time) {
+	n.outQ[m.Dst] = append(n.outQ[m.Dst], m)
+	if _, ok := n.queueSince[m.Dst]; !ok {
+		n.queueSince[m.Dst] = since
+		if i, found := slices.BinarySearch(n.dstOrder, m.Dst); !found {
+			n.dstOrder = slices.Insert(n.dstOrder, i, m.Dst)
+		}
+	}
 }
 
 // flushAll transmits every queued envelope, in destination order. The first

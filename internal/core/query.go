@@ -453,21 +453,32 @@ func (q *Querier) commitTask(node types.NodeID, t *auditTask) error {
 	return nil
 }
 
-// consistencyCheck runs §5.5's equivocation check for node over [t1, t2]:
-// it collects authenticators signed by node from all peers and verifies
-// each against the chain the node presented.
+// CheckConsistency is the §5.5 consistency check for one target over
+// [t1, t2], the one loop every audit path runs: each authenticator a peer
+// holds about the target goes to check, which must find it on the chain the
+// target presented. Peers in down are not asked — they already failed to
+// answer, and asking again costs a retry budget each over a network.
+func CheckConsistency(fetch Fetcher, peers []types.NodeID, down map[types.NodeID]error,
+	target types.NodeID, t1, t2 types.Time, check func(seclog.Authenticator)) {
+	for _, peer := range peers {
+		if _, skip := down[peer]; skip || peer == target {
+			continue
+		}
+		for _, a := range fetch.AuthsAbout(peer, target, t1, t2) {
+			check(a)
+		}
+	}
+}
+
+// consistencyCheck runs CheckConsistency for node among the peers this
+// session has not found unreachable, metering what it downloads.
 func (q *Querier) consistencyCheck(node types.NodeID, t1, t2 types.Time) {
 	start := wallNow()
 	defer func() { q.Metrics.VerifyTime += wallSince(start) }()
-	for _, peer := range q.Fetch.Nodes() {
-		if peer == node {
-			continue
-		}
-		for _, a := range q.Fetch.AuthsAbout(peer, node, t1, t2) {
-			q.Metrics.AuthBytes += int64(a.WireSize())
-			q.Auditor.CheckAuthenticator(a)
-		}
-	}
+	CheckConsistency(q.Fetch, q.Fetch.Nodes(), q.yellowNodes, node, t1, t2, func(a seclog.Authenticator) {
+		q.Metrics.AuthBytes += int64(a.WireSize())
+		q.Auditor.CheckAuthenticator(a)
+	})
 }
 
 // colorOf resolves a vertex's effective color: red if the host's audit

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
 	"repro/internal/provgraph"
+	"repro/internal/seclog"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -295,5 +296,63 @@ func TestAuditScopeWindow(t *testing.T) {
 	}
 	if got := q.Metrics.NodesContacted; got != len(nodes) {
 		t.Errorf("NodesContacted = %d, want %d", got, len(nodes))
+	}
+}
+
+// downFetcher cuts one node off — its retrieves and authenticator requests
+// fail — and counts how often it is still asked, as an observer, for the
+// authenticators it holds about others.
+type downFetcher struct {
+	core.Fetcher
+	down  types.NodeID
+	asked int
+}
+
+func (f *downFetcher) Retrieve(node types.NodeID, req core.RetrieveRequest) (*core.RetrieveResponse, error) {
+	if node == f.down {
+		return nil, errors.New("no route to host (injected)")
+	}
+	return f.Fetcher.Retrieve(node, req)
+}
+
+func (f *downFetcher) LatestAuth(node types.NodeID) (seclog.Authenticator, error) {
+	if node == f.down {
+		return seclog.Authenticator{}, errors.New("no route to host (injected)")
+	}
+	return f.Fetcher.LatestAuth(node)
+}
+
+func (f *downFetcher) AuthsAbout(observer, target types.NodeID, t1, t2 types.Time) []seclog.Authenticator {
+	if observer == f.down {
+		f.asked++
+		return nil
+	}
+	return f.Fetcher.AuthsAbout(observer, target, t1, t2)
+}
+
+// TestConsistencyCheckSkipsUnreachablePeers: the §5.5 loop of an Explain
+// asks no peer the session already holds as unreachable — over a network
+// every such request costs a whole retry budget and cannot succeed.
+func TestConsistencyCheckSkipsUnreachablePeers(t *testing.T) {
+	net := figure2(t, nil)
+	q := net.NewQuerier(mincost.Factory())
+	fetch := &downFetcher{Fetcher: q.Fetch, down: "d"}
+	q.Fetch = fetch
+	if err := q.EnsureAudited("d", 0); err == nil {
+		t.Fatal("the audit of a cut-off node succeeded")
+	}
+	expl, err := q.Explain("c", mincost.BestCost("c", "d", 5), core.QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetch.asked != 0 {
+		t.Errorf("the consistency check asked unreachable d for authenticators %d times", fetch.asked)
+	}
+	if len(q.Auditor.Failures()) != 0 || len(expl.FaultyNodes()) != 0 {
+		t.Errorf("an unreachable peer produced an accusation: %v\n%s", q.Auditor.Failures(), expl.Format())
+	}
+	// The peers that do answer are still asked: c's chain is checked.
+	if q.Metrics.AuthBytes == 0 {
+		t.Error("no authenticator was downloaded at all")
 	}
 }

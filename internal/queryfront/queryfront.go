@@ -68,6 +68,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/provgraph"
 	"repro/internal/quantile"
 	"repro/internal/seclog"
 	"repro/internal/transport"
@@ -472,7 +473,7 @@ func (s *Server) confirm(fetch core.Fetcher, maint *core.Maintainer, target type
 		return nil
 	}
 	v := &adversary.Verdict{Unresponsive: map[types.NodeID]error{}, Notes: notes}
-	adversary.CheckConsistency(fetch, fetch.Nodes(), nil, target, func(a seclog.Authenticator) {
+	core.CheckConsistency(fetch, fetch.Nodes(), nil, target, 0, provgraph.Forever, func(a seclog.Authenticator) {
 		if f, forked := e.head.CheckAuthenticator(s.cfg.Dir, nil, a); forked {
 			v.Failures = append(v.Failures, f)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/apps/bgp"
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
@@ -66,40 +67,27 @@ func digestAudit(t *testing.T, net *simnet.Net, parallel bool) auditDigest {
 // colors, edges, and metrics to a fully sequential audit — on a clean run
 // and under each class of injected fault.
 func TestParallelAuditMatchesSerial(t *testing.T) {
+	// Behaviors carry per-run state, so each run builds its own plan.
 	scenarios := []struct {
-		name   string
-		mutate func(*simnet.Net)
+		name string
+		on   func() adversary.Behavior
 	}{
 		{"clean", nil},
-		{"suppression", func(net *simnet.Net) {
-			b := net.Node("b")
-			b.DropSend = func(m types.Message) bool {
-				return m.Dst == "c" && m.Tuple.Rel == "cost"
-			}
-		}},
-		{"fabrication", func(net *simnet.Net) {
-			b := net.Node("b")
-			injected := false
-			b.Tamper = func(ev types.Event, outs []types.Output) []types.Output {
-				if injected || ev.Kind != types.EvIns {
-					return outs
-				}
-				injected = true
-				forged := mincost.Cost("c", "d", "b", 1)
-				msg := &types.Message{Src: "b", Dst: "c", Pol: types.PolAppear,
-					Tuple: forged, SendTime: ev.Time, Seq: 9999}
-				return append(outs, types.Output{Kind: types.OutSend, Msg: msg})
-			}
-		}},
-		{"refusal", func(net *simnet.Net) {
-			net.Node("b").RefuseAudit = true
-		}},
+		{"suppression", func() adversary.Behavior { return suppressCostToC(nil) }},
+		{"fabrication", forgeCheapRoute},
+		{"refusal", adversary.RefuseAudits},
+	}
+	run := func(t *testing.T, on func() adversary.Behavior) *simnet.Net {
+		if on == nil {
+			return runMinCost(t, nil)
+		}
+		return runMinCost(t, adversary.Plan{"b": {on()}})
 	}
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			serial := digestAudit(t, runMinCost(t, sc.mutate), false)
-			parallel := digestAudit(t, runMinCost(t, sc.mutate), true)
+			serial := digestAudit(t, run(t, sc.on), false)
+			parallel := digestAudit(t, run(t, sc.on), true)
 			if serial.failures != parallel.failures {
 				t.Errorf("failure sequences differ:\nserial:\n%s\nparallel:\n%s",
 					serial.failures, parallel.failures)

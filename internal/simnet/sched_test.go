@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/apps/mincost"
+	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -31,22 +32,32 @@ func runDigest(net *simnet.Net) string {
 	return b.String()
 }
 
-// runMinCostWorkers runs the Figure 2 deployment (including a mid-run
-// harness event and a second Run call) under the given worker count.
+// runMinCostWorkers runs the Figure 2 deployment under the given worker
+// count with both kinds of input a scenario can add: timeline actions on two
+// nodes due at the same instant, each on its own shard (the a–e link fails at
+// 10s), and inputs injected with AtNode between two Run calls (the b–d link
+// fails at 20s) — one action per endpoint either way.
 func runMinCostWorkers(t *testing.T, workers int, seed int64) *simnet.Net {
 	t.Helper()
 	cfg := simnet.DefaultConfig()
 	cfg.Workers = workers
 	cfg.Seed = seed
 	net := simnet.New(cfg)
-	if err := net.Deploy(mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)); err != nil {
+	w := figure2()
+	w.At("a", 10*types.Second, func(n *core.Node) { n.DeleteBase(mincost.Link("a", "e", 1)) })
+	w.At("e", 10*types.Second, func(n *core.Node) { n.DeleteBase(mincost.Link("e", "a", 1)) })
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
-	net.At(20*types.Second, func() {
-		net.Node("b").DeleteBase(mincost.Link("b", "d", 3))
-		net.Node("d").DeleteBase(mincost.Link("d", "b", 3))
-	})
 	net.Run(15 * types.Second)
+	retract := func(id, peer types.NodeID) {
+		node := net.Node(id)
+		if err := net.AtNode(id, 20*types.Second, func() { node.DeleteBase(mincost.Link(id, peer, 3)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retract("b", "d")
+	retract("d", "b")
 	net.Run(30 * types.Second)
 	return net
 }
@@ -100,13 +111,41 @@ func TestPeriodicReschedulesOnFire(t *testing.T) {
 	cfg := simnet.DefaultConfig()
 	cfg.TickEvery = 0 // no node ticks; only the chain under test
 	net := simnet.New(cfg)
+	if err := net.Deploy(figure2()); err != nil {
+		t.Fatal(err)
+	}
 	var fired []types.Time
-	net.Periodic(2*types.Second, 3*types.Second, 14*types.Second, func() {
+	net.PeriodicNode("c", 2*types.Second, 3*types.Second, 14*types.Second, func() {
 		fired = append(fired, net.Now())
 	})
+	net.Run(6 * types.Second)
 	net.Run(20 * types.Second)
 	want := []types.Time{2 * types.Second, 5 * types.Second, 8 * types.Second, 11 * types.Second}
 	if fmt.Sprint(fired) != fmt.Sprint(want) {
 		t.Errorf("periodic fired at %v, want %v", fired, want)
+	}
+}
+
+// TestEveryEventHasANode pins the scheduler's one event class from the
+// outside: an input for a node the deployment does not have is reported, by
+// AtNode and by Deploy, never dropped or run at a barrier.
+func TestEveryEventHasANode(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig())
+	w := figure2()
+	if err := net.Deploy(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AtNode("z", types.Second, func() { t.Error("an event without a node ran") }); err == nil {
+		t.Error("AtNode on an unknown node returned no error")
+	}
+	if err := net.AtNode("c", types.Second, func() {}); err != nil {
+		t.Errorf("AtNode on a deployed node: %v", err)
+	}
+	net.Run(2 * types.Second)
+
+	w = figure2()
+	w.At("z", types.Second, func(*core.Node) {})
+	if err := simnet.New(simnet.DefaultConfig()).Deploy(w); err == nil {
+		t.Error("Deploy accepted a timeline for a node the workload does not list")
 	}
 }

@@ -19,10 +19,11 @@
 // per-destination mailboxes and merged into the target shards at the window
 // barrier, ordered by the same (time, source, sequence) key.
 //
-// Harness events scheduled with At/Periodic (no node affiliation) run
-// single-threaded at window barriers, before any node event carrying the
-// same timestamp; node-targeted work should use AtNode/PeriodicNode so it
-// runs on — and scales with — the node's shard.
+// Every event has a node: a delivery belongs to its destination, a tick, a
+// workload action (Deploy) or an injected input (AtNode/PeriodicNode) to the
+// node it names, and it runs on that node's shard and touches only that
+// node. There is no event that stops the whole network, so a window is
+// bounded by MinDelay and the Run horizon alone.
 //
 // # Determinism contract
 //
@@ -55,9 +56,10 @@ import (
 	"repro/internal/workload"
 )
 
-// event is one scheduled simulator action. src is the scheduling shard ("" =
-// harness); seq is a per-source counter, so (at, src, seq) is a total order
-// that both the serial reference and the sharded scheduler sort by.
+// event is one scheduled simulator action on one node's shard. src is the
+// node that scheduled it (the sender of a delivery, the shard's own node
+// otherwise); seq is a per-source counter, so (at, src, seq) is a total
+// order that both the serial reference and the sharded scheduler sort by.
 type event struct {
 	at  types.Time
 	src types.NodeID
@@ -190,10 +192,11 @@ type Config struct {
 	// the parallel scheduler; negative uses GOMAXPROCS. Every observable is
 	// bit-identical across worker counts (see the package comment).
 	Workers int
-	// OnNode, when set, is invoked with every node AddNode creates — after
-	// registration, before any event executes. The adversary-injection
-	// framework (internal/adversary) uses it to arm Byzantine behaviors on
-	// compromised nodes at deploy time without forking any deploy code.
+	// OnNode, when set, is invoked with every node Deploy creates — after
+	// registration, before any event executes. It is the one way to arm a
+	// node: the adversary-injection framework (internal/adversary, Plan.Hook)
+	// and the scenario programs install Byzantine behaviors through it, so
+	// nothing mutates a deployed node from outside its own event stream.
 	OnNode func(*core.Node)
 }
 
@@ -256,20 +259,10 @@ type Net struct {
 	Traffic *Traffic
 
 	shards  map[types.NodeID]*shard
-	order   []types.NodeID // sorted; maintained incrementally by AddNode
+	order   []types.NodeID // sorted; maintained incrementally by addNode
 	byOrder []*shard       // shards in order
 
-	now       types.Time // committed global time (window barrier / Run horizon)
-	globalQ   eventHeap  // harness events (src ""), run at barriers
-	globalSeq uint64
-
-	skews map[types.NodeID]types.Time
-
-	// Partition drops packets between partitioned pairs when set. It is
-	// called from shard workers and must be a pure function of its
-	// arguments; install or swap it only at setup time or from an At
-	// (barrier) event.
-	Partition func(from, to types.NodeID) bool
+	now types.Time // committed global time (window barrier / Run horizon)
 }
 
 // New creates an empty simulated network.
@@ -283,7 +276,6 @@ func New(cfg Config) *Net {
 			PerNodeBaseline: make(map[types.NodeID]int64),
 		},
 		shards: make(map[types.NodeID]*shard),
-		skews:  make(map[types.NodeID]types.Time),
 	}
 }
 
@@ -328,11 +320,10 @@ func (n *Net) timeAt(sh *shard) types.Time {
 	return n.now
 }
 
-// AddNode creates a node with a pooled deterministic key, registers its
+// addNode creates a node with a pooled deterministic key, registers its
 // certificate, and gives it an event shard. keySeed should be unique per
-// node (e.g. its index). Nodes must be added at setup time or from a
-// barrier (At) event, never from node execution.
-func (n *Net) AddNode(id types.NodeID, keySeed int64, machine types.Machine) (*core.Node, error) {
+// node (e.g. its index).
+func (n *Net) addNode(id types.NodeID, keySeed int64, machine types.Machine) (*core.Node, error) {
 	if _, dup := n.shards[id]; dup {
 		return nil, fmt.Errorf("simnet: duplicate node %s", id)
 	}
@@ -348,7 +339,6 @@ func (n *Net) AddNode(id types.NodeID, keySeed int64, machine types.Machine) (*c
 		rng := rand.New(rand.NewSource(derivedSeed(n.Cfg.Seed, "clock-skew", id, "")))
 		skew = types.Time(rng.Int63n(int64(n.Cfg.Core.DeltaClock))) - n.Cfg.Core.DeltaClock/2
 	}
-	n.skews[id] = skew
 	sh := &shard{id: id, links: make(map[types.NodeID]*rand.Rand)}
 	clock := core.ClockFunc(func() types.Time {
 		t := n.timeAt(sh) + skew
@@ -377,26 +367,30 @@ func (n *Net) AddNode(id types.NodeID, keySeed int64, machine types.Machine) (*c
 // by its KeySeeds entry, and every node's timeline on that node's own event
 // shard in timeline order — so actions due at one instant fire in the order
 // the workload lists them, whatever the worker count. A machine that
-// reports a broken protocol definition (Err) fails the deployment.
+// reports a broken protocol definition (Err) fails the deployment, and so
+// does a timeline for a node the workload does not list.
 func (n *Net) Deploy(w *workload.Workload) error {
 	for i, id := range w.Nodes {
 		machine := w.Factory(id)
 		if m, ok := machine.(interface{ Err() error }); ok && m.Err() != nil {
 			return m.Err()
 		}
-		if _, err := n.AddNode(id, w.KeySeeds[i], machine); err != nil {
+		node, err := n.addNode(id, w.KeySeeds[i], machine)
+		if err != nil {
 			return err
 		}
-	}
-	for _, id := range w.Nodes {
-		node := n.Node(id)
 		for _, a := range w.Timeline[id] {
 			fire := func() { a.Do(node) }
 			if a.Every > 0 {
 				n.PeriodicNode(id, a.At, a.Every, a.Until, fire)
 			} else {
-				n.AtNode(id, a.At, fire)
+				_ = n.AtNode(id, a.At, fire) // id was just created
 			}
+		}
+	}
+	for id := range w.Timeline {
+		if n.shards[id] == nil {
+			return fmt.Errorf("simnet: %s schedules actions on %s, which is not one of its nodes", w.Name, id)
 		}
 	}
 	return nil
@@ -418,17 +412,14 @@ func (n *Net) Nodes() []types.NodeID {
 
 // Send implements core.Sender: meter the packet on the sender's shard and
 // stage its delivery in the destination's mailbox. It is called from the
-// sending node's own execution (or from a barrier event touching that
-// node), so the sender's shard state is safe to use without locks.
+// sending node's own execution, so the sender's shard state is safe to use
+// without locks.
 func (n *Net) Send(from, to types.NodeID, pkt *core.Packet) {
 	src := n.shards[from]
 	if src == nil {
 		return
 	}
 	src.traffic.meter(from, pkt)
-	if n.Partition != nil && n.Partition(from, to) {
-		return
-	}
 	delay := n.Cfg.MinDelay
 	if n.Cfg.MaxDelay > n.Cfg.MinDelay {
 		delay += types.Time(n.linkRng(src, to).Int63n(int64(n.Cfg.MaxDelay - n.Cfg.MinDelay)))
@@ -447,49 +438,28 @@ func (n *Net) Send(from, to types.NodeID, pkt *core.Packet) {
 	src.outbox = append(src.outbox, staged{dst: dst, ev: ev})
 }
 
-// At schedules fn at virtual time t (clamped to now) as a harness event: it
-// runs single-threaded at a window barrier, before any node event with the
-// same timestamp, and may safely touch any node or the network itself.
-func (n *Net) At(t types.Time, fn func()) {
-	if t < n.now {
-		t = n.now
-	}
-	n.globalSeq++
-	heap.Push(&n.globalQ, &event{at: t, src: "", seq: n.globalSeq, fn: fn})
-}
-
-// AtNode schedules fn at virtual time t on id's shard: it executes inside
-// id's event stream (in (time, source, sequence) order) and may touch only
-// that node. Unknown IDs fall back to a barrier event. AtNode may be called
-// at setup time, from a barrier event, or from id's own execution — never
-// from another node's execution.
-func (n *Net) AtNode(id types.NodeID, t types.Time, fn func()) {
+// AtNode schedules fn at virtual time t (clamped to now) on id's shard: it
+// executes inside id's event stream (in (time, source, sequence) order) and
+// may touch only that node. AtNode may be called between Runs or from id's
+// own execution — never from another node's execution. An id Deploy did not
+// create is an error: there is no event without a node.
+func (n *Net) AtNode(id types.NodeID, t types.Time, fn func()) error {
 	sh := n.shards[id]
 	if sh == nil {
-		n.At(t, fn)
-		return
+		return fmt.Errorf("simnet: AtNode on unknown node %s", id)
 	}
 	if c := n.timeAt(sh); t < c {
 		t = c
 	}
 	sh.schedule(t, fn)
+	return nil
 }
 
-// Periodic schedules fn every interval in [start, end) as a harness
-// (barrier) event. The next firing is scheduled when the previous one runs,
-// so the queue stays proportional to live work rather than the horizon.
-func (n *Net) Periodic(start, interval, end types.Time, fn func()) {
-	n.periodic(start, interval, end, fn, func(t types.Time, f func()) { n.At(t, f) })
-}
-
-// PeriodicNode is Periodic on id's shard (see AtNode for the affiliation
-// contract): the firings execute inside — and scale with — id's shard.
+// PeriodicNode schedules fn every interval in [start, end) on id's shard
+// (see AtNode for the affiliation contract; an unknown id schedules
+// nothing). The next firing is scheduled when the previous one runs, so the
+// queue stays proportional to live work rather than the horizon.
 func (n *Net) PeriodicNode(id types.NodeID, start, interval, end types.Time, fn func()) {
-	n.periodic(start, interval, end, fn, func(t types.Time, f func()) { n.AtNode(id, t, f) })
-}
-
-// periodic implements reschedule-on-fire: one queued event per live chain.
-func (n *Net) periodic(start, interval, end types.Time, fn func(), at func(types.Time, func())) {
 	if interval <= 0 || start >= end {
 		return
 	}
@@ -499,10 +469,10 @@ func (n *Net) periodic(start, interval, end types.Time, fn func(), at func(types
 		fn()
 		cur += interval
 		if cur < end {
-			at(cur, tick)
+			_ = n.AtNode(id, cur, tick)
 		}
 	}
-	at(cur, tick)
+	_ = n.AtNode(id, cur, tick)
 }
 
 // workers resolves the configured worker count.
@@ -544,14 +514,10 @@ func (n *Net) flushOutboxes() {
 	}
 }
 
-// nextEventTime returns the earliest pending event time across all shards
-// and the harness queue.
+// nextEventTime returns the earliest pending event time across all shards.
 func (n *Net) nextEventTime() (types.Time, bool) {
 	var best types.Time
 	ok := false
-	if len(n.globalQ) > 0 {
-		best, ok = n.globalQ[0].at, true
-	}
 	for _, sh := range n.byOrder {
 		if len(sh.queue) > 0 && (!ok || sh.queue[0].at < best) {
 			best, ok = sh.queue[0].at, true
@@ -641,19 +607,7 @@ func (n *Net) Run(until types.Time) {
 			break
 		}
 		n.now = t
-		// Harness events due now run first (source "" orders before every
-		// node ID), single-threaded, with the whole network quiescent.
-		if len(n.globalQ) > 0 && n.globalQ[0].at <= t {
-			for len(n.globalQ) > 0 && n.globalQ[0].at <= t {
-				ev := heap.Pop(&n.globalQ).(*event)
-				ev.fn()
-			}
-			continue // re-merge and re-pick: barriers may schedule anywhere
-		}
 		wEnd := t + window
-		if len(n.globalQ) > 0 && n.globalQ[0].at < wEnd {
-			wEnd = n.globalQ[0].at // the next barrier bounds the window
-		}
 		if until+1 < wEnd {
 			wEnd = until + 1 // events at exactly `until` still run
 		}

@@ -10,31 +10,63 @@ import (
 	"repro/internal/provgraph"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
-// compromise arms behaviors on node id through the adversary framework (the
-// one injection path; the ad-hoc hook pokes these tests used to do live in
-// internal/adversary now).
-func compromise(t *testing.T, net *simnet.Net, id types.NodeID, bs ...adversary.Behavior) {
-	t.Helper()
-	if err := adversary.Arm(net, adversary.Plan{id: bs}); err != nil {
-		t.Fatal(err)
-	}
+// figure2 is the Figure 2 MinCost workload; a test adds its own inputs to
+// the timeline before it is deployed.
+func figure2() *workload.Workload {
+	return mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)
 }
 
-// runMinCost deploys the Figure 2 network and runs it to convergence.
-func runMinCost(t *testing.T, mutate func(*simnet.Net)) *simnet.Net {
+// runWorkload deploys w with plan's behaviors armed as the nodes are created
+// (the adversary framework's one injection path) and runs it to convergence.
+func runWorkload(t *testing.T, w *workload.Workload, plan adversary.Plan) *simnet.Net {
 	t.Helper()
 	cfg := simnet.DefaultConfig()
+	cfg.OnNode = plan.Hook()
 	net := simnet.New(cfg)
-	if err := net.Deploy(mincost.New(mincost.Figure2Topology, types.Second, 30*types.Second)); err != nil {
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
-	}
-	if mutate != nil {
-		mutate(net)
 	}
 	net.Run(30 * types.Second)
 	return net
+}
+
+// runMinCost is runWorkload on the unmodified Figure 2 network.
+func runMinCost(t *testing.T, plan adversary.Plan) *simnet.Net {
+	t.Helper()
+	return runWorkload(t, figure2(), plan)
+}
+
+// forgeCheapRoute has b fabricate, once, a bogus cost-1 route to d and
+// advertise it to c.
+func forgeCheapRoute() adversary.Behavior {
+	injected := false
+	return adversary.TamperOutputs("forge-cheap-route",
+		func(ev types.Event, outs []types.Output) []types.Output {
+			if injected || ev.Kind != types.EvIns {
+				return outs
+			}
+			injected = true
+			msg := &types.Message{Src: "b", Dst: "c", Pol: types.PolAppear,
+				Tuple: mincost.Cost("c", "d", "b", 1), SendTime: ev.Time, Seq: 9999}
+			return append(outs, types.Output{Kind: types.OutSend, Msg: msg})
+		})
+}
+
+// suppressCostToC has b silently drop its cost advertisements to c, counting
+// them in *dropped when that is non-nil.
+func suppressCostToC(dropped *int) adversary.Behavior {
+	return adversary.Suppress(func(m types.Message) bool {
+		if m.Dst != "c" || m.Tuple.Rel != "cost" {
+			return false
+		}
+		if dropped != nil {
+			*dropped++
+		}
+		return true
+	})
 }
 
 func TestMinCostConverges(t *testing.T) {
@@ -93,15 +125,11 @@ func TestFigure2Structure(t *testing.T) {
 }
 
 func TestHistoricalAndDynamicQueries(t *testing.T) {
-	net := runMinCost(t, func(net *simnet.Net) {
-		// At t=60s, the b–d link fails; both endpoints retract it.
-		net.At(60*types.Second, func() {
-			net.Node("b").DeleteBase(mincost.Link("b", "d", 3))
-		})
-		net.At(60*types.Second, func() {
-			net.Node("d").DeleteBase(mincost.Link("d", "b", 3))
-		})
-	})
+	// At t=60s, the b–d link fails; both endpoints retract it.
+	w := figure2()
+	w.At("b", 60*types.Second, func(n *core.Node) { n.DeleteBase(mincost.Link("b", "d", 3)) })
+	w.At("d", 60*types.Second, func(n *core.Node) { n.DeleteBase(mincost.Link("d", "b", 3)) })
+	net := runWorkload(t, w, nil)
 	net.Run(90 * types.Second)
 
 	q := net.NewQuerier(mincost.Factory())
@@ -178,12 +206,9 @@ func TestScopeLimit(t *testing.T) {
 func TestSuppressionDetected(t *testing.T) {
 	// Router b silently drops its +cost advertisement to c (passive
 	// evasion). Replay of b's log must produce a red send vertex.
-	net := runMinCost(t, func(net *simnet.Net) {
-		compromise(t, net, "b", adversary.Suppress(func(m types.Message) bool {
-			return m.Dst == "c" && m.Tuple.Rel == "cost"
-		}))
-	})
-	if net.Node("b").DropCount == 0 {
+	dropped := 0
+	net := runMinCost(t, adversary.Plan{"b": {suppressCostToC(&dropped)}})
+	if dropped == 0 {
 		t.Fatal("fault injection dropped nothing")
 	}
 	q := net.NewQuerier(mincost.Factory())
@@ -206,20 +231,7 @@ func TestFabricationDetected(t *testing.T) {
 	// Router b fabricates a bogus cheap route to d and advertises it to c;
 	// its own log is consistent, but replay with the correct machine shows
 	// the send was never derived (completeness, Theorem 6).
-	net := runMinCost(t, func(net *simnet.Net) {
-		injected := false
-		compromise(t, net, "b", adversary.TamperOutputs("forge-cheap-route",
-			func(ev types.Event, outs []types.Output) []types.Output {
-				if injected || ev.Kind != types.EvIns {
-					return outs
-				}
-				injected = true
-				forged := mincost.Cost("c", "d", "b", 1) // bogus: cost 1
-				msg := &types.Message{Src: "b", Dst: "c", Pol: types.PolAppear,
-					Tuple: forged, SendTime: ev.Time, Seq: 9999}
-				return append(outs, types.Output{Kind: types.OutSend, Msg: msg})
-			}))
-	})
+	net := runMinCost(t, adversary.Plan{"b": {forgeCheapRoute()}})
 	// c believed the forged route and now reports an absurd bestCost.
 	q := net.NewQuerier(mincost.Factory())
 	expl, err := q.Explain("c", mincost.BestCost("c", "d", 1), core.QueryOpts{})
@@ -243,9 +255,7 @@ func TestFabricationDetected(t *testing.T) {
 }
 
 func TestRefusedAuditYieldsYellow(t *testing.T) {
-	net := runMinCost(t, func(net *simnet.Net) {
-		compromise(t, net, "b", adversary.RefuseAudits())
-	})
+	net := runMinCost(t, adversary.Plan{"b": {adversary.RefuseAudits()}})
 	q := net.NewQuerier(mincost.Factory())
 	expl, err := q.Explain("c", mincost.BestCost("c", "d", 5), core.QueryOpts{})
 	if err != nil {
@@ -267,11 +277,12 @@ func TestRefusedAuditYieldsYellow(t *testing.T) {
 }
 
 func TestLogTamperDetected(t *testing.T) {
-	// After the run, b rewrites its history: every retrieved segment has an
-	// ins entry doctored. The chain no longer matches the authenticators b
-	// has issued, so the audit must fail with evidence against b.
-	net := runMinCost(t, nil)
-	compromise(t, net, "b", adversary.TamperLog())
+	// b rewrites its history for auditors: every retrieved segment has an
+	// ins entry doctored (the hook touches retrieve answers only, so the run
+	// itself is the honest one). The chain no longer matches the
+	// authenticators b has issued, so the audit must fail with evidence
+	// against b.
+	net := runMinCost(t, adversary.Plan{"b": {adversary.TamperLog()}})
 	q := net.NewQuerier(mincost.Factory())
 	if err := q.EnsureAudited("b", 0); err != nil {
 		// The node answered (with a doctored log); the failure is recorded,
