@@ -186,6 +186,10 @@ func sortedNodeSet(seen map[types.NodeID]bool) []types.NodeID {
 // what §4.2 allows the system to say about a peer it cannot reach — and are
 // not asked for authenticators either: that costs evidence, never accuracy,
 // and saves a retry deadline per (peer, target) pair on a live network.
+//
+// A verdict with provable evidence that used an audit-cache recording is
+// swept again, on q with the cache dropped (core.Querier.ForgetRecordings),
+// and that verdict is returned: recordings may confirm, never accuse.
 func Sweep(q *core.Querier, maint *core.Maintainer, targets []types.NodeID,
 	deadline time.Time, retryEvery time.Duration) *Verdict {
 	v := &Verdict{Unresponsive: make(map[types.NodeID]error)}
@@ -221,6 +225,9 @@ func Sweep(q *core.Querier, maint *core.Maintainer, targets []types.NodeID,
 		core.CheckConsistency(q.Fetch, all, v.Unresponsive, target, 0, provgraph.Forever, q.Auditor.CheckAuthenticator)
 	}
 	v.Refresh(q, maint)
+	if (len(v.Failures) != 0 || len(v.RedHosts) != 0) && q.ForgetRecordings() {
+		return Sweep(q, maint, targets, deadline, retryEvery)
+	}
 	return v
 }
 

@@ -11,18 +11,25 @@
 //
 // What a hit may — and may not — trust. The cache lives in local files; a
 // tampered entry must never let the auditor construct a provable accusation
-// of an honest node (Theorem 5 discipline extends to our own disk). So
-// nothing accusation-capable is read from disk. A hit is the same walk over
-// the freshly verified segment as a miss (prep.replayEntries), with the
-// recording as its machine: failures, implied chain commitments (peer
-// signatures are re-verified), checkpoint seeds and digests, the
-// sent-envelope map and the end-of-log time all come from the segment,
-// every time. A body that does not decode, a recorded chain that is not the
-// verified one where the walk stops, a recording the walk does not consume
-// exactly, or a walk that finds a failure is a miss: a fresh replay through
-// a real replica, which then overwrites the entry. A poisoned cache can at
-// worst cost time or suppress detection of an already-faulty node; it cannot
-// manufacture evidence.
+// of an honest node (Theorem 5 discipline extends to our own disk). A hit is
+// the same walk over the freshly verified segment as a miss
+// (prep.replayEntries), with the recording as its machine: failures, implied
+// chain commitments (peer signatures are re-verified), checkpoint seeds and
+// digests, the sent-envelope map and the end-of-log time all come from the
+// segment, every time. A body that does not decode, a recorded chain that is
+// not the verified one where the walk stops, a recording the walk does not
+// consume exactly, or a walk that finds a failure is a miss: a fresh replay
+// through a real replica, which then overwrites the entry.
+//
+// What those checks cannot vouch for is the machine outputs a recording
+// plays, and the outputs decide colors: one forged send output with every
+// count kept colors an honest node red. So a recording is held state under
+// the ledger's rule — it may confirm "still clean", never accuse. The auditor
+// notes that it played one, and an answer that carries a failure or a red
+// vertex after that is asked again on a Querier without the cache
+// (Querier.ForgetRecordings; adversary.Sweep and the frontend's Explain do
+// so). A poisoned cache can therefore at worst cost time or suppress
+// detection of an already-faulty node; every accusation comes from a replica.
 package core
 
 import (

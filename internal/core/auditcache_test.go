@@ -3,13 +3,16 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/provgraph"
 	"repro/internal/seclog"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -460,13 +463,43 @@ func TestAuditCacheDropsSupersededEntries(t *testing.T) {
 	}
 }
 
+// pairFetcher serves a Querier's audits straight from cachePair's nodes.
+type pairFetcher map[types.NodeID]*Node
+
+func (f pairFetcher) Retrieve(id types.NodeID, req RetrieveRequest) (*RetrieveResponse, error) {
+	return f[id].HandleRetrieve(req)
+}
+func (f pairFetcher) LatestAuth(id types.NodeID) (seclog.Authenticator, error) {
+	return f[id].LatestAuth()
+}
+func (f pairFetcher) AuthsAbout(observer, target types.NodeID, t1, t2 types.Time) []seclog.Authenticator {
+	return f[observer].AuthsAbout(target, t1, t2)
+}
+func (f pairFetcher) Nodes() []types.NodeID { return slices.Sorted(maps.Keys(f)) }
+
+// firstSend returns the first recorded step with a send output, and the
+// output's index in it.
+func firstSend(rec *recording) (step, out int) {
+	for i, outs := range rec.steps {
+		for j := range outs {
+			if outs[j].Kind == types.OutSend {
+				return i, j
+			}
+		}
+	}
+	panic("recording has no send output")
+}
+
 // TestAuditCachePoisonedNoFalseAccusation is the hostile-cache matrix: an
 // attacker who can rewrite the cache files must never be able to make the
 // auditor accuse an honest node. A recording that does not fit the walk is
-// detected and falls back to a fresh replay with a bit-identical result;
-// one that fits but lies about the machine's outputs is the worst case and
-// still yields zero failures, because nothing accusation-capable is read
-// from disk.
+// detected and falls back to a fresh replay with a bit-identical result. One
+// that fits but lies about the machine's outputs is served as a hit — nothing
+// checks outputs against the log — and the forged sends among those color the
+// honest node red, so the rule that recordings may confirm but never accuse
+// must hold: the auditor says it played a recording, and the querier that
+// asks again without the cache (Querier.ForgetRecordings) finds no failure
+// and no red vertex.
 func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 	cfg := DefaultConfig()
 	nodes, dir, factory := cachePair(t, cfg)
@@ -501,11 +534,12 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 	}
 
 	poisons := []struct {
-		name   string
-		fits   bool // the walk consumes the recording exactly: served as a hit
-		mutate func(rec *recording)
+		name    string
+		fits    bool // the walk consumes the recording exactly: served as a hit
+		accuses bool // trusted, the outputs color the honest node red
+		mutate  func(rec *recording)
 	}{
-		{"machine outputs forged", true, func(rec *recording) {
+		{"machine outputs forged", true, false, func(rec *recording) {
 			for i := range rec.steps {
 				if len(rec.steps[i]) > 0 {
 					rec.steps[i][0].Tuple = types.MakeTuple("forged", types.N("n2"))
@@ -513,28 +547,52 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 				}
 			}
 		}},
+		// Sends whose snd entries the log does not have, or lacks.
+		{"send output added", true, true, func(rec *recording) {
+			i, j := firstSend(rec)
+			extra := rec.steps[i][j]
+			msg := *extra.Msg
+			msg.Seq += 1000
+			extra.Msg = &msg
+			rec.steps[i] = append(rec.steps[i], extra)
+		}},
+		{"send output dropped", true, true, func(rec *recording) {
+			i, j := firstSend(rec)
+			rec.steps[i] = slices.Delete(rec.steps[i], j, j+1)
+		}},
+		{"send re-addressed", true, true, func(rec *recording) {
+			i, j := firstSend(rec)
+			msg := *rec.steps[i][j].Msg
+			msg.Dst = "n3"
+			rec.steps[i][j].Msg = &msg
+		}},
 		// The entries count as many steps as the walk takes; the body holds
 		// one fewer or one more, and says so.
-		{"recording one step short", false, func(rec *recording) { rec.steps = rec.steps[:len(rec.steps)-1] }},
-		{"recording one step long", false, func(rec *recording) { rec.steps = append(rec.steps, nil) }},
+		{"recording one step short", false, false, func(rec *recording) { rec.steps = rec.steps[:len(rec.steps)-1] }},
+		{"recording one step long", false, false, func(rec *recording) { rec.steps = append(rec.steps, nil) }},
 		// The body is consistent with itself and of some other walk.
-		{"one step fewer recorded and counted", false, func(rec *recording) {
+		{"one step fewer recorded and counted", false, false, func(rec *recording) {
 			rec.steps = rec.steps[:len(rec.steps)-1]
 			rec.cum[len(rec.cum)-1]--
 		}},
-		{"one step more recorded and counted", false, func(rec *recording) {
+		{"one step more recorded and counted", false, false, func(rec *recording) {
 			rec.steps = append(rec.steps, nil)
 			rec.cum[len(rec.cum)-1]++
 		}},
-		{"one entry fewer recorded", false, func(rec *recording) {
+		{"one entry fewer recorded", false, false, func(rec *recording) {
 			rec.cum = rec.cum[:len(rec.cum)-1]
 			rec.chain = rec.chain[:len(rec.chain)-rec.size]
 			rec.steps = rec.steps[:rec.cum[len(rec.cum)-1]]
 		}},
-		{"recorded head hash wrong", false, func(rec *recording) { rec.chain[len(rec.chain)-1] ^= 0x01 }},
+		{"recorded head hash wrong", false, false, func(rec *recording) { rec.chain[len(rec.chain)-1] ^= 0x01 }},
 		// What the table says of the entries before the last is for the walks
 		// that stop there (TestAuditCacheAnswersPrefixes).
-		{"recorded chain wrong below the head", true, func(rec *recording) { rec.chain[0] ^= 0x01 }},
+		{"recorded chain wrong below the head", true, false, func(rec *recording) { rec.chain[0] ^= 0x01 }},
+	}
+	// evidence is what an audit of id accuses id of, once finalized.
+	evidence := func(a *Auditor) (failures []Failure, red []types.NodeID) {
+		a.Finalize()
+		return a.Failures(), a.Graph().HostsWithColor(provgraph.Red)
 	}
 	for _, tc := range poisons {
 		t.Run(tc.name, func(t *testing.T) {
@@ -552,11 +610,27 @@ func TestAuditCachePoisonedNoFalseAccusation(t *testing.T) {
 				if err := a.Commit(p); err != nil {
 					t.Fatal(err)
 				}
-				for _, f := range a.Failures() {
-					t.Errorf("%s: poisoned cache produced an accusation: %v", id, f)
-				}
 				if hit := cache.Hits() == hits+1; hit != tc.fits {
 					t.Errorf("%s: served as a hit = %v, want %v", id, hit, tc.fits)
+				}
+				// The auditor itself trusts what the recording plays...
+				failures, red := evidence(a)
+				if accused := len(failures) != 0 || len(red) != 0; accused != tc.accuses {
+					t.Errorf("%s: played recording accuses = %v (failures %v, red %v), want %v", id, accused, failures, red, tc.accuses)
+				}
+				// ...so an accusing answer is asked again without the cache.
+				q := NewQuerier(a, pairFetcher(nodes))
+				if len(failures) != 0 || len(red) != 0 {
+					if !q.ForgetRecordings() {
+						t.Fatalf("%s: an accusation from a replica: failures %v, red %v", id, failures, red)
+					}
+					if err := q.EnsureAudited(id, 0); err != nil {
+						t.Fatal(err)
+					}
+					failures, red = evidence(q.Auditor)
+				}
+				if len(failures) != 0 || len(red) != 0 {
+					t.Errorf("%s: poisoned cache produced an accusation: failures %v, red %v", id, failures, red)
 				}
 				if !tc.fits {
 					// A recording of some other walk must be rejected outright

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/seclog"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -85,6 +89,91 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 	if len(got.IDs) != 2 || got.IDs[1].Seq != 2 || got.Seq != 9 {
 		t.Errorf("round trip = %+v", got)
+	}
+}
+
+// aheadPipe is the pipe with simnet's verify-ahead in front: the commitment
+// of every packet, as its signer recorded it, is reserved and checked on
+// another goroutine before the receiver sees the packet.
+type aheadPipe struct {
+	pipe
+	dir *Directory
+	wg  sync.WaitGroup
+}
+
+func (p *aheadPipe) Send(from, to types.NodeID, pkt *Packet) {
+	if t, hash, sig := pkt.Commitment(); hash != nil {
+		pub, _ := p.dir.Key(from)
+		if check := seclog.ReserveCommitment(pub, t, hash, sig); check != nil {
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				check()
+			}()
+		}
+	}
+	p.pipe.Send(from, to, pkt)
+}
+
+// TestVerifyAheadHintVouchesForNothing: the chain hash a signer records on
+// its envelope lets a transport check the signature ahead of delivery, and
+// nothing more. An envelope whose signature is flipped after signing, hint
+// intact, is rejected with the ahead-check's (correct) answer; one whose
+// messages are altered under the signer's hint costs the receiver a miss and
+// a real check. Neither is logged.
+func TestVerifyAheadHintVouchesForNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(*Envelope)
+		hits   uint64 // the receiver's verify-cache hits
+	}{
+		{"signature flipped after signing", func(e *Envelope) {
+			e.Sig = bytes.Clone(e.Sig)
+			e.Sig[0] ^= 0x01
+		}, 1},
+		{"messages altered under the hint", func(e *Envelope) {
+			e.Msgs = slices.Clone(e.Msgs)
+			e.Msgs[0].Tuple = ins(99)
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cryptoutil.DefaultVerifyCache.Reset()
+			cfg := DefaultConfig()
+			pp := &aheadPipe{pipe: pipe{nodes: make(map[types.NodeID]*Node)}, dir: NewDirectory()}
+			for i, id := range []types.NodeID{"n1", "n2"} {
+				key, err := cryptoutil.PooledKey(cfg.suite(), int64(i+1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pp.dir.Register(id, key.Public())
+				n, err := NewNode(id, cfg, key, pp.dir, NewMaintainer(), &fixedClock{}, pp, &countMachine{self: id, peer: "n2"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pp.nodes[id] = n
+			}
+			n1, n2 := pp.nodes["n1"], pp.nodes["n2"]
+			var sent *Packet
+			n1.TamperPacket = func(_ types.NodeID, pkt *Packet) []*Packet {
+				env := *pkt.Envelope // the hint comes along
+				tc.tamper(&env)
+				sent = &Packet{Kind: PktEnvelope, Envelope: &env}
+				return []*Packet{sent}
+			}
+			if err := n1.InsertBase(ins(1)); err != nil {
+				t.Fatal(err)
+			}
+			pp.wg.Wait()
+			if _, hash, _ := sent.Commitment(); hash == nil {
+				t.Fatal("the tampered envelope carries no hint")
+			}
+			if n2.Log.Len() != 0 {
+				t.Errorf("the receiver logged %d entries of a corrupted envelope", n2.Log.Len())
+			}
+			if st := n2.Stats.Snapshot(); st.Verifies != 1 || st.VerifyCacheHits != tc.hits {
+				t.Errorf("receiver verifies=%d hits=%d, want 1 and %d", st.Verifies, st.VerifyCacheHits, tc.hits)
+			}
+		})
 	}
 }
 

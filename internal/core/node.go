@@ -505,11 +505,12 @@ func (n *Node) flush(dst types.NodeID) error {
 	t := n.now()
 	prev := append([]byte(nil), n.Log.HeadHash()...)
 	seq := n.Log.Append(&seclog.Entry{T: t, Type: seclog.ESnd, Msgs: msgs})
-	sig, err := n.Log.Sign(t, n.Log.HeadHash())
+	hx := n.Log.HeadHash()
+	sig, err := n.Log.Sign(t, hx)
 	if err != nil {
 		return n.fault(fmt.Errorf("core: signing failed on %s: %w", n.ID, err))
 	}
-	env := &Envelope{Msgs: msgs, PrevHash: prev, T: t, Sig: sig, Seq: seq}
+	env := &Envelope{Msgs: msgs, PrevHash: prev, T: t, Sig: sig, Seq: seq, hash: hx}
 	id := msgs[0].ID()
 	n.outstanding[id] = &pendingEnvelope{dst: dst, env: env, prevHash: prev, sent: t}
 	if i, found := slices.BinarySearchFunc(n.outOrder, id, cmpOutID); !found {
@@ -573,7 +574,8 @@ func (n *Node) handleEnvelope(from types.NodeID, env *Envelope) error {
 	hyPrev := append([]byte(nil), n.Log.HeadHash()...)
 	y := n.Log.Append(&seclog.Entry{T: t, Type: seclog.ERcv, Msgs: env.Msgs,
 		PeerPrevHash: env.PrevHash, PeerTime: env.T, PeerSig: env.Sig, PeerSeq: env.Seq})
-	sig, err := n.Log.Sign(t, n.Log.HeadHash())
+	hy := n.Log.HeadHash()
+	sig, err := n.Log.Sign(t, hy)
 	if err != nil {
 		return n.fault(fmt.Errorf("core: signing failed on %s: %w", n.ID, err))
 	}
@@ -582,7 +584,7 @@ func (n *Node) handleEnvelope(from types.NodeID, env *Envelope) error {
 		ids[i] = env.Msgs[i].ID()
 	}
 	ackPkt := &Packet{Kind: PktAck, Ack: &Ack{
-		IDs: ids, PrevHash: hyPrev, T: t, Sig: sig, Seq: y,
+		IDs: ids, PrevHash: hyPrev, T: t, Sig: sig, Seq: y, hash: hy,
 	}}
 	if n.rcvSeen == nil {
 		n.rcvSeen = make(map[types.NodeID]*rcvCache)

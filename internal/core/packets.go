@@ -15,6 +15,8 @@ type Envelope struct {
 	T        types.Time // t_x
 	Sig      []byte     // σ_src(t_x ‖ h_x)
 	Seq      uint64     // sender's log position x of the snd entry
+
+	hash []byte // h_x as the signer computed it; never on the wire (see Packet.Commitment)
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -69,6 +71,8 @@ type Ack struct {
 	T        types.Time // t_y
 	Sig      []byte     // σ_dst(t_y ‖ h_y)
 	Seq      uint64     // receiver's log position y of the rcv entry
+
+	hash []byte // h_y as the signer computed it; never on the wire (see Packet.Commitment)
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -129,6 +133,21 @@ func (p *Packet) WireSize() int {
 		return 1 + wire.Size(*p.Ack)
 	}
 	return 1
+}
+
+// Commitment returns what the packet's signature covers, (t, h), as its
+// signer recorded h when signing, and the signature; hash is nil for a packet
+// decoded or built without signing. It lets a transport check the signature
+// ahead of delivery (simnet) and vouches for nothing: the receiver recomputes
+// h from the packet and its own state.
+func (p *Packet) Commitment() (t types.Time, hash, sig []byte) {
+	switch p.Kind {
+	case PktEnvelope:
+		return p.Envelope.T, p.Envelope.hash, p.Envelope.Sig
+	case PktAck:
+		return p.Ack.T, p.Ack.hash, p.Ack.Sig
+	}
+	return 0, nil, nil
 }
 
 // Sender transmits packets to peers; implemented by the simulated network

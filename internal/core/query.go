@@ -162,6 +162,30 @@ func (q *Querier) ForgetUnreachable(node types.NodeID) {
 	}
 }
 
+// ForgetRecordings enforces the audit cache's rule that a recording may
+// confirm "still clean", never accuse (auditcache.go). A caller holding an
+// answer with a failure or a red vertex calls it: if some audit of q's was
+// played from a recording, q starts over — no audits, no unreachable nodes, a
+// fresh Auditor that reads no cache, the application's hooks carried over —
+// and it reports true, and the caller asks again. Otherwise it changes
+// nothing.
+func (q *Querier) ForgetRecordings() bool {
+	old := q.Auditor
+	if !old.recorded {
+		return false
+	}
+	cfg := old.cfg
+	cfg.AuditCache = nil
+	a := NewAuditor(cfg, old.dir, old.factory, nil)
+	a.Builder.MissedAckKnown = old.Builder.MissedAckKnown
+	a.Builder.MaybeValidator = old.Builder.MaybeValidator
+	q.CloseScope()
+	q.pf = nil
+	q.Auditor = a
+	q.yellowNodes = make(map[types.NodeID]error)
+	return true
+}
+
 // auditTask is one node's background fetch-and-prepare. The fields after
 // done are written by exactly one worker before done is closed and read only
 // afterwards.

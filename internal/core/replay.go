@@ -62,6 +62,10 @@ type Auditor struct {
 	implied  map[types.NodeID]map[uint64]*impliedCommit
 	failures []Failure
 	endTimes map[types.NodeID]types.Time
+	// recorded is set once a committed audit was played from an audit-cache
+	// recording: this auditor's evidence may then rest on outputs read from
+	// disk (see Querier.ForgetRecordings).
+	recorded bool
 }
 
 // AuditedHead is the chain one node presented to an audit, verified against
@@ -283,11 +287,12 @@ func downloaded(resp *RetrieveResponse) wireBytes {
 type PreparedAudit struct {
 	Node types.NodeID
 
-	wire    wireBytes // summed here so the decoded response need not outlive Prepare
-	err     error
-	ops     []replayOp
-	audited *AuditedHead
-	endTime types.Time
+	wire     wireBytes // summed here so the decoded response need not outlive Prepare
+	err      error
+	ops      []replayOp
+	audited  *AuditedHead
+	endTime  types.Time
+	recorded bool // played from an audit-cache recording
 }
 
 // Err returns the verification error Prepare recorded, if any (the same
@@ -401,6 +406,7 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 		p.replayEntries(seg, rec)
 		if rec.spent() && cleanOps(p.ops) {
 			cache.hits.Add(1)
+			p.recorded = true
 			return p.PreparedAudit
 		}
 		p.ops = nil // not a hit: forget what that walk recorded
@@ -438,6 +444,7 @@ func (a *Auditor) Commit(p *PreparedAudit) error {
 		return p.err
 	}
 	a.covered[p.Node] = p.audited
+	a.recorded = a.recorded || p.recorded
 	a.applyOps(p.ops)
 	if p.endTime > a.endTimes[p.Node] {
 		a.endTimes[p.Node] = p.endTime

@@ -229,6 +229,13 @@ func PooledKey(s Suite, seed int64) (PrivateKey, error) {
 // segment audit. Signature verification is pure, so the result can be
 // memoized on (public key, signed material, signature). The cache stores
 // only booleans; it cannot change any outcome, only skip repeat work.
+//
+// A verification can also be reserved ahead of its caller (Reserve; the
+// simulator reserves each in-flight commitment when the packet is sent). The
+// triple enters the busy set before Reserve returns, so a later Verify of it
+// finds it cached or busy, never absent, and counts a hit whichever goroutine
+// finishes first: hit counts stay a function of the call sequence alone. A
+// reserved triple nobody asks about costs one wasted check, nothing else.
 
 // verifyCacheMaxEntries bounds cache memory; the cache is reset (not LRU
 // evicted) when full, which keeps the fast path branch-free.
@@ -305,7 +312,11 @@ func (c *VerifyCache) Verify(stats *Stats, pub PublicKey, msg, sig []byte) bool 
 	}
 	c.busy[k] = struct{}{}
 	c.mu.Unlock()
-	v = pub.Verify(msg, sig)
+	return c.finish(k, pub.Verify(msg, sig))
+}
+
+// finish publishes the result of the busy triple k and wakes its waiters.
+func (c *VerifyCache) finish(k [sha256.Size]byte, v bool) bool {
 	c.mu.Lock()
 	if len(c.m) >= verifyCacheMaxEntries {
 		c.m = make(map[[sha256.Size]byte]bool)
@@ -315,6 +326,26 @@ func (c *VerifyCache) Verify(stats *Stats, pub PublicKey, msg, sig []byte) bool 
 	c.mu.Unlock()
 	c.done.Broadcast()
 	return v
+}
+
+// Reserve marks the triple busy now and returns the verification that
+// settles it, for any goroutine to run; until it has run, Verify callers of
+// the triple wait for it and count a hit. It returns nil when the triple is
+// already cached or busy. The caller must run what Reserve returns, or its
+// triple's Verify callers wait forever. msg and sig are copied.
+func (c *VerifyCache) Reserve(pub PublicKey, msg, sig []byte) func() {
+	k := verifyCacheKey(pub, msg, sig)
+	c.mu.Lock()
+	_, cached := c.m[k]
+	_, busy := c.busy[k]
+	if cached || busy {
+		c.mu.Unlock()
+		return nil
+	}
+	c.busy[k] = struct{}{}
+	c.mu.Unlock()
+	msg, sig = append([]byte(nil), msg...), append([]byte(nil), sig...)
+	return func() { c.finish(k, pub.Verify(msg, sig)) }
 }
 
 // Reset empties the cache (tests and long-lived processes).

@@ -21,8 +21,10 @@
 // The evidence semantics are unchanged by the extra hop: every query merges
 // the deployment's §5.4 missing-ack notes first (so honest nodes with unacked
 // sends surface as leads, never as provable evidence), audits with a fresh
-// Auditor over the shared cache, and reports unreachable peers as
-// unattributable leads (§4.2's "unavailable" tier).
+// Auditor over the shared cache — an answer with evidence that used a cache
+// recording is asked again without the cache, since a recording may confirm
+// but never accuse (core.Querier.ForgetRecordings) — and reports unreachable
+// peers as unattributable leads (§4.2's "unavailable" tier).
 //
 // One kind of query need not audit again. SNP audits work from authenticators
 // (§5.4–5.5): once a node's log has been verified and replayed up to a head it
@@ -502,6 +504,16 @@ func (s *Server) finish(req *request, kind string, err error, body func(*wire.Wr
 func (s *Server) explain(fetch auditFetcher, er *ExplainRequest) (*ExplainResult, error) {
 	maint, _ := s.syncNotes(fetch)
 	q := s.querier(fetch, maint)
+	res, err := explainOn(q, fetch, er)
+	// A cache recording may confirm, never accuse (see the package comment).
+	if err == nil && (len(res.Faulty) != 0 || len(q.Auditor.Failures()) != 0) && q.ForgetRecordings() {
+		res, err = explainOn(q, fetch, er)
+	}
+	return res, err
+}
+
+// explainOn answers er on q, a Querier with no audit yet.
+func explainOn(q *core.Querier, fetch core.Fetcher, er *ExplainRequest) (*ExplainResult, error) {
 	if err := q.EnsureAudited(er.Node, er.StartHint); err != nil {
 		// The query's root node is unreachable: that is an answer for the
 		// leads tier, not a retryable transport failure, but with no

@@ -412,6 +412,17 @@ func VerifyCommitment(stats *cryptoutil.Stats, pub cryptoutil.PublicKey, t types
 	return ok
 }
 
+// ReserveCommitment reserves in the verification cache the check
+// VerifyCommitment(_, pub, t, hash, sig) will make, and returns it to run
+// ahead on any goroutine (cryptoutil.VerifyCache.Reserve); nil when the
+// commitment is already cached or being checked.
+func ReserveCommitment(pub cryptoutil.PublicKey, t types.Time, hash, sig []byte) func() {
+	w := signedMaterialW(t, hash)
+	check := cryptoutil.DefaultVerifyCache.Reserve(pub, w.Bytes(), sig)
+	wire.PutWriter(w)
+	return check
+}
+
 // chainHash computes h_k = H(h_{k-1} ‖ t_k ‖ y_k ‖ c_k). The encoding is
 // consumed by the hash before the pooled buffer is released.
 func chainHash(suite cryptoutil.Suite, stats *cryptoutil.Stats, prev []byte, e *Entry) []byte {

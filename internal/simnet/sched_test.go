@@ -115,9 +115,11 @@ func TestPeriodicReschedulesOnFire(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired []types.Time
-	net.PeriodicNode("c", 2*types.Second, 3*types.Second, 14*types.Second, func() {
+	if err := net.PeriodicNode("c", 2*types.Second, 3*types.Second, 14*types.Second, func() {
 		fired = append(fired, net.Now())
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	net.Run(6 * types.Second)
 	net.Run(20 * types.Second)
 	want := []types.Time{2 * types.Second, 5 * types.Second, 8 * types.Second, 11 * types.Second}
@@ -128,7 +130,7 @@ func TestPeriodicReschedulesOnFire(t *testing.T) {
 
 // TestEveryEventHasANode pins the scheduler's one event class from the
 // outside: an input for a node the deployment does not have is reported, by
-// AtNode and by Deploy, never dropped or run at a barrier.
+// AtNode, PeriodicNode and Deploy, never dropped or run at a barrier.
 func TestEveryEventHasANode(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig())
 	w := figure2()
@@ -137,6 +139,9 @@ func TestEveryEventHasANode(t *testing.T) {
 	}
 	if err := net.AtNode("z", types.Second, func() { t.Error("an event without a node ran") }); err == nil {
 		t.Error("AtNode on an unknown node returned no error")
+	}
+	if err := net.PeriodicNode("z", types.Second, types.Second, 3*types.Second, func() { t.Error("a periodic event without a node ran") }); err == nil {
+		t.Error("PeriodicNode on an unknown node returned no error")
 	}
 	if err := net.AtNode("c", types.Second, func() {}); err != nil {
 		t.Errorf("AtNode on a deployed node: %v", err)

@@ -25,6 +25,19 @@
 // node. There is no event that stops the whole network, so a window is
 // bounded by MinDelay and the Run horizon alone.
 //
+// # Verify-ahead
+//
+// Run also owns a pool of GOMAXPROCS workers, whatever Workers says. The
+// peer signature a node checks on each envelope and ack it receives depends
+// only on bytes fixed at send time, so Send reserves that check in the
+// process-wide verification cache (seclog.ReserveCommitment over
+// core.Packet.Commitment) and the pool runs it while the packet waits in the
+// heap. The pool touches only that cache: no node, shard, clock, meter or
+// log. The node still recomputes the hash and verifies, finding the answer
+// cached or in flight, so a lying hint costs a wasted check, never a
+// different answer. Run joins the pool before returning; between Runs Send
+// reserves nothing.
+//
 // # Determinism contract
 //
 // A run is a pure function of the configuration (including Seed) and the
@@ -263,6 +276,8 @@ type Net struct {
 	byOrder []*shard       // shards in order
 
 	now types.Time // committed global time (window barrier / Run horizon)
+
+	ahead *verifyPool // the running Run's verify-ahead pool; nil between Runs
 }
 
 // New creates an empty simulated network.
@@ -382,9 +397,12 @@ func (n *Net) Deploy(w *workload.Workload) error {
 		for _, a := range w.Timeline[id] {
 			fire := func() { a.Do(node) }
 			if a.Every > 0 {
-				n.PeriodicNode(id, a.At, a.Every, a.Until, fire)
+				err = n.PeriodicNode(id, a.At, a.Every, a.Until, fire)
 			} else {
-				_ = n.AtNode(id, a.At, fire) // id was just created
+				err = n.AtNode(id, a.At, fire)
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -428,6 +446,9 @@ func (n *Net) Send(from, to types.NodeID, pkt *core.Packet) {
 	if dst == nil {
 		return
 	}
+	if n.ahead != nil {
+		n.verifyAhead(from, pkt)
+	}
 	src.seq++
 	node := dst.node
 	ev := &event{at: n.timeAt(src) + delay, src: from, seq: src.seq, fn: func() {
@@ -436,6 +457,22 @@ func (n *Net) Send(from, to types.NodeID, pkt *core.Packet) {
 		_ = node.HandlePacket(from, pkt)
 	}}
 	src.outbox = append(src.outbox, staged{dst: dst, ev: ev})
+}
+
+// verifyAhead reserves the check of pkt's signature that its receiver makes
+// at delivery and queues it, blocking while the queue is full.
+func (n *Net) verifyAhead(from types.NodeID, pkt *core.Packet) {
+	t, hash, sig := pkt.Commitment()
+	if hash == nil {
+		return
+	}
+	pub, err := n.Dir.Key(from)
+	if err != nil {
+		return
+	}
+	if check := seclog.ReserveCommitment(pub, t, hash, sig); check != nil {
+		n.ahead.work <- check
+	}
 }
 
 // AtNode schedules fn at virtual time t (clamped to now) on id's shard: it
@@ -456,12 +493,15 @@ func (n *Net) AtNode(id types.NodeID, t types.Time, fn func()) error {
 }
 
 // PeriodicNode schedules fn every interval in [start, end) on id's shard
-// (see AtNode for the affiliation contract; an unknown id schedules
-// nothing). The next firing is scheduled when the previous one runs, so the
+// (see AtNode for the affiliation contract; an unknown id is an error, as
+// there). The next firing is scheduled when the previous one runs, so the
 // queue stays proportional to live work rather than the horizon.
-func (n *Net) PeriodicNode(id types.NodeID, start, interval, end types.Time, fn func()) {
+func (n *Net) PeriodicNode(id types.NodeID, start, interval, end types.Time, fn func()) error {
+	if n.shards[id] == nil {
+		return fmt.Errorf("simnet: PeriodicNode on unknown node %s", id)
+	}
 	if interval <= 0 || start >= end {
-		return
+		return nil
 	}
 	cur := start
 	var tick func()
@@ -469,10 +509,10 @@ func (n *Net) PeriodicNode(id types.NodeID, start, interval, end types.Time, fn 
 		fn()
 		cur += interval
 		if cur < end {
-			_ = n.AtNode(id, cur, tick)
+			_ = n.AtNode(id, cur, tick) // id is known
 		}
 	}
-	_ = n.AtNode(id, cur, tick)
+	return n.AtNode(id, cur, tick)
 }
 
 // workers resolves the configured worker count.
@@ -497,7 +537,7 @@ func (n *Net) scheduleTicks(until types.Time) {
 		node := sh.node
 		// Tick errors are local faults (e.g. a signing failure); the node
 		// keeps running and audits expose it (Node.Err holds it).
-		n.PeriodicNode(sh.id, n.now+n.Cfg.TickEvery, n.Cfg.TickEvery, until, func() { _ = node.Tick() })
+		_ = n.PeriodicNode(sh.id, n.now+n.Cfg.TickEvery, n.Cfg.TickEvery, until, func() { _ = node.Tick() })
 	}
 }
 
@@ -565,6 +605,38 @@ func (p *windowPool) runWindow(runnable []*shard, wEnd types.Time) {
 
 func (p *windowPool) stop() { close(p.work) }
 
+// verifyQueue bounds the checks queued ahead of the pool: Send blocks when
+// it is full. A longer queue buys no speed — the workers only need to stay
+// ahead of the deliveries — and holds every queued packet's material live.
+const verifyQueue = 1024
+
+// verifyPool checks in-flight commitments for one Run (see the package
+// comment).
+type verifyPool struct {
+	work chan func()
+	wg   sync.WaitGroup
+}
+
+func newVerifyPool(workers int) *verifyPool {
+	p := &verifyPool{work: make(chan func(), verifyQueue)}
+	p.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer p.wg.Done()
+			for check := range p.work {
+				check()
+			}
+		}()
+	}
+	return p
+}
+
+// stop runs every queued check and waits for the workers to exit.
+func (p *verifyPool) stop() {
+	close(p.work)
+	p.wg.Wait()
+}
+
 // runShard executes one shard's events with at < wEnd. Within a window a
 // shard touches only its own state (plus lock-protected, order-insensitive
 // shared structures such as the maintainer registry and the verification
@@ -585,6 +657,11 @@ func (n *Net) Run(until types.Time) {
 		until = n.now
 	}
 	n.scheduleTicks(until)
+	n.ahead = newVerifyPool(runtime.GOMAXPROCS(0))
+	defer func() {
+		n.ahead.stop()
+		n.ahead = nil
+	}()
 	workers := n.workers()
 	var pool *windowPool
 	if workers > 1 {
