@@ -830,6 +830,17 @@ func (n *Node) AuthsAbout(target types.NodeID, t1, t2 types.Time) []seclog.Authe
 	return n.Auths.FromInInterval(target, t1, t2)
 }
 
+// AuthsSince serves the same check incrementally: the authenticators signed by
+// target this node holds from position from of the list it keeps of them (all
+// of it, for a from past the end), and the list's length. A node that refuses
+// audits answers as AuthsAbout does, with nothing.
+func (n *Node) AuthsSince(target types.NodeID, from uint64) ([]seclog.Authenticator, uint64) {
+	if n.RefuseAudit {
+		return nil, 0
+	}
+	return n.Auths.Since(target, from)
+}
+
 // LatestAuth returns the freshest authenticator this node can produce about
 // itself (used to bootstrap evidence for queries).
 func (n *Node) LatestAuth() (seclog.Authenticator, error) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -15,11 +16,15 @@ const ledgerCap = 16 << 20
 
 // ledgerEntry is what one clean single-target audit leaves behind: the chain
 // the node presented, verified up to the head it signed, and the merged notes
-// the audit was scored against. Entries are immutable; sessions that hold one
-// past a lookup read it without the ledger's lock.
+// the audit was scored against; and, per peer, how far the hits since have
+// read that peer's authenticators about the node and found them on the chain
+// (none for a fresh entry). Entries are immutable; sessions that hold one past
+// a lookup read it without the ledger's lock, and a hit that reads further
+// replaces it.
 type ledgerEntry struct {
-	head  *core.AuditedHead
-	notes []core.MissingAckNote
+	head    *core.AuditedHead
+	notes   []core.MissingAckNote
+	cursors map[types.NodeID]transport.AuthCursor
 }
 
 // ledger is the frontend's record of audited heads, one entry per node, under
@@ -98,6 +103,16 @@ func (l *ledger) drop(node types.NodeID, e *ledgerEntry) {
 	defer l.mu.Unlock()
 	if l.entries[node].entry == e {
 		l.remove(node)
+	}
+}
+
+// advance puts next, e with cursors read further, in node's slot if e is
+// still there, under the same rule as drop.
+func (l *ledger) advance(node types.NodeID, e, next *ledgerEntry) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if slot := l.entries[node]; slot.entry == e {
+		l.entries[node] = ledgerSlot{entry: next, used: slot.used}
 	}
 }
 

@@ -3,6 +3,7 @@ package queryfront
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/seclog"
+	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -26,13 +28,13 @@ type ledgerFront struct {
 	queriers *atomic.Int64
 }
 
-func newLedgerFront(t *testing.T) ledgerFront {
+func newLedgerFront(t *testing.T, opts live.Options) ledgerFront {
 	t.Helper()
 	app, err := live.AppByName("mincost")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := live.New(app, live.Options{Seed: 1})
+	h, err := live.New(app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,30 +67,34 @@ func (f ledgerFront) grow(t *testing.T, link types.Tuple) {
 	f.h.Settle()
 }
 
-// countingFetcher is a session's fetcher with every call counted, and two
-// faults to inject: a notes merge that reports an error, and authenticators
-// added to what an observer holds about a target.
+// countingFetcher is a session's fetcher with every call counted, and a fault
+// to inject: a notes merge that reports an error.
 type countingFetcher struct {
 	auditFetcher
 	syncErr error
-	planted map[[2]types.NodeID][]seclog.Authenticator // (observer, target)
 
 	mu                       sync.Mutex
 	syncs, latest, retrieves int
-	authsAbout               map[types.NodeID]int // by observer
+	authsAbout, authsSince   map[types.NodeID]int // calls by observer
+	sinceRead                int                  // authenticators AuthsSince returned
 }
 
 func (f ledgerFront) fetcher(t *testing.T) *countingFetcher {
 	t.Helper()
-	rf := f.h.Cluster.NewFetcher("auditor")
+	return &countingFetcher{auditFetcher: f.remote(t, "auditor")}
+}
+
+func (f ledgerFront) remote(t *testing.T, id types.NodeID) *transport.RemoteFetcher {
+	t.Helper()
+	rf := f.h.Cluster.NewFetcher(id)
 	t.Cleanup(rf.Close)
-	return &countingFetcher{auditFetcher: rf}
+	return rf
 }
 
 func (c *countingFetcher) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncs, c.latest, c.retrieves, c.authsAbout = 0, 0, 0, nil
+	c.syncs, c.latest, c.retrieves, c.authsAbout, c.authsSince, c.sinceRead = 0, 0, 0, nil, nil, 0
 }
 
 func (c *countingFetcher) SyncNotes(m *core.Maintainer) error {
@@ -122,7 +128,19 @@ func (c *countingFetcher) AuthsAbout(observer, target types.NodeID, t1, t2 types
 	}
 	c.authsAbout[observer]++
 	c.mu.Unlock()
-	return append(c.auditFetcher.AuthsAbout(observer, target, t1, t2), c.planted[[2]types.NodeID{observer, target}]...)
+	return c.auditFetcher.AuthsAbout(observer, target, t1, t2)
+}
+
+func (c *countingFetcher) AuthsSince(observer, target types.NodeID, from transport.AuthCursor) ([]seclog.Authenticator, transport.AuthCursor, error) {
+	auths, next, err := c.auditFetcher.AuthsSince(observer, target, from)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.authsSince == nil {
+		c.authsSince = make(map[types.NodeID]int)
+	}
+	c.authsSince[observer]++
+	c.sinceRead += len(auths)
+	return auths, next, err
 }
 
 // answer is a verdict as a client would receive it, Elapsed left at zero.
@@ -133,12 +151,14 @@ func clean(v *adversary.Verdict) bool {
 }
 
 // TestLedgerHitRunsOnlyTheLiveChecks pins what a hit costs and what it says:
-// one notes merge, one LatestAuth, one AuthsAbout per peer, no Retrieve and
-// no querier (so no Prepare, no Commit, no audit-cache lookup) — and the bytes
-// a full audit of the same target answers with. Whole-deployment audits and
-// Explains neither fill the ledger nor read it.
+// one notes merge, one LatestAuth, one AuthsSince per peer, no AuthsAbout, no
+// Retrieve and no querier (so no Prepare, no Commit, no audit-cache lookup) —
+// and the bytes a full audit of the same target answers with. The first hit
+// reads every peer's authenticators about the target, later ones none of a
+// deployment that is not running. Whole-deployment audits and Explains neither
+// fill the ledger nor read it.
 func TestLedgerHitRunsOnlyTheLiveChecks(t *testing.T) {
-	f := newLedgerFront(t)
+	f := newLedgerFront(t, live.Options{Seed: 1})
 	fetch := f.fetcher(t)
 	s := f.srv
 
@@ -162,30 +182,30 @@ func TestLedgerHitRunsOnlyTheLiveChecks(t *testing.T) {
 		t.Fatalf("after the first audit of c: %v", st)
 	}
 
-	fetch.reset()
-	built = f.queriers.Load()
-	second := s.audit(fetch, []types.NodeID{"c"})
-	wantAuths := map[types.NodeID]int{"b": 1, "d": 1}
-	if fetch.syncs != 1 || fetch.latest != 1 || fetch.retrieves != 0 || !reflect.DeepEqual(fetch.authsAbout, wantAuths) {
-		t.Errorf("a hit made %d notes merges, %d LatestAuth, %d Retrieve, AuthsAbout %v; want 1, 1, 0, %v",
-			fetch.syncs, fetch.latest, fetch.retrieves, fetch.authsAbout, wantAuths)
-	}
-	if f.queriers.Load() != built {
-		t.Errorf("a hit built %d queriers", f.queriers.Load()-built)
-	}
-	if got, want := answer(second), answer(first); string(got) != string(want) {
-		t.Errorf("a hit answers\n%x\nthe full audit answered\n%x", got, want)
-	}
-	if st := s.Stats(); st.LedgerHits != 1 || st.LedgerMisses != 1 {
-		t.Errorf("after the second audit of c: %v", st)
-	}
-
-	// A whole-deployment audit in between changes nothing for the next hit.
-	s.audit(fetch, nil)
-	fetch.reset()
-	s.audit(fetch, []types.NodeID{"c"})
-	if fetch.retrieves != 0 {
-		t.Error("the audit after a whole-deployment audit was not a hit")
+	wantSince := map[types.NodeID]int{"b": 1, "d": 1}
+	for i := 1; i <= 3; i++ {
+		fetch.reset()
+		built = f.queriers.Load()
+		hit := s.audit(fetch, []types.NodeID{"c"})
+		if fetch.syncs != 1 || fetch.latest != 1 || fetch.retrieves != 0 || fetch.authsAbout != nil || !reflect.DeepEqual(fetch.authsSince, wantSince) {
+			t.Errorf("hit %d made %d notes merges, %d LatestAuth, %d Retrieve, AuthsAbout %v, AuthsSince %v; want 1, 1, 0, none, %v",
+				i, fetch.syncs, fetch.latest, fetch.retrieves, fetch.authsAbout, fetch.authsSince, wantSince)
+		}
+		if (i == 1) != (fetch.sinceRead != 0) {
+			t.Errorf("hit %d read %d authenticators; want all the peers hold on the first hit, none after", i, fetch.sinceRead)
+		}
+		if f.queriers.Load() != built {
+			t.Errorf("hit %d built %d queriers", i, f.queriers.Load()-built)
+		}
+		if got, want := answer(hit), answer(first); string(got) != string(want) {
+			t.Errorf("hit %d answers\n%x\nthe full audit answered\n%x", i, got, want)
+		}
+		if st := s.Stats(); st.LedgerHits != uint64(i) || st.LedgerMisses != 1 {
+			t.Errorf("after hit %d on c: %v", i, st)
+		}
+		if i == 2 {
+			s.audit(fetch, nil) // a whole-deployment audit in between changes nothing for the next hit
+		}
 	}
 }
 
@@ -194,7 +214,7 @@ func TestLedgerHitRunsOnlyTheLiveChecks(t *testing.T) {
 // — nothing new for an honest node, which is then held at its new head; a red
 // send for one that was compromised in between, which is then not held at all.
 func TestLedgerStaleHead(t *testing.T) {
-	f := newLedgerFront(t)
+	f := newLedgerFront(t, live.Options{Seed: 1})
 	fetch := f.fetcher(t)
 	s := f.srv
 	target := []types.NodeID{"c"}
@@ -235,7 +255,7 @@ func TestLedgerStaleHead(t *testing.T) {
 // for. A new note is a miss that carries the note, and a merge that reported
 // an error is never a hit and never an entry — with the count on the stats.
 func TestLedgerNotes(t *testing.T) {
-	f := newLedgerFront(t)
+	f := newLedgerFront(t, live.Options{Seed: 1})
 	fetch := f.fetcher(t)
 	s := f.srv
 	target := []types.NodeID{"d"}
@@ -284,17 +304,10 @@ func TestLedgerNotes(t *testing.T) {
 	}
 }
 
-// TestLedgerLateFork: an authenticator that proves a fork reaches a peer after
-// the target's head went on record. The hit finds it with the live check,
-// words it as a full audit does, and gives up the entry.
-func TestLedgerLateFork(t *testing.T) {
-	f := newLedgerFront(t)
-	fetch := f.fetcher(t)
-	s := f.srv
-	target := []types.NodeID{"c"}
-	s.audit(fetch, target)
-
-	// c signs another history for its second log position; b comes to hold it.
+// fork has c sign another history for its second log position: an
+// authenticator of c's that is off the chain c presents.
+func (f ledgerFront) fork(t *testing.T) seclog.Authenticator {
+	t.Helper()
 	var fork seclog.Authenticator
 	var err error
 	if werr := f.h.With("c", func(n *core.Node) {
@@ -307,8 +320,29 @@ func TestLedgerLateFork(t *testing.T) {
 	}); werr != nil || err != nil {
 		t.Fatal(werr, err)
 	}
-	fetch.planted = map[[2]types.NodeID][]seclog.Authenticator{{"b", "c"}: {fork}}
+	return fork
+}
 
+// plant adds auths to what b holds about its peers.
+func (f ledgerFront) plant(t *testing.T, auths ...seclog.Authenticator) {
+	t.Helper()
+	if err := f.h.With("b", func(n *core.Node) {
+		for _, a := range auths {
+			n.Auths.Add(a)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// expectFork requires the next audit of c, whose head has not moved, to be a
+// hit that reports the fork b holds, that gives up c's entry, and whose answer
+// is byte for byte the one the full audit after it gives.
+func (f ledgerFront) expectFork(t *testing.T, fetch *countingFetcher) {
+	t.Helper()
+	s := f.srv
+	target := []types.NodeID{"c"}
+	hits := s.Stats().LedgerHits
 	fetch.reset()
 	hit := s.audit(fetch, target)
 	if fetch.retrieves != 0 {
@@ -318,8 +352,8 @@ func TestLedgerLateFork(t *testing.T) {
 	if !reflect.DeepEqual(hit.Failures, want) {
 		t.Errorf("hit failures = %v, want %v", hit.Failures, want)
 	}
-	if st := s.Stats(); st.LedgerBytes != 0 {
-		t.Errorf("the forked node's head is still held: %v", st)
+	if st := s.Stats(); st.LedgerBytes != 0 || st.LedgerHits != hits+1 {
+		t.Errorf("after the hit on the forked node (hits were %d): %v", hits, st)
 	}
 
 	fetch.reset()
@@ -330,9 +364,78 @@ func TestLedgerLateFork(t *testing.T) {
 	if string(answer(full)) != string(answer(hit)) {
 		t.Errorf("the hit answered %v, a full audit answers %v", hit, full)
 	}
-	if st := s.Stats(); st.LedgerBytes != 0 || st.LedgerHits != 1 {
+	if st := s.Stats(); st.LedgerBytes != 0 {
 		t.Errorf("after the full audit of the forked node: %v", st)
 	}
+}
+
+// TestLedgerLateFork: an authenticator that proves a fork reaches a peer after
+// the target's head went on record, and after two hits took every peer's
+// cursor past all it held. The next hit reads what lies past the cursors,
+// finds the fork, words it as a full audit does, and gives up the entry.
+func TestLedgerLateFork(t *testing.T) {
+	f := newLedgerFront(t, live.Options{Seed: 1})
+	fetch := f.fetcher(t)
+	for range 3 {
+		f.srv.audit(fetch, []types.NodeID{"c"})
+	}
+	f.plant(t, f.fork(t))
+	f.expectFork(t, fetch)
+}
+
+// TestLedgerPeerRestartResetsCursor: b restarts between two hits, and the new
+// b's list holds the fork below the position b's cursor names, with more past
+// it. The cursor names the old serving of b, so the hit reads the new list
+// from the start and finds the fork.
+func TestLedgerPeerRestartResetsCursor(t *testing.T) {
+	f := newLedgerFront(t, live.Options{Seed: 1, LogDir: t.TempDir()})
+	fetch := f.fetcher(t)
+	for range 2 {
+		f.srv.audit(fetch, []types.NodeID{"c"})
+	}
+	var held []seclog.Authenticator
+	if err := f.h.With("b", func(n *core.Node) { held = slices.Clone(n.Auths.From("c")) }); err != nil || len(held) == 0 {
+		t.Fatalf("b holds %d authenticators of c's (%v)", len(held), err)
+	}
+	if err := f.h.Restart("b"); err != nil {
+		t.Fatal(err)
+	}
+	f.plant(t, append([]seclog.Authenticator{f.fork(t)}, held...)...)
+	f.expectFork(t, fetch)
+}
+
+// notesVia is a fetcher whose notes merge goes through another one.
+type notesVia struct {
+	auditFetcher
+	notes auditFetcher
+}
+
+func (n notesVia) SyncNotes(m *core.Maintainer) error { return n.notes.SyncNotes(m) }
+
+// TestLedgerUnreachablePeerKeepsCursor: b holds the fork during a hit whose
+// reads cannot reach b. That hit answers without b's evidence, as a full
+// audit's consistency check does without an unreachable peer's, and keeps b's
+// cursor; the next hit, which reaches b, finds the fork.
+func TestLedgerUnreachablePeerKeepsCursor(t *testing.T) {
+	plan := transport.NewFaultPlan(1, transport.FaultRule{From: "cut", To: "b", Partition: true})
+	f := newLedgerFront(t, live.Options{Seed: 1, Fault: plan})
+	fetch := f.fetcher(t)
+	s := f.srv
+	target := []types.NodeID{"c"}
+	for range 2 {
+		s.audit(fetch, target)
+	}
+	f.plant(t, f.fork(t))
+
+	cut := f.remote(t, "cut")
+	cut.RetryDeadline = 0
+	if v := s.audit(notesVia{auditFetcher: cut, notes: fetch}, target); !clean(v) {
+		t.Fatalf("the hit that could not reach b: %v", v)
+	}
+	if st := s.Stats(); st.LedgerHits != 2 || st.LedgerBytes == 0 {
+		t.Fatalf("after the hit that could not reach b: %v", st)
+	}
+	f.expectFork(t, fetch)
 }
 
 // TestLedgerRecordsOnlyCleanVerdicts: whatever a verdict found — a failure, a
@@ -340,7 +443,7 @@ func TestLedgerLateFork(t *testing.T) {
 // nothing goes on record; and the cap is kept by
 // forgetting the entries used least recently, counted.
 func TestLedgerRecordsOnlyCleanVerdicts(t *testing.T) {
-	f := newLedgerFront(t)
+	f := newLedgerFront(t, live.Options{Seed: 1})
 	q := f.h.NewQuerier()
 	sweep := adversary.AuditAll(q, f.h.Maint)
 	if !clean(sweep) {
@@ -404,7 +507,7 @@ func TestLedgerRecordsOnlyCleanVerdicts(t *testing.T) {
 // cap forces evictions: every answer is the honest deployment's, and the race
 // detector sees the ledger from four goroutines.
 func TestLedgerConcurrentSessions(t *testing.T) {
-	f := newLedgerFront(t)
+	f := newLedgerFront(t, live.Options{Seed: 1})
 	f.srv.ledger.mu.Lock()
 	f.srv.ledger.cap = 400 // two of the three chains, about
 	f.srv.ledger.mu.Unlock()

@@ -40,6 +40,13 @@
 // construction, whose result is on record, and runs the part of the sweep that
 // depends on the peers: every peer's authenticators about the target, checked
 // against the held chain by the code that checks them against a retrieved one.
+// It reads only those the peer added since the last hit: the entry keeps a
+// cursor per peer (transport.AuthCursor, the served instance's epoch and how
+// far into its list the check got), and a hit asks each peer for what lies
+// past it (RemoteFetcher.AuthsSince) and leaves the cursors it reached on the
+// entry. What it skips cannot turn red — an authenticator and the held chain
+// never change, and an honest peer's list only grows within an epoch — and a
+// peer that misstates its list only withholds evidence, which it always could.
 // Its answer is the full audit's. An entry is dropped when it cannot be
 // confirmed, when the live check finds a fork, or to keep the chains held
 // under ledgerCap; held state can only ever confirm "still clean", never
@@ -70,7 +77,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/provgraph"
 	"repro/internal/quantile"
 	"repro/internal/seclog"
 	"repro/internal/transport"
@@ -341,10 +347,12 @@ func (s *Server) admit(req *request, reply transport.Reply) {
 }
 
 // auditFetcher is what a session's queries ask of the deployment: the audit
-// RPCs and the §5.4 notes merge. A session's is a transport.RemoteFetcher.
+// RPCs, the §5.4 notes merge, and the ledger's incremental §5.5 reads. A
+// session's is a transport.RemoteFetcher.
 type auditFetcher interface {
 	core.Fetcher
 	SyncNotes(*core.Maintainer) error
+	AuthsSince(observer, target types.NodeID, from transport.AuthCursor) ([]seclog.Authenticator, transport.AuthCursor, error)
 }
 
 // session is one pool worker: a goroutine that owns one RemoteFetcher and
@@ -455,11 +463,13 @@ func (s *Server) audit(fetch auditFetcher, targets []types.NodeID) *adversary.Ve
 // the full audit to run (see the package comment for why this is sound). The
 // entry must be confirmed by what the sweep's result depends on besides the
 // peers: equal notes, and the target still signing exactly the held head. What
-// remains of the sweep is the §5.5 consistency check, run here against the held
-// chain; its failures are the only evidence a confirmed answer can carry. An
-// entry that is not confirmed, or whose chain a peer's authenticator is off,
-// loses its place.
-func (s *Server) confirm(fetch core.Fetcher, maint *core.Maintainer, target types.NodeID) *adversary.Verdict {
+// remains of the sweep is the §5.5 consistency check against the held chain,
+// run here on what each peer added to its list past the entry's cursor for it:
+// what lies before was found on the chain already, and neither changes. Its
+// failures are the only evidence a confirmed answer can carry. An entry that
+// is not confirmed, or whose chain a peer's authenticator is off, loses its
+// place; otherwise it makes way for one with the cursors this check reached.
+func (s *Server) confirm(fetch auditFetcher, maint *core.Maintainer, target types.NodeID) *adversary.Verdict {
 	e := s.ledger.lookup(target)
 	if e == nil {
 		return nil
@@ -475,13 +485,28 @@ func (s *Server) confirm(fetch core.Fetcher, maint *core.Maintainer, target type
 		return nil
 	}
 	v := &adversary.Verdict{Unresponsive: map[types.NodeID]error{}, Notes: notes}
-	core.CheckConsistency(fetch, fetch.Nodes(), nil, target, 0, provgraph.Forever, func(a seclog.Authenticator) {
-		if f, forked := e.head.CheckAuthenticator(s.cfg.Dir, nil, a); forked {
-			v.Failures = append(v.Failures, f)
+	next := &ledgerEntry{head: e.head, notes: e.notes, cursors: make(map[types.NodeID]transport.AuthCursor, len(e.cursors))}
+	// Peers in core.CheckConsistency's order, each list in its own: a fork is
+	// worded and ordered as a full audit words and orders it.
+	for _, peer := range fetch.Nodes() {
+		if peer == target {
+			continue
 		}
-	})
+		auths, cur, err := fetch.AuthsSince(peer, target, e.cursors[peer])
+		if err != nil {
+			cur = e.cursors[peer] // what it withheld is read on the next hit
+		}
+		next.cursors[peer] = cur
+		for _, a := range auths {
+			if f, forked := e.head.CheckAuthenticator(s.cfg.Dir, nil, a); forked {
+				v.Failures = append(v.Failures, f)
+			}
+		}
+	}
 	if len(v.Failures) != 0 {
 		s.ledger.drop(target, e)
+	} else {
+		s.ledger.advance(target, e, next)
 	}
 	return v
 }

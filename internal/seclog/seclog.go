@@ -941,6 +941,19 @@ func (u *AuthSet) From(node types.NodeID) []Authenticator {
 	return u.byNode[node]
 }
 
+// Since returns node's authenticators from position n on, in the order they
+// were added, and how many the set holds from node. The list only grows, so
+// (n, length) is where a later read picks up; an n past the end reads it all.
+// The slice shares the set's storage, whose filled positions are never
+// written again.
+func (u *AuthSet) Since(node types.NodeID, n uint64) ([]Authenticator, uint64) {
+	as := u.byNode[node]
+	if n > uint64(len(as)) {
+		n = 0
+	}
+	return as[n:len(as):len(as)], uint64(len(as))
+}
+
 // FromInInterval returns node's authenticators with T in [t1, t2].
 func (u *AuthSet) FromInInterval(node types.NodeID, t1, t2 types.Time) []Authenticator {
 	var out []Authenticator

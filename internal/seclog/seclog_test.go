@@ -289,6 +289,15 @@ func TestAuthSet(t *testing.T) {
 	if _, ok := u.Latest("zz"); ok {
 		t.Error("Latest of unknown node reported ok")
 	}
+	for _, c := range []struct{ n, wantFirst, wantLen uint64 }{{0, 1, 2}, {1, 3, 1}, {2, 0, 0}, {3, 1, 2}} {
+		got, total := u.Since("a", c.n)
+		if total != 2 || uint64(len(got)) != c.wantLen || (len(got) > 0 && got[0].Seq != c.wantFirst) {
+			t.Errorf("Since(a, %d) = %v, %d", c.n, got, total)
+		}
+	}
+	if got, total := u.Since("zz", 5); len(got) != 0 || total != 0 {
+		t.Errorf("Since(zz, 5) = %v, %d", got, total)
+	}
 }
 
 func TestMerkleQuick(t *testing.T) {

@@ -24,15 +24,16 @@ import (
 // query frontend (internal/queryfront), which registers its own kinds on its
 // own Server.
 const (
-	frameRetrieveReq byte = 0x10
-	frameAuthReq     byte = 0x12
-	frameAuthsReq    byte = 0x14
-	frameHealthReq   byte = 0x16 // health.go
-	frameNotesReq    byte = 0x18
+	frameRetrieveReq   byte = 0x10
+	frameAuthReq       byte = 0x12
+	frameAuthsReq      byte = 0x14
+	frameHealthReq     byte = 0x16 // health.go
+	frameNotesReq      byte = 0x18
+	frameAuthsSinceReq byte = 0x1a
 )
 
 // register puts a member's kinds on its server: the two data kinds one-way,
-// the five audit kinds answered. The node lock is held only for the node
+// the six audit kinds answered. The node lock is held only for the node
 // call itself; encoding and the response write happen outside it.
 func (c *Cluster) register(srv *Server, m *member) {
 	for _, kind := range []byte{frameEnvelope, frameAck} {
@@ -72,6 +73,25 @@ func (c *Cluster) register(srv *Server, m *member) {
 			auths := m.node.AuthsAbout(target, t1, t2)
 			m.mu.Unlock()
 			reply(nil, func(w *wire.Writer) { wire.WriteSlice(w, auths, seclog.Authenticator.MarshalWire) })
+		}
+	})
+	srv.Handle(frameAuthsSinceReq, func(_ types.NodeID, r *wire.Reader) func(Reply) {
+		target := types.NodeID(r.String())
+		from := AuthCursor{Epoch: r.Uint(), N: r.Uint()}
+		return func(reply Reply) {
+			m.mu.Lock()
+			next := AuthCursor{Epoch: m.epoch}
+			if from.Epoch != m.epoch {
+				from.N = 0
+			}
+			var auths []seclog.Authenticator
+			auths, next.N = m.node.AuthsSince(target, from.N)
+			m.mu.Unlock()
+			reply(nil, func(w *wire.Writer) {
+				w.Uint(next.Epoch)
+				w.Uint(next.N)
+				wire.WriteSlice(w, auths, seclog.Authenticator.MarshalWire)
+			})
 		}
 	})
 	srv.Handle(frameHealthReq, func(_ types.NodeID, r *wire.Reader) func(Reply) {
@@ -162,6 +182,38 @@ func (f *RemoteFetcher) AuthsAbout(observer, target types.NodeID, t1, t2 types.T
 		return nil
 	}
 	return out
+}
+
+// AuthCursor is how far a reader got into the list of one target's
+// authenticators that one served node keeps: the member's epoch, and the
+// list's length when read. The zero cursor reads the whole list.
+type AuthCursor struct {
+	Epoch, N uint64
+}
+
+// AuthsSince asks observer for the authenticators signed by target that it
+// added to its list past from, and returns them with the cursor to read on
+// from. The answer is the whole list when from names another epoch (observer
+// was served again since, with a fresh list) or a position past the end. An
+// honest list only grows within an epoch, so nothing before from has changed.
+// Unlike AuthsAbout it reports a failed call, so that a caller can keep from.
+func (f *RemoteFetcher) AuthsSince(observer, target types.NodeID, from AuthCursor) ([]seclog.Authenticator, AuthCursor, error) {
+	var out []seclog.Authenticator
+	var next AuthCursor
+	err := f.Call(observer, frameAuthsSinceReq,
+		func(w *wire.Writer) {
+			w.String(string(target))
+			w.Uint(from.Epoch)
+			w.Uint(from.N)
+		},
+		func(r *wire.Reader) {
+			next = AuthCursor{Epoch: r.Uint(), N: r.Uint()}
+			out = wire.ReadSlice(r, (*seclog.Authenticator).UnmarshalWire)
+		})
+	if err != nil {
+		return nil, AuthCursor{}, err
+	}
+	return out, next, nil
 }
 
 // Nodes implements core.Fetcher: the full registered membership (local and

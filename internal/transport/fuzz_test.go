@@ -27,7 +27,7 @@ func frame(payload []byte) []byte {
 	return buf
 }
 
-// memberServer is a Server carrying a Cluster member's seven registrations
+// memberServer is a Server carrying a Cluster member's eight registrations
 // and no listener: decode reaches every kind's decode half, and nothing can
 // run (the member has no node).
 func memberServer() *Server {
@@ -153,13 +153,20 @@ func goldenBodies(t testing.TB, srv *Server) [][]byte {
 }
 
 // FuzzRequestDecode feeds arbitrary bodies to the decode half of every kind
-// a Cluster member registers — the two data kinds and the five audit kinds —
+// a Cluster member registers — the two data kinds and the six audit kinds —
 // and never runs anything: whatever a hostile peer sends, deciding whether
-// it is a request touches no node. A body a kind accepts must re-encode.
+// it is a request touches no node. A body a kind accepts must re-encode. The
+// seeds hold a valid body of every kind (memberRequests) and the golden
+// file's requests.
 func FuzzRequestDecode(f *testing.F) {
 	srv := memberServer()
 	for _, b := range adversary.WireCorpus().Requests {
 		f.Add(b)
+	}
+	for _, body := range memberRequests {
+		w := wire.NewWriter(64)
+		body(w)
+		f.Add(w.Bytes())
 	}
 	for _, b := range goldenBodies(f, srv) {
 		f.Add(b)

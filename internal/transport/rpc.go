@@ -13,6 +13,7 @@ package transport
 // text. A one-way frame is [len][from][kind][body].
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -58,8 +59,10 @@ type Server struct {
 	ID types.NodeID
 	// MaxFrame bounds frames in both directions.
 	MaxFrame int
-	// WriteTimeout is the per-answer write deadline (default that of
-	// DefaultConfig): a client that stalls reading loses its connection.
+	// WriteTimeout is the per-frame deadline (default that of
+	// DefaultConfig): a client that stalls reading an answer, or sending a
+	// frame it has begun, loses its connection. Between frames a connection
+	// may idle.
 	WriteTimeout time.Duration
 	// Stats receives the counts (default: the server's own).
 	Stats *ServerStats
@@ -194,7 +197,7 @@ func (s *Server) serve(conn net.Conn) {
 	}()
 	var wmu sync.Mutex // serialises answer writes
 	for {
-		payload, err := ReadFrame(conn, s.MaxFrame)
+		payload, err := s.readFrame(conn)
 		if err != nil {
 			if err != io.EOF {
 				s.Stats.DecodeErrors.Add(1)
@@ -225,6 +228,20 @@ func (s *Server) serve(conn net.Conn) {
 			}
 		})
 	}
+}
+
+// readFrame waits for a frame as long as the client likes, and once its first
+// byte is in, gives the rest WriteTimeout — the server's one per-frame bound —
+// to arrive: a client that stops mid-frame loses its connection (counted as
+// a broken read) instead of holding the read loop forever.
+func (s *Server) readFrame(conn net.Conn) ([]byte, error) {
+	var first [1]byte
+	if _, err := io.ReadFull(conn, first[:]); err != nil {
+		return nil, err
+	}
+	conn.SetReadDeadline(time.Now().Add(s.WriteTimeout))
+	defer conn.SetReadDeadline(time.Time{})
+	return ReadFrame(io.MultiReader(bytes.NewReader(first[:]), conn), s.MaxFrame)
 }
 
 // replyFrame builds one answer frame; an answer that outgrows maxFrame (a

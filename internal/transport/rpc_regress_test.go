@@ -96,6 +96,73 @@ func TestRetryBackoffFloorNoHotSpin(t *testing.T) {
 	}
 }
 
+// TestHalfFrameDropped is the regression test for the read loop without a
+// read deadline: a client that sent the start of a frame and stalled — two
+// bytes of the length, or a whole length and half the body it announces —
+// held a server goroutine and a connection forever. The rest of a begun frame
+// now has the server's WriteTimeout to arrive; past it the connection closes,
+// counted as a broken read, and its read loop's goroutine is gone. A
+// connection that idles between frames, before its first one included, keeps
+// no deadline.
+func TestHalfFrameDropped(t *testing.T) {
+	const deadline = 150 * time.Millisecond
+	srv, _ := startToyServer(t, deadline)
+	whole := rawFrame(t, toyEcho, 1, func(w *wire.Writer) { w.String("x"); w.Uint(1) })
+	serving := len(goroutinesIn(servingMarker)) // the accept loop
+	for _, c := range []struct {
+		name string
+		part []byte
+	}{
+		{"two header bytes", whole[:2]},
+		{"half a body", whole[:4+(len(whole)-4)/2]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			errs := srv.Stats.DecodeErrors.Load()
+			start := time.Now()
+			if _, err := conn.Write(c.part); err != nil {
+				t.Fatal(err)
+			}
+			expectDropped(t, conn, c.name)
+			if took := time.Since(start); took > deadline+500*time.Millisecond {
+				t.Errorf("the connection closed %v after the stall, deadline %v", took, deadline)
+			}
+			if got := srv.Stats.DecodeErrors.Load(); got != errs+1 {
+				t.Errorf("DecodeErrors went %d → %d, want +1", errs, got)
+			}
+			left := len(goroutinesIn(servingMarker))
+			for wait := 0; left > serving && wait < 100; wait++ {
+				time.Sleep(10 * time.Millisecond)
+				left = len(goroutinesIn(servingMarker))
+			}
+			if left > serving {
+				t.Errorf("%d server goroutines outlived the stalled connection", left-serving)
+			}
+		})
+	}
+
+	t.Run("idle between frames", func(t *testing.T) {
+		c := toyCaller(t, srv.Addr())
+		errs := srv.Stats.DecodeErrors.Load()
+		if err := c.Connect("toy"); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 2 {
+			time.Sleep(3 * deadline)
+			if got, err := echo(c, "ok", 1); err != nil || got != "ok" {
+				t.Fatalf("call %d after idling: %q, %v", i, got, err)
+			}
+		}
+		if got := srv.Stats.DecodeErrors.Load(); got != errs {
+			t.Errorf("idle connection counted %d broken reads", got-errs)
+		}
+	})
+}
+
 // TestRemoteFetcherCloseConcurrent pins the Close vs in-flight call
 // semantics under -race, for a cluster's fetcher and for the bare Caller
 // under it (which is also all a queryfront.Client is): concurrent callers

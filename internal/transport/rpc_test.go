@@ -28,12 +28,13 @@ type parkedCall struct {
 	reply Reply
 }
 
-// startToyServer serves echo and park; the channel receives each parked
-// request's argument and Reply.
-func startToyServer(t *testing.T) (*Server, chan parkedCall) {
+// startToyServer serves echo and park under the per-frame deadline
+// frameTimeout (0: the default); the channel receives each parked request's
+// argument and Reply.
+func startToyServer(t *testing.T, frameTimeout time.Duration) (*Server, chan parkedCall) {
 	t.Helper()
 	parked := make(chan parkedCall, 4) // as many as any test parks at once
-	srv := &Server{ID: "toy", MaxFrame: toyMaxFr}
+	srv := &Server{ID: "toy", MaxFrame: toyMaxFr, WriteTimeout: frameTimeout}
 	srv.Handle(toyEcho, func(_ types.NodeID, r *wire.Reader) func(Reply) {
 		s, n := r.String(), int(r.Uint())
 		return func(reply Reply) {
@@ -99,7 +100,7 @@ func expectDropped(t *testing.T, conn net.Conn, what string) {
 }
 
 func TestUnknownKindDropsConnection(t *testing.T) {
-	srv, _ := startToyServer(t)
+	srv, _ := startToyServer(t, 0)
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +124,13 @@ func TestUnknownKindDropsConnection(t *testing.T) {
 var memberRequests = map[byte]func(*wire.Writer){
 	frameEnvelope: core.Envelope{Msgs: []types.Message{{Src: "b", Dst: "a", Tuple: types.MakeTuple("t", types.I(1)), Seq: 1}},
 		PrevHash: []byte{1}, Sig: []byte{2}, Seq: 3}.MarshalWire,
-	frameAck:         core.Ack{IDs: []types.MessageID{{Src: "b", Dst: "a", Seq: 1}}, PrevHash: []byte{1}, Sig: []byte{2}, Seq: 4}.MarshalWire,
-	frameRetrieveReq: core.RetrieveRequest{Auth: seclog.Authenticator{Node: "a", Seq: 1, Hash: []byte{1}, Sig: []byte{2}}}.MarshalWire,
-	frameAuthReq:     func(*wire.Writer) {},
-	frameAuthsReq:    func(w *wire.Writer) { w.String("b"); w.Int(0); w.Int(9) },
-	frameHealthReq:   func(w *wire.Writer) { w.Uint(1) },
-	frameNotesReq:    func(*wire.Writer) {},
+	frameAck:           core.Ack{IDs: []types.MessageID{{Src: "b", Dst: "a", Seq: 1}}, PrevHash: []byte{1}, Sig: []byte{2}, Seq: 4}.MarshalWire,
+	frameRetrieveReq:   core.RetrieveRequest{Auth: seclog.Authenticator{Node: "a", Seq: 1, Hash: []byte{1}, Sig: []byte{2}}}.MarshalWire,
+	frameAuthReq:       func(*wire.Writer) {},
+	frameAuthsReq:      func(w *wire.Writer) { w.String("b"); w.Int(0); w.Int(9) },
+	frameHealthReq:     func(w *wire.Writer) { w.Uint(1) },
+	frameNotesReq:      func(*wire.Writer) {},
+	frameAuthsSinceReq: func(w *wire.Writer) { w.String("b"); w.Uint(7); w.Uint(3) },
 }
 
 // TestTrailingByteRejected: for every kind a Cluster member registers, a
@@ -188,7 +190,7 @@ func TestTrailingByteRejected(t *testing.T) {
 }
 
 func TestOversizedAnswerIsInBand(t *testing.T) {
-	srv, _ := startToyServer(t)
+	srv, _ := startToyServer(t, 0)
 	c := toyCaller(t, srv.Addr())
 
 	_, err := echo(c, "0123456789", toyMaxFr) // a 10 KiB answer through a 1 KiB bound
@@ -219,7 +221,7 @@ func TestOversizedAnswerIsInBand(t *testing.T) {
 // reverse order by other goroutines, each carry their own request id back;
 // and a caller skips a stale answer left on its connection.
 func TestAnswersMatchRequests(t *testing.T) {
-	srv, parked := startToyServer(t)
+	srv, parked := startToyServer(t, 0)
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@
 // node listens on its own address; a Cluster serializes delivery into each
 // node (core.Node is single-threaded by contract).
 // Listening and calling are one core (rpc.go): a member is a Server with
-// two one-way data kinds and five audit kinds, RemoteFetcher a Caller with
+// two one-way data kinds and six audit kinds, RemoteFetcher a Caller with
 // typed audit methods, and the query frontend and its client
 // (internal/queryfront) are a Server and a Caller too.
 //
@@ -25,6 +25,7 @@
 package transport
 
 import (
+	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,7 +61,8 @@ type Config struct {
 	DialTimeout time.Duration
 	// WriteTimeout is the per-frame write deadline, on links and on the
 	// members' servers (default 2s); a peer that stalls reading trips it,
-	// and the sender resets and reconnects.
+	// and the sender resets and reconnects. The servers also bound a frame's
+	// read by it, from its first byte (Server.WriteTimeout).
 	WriteTimeout time.Duration
 	// RetryBase/RetryMax bound the exponential reconnect and retry backoff
 	// (defaults 20ms and 1s; Backoff has the rules). The actual wait is
@@ -164,11 +166,14 @@ type Cluster struct {
 }
 
 // member is one locally served node: the server its peers and auditors
-// reach it on, and the lock serializing calls into the node.
+// reach it on, the lock serializing calls into the node, and the epoch that
+// names this serving of it to AuthsSince cursors (random, so a node served
+// again never honours a cursor into its previous authenticator lists).
 type member struct {
-	mu   sync.Mutex
-	node *core.Node
-	srv  *Server
+	mu    sync.Mutex
+	node  *core.Node
+	srv   *Server
+	epoch uint64 // under mu
 }
 
 // peer is one directional link's outbound state: a bounded queue drained
@@ -213,8 +218,11 @@ func (c *Cluster) AddPeer(id types.NodeID, addr string) {
 // free port). It returns the bound address. Serving an ID that was stopped
 // with StopNode re-registers it (the restart path); peers reconnect to the
 // new address transparently because links resolve the address at dial time.
+// Each serving draws a fresh random epoch for AuthsSince cursors.
 func (c *Cluster) Serve(node *core.Node, addr string) (string, error) {
-	m := &member{node: node, srv: &Server{
+	var epoch [8]byte
+	_, _ = crand.Read(epoch[:]) // never fails: since Go 1.24 a failing source crashes the program
+	m := &member{node: node, epoch: binary.BigEndian.Uint64(epoch[:]), srv: &Server{
 		ID: node.ID, MaxFrame: c.cfg.MaxFrame, WriteTimeout: c.cfg.WriteTimeout, Stats: &c.inbound,
 	}}
 	c.register(m.srv, m)

@@ -115,7 +115,8 @@ func (c *stepClock) Now() types.Time {
 // envelope and one ack, captured off a loopback connection (the RPCs) or from
 // the frame encoder (the packets) and compared with testdata/wire.golden. The
 // file was generated at the commit before the RPC core was unified; a daemon
-// built from either side must understand the other.
+// built from either side must understand the other. The auths-since lines
+// came with that kind, and the lines before them did not change.
 func TestWireGolden(t *testing.T) {
 	cluster := NewCluster()
 	defer cluster.Close()
@@ -213,6 +214,16 @@ func TestWireGolden(t *testing.T) {
 		t.Fatal("latest-auth of an empty log was answered")
 	}
 	record("refused", "d", err)
+	// Last, so that the request ids of the calls above stay those of the file.
+	// The answer carries b's epoch, which Serve draws at random: pin it.
+	cluster.mu.Lock()
+	b := cluster.nodes["b"]
+	cluster.mu.Unlock()
+	b.mu.Lock()
+	b.epoch = 0x5eed
+	b.mu.Unlock()
+	_, _, err = f.AuthsSince("b", "a", AuthCursor{})
+	must("auths-since", "b", err)
 
 	// Data frames are one-way; the encoder's output is what deliver writes.
 	msg := types.Message{Src: "b", Dst: "a", Pol: types.PolAppear,
