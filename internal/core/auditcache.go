@@ -27,8 +27,8 @@
 // the ledger's rule — it may confirm "still clean", never accuse. The auditor
 // notes that it played one, and an answer that carries a failure or a red
 // vertex after that is asked again on a Querier without the cache
-// (Querier.ForgetRecordings; adversary.Sweep and the frontend's Explain do
-// so). A poisoned cache can therefore at worst cost time or suppress
+// (Querier.ForgetRecordings; adversary.Sweep does so, and the frontend's
+// Explain reads no cache at all). A poisoned cache can therefore at worst cost time or suppress
 // detection of an already-faulty node; every accusation comes from a replica.
 package core
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/seclog"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // Node is one SNooPy participant: the primary system's state machine plus
@@ -743,25 +744,68 @@ var ErrAuditRefused = fmt.Errorf("core: node refuses to answer")
 // range-checked before it touches the log: a malformed or adversarial
 // request yields an error (evidence for the querier), never a panic.
 func (n *Node) HandleRetrieve(req RetrieveRequest) (*RetrieveResponse, error) {
+	from, end, auth, err := n.retrieve(req)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := n.Log.Segment(from, end)
+	if err != nil {
+		return nil, err
+	}
+	resp := &RetrieveResponse{Segment: seg, NewAuth: auth}
+	if n.TamperRetrieve != nil {
+		return n.TamperRetrieve(req, resp)
+	}
+	return resp, nil
+}
+
+// WriteRetrieve writes to w what HandleRetrieve's answer to req marshals to,
+// and fails when HandleRetrieve fails. The segment's stored entries are copied
+// as they are (seclog.Log.WriteSegment), so a reply over the wire decodes no
+// record only to encode it again; a node with TamperRetrieve set answers
+// through HandleRetrieve, so that the hook still sees decoded entries. On
+// error w holds part of an answer and must be discarded.
+func (n *Node) WriteRetrieve(w *wire.Writer, req RetrieveRequest) error {
+	if n.TamperRetrieve != nil {
+		resp, err := n.HandleRetrieve(req)
+		if err == nil {
+			resp.MarshalWire(w)
+		}
+		return err
+	}
+	from, end, auth, err := n.retrieve(req)
+	if err != nil {
+		return err
+	}
+	if err := n.Log.WriteSegment(w, from, end); err != nil {
+		return err
+	}
+	marshalNewAuth(w, auth)
+	return nil
+}
+
+// retrieve is what an answer to req serves: the log segment [from..end], and
+// a fresh authenticator for end unless end is the request's own evidence.
+func (n *Node) retrieve(req RetrieveRequest) (from, end uint64, auth *seclog.Authenticator, err error) {
 	if n.RefuseAudit {
-		return nil, ErrAuditRefused
+		return 0, 0, nil, ErrAuditRefused
 	}
 	if n.Log.Len() == 0 {
-		return nil, fmt.Errorf("core: %s has an empty log", n.ID)
+		return 0, 0, nil, fmt.Errorf("core: %s has an empty log", n.ID)
 	}
 	first, last := n.Log.FirstSeq(), n.Log.Len()
 	if first > last {
-		return nil, fmt.Errorf("core: %s retains no history (truncated past %d)", n.ID, last)
+		return 0, 0, nil, fmt.Errorf("core: %s retains no history (truncated past %d)", n.ID, last)
 	}
 	// Position of the first entry at or after StartTime. Entry timestamps
 	// are monotone (now() never goes backwards), so a binary search matches
 	// the historical linear scan without paging in cold history.
 	var readErr error
 	entryT := func(seq uint64) types.Time {
-		e, err := n.Log.Entry(seq)
-		if err != nil {
+		e, eerr := n.Log.Entry(seq)
+		if eerr != nil {
 			if readErr == nil {
-				readErr = err
+				readErr = eerr
 			}
 			return types.Time(0)
 		}
@@ -770,23 +814,20 @@ func (n *Node) HandleRetrieve(req RetrieveRequest) (*RetrieveResponse, error) {
 	count := int(last - first + 1)
 	idx := sort.Search(count, func(i int) bool { return readErr != nil || entryT(first+uint64(i)) >= req.StartTime })
 	if readErr != nil {
-		return nil, readErr
+		return 0, 0, nil, readErr
 	}
 	start := last
 	if idx < count {
 		start = first + uint64(idx)
 	}
-	from := n.Log.LastCheckpointBefore(start)
+	from = n.Log.LastCheckpointBefore(start)
 	if from == 0 {
 		from = first
 	}
 	// End: cover the evidence and the vertex lifetime.
-	end := req.Auth.Seq
-	if end < from {
-		end = from
-	}
+	end = max(req.Auth.Seq, from)
 	if end > last {
-		return nil, fmt.Errorf("core: %s cannot cover evidence position %d (log ends at %d)", n.ID, end, last)
+		return 0, 0, nil, fmt.Errorf("core: %s cannot cover evidence position %d (log ends at %d)", n.ID, end, last)
 	}
 	if req.EndTime == 0 || req.EndTime >= n.lastEntryT {
 		end = last
@@ -795,30 +836,15 @@ func (n *Node) HandleRetrieve(req RetrieveRequest) (*RetrieveResponse, error) {
 		span := int(last - end + 1)
 		m := sort.Search(span, func(i int) bool { return readErr != nil || entryT(end+uint64(i)) > req.EndTime })
 		if readErr != nil {
-			return nil, readErr
+			return 0, 0, nil, readErr
 		}
-		if m < span {
-			end += uint64(m)
-		} else {
-			end = last
-		}
+		end = min(end+uint64(m), last)
 	}
-	seg, err := n.Log.Segment(from, end)
-	if err != nil {
-		return nil, err
+	if end == req.Auth.Seq && req.Auth.Node == n.ID {
+		return from, end, nil, nil
 	}
-	resp := &RetrieveResponse{Segment: seg}
-	if end != req.Auth.Seq || req.Auth.Node != n.ID {
-		auth, err := n.Log.AuthenticatorAt(end)
-		if err != nil {
-			return nil, err
-		}
-		resp.NewAuth = &auth
-	}
-	if n.TamperRetrieve != nil {
-		return n.TamperRetrieve(req, resp)
-	}
-	return resp, nil
+	a, err := n.Log.AuthenticatorAt(end)
+	return from, end, &a, err
 }
 
 // AuthsAbout serves the consistency check (§5.5): every authenticator this

@@ -199,11 +199,14 @@ type RetrieveResponse struct {
 // round-trips across a process boundary with no payload side channel.
 func (r RetrieveResponse) MarshalWire(w *wire.Writer) {
 	r.Segment.MarshalWire(w)
-	if r.NewAuth != nil {
-		w.Bool(true)
-		r.NewAuth.MarshalWire(w)
-	} else {
-		w.Bool(false)
+	marshalNewAuth(w, r.NewAuth)
+}
+
+// marshalNewAuth writes what follows the segment in a RetrieveResponse.
+func marshalNewAuth(w *wire.Writer, auth *seclog.Authenticator) {
+	w.Bool(auth != nil)
+	if auth != nil {
+		auth.MarshalWire(w)
 	}
 }
 

@@ -17,10 +17,13 @@ import (
 // quantities Figure 8 reports: bytes downloaded by category and time spent
 // checking authenticators vs. replaying.
 type QueryMetrics struct {
-	LogBytes       int64
-	AuthBytes      int64
-	CkptBytes      int64
-	VerifyTime     time.Duration
+	LogBytes   int64
+	AuthBytes  int64
+	CkptBytes  int64
+	VerifyTime time.Duration
+	// ReplayTime is the wall time audits spent verifying, replaying and
+	// committing what they fetched. A streamed audit replays and commits at
+	// once (see Querier), and counts the wall time of the two together.
 	ReplayTime     time.Duration
 	Microqueries   int
 	NodesContacted int
@@ -109,7 +112,15 @@ type Explanation struct {
 // fully sequential audit; only wall-clock time changes. The pool works
 // under a bounded window: at most as many fetched-but-uncommitted audits
 // exist as there are workers, so a scope's memory is bounded by the worker
-// count and not by its length. The Querier itself must be driven from a
+// count and not by its length.
+//
+// An audit outside a scope — an Explain's root and every node its walk
+// crosses onto, or any audit with no scope open — has no next node to prepare
+// ahead, so with a spare core (Parallelism of 2 or more) and no audit cache
+// it streams instead: it verifies its segment, then replays it on a second
+// goroutine whose ops the commit applies as they come, so the replay and the
+// commit overlap. The graph, the failures and every metric but ReplayTime
+// are those of the inline audit. The Querier itself must be driven from a
 // single goroutine.
 type Querier struct {
 	Auditor *Auditor
@@ -120,7 +131,8 @@ type Querier struct {
 	// and with it the window of prepared audits awaiting their commit; zero
 	// means GOMAXPROCS. When the effective pool would be a single worker,
 	// BeginAuditScope starts no pool and every audit runs inline
-	// (speculation cannot pay for itself without a spare core).
+	// (speculation cannot pay for itself without a spare core); at 1 no audit
+	// streams either.
 	Parallelism int
 
 	// yellowNodes records nodes that failed to answer retrieve; their
@@ -302,10 +314,11 @@ func (pf *prefetcher) dropUnreachable(node types.NodeID) {
 }
 
 // fill runs the thread-safe half of one node's audit into t and publishes it:
-// the retrieve req asks for, verified against req.Auth. A request that names
-// no evidence is for the log from StartTime through the head, against the
-// authenticator the node is first asked for.
-func (t *auditTask) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, req RetrieveRequest) {
+// the retrieve req asks for, verified against req.Auth and, unless stream
+// leaves that to the commit, replayed. A request that names no evidence is
+// for the log from StartTime through the head, against the authenticator the
+// node is first asked for.
+func (t *auditTask) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, req RetrieveRequest, stream bool) {
 	defer close(t.done)
 	if req.Auth.Node == "" {
 		auth, err := fetch.LatestAuth(node)
@@ -322,7 +335,7 @@ func (t *auditTask) fill(auditor *Auditor, fetch Fetcher, node types.NodeID, req
 		return
 	}
 	start := wallNow()
-	t.prep = auditor.Prepare(node, resp, req.Auth)
+	t.prep = auditor.prepare(node, resp, req.Auth, stream)
 	t.prepDur = wallSince(start)
 }
 
@@ -333,8 +346,16 @@ func (pf *prefetcher) run(auditor *Auditor, fetch Fetcher) {
 		if !ok {
 			return
 		}
-		t.fill(auditor, fetch, node, RetrieveRequest{StartTime: pf.hint})
+		t.fill(auditor, fetch, node, RetrieveRequest{StartTime: pf.hint}, false)
 	}
+}
+
+// workers is what Parallelism resolves to.
+func (q *Querier) workers() int {
+	if q.Parallelism > 0 {
+		return q.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // BeginAuditScope announces the set of nodes a query session is expected to
@@ -357,13 +378,7 @@ func (q *Querier) BeginAuditScope(nodes []types.NodeID, startHint types.Time) {
 			queue = append(queue, n)
 		}
 	}
-	workers := q.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queue) {
-		workers = len(queue)
-	}
+	workers := min(q.workers(), len(queue))
 	if workers <= 1 {
 		// No parallelism to exploit: speculative preparation of nodes the
 		// query may never demand would compete with the query itself for
@@ -419,20 +434,25 @@ func (q *Querier) ensureAudited(node types.NodeID, req RetrieveRequest) error {
 	q.Metrics.Microqueries++
 	// With no scope, or a scope prepared for another request, the task is
 	// private to this call; either way an unstarted task is filled inline
-	// rather than waiting for pool capacity.
+	// rather than waiting for pool capacity. A private task streams its
+	// replay into its commit when a spare core can run it and no audit-cache
+	// recording is to be read (a recording is known to fit only once its walk
+	// ends). A scope task never does: the scope already overlaps one node's
+	// commit with the next one's preparation.
 	var t *auditTask
-	var started bool
+	var started, stream bool
 	pf := q.pf
 	if pf != nil && req.Auth.Node == "" && pf.hint == req.StartTime {
 		t, started = pf.claim(node)
 		defer pf.release(t) // committed below, whatever the outcome
 	} else {
 		t = &auditTask{done: make(chan struct{})}
+		stream = q.Auditor.cfg.AuditCache == nil && q.workers() >= 2
 	}
 	if !started {
 		// ReplayTime counts the Prepare and the commit but not the fetch
 		// (fetch cost is modeled as download time).
-		t.fill(q.Auditor, q.Fetch, node, req)
+		t.fill(q.Auditor, q.Fetch, node, req, stream)
 		start := wallNow()
 		err := q.commitTask(node, t)
 		q.Metrics.ReplayTime += t.prepDur + wallSince(start)

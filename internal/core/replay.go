@@ -47,6 +47,12 @@ func (f Failure) String() string {
 //     bit-identical to a fully sequential audit of the same nodes in the
 //     same order.
 //
+// An audit the querier runs on its own behalf, with a spare core and no
+// audit cache, is streamed instead: Prepare only verifies, and Commit runs
+// the replay on a second goroutine and applies its ops as they come, so the
+// graph grows while the replica steps. The ops and their order are the
+// inline audit's, and so is every deterministic output.
+//
 // All Commit-side methods (and everything else on Auditor) must be called
 // from a single goroutine.
 type Auditor struct {
@@ -66,6 +72,8 @@ type Auditor struct {
 	// recording: this auditor's evidence may then rest on outputs read from
 	// disk (see Querier.ForgetRecordings).
 	recorded bool
+	// streamed counts the audits committed through applyStreamed.
+	streamed int
 }
 
 // AuditedHead is the chain one node presented to an audit, verified against
@@ -293,6 +301,10 @@ type PreparedAudit struct {
 	audited  *AuditedHead
 	endTime  types.Time
 	recorded bool // played from an audit-cache recording
+	// stream is the verified segment of an audit whose replay Commit runs,
+	// streaming its ops into the graph; ops then holds only what verification
+	// recorded.
+	stream *seclog.SegmentData
 }
 
 // Err returns the verification error Prepare recorded, if any (the same
@@ -315,7 +327,20 @@ type prep struct {
 	// (cum non-nil) notes the count after each entry.
 	stepped int
 	cum     []int
+	// emit, when set, takes the ops recorded so far every streamChunk ops
+	// and at the end of the walk, which then records into fresh slices.
+	emit func([]replayOp)
 }
+
+// streamChunk is how many ops a streamed walk hands its commit at a time, and
+// streamDepth how many chunks may await the commit before the walk blocks:
+// enough that a burst of costly entries on either side does not stall the
+// other, few enough that the ops held between the two stay a few thousand,
+// as the scope's window bounds what its workers hold.
+const (
+	streamChunk = 512
+	streamDepth = 4
+)
 
 func (p *prep) fail(seq uint64, format string, args ...any) {
 	p.ops = append(p.ops, replayOp{kind: opFail,
@@ -339,22 +364,43 @@ func (p *prep) handleEvent(ev types.Event) {
 // write any Auditor state that Commit mutates, so distinct nodes may be
 // prepared concurrently (and concurrently with commits of other nodes).
 func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence seclog.Authenticator) *PreparedAudit {
+	return a.prepare(node, resp, evidence, false)
+}
+
+// prepare is Prepare, or with stream only its verification: the replay of a
+// segment that verifies is then left to Commit, which streams it into the
+// graph. A streamed audit reads no audit-cache recording.
+func (a *Auditor) prepare(node types.NodeID, resp *RetrieveResponse, evidence seclog.Authenticator, stream bool) *PreparedAudit {
+	p := a.verify(node, resp, evidence)
+	switch {
+	case p.err != nil:
+	case stream:
+		p.stream = resp.Segment
+	default:
+		p.replay(resp.Segment)
+	}
+	return p.PreparedAudit
+}
+
+// verify is the first half of Prepare: it checks resp against the evidence
+// and fills in the audited chain, or records why it cannot and sets err.
+func (a *Auditor) verify(node types.NodeID, resp *RetrieveResponse, evidence seclog.Authenticator) *prep {
 	p := &prep{a: a, PreparedAudit: &PreparedAudit{Node: node, wire: downloaded(resp)}}
 	seg := resp.Segment
 	if seg == nil {
 		p.fail(0, "returned a response without a segment")
 		p.err = fmt.Errorf("core: retrieve response without a segment")
-		return p.PreparedAudit
+		return p
 	}
 	if seg.Node != node {
 		p.fail(0, "returned a segment for %s", seg.Node)
 		p.err = fmt.Errorf("core: segment node mismatch")
-		return p.PreparedAudit
+		return p
 	}
 	pub, err := a.dir.Key(node)
 	if err != nil {
 		p.err = err
-		return p.PreparedAudit
+		return p
 	}
 	// Pick the freshest valid commitment to verify against: the new
 	// authenticator if it checks out, otherwise the evidence we held.
@@ -371,7 +417,7 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 	if err != nil {
 		p.fail(auth.Seq, "log does not match authenticator: %v", err)
 		p.err = err
-		return p.PreparedAudit
+		return p
 	}
 	// Evidence older than the fresh authenticator must also lie on this
 	// chain (otherwise the node forked its log).
@@ -387,13 +433,19 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 	for _, h := range hashes {
 		p.audited.chain = append(p.audited.chain, h...)
 	}
+	return p
+}
 
+// replay is the second half of Prepare: the walk of the verified segment,
+// through a recording of it when the audit cache has one.
+func (p *prep) replay(seg *seclog.SegmentData) {
+	a, node, n := p.a, p.Node, len(seg.Entries)
 	// Failures recorded before this point mean the response is already
 	// suspect — audit it without the cache.
 	cache := a.cfg.AuditCache
-	if cache == nil || len(hashes) == 0 || len(p.ops) != 0 {
+	if cache == nil || n == 0 || len(p.ops) != 0 {
 		p.replayEntries(seg, a.factory(node))
-		return p.PreparedAudit
+		return
 	}
 	// The same entries (same node and start, same chain hash at the last of
 	// them) step their machine to the same outputs, so a recording of a walk
@@ -402,22 +454,21 @@ func (a *Auditor) Prepare(node types.NodeID, resp *RetrieveResponse, evidence se
 	// exactly, or a walk that finds a failure, proves the entry is not a clean
 	// replay of these bytes.
 	key := cache.key(node, seg.From)
-	if rec := cache.recording(key, len(hashes), hashes[len(hashes)-1]); rec != nil {
+	if rec := cache.recording(key, n, p.audited.hashAt(seg.To())); rec != nil {
 		p.replayEntries(seg, rec)
 		if rec.spent() && cleanOps(p.ops) {
 			cache.hits.Add(1)
 			p.recorded = true
-			return p.PreparedAudit
+			return
 		}
 		p.ops = nil // not a hit: forget what that walk recorded
 	}
 	cache.misses.Add(1)
-	p.cum = make([]int, 0, len(hashes))
+	p.cum = make([]int, 0, n)
 	p.replayEntries(seg, a.factory(node))
 	if cleanOps(p.ops) {
 		cache.put(key, record(p).encode())
 	}
-	return p.PreparedAudit
 }
 
 // cleanOps reports whether an op stream records no failures; only clean
@@ -445,12 +496,37 @@ func (a *Auditor) Commit(p *PreparedAudit) error {
 	}
 	a.covered[p.Node] = p.audited
 	a.recorded = a.recorded || p.recorded
-	a.applyOps(p.ops)
+	if p.stream != nil {
+		a.applyStreamed(p)
+	} else {
+		a.applyOps(p.ops)
+	}
 	if p.endTime > a.endTimes[p.Node] {
 		a.endTimes[p.Node] = p.endTime
 	}
 	a.crossCheck(p.Node, p.audited)
 	return nil
+}
+
+// applyStreamed is the commit of a streamed audit: the walk of pa's verified
+// segment runs on a goroutine of its own, as Prepare's would, and hands over
+// its ops a chunk at a time, which are applied as they come. The graph grows
+// while the walk runs, in the order an inline commit applies the same ops;
+// the walk blocks while streamDepth chunks await their turn, and an applied
+// chunk is garbage.
+func (a *Auditor) applyStreamed(pa *PreparedAudit) {
+	seg := pa.stream
+	pa.stream = nil
+	chunks := make(chan []replayOp, streamDepth)
+	p := &prep{a: a, PreparedAudit: pa, emit: func(ops []replayOp) { chunks <- ops }}
+	go func() {
+		defer close(chunks)
+		p.replayEntries(seg, a.factory(pa.Node))
+	}()
+	for ops := range chunks {
+		a.applyOps(ops)
+	}
+	a.streamed++
 }
 
 func (a *Auditor) applyOps(ops []replayOp) {
@@ -506,7 +582,11 @@ func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 	node := p.Node
 	p.machine = m
 	p.sent, p.endTime, p.stepped = make(map[types.MessageID]*sentEnvelope), 0, 0
-	p.ops = slices.Grow(p.ops, cleanOpCount(seg))
+	if p.emit != nil {
+		p.ops = slices.Grow(p.ops, streamChunk+streamChunk/4)
+	} else {
+		p.ops = slices.Grow(p.ops, cleanOpCount(seg))
+	}
 	for i, e := range seg.Entries {
 		seq := seg.From + uint64(i)
 		if e.T > p.endTime {
@@ -546,6 +626,16 @@ func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 		if p.cum != nil {
 			p.cum = append(p.cum, p.stepped)
 		}
+		if p.emit != nil && len(p.ops) >= streamChunk {
+			p.emit(p.ops)
+			p.ops = make([]replayOp, 0, streamChunk+streamChunk/4)
+		}
+	}
+	if p.emit != nil {
+		if len(p.ops) != 0 {
+			p.emit(p.ops)
+		}
+		p.ops = nil
 	}
 }
 

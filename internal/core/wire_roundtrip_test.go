@@ -18,7 +18,7 @@ import (
 // impossible: Entry.MarshalWire emitted digest-only checkpoints while
 // UnmarshalWire expected the full-payload form.
 func TestRetrieveResponseCrossProcessRoundTrip(t *testing.T) {
-	n := fuzzNode(t) // 8 inserts with a checkpoint after the 4th
+	n := fuzzNode(t, "") // 8 inserts with a checkpoint after the 4th
 	auth, err := n.LatestAuth()
 	if err != nil {
 		t.Fatal(err)

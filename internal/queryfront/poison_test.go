@@ -64,7 +64,8 @@ func (m *forging) Step(ev types.Event) []types.Output {
 // audit cache of an honest live MinCost deployment color the victim red when
 // trusted — the forging replica's own sweep and explanations show it — but
 // may confirm, never accuse: a cached in-process AuditAll, and the frontend's
-// audits and Explains over the same cache, accuse nobody.
+// audits over the same cache and its Explains, which read no recording,
+// accuse nobody.
 func TestPoisonedCacheNeverAccuses(t *testing.T) {
 	app, err := live.AppByName("mincost")
 	if err != nil {
@@ -147,6 +148,7 @@ func TestPoisonedCacheNeverAccuses(t *testing.T) {
 				}
 			}
 			reached := 0
+			hits = cache.Hits()
 			for _, qu := range queries {
 				if want, err := adversary.ExplainBounded(forger(h.Cfg), qu); err == nil && len(want.FaultyNodes()) != 0 {
 					reached++
@@ -162,6 +164,9 @@ func TestPoisonedCacheNeverAccuses(t *testing.T) {
 			}
 			if reached == 0 {
 				t.Error("no question's explanation reaches the forged send: the Explain rows test nothing")
+			}
+			if cache.Hits() != hits {
+				t.Errorf("the frontend's Explains read %d recordings: they replay through a replica", cache.Hits()-hits)
 			}
 		})
 	}

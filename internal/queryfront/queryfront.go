@@ -12,8 +12,11 @@
 // query's own audit pipeline, so a whole-deployment audit on a lightly
 // loaded frontend prepares its nodes in parallel; a single-node audit has
 // nothing to prepare ahead, and an Explain, which learns the next node from
-// the walk, opens no scope at all. Overload is handled the way the transport
-// handles full peer queues: a bounded admission queue sheds and counts rather
+// the walk, opens no scope at all: its spare core replays each log the walk
+// audits while the commit builds the graph from what that replay has
+// produced so far (core.Querier's streamed audit). Overload is handled the
+// way the transport handles full peer queues: a bounded admission queue
+// sheds and counts rather
 // than blocking or violating deadlines, and FrontStats exposes the counters (served/
 // shed/expired/failed, cache hit ratio, ledger hits and held bytes, partial
 // notes merges, per-kind p50/p99) over a stats RPC on the same listener.
@@ -21,10 +24,11 @@
 // The evidence semantics are unchanged by the extra hop: every query merges
 // the deployment's §5.4 missing-ack notes first (so honest nodes with unacked
 // sends surface as leads, never as provable evidence), audits with a fresh
-// Auditor over the shared cache — an answer with evidence that used a cache
-// recording is asked again without the cache, since a recording may confirm
-// but never accuse (core.Querier.ForgetRecordings) — and reports unreachable
-// peers as unattributable leads (§4.2's "unavailable" tier).
+// Auditor — an audit query's over the shared cache, where an answer with
+// evidence that used a cache recording is asked again without the cache,
+// since a recording may confirm but never accuse
+// (core.Querier.ForgetRecordings); an Explain's over no cache at all — and reports
+// unreachable peers as unattributable leads (§4.2's "unavailable" tier).
 //
 // One kind of query need not audit again. SNP audits work from authenticators
 // (§5.4–5.5): once a node's log has been verified and replayed up to a head it
@@ -50,8 +54,8 @@
 // Its answer is the full audit's. An entry is dropped when it cannot be
 // confirmed, when the live check finds a fork, or to keep the chains held
 // under ledgerCap; held state can only ever confirm "still clean", never
-// accuse. Audits of several targets and Explains neither read nor fill the
-// ledger.
+// accuse. Audits of several targets neither read nor fill the ledger, and
+// Explains read and fill neither the ledger nor the audit cache.
 //
 // What an Explain attests. A Causes query audits the root's log through its
 // head and asks every node the walk crosses onto for the paper's
@@ -92,8 +96,8 @@ type Config struct {
 	// traffic itself.
 	Cluster *transport.Cluster
 	// Base is the audit-side core configuration: Tprop, DeltaClock,
-	// Suite, and — for a persistent cache shared across sessions —
-	// AuditCache. It must match the deployment's protocol parameters or
+	// Suite, and — for a persistent cache shared across sessions' audit
+	// queries; Explains read none — AuditCache. It must match the deployment's protocol parameters or
 	// replay verification will misjudge commitment deadlines.
 	Base core.Config
 	// Dir is the key directory covering the deployment's membership.
@@ -417,11 +421,12 @@ func (s *Server) syncNotes(fetch auditFetcher) (maint *core.Maintainer, complete
 	return maint, true
 }
 
-// querier builds one query's fresh audit state over the merged notes.
-func (s *Server) querier(fetch core.Fetcher, maint *core.Maintainer) *core.Querier {
-	q := core.NewQuerier(core.NewAuditor(s.cfg.Base, s.cfg.Dir, s.cfg.Factory, maint), fetch)
+// querier builds one query's fresh audit state, under base, over the merged
+// notes.
+func (s *Server) querier(fetch core.Fetcher, maint *core.Maintainer, base core.Config) *core.Querier {
+	q := core.NewQuerier(core.NewAuditor(base, s.cfg.Dir, s.cfg.Factory, maint), fetch)
 	// The session's share of the cores: with as many sessions as cores the
-	// pool already fills the machine and every audit stays lazy.
+	// pool already fills the machine and every audit stays lazy and inline.
 	q.Parallelism = max(1, runtime.GOMAXPROCS(0)/s.cfg.Sessions)
 	if s.cfg.ConfigureQuerier != nil {
 		s.cfg.ConfigureQuerier(q)
@@ -448,7 +453,7 @@ func (s *Server) audit(fetch auditFetcher, targets []types.NodeID) *adversary.Ve
 			return v
 		}
 	}
-	q := s.querier(fetch, maint)
+	q := s.querier(fetch, maint, s.cfg.Base)
 	v := adversary.Sweep(q, maint, targets, time.Time{}, 0)
 	if single {
 		s.ledger.misses.Add(1)
@@ -525,20 +530,14 @@ func (s *Server) finish(req *request, kind string, err error, body func(*wire.Wr
 
 // explain answers one Explain macroquery. It audits afresh whatever the
 // ledger holds: the answer is a walk of the graph a ledger entry does not keep.
-// See the package comment for what the answer attests.
+// It replays every log through a replica, never from the audit cache, so
+// each audit streams its replay into its commit (see core.Querier). See the
+// package comment for what the answer attests.
 func (s *Server) explain(fetch auditFetcher, er *ExplainRequest) (*ExplainResult, error) {
 	maint, _ := s.syncNotes(fetch)
-	q := s.querier(fetch, maint)
-	res, err := explainOn(q, fetch, er)
-	// A cache recording may confirm, never accuse (see the package comment).
-	if err == nil && (len(res.Faulty) != 0 || len(q.Auditor.Failures()) != 0) && q.ForgetRecordings() {
-		res, err = explainOn(q, fetch, er)
-	}
-	return res, err
-}
-
-// explainOn answers er on q, a Querier with no audit yet.
-func explainOn(q *core.Querier, fetch core.Fetcher, er *ExplainRequest) (*ExplainResult, error) {
+	base := s.cfg.Base
+	base.AuditCache = nil
+	q := s.querier(fetch, maint, base)
 	if err := q.EnsureAudited(er.Node, er.StartHint); err != nil {
 		// The query's root node is unreachable: that is an answer for the
 		// leads tier, not a retryable transport failure, but with no

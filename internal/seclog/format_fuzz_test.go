@@ -147,7 +147,7 @@ func FuzzTableOpen(f *testing.F) {
 			}
 			// Record bytes need not decode (the index does not vouch for
 			// entry encodings), but decoding must stay panic-free.
-			_, _ = decodeTableEntry(tbl, seq)
+			_, _ = decodeRecord(seq, rec)
 		}
 	})
 }

@@ -569,25 +569,77 @@ func (l *Log) Sign(t types.Time, hash []byte) ([]byte, error) {
 // Segment returns entries [from..to] (1-based, inclusive) together with the
 // base hash h_{from-1}. It returns an error if the range was truncated.
 func (l *Log) Segment(from, to uint64) (*SegmentData, error) {
+	base, err := l.segmentBase(from, to)
+	if err != nil {
+		return nil, err
+	}
+	seg := &SegmentData{Node: l.node, From: from, BaseHash: base}
+	if from <= to {
+		seg.Entries = make([]*Entry, 0, to-from+1)
+	}
+	if err := l.coldRecords(from, to, func(seq uint64, rec []byte) error {
+		e, err := decodeRecord(seq, rec)
+		seg.Entries = append(seg.Entries, e)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for s := max(from, l.hotFirst); s <= to; s++ {
+		seg.Entries = append(seg.Entries, l.entries[l.hotStart+int(s-l.hotFirst)])
+	}
+	return seg, nil
+}
+
+// WriteSegment writes to w what Segment(from, to)'s MarshalWire writes,
+// without decoding a stored entry: the store holds each one in that very
+// encoding (Append wrote it with MarshalWire, checkpoints with their full
+// payload), so its bytes are copied as they are, and only resident entries are
+// encoded. On error w holds part of a segment and must be discarded.
+func (l *Log) WriteSegment(w *wire.Writer, from, to uint64) error {
+	base, err := l.segmentBase(from, to)
+	if err != nil {
+		return err
+	}
+	w.String(string(l.node))
+	w.Uint(from)
+	w.BytesField(base)
+	w.Uint(to + 1 - from)
+	if err := l.coldRecords(from, to, func(_ uint64, rec []byte) error {
+		w.Raw(rec)
+		return nil
+	}); err != nil {
+		return err
+	}
+	for s := max(from, l.hotFirst); s <= to; s++ {
+		l.entries[l.hotStart+int(s-l.hotFirst)].MarshalWire(w)
+	}
+	return nil
+}
+
+// segmentBase checks that [from..to] is a retained segment (to = from-1 is
+// the empty one) and returns its base hash h_{from-1}.
+func (l *Log) segmentBase(from, to uint64) ([]byte, error) {
 	if from < l.first {
 		return nil, fmt.Errorf("seclog: segment start %d precedes retained history (first %d)", from, l.first)
 	}
 	if to > l.Len() || from > to+1 {
 		return nil, fmt.Errorf("seclog: bad segment [%d..%d] of %d", from, to, l.Len())
 	}
-	base, err := l.Hash(from - 1)
-	if err != nil {
-		return nil, err
+	return l.Hash(from - 1)
+}
+
+// coldRecords calls fn with the stored encoding of every entry of [from..to]
+// that is not resident (see Store.records). A store error is sticky, as in
+// Entry.
+func (l *Log) coldRecords(from, to uint64, fn func(seq uint64, rec []byte) error) error {
+	if from >= l.hotFirst || from > to {
+		return nil
 	}
-	seg := &SegmentData{Node: l.node, From: from, BaseHash: base}
-	for s := from; s <= to; s++ {
-		e, err := l.Entry(s)
-		if err != nil {
-			return nil, err
-		}
-		seg.Entries = append(seg.Entries, e)
+	err := l.store.records(from, min(to, l.hotFirst-1), fn)
+	if err != nil && l.storeErr == nil {
+		l.storeErr = err
 	}
-	return seg, nil
+	return err
 }
 
 // Truncate drops entries before seq (Thist retention, §5.6). On a

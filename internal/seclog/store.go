@@ -273,57 +273,96 @@ func (s *Store) flushBuf() error {
 // this is the store-wide head too).
 func (s *Store) head() uint64 { return s.base - 1 + uint64(len(s.offsets)) }
 
-// entry reads and decodes record seq: straight from the tail file for
-// records past the tail base, from the sealed tables' shared mapping (no
-// read syscall) for older ones.
+// entry reads and decodes record seq.
 func (s *Store) entry(seq uint64) (*Entry, error) {
-	if seq >= s.base {
-		return s.tailEntry(seq)
+	var e *Entry
+	err := s.records(seq, seq, func(seq uint64, rec []byte) (err error) {
+		e, err = decodeRecord(seq, rec)
+		return err
+	})
+	return e, err
+}
+
+// decodeRecord decodes record seq's stored encoding into a fresh Entry, which
+// never aliases rec (wire's field decoders copy).
+func decodeRecord(seq uint64, rec []byte) (*Entry, error) {
+	e := new(Entry)
+	if err := wire.Decode(rec, e); err != nil {
+		return nil, fmt.Errorf("seclog: store record %d: %w", seq, err)
 	}
+	return e, nil
+}
+
+// records calls fn, in order, with the stored encoding of every record from
+// seq from through to: the sealed ones from their tables' shared mapping (no
+// read syscall), under mu so that no compaction retires a table while fn
+// reads it, and the rest from the tail file, all in one read. rec is valid
+// only during the call, and fn must not call back into the store.
+func (s *Store) records(from, to uint64, fn func(seq uint64, rec []byte) error) error {
+	if to > s.head() {
+		return fmt.Errorf("seclog: store has no record %d (head %d)", to, s.head())
+	}
+	if from < s.base && from <= to {
+		if err := s.tableRecords(from, min(to, s.base-1), fn); err != nil {
+			return err
+		}
+		from = s.base
+	}
+	if from > to {
+		return nil
+	}
+	return s.tailRecords(from, to, fn)
+}
+
+// tableRecords is records for a run of sealed records.
+func (s *Store) tableRecords(from, to uint64, fn func(seq uint64, rec []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, t := range s.tables {
-		if t.has(seq) {
-			return decodeTableEntry(t, seq)
+		for ; from <= to && t.has(from); from++ {
+			if err := fn(from, t.record(from)); err != nil {
+				return err
+			}
 		}
 	}
-	lo := s.base
-	if len(s.tables) > 0 {
-		lo = s.tables[0].base
+	if from <= to {
+		return fmt.Errorf("seclog: store has no sealed record %d", from)
 	}
-	return nil, fmt.Errorf("seclog: store has no record %d (have %d..%d)", seq, lo, s.head())
+	return nil
 }
 
-// tailEntry serves a record from the active tail file.
-func (s *Store) tailEntry(seq uint64) (*Entry, error) {
-	if seq > s.head() {
-		return nil, fmt.Errorf("seclog: store has no record %d (have %d..%d)", seq, s.base, s.head())
-	}
-	i := seq - s.base
+// tailRecords is records for a run of tail records: one read for the run,
+// after flushing the write buffer if the run reaches into it.
+func (s *Store) tailRecords(from, to uint64, fn func(seq uint64, rec []byte) error) error {
+	i, j := from-s.base, to-s.base
 	start := s.offsets[i]
 	end := s.size
-	if i+1 < uint64(len(s.offsets)) {
-		end = s.offsets[i+1]
+	if j+1 < uint64(len(s.offsets)) {
+		end = s.offsets[j+1]
 	}
 	if end > s.flushed {
-		// The record (or its tail) is still in the write buffer.
 		if err := s.flushBuf(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	buf := make([]byte, end-start)
 	if _, err := s.f.ReadAt(buf, start); err != nil {
-		return nil, fmt.Errorf("seclog: store read %d: %w", seq, err)
+		return fmt.Errorf("seclog: store read %d..%d: %w", from, to, err)
 	}
-	n, ln := binary.Uvarint(buf)
-	if ln <= 0 || uint64(len(buf)-ln) != n {
-		return nil, fmt.Errorf("seclog: store record %d has a corrupt length", seq)
+	for k := i; k <= j; k++ {
+		frame := buf[s.offsets[k]-start:]
+		if k < j {
+			frame = frame[:s.offsets[k+1]-s.offsets[k]]
+		}
+		n, ln := binary.Uvarint(frame)
+		if ln <= 0 || uint64(len(frame)-ln) != n {
+			return fmt.Errorf("seclog: store record %d has a corrupt length", s.base+k)
+		}
+		if err := fn(s.base+k, frame[ln:]); err != nil {
+			return err
+		}
 	}
-	e := new(Entry)
-	if err := wire.Decode(buf[ln:], e); err != nil {
-		return nil, fmt.Errorf("seclog: store record %d: %w", seq, err)
-	}
-	return e, nil
+	return nil
 }
 
 // writeMetaLocked atomically rewrites the sidecar from the manifest mirror.
@@ -841,14 +880,14 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 	}
 	if hotTail <= 0 && l.hotFirst > first {
 		var cold []*Entry
-		for k := first; k < l.hotFirst; k++ {
-			e, derr := st.entry(k)
-			if derr != nil {
-				f.Close()
-				closeAll()
-				return nil, derr
-			}
+		if derr := st.records(first, l.hotFirst-1, func(seq uint64, rec []byte) error {
+			e, err := decodeRecord(seq, rec)
 			cold = append(cold, e)
+			return err
+		}); derr != nil {
+			f.Close()
+			closeAll()
+			return nil, derr
 		}
 		resident = append(cold, resident...)
 		l.hotFirst = first

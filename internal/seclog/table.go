@@ -311,14 +311,3 @@ func parseTable(data []byte, node types.NodeID, suite cryptoutil.Suite, wantHash
 	}
 	return t, nil
 }
-
-// decodeTableEntry decodes record seq of t into a fresh Entry. Decoded
-// entries never alias the mapping (wire's field decoders copy), so they stay
-// valid after the table is retired.
-func decodeTableEntry(t *tableFile, seq uint64) (*Entry, error) {
-	e := new(Entry)
-	if err := wire.Decode(t.record(seq), e); err != nil {
-		return nil, fmt.Errorf("seclog: table record %d: %w", seq, err)
-	}
-	return e, nil
-}

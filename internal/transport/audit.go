@@ -34,7 +34,10 @@ const (
 
 // register puts a member's kinds on its server: the two data kinds one-way,
 // the six audit kinds answered. The node lock is held only for the node
-// call itself; encoding and the response write happen outside it.
+// call itself, and the response write happens outside it. A retrieve answer
+// is encoded under the lock, into a buffer of its own: it copies the log's
+// stored records, some out of table mappings that compaction may retire once
+// the lock is released.
 func (c *Cluster) register(srv *Server, m *member) {
 	for _, kind := range []byte{frameEnvelope, frameAck} {
 		srv.HandleOneWay(kind, func(from types.NodeID, r *wire.Reader) func(Reply) {
@@ -50,10 +53,11 @@ func (c *Cluster) register(srv *Server, m *member) {
 		var req core.RetrieveRequest
 		r.Value(&req)
 		return func(reply Reply) {
+			var answer wire.Writer
 			m.mu.Lock()
-			resp, err := m.node.HandleRetrieve(req)
+			err := m.node.WriteRetrieve(&answer, req)
 			m.mu.Unlock()
-			reply(err, func(w *wire.Writer) { resp.MarshalWire(w) })
+			reply(err, func(w *wire.Writer) { w.Raw(answer.Bytes()) })
 		}
 	})
 	srv.Handle(frameAuthReq, func(types.NodeID, *wire.Reader) func(Reply) {

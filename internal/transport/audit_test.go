@@ -1,11 +1,17 @@
 package transport
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"repro/internal/apps/mincost"
 	"repro/internal/core"
+	"repro/internal/cryptoutil"
+	"repro/internal/dlog"
 	"repro/internal/seclog"
+	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // TestAuthsSince pins the cursor rule of the incremental §5.5 read: a member
@@ -86,5 +92,88 @@ func TestAuthsSince(t *testing.T) {
 	auths, next := since(AuthCursor{Epoch: epoch, N: 2})
 	if !reflect.DeepEqual(auths, held) || next.Epoch == epoch || next.N != 4 {
 		t.Errorf("after serving again: %v, cursor %+v (old epoch %d)", auths, next, epoch)
+	}
+}
+
+// TestServedRetrieve: over TCP a member answers a retrieve with the bytes of
+// its node's answer — in memory, and on store with most records sealed or in
+// the tail file and copied as they are. A node with TamperRetrieve set serves
+// its doctored answer, which an auditor proves tampered.
+func TestServedRetrieve(t *testing.T) {
+	for _, logDir := range []string{"", t.TempDir()} {
+		cluster := NewCluster()
+		defer cluster.Close()
+		cfg := core.DefaultConfig()
+		cfg.LogDir, cfg.LogHotTail = logDir, 2
+		key, err := cryptoutil.PooledKey(cfg.Suite, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := core.NewDirectory()
+		dir.Register("a", key.Public())
+		node, err := core.NewNode("a", cfg, key, dir, core.NewMaintainer(), WallClock{}, cluster, dlog.NewMachine(mincost.Program(), "a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Log.SetStoreTuning(1, 100)
+		for i := int64(1); i <= 30; i++ {
+			if err := node.InsertBase(types.MakeTuple("x", types.N("a"), types.I(i))); err != nil {
+				t.Fatal(err)
+			}
+			if i%10 == 0 {
+				if err := node.Log.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := cluster.Serve(node, "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		f := cluster.NewFetcher("auditor")
+		defer f.Close()
+		first, err := node.Log.Entry(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []core.RetrieveRequest{{}, {StartTime: first.T + 1}, {EndTime: first.T + 1}} {
+			got, err := f.Retrieve("a", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *core.RetrieveResponse
+			if err := cluster.With("a", func(n *core.Node) { want, err = n.HandleRetrieve(req) }); err != nil || want == nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wire.Encode(*got), wire.Encode(*want)) {
+				t.Errorf("store %q, %+v: the served answer is not the node's", logDir, req)
+			}
+		}
+
+		if err := cluster.With("a", func(n *core.Node) {
+			n.TamperRetrieve = func(_ core.RetrieveRequest, resp *core.RetrieveResponse) (*core.RetrieveResponse, error) {
+				seg := *resp.Segment
+				doctored := *seg.Entries[0]
+				doctored.T++
+				seg.Entries = append([]*seclog.Entry{&doctored}, seg.Entries[1:]...)
+				return &core.RetrieveResponse{Segment: &seg, NewAuth: resp.NewAuth}, nil
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		auth, err := f.LatestAuth("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Retrieve("a", core.RetrieveRequest{Auth: auth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Segment.Entries[0].T != first.T+1 {
+			t.Errorf("store %q: the doctored answer was not served", logDir)
+		}
+		a := core.NewAuditor(cfg, dir, func(id types.NodeID) types.Machine { return dlog.NewMachine(mincost.Program(), id) }, nil)
+		if err := a.Commit(a.Prepare("a", got, auth)); err == nil || !a.NodeFailed("a") {
+			t.Errorf("store %q: the doctored log is not exposed: %v", logDir, a.Failures())
+		}
 	}
 }
