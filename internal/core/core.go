@@ -32,11 +32,11 @@ type Config struct {
 	Suite cryptoutil.Suite
 	// LogDir, when non-empty, backs each node's tamper-evident log with an
 	// on-disk segment store rooted at this directory (one data file plus a
-	// sidecar per node), lifting the in-memory retention limit of §5.6.
+	// sidecar per node), so a log's length is not bounded by memory.
 	LogDir string
 	// LogHotTail bounds the number of decoded log entries kept resident
 	// when the log is store-backed; older entries are decoded from disk on
-	// demand. Zero (or negative) keeps every retained entry hot.
+	// demand. Zero (or negative) keeps every entry hot.
 	LogHotTail int
 	// LogRecover makes NewNode reopen an existing segment store in LogDir
 	// (crash recovery: replay, chain re-verification, torn-tail repair)

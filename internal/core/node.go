@@ -239,7 +239,7 @@ func (n *Node) recoverFromLog() error {
 			}
 		}
 	}
-	for seq := n.Log.FirstSeq(); seq <= n.Log.Len(); seq++ {
+	for seq := uint64(1); seq <= n.Log.Len(); seq++ {
 		e, err := n.Log.Entry(seq)
 		if err != nil {
 			return fmt.Errorf("core: recovery replay of %s at entry %d: %w", n.ID, seq, err)
@@ -271,21 +271,9 @@ func (n *Node) recoverFromLog() error {
 			if len(e.AckIDs) > 0 {
 				acked[e.AckIDs[0]] = true
 			}
-		case seclog.ECkpt:
-			// A checkpoint heading the retained log stands in for the
-			// truncated history; later checkpoints describe state the replay
-			// has already reproduced.
-			if seq == n.Log.FirstSeq() && e.Ckpt != nil {
-				if err := n.Machine.Restore(e.Ckpt.MachineState); err != nil {
-					return fmt.Errorf("core: recovery restore of %s from checkpoint: %w", n.ID, err)
-				}
-			}
 		}
 	}
-	// Re-stage the outputs the crash kept out of the log. A truncated
-	// history is symmetric here: outputs derived before the retained first
-	// entry have no replayed derivation, and snd entries before it are
-	// gone, so both sides of the diff cover exactly the retained range.
+	// Re-stage the outputs the crash kept out of the log.
 	for _, m := range derived {
 		if !logged[m.ID()] {
 			n.enqueue(m, m.SendTime)
@@ -790,12 +778,9 @@ func (n *Node) retrieve(req RetrieveRequest) (from, end uint64, auth *seclog.Aut
 	if n.RefuseAudit {
 		return 0, 0, nil, ErrAuditRefused
 	}
-	if n.Log.Len() == 0 {
+	last := n.Log.Len()
+	if last == 0 {
 		return 0, 0, nil, fmt.Errorf("core: %s has an empty log", n.ID)
-	}
-	first, last := n.Log.FirstSeq(), n.Log.Len()
-	if first > last {
-		return 0, 0, nil, fmt.Errorf("core: %s retains no history (truncated past %d)", n.ID, last)
 	}
 	// Position of the first entry at or after StartTime. Entry timestamps
 	// are monotone (now() never goes backwards), so a binary search matches
@@ -811,19 +796,12 @@ func (n *Node) retrieve(req RetrieveRequest) (from, end uint64, auth *seclog.Aut
 		}
 		return e.T
 	}
-	count := int(last - first + 1)
-	idx := sort.Search(count, func(i int) bool { return readErr != nil || entryT(first+uint64(i)) >= req.StartTime })
+	idx := sort.Search(int(last), func(i int) bool { return readErr != nil || entryT(uint64(i)+1) >= req.StartTime })
 	if readErr != nil {
 		return 0, 0, nil, readErr
 	}
-	start := last
-	if idx < count {
-		start = first + uint64(idx)
-	}
-	from = n.Log.LastCheckpointBefore(start)
-	if from == 0 {
-		from = first
-	}
+	start := min(uint64(idx)+1, last)
+	from = max(n.Log.LastCheckpointBefore(start), 1)
 	// End: cover the evidence and the vertex lifetime.
 	end = max(req.Auth.Seq, from)
 	if end > last {

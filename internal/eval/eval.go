@@ -86,11 +86,6 @@ type Options struct {
 	// LogHotTail bounds resident decoded log entries per node when LogDir
 	// is set; zero keeps everything hot.
 	LogHotTail int
-	// AuditCache, when non-nil, is the persistent incremental-audit cache
-	// every querier built from the run consults (core.Config.AuditCache):
-	// re-auditing an unchanged segment skips the replica-machine replay. The
-	// deterministic metric series are unaffected by hits (pinned by test).
-	AuditCache *core.AuditCache
 	// SimWorkers bounds how many per-node event shards the simulation
 	// driver executes concurrently (simnet.Config.Workers): 0 or 1 is the
 	// serial reference scheduler, negative uses GOMAXPROCS. Every
@@ -118,7 +113,6 @@ func (o Options) simCfg() simnet.Config {
 	cfg.Core.Tbatch = o.Tbatch
 	cfg.Core.LogDir = o.LogDir
 	cfg.Core.LogHotTail = o.LogHotTail
-	cfg.Core.AuditCache = o.AuditCache
 	cfg.Workers = o.SimWorkers
 	cfg.OnNode = o.OnNode
 	return cfg

@@ -10,11 +10,11 @@ import (
 	"repro/internal/wire"
 )
 
-// LongRetentionReport summarizes a store-backed long-retention run (the
-// Thist scenario of §5.6 over the disk-backed segment store): Figure 6
-// log-growth accounting computed over the spilled logs, how much history
-// lived only on disk, and the outcome of crash-recovering one node's store
-// and re-auditing it.
+// LongRetentionReport summarizes a store-backed long-retention run (every
+// node keeps its whole log, spilled to the disk-backed segment store):
+// Figure 6 log-growth accounting computed over the spilled logs, how much
+// history lived only on disk, and the outcome of crash-recovering one node's
+// store and re-auditing it.
 type LongRetentionReport struct {
 	Config ConfigName
 	Fig6   Fig6Row
@@ -64,8 +64,8 @@ const DefaultHotTail = 128
 //  3. checks the recovered log serves the retained segment byte-for-byte
 //     and passes a full audit against the live node's own authenticator.
 //
-// At Scale 1.0 this is the paper-sized Thist experiment; tests run it at
-// the usual reduced scales.
+// At Scale 1.0 this is the paper-sized run; tests run it at the usual
+// reduced scales. No log is truncated.
 func LongRetention(name ConfigName, o Options, dir string) (*LongRetentionReport, error) {
 	o = o.normalize()
 	o.LogDir = dir

@@ -43,12 +43,3 @@ func Duration(durs []time.Duration, p float64) time.Duration {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return sorted[Rank(len(sorted), p)]
 }
-
-// SortedDuration is Duration for a slice the caller has already sorted
-// ascending, avoiding the copy.
-func SortedDuration(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[Rank(len(sorted), p)]
-}

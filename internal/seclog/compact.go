@@ -1,7 +1,6 @@
 // Background compaction for the segment store: folds accumulations of small
 // sealed tables into one wide table (structural sharing — record bytes and
-// chain hashes are copied verbatim, never re-encoded or re-hashed) and drops
-// tables that have fallen wholly below the retention boundary (§5.6).
+// chain hashes are copied verbatim, never re-encoded or re-hashed).
 //
 // Compaction only ever touches sealed tables; the active tail, the synced
 // head, and the chain itself are invariant under it. The commit order
@@ -15,21 +14,10 @@ import (
 	"os"
 )
 
-// maybeCompactLocked starts a background compaction pass when there is work:
-// droppable tables below the retention boundary, or more sealed tables than
-// foldAt. Single-flight; callers hold mu.
+// maybeCompactLocked starts a background fold when there are more sealed
+// tables than foldAt. Single-flight; callers hold mu.
 func (s *Store) maybeCompactLocked() {
-	if s.compacting || s.closed {
-		return
-	}
-	drop := false
-	for _, t := range s.tables {
-		if t.end() < s.man.first {
-			drop = true
-			break
-		}
-	}
-	if !drop && len(s.tables) <= s.foldAt {
+	if s.compacting || s.closed || len(s.tables) <= s.foldAt {
 		return
 	}
 	s.compacting = true
@@ -48,33 +36,21 @@ func (s *Store) compactLoop() {
 	s.mu.Unlock()
 }
 
-// compactOnce runs one compaction pass over a snapshot of the sealed tables.
-// New tables sealed while it runs only ever append to the list, and the
-// single-flight flag keeps a second pass from replacing the prefix, so the
-// snapshot is still a prefix of s.tables at swap time.
+// compactOnce folds a snapshot of the sealed tables into one. New tables
+// sealed while it runs only ever append to the list, and the single-flight
+// flag keeps a second pass from replacing the prefix, so the snapshot is
+// still a prefix of s.tables at swap time.
 func (s *Store) compactOnce() error {
 	s.mu.Lock()
 	snap := append([]*tableFile(nil), s.tables...)
-	first := s.man.first
 	foldAt := s.foldAt
 	s.mu.Unlock()
-
-	// Partition the snapshot: tables wholly below the retention boundary
-	// are dropped; the rest fold into one when there are too many.
-	cut := 0
-	for cut < len(snap) && snap[cut].end() < first {
-		cut++
+	if len(snap) <= foldAt {
+		return nil // raced a SetStoreTuning that raised the threshold
 	}
-	dropped, live := snap[:cut], snap[cut:]
-	var folded *tableFile
-	if len(live) > foldAt && len(live) > 1 {
-		var err error
-		folded, err = s.foldTables(live, first)
-		if err != nil {
-			return err
-		}
-	} else if len(dropped) == 0 {
-		return nil // raced a truncate that already advanced past the work
+	folded, err := s.foldTables(snap)
+	if err != nil {
+		return err
 	}
 
 	if s.hooks.MidCompact != nil {
@@ -85,30 +61,17 @@ func (s *Store) compactOnce() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if folded != nil {
-			_ = folded.close()
-			_ = os.Remove(folded.path)
-		}
+		_ = folded.close()
+		_ = os.Remove(folded.path)
 		return nil
 	}
 	if len(s.tables) < len(snap) {
 		s.mu.Unlock()
 		return fmt.Errorf("seclog: compaction snapshot is no longer a prefix")
 	}
-	suffix := s.tables[len(snap):]
-	var next []*tableFile
-	if folded != nil {
-		next = append(next, folded)
-	} else {
-		next = append(next, live...)
-	}
-	next = append(next, suffix...)
-	s.tables = next
-	s.man.tables = s.man.tables[:0]
-	for _, t := range s.tables {
-		s.man.tables = append(s.man.tables, manifestTable{hash: t.hash, base: t.base, count: t.count()})
-	}
-	err := s.writeMetaLocked()
+	s.tables = append([]*tableFile{folded}, s.tables[len(snap):]...)
+	s.man.tables = manifestTables(s.tables)
+	err = s.writeMetaLocked()
 	s.mu.Unlock()
 	if err != nil {
 		return err
@@ -117,12 +80,8 @@ func (s *Store) compactOnce() error {
 	// The old files are no longer referenced; retire them. A fold that
 	// produced identical content reuses the same file — never delete the
 	// path the new table lives at.
-	retire := dropped
-	if folded != nil {
-		retire = append(retire, live...)
-	}
-	for _, t := range retire {
-		if folded != nil && t.path == folded.path {
+	for _, t := range snap {
+		if t.path == folded.path {
 			continue
 		}
 		if cerr := t.close(); cerr != nil && err == nil {
@@ -135,31 +94,14 @@ func (s *Store) compactOnce() error {
 	return err
 }
 
-// foldTables builds one table holding every record of the given run that is
-// at or past the retention boundary. Record bytes and addresses are shared
-// structurally from the source mappings; nothing is re-encoded or re-hashed
-// except the new file's own content address.
-func (s *Store) foldTables(live []*tableFile, first uint64) (*tableFile, error) {
-	base := live[0].base
-	baseHash := live[0].baseHash
-	if first > base {
-		// Drop records below the boundary; the fold starts at the boundary
-		// and its base hash is the chain value just before it.
-		base = first
-		for _, t := range live {
-			if t.has(first - 1) {
-				baseHash = t.addr(first - 1)
-			} else if t.base == first && len(t.baseHash) > 0 {
-				baseHash = t.baseHash
-			}
-		}
-	}
+// foldTables builds one table holding every record of the given run. Record
+// bytes and addresses are shared structurally from the source mappings;
+// nothing is re-encoded or re-hashed except the new file's own content
+// address.
+func (s *Store) foldTables(live []*tableFile) (*tableFile, error) {
 	var recs []tableRecord
 	for _, t := range live {
 		for seq := t.base; seq <= t.end(); seq++ {
-			if seq < base {
-				continue
-			}
 			metered := int64(len(t.record(seq)))
 			var ckptSize int64
 			for _, c := range t.ckpts {
@@ -171,8 +113,5 @@ func (s *Store) foldTables(live []*tableFile, first uint64) (*tableFile, error) 
 			recs = append(recs, tableRecord{addr: t.addr(seq), rec: t.record(seq), metered: metered, ckptSize: ckptSize})
 		}
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("seclog: fold of %d tables kept no records", len(live))
-	}
-	return writeTable(s.dir, s.node, s.suite, base, baseHash, recs)
+	return writeTable(s.dir, s.node, s.suite, live[0].base, live[0].baseHash, recs)
 }

@@ -1,9 +1,8 @@
-// The manifest generalizes the old single-record sidecar: besides the
-// logical first and last synced head it now pins the set of sealed table
-// files (by content address) and the base sequence of the active tail file.
-// It is still one small file, rewritten atomically (tmp + rename) on every
-// sync, truncate, seal, and compaction swap — the single commit point for
-// every structural change to the store.
+// The manifest generalizes the old single-record sidecar: besides the last
+// synced head it pins the set of sealed table files (by content address) and
+// the base sequence of the active tail file. It is still one small file,
+// rewritten atomically (tmp + rename) on every sync, seal, and compaction
+// swap — the single commit point for every structural change to the store.
 package seclog
 
 import (
@@ -25,27 +24,29 @@ type manifestTable struct {
 
 func (mt manifestTable) end() uint64 { return mt.base - 1 + mt.count }
 
-// manifest mirrors the sidecar file. gross is the log's cumulative metered
-// byte count through the synced head — persisted because compaction may
-// delete the truncated records it would otherwise be recomputed from.
+// manifestTables is the manifest's reference to each of tables.
+func manifestTables(tables []*tableFile) []manifestTable {
+	mts := make([]manifestTable, 0, len(tables))
+	for _, t := range tables {
+		mts = append(mts, manifestTable{hash: t.hash, base: t.base, count: t.count()})
+	}
+	return mts
+}
+
+// manifest mirrors the sidecar file. The log it describes starts at entry 1
+// on h_0, so it records only where the log ends and where its records are.
 type manifest struct {
-	first     uint64
-	firstHash []byte
-	head      uint64
-	headHash  []byte
-	gross     int64
-	tailBase  uint64
-	tables    []manifestTable
+	head     uint64
+	headHash []byte
+	tailBase uint64
+	tables   []manifestTable
 }
 
 func encodeManifest(m *manifest) []byte {
 	w := wire.NewWriter(128)
 	w.Raw(metaMagic)
-	w.Uint(m.first)
-	w.BytesField(m.firstHash)
 	w.Uint(m.head)
 	w.BytesField(m.headHash)
-	w.Int(m.gross)
 	w.Uint(m.tailBase)
 	w.Uint(uint64(len(m.tables)))
 	for _, t := range m.tables {
@@ -65,11 +66,8 @@ func decodeManifest(raw []byte) (*manifest, bool) {
 	}
 	r := wire.NewReader(raw[len(metaMagic):])
 	m := &manifest{}
-	m.first = r.Uint()
-	m.firstHash = r.BytesField()
 	m.head = r.Uint()
 	m.headHash = r.BytesField()
-	m.gross = r.Int()
 	m.tailBase = r.Uint()
 	n := r.Count()
 	for i := 0; i < n; i++ {
@@ -102,7 +100,7 @@ func decodeManifest(raw []byte) (*manifest, bool) {
 }
 
 // readMeta loads the sidecar; ok is false when none exists (a store that was
-// never synced or truncated) — or when the bytes do not decode as a manifest.
+// never synced) — or when the bytes do not decode as a manifest.
 //
 // A missing, truncated, or garbled sidecar is treated as absent rather than
 // fatal: the sidecar is rewritten (tmp + rename) on every sync, and a crash

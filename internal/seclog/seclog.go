@@ -2,7 +2,9 @@
 // append-only sequence of entries linked by a hash chain, from which a node
 // can issue authenticators — signed commitments to its entire history up to
 // an entry. Any two messages signed by the same node either lie on one
-// chain or prove equivocation.
+// chain or prove equivocation. A log is entries 1..head, chained from a nil
+// h_0, and keeps its whole history; the segment store (store.go) moves it to
+// disk, never away.
 //
 // Entry granularity is the *envelope*: a batch of 1..k messages sent to one
 // destination under a single signature and acknowledgment (the Tbatch
@@ -321,36 +323,33 @@ func (a Authenticator) VerifyCounted(stats *cryptoutil.Stats, pub cryptoutil.Pub
 // ---------------------------------------------------------------------------
 // The log.
 
-// ckptRef indexes one retained checkpoint entry: its sequence number and
-// wire size. The index spares LastCheckpointBefore and checkpoint-byte
-// accounting from scanning cold, disk-resident history.
+// ckptRef indexes one checkpoint entry: its sequence number and wire size.
+// The index spares LastCheckpointBefore and checkpoint-byte accounting from
+// scanning cold, disk-resident history.
 type ckptRef struct {
 	seq  uint64
 	size int64
 }
 
-// Log is one node's tamper-evident log. By default it retains all entries
-// in memory (SNooPy's Thist truncation is modeled by Truncate); a log built
-// with NewStored or Open additionally spills every entry to an append-only
-// segment store on disk and keeps only a configurable hot tail of decoded
-// entries resident. The zero value is not usable; call New, NewStored, or
-// Open.
+// Log is one node's tamper-evident log: entries 1..Len(), chained from a nil
+// h_0, kept whole. By default every entry lives in memory; a log built with
+// NewStored or Open additionally spills every entry to an append-only segment
+// store on disk and keeps only a configurable hot tail of decoded entries
+// resident. The zero value is not usable; call New, NewStored, or Open.
 type Log struct {
-	node     types.NodeID
-	suite    cryptoutil.Suite
-	key      cryptoutil.PrivateKey
-	stats    *cryptoutil.Stats
-	first    uint64   // sequence number of the earliest retained entry (1-based)
-	hashes   [][]byte // hashes[i] is h_{first+i}
-	baseHash []byte   // h_{first-1}
-	// grossBytes accumulates the wire size of all appended entries,
-	// including truncated ones (for log-growth accounting, Figure 6).
+	node   types.NodeID
+	suite  cryptoutil.Suite
+	key    cryptoutil.PrivateKey
+	stats  *cryptoutil.Stats
+	hashes [][]byte // hashes[i] is h_{i+1}
+	// grossBytes accumulates the wire size of all appended entries (for
+	// log-growth accounting, Figure 6).
 	grossBytes int64
 
 	// entries[hotStart:] holds the resident decoded entries; the entry at
 	// index hotStart+i has sequence number hotFirst+i. Without a store,
-	// hotFirst == first and every retained entry is resident; with a store,
-	// older entries are evicted and decoded from disk on demand.
+	// hotFirst == 1 and every entry is resident; with a store, older entries
+	// are evicted and decoded from disk on demand.
 	entries  []*Entry
 	hotStart int
 	hotFirst uint64
@@ -362,31 +361,33 @@ type Log struct {
 	// this log was recovered (0 for clean opens and fresh logs).
 	recoveredTorn int64
 
-	ckpts []ckptRef // retained checkpoint entries, ascending by seq
+	ckpts []ckptRef // checkpoint entries, ascending by seq
 }
 
 // New creates an empty log for node with the given suite and signing key.
 // stats may be nil.
 func New(node types.NodeID, suite cryptoutil.Suite, key cryptoutil.PrivateKey, stats *cryptoutil.Stats) *Log {
-	return &Log{node: node, suite: suite, key: key, stats: stats, first: 1, hotFirst: 1, baseHash: nil}
+	return &Log{node: node, suite: suite, key: key, stats: stats, hotFirst: 1}
 }
 
 // Node returns the log owner.
 func (l *Log) Node() types.NodeID { return l.node }
 
 // Len returns the sequence number of the last entry (0 if empty).
-func (l *Log) Len() uint64 { return l.first - 1 + uint64(len(l.hashes)) }
+func (l *Log) Len() uint64 { return uint64(len(l.hashes)) }
 
-// FirstSeq returns the sequence number of the earliest retained entry.
-func (l *Log) FirstSeq() uint64 { return l.first }
+// FirstSeq returns 1, the sequence number of a log's first entry: a log keeps
+// its whole history. It is kept for its callers, which read a log from
+// FirstSeq to Len.
+func (l *Log) FirstSeq() uint64 { return 1 }
 
 // GrossBytes returns the total wire size ever appended.
 func (l *Log) GrossBytes() int64 { return l.grossBytes }
 
-// HeadHash returns h_k for the last entry (or the base hash when empty).
+// HeadHash returns h_k for the last entry (nil, h_0, when empty).
 func (l *Log) HeadHash() []byte {
 	if len(l.hashes) == 0 {
-		return l.baseHash
+		return nil
 	}
 	return l.hashes[len(l.hashes)-1]
 }
@@ -502,23 +503,23 @@ func (l *Log) evict() {
 	}
 }
 
-// Hash returns h_k, or an error when seq is truncated or out of range.
-// seq == FirstSeq()-1 yields the base hash.
+// Hash returns h_k, or an error when seq is past the head. Hash(0) is h_0,
+// nil.
 func (l *Log) Hash(seq uint64) ([]byte, error) {
-	if seq+1 == l.first {
-		return l.baseHash, nil
+	if seq > l.Len() {
+		return nil, fmt.Errorf("seclog: no hash for entry %d (log ends at %d)", seq, l.Len())
 	}
-	if seq < l.first || seq > l.Len() {
-		return nil, fmt.Errorf("seclog: no hash for entry %d (retained %d..%d)", seq, l.first, l.Len())
+	if seq == 0 {
+		return nil, nil
 	}
-	return l.hashes[seq-l.first], nil
+	return l.hashes[seq-1], nil
 }
 
-// Entry returns entry seq (1-based), or an error when seq is truncated or
-// out of range. Cold entries of a store-backed log are decoded from disk.
+// Entry returns entry seq (1-based), or an error when seq is out of range.
+// Cold entries of a store-backed log are decoded from disk.
 func (l *Log) Entry(seq uint64) (*Entry, error) {
-	if seq < l.first || seq > l.Len() {
-		return nil, fmt.Errorf("seclog: no entry %d (retained %d..%d)", seq, l.first, l.Len())
+	if seq == 0 || seq > l.Len() {
+		return nil, fmt.Errorf("seclog: no entry %d (log ends at %d)", seq, l.Len())
 	}
 	if seq >= l.hotFirst {
 		return l.entries[l.hotStart+int(seq-l.hotFirst)], nil
@@ -530,7 +531,7 @@ func (l *Log) Entry(seq uint64) (*Entry, error) {
 	return e, err
 }
 
-// Authenticator signs the current head (or, with seq, an earlier retained
+// Authenticator signs the current head (AuthenticatorAt signs an earlier
 // position).
 func (l *Log) Authenticator() (Authenticator, error) {
 	return l.AuthenticatorAt(l.Len())
@@ -567,7 +568,7 @@ func (l *Log) Sign(t types.Time, hash []byte) ([]byte, error) {
 }
 
 // Segment returns entries [from..to] (1-based, inclusive) together with the
-// base hash h_{from-1}. It returns an error if the range was truncated.
+// base hash h_{from-1}. It returns an error if the range is not in the log.
 func (l *Log) Segment(from, to uint64) (*SegmentData, error) {
 	base, err := l.segmentBase(from, to)
 	if err != nil {
@@ -616,14 +617,11 @@ func (l *Log) WriteSegment(w *wire.Writer, from, to uint64) error {
 	return nil
 }
 
-// segmentBase checks that [from..to] is a retained segment (to = from-1 is
+// segmentBase checks that [from..to] is a segment of the log (to = from-1 is
 // the empty one) and returns its base hash h_{from-1}.
 func (l *Log) segmentBase(from, to uint64) ([]byte, error) {
-	if from < l.first {
-		return nil, fmt.Errorf("seclog: segment start %d precedes retained history (first %d)", from, l.first)
-	}
-	if to > l.Len() || from > to+1 {
-		return nil, fmt.Errorf("seclog: bad segment [%d..%d] of %d", from, to, l.Len())
+	if from == 0 || to > l.Len() || from > to+1 {
+		return nil, fmt.Errorf("seclog: bad segment [%d..%d] (log ends at %d)", from, to, l.Len())
 	}
 	return l.Hash(from - 1)
 }
@@ -642,57 +640,8 @@ func (l *Log) coldRecords(from, to uint64, fn func(seq uint64, rec []byte) error
 	return err
 }
 
-// Truncate drops entries before seq (Thist retention, §5.6). On a
-// store-backed log the new retention boundary is persisted in the sidecar;
-// the data file keeps the truncated records (the chain replayed during
-// recovery still needs them) but they are no longer served.
-func (l *Log) Truncate(seq uint64) {
-	if seq <= l.first {
-		return
-	}
-	if seq > l.Len()+1 {
-		seq = l.Len() + 1
-	}
-	base, err := l.Hash(seq - 1)
-	if err != nil {
-		// Unreachable after the clamps above; fail sticky with the log
-		// untouched rather than corrupt the retention boundary.
-		if l.storeErr == nil {
-			l.storeErr = err
-		}
-		return
-	}
-	l.baseHash = base
-	l.hashes = append([][]byte(nil), l.hashes[seq-l.first:]...)
-	if seq > l.hotFirst {
-		drop := int(seq - l.hotFirst)
-		if drop > len(l.entries)-l.hotStart {
-			drop = len(l.entries) - l.hotStart
-		}
-		l.entries = append([]*Entry(nil), l.entries[l.hotStart+drop:]...)
-		l.hotStart = 0
-		l.hotFirst = seq
-	}
-	l.first = seq
-	l.pruneCkpts()
-	if l.store != nil {
-		if err := l.store.truncate(seq, l.baseHash); err != nil && l.storeErr == nil {
-			l.storeErr = err
-		}
-	}
-}
-
-// pruneCkpts drops checkpoint index records that precede retained history.
-func (l *Log) pruneCkpts() {
-	i := 0
-	for i < len(l.ckpts) && l.ckpts[i].seq < l.first {
-		i++
-	}
-	l.ckpts = l.ckpts[i:]
-}
-
 // LastCheckpointBefore returns the sequence of the latest ECkpt entry with
-// seq <= bound, or 0 if none is retained.
+// seq <= bound, or 0 if there is none.
 func (l *Log) LastCheckpointBefore(bound uint64) uint64 {
 	if bound > l.Len() {
 		bound = l.Len()
@@ -705,8 +654,8 @@ func (l *Log) LastCheckpointBefore(bound uint64) uint64 {
 	return 0
 }
 
-// CheckpointBytes returns the total wire size of the retained checkpoint
-// entries (the Figure 6 checkpoint series), without touching cold history.
+// CheckpointBytes returns the total wire size of the checkpoint entries (the
+// Figure 6 checkpoint series), without touching cold history.
 func (l *Log) CheckpointBytes() int64 {
 	var sum int64
 	for _, c := range l.ckpts {
@@ -721,13 +670,8 @@ func (l *Log) CheckpointBytes() int64 {
 // StoreBacked reports whether the log spills entries to a segment store.
 func (l *Log) StoreBacked() bool { return l.store != nil }
 
-// ColdEntries returns how many retained entries are resident only on disk.
-func (l *Log) ColdEntries() uint64 {
-	if l.hotFirst <= l.first {
-		return 0
-	}
-	return l.hotFirst - l.first
-}
+// ColdEntries returns how many entries are resident only on disk.
+func (l *Log) ColdEntries() uint64 { return l.hotFirst - 1 }
 
 // Err returns the first store error encountered (nil for in-memory logs and
 // healthy stores). A log with a sticky store error keeps serving from
@@ -807,15 +751,14 @@ func (l *Log) Sync() error {
 	if l.storeErr != nil {
 		return l.storeErr
 	}
-	return l.store.sync(l.first, l.baseHash, l.Len(), l.HeadHash(), l.grossBytes, l.sealInfo)
+	return l.store.sync(l.Len(), l.HeadHash(), l.sealInfo)
 }
 
-// sealInfo resolves a retained record's chain hash and metered size from the
-// indexes the log already maintains; the store calls it while sealing tail
-// records into a table so sealing never re-hashes retained history. seq must
-// be in [FirstSeq(), Len()].
+// sealInfo resolves a record's chain hash and metered size from the indexes
+// the log already maintains; the store calls it while sealing tail records
+// into a table so sealing never re-hashes history. seq must be in [1, Len()].
 func (l *Log) sealInfo(seq uint64, recLen int64) ([]byte, int64, int64) {
-	h := l.hashes[seq-l.first]
+	h := l.hashes[seq-1]
 	for i := len(l.ckpts) - 1; i >= 0; i-- {
 		if l.ckpts[i].seq == seq {
 			return h, l.ckpts[i].size, l.ckpts[i].size

@@ -142,36 +142,6 @@ func TestSegmentFromOffset(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	l := newTestLog(t)
-	for i := 1; i <= 10; i++ {
-		l.Append(insEntry(types.Time(i), "a", int64(i)))
-	}
-	headBefore := append([]byte(nil), l.HeadHash()...)
-	auth, _ := l.Authenticator()
-	l.Truncate(5)
-	if l.FirstSeq() != 5 || l.Len() != 10 {
-		t.Fatalf("after truncate: first=%d len=%d", l.FirstSeq(), l.Len())
-	}
-	if !bytes.Equal(l.HeadHash(), headBefore) {
-		t.Error("truncate changed the head hash")
-	}
-	// Appending still continues the same chain.
-	l.Append(insEntry(11, "a", 11))
-	seg, err := l.Segment(5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auth2, _ := l.Authenticator()
-	if _, err := seg.VerifyAgainst(testSuite, nil, l.key.Public(), auth2); err != nil {
-		t.Errorf("post-truncate segment rejected: %v", err)
-	}
-	if _, err := l.Segment(1, 10); err == nil {
-		t.Error("truncated range served")
-	}
-	_ = auth
-}
-
 func TestEntryRoundTrip(t *testing.T) {
 	entries := []*Entry{
 		insEntry(5, "a", 1),

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // buildSyncedStore creates a store-backed log with n entries and a durably
@@ -97,6 +99,31 @@ func TestSidecarGarbage(t *testing.T) {
 	}
 }
 
+// TestSidecarOlderGenerationAbsent: a sidecar of the SNPMET2 generation (which
+// also recorded a retention boundary and the gross byte count) reads as
+// absent, as if the store had never synced. The one planted here claims a
+// synced head past the data file's, which Open would refuse if it believed
+// it.
+func TestSidecarOlderGenerationAbsent(t *testing.T) {
+	dir, n, head := buildSyncedStore(t, 12)
+	w := wire.NewWriter(128)
+	w.Raw([]byte("SNPMET2\n"))
+	w.Uint(1)          // first
+	w.BytesField(nil)  // first hash
+	w.Uint(n + 5)      // synced head
+	w.BytesField(head) // synced head hash
+	w.Int(4096)        // gross
+	w.Uint(1)          // tail base
+	w.Uint(0)          // tables
+	if err := os.WriteFile(filepath.Join(dir, metaFileName("n1")), w.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := ReadSidecar(dir, "n1"); ok || err != nil {
+		t.Fatalf("ReadSidecar of an SNPMET2 sidecar: ok=%v err=%v, want absent", ok, err)
+	}
+	reopenAndCheck(t, dir, n, head)
+}
+
 // TestSidecarHealedAfterOpen: recovery rewrites a fresh sidecar, so the
 // *next* Open regains the synced-head tamper check.
 func TestSidecarHealedAfterOpen(t *testing.T) {
@@ -112,12 +139,12 @@ func TestSidecarHealedAfterOpen(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	first, headSeq, _, ok, err := ReadSidecar(dir, "n1")
+	headSeq, _, ok, err := ReadSidecar(dir, "n1")
 	if err != nil || !ok {
 		t.Fatalf("sidecar not healed after Open: ok=%v err=%v", ok, err)
 	}
-	if first != 1 || headSeq != n {
-		t.Fatalf("healed sidecar has first=%d head=%d, want 1, %d", first, headSeq, n)
+	if headSeq != n {
+		t.Fatalf("healed sidecar has head=%d, want %d", headSeq, n)
 	}
 	// With the healed sidecar, chopping synced entries off the data file is
 	// once again refused as evidence loss, not mistaken for a crash.
@@ -241,7 +268,7 @@ func TestSyncedHeadAccessor(t *testing.T) {
 	if seq != 6 || !bytes.Equal(hash, live.HeadHash()) {
 		t.Fatalf("SyncedHead = (%d, %x), want (6, head)", seq, hash)
 	}
-	_, scSeq, scHash, ok, err := ReadSidecar(dir, "n1")
+	scSeq, scHash, ok, err := ReadSidecar(dir, "n1")
 	if err != nil || !ok {
 		t.Fatalf("ReadSidecar: ok=%v err=%v", ok, err)
 	}

@@ -1,8 +1,8 @@
 // Segment store: a durable, append-only, file-backed home for a node's
-// tamper-evident log (the Thist retention substrate of §5.6). The store
-// holds the wire encoding of every entry ever appended; the Log keeps only a
-// configurable hot tail of decoded entries resident and re-reads cold
-// history on demand, so long retention windows no longer grow the heap.
+// tamper-evident log. The store holds the wire encoding of every entry ever
+// appended, from entry 1 on; the Log keeps only a configurable hot tail of
+// decoded entries resident and re-reads cold history on demand, so a long
+// log does not grow the heap.
 //
 // On-disk layout (per node): an active tail file, zero or more sealed
 // content-addressed table files, and a manifest:
@@ -19,8 +19,7 @@
 // sealLimit, its records are sealed into a table file addressed by the hash
 // of its own bytes and the tail is rotated; sealed history is then read
 // through a shared read-only mapping instead of a pread per cold entry. A
-// background compactor folds small tables together and drops tables that
-// fall wholly below the retention boundary.
+// background compactor folds small tables together.
 //
 // Every structural change commits through the manifest swap, in an order
 // that keeps some complete copy of every record reachable at all times:
@@ -34,10 +33,11 @@
 // Crash recovery (Open) verifies sealed tables by their content address and
 // inter-table chain linkage, replays only the tail — recomputing the hash
 // chain from the persisted base hash — and truncates a torn or garbled tail
-// left by a crash mid-append at the last intact record. If the manifest
-// records a previously synced head, the recovered chain must still pass
-// through it; a mismatch is evidence of tampering, not of a crash, and Open
-// refuses the store.
+// left by a crash mid-append at the last intact record. The oldest record
+// must be entry 1 on a nil base hash: a store that starts later has lost
+// data. If the manifest records a previously synced head, the recovered
+// chain must still pass through it; a mismatch is evidence of tampering, not
+// of a crash, and Open refuses the store.
 package seclog
 
 import (
@@ -55,12 +55,13 @@ import (
 )
 
 // File-format magics. The trailing newline keeps accidental text files from
-// matching. SNPMET2 is the manifest generation of the sidecar; SNPMET1
-// sidecars (single synced-head record, no table list) read as absent, which
-// recovery already treats as "never synced".
+// matching. SNPMET3 is the manifest generation of the sidecar; older sidecars
+// (SNPMET1's single synced-head record, SNPMET2's retention boundary and
+// gross count) read as absent, which recovery already treats as "never
+// synced".
 var (
 	storeMagic = []byte("SNPSEG1\n")
-	metaMagic  = []byte("SNPMET2\n")
+	metaMagic  = []byte("SNPMET3\n")
 )
 
 // storeBufLimit is the append write-buffer threshold: records accumulate in
@@ -80,10 +81,10 @@ const storeSealLimit = 1 << 18
 // the sealed tables into one.
 const storeFoldAt = 6
 
-// sealInfoFn resolves, for a retained record about to be sealed, its chain
-// hash (the table address), its metered size (digest form for checkpoints),
-// and whether it is a checkpoint. The Log provides it from the indexes it
-// already maintains, so sealing never re-hashes retained history.
+// sealInfoFn resolves, for a record about to be sealed, its chain hash (the
+// table address), its metered size (digest form for checkpoints), and
+// whether it is a checkpoint. The Log provides it from the indexes it
+// already maintains, so sealing never re-hashes history.
 type sealInfoFn func(seq uint64, recLen int64) (hash []byte, metered int64, ckptSize int64)
 
 // Store is the file layer under a store-backed Log: an append-only tail
@@ -129,7 +130,6 @@ type Store struct {
 	mu         sync.Mutex
 	tables     []*tableFile
 	man        manifest // what the sidecar on disk says (or will say next write)
-	synced     bool     // a manifest has been written
 	compacting bool
 	compactErr error
 	closed     bool
@@ -376,31 +376,29 @@ func (s *Store) writeMetaLocked() error {
 	if err := os.Rename(tmp, s.metaPath); err != nil {
 		return fmt.Errorf("seclog: store meta: %w", err)
 	}
-	s.synced = true
 	return nil
 }
 
-// ReadSidecar reports the on-disk sidecar state for node under dir: the
-// logical first sequence and the last durably synced head (seq + chain
-// hash). ok is false when no intact sidecar exists. It reads only the small
-// sidecar file — safe to call on a live store from another process, since
-// the sidecar is replaced atomically.
-func ReadSidecar(dir string, node types.NodeID) (first, headSeq uint64, headHash []byte, ok bool, err error) {
+// ReadSidecar reports the on-disk sidecar state for node under dir: the last
+// durably synced head (seq + chain hash). ok is false when no intact sidecar
+// exists. It reads only the small sidecar file — safe to call on a live
+// store from another process, since the sidecar is replaced atomically.
+func ReadSidecar(dir string, node types.NodeID) (headSeq uint64, headHash []byte, ok bool, err error) {
 	m, ok, err := readMeta(filepath.Join(dir, metaFileName(node)))
 	if !ok || err != nil {
-		return 0, 0, nil, ok, err
+		return 0, nil, ok, err
 	}
-	return m.first, m.head, m.headHash, true, nil
+	return m.head, m.headHash, true, nil
 }
 
 // sync group-commits the buffered appends (one write, one fsync for the
-// whole group) and records the current state in the manifest, so a later
+// whole group) and records the current head in the manifest, so a later
 // Open can distinguish tampering from a crash up to this point. When the
 // synced tail has outgrown sealLimit, its records are sealed into a table
 // file and the tail is rotated; info resolves chain hashes and metered sizes
-// for retained records (nil disables sealing — used only while healing
-// during Open, before the Log exists).
-func (s *Store) sync(first uint64, firstHash []byte, headSeq uint64, headHash []byte, gross int64, info sealInfoFn) error {
+// for the records (nil disables sealing — used only while healing during
+// Open, before the Log exists).
+func (s *Store) sync(headSeq uint64, headHash []byte, info sealInfoFn) error {
 	if err := s.flushBuf(); err != nil {
 		return err
 	}
@@ -408,11 +406,8 @@ func (s *Store) sync(first uint64, firstHash []byte, headSeq uint64, headHash []
 		return fmt.Errorf("seclog: store sync: %w", err)
 	}
 	s.mu.Lock()
-	s.man.first = first
-	s.man.firstHash = append([]byte(nil), firstHash...)
 	s.man.head = headSeq
 	s.man.headHash = append([]byte(nil), headHash...)
-	s.man.gross = gross
 	s.man.tailBase = s.base
 	err := s.writeMetaLocked()
 	s.mu.Unlock()
@@ -420,7 +415,7 @@ func (s *Store) sync(first uint64, firstHash []byte, headSeq uint64, headHash []
 		return err
 	}
 	if info != nil && s.size-s.headerLen >= int64(s.sealLimit) && s.head() >= s.base {
-		if err := s.seal(first, headHash, info); err != nil {
+		if err := s.seal(headHash, info); err != nil {
 			return err
 		}
 	}
@@ -436,7 +431,7 @@ func (s *Store) sync(first uint64, firstHash []byte, headSeq uint64, headHash []
 // swap second, tail rotation last; a crash leaves either an unreferenced
 // table or a tail whose leading records duplicate the freshly sealed table,
 // both of which Open repairs.
-func (s *Store) seal(first uint64, headHash []byte, info sealInfoFn) error {
+func (s *Store) seal(headHash []byte, info sealInfoFn) error {
 	raw, err := os.ReadFile(s.path)
 	if err != nil {
 		return fmt.Errorf("seclog: store seal: %w", err)
@@ -446,7 +441,6 @@ func (s *Store) seal(first uint64, headHash []byte, info sealInfoFn) error {
 	}
 	head := s.head()
 	recs := make([]tableRecord, 0, len(s.offsets))
-	prev := s.baseHash
 	for i, off := range s.offsets {
 		seq := s.base + uint64(i)
 		end := s.flushed
@@ -459,28 +453,8 @@ func (s *Store) seal(first uint64, headHash []byte, info sealInfoFn) error {
 			return fmt.Errorf("seclog: store seal: record %d has a corrupt length", seq)
 		}
 		rec := frame[ln:]
-		var tr tableRecord
-		if seq >= first {
-			hash, metered, ckptSize := info(seq, int64(len(rec)))
-			tr = tableRecord{addr: hash, rec: rec, metered: metered, ckptSize: ckptSize}
-		} else {
-			// Truncated-but-retained record: the Log no longer indexes it,
-			// so recompute its chain hash and metered size from the bytes.
-			e := new(Entry)
-			if derr := wire.Decode(rec, e); derr != nil {
-				return fmt.Errorf("seclog: store seal: record %d: %w", seq, derr)
-			}
-			hash := chainHash(s.suite, nil, prev, e)
-			metered := int64(len(rec))
-			var ckptSize int64
-			if e.Type == ECkpt {
-				metered = int64(e.WireSize())
-				ckptSize = metered
-			}
-			tr = tableRecord{addr: hash, rec: rec, metered: metered, ckptSize: ckptSize}
-		}
-		prev = tr.addr
-		recs = append(recs, tr)
+		hash, metered, ckptSize := info(seq, int64(len(rec)))
+		recs = append(recs, tableRecord{addr: hash, rec: rec, metered: metered, ckptSize: ckptSize})
 	}
 	t, err := writeTable(s.dir, s.node, s.suite, s.base, s.baseHash, recs)
 	if err != nil {
@@ -513,26 +487,6 @@ func (s *Store) seal(first uint64, headHash []byte, info sealInfoFn) error {
 	s.size = headerLen
 	s.flushed = headerLen
 	s.buf = s.buf[:0]
-	return nil
-}
-
-// truncate persists a new logical first without claiming a newer synced
-// head than the manifest already holds, then lets the compactor drop any
-// tables that fell wholly below the boundary.
-func (s *Store) truncate(first uint64, firstHash []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.synced && len(s.tables) == 0 {
-		// Match the pre-table behavior: the first truncate of a never-synced
-		// store creates the sidecar with a zero synced head.
-		s.man.tailBase = s.base
-	}
-	s.man.first = first
-	s.man.firstHash = append([]byte(nil), firstHash...)
-	if err := s.writeMetaLocked(); err != nil {
-		return err
-	}
-	s.maybeCompactLocked()
 	return nil
 }
 
@@ -589,6 +543,7 @@ func NewStored(dir string, node types.NodeID, suite cryptoutil.Suite, key crypto
 // compaction is rolled forward or back (orphan tables collected, a
 // half-rotated tail re-rotated) — so the reopened log serves retrieve and
 // audit requests byte-for-byte identically to the log that wrote the files.
+// A store whose oldest record is not entry 1 has lost data and is refused.
 //
 // key may be nil when the reopened log only serves reads (Segment, Entry,
 // Hash); signing operations then fail.
@@ -637,6 +592,21 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 	}
 	headerLen := int64(len(raw) - r.Remaining())
 
+	// The oldest record, in a table or in the tail, must be entry 1 on h_0: a
+	// store that starts later has lost the entries before it.
+	oldest, oldestHash := tailBase, tailBaseHash
+	if len(tables) > 0 {
+		oldest, oldestHash = tables[0].base, tables[0].baseHash
+	}
+	if oldest != 1 {
+		closeAll()
+		return nil, fmt.Errorf("seclog: store %s lost entries 1..%d", path, oldest-1)
+	}
+	if len(oldestHash) != 0 {
+		closeAll()
+		return nil, fmt.Errorf("seclog: store %s: %w before entry 1", path, ErrChainMismatch)
+	}
+
 	// Reconcile the tail with the sealed tables. A tail that starts before
 	// the end of the last table is the footprint of a seal interrupted
 	// before rotation: its leading records duplicate sealed ones and are
@@ -666,14 +636,13 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 	// be fully read or decoded marks the torn tail: everything before it is
 	// intact (the chain vouches for it), everything from it on is discarded.
 	var (
-		entries   []*Entry
-		hashes    [][]byte
-		offsets   []int64
-		sizes     []int64 // metered (digest-form) size per replayed entry
-		ckpts     []ckptRef
-		tailGross int64
-		goodSize  = headerLen
-		seq       = tailBase - 1
+		entries  []*Entry
+		hashes   [][]byte
+		offsets  []int64
+		ckpts    []ckptRef
+		gross    int64
+		goodSize = headerLen
+		seq      = tailBase - 1
 	)
 	for r.Remaining() > 0 {
 		frameStart := int64(len(raw) - r.Remaining())
@@ -703,46 +672,22 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 		size := int64(len(rec))
 		if e.Type == ECkpt {
 			size = int64(e.WireSize())
-		}
-		sizes = append(sizes, size)
-		tailGross += size
-		if e.Type == ECkpt {
 			ckpts = append(ckpts, ckptRef{seq: seq, size: size})
 		}
+		gross += size
 	}
 	head := base - 1 + uint64(len(entries))
 
-	avail := base // earliest sequence present anywhere
-	if len(tables) > 0 {
-		avail = tables[0].base
-	}
-	availBaseHash := tailBaseHash
-	if len(tables) > 0 {
-		availBaseHash = tables[0].baseHash
-	}
-	// hashAt resolves h_k for avail-1 <= k <= head from the tables' indexes
-	// and the replayed tail.
-	hashAt := func(k uint64) []byte {
-		if k == avail-1 {
-			return availBaseHash
-		}
-		if k >= base {
-			return hashes[k-base]
-		}
-		for _, t := range tables {
-			if t.has(k) {
-				return t.addr(k)
-			}
-		}
-		return nil
-	}
-
-	first := avail
-	gross := int64(0)
+	// The whole chain h_1..h_head: the tables' addresses, copied out of the
+	// mappings a compaction may release, then the replayed tail's.
+	chain := make([][]byte, 0, head)
 	for _, t := range tables {
+		for _, a := range t.addrs {
+			chain = append(chain, append([]byte(nil), a...))
+		}
 		gross += t.gross
 	}
-	gross += tailGross
+	chain = append(chain, hashes...)
 	if manOK {
 		// The synced head must lie on the recovered chain: a shorter chain
 		// means data the node had committed to is gone (not a torn-append
@@ -751,40 +696,13 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 			closeAll()
 			return nil, fmt.Errorf("seclog: store %s lost entries %d..%d past the synced head", path, head+1, man.head)
 		}
-		if man.head >= avail {
-			if !bytes.Equal(hashAt(man.head), man.headHash) {
-				closeAll()
-				return nil, fmt.Errorf("seclog: store %s: %w at synced head %d", path, ErrChainMismatch, man.head)
-			}
-		} else if man.head == avail-1 && !bytes.Equal(availBaseHash, man.headHash) {
+		var synced []byte // h_0 is nil
+		if man.head > 0 {
+			synced = chain[man.head-1]
+		}
+		if !bytes.Equal(synced, man.headHash) {
 			closeAll()
-			return nil, fmt.Errorf("seclog: store %s: %w at base", path, ErrChainMismatch)
-		}
-		if man.first > first {
-			first = man.first
-		}
-		if man.first < avail {
-			closeAll()
-			return nil, fmt.Errorf("seclog: store %s lost entries %d..%d inside the retention window", path, man.first, avail-1)
-		}
-		// Gross is metered from the manifest (compaction may have deleted
-		// truncated records it would otherwise be recomputed from), plus
-		// whatever the tail holds beyond the synced head.
-		gross = man.gross
-		for i := range entries {
-			if base+uint64(i) > man.head {
-				gross += sizes[i]
-			}
-		}
-	}
-	if first > head+1 {
-		first = head + 1
-	}
-	// Verify the retention boundary hash when the manifest pins one.
-	if manOK && len(man.firstHash) > 0 && first == man.first && first >= avail && first <= head+1 {
-		if h := hashAt(first - 1); h != nil && !bytes.Equal(h, man.firstHash) {
-			closeAll()
-			return nil, fmt.Errorf("seclog: store %s: %w at retention boundary %d", path, ErrChainMismatch, first)
+			return nil, fmt.Errorf("seclog: store %s: %w at synced head %d", path, ErrChainMismatch, man.head)
 		}
 	}
 
@@ -818,6 +736,7 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 		sealLimit: storeSealLimit,
 		foldAt:    storeFoldAt,
 		tables:    tables,
+		man:       manifest{tables: manifestTables(tables)},
 	}
 	if skip > 0 {
 		// Finish the interrupted rotation: rewrite the tail without the
@@ -829,15 +748,6 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 		}
 	}
 
-	// Drop tables that fell wholly below the retention boundary before the
-	// log ever serves from them (the compactor would get there anyway).
-	st.mu.Lock()
-	st.man.tables = st.man.tables[:0]
-	for _, t := range st.tables {
-		st.man.tables = append(st.man.tables, manifestTable{hash: t.hash, base: t.base, count: t.count()})
-	}
-	st.mu.Unlock()
-
 	// Collect orphans: table files on disk that the recovered store does not
 	// reference (interrupted seals and compactions).
 	for _, name := range gcNames {
@@ -847,40 +757,25 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 	l := New(node, suite, key, stats)
 	l.store = st
 	l.hotTail = hotTail
-	l.first = first
+	l.hashes = chain
 	l.grossBytes = gross
 	l.recoveredTorn = int64(len(raw)) - goodSize
 	for _, t := range tables {
-		for _, c := range t.ckpts {
-			if c.seq >= first {
-				l.ckpts = append(l.ckpts, c)
-			}
-		}
+		l.ckpts = append(l.ckpts, t.ckpts...)
 	}
 	l.ckpts = append(l.ckpts, ckpts...)
-	l.pruneCkpts()
-	if fh := hashAt(first - 1); fh != nil {
-		l.baseHash = append([]byte(nil), fh...)
-	}
-	for k := first; k <= head; k++ {
-		l.hashes = append(l.hashes, append([]byte(nil), hashAt(k)...))
-	}
 	// Keep only the hot tail resident; cold history stays in the tables and
 	// the tail file. With no hot-tail bound everything must be resident, so
 	// sealed entries are decoded once from the mapping.
 	l.hotFirst = base
-	if first > base {
-		l.hotFirst = first
-		entries = entries[first-base:]
-	}
 	resident := entries
 	if hotTail > 0 && len(resident) > hotTail {
 		l.hotFirst = head - uint64(hotTail) + 1
 		resident = resident[len(resident)-hotTail:]
 	}
-	if hotTail <= 0 && l.hotFirst > first {
+	if hotTail <= 0 && l.hotFirst > 1 {
 		var cold []*Entry
-		if derr := st.records(first, l.hotFirst-1, func(seq uint64, rec []byte) error {
+		if derr := st.records(1, l.hotFirst-1, func(seq uint64, rec []byte) error {
 			e, err := decodeRecord(seq, rec)
 			cold = append(cold, e)
 			return err
@@ -890,11 +785,11 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 			return nil, derr
 		}
 		resident = append(cold, resident...)
-		l.hotFirst = first
+		l.hotFirst = 1
 	}
 	l.entries = append([]*Entry(nil), resident...)
 	// Record the recovered state as the new synced head.
-	if err := st.sync(l.first, l.baseHash, head, l.HeadHash(), l.grossBytes, nil); err != nil {
+	if err := st.sync(head, l.HeadHash(), nil); err != nil {
 		_ = st.close()
 		return nil, err
 	}
@@ -953,8 +848,8 @@ func recoverTables(dir string, node types.NodeID, suite cryptoutil.Suite, man *m
 		return tables, gc, nil
 	}
 	// Fallback: open whatever verifies, then greedily chain the longest
-	// contiguous run ending at the highest sequence (folded tables subsume
-	// the smaller ones they replaced, so prefer wider tables at each step).
+	// contiguous run from entry 1 (folded tables subsume the smaller ones
+	// they replaced, so prefer wider tables at each step).
 	var cands []*tableFile
 	for _, name := range names {
 		t, terr := openTable(filepath.Join(dir, name), node, suite, nil)
@@ -990,14 +885,18 @@ func verifyTableChain(tables []*tableFile) error {
 	return nil
 }
 
-// assembleTableChain picks, from verified candidate tables, a chain that is
-// contiguous and hash-linked, preferring at each step the table that extends
-// furthest (a folded table beats the fragments it replaced). The chain ends
-// at the highest reachable sequence.
+// assembleTableChain picks, from verified candidate tables, a chain that
+// starts at entry 1 on h_0 and is contiguous and hash-linked, preferring at
+// each step the table that extends furthest (a folded table beats the
+// fragments it replaced). The chain ends at the highest reachable sequence;
+// it is empty when no table holds entry 1.
 func assembleTableChain(cands []*tableFile) []*tableFile {
 	var best []*tableFile
 	bestEnd := uint64(0)
 	for _, start := range cands {
+		if start.base != 1 || len(start.baseHash) != 0 {
+			continue
+		}
 		chain := []*tableFile{start}
 		cur := start
 		for {

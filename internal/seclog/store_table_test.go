@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -166,7 +167,7 @@ func TestStoreCompactionFolds(t *testing.T) {
 	if h2, hash2 := st.SyncedHead(); h2 != headSeq || !bytes.Equal(hash2, headHash) {
 		t.Fatalf("compaction moved the synced head: %d -> %d", headSeq, h2)
 	}
-	if _, sHead, sHash, ok, err := ReadSidecar(dir, "n1"); err != nil || !ok || sHead != headSeq || !bytes.Equal(sHash, headHash) {
+	if sHead, sHash, ok, err := ReadSidecar(dir, "n1"); err != nil || !ok || sHead != headSeq || !bytes.Equal(sHash, headHash) {
 		t.Fatalf("sidecar moved under compaction: ok=%v err=%v head=%d", ok, err, sHead)
 	}
 	checkIdentical(t, st, mem)
@@ -188,55 +189,6 @@ func TestStoreCompactionFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	checkIdentical(t, re, mem)
-}
-
-// TestStoreCompactionDropsRetired truncates past sealed tables and checks
-// the compactor deletes them from disk while the log keeps serving the
-// retained range — retention finally reclaims space, not just heap.
-func TestStoreCompactionDropsRetired(t *testing.T) {
-	mem := newTestLog(t)
-	st, dir := newStoredTestLog(t, 4)
-	sealEvery(t, st, 1000)
-	for i := 0; i < 6; i++ {
-		fillBoth(mem, st, 10, 7)
-		if err := st.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitCompact(st)
-	before := st.StoreTables()
-	if before < 6 {
-		t.Fatalf("expected >=6 tables, have %d", before)
-	}
-
-	mem.Truncate(31)
-	st.Truncate(31)
-	waitCompact(st)
-	if err := st.CompactErr(); err != nil {
-		t.Fatalf("compaction failed: %v", err)
-	}
-	if after := st.StoreTables(); after >= before {
-		t.Fatalf("retention dropped no tables: %d -> %d", before, after)
-	}
-	checkIdentical(t, st, mem)
-
-	// Serving below the boundary must fail, not crash.
-	if _, err := st.Segment(1, 30); err == nil {
-		t.Fatal("expected error reading truncated history")
-	}
-
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.FirstSeq() != 31 {
-		t.Fatalf("recovered first = %d, want 31", re.FirstSeq())
-	}
 	checkIdentical(t, re, mem)
 }
 
@@ -417,32 +369,136 @@ func TestStoreManifestLossWithTables(t *testing.T) {
 	checkIdentical(t, re, mem)
 }
 
-// TestStoreSealAcrossTruncate truncates, keeps appending, and seals: sealed
-// tables then contain records below the retention boundary whose hashes the
-// log no longer indexes (seal re-derives them from the bytes). Everything
-// retained must match the in-memory twin, before and after reopen.
-func TestStoreSealAcrossTruncate(t *testing.T) {
-	mem := newTestLog(t)
+// TestStoreLostOldestTableRefused removes the table holding entry 1: with the
+// manifest, which references the table, and then without it, when recovery
+// reassembles whatever verifies on disk, Open must refuse a store that no
+// longer starts at entry 1 rather than serve the log from a later entry.
+func TestStoreLostOldestTableRefused(t *testing.T) {
 	st, dir := newStoredTestLog(t, 4)
-	fillBoth(mem, st, 20, 6)
-	mem.Truncate(9)
-	st.Truncate(9)
 	sealEvery(t, st, 1000)
-	fillBoth(mem, st, 10, 0)
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		fillBoth(nil, st, 10, 7)
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.StoreTables() == 0 {
-		t.Fatal("no tables sealed")
+	if st.StoreTables() < 3 {
+		t.Fatalf("expected >=3 tables, have %d", st.StoreTables())
 	}
-	checkIdentical(t, st, mem)
+	oldest := st.store.tables[0].path
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Remove(oldest); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4); err == nil {
+		t.Fatal("Open with the manifest accepted a store missing its oldest table")
+	}
+	if err := os.Remove(filepath.Join(dir, metaFileName("n1"))); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
+	if err == nil {
+		re.Close()
+		t.Fatalf("Open without the manifest served a log from entry %d", re.FirstSeq())
+	}
+	if !strings.Contains(err.Error(), "lost entries 1..") {
+		t.Fatalf("Open without the manifest: %v, want lost entries 1..k", err)
+	}
+}
+
+// TestStoreReassemblyStartsAtEntryOne: without a manifest, recovery chains
+// the tables that verify, and a compaction that crashed before deleting the
+// tables it folded leaves those next to the fold. Whatever order the files
+// come in, the chain must start at entry 1, not at a fragment that happens to
+// reach the same end.
+func TestStoreReassemblyStartsAtEntryOne(t *testing.T) {
+	st, _ := newStoredTestLog(t, 4)
+	defer st.Close()
+	sealEvery(t, st, 1000)
+	for i := 0; i < 3; i++ {
+		fillBoth(nil, st, 10, 7)
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables := st.store.tables
+	if len(tables) != 3 {
+		t.Fatalf("want 3 sealed tables, have %d", len(tables))
+	}
+	folded, err := st.store.foldTables(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer folded.close()
+	chain := assembleTableChain([]*tableFile{tables[1], tables[2], folded, tables[0]})
+	if len(chain) == 0 {
+		t.Fatal("reassembled no chain")
+	}
+	if chain[0].base != 1 || chain[len(chain)-1].end() != folded.end() {
+		t.Fatalf("reassembled %d..%d, want 1..%d", chain[0].base, chain[len(chain)-1].end(), folded.end())
+	}
+}
+
+// TestStoreGrossRecomputed: the manifest does not persist the log's gross
+// byte count, so Open recomputes it from the tables' and the tail's metered
+// sizes. After seals, a fold, a torn tail and a reopen, it must equal what
+// the live log metered for the entries that survived, checkpoints (metered
+// in digest form, stored in full) included.
+func TestStoreGrossRecomputed(t *testing.T) {
+	mem := newTestLog(t)
+	st, dir := newStoredTestLog(t, 4)
+	sealEvery(t, st, 1000)
+	for i := 0; i < 4; i++ {
+		fillBoth(mem, st, 10, 7)
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !st.SetStoreTuning(1<<30, 1) { // fold on the next sync, seal no more
+		t.Fatal("tuning failed")
+	}
+	fillBoth(mem, st, 9, 4) // tail records, a checkpoint among them
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitCompact(st)
+	if err := st.CompactErr(); err != nil || st.StoreTables() != 1 {
+		t.Fatalf("fold left %d tables: %v", st.StoreTables(), err)
+	}
+	if st.GrossBytes() != mem.GrossBytes() {
+		t.Fatalf("live gross %d, in-memory twin %d", st.GrossBytes(), mem.GrossBytes())
+	}
+	// One more record, flushed but never synced, then torn by a crash.
+	fillBoth(nil, st, 1, 0)
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFileName("n1"))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
+	if re.RecoveredTornBytes() == 0 {
+		t.Fatal("no torn tail recovered")
+	}
 	checkIdentical(t, re, mem)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	checkIdentical(t, again, mem)
 }

@@ -145,44 +145,6 @@ func TestStoreCrashRecovery(t *testing.T) {
 	}
 }
 
-func TestStoreRecoveryAfterTruncate(t *testing.T) {
-	live, dir := newStoredTestLog(t, 0)
-	fillBoth(nil, live, 20, 6)
-	live.Truncate(9)
-	if err := live.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	liveSeg, err := live.Segment(9, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := Open(dir, "n1", testSuite, nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.FirstSeq() != 9 || rec.Len() != 20 {
-		t.Fatalf("recovered %d..%d, want 9..20", rec.FirstSeq(), rec.Len())
-	}
-	if _, err := rec.Segment(1, 20); err == nil {
-		t.Error("recovered log served truncated history")
-	}
-	recSeg, err := rec.Segment(9, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wire.Encode(recSeg), wire.Encode(liveSeg)) {
-		t.Error("post-truncate recovered segment differs")
-	}
-	if got := rec.LastCheckpointBefore(20); got != live.LastCheckpointBefore(20) {
-		t.Errorf("recovered LastCheckpointBefore = %d, want %d", got, live.LastCheckpointBefore(20))
-	}
-}
-
 // mustHash is Hash for sequence numbers the test itself produced.
 func mustHash(t *testing.T, l *Log, seq uint64) []byte {
 	t.Helper()
@@ -307,73 +269,26 @@ func TestCheckedAccessors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			l := tc.mk(t)
 			fillBoth(nil, l, 10, 0)
-			l.Truncate(4)
-			for _, seq := range []uint64{0, 1, 2, 11, 1 << 60} {
+			for _, seq := range []uint64{0, 11, 1 << 60} {
 				if _, err := l.Entry(seq); err == nil {
-					t.Errorf("Entry(%d) after Truncate(4): no error", seq)
+					t.Errorf("Entry(%d): no error", seq)
 				}
-				if _, err := l.Hash(seq); err == nil && seq != 3 {
-					t.Errorf("Hash(%d) after Truncate(4): no error", seq)
+				if _, err := l.Hash(seq); err == nil && seq != 0 {
+					t.Errorf("Hash(%d): no error", seq)
 				}
 			}
-			// The base position is servable as a hash (h_{first-1}).
-			if _, err := l.Hash(3); err != nil {
-				t.Errorf("Hash(first-1): %v", err)
+			// h_0 is nil, and servable.
+			if h, err := l.Hash(0); err != nil || h != nil {
+				t.Errorf("Hash(0) = %x, %v; want nil, nil", h, err)
 			}
-			if _, err := l.Entry(5); err != nil {
-				t.Errorf("Entry(5) retained: %v", err)
+			if _, err := l.Entry(1); err != nil {
+				t.Errorf("Entry(1): %v", err)
 			}
-			if _, err := l.AuthenticatorAt(2); err == nil {
-				t.Error("AuthenticatorAt on truncated seq: no error")
+			if _, err := l.AuthenticatorAt(0); err == nil {
+				t.Error("AuthenticatorAt(0): no error")
 			}
 			if _, err := l.AuthenticatorAt(99); err == nil {
 				t.Error("AuthenticatorAt out of range: no error")
-			}
-		})
-	}
-}
-
-// TestTruncateSegmentCheckpointInterplay covers the retention × retrieval ×
-// checkpoint interplay: segment requests straddling truncated history fail
-// cleanly, checkpoint lookup respects the retention boundary, and the chain
-// keeps verifying across both.
-func TestTruncateSegmentCheckpointInterplay(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(t *testing.T) *Log
-	}{
-		{"memory", func(t *testing.T) *Log { return newTestLog(t) }},
-		{"store", func(t *testing.T) *Log { l, _ := newStoredTestLog(t, 3); return l }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			l := tc.mk(t)
-			fillBoth(nil, l, 24, 8) // checkpoints at 8, 16, 24
-			l.Truncate(10)
-
-			// Straddling requests fail cleanly instead of panicking.
-			for _, r := range [][2]uint64{{1, 24}, {9, 12}, {1, 5}} {
-				if _, err := l.Segment(r[0], r[1]); err == nil {
-					t.Errorf("Segment(%d,%d) across truncation: no error", r[0], r[1])
-				}
-			}
-			// The checkpoint at 8 is gone; queries fall back to the one at 16.
-			if got := l.LastCheckpointBefore(15); got != 0 {
-				t.Errorf("LastCheckpointBefore(15) = %d, want 0 (ckpt 8 truncated)", got)
-			}
-			if got := l.LastCheckpointBefore(23); got != 16 {
-				t.Errorf("LastCheckpointBefore(23) = %d, want 16", got)
-			}
-			// Retained segments still verify against a fresh authenticator.
-			seg, err := l.Segment(10, 24)
-			if err != nil {
-				t.Fatal(err)
-			}
-			auth, err := l.Authenticator()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := seg.VerifyAgainst(testSuite, nil, l.key.Public(), auth); err != nil {
-				t.Errorf("post-truncate segment rejected: %v", err)
 			}
 		})
 	}

@@ -353,7 +353,7 @@ func (s *Supervisor) onExit(c *child, err error) {
 	// The child is dead and its replacement hasn't started: the sidecar on
 	// disk is exactly the state it had durably synced before dying. Capture
 	// it now, race-free, so harnesses can verify recovery preserved it.
-	if _, seq, hash, ok, rerr := seclog.ReadSidecar(filepath.Join(s.opts.Dir, "data"), c.id); rerr == nil && ok && seq > 0 {
+	if seq, hash, ok, rerr := seclog.ReadSidecar(filepath.Join(s.opts.Dir, "data"), c.id); rerr == nil && ok && seq > 0 {
 		c.preStates = append(c.preStates, SyncedState{Seq: seq, Hash: append([]byte(nil), hash...)})
 	}
 	now := time.Now()
