@@ -28,7 +28,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/live"
@@ -43,7 +42,6 @@ func main() {
 	app := flag.String("app", "", "serve: deployment workload ("+strings.Join(live.AppNames(), ", ")+")")
 	seed := flag.Int64("seed", 1, "serve: deployment seed (directory key derivation must match the daemons)")
 	nodes := flag.String("nodes", "", "serve: comma-separated id=host:port pairs for the deployment's daemons")
-	tpropMs := flag.Int("tprop-ms", 0, "serve: deployment propagation bound in ms (0 = daemon default; must match)")
 	cacheDir := flag.String("cache", "", "serve: persist the shared audit cache under this directory (empty: no audit cache, every query replays)")
 	sessions := flag.Int("sessions", 0, "serve: querier-session pool size (0 = default)")
 	queueLen := flag.Int("queue", 0, "serve: admission-queue length (0 = default 4x sessions)")
@@ -56,7 +54,7 @@ func main() {
 
 	switch {
 	case *serve:
-		if err := runServe(*addr, *app, *nodes, *seed, *tpropMs, *cacheDir, *sessions, *queueLen); err != nil {
+		if err := runServe(*addr, *app, *nodes, *seed, *cacheDir, *sessions, *queueLen); err != nil {
 			log.Fatal(err)
 		}
 	case *connect != "":
@@ -70,7 +68,7 @@ func main() {
 	}
 }
 
-func runServe(addr, appName, nodes string, seed int64, tpropMs int, cacheDir string, sessions, queueLen int) error {
+func runServe(addr, appName, nodes string, seed int64, cacheDir string, sessions, queueLen int) error {
 	if nodes == "" {
 		return fmt.Errorf("snp-query: -serve needs -nodes (id=host:port,...)")
 	}
@@ -96,7 +94,7 @@ func runServe(addr, appName, nodes string, seed int64, tpropMs int, cacheDir str
 	// The directory and protocol parameters are the daemons' own derivation:
 	// key i belongs to the i-th node of the app's canonical node list,
 	// regardless of which subset -nodes lists.
-	dep, err := live.NewDeployment(app, seed, time.Duration(tpropMs)*time.Millisecond)
+	dep, err := live.NewDeployment(app, seed)
 	if err != nil {
 		return err
 	}

@@ -14,11 +14,11 @@ import (
 
 // DefaultTprop is the commitment protocol's propagation bound for live
 // deployments: well above loopback scheduling noise, small enough to keep
-// missed-ack settling fast.
+// missed-ack settling fast. Every process of a deployment uses it.
 const DefaultTprop = 400 * time.Millisecond
 
 // Deployment is what every process of one live deployment derives
-// identically from (app, seed, Tprop): the protocol configuration, the key
+// identically from (app, seed): the protocol configuration, the key
 // directory (key i belongs to the i-th node of the app's canonical node
 // list), and each node's private key. Maint is this process's maintainer —
 // the one its local nodes report missing acks to and its audits score
@@ -33,15 +33,12 @@ type Deployment struct {
 	keys map[types.NodeID]cryptoutil.PrivateKey
 }
 
-// NewDeployment derives the deployment parameters; tprop <= 0 selects
-// DefaultTprop. The skew bound is Tprop/2: live nodes share (or closely
-// track) one machine clock, and the margin absorbs injected delays.
-func NewDeployment(app *workload.Workload, seed int64, tprop time.Duration) (*Deployment, error) {
-	if tprop <= 0 {
-		tprop = DefaultTprop
-	}
+// NewDeployment derives the deployment parameters at DefaultTprop. The skew
+// bound is Tprop/2: live nodes share (or closely track) one machine clock,
+// and the margin absorbs injected delays.
+func NewDeployment(app *workload.Workload, seed int64) (*Deployment, error) {
 	cfg := core.DefaultConfig()
-	cfg.Tprop = types.Time(tprop)
+	cfg.Tprop = types.Time(DefaultTprop)
 	cfg.DeltaClock = cfg.Tprop / 2
 	cfg.CheckpointEvery = 0
 	d := &Deployment{App: app, Cfg: cfg, Dir: core.NewDirectory(), Maint: core.NewMaintainer(),

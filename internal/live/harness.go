@@ -59,7 +59,7 @@ func New(app *workload.Workload, opts Options) (*Harness, error) {
 	}
 	tcfg.Seed = opts.Seed
 	tcfg.Fault = opts.Fault
-	d, err := NewDeployment(app, opts.Seed, 0)
+	d, err := NewDeployment(app, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

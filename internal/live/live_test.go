@@ -68,8 +68,9 @@ func directoryKeys(t *testing.T, d *Deployment) [][]byte {
 }
 
 // TestNewDeploymentDerivation pins what lets separate processes agree
-// without talking: equal (app, seed, tprop) yield equal keys and protocol
-// configuration, and the seed is what tells two deployments apart.
+// without talking: equal (app, seed) yield equal keys and protocol
+// configuration at DefaultTprop, and the seed is what tells two deployments
+// apart.
 func TestNewDeploymentDerivation(t *testing.T) {
 	for _, name := range AppNames() {
 		app, err := AppByName(name)
@@ -77,7 +78,7 @@ func TestNewDeploymentDerivation(t *testing.T) {
 			t.Fatal(err)
 		}
 		deploy := func(seed int64) *Deployment {
-			d, err := NewDeployment(app, seed, 0)
+			d, err := NewDeployment(app, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +98,7 @@ func TestNewDeploymentDerivation(t *testing.T) {
 			}
 		}
 		if got := a.Cfg.Tprop; got != types.Time(DefaultTprop) {
-			t.Errorf("%s: tprop 0 selected %v, want DefaultTprop", name, got)
+			t.Errorf("%s: Tprop %v, want DefaultTprop", name, got)
 		}
 		if a.Cfg.DeltaClock != a.Cfg.Tprop/2 {
 			t.Errorf("%s: DeltaClock = %v, want Tprop/2 = %v", name, a.Cfg.DeltaClock, a.Cfg.Tprop/2)
@@ -112,7 +113,7 @@ func TestStartRefusesOutsider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDeployment(app, 1, 0)
+	d, err := NewDeployment(app, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestAppsAreIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDeployment(app, 1, 0)
+		d, err := NewDeployment(app, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

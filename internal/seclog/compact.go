@@ -3,10 +3,11 @@
 // chain hashes are copied verbatim, never re-encoded or re-hashed).
 //
 // Compaction only ever touches sealed tables; the active tail, the synced
-// head, and the chain itself are invariant under it. The commit order
-// mirrors sealing: build and fsync the replacement table, swap the manifest,
-// only then delete the replaced files — a crash at any point leaves either
-// an unreferenced new table or undeleted old ones, both collected by Open.
+// head, the sidecar and the chain itself are invariant under it. A fold
+// builds and fsyncs the replacement table, then deletes the tables it
+// replaced, which is its commit point: a crash before it leaves both on
+// disk, and Open walks through the replacement (it reaches furthest back)
+// and removes the rest, whose records the walk holds hash for hash.
 package seclog
 
 import (
@@ -57,7 +58,7 @@ func (s *Store) compactOnce() error {
 		s.hooks.MidCompact()
 	}
 
-	// Commit: swap the manifest to the new table set.
+	// Serve from the replacement, then delete what it replaced.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -70,16 +71,10 @@ func (s *Store) compactOnce() error {
 		return fmt.Errorf("seclog: compaction snapshot is no longer a prefix")
 	}
 	s.tables = append([]*tableFile{folded}, s.tables[len(snap):]...)
-	s.man.tables = manifestTables(s.tables)
-	err = s.writeMetaLocked()
 	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
 
-	// The old files are no longer referenced; retire them. A fold that
-	// produced identical content reuses the same file — never delete the
-	// path the new table lives at.
+	// A fold that produced identical content reuses the same file — never
+	// delete the path the new table lives at.
 	for _, t := range snap {
 		if t.path == folded.path {
 			continue

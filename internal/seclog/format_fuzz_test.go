@@ -11,31 +11,26 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzManifestDecode throws arbitrary bytes at the store manifest parser —
-// the image is rewritten on every sync and a crash can leave anything
-// behind, so decodeManifest must never panic and must only accept images
-// whose structural invariants (non-empty contiguous tables ending at the
-// tail base) actually hold. Accepted manifests must round-trip through
+// FuzzManifestDecode throws arbitrary bytes at the sidecar parser — the
+// image is rewritten on every sync and a crash can leave anything behind, so
+// decodeManifest must never panic. Accepted sidecars must round-trip through
 // encodeManifest bit-stably: the canonical re-encoding decodes to itself.
 func FuzzManifestDecode(f *testing.F) {
 	h := bytes.Repeat([]byte{0xa5}, 32)
-	real := encodeManifest(&manifest{
-		head: 12, headHash: h, tailBase: 9,
-		tables: []manifestTable{{hash: h, base: 1, count: 4}, {hash: h, base: 5, count: 4}},
-	})
+	real := encodeManifest(&manifest{head: 12, headHash: h})
 	f.Add(real)
 	f.Add(real[:len(real)-3])               // torn rewrite
 	f.Add(append([]byte(nil), real[:8]...)) // magic only
 	doctored := append([]byte(nil), real...)
 	doctored[len(doctored)/2] ^= 0xff
 	f.Add(doctored)
-	// Hostile table count: claims 2^50 tables in a few dozen bytes.
+	// The previous generation, which also listed the tables: reads as absent.
 	w := wire.NewWriter(64)
-	w.Raw(metaMagic)
-	w.Uint(9)
+	w.Raw([]byte("SNPMET3\n"))
+	w.Uint(12)
 	w.BytesField(h)
-	w.Uint(10)
-	w.Uint(1 << 50)
+	w.Uint(9)
+	w.Uint(0)
 	f.Add(w.Bytes())
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -46,20 +41,10 @@ func FuzzManifestDecode(f *testing.F) {
 		enc := encodeManifest(m)
 		m2, ok2 := decodeManifest(enc)
 		if !ok2 {
-			t.Fatalf("accepted manifest does not re-decode: %x", enc)
+			t.Fatalf("accepted sidecar does not re-decode: %x", enc)
 		}
 		if !bytes.Equal(encodeManifest(m2), enc) {
-			t.Fatalf("manifest re-encoding is not stable")
-		}
-		prevEnd := uint64(0)
-		for i, tb := range m.tables {
-			if tb.count == 0 || tb.base == 0 {
-				t.Fatalf("accepted manifest has degenerate table %d: %+v", i, tb)
-			}
-			if i > 0 && tb.base != prevEnd+1 {
-				t.Fatalf("accepted manifest has a table gap at %d", i)
-			}
-			prevEnd = tb.end()
+			t.Fatalf("sidecar re-encoding is not stable")
 		}
 	})
 }

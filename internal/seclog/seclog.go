@@ -680,12 +680,13 @@ func (l *Log) Err() error { return l.storeErr }
 
 // StoreHooks are crash-injection points for fault testing a store-backed
 // log. AfterAppend runs after each record is staged and indexed, so it may
-// call Flush or Sync (seq is the record's sequence number); MidFlush runs between the two halves of a split group
-// write, so a hook that SIGKILLs the process leaves a torn last record on
-// disk for recovery to truncate; MidCompact runs on the compactor goroutine
-// after the replacement table is durable but before the manifest swap
-// commits it, the widest crash window a compaction has. AfterAppend and
-// MidFlush run on the appending goroutine.
+// call Flush or Sync (seq is the record's sequence number); MidFlush runs
+// between the two halves of a split group write, so a hook that SIGKILLs the
+// process leaves a torn last record on disk for recovery to truncate;
+// MidCompact runs on the compactor goroutine after the replacement table is
+// durable but before the tables it replaced are deleted, the widest crash
+// window a compaction has. AfterAppend and MidFlush run on the appending
+// goroutine.
 type StoreHooks struct {
 	AfterAppend func(seq uint64)
 	MidFlush    func()

@@ -99,29 +99,37 @@ func TestSidecarGarbage(t *testing.T) {
 	}
 }
 
-// TestSidecarOlderGenerationAbsent: a sidecar of the SNPMET2 generation (which
-// also recorded a retention boundary and the gross byte count) reads as
-// absent, as if the store had never synced. The one planted here claims a
-// synced head past the data file's, which Open would refuse if it believed
-// it.
+// TestSidecarOlderGenerationAbsent: sidecars of the SNPMET2 generation
+// (which also recorded a retention boundary and the gross byte count) and of
+// the SNPMET3 one (which also listed the tables) read as absent, as if the
+// store had never synced. Each planted here claims a synced head past the
+// data file's, which Open would refuse if it believed it.
 func TestSidecarOlderGenerationAbsent(t *testing.T) {
 	dir, n, head := buildSyncedStore(t, 12)
-	w := wire.NewWriter(128)
-	w.Raw([]byte("SNPMET2\n"))
-	w.Uint(1)          // first
-	w.BytesField(nil)  // first hash
-	w.Uint(n + 5)      // synced head
-	w.BytesField(head) // synced head hash
-	w.Int(4096)        // gross
-	w.Uint(1)          // tail base
-	w.Uint(0)          // tables
-	if err := os.WriteFile(filepath.Join(dir, metaFileName("n1")), w.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	met2 := wire.NewWriter(128)
+	met2.Raw([]byte("SNPMET2\n"))
+	met2.Uint(1)          // first
+	met2.BytesField(nil)  // first hash
+	met2.Uint(n + 5)      // synced head
+	met2.BytesField(head) // synced head hash
+	met2.Int(4096)        // gross
+	met2.Uint(1)          // tail base
+	met2.Uint(0)          // tables
+	met3 := wire.NewWriter(128)
+	met3.Raw([]byte("SNPMET3\n"))
+	met3.Uint(n + 5)      // synced head
+	met3.BytesField(head) // synced head hash
+	met3.Uint(1)          // tail base
+	met3.Uint(0)          // tables
+	for _, w := range []*wire.Writer{met2, met3} {
+		if err := os.WriteFile(filepath.Join(dir, metaFileName("n1")), w.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := ReadSidecar(dir, "n1"); ok || err != nil {
+			t.Fatalf("ReadSidecar of an older sidecar: ok=%v err=%v, want absent", ok, err)
+		}
+		reopenAndCheck(t, dir, n, head)
 	}
-	if _, _, ok, err := ReadSidecar(dir, "n1"); ok || err != nil {
-		t.Fatalf("ReadSidecar of an SNPMET2 sidecar: ok=%v err=%v, want absent", ok, err)
-	}
-	reopenAndCheck(t, dir, n, head)
 }
 
 // TestSidecarHealedAfterOpen: recovery rewrites a fresh sidecar, so the

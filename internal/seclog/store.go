@@ -5,11 +5,11 @@
 // log does not grow the heap.
 //
 // On-disk layout (per node): an active tail file, zero or more sealed
-// content-addressed table files, and a manifest:
+// content-addressed table files, and a sidecar:
 //
 //	<dir>/<node>.seglog        header ‖ record*            (append-only tail)
 //	<dir>/<node>.<hash>.tbl    immutable sealed tables     (see table.go)
-//	<dir>/<node>.segmeta       manifest                    (rewritten atomically)
+//	<dir>/<node>.segmeta       synced head                 (rewritten atomically)
 //
 // The tail file header commits to the node ID, the sequence number of its
 // first record, and the hash-chain value preceding it; each record is a
@@ -21,23 +21,23 @@
 // through a shared read-only mapping instead of a pread per cold entry. A
 // background compactor folds small tables together.
 //
-// Every structural change commits through the manifest swap, in an order
-// that keeps some complete copy of every record reachable at all times:
-// seal writes and fsyncs the table, swaps the manifest, then rotates the
-// tail; compaction writes and fsyncs the folded table, swaps the manifest,
-// then deletes the tables it replaced. A crash between any two steps leaves
-// either an orphan table (not yet referenced — garbage-collected on Open) or
-// a tail that still duplicates sealed records (skipped and re-rotated on
-// Open).
+// The files are the manifest. The tail header anchors the log: Open walks
+// back from its base and base hash through table files that verify by
+// content address and link by hash, down to entry 1 on a nil h_0. A seal
+// writes and fsyncs its table, then publishes the rotated tail — its commit
+// point: a crash before it leaves the old tail, which still holds every
+// record, and an orphan table that Open removes (the seal rolls back). A fold
+// writes and fsyncs the replacement table, then deletes the tables it
+// replaced — its commit point: a crash before it leaves both, Open walks
+// through the replacement (the table that reaches furthest back wins) and
+// removes the rest. Neither writes the sidecar.
 //
-// Crash recovery (Open) verifies sealed tables by their content address and
-// inter-table chain linkage, replays only the tail — recomputing the hash
-// chain from the persisted base hash — and truncates a torn or garbled tail
-// left by a crash mid-append at the last intact record. The oldest record
-// must be entry 1 on a nil base hash: a store that starts later has lost
-// data. If the manifest records a previously synced head, the recovered
-// chain must still pass through it; a mismatch is evidence of tampering, not
-// of a crash, and Open refuses the store.
+// Crash recovery (Open) replays only the tail — recomputing the hash chain
+// from its header's base hash — and truncates a torn or garbled tail left by
+// a crash mid-append at the last intact record. If the sidecar records a
+// previously synced head, the recovered chain must still pass through it; a
+// mismatch is evidence of tampering, not of a crash, and Open refuses the
+// store.
 package seclog
 
 import (
@@ -47,6 +47,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/cryptoutil"
@@ -55,13 +56,13 @@ import (
 )
 
 // File-format magics. The trailing newline keeps accidental text files from
-// matching. SNPMET3 is the manifest generation of the sidecar; older sidecars
-// (SNPMET1's single synced-head record, SNPMET2's retention boundary and
-// gross count) read as absent, which recovery already treats as "never
-// synced".
+// matching. SNPMET4 is the sidecar that holds only the synced head; older
+// sidecars (SNPMET1's single record, SNPMET2's retention boundary and gross
+// count, SNPMET3's table list) read as absent, which recovery already treats
+// as "never synced".
 var (
 	storeMagic = []byte("SNPSEG1\n")
-	metaMagic  = []byte("SNPMET3\n")
+	metaMagic  = []byte("SNPMET4\n")
 )
 
 // storeBufLimit is the append write-buffer threshold: records accumulate in
@@ -90,7 +91,7 @@ type sealInfoFn func(seq uint64, recLen int64) (hash []byte, metered int64, ckpt
 // Store is the file layer under a store-backed Log: an append-only tail
 // file, the sealed tables, and an in-memory seq→offset index for the tail.
 // The tail is owned by the Log's goroutine (nodes are single-threaded by
-// contract); the sealed-table set and the manifest mirror are shared with
+// contract); the sealed-table set and the sidecar mirror are shared with
 // the background compactor and guarded by mu.
 //
 // Appends are buffered: records land in buf and are written out in groups
@@ -125,11 +126,11 @@ type Store struct {
 	sealLimit int // tail record bytes that trigger sealing on sync
 	foldAt    int // sealed-table count that triggers a background fold
 
-	// mu guards everything below: the sealed tables, the manifest mirror,
+	// mu guards everything below: the sealed tables, the sidecar mirror,
 	// and the compactor's single-flight state.
 	mu         sync.Mutex
 	tables     []*tableFile
-	man        manifest // what the sidecar on disk says (or will say next write)
+	man        manifest // the synced head the sidecar on disk records
 	compacting bool
 	compactErr error
 	closed     bool
@@ -141,21 +142,18 @@ type Store struct {
 func storeFileName(node types.NodeID) string { return url.PathEscape(string(node)) + ".seglog" }
 func metaFileName(node types.NodeID) string  { return url.PathEscape(string(node)) + ".segmeta" }
 
-// writeTailFile creates a fresh tail file at path (via tmp + rename when
-// replacing a live one) holding the header and the given raw record region,
-// and returns the open handle plus the header length.
-func writeTailFile(path string, node types.NodeID, base uint64, baseHash []byte, records []byte, atomic bool) (*os.File, int64, error) {
+// writeTailFile publishes an empty tail file at path holding only the header
+// (written to a temp file, fsynced, then renamed over any live tail, so a
+// crash leaves the old tail or the new one), and returns the open handle
+// plus the header length.
+func writeTailFile(path string, node types.NodeID, base uint64, baseHash []byte) (*os.File, int64, error) {
 	w := wire.NewWriter(64)
 	w.Raw(storeMagic)
 	w.String(string(node))
 	w.Uint(base)
 	w.BytesField(baseHash)
-	headerLen := int64(w.Len())
-	target := path
-	if atomic {
-		target = path + ".tmp"
-	}
-	f, err := os.OpenFile(target, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("seclog: create store: %w", err)
 	}
@@ -163,65 +161,58 @@ func writeTailFile(path string, node types.NodeID, base uint64, baseHash []byte,
 		f.Close()
 		return nil, 0, fmt.Errorf("seclog: store header: %w", err)
 	}
-	if len(records) > 0 {
-		if _, err := f.Write(records); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("seclog: store rotate: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("seclog: store header: %w", err)
 	}
-	if atomic {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("seclog: store rotate: %w", err)
-		}
-		if err := os.Rename(target, path); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("seclog: store rotate: %w", err)
-		}
+	if err := os.Rename(tmp, path); err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("seclog: publish tail: %w", err)
 	}
-	return f, headerLen, nil
+	return f, int64(w.Len()), nil
 }
 
-// createStore creates (or truncates) the segment store for node under dir
-// and writes the tail header. base is the sequence number the first appended
-// record will get; baseHash is the chain value preceding it.
-func createStore(dir string, node types.NodeID, suite cryptoutil.Suite, base uint64, baseHash []byte) (*Store, error) {
+// createStore creates the segment store for node under dir, replacing any
+// earlier incarnation's, with an empty tail based at entry 1 on h_0.
+func createStore(dir string, node types.NodeID, suite cryptoutil.Suite) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("seclog: store dir: %w", err)
 	}
 	path := filepath.Join(dir, storeFileName(node))
-	f, headerLen, err := writeTailFile(path, node, base, baseHash, nil, false)
+	metaPath := filepath.Join(dir, metaFileName(node))
+	// Retire the earlier incarnation in an order no crash can turn into a
+	// refused store. Its sidecar goes first: its synced head, next to the
+	// fresh tail, would read as lost history. Until the fresh tail is
+	// published (atomically), the old files still open as the old log. Its
+	// tables go last: the fresh tail, based at entry 1, never walks through
+	// them, so a crash that leaves some behind costs only disk.
+	if err := os.Remove(metaPath); err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("seclog: store meta: %w", err)
+	}
+	f, headerLen, err := writeTailFile(path, node, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
+	if stale, temps, err := listTableFiles(dir, node, suite.HashSize()); err == nil {
+		for _, name := range append(stale, temps...) {
+			_ = os.Remove(filepath.Join(dir, name))
+		}
+	}
+	return &Store{
 		dir:       dir,
 		path:      path,
-		metaPath:  filepath.Join(dir, metaFileName(node)),
+		metaPath:  metaPath,
 		f:         f,
 		suite:     suite,
 		node:      node,
-		base:      base,
-		baseHash:  append([]byte(nil), baseHash...),
+		base:      1,
 		headerLen: headerLen,
 		size:      headerLen,
 		flushed:   headerLen,
 		bufLimit:  storeBufLimit,
 		sealLimit: storeSealLimit,
 		foldAt:    storeFoldAt,
-	}
-	// Remove any stale sidecar and tables from an earlier incarnation of
-	// this node.
-	if err := os.Remove(s.metaPath); err != nil && !os.IsNotExist(err) {
-		f.Close()
-		return nil, fmt.Errorf("seclog: store meta: %w", err)
-	}
-	if stale, err := listTableFiles(dir, node, suite.HashSize()); err == nil {
-		for _, name := range stale {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
-	}
-	return s, nil
+	}, nil
 }
 
 // append stages one record (the entry's wire encoding) in the write buffer
@@ -365,20 +356,6 @@ func (s *Store) tailRecords(from, to uint64, fn func(seq uint64, rec []byte) err
 	return nil
 }
 
-// writeMetaLocked atomically rewrites the sidecar from the manifest mirror.
-// Callers hold mu.
-func (s *Store) writeMetaLocked() error {
-	raw := encodeManifest(&s.man)
-	tmp := s.metaPath + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("seclog: store meta: %w", err)
-	}
-	if err := os.Rename(tmp, s.metaPath); err != nil {
-		return fmt.Errorf("seclog: store meta: %w", err)
-	}
-	return nil
-}
-
 // ReadSidecar reports the on-disk sidecar state for node under dir: the last
 // durably synced head (seq + chain hash). ok is false when no intact sidecar
 // exists. It reads only the small sidecar file — safe to call on a live
@@ -392,12 +369,12 @@ func ReadSidecar(dir string, node types.NodeID) (headSeq uint64, headHash []byte
 }
 
 // sync group-commits the buffered appends (one write, one fsync for the
-// whole group) and records the current head in the manifest, so a later
-// Open can distinguish tampering from a crash up to this point. When the
-// synced tail has outgrown sealLimit, its records are sealed into a table
-// file and the tail is rotated; info resolves chain hashes and metered sizes
-// for the records (nil disables sealing — used only while healing during
-// Open, before the Log exists).
+// whole group) and records the current head in the sidecar, so a later Open
+// can distinguish tampering from a crash up to this point. When the synced
+// tail has outgrown sealLimit, its records are sealed into a table file and
+// the tail is rotated; info resolves chain hashes and metered sizes for the
+// records (nil disables sealing — used only while healing during Open,
+// before the Log exists).
 func (s *Store) sync(headSeq uint64, headHash []byte, info sealInfoFn) error {
 	if err := s.flushBuf(); err != nil {
 		return err
@@ -405,15 +382,17 @@ func (s *Store) sync(headSeq uint64, headHash []byte, info sealInfoFn) error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("seclog: store sync: %w", err)
 	}
-	s.mu.Lock()
-	s.man.head = headSeq
-	s.man.headHash = append([]byte(nil), headHash...)
-	s.man.tailBase = s.base
-	err := s.writeMetaLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
+	man := manifest{head: headSeq, headHash: append([]byte(nil), headHash...)}
+	tmp := s.metaPath + ".tmp"
+	if err := os.WriteFile(tmp, encodeManifest(&man), 0o644); err != nil {
+		return fmt.Errorf("seclog: store meta: %w", err)
 	}
+	if err := os.Rename(tmp, s.metaPath); err != nil {
+		return fmt.Errorf("seclog: store meta: %w", err)
+	}
+	s.mu.Lock()
+	s.man = man
+	s.mu.Unlock()
 	if info != nil && s.size-s.headerLen >= int64(s.sealLimit) && s.head() >= s.base {
 		if err := s.seal(headHash, info); err != nil {
 			return err
@@ -427,10 +406,10 @@ func (s *Store) sync(headSeq uint64, headHash []byte, info sealInfoFn) error {
 
 // seal moves the tail's records (all of them — the tail is fully flushed and
 // fsynced by the time seal runs) into an immutable content-addressed table
-// and rotates the tail to empty. Commit order: table fsynced first, manifest
-// swap second, tail rotation last; a crash leaves either an unreferenced
-// table or a tail whose leading records duplicate the freshly sealed table,
-// both of which Open repairs.
+// and rotates the tail to empty. The table is durable before the rotated
+// tail is published, which is the seal's commit point: a crash before it
+// leaves the old tail, still holding every record, and an orphan table that
+// Open removes.
 func (s *Store) seal(headHash []byte, info sealInfoFn) error {
 	raw, err := os.ReadFile(s.path)
 	if err != nil {
@@ -460,23 +439,14 @@ func (s *Store) seal(headHash []byte, info sealInfoFn) error {
 	if err != nil {
 		return err
 	}
-	// Commit point: the manifest swap makes the table part of the store and
-	// moves the tail base past it.
+	f, headerLen, err := writeTailFile(s.path, s.node, head+1, headHash)
+	if err != nil {
+		_ = t.close()
+		return err
+	}
 	s.mu.Lock()
 	s.tables = append(s.tables, t)
-	s.man.tables = append(s.man.tables, manifestTable{hash: t.hash, base: t.base, count: t.count()})
-	s.man.tailBase = head + 1
-	err = s.writeMetaLocked()
 	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// Rotate the tail. The sealed records stay reachable through the table
-	// whatever happens from here on.
-	f, headerLen, err := writeTailFile(s.path, s.node, head+1, headHash, nil, true)
-	if err != nil {
-		return err
-	}
 	old := s.f
 	s.f = f
 	_ = old.Close()
@@ -490,7 +460,7 @@ func (s *Store) seal(headHash []byte, info sealInfoFn) error {
 	return nil
 }
 
-// syncedState returns the manifest's synced head (sequence and chain hash).
+// syncedState returns the sidecar's synced head (sequence and chain hash).
 func (s *Store) syncedState() (uint64, []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,7 +495,7 @@ func (s *Store) close() error {
 // (<=0 keeps everything hot; the store is then pure durability).
 func NewStored(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.PrivateKey,
 	stats *cryptoutil.Stats, hotTail int) (*Log, error) {
-	st, err := createStore(dir, node, suite, 1, nil)
+	st, err := createStore(dir, node, suite)
 	if err != nil {
 		return nil, err
 	}
@@ -535,15 +505,18 @@ func NewStored(dir string, node types.NodeID, suite cryptoutil.Suite, key crypto
 	return l, nil
 }
 
-// Open reopens a store-backed log from dir after a restart or crash. Sealed
-// tables are verified by content address and chain linkage; the tail file is
-// replayed, re-verifying the hash chain against the persisted base hash
-// (and, when the manifest has a synced head, against that head); a torn tail
-// left by a crash mid-append is truncated away; an interrupted seal or
-// compaction is rolled forward or back (orphan tables collected, a
-// half-rotated tail re-rotated) — so the reopened log serves retrieve and
-// audit requests byte-for-byte identically to the log that wrote the files.
-// A store whose oldest record is not entry 1 has lost data and is refused.
+// Open reopens a store-backed log from dir after a restart or crash. The
+// tail header anchors the log: Open walks back from its base and base hash
+// through the table files that verify by content address and link by hash,
+// and the walk must end at entry 1 on h_0 — a store that starts later has
+// lost data and is refused. The tail is replayed, re-verifying the hash chain
+// from its base hash (and, when the sidecar has a synced head, against that
+// head); a torn tail left by a crash mid-append is truncated away. A table
+// off the walk is removed when the recovered chain holds every one of its
+// records hash for hash (an interrupted seal's orphan, the tables a fold
+// replaced) and left in place otherwise, as is a file that does not verify.
+// The reopened log serves retrieve and audit requests byte-for-byte
+// identically to the log that wrote the files.
 //
 // key may be nil when the reopened log only serves reads (Segment, Entry,
 // Hash); signing operations then fail.
@@ -555,46 +528,50 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 	if err != nil {
 		return nil, err
 	}
-
-	tables, gcNames, err := recoverTables(dir, node, suite, man, manOK)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("seclog: open store: %w", err)
+	}
+	names, temps, err := listTableFiles(dir, node, suite.HashSize())
 	if err != nil {
 		return nil, err
 	}
-	closeAll := func() {
-		for _, t := range tables {
-			_ = t.close()
-		}
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("seclog: open store: %w", err)
+	// Crash debris: a table, tail or sidecar rewrite that died before its
+	// rename. Best effort, here and for redundant tables below: a file that
+	// stays costs only disk.
+	for _, name := range append(temps, storeFileName(node)+".tmp", metaFileName(node)+".tmp") {
+		_ = os.Remove(filepath.Join(dir, name))
 	}
 	r := wire.NewReader(raw)
 	if !bytes.Equal(r.Raw(len(storeMagic)), storeMagic) {
-		closeAll()
 		return nil, fmt.Errorf("seclog: %s is not a segment store", path)
 	}
 	if got := types.NodeID(r.String()); got != node {
-		closeAll()
 		return nil, fmt.Errorf("seclog: store %s belongs to node %s, not %s", path, got, node)
 	}
-	tailBase := r.Uint()
-	tailBaseHash := r.BytesField()
+	base := r.Uint()
+	baseHash := r.BytesField()
 	if err := r.Err(); err != nil {
-		closeAll()
 		return nil, fmt.Errorf("seclog: store header: %w", err)
 	}
-	if tailBase == 0 {
-		closeAll()
+	if base == 0 {
 		return nil, fmt.Errorf("seclog: store %s has invalid base sequence 0", path)
 	}
 	headerLen := int64(len(raw) - r.Remaining())
 
-	// The oldest record, in a table or in the tail, must be entry 1 on h_0: a
-	// store that starts later has lost the entries before it.
-	oldest, oldestHash := tailBase, tailBaseHash
+	var cands []*tableFile
+	for _, name := range names {
+		if t, terr := openTable(filepath.Join(dir, name), node, suite, nil); terr == nil {
+			cands = append(cands, t)
+		}
+	}
+	closeAll := func() {
+		for _, t := range cands {
+			_ = t.close()
+		}
+	}
+	tables := walkTables(cands, base, baseHash)
+	oldest, oldestHash := base, baseHash
 	if len(tables) > 0 {
 		oldest, oldestHash = tables[0].base, tables[0].baseHash
 	}
@@ -607,43 +584,27 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 		return nil, fmt.Errorf("seclog: store %s: %w before entry 1", path, ErrChainMismatch)
 	}
 
-	// Reconcile the tail with the sealed tables. A tail that starts before
-	// the end of the last table is the footprint of a seal interrupted
-	// before rotation: its leading records duplicate sealed ones and are
-	// skipped (the table is authoritative). A gap is not survivable.
-	var skip uint64
-	base := tailBase // first sequence the replay below will produce
-	prev := tailBaseHash
-	if n := len(tables); n > 0 {
-		last := tables[n-1]
-		switch {
-		case tailBase == last.end()+1:
-			if !bytes.Equal(tailBaseHash, last.headHash()) {
-				closeAll()
-				return nil, fmt.Errorf("seclog: store %s: %w between table %d..%d and tail", path, ErrChainMismatch, last.base, last.end())
-			}
-		case tailBase <= last.end():
-			skip = last.end() + 1 - tailBase
-			base = last.end() + 1
-			prev = last.headHash()
-		default:
-			closeAll()
-			return nil, fmt.Errorf("seclog: store %s: records %d..%d missing between tables and tail", path, last.end()+1, tailBase-1)
-		}
-	}
-
-	// Replay the tail records, recomputing the chain. A record that cannot
-	// be fully read or decoded marks the torn tail: everything before it is
-	// intact (the chain vouches for it), everything from it on is discarded.
+	// The whole chain h_1..h_head: the tables' addresses, copied out of the
+	// mappings a compaction may release, then the replayed tail's.
 	var (
+		chain    [][]byte
 		entries  []*Entry
-		hashes   [][]byte
 		offsets  []int64
 		ckpts    []ckptRef
 		gross    int64
 		goodSize = headerLen
-		seq      = tailBase - 1
+		prev     = baseHash
 	)
+	for _, t := range tables {
+		for _, a := range t.addrs {
+			chain = append(chain, append([]byte(nil), a...))
+		}
+		gross += t.gross
+		ckpts = append(ckpts, t.ckpts...)
+	}
+	// Replay the tail records, recomputing the chain. A record that cannot
+	// be fully read or decoded marks the torn tail: everything before it is
+	// intact (the chain vouches for it), everything from it on is discarded.
 	for r.Remaining() > 0 {
 		frameStart := int64(len(raw) - r.Remaining())
 		recLen := r.Uint()
@@ -655,39 +616,21 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 		if err := wire.Decode(rec, e); err != nil {
 			break // torn record
 		}
-		seq++
 		goodSize = int64(len(raw) - r.Remaining())
-		if seq < base {
-			// Duplicate of a sealed record (interrupted rotation); the
-			// table's content address vouches for that range, so the bytes
-			// are skipped rather than re-verified.
-			continue
-		}
 		offsets = append(offsets, frameStart)
 		prev = chainHash(suite, stats, prev, e)
-		hashes = append(hashes, prev)
+		chain = append(chain, prev)
 		entries = append(entries, e)
 		// Accounting uses the transmissible (digest-form) size, matching
 		// what the log metered when it appended the entry.
 		size := int64(len(rec))
 		if e.Type == ECkpt {
 			size = int64(e.WireSize())
-			ckpts = append(ckpts, ckptRef{seq: seq, size: size})
+			ckpts = append(ckpts, ckptRef{seq: uint64(len(chain)), size: size})
 		}
 		gross += size
 	}
-	head := base - 1 + uint64(len(entries))
-
-	// The whole chain h_1..h_head: the tables' addresses, copied out of the
-	// mappings a compaction may release, then the replayed tail's.
-	chain := make([][]byte, 0, head)
-	for _, t := range tables {
-		for _, a := range t.addrs {
-			chain = append(chain, append([]byte(nil), a...))
-		}
-		gross += t.gross
-	}
-	chain = append(chain, hashes...)
+	head := uint64(len(chain))
 	if manOK {
 		// The synced head must lie on the recovered chain: a shorter chain
 		// means data the node had committed to is gone (not a torn-append
@@ -718,6 +661,16 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 			return nil, fmt.Errorf("seclog: truncate torn tail: %w", err)
 		}
 	}
+	for _, t := range cands {
+		if slices.Contains(tables, t) {
+			continue
+		}
+		held := heldBy(t, chain)
+		_ = t.close()
+		if held {
+			_ = os.Remove(t.path)
+		}
+	}
 
 	st := &Store{
 		dir:       dir,
@@ -726,8 +679,8 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 		f:         f,
 		suite:     suite,
 		node:      node,
-		base:      tailBase,
-		baseHash:  append([]byte(nil), tailBaseHash...),
+		base:      base,
+		baseHash:  append([]byte(nil), baseHash...),
 		offsets:   offsets,
 		headerLen: headerLen,
 		size:      goodSize,
@@ -736,34 +689,14 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 		sealLimit: storeSealLimit,
 		foldAt:    storeFoldAt,
 		tables:    tables,
-		man:       manifest{tables: manifestTables(tables)},
 	}
-	if skip > 0 {
-		// Finish the interrupted rotation: rewrite the tail without the
-		// records the sealed table already holds.
-		if err := st.rotateTail(base, prevOfTail(tables), raw[:goodSize], offsets); err != nil {
-			f.Close()
-			closeAll()
-			return nil, err
-		}
-	}
-
-	// Collect orphans: table files on disk that the recovered store does not
-	// reference (interrupted seals and compactions).
-	for _, name := range gcNames {
-		_ = os.Remove(filepath.Join(dir, name))
-	}
-
 	l := New(node, suite, key, stats)
 	l.store = st
 	l.hotTail = hotTail
 	l.hashes = chain
 	l.grossBytes = gross
 	l.recoveredTorn = int64(len(raw)) - goodSize
-	for _, t := range tables {
-		l.ckpts = append(l.ckpts, t.ckpts...)
-	}
-	l.ckpts = append(l.ckpts, ckpts...)
+	l.ckpts = ckpts
 	// Keep only the hot tail resident; cold history stays in the tables and
 	// the tail file. With no hot-tail bound everything must be resident, so
 	// sealed entries are decoded once from the mapping.
@@ -780,8 +713,7 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 			cold = append(cold, e)
 			return err
 		}); derr != nil {
-			f.Close()
-			closeAll()
+			_ = st.close()
 			return nil, derr
 		}
 		resident = append(cold, resident...)
@@ -796,168 +728,39 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 	return l, nil
 }
 
-// recoverTables assembles the sealed-table set for Open. With an intact
-// manifest the referenced tables must all open and verify — anything else is
-// missing committed data — and every unreferenced table file is returned for
-// collection. Without one, recovery falls back to reassembling the longest
-// chain-consistent run of tables that verify by content address (unused
-// files are left in place: with no manifest there is no authority to delete
-// on).
-func recoverTables(dir string, node types.NodeID, suite cryptoutil.Suite, man *manifest, manOK bool) ([]*tableFile, []string, error) {
-	names, err := listTableFiles(dir, node, suite.HashSize())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	if manOK {
-		referenced := make(map[string]bool, len(man.tables))
-		var tables []*tableFile
-		for _, mt := range man.tables {
-			name := tableFileName(node, mt.hash)
-			referenced[name] = true
-			t, terr := openTable(filepath.Join(dir, name), node, suite, mt.hash)
-			if terr != nil {
-				for _, o := range tables {
-					_ = o.close()
-				}
-				return nil, nil, fmt.Errorf("seclog: store %s: sealed table %d..%d unrecoverable: %w", dir, mt.base, mt.end(), terr)
-			}
-			if t.base != mt.base || t.count() != mt.count {
-				_ = t.close()
-				for _, o := range tables {
-					_ = o.close()
-				}
-				return nil, nil, fmt.Errorf("seclog: store %s: table %s claims %d..%d, manifest says %d..%d", dir, name, t.base, t.end(), mt.base, mt.end())
-			}
-			tables = append(tables, t)
-		}
-		if err := verifyTableChain(tables); err != nil {
-			for _, o := range tables {
-				_ = o.close()
-			}
-			return nil, nil, err
-		}
-		var gc []string
-		for _, name := range names {
-			if !referenced[name] {
-				gc = append(gc, name)
+// walkTables returns the run of candidate tables that ends right below a
+// tail based at base on baseHash, walking back as far as the hash links
+// reach. At each step it takes the table that reaches furthest back, so a
+// fold wins over the tables it replaced.
+func walkTables(cands []*tableFile, base uint64, baseHash []byte) []*tableFile {
+	var run []*tableFile
+	for base > 1 {
+		var next *tableFile
+		for _, t := range cands {
+			if t.end() == base-1 && bytes.Equal(t.headHash(), baseHash) && (next == nil || t.base < next.base) {
+				next = t
 			}
 		}
-		return tables, gc, nil
-	}
-	// Fallback: open whatever verifies, then greedily chain the longest
-	// contiguous run from entry 1 (folded tables subsume the smaller ones
-	// they replaced, so prefer wider tables at each step).
-	var cands []*tableFile
-	for _, name := range names {
-		t, terr := openTable(filepath.Join(dir, name), node, suite, nil)
-		if terr != nil {
-			continue // unverifiable file: ignore, do not trust, do not delete
+		if next == nil {
+			break
 		}
-		cands = append(cands, t)
+		run = append(run, next)
+		base, baseHash = next.base, next.baseHash
 	}
-	chain := assembleTableChain(cands)
-	used := make(map[*tableFile]bool, len(chain))
-	for _, t := range chain {
-		used[t] = true
-	}
-	for _, t := range cands {
-		if !used[t] {
-			_ = t.close()
-		}
-	}
-	return chain, nil, nil
+	slices.Reverse(run)
+	return run
 }
 
-// verifyTableChain checks contiguity and hash linkage across a table run.
-func verifyTableChain(tables []*tableFile) error {
-	for i := 1; i < len(tables); i++ {
-		prev, cur := tables[i-1], tables[i]
-		if cur.base != prev.end()+1 {
-			return fmt.Errorf("seclog: tables %d..%d and %d..%d are not contiguous", prev.base, prev.end(), cur.base, cur.end())
-		}
-		if !bytes.Equal(cur.baseHash, prev.headHash()) {
-			return fmt.Errorf("seclog: %w between tables at %d", ErrChainMismatch, cur.base)
-		}
+// heldBy reports whether chain (h_1..h_head) holds every record of t, hash
+// for hash, so that deleting t loses nothing.
+func heldBy(t *tableFile, chain [][]byte) bool {
+	if t.end() > uint64(len(chain)) {
+		return false
 	}
-	return nil
-}
-
-// assembleTableChain picks, from verified candidate tables, a chain that
-// starts at entry 1 on h_0 and is contiguous and hash-linked, preferring at
-// each step the table that extends furthest (a folded table beats the
-// fragments it replaced). The chain ends at the highest reachable sequence;
-// it is empty when no table holds entry 1.
-func assembleTableChain(cands []*tableFile) []*tableFile {
-	var best []*tableFile
-	bestEnd := uint64(0)
-	for _, start := range cands {
-		if start.base != 1 || len(start.baseHash) != 0 {
-			continue
-		}
-		chain := []*tableFile{start}
-		cur := start
-		for {
-			var next *tableFile
-			for _, c := range cands {
-				if c.base == cur.end()+1 && bytes.Equal(c.baseHash, cur.headHash()) {
-					if next == nil || c.end() > next.end() {
-						next = c
-					}
-				}
-			}
-			if next == nil {
-				break
-			}
-			chain = append(chain, next)
-			cur = next
-		}
-		if cur.end() > bestEnd || best == nil {
-			best = chain
-			bestEnd = cur.end()
+	for seq := t.base; seq <= t.end(); seq++ {
+		if !bytes.Equal(t.addr(seq), chain[seq-1]) {
+			return false
 		}
 	}
-	return best
-}
-
-// rotateTail rewrites the tail file to start at base, keeping only the
-// records at the given offsets of the old image (already verified) — used by
-// Open to finish a seal that crashed between the manifest swap and the
-// rotation.
-func (s *Store) rotateTail(base uint64, baseHash []byte, oldImage []byte, offsets []int64) error {
-	var records []byte
-	if len(offsets) > 0 {
-		records = oldImage[offsets[0]:]
-	}
-	f, headerLen, err := writeTailFile(s.path, s.node, base, baseHash, records, true)
-	if err != nil {
-		return err
-	}
-	old := s.f
-	s.f = f
-	_ = old.Close()
-	s.base = base
-	s.baseHash = append([]byte(nil), baseHash...)
-	s.headerLen = headerLen
-	rebased := make([]int64, 0, len(offsets))
-	if len(offsets) > 0 {
-		delta := offsets[0] - headerLen
-		for _, off := range offsets {
-			rebased = append(rebased, off-delta)
-		}
-	}
-	s.offsets = rebased
-	s.size = headerLen + int64(len(records))
-	s.flushed = s.size
-	return nil
-}
-
-// prevOfTail returns the chain hash preceding the (post-recovery) tail base.
-func prevOfTail(tables []*tableFile) []byte {
-	if len(tables) == 0 {
-		return nil
-	}
-	return tables[len(tables)-1].headHash()
+	return true
 }

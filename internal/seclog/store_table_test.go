@@ -2,12 +2,13 @@ package seclog
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/types"
 	"repro/internal/wire"
 )
 
@@ -172,13 +173,13 @@ func TestStoreCompactionFolds(t *testing.T) {
 	}
 	checkIdentical(t, st, mem)
 
-	// Old table files must be gone from disk (only referenced ones remain).
-	names, err := listTableFiles(dir, "n1", testSuite.HashSize())
+	// Old table files must be gone from disk (only the live ones remain).
+	names, _, err := listTableFiles(dir, "n1", testSuite.HashSize())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) != st.StoreTables() {
-		t.Fatalf("%d table files on disk, %d referenced", len(names), st.StoreTables())
+		t.Fatalf("%d table files on disk, %d live", len(names), st.StoreTables())
 	}
 
 	if err := st.Close(); err != nil {
@@ -193,8 +194,8 @@ func TestStoreCompactionFolds(t *testing.T) {
 }
 
 // TestStoreTamperedTableRejected flips a byte in a sealed table file: the
-// content address no longer matches and Open must refuse the store (the
-// manifest vouches for the sealed range).
+// content address no longer matches, the walk back from the tail cannot
+// reach entry 1, and Open must refuse the store.
 func TestStoreTamperedTableRejected(t *testing.T) {
 	st, dir := newStoredTestLog(t, 4)
 	sealEvery(t, st, 1000)
@@ -208,7 +209,7 @@ func TestStoreTamperedTableRejected(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	names, err := listTableFiles(dir, "n1", testSuite.HashSize())
+	names, _, err := listTableFiles(dir, "n1", testSuite.HashSize())
 	if err != nil || len(names) == 0 {
 		t.Fatalf("tables on disk: %v, %v", names, err)
 	}
@@ -226,9 +227,41 @@ func TestStoreTamperedTableRejected(t *testing.T) {
 	}
 }
 
-// TestStoreOrphanTableCollected plants an unreferenced table file (the
-// footprint of a seal or compaction that crashed before its manifest swap)
-// and checks Open removes it and recovers cleanly.
+// writeTableOf writes, next to l's store, a table holding l's records
+// from..to: what a seal or a fold leaves on disk before its commit point.
+func writeTableOf(t *testing.T, l *Log, from, to uint64) *tableFile {
+	t.Helper()
+	var recs []tableRecord
+	if err := l.store.records(from, to, func(seq uint64, rec []byte) error {
+		hash, metered, ckptSize := l.sealInfo(seq, int64(len(rec)))
+		recs = append(recs, tableRecord{addr: hash, rec: append([]byte(nil), rec...), metered: metered, ckptSize: ckptSize})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := writeTable(l.store.dir, l.store.node, testSuite, from, mustHash(t, l, from-1), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.close(); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// exists reports whether path is on disk.
+func exists(t *testing.T, path string) bool {
+	t.Helper()
+	_, err := os.Stat(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return err == nil
+}
+
+// TestStoreOrphanTableCollected: a table off the walk whose records the
+// recovered chain holds hash for hash is removed; a file with a table's name
+// that does not verify is left in place, and neither blocks Open.
 func TestStoreOrphanTableCollected(t *testing.T) {
 	mem := newTestLog(t)
 	st, dir := newStoredTestLog(t, 4)
@@ -237,11 +270,12 @@ func TestStoreOrphanTableCollected(t *testing.T) {
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	redundant := writeTableOf(t, st, 5, 12)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	orphan := filepath.Join(dir, tableFileName("n1", testSuite.Hash([]byte("orphan"))))
-	if err := os.WriteFile(orphan, []byte("half-written table"), 0o644); err != nil {
+	junk := filepath.Join(dir, tableFileName("n1", testSuite.Hash([]byte("orphan"))))
+	if err := os.WriteFile(junk, []byte("half-written table"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
@@ -250,71 +284,29 @@ func TestStoreOrphanTableCollected(t *testing.T) {
 	}
 	defer re.Close()
 	checkIdentical(t, re, mem)
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("orphan table not collected: %v", err)
+	if exists(t, redundant.path) {
+		t.Fatal("redundant table not collected")
+	}
+	if !exists(t, junk) {
+		t.Fatal("a file that does not verify was deleted")
 	}
 }
 
 // TestStoreInterruptedSealRecovered fabricates the on-disk state of a seal
-// that crashed after the manifest swap but before the tail rotation: the
-// tail still holds every record the fresh table also holds. Open must skip
-// the duplicates, finish the rotation, and serve identically.
+// that crashed before its commit point: the table of records 1..12 is
+// durable, but the rotated tail was never published, so the tail still
+// holds every record. Open must roll the seal back — the tail keeps records
+// 1..16, the orphan table is removed — and serve identically.
 func TestStoreInterruptedSealRecovered(t *testing.T) {
 	mem := newTestLog(t)
 	st, dir := newStoredTestLog(t, 4)
-	sealEvery(t, st, 1000)
 	fillBoth(mem, st, 12, 5)
-	if err := st.Sync(); err != nil { // seals 1..12, rotates tail to base 13
+	if err := st.Sync(); err != nil { // below the seal limit: all in the tail
 		t.Fatal(err)
 	}
-	if !st.SetStoreTuning(1<<30, 1000) { // keep the rest in the tail
-		t.Fatal("tuning failed")
-	}
-	fillBoth(mem, st, 4, 0) // 13..16 live in the new tail
+	orphan := writeTableOf(t, st, 1, 12)
+	fillBoth(mem, st, 4, 0) // 13..16
 	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rebuild the pre-rotation tail: header at base 1 with no base hash,
-	// then all 16 records — the sealed 12 framed from the table file, the
-	// post-seal 4 from the current tail.
-	names, err := listTableFiles(dir, "n1", testSuite.HashSize())
-	if err != nil || len(names) != 1 {
-		t.Fatalf("want exactly one table, have %v (%v)", names, err)
-	}
-	tbl, err := openTable(filepath.Join(dir, names[0]), "n1", testSuite, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var region []byte
-	var hdr [binary.MaxVarintLen64]byte
-	for seq := tbl.base; seq <= tbl.end(); seq++ {
-		rec := tbl.record(seq)
-		n := binary.PutUvarint(hdr[:], uint64(len(rec)))
-		region = append(region, hdr[:n]...)
-		region = append(region, rec...)
-	}
-	tailPath := filepath.Join(dir, storeFileName("n1"))
-	tailRaw, err := os.ReadFile(tailPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := wire.NewReader(tailRaw)
-	r.Raw(len(storeMagic))
-	_ = r.String()
-	r.Uint()
-	r.BytesField()
-	region = append(region, tailRaw[len(tailRaw)-r.Remaining():]...)
-	if err := tbl.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w := wire.NewWriter(64)
-	w.Raw(storeMagic)
-	w.String("n1")
-	w.Uint(1)
-	w.BytesField(nil)
-	if err := os.WriteFile(tailPath, append(w.Bytes(), region...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -322,26 +314,163 @@ func TestStoreInterruptedSealRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIdentical(t, re, mem)
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
+	defer re.Close()
+	if re.store.base != 1 || len(re.store.offsets) != 16 || re.StoreTables() != 0 {
+		t.Fatalf("tail holds %d records from %d next to %d tables, want 1..16 and none",
+			len(re.store.offsets), re.store.base, re.StoreTables())
 	}
+	if exists(t, orphan.path) {
+		t.Fatal("orphan table of the interrupted seal not removed")
+	}
+	checkIdentical(t, re, mem)
+}
 
-	// The healed tail must start past the sealed range again.
-	again, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
+// TestStoreFoldCrashRecovered: a fold that crashed before its commit point
+// leaves the replacement table durable next to the tables it replaced. Open
+// must walk through the replacement, serve a log identical to the in-memory
+// twin, and remove the replaced tables.
+func TestStoreFoldCrashRecovered(t *testing.T) {
+	mem := newTestLog(t)
+	st, dir := newStoredTestLog(t, 4)
+	sealEvery(t, st, 1000)
+	for i := 0; i < 3; i++ {
+		fillBoth(mem, st, 10, 7)
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !st.SetStoreTuning(1<<30, 1000) { // keep the rest in the tail
+		t.Fatal("tuning failed")
+	}
+	fillBoth(mem, st, 3, 0)
+	var replaced []string
+	for _, tbl := range st.store.tables {
+		replaced = append(replaced, tbl.path)
+	}
+	folded, err := st.store.foldTables(st.store.tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer again.Close()
-	if base := again.store.base; base != tbl.end()+1 {
-		t.Fatalf("tail not re-rotated: base=%d, want %d", base, tbl.end()+1)
+	if err := folded.close(); err != nil {
+		t.Fatal(err)
 	}
-	checkIdentical(t, again, mem)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkIdentical(t, re, mem)
+	if n := re.StoreTables(); n != 1 || re.store.tables[0].path != folded.path {
+		t.Fatalf("reopened on %d tables, want the fold alone", n)
+	}
+	for _, path := range replaced {
+		if exists(t, path) {
+			t.Fatalf("replaced table %s not removed", filepath.Base(path))
+		}
+	}
 }
 
-// TestStoreManifestLossWithTables deletes the manifest of a sealed store:
-// recovery must reassemble the table chain from the self-describing files
-// (content address + embedded chain linkage) and still serve everything.
+// TestStoreTailAnchorsChain: the tail header, not whatever tables lie
+// around, decides which log a store holds. A previous incarnation's sealed
+// tables (entries 1..20) next to a fresh tail based at entry 1 with three
+// different records, and no sidecar, open as the tail's three-entry log;
+// the other incarnation's tables are neither served nor deleted.
+func TestStoreTailAnchorsChain(t *testing.T) {
+	old, dir := newStoredTestLog(t, 4)
+	sealEvery(t, old, 1000)
+	for i := 0; i < 2; i++ {
+		fillBoth(nil, old, 10, 7)
+		if err := old.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, _, err := listTableFiles(dir, "n1", testSuite.HashSize())
+	if err != nil || len(before) != 2 {
+		t.Fatalf("want the old incarnation's two tables, have %v (%v)", before, err)
+	}
+
+	fresh, freshDir := newStoredTestLog(t, 4)
+	for i := 1; i <= 3; i++ {
+		fresh.Append(insEntry(types.Time(100+i), "other", int64(i)))
+	}
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := os.ReadFile(filepath.Join(freshDir, storeFileName("n1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, storeFileName("n1")), tail, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, metaFileName("n1"))); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 3 || !bytes.Equal(re.HeadHash(), fresh.HeadHash()) || re.StoreTables() != 0 {
+		t.Fatalf("opened %d entries on %d tables, want the tail's 3 and its head", re.Len(), re.StoreTables())
+	}
+	after, _, err := listTableFiles(dir, "n1", testSuite.HashSize())
+	if err != nil || !slices.Equal(after, before) {
+		t.Fatalf("the other incarnation's tables went from %v to %v (%v)", before, after, err)
+	}
+}
+
+// TestStoreTempDebrisRemoved plants the temp files a crash leaves before a
+// rename — a table write's, an atomic tail rewrite's and a sidecar
+// rewrite's — next to a healthy sealed store. Open removes all three and
+// serves the log unchanged; another node's temp file stays.
+func TestStoreTempDebrisRemoved(t *testing.T) {
+	mem := newTestLog(t)
+	st, dir := newStoredTestLog(t, 4)
+	sealEvery(t, st, 1000)
+	fillBoth(mem, st, 20, 7)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	debris := []string{
+		tableFileName("n1", testSuite.Hash([]byte("debris"))) + ".tmp",
+		storeFileName("n1") + ".tmp",
+		metaFileName("n1") + ".tmp",
+	}
+	other := tableFileName("n1.x", testSuite.Hash([]byte("debris"))) + ".tmp"
+	for _, name := range append(debris, other) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkIdentical(t, re, mem)
+	for _, name := range debris {
+		if exists(t, filepath.Join(dir, name)) {
+			t.Errorf("%s left behind", name)
+		}
+	}
+	if !exists(t, filepath.Join(dir, other)) {
+		t.Error("another node's temp file was removed")
+	}
+}
+
+// TestStoreManifestLossWithTables deletes the sidecar of a sealed store:
+// recovery never needed it to find the log — the walk from the tail through
+// the self-describing tables (content address + embedded chain linkage)
+// still serves everything.
 func TestStoreManifestLossWithTables(t *testing.T) {
 	mem := newTestLog(t)
 	st, dir := newStoredTestLog(t, 4)
@@ -370,9 +499,9 @@ func TestStoreManifestLossWithTables(t *testing.T) {
 }
 
 // TestStoreLostOldestTableRefused removes the table holding entry 1: with the
-// manifest, which references the table, and then without it, when recovery
-// reassembles whatever verifies on disk, Open must refuse a store that no
-// longer starts at entry 1 rather than serve the log from a later entry.
+// sidecar and then without it, Open must refuse a store whose walk back from
+// the tail no longer reaches entry 1 rather than serve the log from a later
+// entry.
 func TestStoreLostOldestTableRefused(t *testing.T) {
 	st, dir := newStoredTestLog(t, 4)
 	sealEvery(t, st, 1000)
@@ -393,7 +522,7 @@ func TestStoreLostOldestTableRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4); err == nil {
-		t.Fatal("Open with the manifest accepted a store missing its oldest table")
+		t.Fatal("Open with the sidecar accepted a store missing its oldest table")
 	}
 	if err := os.Remove(filepath.Join(dir, metaFileName("n1"))); err != nil {
 		t.Fatal(err)
@@ -401,18 +530,18 @@ func TestStoreLostOldestTableRefused(t *testing.T) {
 	re, err := Open(dir, "n1", testSuite, testKey(t, 1), nil, 4)
 	if err == nil {
 		re.Close()
-		t.Fatalf("Open without the manifest served a log from entry %d", re.FirstSeq())
+		t.Fatalf("Open without the sidecar served a log from entry %d", re.FirstSeq())
 	}
 	if !strings.Contains(err.Error(), "lost entries 1..") {
-		t.Fatalf("Open without the manifest: %v, want lost entries 1..k", err)
+		t.Fatalf("Open without the sidecar: %v, want lost entries 1..k", err)
 	}
 }
 
-// TestStoreReassemblyStartsAtEntryOne: without a manifest, recovery chains
-// the tables that verify, and a compaction that crashed before deleting the
-// tables it folded leaves those next to the fold. Whatever order the files
-// come in, the chain must start at entry 1, not at a fragment that happens to
-// reach the same end.
+// TestStoreReassemblyStartsAtEntryOne: a compaction that crashed before
+// deleting the tables it folded leaves those next to the fold. Whatever
+// order the files come in, the walk back from the tail must reach entry 1
+// through the fold, not stop at a fragment that ends at the same entry; and
+// without the fold, the fragments alone still reach entry 1.
 func TestStoreReassemblyStartsAtEntryOne(t *testing.T) {
 	st, _ := newStoredTestLog(t, 4)
 	defer st.Close()
@@ -432,16 +561,23 @@ func TestStoreReassemblyStartsAtEntryOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer folded.close()
-	chain := assembleTableChain([]*tableFile{tables[1], tables[2], folded, tables[0]})
-	if len(chain) == 0 {
-		t.Fatal("reassembled no chain")
+	base, baseHash := st.store.base, st.store.baseHash
+	for _, cands := range [][]*tableFile{
+		{tables[1], tables[2], folded, tables[0]},
+		{folded, tables[0], tables[1], tables[2]},
+		{tables[2], tables[1], tables[0], folded},
+	} {
+		if run := walkTables(cands, base, baseHash); len(run) != 1 || run[0] != folded {
+			t.Fatalf("walked %d tables, want the fold alone", len(run))
+		}
 	}
-	if chain[0].base != 1 || chain[len(chain)-1].end() != folded.end() {
-		t.Fatalf("reassembled %d..%d, want 1..%d", chain[0].base, chain[len(chain)-1].end(), folded.end())
+	run := walkTables([]*tableFile{tables[2], tables[0], tables[1]}, base, baseHash)
+	if !slices.Equal(run, tables) {
+		t.Fatalf("walked %d fragments, want all 3 in order", len(run))
 	}
 }
 
-// TestStoreGrossRecomputed: the manifest does not persist the log's gross
+// TestStoreGrossRecomputed: the sidecar does not persist the log's gross
 // byte count, so Open recomputes it from the tables' and the tail's metered
 // sizes. After seals, a fold, a torn tail and a reopen, it must equal what
 // the live log metered for the entries that survived, checkpoints (metered

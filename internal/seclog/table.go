@@ -109,30 +109,34 @@ func tableFileName(node types.NodeID, hash []byte) string {
 }
 
 // listTableFiles returns the names of node's table files under dir, in
-// directory order (sorted by os.ReadDir). Only names of the exact shape
-// <escaped-node>.<hex>.tbl with a digest-length hex address match.
-func listTableFiles(dir string, node types.NodeID, hashLen int) ([]string, error) {
+// directory order (sorted by os.ReadDir), and of the temp files writeTable
+// left where a crash stopped it before the rename. Only names of the exact
+// shape <escaped-node>.<hex>.tbl (plus .tmp) with a digest-length hex
+// address match, so another node's files never do.
+func listTableFiles(dir string, node types.NodeID, hashLen int) (tables, temps []string, err error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("seclog: store dir: %w", err)
+		return nil, nil, fmt.Errorf("seclog: store dir: %w", err)
 	}
 	prefix := url.PathEscape(string(node)) + "."
-	var names []string
 	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, tableSuffix) {
-			continue
-		}
-		hexPart := name[len(prefix) : len(name)-len(tableSuffix)]
-		if len(hexPart) != 2*hashLen {
+		rest, temp := strings.CutSuffix(name, ".tmp")
+		rest, ours := strings.CutPrefix(rest, prefix)
+		hexPart, table := strings.CutSuffix(rest, tableSuffix)
+		if de.IsDir() || !ours || !table || len(hexPart) != 2*hashLen {
 			continue
 		}
 		if _, err := hex.DecodeString(hexPart); err != nil {
 			continue
 		}
-		names = append(names, name)
+		if temp {
+			temps = append(temps, name)
+		} else {
+			tables = append(tables, name)
+		}
 	}
-	return names, nil
+	return tables, temps, nil
 }
 
 // writeTable serializes recs into a table file under dir, fsyncs it, renames

@@ -16,9 +16,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"time"
 
-	"repro/internal/live"
 	"repro/internal/types"
 )
 
@@ -32,10 +30,10 @@ const (
 	// record on disk for recovery to truncate.
 	ModeTorn = "torn"
 	// ModeCompact forces the store into seal-per-sync at the trigger append
-	// and SIGKILLs on the compactor goroutine once the resulting fold has
-	// written its replacement table but not yet committed the manifest swap
-	// — the widest window a compaction crash has, with both old and new
-	// tables on disk and only the manifest deciding which are real.
+	// and SIGKILLs on the compactor goroutine once the resulting fold's
+	// replacement table is durable but before the tables it replaced are
+	// deleted — the widest window a compaction crash has, with both old and
+	// new tables on disk for recovery's walk from the tail to choose between.
 	ModeCompact = "compact"
 )
 
@@ -109,18 +107,13 @@ type NodeConfig struct {
 	// supervisor clears it on respawn so a recovered process does not
 	// immediately re-die.
 	Crash *CrashRule `json:"crash,omitempty"`
-	// TpropMs is the commitment protocol's propagation bound (default
-	// live.DefaultTprop); TickMs the daemon tick period (default 10ms); SyncEvery how
-	// many ticks between durable log syncs (default 20).
-	TpropMs   int `json:"tprop_ms,omitempty"`
+	// TickMs is the daemon tick period (default 10ms); SyncEvery how many
+	// ticks between durable log syncs (default 20).
 	TickMs    int `json:"tick_ms,omitempty"`
 	SyncEvery int `json:"sync_every,omitempty"`
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
-	if c.TpropMs <= 0 {
-		c.TpropMs = int(live.DefaultTprop / time.Millisecond)
-	}
 	if c.TickMs <= 0 {
 		c.TickMs = 10
 	}
@@ -128,11 +121,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 		c.SyncEvery = 20
 	}
 	return c
-}
-
-// Tprop returns the propagation bound as a duration.
-func (c NodeConfig) Tprop() time.Duration {
-	return time.Duration(c.withDefaults().TpropMs) * time.Millisecond
 }
 
 func (c NodeConfig) validate() error {

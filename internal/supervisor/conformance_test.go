@@ -17,9 +17,9 @@ import (
 // one clean SIGKILL mid-run on the first, one SIGKILL in the middle of a
 // split segment write on the last (a genuinely torn tail for recovery to
 // truncate), and, on an app with an honest node to spare, one SIGKILL on the
-// compactor goroutine mid-fold (replacement table durable, manifest swap
-// uncommitted; recovery must come back on the old table set and collect the
-// orphan).
+// compactor goroutine mid-fold (replacement table durable, the tables it
+// replaced not yet deleted; recovery must walk through the replacement and
+// remove the replaced tables).
 type crashCase struct {
 	app     *workload.Workload
 	rules   []supervisor.CrashRule
@@ -185,7 +185,7 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 		case cc.compact:
 			// The compact rule only ever dies inside the MidCompact hook, so
 			// reaching here means the process was killed with a durable
-			// replacement table and an uncommitted manifest; VerifyRecovered
+			// replacement table next to the tables it replaced; VerifyRecovered
 			// above already proved the fold never moved the synced head
 			// off-chain. The tail was fully synced when the fold started, so
 			// recovery must not have needed to truncate anything.

@@ -108,7 +108,7 @@ func installCrashRule(n *core.Node, rule *CrashRule) error {
 				// own table (seal limit 1 byte) and a second sealed table
 				// starts a fold (fold threshold 1): the death then lands on
 				// the compactor goroutine, after the folded replacement
-				// table is durable but before the manifest swap commits it.
+				// table is durable but before its fragments are deleted.
 				armed = true
 				n.Log.SetStoreTuning(1, 1)
 			}
@@ -148,7 +148,7 @@ func RunDaemon(cfg NodeConfig) error {
 		}
 	}
 
-	dep, err := live.NewDeployment(app, cfg.Seed, cfg.Tprop())
+	dep, err := live.NewDeployment(app, cfg.Seed)
 	if err != nil {
 		return err
 	}

@@ -156,7 +156,7 @@ func New(opts Options) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep, err := live.NewDeployment(app, opts.Seed, 0)
+	dep, err := live.NewDeployment(app, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ func TestNodeConfigRoundTrip(t *testing.T) {
 		got.Crash == nil || *got.Crash != *cfg.Crash {
 		t.Errorf("round trip mangled the config: %+v", got)
 	}
-	if got.TpropMs <= 0 || got.TickMs <= 0 || got.SyncEvery <= 0 {
+	if got.TickMs <= 0 || got.SyncEvery <= 0 {
 		t.Errorf("defaults not applied: %+v", got)
 	}
 
