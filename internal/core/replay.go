@@ -328,8 +328,9 @@ type prep struct {
 	stepped int
 	cum     []int
 	// emit, when set, takes the ops recorded so far every streamChunk ops
-	// and at the end of the walk, which then records into fresh slices.
-	emit func([]replayOp)
+	// and at the end of the walk (more false); while more is true it returns
+	// the empty chunk the walk records into next.
+	emit func(ops []replayOp, more bool) []replayOp
 }
 
 // streamChunk is how many ops a streamed walk hands its commit at a time, and
@@ -513,18 +514,35 @@ func (a *Auditor) Commit(p *PreparedAudit) error {
 // its ops a chunk at a time, which are applied as they come. The graph grows
 // while the walk runs, in the order an inline commit applies the same ops;
 // the walk blocks while streamDepth chunks await their turn, and an applied
-// chunk is garbage.
+// chunk is cleared and handed back for the walk to record into again.
 func (a *Auditor) applyStreamed(pa *PreparedAudit) {
 	seg := pa.stream
 	pa.stream = nil
 	chunks := make(chan []replayOp, streamDepth)
-	p := &prep{a: a, PreparedAudit: pa, emit: func(ops []replayOp) { chunks <- ops }}
+	// The walk allocates a chunk only when none is free, so at most
+	// streamDepth+2 ever exist (one recording, streamDepth queued, one
+	// applied) and handing one back never blocks.
+	free := make(chan []replayOp, streamDepth+2)
+	p := &prep{a: a, PreparedAudit: pa, emit: func(ops []replayOp, more bool) []replayOp {
+		chunks <- ops
+		if !more {
+			return nil
+		}
+		select {
+		case ops = <-free:
+			return ops
+		default:
+			return make([]replayOp, 0, streamChunk+streamChunk/4)
+		}
+	}}
 	go func() {
 		defer close(chunks)
 		p.replayEntries(seg, a.factory(pa.Node))
 	}()
 	for ops := range chunks {
 		a.applyOps(ops)
+		clear(ops)
+		free <- ops[:0]
 	}
 	a.streamed++
 }
@@ -627,13 +645,12 @@ func (p *prep) replayEntries(seg *seclog.SegmentData, m types.Machine) {
 			p.cum = append(p.cum, p.stepped)
 		}
 		if p.emit != nil && len(p.ops) >= streamChunk {
-			p.emit(p.ops)
-			p.ops = make([]replayOp, 0, streamChunk+streamChunk/4)
+			p.ops = p.emit(p.ops, true)
 		}
 	}
 	if p.emit != nil {
 		if len(p.ops) != 0 {
-			p.emit(p.ops)
+			p.emit(p.ops, false)
 		}
 		p.ops = nil
 	}

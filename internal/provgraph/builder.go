@@ -472,9 +472,9 @@ func (b *Builder) flagAckpend(i types.NodeID) {
 }
 
 func (b *Builder) addSendVertex(m *types.Message, vwhy *Vertex, t types.Time) *Vertex {
-	probe := &Vertex{Type: VSend, Host: m.Src, Remote: m.Dst, Msg: m, T1: t, Color: Yellow}
-	v1 := b.G.Add(probe)
-	if v1 == probe { // new
+	n := b.G.Len()
+	v1 := b.G.Add(&Vertex{Type: VSend, Host: m.Src, Remote: m.Dst, Msg: m, T1: t, Color: Yellow})
+	if b.G.Len() > n { // new
 		v1.nopred = true
 		forNode(b.unacked, m.Src, newUnackedSet).set(m.ID(), v1)
 	}

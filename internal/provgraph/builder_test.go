@@ -466,3 +466,32 @@ func TestSeedExistFromCheckpoint(t *testing.T) {
 		t.Error("SeedExist is not idempotent")
 	}
 }
+
+// TestCollidingHashesGCA runs the GCA unit tests with every vertex identity
+// hashed alike, so that the identity index answers everything but a graph's
+// first vertex from its overflow map.
+func TestCollidingHashesGCA(t *testing.T) {
+	defer CollideHashes()()
+	for _, c := range []struct {
+		name string
+		test func(*testing.T)
+	}{
+		{"CorrectFlowVertices", TestCorrectFlowVertices},
+		{"CorrectFlowEdges", TestCorrectFlowEdges},
+		{"SuppressedSendTurnsRed", TestSuppressedSendTurnsRed},
+		{"FabricatedSendTurnsRed", TestFabricatedSendTurnsRed},
+		{"UnackedReceiveTurnsRed", TestUnackedReceiveTurnsRed},
+		{"MissingAckFinalize", TestMissingAckFinalize},
+		{"DeleteFlow", TestDeleteFlow},
+		{"Monotonicity", TestMonotonicity},
+		{"Compositionality", TestCompositionality},
+		{"MaybeRuleSatisfied", TestMaybeRuleSatisfied},
+		{"MaybeRuleUnsatisfiedTurnsRed", TestMaybeRuleUnsatisfiedTurnsRed},
+		{"ReplacementEdge", TestReplacementEdge},
+		{"HandleExtraMsg", TestHandleExtraMsg},
+		{"ExtraMsgLeavesExistingAlone", TestExtraMsgLeavesExistingAlone},
+		{"SeedExistFromCheckpoint", TestSeedExistFromCheckpoint},
+	} {
+		t.Run(c.name, c.test)
+	}
+}

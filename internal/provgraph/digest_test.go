@@ -10,6 +10,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/cryptoutil"
 	"repro/internal/eval"
+	"repro/internal/provgraph"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/digest.golden from this run")
@@ -58,6 +59,34 @@ func TestGraphDigestGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five deployment runs and audits; skipped in -short mode")
 	}
+	got := auditedDigests(t)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	checkDigests(t, got)
+}
+
+// TestCollidingHashesDigestGolden builds TestGraphDigestGolden's graphs with
+// every vertex identity hashed alike: resolved through the identity index's
+// overflow map, they must be the very same graphs.
+func TestCollidingHashesDigestGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five deployment runs and audits; skipped in -short mode")
+	}
+	defer provgraph.CollideHashes()()
+	checkDigests(t, auditedDigests(t))
+}
+
+// auditedDigests renders one line per pinned deployment: its audited graph's
+// size and digest and the audit's verification counts.
+func auditedDigests(t *testing.T) string {
+	t.Helper()
 	names, runs := digestDeployments(t)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# One cold adversary.AuditAll per deployment at scale 0.02, seed 1.\n# Regenerate: %s\n", digestRegen)
@@ -69,16 +98,12 @@ func TestGraphDigestGolden(t *testing.T) {
 		fmt.Fprintf(&sb, "%s vertices=%d edges=%d verifies=%d verify-cache-hits=%d digest=%s\n",
 			names[i], g.Len(), g.EdgeCount(), st.Verifies, st.VerifyCacheHits, g.Digest())
 	}
-	got := sb.String()
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(digestPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	return sb.String()
+}
+
+// checkDigests compares got with the golden file.
+func checkDigests(t *testing.T, got string) {
+	t.Helper()
 	want, err := os.ReadFile(digestPath)
 	if err != nil {
 		t.Fatalf("%v (generate with: %s)", err, digestRegen)

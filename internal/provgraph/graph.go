@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 
 	"repro/internal/types"
@@ -11,13 +13,19 @@ import (
 
 // Graph is a provenance graph: a set of vertices plus directed edges, with
 // the lookup indices the GCA needs (open exist/believe vertices, appear
-// vertices by instant). Every index is keyed by a comparable struct or a
-// dense vertex index; no string is built per vertex or per lookup. The zero
-// value is not ready; use New.
+// vertices by instant). Filling one allocates little and nothing the
+// collector must trace per vertex: vertices live in per-graph slabs of
+// slabSize, the identity index maps a hash of the vertex's identity to its
+// position in insertion order (identities whose hash another one took first
+// go to a small overflow map), and the edge set is the adjacency lists
+// themselves. No string is built per vertex or per lookup. The zero value is
+// not ready; use New.
 type Graph struct {
-	index map[vkey]*Vertex      // identity → vertex
-	order []*Vertex             // insertion order; order[v.idx] == v
-	edges map[[2]int32]struct{} // (from.idx, to.idx)
+	ids   map[uint64]int32 // identity hash → position in order
+	spill map[vkey]int32   // identities whose hash ids holds for another one
+	order []*Vertex        // insertion order
+	slab  []Vertex         // where the next new vertices go
+	edges int
 
 	byHost map[types.NodeID][]*Vertex
 	tuples map[hostTuple]*tupleIndex
@@ -27,6 +35,9 @@ type Graph struct {
 	// smallest ID.
 	instant map[instantKey]*Vertex
 }
+
+// slabSize is how many vertices one allocation of a graph's slab holds.
+const slabSize = 256
 
 // vkey is a vertex's identity as a comparable value: exactly the fields
 // ID() renders for the vertex's type, so two vertices have equal keys when
@@ -61,6 +72,37 @@ func (v *Vertex) key() vkey {
 	return k
 }
 
+// idSeed seeds the identity hash. Nothing iterates the index, so the seed
+// reaches no output.
+var idSeed = maphash.MakeSeed()
+
+// oneHash, set only by tests, gives every identity the same hash so that
+// every vertex after a graph's first goes through the overflow map.
+var oneHash bool
+
+func hashKey(k vkey) uint64 {
+	if oneHash {
+		return 0
+	}
+	return maphash.Comparable(idSeed, k)
+}
+
+// lookup returns the position in order of the vertex with identity k, whose
+// hash is h, or -1; taken reports whether ids holds h.
+func (g *Graph) lookup(k vkey, h uint64) (pos int32, taken bool) {
+	i, ok := g.ids[h]
+	if !ok {
+		return -1, false // no identity with this hash, so none in spill either
+	}
+	if g.order[i].key() == k {
+		return i, true
+	}
+	if i, ok := g.spill[k]; ok {
+		return i, true
+	}
+	return -1, true
+}
+
 type hostTuple struct {
 	host  types.NodeID
 	tuple string // Tuple.Key()
@@ -83,23 +125,37 @@ type tupleIndex struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		index:   make(map[vkey]*Vertex),
-		edges:   make(map[[2]int32]struct{}),
+		ids:     make(map[uint64]int32),
+		spill:   make(map[vkey]int32),
 		byHost:  make(map[types.NodeID][]*Vertex),
 		tuples:  make(map[hostTuple]*tupleIndex),
 		instant: make(map[instantKey]*Vertex),
 	}
 }
 
-// Add inserts v if no vertex with the same ID exists and returns the vertex
-// that is in the graph afterwards (v or the pre-existing one).
-func (g *Graph) Add(v *Vertex) *Vertex {
-	k := v.key()
-	if old, ok := g.index[k]; ok {
-		return old
+// Add returns the vertex of g with probe's ID, inserting a copy of probe
+// first if there is none. The vertex returned is always the graph's own,
+// never probe: the graph keeps nothing of probe, so a caller may build it on
+// the stack, and only a new vertex costs an insertion.
+func (g *Graph) Add(probe *Vertex) *Vertex {
+	k := probe.key()
+	h := hashKey(k)
+	i, taken := g.lookup(k, h)
+	if i >= 0 {
+		return g.order[i]
 	}
-	v.idx = int32(len(g.order))
-	g.index[k] = v
+	if len(g.slab) == 0 {
+		g.slab = make([]Vertex, slabSize)
+	}
+	v := &g.slab[0]
+	g.slab = g.slab[1:]
+	*v = *probe
+	pos := int32(len(g.order))
+	if taken {
+		g.spill[k] = pos
+	} else {
+		g.ids[h] = pos
+	}
 	g.order = append(g.order, v)
 	g.byHost[v.Host] = append(g.byHost[v.Host], v)
 	ht := hostTuple{v.Host, v.Tuple.Key()}
@@ -140,7 +196,13 @@ func (ti *tupleIndex) closeBelieve(origin types.NodeID) {
 
 // Find returns the vertex of g with the same ID as probe, or nil. The probe
 // need not be in any graph.
-func (g *Graph) Find(probe *Vertex) *Vertex { return g.index[probe.key()] }
+func (g *Graph) Find(probe *Vertex) *Vertex {
+	k := probe.key()
+	if i, _ := g.lookup(k, hashKey(k)); i >= 0 {
+		return g.order[i]
+	}
+	return nil
+}
 
 // Vertices returns all vertices in insertion order.
 func (g *Graph) Vertices() []*Vertex { return g.order }
@@ -149,7 +211,7 @@ func (g *Graph) Vertices() []*Vertex { return g.order }
 func (g *Graph) Len() int { return len(g.order) }
 
 // EdgeCount returns the number of edges.
-func (g *Graph) EdgeCount() int { return len(g.edges) }
+func (g *Graph) EdgeCount() int { return g.edges }
 
 // AddEdge inserts the edge (from → to) between two vertices of g if it is
 // not already present. It returns an error for edges outside Table 1; the
@@ -158,20 +220,22 @@ func (g *Graph) AddEdge(from, to *Vertex) error {
 	if !LegalEdge(from.Type, to.Type) {
 		return fmt.Errorf("provgraph: illegal edge %s -> %s", from.Type, to.Type)
 	}
-	k := [2]int32{from.idx, to.idx}
-	if _, ok := g.edges[k]; ok {
+	if g.HasEdge(from, to) {
 		return nil
 	}
-	g.edges[k] = struct{}{}
+	g.edges++
 	from.out = append(from.out, to)
 	to.in = append(to.in, from)
 	return nil
 }
 
-// HasEdge reports whether the edge (from → to) is present.
+// HasEdge reports whether the edge (from → to) is present. It scans the
+// shorter of from's out-list and to's in-list.
 func (g *Graph) HasEdge(from, to *Vertex) bool {
-	_, ok := g.edges[[2]int32{from.idx, to.idx}]
-	return ok
+	if len(from.out) <= len(to.in) {
+		return slices.Contains(from.out, to)
+	}
+	return slices.Contains(to.in, from)
 }
 
 // OpenExist returns the open exist vertex for (host, tuple), or nil.
@@ -326,10 +390,13 @@ func (g *Graph) Subgraph(h *Graph) bool {
 			return false
 		}
 	}
-	for e := range g.edges {
-		// Both ends were found in h by the loop above.
-		if !h.HasEdge(h.Find(g.order[e[0]]), h.Find(g.order[e[1]])) {
-			return false
+	for _, v := range g.order {
+		// Both ends of every edge were found in h by the loop above.
+		from := h.Find(v)
+		for _, w := range v.out {
+			if !h.HasEdge(from, h.Find(w)) {
+				return false
+			}
 		}
 	}
 	return true
@@ -363,9 +430,13 @@ func (g *Graph) Project(id types.NodeID) *Graph {
 			remote(w)
 		}
 	}
-	for e := range g.edges {
-		if from, to := copies[g.order[e[0]]], copies[g.order[e[1]]]; from != nil && to != nil {
-			_ = p.AddEdge(from, to)
+	for _, v := range g.order {
+		if from := copies[v]; from != nil {
+			for _, w := range v.out {
+				if to := copies[w]; to != nil {
+					_ = p.AddEdge(from, to)
+				}
+			}
 		}
 	}
 	return p
@@ -375,9 +446,11 @@ func (g *Graph) Project(id types.NodeID) *Graph {
 // at most one open exist vertex per (host, tuple), and at most one open
 // believe vertex per (host, origin, tuple). It returns the first violation.
 func (g *Graph) Validate() error {
-	for e := range g.edges {
-		if from, to := g.order[e[0]], g.order[e[1]]; !LegalEdge(from.Type, to.Type) {
-			return fmt.Errorf("provgraph: illegal edge %s -> %s", from, to)
+	for _, from := range g.order {
+		for _, to := range from.out {
+			if !LegalEdge(from.Type, to.Type) {
+				return fmt.Errorf("provgraph: illegal edge %s -> %s", from, to)
+			}
 		}
 	}
 	type openKey struct {

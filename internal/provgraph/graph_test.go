@@ -1,6 +1,7 @@
 package provgraph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -193,5 +194,47 @@ func TestLabels(t *testing.T) {
 	v := &Vertex{Type: VExist, Host: "c", Tuple: tup, T1: 3, T2: Forever}
 	if got, want := v.Label(), "EXIST(c, bestCost(@c,@d,5), [t3, now])"; got != want {
 		t.Errorf("Label = %q, want %q", got, want)
+	}
+}
+
+// TestProjectDeterministic projects one graph twice: every vertex of the two
+// projections must list its successors in the same order. An exist vertex
+// feeding many derive vertices gives the order room to differ.
+func TestProjectDeterministic(t *testing.T) {
+	g := New()
+	tup := types.MakeTuple("x", types.N("a"), types.I(1))
+	ap := g.Add(&Vertex{Type: VAppear, Host: "a", Tuple: tup, T1: 1})
+	ex := g.Add(&Vertex{Type: VExist, Host: "a", Tuple: tup, T1: 1, T2: Forever})
+	if err := g.AddEdge(ap, ex); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 32 {
+		head := types.MakeTuple("y", types.N("a"), types.I(int64(i)))
+		d := g.Add(&Vertex{Type: VDerive, Host: "a", Tuple: head, Rule: "r", T1: types.Time(2 + i)})
+		if err := g.AddEdge(ex, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outs := func(p *Graph) (ids [][]string) {
+		for _, v := range p.Vertices() {
+			var row []string
+			for _, w := range v.Out() {
+				row = append(row, w.ID())
+			}
+			ids = append(ids, row)
+		}
+		return ids
+	}
+	first, second := outs(g.Project("a")), outs(g.Project("a"))
+	if len(first) != g.Len() {
+		t.Fatalf("projection has %d vertices, want %d", len(first), g.Len())
+	}
+	for i := range first {
+		if !slices.Equal(first[i], second[i]) {
+			t.Fatalf("vertex %d: Out() is %v in one projection, %v in another", i, first[i], second[i])
+		}
+	}
+	if !slices.Equal(first[1], outs(g)[1]) {
+		t.Errorf("projected Out() %v, want the graph's order %v", first[1], outs(g)[1])
 	}
 }

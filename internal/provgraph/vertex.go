@@ -101,8 +101,7 @@ type Vertex struct {
 	// live in an earlier log segment (§5.6).
 	FromCheckpoint bool
 
-	id  string // rendered on first use
-	idx int32  // position in the owning graph's insertion order
+	id string // rendered on first use
 	// nopred marks a send vertex the GCA created that has no incoming edge
 	// yet (the pseudocode's nopreds set).
 	nopred bool
@@ -111,8 +110,9 @@ type Vertex struct {
 }
 
 // ID returns a stable unique identifier for the vertex. The graph itself is
-// keyed by the same fields as a comparable value (vkey); the string exists
-// for canonical ordering and for output, and is rendered on first use.
+// keyed by a hash of the same fields as a comparable value (vkey); the
+// string exists for canonical ordering and for output, and is rendered on
+// first use.
 func (v *Vertex) ID() string {
 	if v.id == "" {
 		v.id = v.computeID()
@@ -194,24 +194,26 @@ func fmtT(t types.Time) string {
 func (v *Vertex) String() string { return v.Label() }
 
 // legalEdges is Table 1 of the paper: for each vertex type, the set of
-// vertex types its outbound edges may point to. One extension beyond the
-// table: disappear → appear, the §3.4 constraint edge recording that one
-// tuple's appearance was caused by another's replacement.
-var legalEdges = map[VertexType]map[VertexType]bool{
-	VInsert:           {VAppear: true},
-	VDelete:           {VDisappear: true},
-	VAppear:           {VExist: true, VSend: true, VDerive: true},
-	VDisappear:        {VExist: true, VSend: true, VUnderive: true, VAppear: true},
-	VExist:            {VDerive: true, VUnderive: true},
-	VDerive:           {VAppear: true},
-	VUnderive:         {VDisappear: true},
-	VSend:             {VReceive: true},
-	VReceive:          {VBelieveAppear: true, VBelieveDisappear: true},
-	VBelieveAppear:    {VBelieve: true, VDerive: true},
-	VBelieveDisappear: {VBelieve: true, VUnderive: true},
-	VBelieve:          {VDerive: true, VUnderive: true},
+// vertex types its outbound edges may point to, one bit per type. One
+// extension beyond the table: disappear → appear, the §3.4 constraint edge
+// recording that one tuple's appearance was caused by another's replacement.
+var legalEdges = [...]uint16{
+	VInsert:           1 << VAppear,
+	VDelete:           1 << VDisappear,
+	VAppear:           1<<VExist | 1<<VSend | 1<<VDerive,
+	VDisappear:        1<<VExist | 1<<VSend | 1<<VUnderive | 1<<VAppear,
+	VExist:            1<<VDerive | 1<<VUnderive,
+	VDerive:           1 << VAppear,
+	VUnderive:         1 << VDisappear,
+	VSend:             1 << VReceive,
+	VReceive:          1<<VBelieveAppear | 1<<VBelieveDisappear,
+	VBelieveAppear:    1<<VBelieve | 1<<VDerive,
+	VBelieveDisappear: 1<<VBelieve | 1<<VUnderive,
+	VBelieve:          1<<VDerive | 1<<VUnderive,
 }
 
 // LegalEdge reports whether an edge from a vertex of type a to one of type b
 // is permitted by Table 1 (plus the constraint extension).
-func LegalEdge(a, b VertexType) bool { return legalEdges[a][b] }
+func LegalEdge(a, b VertexType) bool {
+	return int(a) < len(legalEdges) && legalEdges[a]&(1<<b) != 0
+}
