@@ -53,7 +53,7 @@ func main() {
 			continue
 		}
 		m := net.Node(n).Machine.(*dlog.Machine)
-		for _, pr := range m.TuplesOf("pred") {
+		for pr := range m.Tuples("pred") {
 			if pr.Args[1].Node() != attacker || pr.Args[2].Int == chord.RingID(attacker) {
 				continue
 			}

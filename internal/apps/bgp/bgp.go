@@ -21,7 +21,6 @@ package bgp
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -97,12 +96,7 @@ func ValidateExport(rule string, host types.NodeID, head types.Tuple, body []typ
 			return false
 		}
 		// Loop check: the exporter must not already be on the path.
-		for _, hop := range strings.Fields(imported) {
-			if hop == string(host) {
-				return false
-			}
-		}
-		return true
+		return !onPath(imported, host)
 	default:
 		return false
 	}
@@ -113,6 +107,16 @@ type route struct {
 	path string
 	from types.NodeID
 	rel  Rel
+}
+
+// decision is one poll's choice for one prefix: a local origin or the best
+// imported route.
+type decision struct {
+	prefix     string
+	origin     bool
+	best       route
+	exportable bool   // Gao–Rexford: only customer routes go to non-customers
+	path       string // the exported path; built on first use, "" until then
 }
 
 // Speaker is the black-box BGP daemon for one network: it keeps a RIB of
@@ -131,13 +135,16 @@ type Speaker struct {
 	ExportFilter func(to types.NodeID, prefix, path string) bool
 
 	origins map[string]bool
-	rib     map[string]map[types.NodeID]route // prefix -> from -> route
-	exports map[types.NodeID]map[string]exported
-}
+	rib     map[string]map[types.NodeID]route  // prefix -> from -> route
+	exports map[types.NodeID]map[string]string // neighbor -> prefix -> exported path
 
-type exported struct {
-	path string
-	body types.Tuple
+	// A poll's working state, kept for the next poll's reuse.
+	prefixes  []string       // sorted
+	decisions []decision     // one per prefix, in the same order
+	offered   []bool         // per decision: does the neighbor being reconciled get it?
+	nbrs      []types.NodeID // sorted neighbors
+	keys      []string       // sorted prefixes exported to one neighbor
+	froms     []types.NodeID // sorted candidates for one prefix
 }
 
 // NewSpeaker creates a speaker for self with the given neighbor relations.
@@ -147,7 +154,7 @@ func NewSpeaker(self types.NodeID, neighbors map[types.NodeID]Rel) *Speaker {
 		Neighbors: neighbors,
 		origins:   make(map[string]bool),
 		rib:       make(map[string]map[types.NodeID]route),
-		exports:   make(map[types.NodeID]map[string]exported),
+		exports:   make(map[types.NodeID]map[string]string),
 	}
 }
 
@@ -174,11 +181,35 @@ func (s *Speaker) Withdraw(node *core.Node, prefix string) {
 // Sync reads the proxy state (believed imports) from the node's machine,
 // runs the decision process, and reconciles exports through maybe-rule
 // firings. The harness calls it after updates are delivered.
+//
+// Every poll recomputes the RIB, each prefix's decision and each neighbor's
+// exports in full. There is no skip when the machine looks unchanged: the
+// policies (Prefer, ExportFilter, Neighbors) are public and change between
+// polls, so the same imports can decide differently. What persists is the
+// working state: the RIB's per-prefix maps are cleared and refilled, the
+// slices keep their capacity, and the exported path and its tuples are
+// built only for an export that changes, so a poll that changes nothing
+// allocates next to nothing.
 func (s *Speaker) Sync(node *core.Node) {
-	m := node.Machine.(*dlog.Machine)
-	// Rebuild the RIB from believed advRoute tuples.
-	s.rib = make(map[string]map[types.NodeID]route)
-	for _, t := range m.TuplesOf("advRoute") {
+	s.loadRIB(node.Machine.(*dlog.Machine))
+	s.decide()
+	s.nbrs = s.nbrs[:0]
+	for n := range s.Neighbors {
+		s.nbrs = append(s.nbrs, n)
+	}
+	slices.Sort(s.nbrs)
+	for _, nbr := range s.nbrs {
+		s.reconcile(node, nbr, s.Neighbors[nbr])
+	}
+}
+
+// loadRIB refills the RIB from the believed advRoute tuples; a prefix left
+// without candidates leaves the RIB.
+func (s *Speaker) loadRIB(m *dlog.Machine) {
+	for _, cands := range s.rib {
+		clear(cands)
+	}
+	for t := range m.Tuples("advRoute") {
 		prefix, path, from := t.Args[1].Str, t.Args[2].Str, t.Args[3].Node()
 		rel, ok := s.Neighbors[from]
 		if !ok {
@@ -187,104 +218,133 @@ func (s *Speaker) Sync(node *core.Node) {
 		if s.loops(path) {
 			continue // loop prevention on import
 		}
-		if s.rib[prefix] == nil {
-			s.rib[prefix] = make(map[types.NodeID]route)
+		cands := s.rib[prefix]
+		if cands == nil {
+			cands = make(map[types.NodeID]route)
+			s.rib[prefix] = cands
 		}
-		s.rib[prefix][from] = route{path: path, from: from, rel: rel}
+		cands[from] = route{path: path, from: from, rel: rel}
 	}
-	// Decide best route per prefix and compute desired exports.
-	desired := make(map[types.NodeID]map[string]exported)
-	prefixes := map[string]bool{}
+	for prefix, cands := range s.rib {
+		if len(cands) == 0 {
+			delete(s.rib, prefix)
+		}
+	}
+}
+
+// decide runs the decision process once per prefix, originated or in the
+// RIB, in prefix order.
+func (s *Speaker) decide() {
+	s.prefixes = s.prefixes[:0]
 	for p := range s.origins {
-		prefixes[p] = true
+		s.prefixes = append(s.prefixes, p)
 	}
 	for p := range s.rib {
-		prefixes[p] = true
+		if !s.origins[p] {
+			s.prefixes = append(s.prefixes, p)
+		}
 	}
-	sortedPrefixes := make([]string, 0, len(prefixes))
-	for p := range prefixes {
-		sortedPrefixes = append(sortedPrefixes, p)
+	slices.Sort(s.prefixes)
+	s.decisions = s.decisions[:0]
+	for _, prefix := range s.prefixes {
+		d := decision{prefix: prefix, origin: s.origins[prefix], exportable: true}
+		if !d.origin {
+			d.best = s.best(prefix)
+			d.exportable = d.best.rel == Customer || d.best.rel == Sibling
+		}
+		s.decisions = append(s.decisions, d)
 	}
-	sort.Strings(sortedPrefixes)
-	for _, prefix := range sortedPrefixes {
-		var bestPath string
-		var bestBody types.Tuple
-		var exportable bool // Gao–Rexford: only customer routes go to non-customers
-		if s.origins[prefix] {
-			bestPath = string(s.Self)
-			bestBody = Origin(s.Self, prefix)
-			exportable = true
+}
+
+// reconcile brings the exports to one neighbor in line with the decisions:
+// withdrawals first, then announcements and replacements, each in prefix
+// order.
+func (s *Speaker) reconcile(node *core.Node, nbr types.NodeID, rel Rel) {
+	s.offered = s.offered[:0]
+	for i := range s.decisions {
+		s.offered = append(s.offered, s.offers(nbr, rel, &s.decisions[i]))
+	}
+	cur := s.exports[nbr]
+	s.keys = s.keys[:0]
+	for p := range cur {
+		s.keys = append(s.keys, p)
+	}
+	slices.Sort(s.keys)
+	for _, p := range s.keys {
+		i, found := slices.BinarySearch(s.prefixes, p)
+		if !found || !s.offered[i] {
+			node.DeleteMaybe(ExportRule, AdvRoute(nbr, p, cur[p], s.Self), nil)
+			delete(cur, p)
+		}
+	}
+	for i := range s.decisions {
+		d := &s.decisions[i]
+		if !s.offered[i] {
+			continue
+		}
+		old, had := cur[d.prefix]
+		if had && s.exportsAs(d, old) {
+			continue
+		}
+		var replaces []types.Tuple
+		if had {
+			// Rules 2+3: one route per prefix per neighbor; the old
+			// tuple's disappearance explains the new one (§3.4).
+			replaces = []types.Tuple{AdvRoute(nbr, d.prefix, old, s.Self)}
+		}
+		path := s.exportPath(d)
+		node.InsertMaybe(ExportRule, AdvRoute(nbr, d.prefix, path, s.Self), []types.Tuple{s.body(d)}, replaces)
+		if cur == nil {
+			cur = make(map[string]string)
+			s.exports[nbr] = cur
+		}
+		cur[d.prefix] = path
+	}
+}
+
+// offers applies the export policy: is nbr, related to us by rel, offered
+// d's route?
+func (s *Speaker) offers(nbr types.NodeID, rel Rel, d *decision) bool {
+	if !d.exportable && rel != Customer {
+		return false // valley-free export policy
+	}
+	// Poison reverse: don't offer a route through them. The exported path
+	// is Self followed by the best route's path.
+	if onPath(string(s.Self), nbr) || !d.origin && onPath(d.best.path, nbr) {
+		return false
+	}
+	return s.ExportFilter == nil || !s.ExportFilter(nbr, d.prefix, s.exportPath(d))
+}
+
+// exportPath is the path d exports: Self, or Self prepended to the best
+// route's path.
+func (s *Speaker) exportPath(d *decision) string {
+	if d.path == "" {
+		if d.origin {
+			d.path = string(s.Self)
 		} else {
-			best, ok := s.best(prefix)
-			if !ok {
-				continue
-			}
-			bestPath = string(s.Self) + " " + best.path
-			bestBody = AdvRoute(s.Self, prefix, best.path, best.from)
-			exportable = best.rel == Customer || best.rel == Sibling
-		}
-		for nbr, rel := range s.Neighbors {
-			if !exportable && rel != Customer {
-				continue // valley-free export policy
-			}
-			if onPath(bestPath, nbr) {
-				continue // poison reverse: don't offer a route through them
-			}
-			if s.ExportFilter != nil && s.ExportFilter(nbr, prefix, bestPath) {
-				continue
-			}
-			if desired[nbr] == nil {
-				desired[nbr] = make(map[string]exported)
-			}
-			desired[nbr][prefix] = exported{path: bestPath, body: bestBody}
+			d.path = string(s.Self) + " " + d.best.path
 		}
 	}
-	// Reconcile: withdrawals first, then announcements/replacements.
-	nbrs := make([]string, 0, len(s.Neighbors))
-	for n := range s.Neighbors {
-		nbrs = append(nbrs, string(n))
+	return d.path
+}
+
+// exportsAs reports whether path is d's exported path, without building it.
+func (s *Speaker) exportsAs(d *decision, path string) bool {
+	self := string(s.Self)
+	if d.origin {
+		return path == self
 	}
-	sort.Strings(nbrs)
-	for _, ns := range nbrs {
-		nbr := types.NodeID(ns)
-		cur := s.exports[nbr]
-		want := desired[nbr]
-		curPrefixes := make([]string, 0, len(cur))
-		for p := range cur {
-			curPrefixes = append(curPrefixes, p)
-		}
-		sort.Strings(curPrefixes)
-		for _, p := range curPrefixes {
-			if _, keep := want[p]; !keep {
-				node.DeleteMaybe(ExportRule, AdvRoute(nbr, p, cur[p].path, s.Self), nil)
-				delete(cur, p)
-			}
-		}
-		wantPrefixes := make([]string, 0, len(want))
-		for p := range want {
-			wantPrefixes = append(wantPrefixes, p)
-		}
-		sort.Strings(wantPrefixes)
-		for _, p := range wantPrefixes {
-			d := want[p]
-			old, had := cur[p]
-			if had && old.path == d.path {
-				continue
-			}
-			head := AdvRoute(nbr, p, d.path, s.Self)
-			var replaces []types.Tuple
-			if had {
-				// Rules 2+3: one route per prefix per neighbor; the old
-				// tuple's disappearance explains the new one (§3.4).
-				replaces = append(replaces, AdvRoute(nbr, p, old.path, s.Self))
-			}
-			node.InsertMaybe(ExportRule, head, []types.Tuple{d.body}, replaces)
-			if s.exports[nbr] == nil {
-				s.exports[nbr] = make(map[string]exported)
-			}
-			s.exports[nbr][p] = d
-		}
+	return len(path) == len(self)+1+len(d.best.path) && path[:len(self)] == self &&
+		path[len(self)] == ' ' && path[len(self)+1:] == d.best.path
+}
+
+// body is the tuple that explains d's export: the origin or the import.
+func (s *Speaker) body(d *decision) types.Tuple {
+	if d.origin {
+		return Origin(s.Self, d.prefix)
 	}
+	return AdvRoute(s.Self, d.prefix, d.best.path, d.best.from)
 }
 
 // Recover re-seeds the speaker's originated-prefix set from a recovered
@@ -295,7 +355,7 @@ func (s *Speaker) Sync(node *core.Node) {
 // believes is idempotent at the tuple level.
 func (s *Speaker) Recover(node *core.Node) {
 	m := node.Machine.(*dlog.Machine)
-	for _, t := range m.TuplesOf("origin") {
+	for t := range m.Tuples("origin") {
 		if t.Args[0].Node() == s.Self {
 			s.origins[t.Args[1].Str] = true
 		}
@@ -319,25 +379,22 @@ func (s *Speaker) PreferVia(via types.NodeID) {
 	}
 }
 
-// best runs the decision process for one prefix.
-func (s *Speaker) best(prefix string) (route, bool) {
+// best runs the decision process for one prefix of the RIB, over its
+// candidates in neighbor order.
+func (s *Speaker) best(prefix string) route {
 	cands := s.rib[prefix]
-	if len(cands) == 0 {
-		return route{}, false
-	}
-	froms := make([]string, 0, len(cands))
+	s.froms = s.froms[:0]
 	for f := range cands {
-		froms = append(froms, string(f))
+		s.froms = append(s.froms, f)
 	}
-	sort.Strings(froms)
-	best := cands[types.NodeID(froms[0])]
-	for _, f := range froms[1:] {
-		c := cands[types.NodeID(f)]
-		if s.better(prefix, c, best) {
+	slices.Sort(s.froms)
+	best := cands[s.froms[0]]
+	for _, f := range s.froms[1:] {
+		if c := cands[f]; s.better(prefix, c, best) {
 			best = c
 		}
 	}
-	return best, true
+	return best
 }
 
 func (s *Speaker) better(prefix string, a, b route) bool {
@@ -350,7 +407,7 @@ func (s *Speaker) better(prefix string, a, b route) bool {
 	if ar != br {
 		return ar < br
 	}
-	al, bl := len(strings.Fields(a.path)), len(strings.Fields(b.path))
+	al, bl := pathLen(a.path), pathLen(b.path)
 	if al != bl {
 		return al < bl
 	}
@@ -370,13 +427,25 @@ func relRank(r Rel) int {
 
 func (s *Speaker) loops(path string) bool { return onPath(path, s.Self) }
 
+// onPath reports whether n is a hop of path. Paths are split exactly as
+// strings.Fields splits them (a neighbor chooses the string), without
+// building the slice.
 func onPath(path string, n types.NodeID) bool {
-	for _, hop := range strings.Fields(path) {
+	for hop := range strings.FieldsSeq(path) {
 		if hop == string(n) {
 			return true
 		}
 	}
 	return false
+}
+
+// pathLen is len(strings.Fields(path)).
+func pathLen(path string) int {
+	n := 0
+	for range strings.FieldsSeq(path) {
+		n++
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ func TestRoutesPropagate(t *testing.T) {
 		}
 		m := net.Node(n).Machine.(*dlog.Machine)
 		found := false
-		for _, tup := range m.TuplesOf("advRoute") {
+		for tup := range m.Tuples("advRoute") {
 			if tup.Args[1].Str == "10.0.0.0/24" {
 				found = true
 			}
@@ -85,7 +85,7 @@ func TestRouteProvenanceClean(t *testing.T) {
 	// Find as52's believed route and explain it.
 	m := net.Node("as52").Machine.(*dlog.Machine)
 	var route types.Tuple
-	for _, tup := range m.TuplesOf("advRoute") {
+	for tup := range m.Tuples("advRoute") {
 		if tup.Args[1].Str == "10.0.0.0/24" {
 			route = tup
 		}
@@ -135,7 +135,7 @@ func TestQuaggaDisappear(t *testing.T) {
 	net.Run(5 * types.Minute)
 
 	m := net.Node("as52").Machine.(*dlog.Machine)
-	for _, tup := range m.TuplesOf("advRoute") {
+	for tup := range m.Tuples("advRoute") {
 		if tup.Args[1].Str == "10.0.0.0/24" {
 			t.Fatalf("as52 still has a route: %v", tup)
 		}

@@ -1,6 +1,7 @@
 package chord_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func ringConsistent(t *testing.T, net *simnet.Net, names []types.NodeID) bool {
 	succ := map[types.NodeID]types.NodeID{}
 	for _, name := range names {
 		m := net.Node(name).Machine.(*dlog.Machine)
-		ss := m.TuplesOf("succ")
+		ss := slices.Collect(m.Tuples("succ"))
 		if len(ss) != 1 {
 			t.Logf("%s has %d succ tuples: %v", name, len(ss), ss)
 			return false
@@ -74,7 +75,7 @@ func TestChordLookupsResolve(t *testing.T) {
 	total := 0
 	for _, name := range names {
 		m := net.Node(name).Machine.(*dlog.Machine)
-		total += len(m.TuplesOf("result"))
+		total += len(slices.Collect(m.Tuples("result")))
 	}
 	if total == 0 {
 		t.Fatal("no lookup results stored")
@@ -85,7 +86,7 @@ func TestChordLookupsResolve(t *testing.T) {
 func findResult(net *simnet.Net, names []types.NodeID) (types.NodeID, types.Tuple) {
 	for _, name := range names {
 		m := net.Node(name).Machine.(*dlog.Machine)
-		if rs := m.TuplesOf("result"); len(rs) > 0 {
+		if rs := slices.Collect(m.Tuples("result")); len(rs) > 0 {
 			return name, rs[0]
 		}
 	}
@@ -121,7 +122,7 @@ func TestChordFingerProvenance(t *testing.T) {
 	var finger types.Tuple
 	for _, name := range names {
 		m := net.Node(name).Machine.(*dlog.Machine)
-		for _, f := range m.TuplesOf("finger") {
+		for f := range m.Tuples("finger") {
 			if f.Args[1].Int >= 1 { // a fixed finger, not the succ mirror
 				host, finger = name, f
 				break
@@ -178,7 +179,7 @@ func TestEclipseAttackDetected(t *testing.T) {
 			continue
 		}
 		m := net.Node(name).Machine.(*dlog.Machine)
-		for _, p := range m.TuplesOf("pred") {
+		for p := range m.Tuples("pred") {
 			if p.Args[1].Node() == attacker && p.Args[2].Int != chord.RingID(attacker) {
 				victim, poisoned = name, p
 			}

@@ -1,6 +1,7 @@
 package dlog
 
 import (
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -891,20 +892,21 @@ func (m *Machine) Lookup(tup types.Tuple) bool {
 	return f != nil && f.active()
 }
 
-// TuplesOf returns the active, non-outbound tuples of one relation.
-func (m *Machine) TuplesOf(rel string) []types.Tuple {
-	r := m.rels[rel]
-	if r == nil {
-		return nil
-	}
-	var out []types.Tuple
-	for _, id := range r.keys {
-		f := m.facts[id]
-		if f != nil && f.active() && !f.outbound {
-			out = append(out, f.tuple)
+// Tuples yields the active, non-outbound tuples of one relation in
+// canonical key order, straight from the relation's index: the machine must
+// not step while a caller ranges over it.
+func (m *Machine) Tuples(rel string) iter.Seq[types.Tuple] {
+	return func(yield func(types.Tuple) bool) {
+		r := m.rels[rel]
+		if r == nil {
+			return
+		}
+		for _, id := range r.keys {
+			if f := m.facts[id]; f != nil && f.active() && !f.outbound && !yield(f.tuple) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package dlog
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -119,7 +120,7 @@ func TestFigure2Derivations(t *testing.T) {
 
 	c := machines["c"]
 	if !c.Lookup(bestCost("c", "d", 5)) {
-		t.Fatalf("bestCost(@c,d,5) missing; bestCost tuples: %v", c.TuplesOf("bestCost"))
+		t.Fatalf("bestCost(@c,d,5) missing; bestCost tuples: %v", slices.Collect(c.Tuples("bestCost")))
 	}
 	// cost(@c,d,d,5) via direct link and cost(@c,d,b,5) believed from b.
 	if !c.Lookup(types.MakeTuple("cost", types.N("c"), types.N("d"), types.N("d"), types.I(5))) {
@@ -155,7 +156,7 @@ func TestMinCostRetraction(t *testing.T) {
 	if c.Lookup(bestCost("c", "d", 5)) {
 		t.Error("bestCost(@c,d,5) survived retraction of b–c link")
 	}
-	for _, tup := range c.TuplesOf("bestCost") {
+	for tup := range c.Tuples("bestCost") {
 		if tup.Args[1] == types.N("d") {
 			t.Errorf("stale route to d: %v", tup)
 		}
@@ -453,18 +454,51 @@ func TestCountAggregate(t *testing.T) {
 	total := func(c int64) types.Tuple { return types.MakeTuple("total", types.N("n"), types.I(c)) }
 	m.Step(ins("n", 1, item(10)))
 	if !m.Lookup(total(1)) {
-		t.Fatalf("total(1) missing: %v", m.TuplesOf("total"))
+		t.Fatalf("total(1) missing: %v", slices.Collect(m.Tuples("total")))
 	}
 	m.Step(ins("n", 2, item(20)))
 	if !m.Lookup(total(2)) || m.Lookup(total(1)) {
-		t.Fatalf("total not updated to 2: %v", m.TuplesOf("total"))
+		t.Fatalf("total not updated to 2: %v", slices.Collect(m.Tuples("total")))
 	}
 	m.Step(del("n", 3, item(10)))
 	if !m.Lookup(total(1)) || m.Lookup(total(2)) {
-		t.Fatalf("total not updated back to 1: %v", m.TuplesOf("total"))
+		t.Fatalf("total not updated back to 1: %v", slices.Collect(m.Tuples("total")))
 	}
 	m.Step(del("n", 4, item(20)))
-	if len(m.TuplesOf("total")) != 0 {
-		t.Fatalf("total should be empty: %v", m.TuplesOf("total"))
+	if len(slices.Collect(m.Tuples("total"))) != 0 {
+		t.Fatalf("total should be empty: %v", slices.Collect(m.Tuples("total")))
+	}
+}
+
+// TestTuplesOrder pins what Tuples yields: a relation's active facts in
+// canonical key order (string order, so 10 sorts before 2), without the
+// retracted ones or those located at another node.
+func TestTuplesOrder(t *testing.T) {
+	p := NewProgram()
+	p.Relation("r", 2, false)
+	m := NewMachine(p, "n")
+	r := func(at types.NodeID, x int64) types.Tuple { return types.MakeTuple("r", types.N(at), types.I(x)) }
+	m.Step(ins("n", 1, r("n", 3)))
+	m.Step(ins("n", 2, r("n", 10)))
+	m.Step(ins("n", 3, r("m", 2))) // outbound: shipped to m
+	m.Step(ins("n", 4, r("n", 2)))
+	m.Step(ins("n", 5, r("n", 7)))
+	m.Step(del("n", 6, r("n", 7))) // retracted
+	m.Step(del("n", 7, r("n", 3)))
+	m.Step(ins("n", 8, r("n", 3))) // re-inserted
+	m.Step(ins("n", 9, r("n", 1)))
+	want := []string{"r(@n,1)", "r(@n,10)", "r(@n,2)", "r(@n,3)"}
+	var got []string
+	for tup := range m.Tuples("r") {
+		got = append(got, tup.Key())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Tuples(r) = %v, want %v", got, want)
+	}
+	if n := len(slices.Collect(m.Tuples("undeclared"))); n != 0 {
+		t.Errorf("Tuples of an unknown relation yielded %d tuples", n)
+	}
+	for range m.Tuples("r") {
+		break // an early stop must not panic
 	}
 }

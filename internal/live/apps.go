@@ -81,7 +81,7 @@ func quaggaApp() *workload.Workload {
 		if !ok {
 			return true
 		}
-		for _, t := range n.Machine.(*dlog.Machine).TuplesOf("advRoute") {
+		for t := range n.Machine.(*dlog.Machine).Tuples("advRoute") {
 			if t.Args[1].Str == prefix {
 				return true
 			}
@@ -110,7 +110,7 @@ func chordApp() *workload.Workload {
 	w.Compromised = []types.NodeID{chord.NodeName(3)}
 	w.Victim = chord.NodeName(1)
 	w.Probe = func(n *core.Node) bool {
-		for _, t := range n.Machine.(*dlog.Machine).TuplesOf("result") {
+		for t := range n.Machine.(*dlog.Machine).Tuples("result") {
 			if t.Args[4].Int >= chord.LookupEIDBase {
 				return true
 			}
