@@ -27,7 +27,8 @@ func TestUnknownFigFails(t *testing.T) {
 }
 
 // TestFigurePrintsCatalogRows checks that a figure table is the catalog's
-// rows for that figure, in order, and nothing else.
+// rows for that figure, in order, and nothing else, and that the same figure
+// from logs spilled to on-disk stores prints the same bytes.
 func TestFigurePrintsCatalogRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five configurations")
@@ -48,5 +49,14 @@ func TestFigurePrintsCatalogRows(t *testing.T) {
 		if want := "  fig5: " + string(row.Config) + " "; !strings.HasPrefix(lines[1+i], want) {
 			t.Errorf("line %d = %q, want the %s row (prefix %q)", 1+i, lines[1+i], row.Name, want)
 		}
+	}
+
+	var stored bytes.Buffer
+	args := []string{"-fig", "5", "-scale", "0.02", "-logdir", t.TempDir(), "-hot-tail", "16"}
+	if err := run(args, &stored, &errOut); err != nil {
+		t.Fatalf("%v\n%s", err, errOut.String())
+	}
+	if stored.String() != out.String() {
+		t.Errorf("store-backed table differs from the in-memory one:\n%s\nwant:\n%s", stored.String(), out.String())
 	}
 }

@@ -3,11 +3,10 @@
 // forged, and a collision-resistant hash used for the tamper-evident log's
 // hash chain.
 //
-// Two suites are provided. RSA1024SHA1 matches the paper's evaluation setup
-// (1,024-bit RSA keys and SHA-1 hashes, §7.1) so that authenticator and
-// acknowledgment sizes are comparable to the published numbers. Ed25519SHA256
-// is a modern, much faster suite used as the default for large simulations;
-// every protocol is identical under either suite.
+// The one suite is Ed25519SHA256: Ed25519 signatures over SHA-256 hash
+// chains. The paper's evaluation (§7.1) used 1,024-bit RSA and SHA-1, so
+// signature, authenticator and acknowledgment sizes here differ from the
+// published ones; every protocol step is the same under either.
 //
 // Key generation is deterministic given a seed so that experiments are
 // reproducible; this stands in for the paper's offline CA that installs a
@@ -15,14 +14,9 @@
 package cryptoutil
 
 import (
-	"crypto"
 	"crypto/ed25519"
-	"crypto/rsa"
-	"crypto/sha1"
 	"crypto/sha256"
-	"crypto/x509"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -37,8 +31,6 @@ type Suite interface {
 	HashSize() int
 	// GenerateKey deterministically derives a keypair from seed.
 	GenerateKey(seed int64) (PrivateKey, error)
-	// SignatureSize returns the signature length in bytes.
-	SignatureSize() int
 }
 
 // PrivateKey signs messages on behalf of one node.
@@ -94,7 +86,7 @@ func (d *detReader) Read(p []byte) (int, error) {
 
 type ed25519Suite struct{}
 
-// Ed25519SHA256 is the fast default suite.
+// Ed25519SHA256 is the suite every node and auditor uses.
 var Ed25519SHA256 Suite = ed25519Suite{}
 
 func (ed25519Suite) Name() string { return "ed25519-sha256" }
@@ -107,8 +99,7 @@ func (ed25519Suite) Hash(parts ...[]byte) []byte {
 	return h.Sum(nil)
 }
 
-func (ed25519Suite) HashSize() int      { return sha256.Size }
-func (ed25519Suite) SignatureSize() int { return ed25519.SignatureSize }
+func (ed25519Suite) HashSize() int { return sha256.Size }
 
 func (ed25519Suite) GenerateKey(seed int64) (PrivateKey, error) {
 	var seedBytes [ed25519.SeedSize]byte
@@ -139,64 +130,10 @@ func (p ed25519Pub) Verify(msg, sig []byte) bool {
 func (p ed25519Pub) Marshal() []byte { return append([]byte(nil), p.key...) }
 
 // ---------------------------------------------------------------------------
-// RSA-1024 / SHA-1 suite (paper-faithful sizes).
-
-type rsaSuite struct{}
-
-// RSA1024SHA1 reproduces the paper's crypto configuration (§7.1): 1,024-bit
-// RSA keys and SHA-1 hash chains. SHA-1 is cryptographically broken and this
-// suite exists solely for byte-size fidelity with the published evaluation.
-var RSA1024SHA1 Suite = rsaSuite{}
-
-func (rsaSuite) Name() string { return "rsa1024-sha1" }
-
-func (rsaSuite) Hash(parts ...[]byte) []byte {
-	h := sha1.New()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	return h.Sum(nil)
-}
-
-func (rsaSuite) HashSize() int      { return sha1.Size }
-func (rsaSuite) SignatureSize() int { return 128 } // 1,024-bit modulus
-
-// GenerateKey derives a keypair from seed. Note: crypto/rsa deliberately
-// injects nondeterminism into key generation, so unlike the Ed25519 suite,
-// RSA keys are only stable within a process (via PooledKey), not across runs.
-func (rsaSuite) GenerateKey(seed int64) (PrivateKey, error) {
-	key, err := rsa.GenerateKey(newDetReader("snp-rsa", seed), 1024)
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: rsa keygen: %w", err)
-	}
-	return rsaKey{key}, nil
-}
-
-type rsaKey struct{ key *rsa.PrivateKey }
-
-func (k rsaKey) Sign(msg []byte) ([]byte, error) {
-	digest := sha256.Sum256(msg)
-	return rsa.SignPKCS1v15(nil, k.key, crypto.SHA256, digest[:])
-}
-
-func (k rsaKey) Public() PublicKey { return rsaPub{&k.key.PublicKey} }
-
-type rsaPub struct{ key *rsa.PublicKey }
-
-func (p rsaPub) Verify(msg, sig []byte) bool {
-	digest := sha256.Sum256(msg)
-	return rsa.VerifyPKCS1v15(p.key, crypto.SHA256, digest[:], sig) == nil
-}
-
-func (p rsaPub) Marshal() []byte {
-	return x509.MarshalPKCS1PublicKey(p.key)
-}
-
-// ---------------------------------------------------------------------------
 // Shared key pools.
 //
-// RSA key generation is expensive; experiments with hundreds of nodes reuse
-// deterministically derived keys from a process-wide pool.
+// Experiments deploy hundreds of nodes, many times over in one process; they
+// derive each node's key once and reuse it from a process-wide pool.
 
 var keyPool sync.Map // poolKey -> PrivateKey
 

@@ -97,6 +97,11 @@ type Options struct {
 	OnNode func(*core.Node)
 }
 
+// DefaultHotTail is a LogHotTail for store-backed runs: small enough that
+// paper-scale runs spill most of their history, large enough to keep the
+// online path out of the store.
+const DefaultHotTail = 128
+
 func (o Options) normalize() Options {
 	if o.Scale == 0 {
 		o.Scale = 0.05

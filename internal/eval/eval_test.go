@@ -139,3 +139,44 @@ func TestBatchingAblation(t *testing.T) {
 			with.TrafficFactor, without.TrafficFactor)
 	}
 }
+
+// TestStoreBackedQueriesMatchMemory runs Quagga with every log spilled to a
+// segment store under a hot tail of 16 entries: the run must put history on
+// disk, and the Figure 5/6 series, the Fig8 disappear query's answer and its
+// downloaded-byte accounting must all equal the in-memory run's.
+func TestStoreBackedQueriesMatchMemory(t *testing.T) {
+	memRes, err := Run(Quagga, Options{Scale: testScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stRes, err := Run(Quagga, Options{Scale: testScale, LogDir: t.TempDir(), LogHotTail: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stRes.Net.CloseLogs()
+	var cold uint64
+	for _, id := range stRes.Net.Nodes() {
+		cold += stRes.Net.Node(id).Log.ColdEntries()
+	}
+	if cold == 0 {
+		t.Error("no entries spilled to disk despite the hot-tail cap")
+	}
+	if st, mem := Figure5(stRes), Figure5(memRes); st != mem {
+		t.Errorf("Figure 5 diverged:\n store: %v\n mem:   %v", st, mem)
+	}
+	if st, mem := Figure6(stRes), Figure6(memRes); st != mem {
+		t.Errorf("Figure 6 diverged:\n store: %v\n mem:   %v", st, mem)
+	}
+	memRow, err := QuaggaDisappearQuery(memRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stRow, err := QuaggaDisappearQuery(stRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stRow.LogBytes != memRow.LogBytes || stRow.AuthBytes != memRow.AuthBytes ||
+		stRow.CkptBytes != memRow.CkptBytes || stRow.Answer != memRow.Answer || stRow.Red != memRow.Red {
+		t.Errorf("store-backed query diverged:\n store: %v\n mem:   %v", stRow, memRow)
+	}
+}

@@ -59,9 +59,9 @@ func (it *ExtantItem) UnmarshalWire(r *wire.Reader) error {
 
 // Checkpoint is a snapshot of a node's state (§5.6). The hash chain commits
 // only to the digests (StateHash, Root, N); the bulky payload (MachineState
-// and Items) travels out of band and is verified against the digests, which
-// is what makes Merkle-authenticated *partial* checkpoint downloads
-// possible (§7.7).
+// and Items) travels out of band and is verified whole against the digests.
+// Root is a Merkle root over every item, as in the paper's partial
+// checkpoint downloads (§7.7), which are not offered here.
 type Checkpoint struct {
 	StateHash []byte // H(MachineState)
 	Root      []byte // Merkle root over encoded Items
@@ -107,27 +107,6 @@ func (c *Checkpoint) VerifyFull(suite cryptoutil.Suite, stats *cryptoutil.Stats)
 		return fmt.Errorf("seclog: checkpoint items do not match Merkle root")
 	}
 	return nil
-}
-
-// ItemProof returns item i with its Merkle proof, for partial retrieval.
-func (c *Checkpoint) ItemProof(suite cryptoutil.Suite, i int) (ExtantItem, [][]byte, error) {
-	if i < 0 || i >= len(c.Items) {
-		return ExtantItem{}, nil, fmt.Errorf("seclog: no checkpoint item %d", i)
-	}
-	leaves := make([][]byte, len(c.Items))
-	for j, it := range c.Items {
-		leaves[j] = wire.Encode(it)
-	}
-	proof, err := MerkleProof(suite, leaves, i)
-	if err != nil {
-		return ExtantItem{}, nil, err
-	}
-	return c.Items[i], proof, nil
-}
-
-// VerifyItem checks a partial-checkpoint item against the committed root.
-func (c *Checkpoint) VerifyItem(suite cryptoutil.Suite, it ExtantItem, i int, proof [][]byte) bool {
-	return MerkleVerify(suite, c.Root, wire.Encode(it), i, proof)
 }
 
 // MarshalWire implements wire.Marshaler (full transmission form).

@@ -1,17 +1,13 @@
 package seclog
 
-import (
-	"bytes"
-	"fmt"
+import "repro/internal/cryptoutil"
 
-	"repro/internal/cryptoutil"
-)
-
-// Merkle hash trees authenticate checkpoint items so that a querier can
-// download and verify a *partial* checkpoint (§7.7 verifies partial Quagga
-// checkpoints with a Merkle hash tree). Leaves are hashed with a 0x00
-// domain prefix and interior nodes with 0x01, preventing second-preimage
-// splices between levels.
+// A checkpoint entry commits to its items through the root of a Merkle hash
+// tree over their encodings (§7.7, where the tree lets a querier verify part
+// of a checkpoint). No retrieve serves part of a checkpoint here, so an
+// auditor recomputes the root over every item (Checkpoint.VerifyFull). Leaves are hashed with a 0x00 domain prefix and
+// interior nodes with 0x01, preventing second-preimage splices between
+// levels; an odd node is promoted to the next level unchanged.
 
 func merkleLeaf(suite cryptoutil.Suite, data []byte) []byte {
 	return suite.Hash([]byte{0}, data)
@@ -44,52 +40,4 @@ func MerkleRoot(suite cryptoutil.Suite, leaves [][]byte) []byte {
 		level = next
 	}
 	return level[0]
-}
-
-// MerkleProof returns the sibling hashes needed to verify leaf i against
-// the root of the given leaves.
-func MerkleProof(suite cryptoutil.Suite, leaves [][]byte, i int) ([][]byte, error) {
-	if i < 0 || i >= len(leaves) {
-		return nil, fmt.Errorf("seclog: merkle proof index %d of %d", i, len(leaves))
-	}
-	level := make([][]byte, len(leaves))
-	for j, l := range leaves {
-		level[j] = merkleLeaf(suite, l)
-	}
-	var proof [][]byte
-	for len(level) > 1 {
-		sib := i ^ 1
-		if sib < len(level) {
-			proof = append(proof, level[sib])
-		} else {
-			proof = append(proof, nil) // odd promotion: no sibling
-		}
-		var next [][]byte
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				next = append(next, merkleNode(suite, level[j], level[j+1]))
-			} else {
-				next = append(next, level[j])
-			}
-		}
-		level = next
-		i /= 2
-	}
-	return proof, nil
-}
-
-// MerkleVerify checks that data is leaf i of a tree with the given root.
-func MerkleVerify(suite cryptoutil.Suite, root, data []byte, i int, proof [][]byte) bool {
-	h := merkleLeaf(suite, data)
-	for _, sib := range proof {
-		if sib == nil {
-			// Odd promotion at this level.
-		} else if i%2 == 0 {
-			h = merkleNode(suite, h, sib)
-		} else {
-			h = merkleNode(suite, sib, h)
-		}
-		i /= 2
-	}
-	return bytes.Equal(h, root)
 }

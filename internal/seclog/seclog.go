@@ -143,9 +143,9 @@ func (e *Entry) marshalContent(w *wire.Writer) {
 // (MachineState and Items), so a SegmentData serialized across a process
 // boundary can be re-verified and replayed without a payload side channel.
 // The hash chain still commits only to the checkpoint digests
-// (marshalContent), and WireSize still meters the digest form — §5.6's
-// partial retrieval, where a querier downloads digests and fetches payload
-// items by Merkle proof on demand, is the size the figures account.
+// (marshalContent), and WireSize still meters the digest form, the size the
+// paper's figures account (§5.6: a querier downloads digests and fetches
+// payload only as needed), although here the payload travels whole.
 func (e *Entry) MarshalWire(w *wire.Writer) {
 	w.Int(int64(e.T))
 	w.Byte(byte(e.Type))
@@ -959,20 +959,4 @@ func (u *AuthSet) FromInInterval(node types.NodeID, t1, t2 types.Time) []Authent
 		}
 	}
 	return out
-}
-
-// Latest returns the most recent authenticator from node (by Seq) and
-// whether one exists.
-func (u *AuthSet) Latest(node types.NodeID) (Authenticator, bool) {
-	as := u.byNode[node]
-	if len(as) == 0 {
-		return Authenticator{}, false
-	}
-	best := as[0]
-	for _, a := range as[1:] {
-		if a.Seq > best.Seq {
-			best = a
-		}
-	}
-	return best, true
 }

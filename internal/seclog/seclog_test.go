@@ -2,8 +2,9 @@ package seclog
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/types"
@@ -197,30 +198,6 @@ func TestCheckpointRoundTripAndVerify(t *testing.T) {
 	}
 }
 
-func TestCheckpointPartialItems(t *testing.T) {
-	var items []ExtantItem
-	for i := int64(0); i < 13; i++ {
-		items = append(items, ExtantItem{
-			Tuple: types.MakeTuple("r", types.N("n1"), types.I(i)), Appeared: types.Time(i), Local: true,
-		})
-	}
-	c := BuildCheckpoint(testSuite, nil, []byte("s"), items)
-	for i := range items {
-		it, proof, err := c.ItemProof(testSuite, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.VerifyItem(testSuite, it, i, proof) {
-			t.Errorf("item %d proof rejected", i)
-		}
-		// A different item must not verify at this position.
-		other := items[(i+1)%len(items)]
-		if c.VerifyItem(testSuite, other, i, proof) {
-			t.Errorf("wrong item accepted at position %d", i)
-		}
-	}
-}
-
 func TestCheckpointInChain(t *testing.T) {
 	l := newTestLog(t)
 	l.Append(insEntry(1, "a", 1))
@@ -248,16 +225,9 @@ func TestAuthSet(t *testing.T) {
 	if got := len(u.From("a")); got != 2 {
 		t.Errorf("From(a) = %d", got)
 	}
-	latest, ok := u.Latest("a")
-	if !ok || latest.Seq != 3 {
-		t.Errorf("Latest(a) = %+v, %v", latest, ok)
-	}
 	in := u.FromInInterval("a", 5, 15)
 	if len(in) != 1 || in[0].Seq != 1 {
 		t.Errorf("FromInInterval = %v", in)
-	}
-	if _, ok := u.Latest("zz"); ok {
-		t.Error("Latest of unknown node reported ok")
 	}
 	for _, c := range []struct{ n, wantFirst, wantLen uint64 }{{0, 1, 2}, {1, 3, 1}, {2, 0, 0}, {3, 1, 2}} {
 		got, total := u.Since("a", c.n)
@@ -270,21 +240,28 @@ func TestAuthSet(t *testing.T) {
 	}
 }
 
-func TestMerkleQuick(t *testing.T) {
-	f := func(data [][]byte, idx uint8) bool {
-		if len(data) == 0 {
-			return true
+// TestMerkleRootPinned pins the checkpoint root's bytes: checkpoint entries
+// commit to it, so a change to the domain bytes (0x00 leaf, 0x01 node) or to
+// odd-node promotion would change every checkpointing log's hash chain.
+func TestMerkleRootPinned(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		root string
+	}{
+		{0, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
+		{1, "149d9354e123f46c683947f46f8d8fdd7ee416fb17ea521acaf61d8e3c8c3a2d"},
+		{2, "7e276c34756b44b65ba40ff98b4a72a6a56af9e75d649cdad7dc98be9459cb75"},
+		{3, "29c5ddb153c57eaa07dc7795614ea660f6967ff71ab5d60f6e4cf2ed9ba6f70a"},
+		{5, "baa6733f765d115e14da4b45188ff409af71852ce8b76ffdb1ee6647b82813c6"},
+		{13, "9547b5d0bc6e3490718afbac69f8423c8b26c7074f3bff0c8ce580b51703ed44"},
+	} {
+		leaves := make([][]byte, c.n)
+		for i := range leaves {
+			leaves[i] = fmt.Appendf(nil, "item-%d", i)
 		}
-		i := int(idx) % len(data)
-		root := MerkleRoot(testSuite, data)
-		proof, err := MerkleProof(testSuite, data, i)
-		if err != nil {
-			return false
+		if got := hex.EncodeToString(MerkleRoot(testSuite, leaves)); got != c.root {
+			t.Errorf("root of %d leaves = %s, want %s", c.n, got, c.root)
 		}
-		return MerkleVerify(testSuite, root, data[i], i, proof)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

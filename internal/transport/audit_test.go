@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
@@ -175,5 +176,60 @@ func TestServedRetrieve(t *testing.T) {
 		if err := a.Commit(a.Prepare("a", got, auth)); err == nil || !a.NodeFailed("a") {
 			t.Errorf("store %q: the doctored log is not exposed: %v", logDir, a.Failures())
 		}
+	}
+}
+
+// TestMisroutedAnswerAccusesNobody: when a member's registered address
+// reaches another member (swapped -nodes entries, a daemon restarted on a
+// reused port), that member's answer is not the target's. The target must end
+// up unreachable within the fetcher's retry deadline, and no failure may name
+// anyone: taking b's segment as a's would accuse a of returning it.
+func TestMisroutedAnswerAccusesNobody(t *testing.T) {
+	cluster := NewCluster()
+	defer cluster.Close()
+	ids, _ := serveTestNodes(t, cluster, 2, "")
+	a, b := ids[0], ids[1]
+	for _, link := range []types.Tuple{mincost.Link(a, b, 1), mincost.Link(b, a, 1)} {
+		if err := cluster.With(link.Loc(), func(n *core.Node) {
+			if err := n.InsertBase(link); err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cluster.mu.Lock()
+	bAddr := cluster.addrs[b]
+	cluster.mu.Unlock()
+	cluster.AddPeer(a, bAddr)
+
+	cfg := core.DefaultConfig()
+	dir := core.NewDirectory()
+	for i, id := range ids {
+		key, err := cryptoutil.PooledKey(cfg.Suite, int64(100+i)) // serveTestNodes' keys
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir.Register(id, key.Public())
+	}
+	auditor := core.NewAuditor(cfg, dir, func(id types.NodeID) types.Machine { return dlog.NewMachine(mincost.Program(), id) }, nil)
+	f := cluster.NewFetcher("auditor")
+	defer f.Close()
+	f.CallTimeout, f.RetryDeadline = 200*time.Millisecond, 500*time.Millisecond
+	q := core.NewQuerier(auditor, f)
+
+	start := time.Now()
+	err := q.EnsureAudited(a, 0)
+	if elapsed := time.Since(start); elapsed > 2*f.RetryDeadline {
+		t.Errorf("the audit took %v, past the retry deadline of %v", elapsed, f.RetryDeadline)
+	}
+	if err == nil {
+		t.Error("auditing a through b's address succeeded")
+	}
+	if _, ok := q.Unreachable()[a]; !ok {
+		t.Errorf("a is not unreachable: %v", q.Unreachable())
+	}
+	if fs := auditor.Failures(); len(fs) != 0 {
+		t.Errorf("failures filed: %v", fs)
 	}
 }

@@ -264,14 +264,17 @@ func replyFrame(from types.NodeID, kind byte, reqID uint64, maxFrame int, refusa
 	return buf, err
 }
 
-// exchange performs one request/response conversation on conn under
-// CallTimeout: it writes the request under a fresh id and reads frames until
-// the answer to that id arrives (stale answers to abandoned requests are
-// skipped), then hands the body of an ok answer to parse and checks that
+// exchange performs one request/response conversation with target on conn
+// under CallTimeout: it writes the request under a fresh id and reads frames
+// until the answer to that id arrives (stale answers to abandoned requests
+// are skipped), then hands the body of an ok answer to parse and checks that
 // parse consumed it. A *RemoteError means the peer refused in-band (or the
 // request outgrew the frame bound and was never sent) and conn is still
-// usable; any other error means conn is broken and must be closed.
-func (c *Caller) exchange(conn net.Conn, kind byte, body func(*wire.Writer), parse func(*wire.Reader)) error {
+// usable; any other error means conn is broken and must be closed. An answer
+// sent by anyone but target is such an error: the address reached another
+// node (a stale or swapped registration), and taking that node's answer as
+// target's would pin what it says on target.
+func (c *Caller) exchange(conn net.Conn, target types.NodeID, kind byte, body func(*wire.Writer), parse func(*wire.Reader)) error {
 	reqID := c.reqID.Add(1)
 	w := newFrame(c.id, kind)
 	w.Uint(reqID)
@@ -291,9 +294,12 @@ func (c *Caller) exchange(conn net.Conn, kind byte, body func(*wire.Writer), par
 		if err != nil {
 			return err
 		}
-		_, got, r, err := BeginFrame(payload)
+		from, got, r, err := BeginFrame(payload)
 		if err != nil {
 			return err
+		}
+		if from != target {
+			return fmt.Errorf("transport: %s's address answered as %s", target, from)
 		}
 		if got != kind+1 {
 			return fmt.Errorf("transport: unexpected response kind %d", got)
@@ -530,7 +536,7 @@ func (c *Caller) attempt(target types.NodeID, kind byte, body func(*wire.Writer)
 	if err != nil {
 		return err
 	}
-	err = c.exchange(conn, kind, body, parse)
+	err = c.exchange(conn, target, kind, body, parse)
 	var refused *RemoteError
 	switch {
 	case errors.As(err, &refused):

@@ -6,7 +6,6 @@ package types
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -242,11 +241,6 @@ func (t *Tuple) UnmarshalWire(r *wire.Reader) error {
 	}
 	t.key = t.computeKey()
 	return r.Err()
-}
-
-// SortTuples sorts tuples by canonical key, for deterministic iteration.
-func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
 }
 
 // ---------------------------------------------------------------------------

@@ -117,18 +117,6 @@ func TestMessageIDUnique(t *testing.T) {
 	}
 }
 
-func TestSortTuples(t *testing.T) {
-	ts := []Tuple{
-		MakeTuple("b", I(1)),
-		MakeTuple("a", I(2)),
-		MakeTuple("a", I(1)),
-	}
-	SortTuples(ts)
-	if ts[0].Key() != "a(1)" || ts[1].Key() != "a(2)" || ts[2].Key() != "b(1)" {
-		t.Errorf("sorted order: %v", ts)
-	}
-}
-
 func TestTupleQuickRoundTrip(t *testing.T) {
 	f := func(rel string, strArg string, intArg int64) bool {
 		tup := MakeTuple(rel, S(strArg), I(intArg))
