@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"testing"
 
 	"repro/internal/adversary"
@@ -15,16 +14,9 @@ import (
 )
 
 // conformanceSeeds returns the seed set the suite runs. The full matrix is
-// seeds 1..3; -short trims to one seed, and SNP_CONFORMANCE_SEED pins a
-// single seed (the CI matrix shards the suite that way).
-func conformanceSeeds(t *testing.T) []int64 {
-	if env := os.Getenv("SNP_CONFORMANCE_SEED"); env != "" {
-		s, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SNP_CONFORMANCE_SEED %q: %v", env, err)
-		}
-		return []int64{s}
-	}
+// seeds 1..3 and -short trims it to one seed. One seed of the full matrix is
+// selected by subtest name: -run 'TestConformance$//seed=2'.
+func conformanceSeeds() []int64 {
 	if testing.Short() {
 		return []int64{1}
 	}
@@ -170,7 +162,7 @@ func TestConformanceStored(t *testing.T) {
 func TestConformance(t *testing.T) {
 	for _, app := range conformanceApps() {
 		t.Run(app(1).Name, func(t *testing.T) {
-			for _, seed := range conformanceSeeds(t) {
+			for _, seed := range conformanceSeeds() {
 				seed := seed
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 					base, err := adversary.RunBaseline(app, seed, nil)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -55,7 +56,8 @@ func runOn(t *testing.T, source string) *driver.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpkg, info, err := load.Check("p", fset, []*ast.File{f}, nil)
+	info := &types.Info{}
+	tpkg, err := new(types.Config).Check("p", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func check(pkgs []*listPkg, exports map[string]string) (*Result, error) {
 			files = append(files, af)
 			names = append(names, name)
 		}
-		tpkg, info, err := Check(p.ImportPath, fset, files, imp)
+		tpkg, info, err := checkFiles(p.ImportPath, fset, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -138,9 +138,9 @@ func check(pkgs []*listPkg, exports map[string]string) (*Result, error) {
 	return res, nil
 }
 
-// Check type-checks one package's parsed files with a fully populated
+// checkFiles type-checks one package's parsed files with a fully populated
 // types.Info.
-func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+func checkFiles(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	conf := types.Config{Importer: imp}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
