@@ -8,8 +8,7 @@
 // deployment's directory from the seed, exactly as the daemons do.
 //
 //	snp-query -serve -addr 127.0.0.1:7070 -app mincost -seed 1 \
-//	          -nodes "b=127.0.0.1:9001,c=127.0.0.1:9002,d=127.0.0.1:9003" \
-//	          -cache /tmp/snp-qf
+//	          -nodes "b=127.0.0.1:9001,c=127.0.0.1:9002,d=127.0.0.1:9003"
 //
 // Client mode audits through a frontend (this binary's serve mode, or the
 // one `snp-node -app ... -queryfront` hosts) and prints the verdict in the
@@ -29,7 +28,6 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/queryfront"
 	"repro/internal/transport"
@@ -42,7 +40,6 @@ func main() {
 	app := flag.String("app", "", "serve: deployment workload ("+strings.Join(live.AppNames(), ", ")+")")
 	seed := flag.Int64("seed", 1, "serve: deployment seed (directory key derivation must match the daemons)")
 	nodes := flag.String("nodes", "", "serve: comma-separated id=host:port pairs for the deployment's daemons")
-	cacheDir := flag.String("cache", "", "serve: persist the shared audit cache under this directory (empty: no audit cache, every query replays)")
 	sessions := flag.Int("sessions", 0, "serve: querier-session pool size (0 = default)")
 	queueLen := flag.Int("queue", 0, "serve: admission-queue length (0 = default 4x sessions)")
 
@@ -54,7 +51,7 @@ func main() {
 
 	switch {
 	case *serve:
-		if err := runServe(*addr, *app, *nodes, *seed, *cacheDir, *sessions, *queueLen); err != nil {
+		if err := runServe(*addr, *app, *nodes, *seed, *sessions, *queueLen); err != nil {
 			log.Fatal(err)
 		}
 	case *connect != "":
@@ -68,7 +65,7 @@ func main() {
 	}
 }
 
-func runServe(addr, appName, nodes string, seed int64, cacheDir string, sessions, queueLen int) error {
+func runServe(addr, appName, nodes string, seed int64, sessions, queueLen int) error {
 	if nodes == "" {
 		return fmt.Errorf("snp-query: -serve needs -nodes (id=host:port,...)")
 	}
@@ -98,18 +95,8 @@ func runServe(addr, appName, nodes string, seed int64, cacheDir string, sessions
 	if err != nil {
 		return err
 	}
-	cfg, dir := dep.Cfg, dep.Dir
-	if cacheDir != "" {
-		cache, cacheErr := core.OpenAuditCache(cacheDir, cfg.Suite)
-		if cacheErr != nil {
-			return cacheErr
-		}
-		defer cache.Close()
-		cfg.AuditCache = cache
-	}
-
 	front, err := queryfront.Serve(queryfront.Config{
-		Cluster: cluster, Base: cfg, Dir: dir,
+		Cluster: cluster, Base: dep.Cfg, Dir: dep.Dir,
 		Factory: app.Factory, ConfigureQuerier: app.ConfigureQuerier,
 		Sessions: sessions, QueueLen: queueLen,
 	}, addr)

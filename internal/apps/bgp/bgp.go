@@ -19,7 +19,6 @@
 package bgp
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -589,6 +588,3 @@ func DefaultTopology() []ASLink {
 		{A: "as51", B: r2, RelAB: Provider}, // multihomed stub
 	}
 }
-
-// Prefix names the i-th synthetic prefix.
-func Prefix(i int) string { return fmt.Sprintf("10.%d.%d.0/24", (i/256)%256, i%256) }

@@ -149,7 +149,7 @@ func Program() *dlog.Program {
 			{Fn: "inOpen", Args: []dlog.Term{V("FID"), V("MID"), V("K")}},
 		},
 		Assigns: []dlog.Assign{{Var: "D", Fn: "ringDist", Args: []dlog.Term{V("FID"), V("K")}}},
-		Agg:     &dlog.Agg{Fn: dlog.AggMin, Over: "D", GroupBy: []string{"M", "K", "R", "E"}},
+		Agg:     &dlog.Agg{Over: "D", GroupBy: []string{"M", "K", "R", "E"}},
 	})
 	// F0: finger 0 mirrors the successor.
 	p.MustAddRule(dlog.Rule{
@@ -409,9 +409,4 @@ func New(p Params) *workload.Workload {
 		})
 	}
 	return w
-}
-
-// Result builds a result(@n,k,owner,oid,eid) tuple for queries.
-func Result(n types.NodeID, k int64, owner types.NodeID, oid, eid int64) types.Tuple {
-	return types.MakeTuple("result", types.N(n), types.I(k), types.N(owner), types.I(oid), types.I(eid))
 }

@@ -47,7 +47,7 @@ func Program() *dlog.Program {
 		Name: "R3",
 		Head: dlog.A("bestCost", dlog.V("X"), dlog.V("Y"), dlog.V("K")),
 		Body: []dlog.Atom{dlog.A("cost", dlog.V("X"), dlog.V("Y"), dlog.V("Z"), dlog.V("K"))},
-		Agg:  &dlog.Agg{Fn: dlog.AggMin, Over: "K", GroupBy: []string{"X", "Y"}},
+		Agg:  &dlog.Agg{Over: "K", GroupBy: []string{"X", "Y"}},
 	})
 	return p
 }

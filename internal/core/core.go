@@ -112,17 +112,6 @@ func (d *Directory) Key(id types.NodeID) (cryptoutil.PublicKey, error) {
 	return k, nil
 }
 
-// Nodes returns all registered node IDs (unsorted).
-func (d *Directory) Nodes() []types.NodeID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]types.NodeID, 0, len(d.keys))
-	for id := range d.keys {
-		out = append(out, id)
-	}
-	return out
-}
-
 // Maintainer collects missing-acknowledgment notifications (§5.4): a
 // correct node that does not receive an ack within 2·Tprop immediately
 // reports it, which prevents the missing ack from being misattributed

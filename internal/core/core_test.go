@@ -18,15 +18,22 @@ func TestDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key2, err := cryptoutil.Ed25519SHA256.GenerateKey(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.Register("n1", key.Public())
-	if _, err := d.Key("n1"); err != nil {
-		t.Errorf("registered key not found: %v", err)
+	d.Register("n2", key2.Public())
+	for id, want := range map[types.NodeID]cryptoutil.PrivateKey{"n1": key, "n2": key2} {
+		got, err := d.Key(id)
+		if err != nil {
+			t.Errorf("registered key of %s not found: %v", id, err)
+		} else if !bytes.Equal(got.Marshal(), want.Public().Marshal()) {
+			t.Errorf("Key(%s) returned another node's key", id)
+		}
 	}
 	if _, err := d.Key("nope"); err == nil {
 		t.Error("unknown node resolved")
-	}
-	if len(d.Nodes()) != 1 {
-		t.Errorf("Nodes = %v", d.Nodes())
 	}
 }
 

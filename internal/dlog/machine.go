@@ -184,9 +184,6 @@ func Factory(prog *Program) types.MachineFactory {
 	return func(self types.NodeID) types.Machine { return NewMachine(prog, self) }
 }
 
-// Self returns the node this machine runs on.
-func (m *Machine) Self() types.NodeID { return m.self }
-
 // Err surfaces the program's declaration error, if any: a machine built
 // from a broken protocol definition evaluates only the rules that compiled,
 // and callers (deployments, replay harnesses) should check Err before
@@ -360,8 +357,8 @@ func (m *Machine) removeStoredSupportsVia(tup types.Tuple, rule string, body []t
 }
 
 // removeSupport removes one support; if attributedRule is non-empty the
-// underive output is attributed to it (e.g. a delete rule firing) instead
-// of the support's own rule.
+// underive output is attributed to it (e.g. a store rule replacing the
+// fact) instead of the support's own rule.
 func (m *Machine) removeSupport(factID fid, supID sid, attributedRule string, attributedBody []types.Tuple) {
 	if int(factID) >= len(m.facts) {
 		return
@@ -481,10 +478,8 @@ func (m *Machine) fireEventAgg(r *compiledRule, matches []evMatch) {
 		ms := groups[g]
 		best := ms[0]
 		for _, em := range ms[1:] {
-			better := (r.Agg.Fn == AggMin && em.over.Less(best.over)) ||
-				(r.Agg.Fn == AggMax && best.over.Less(em.over))
 			tie := em.over == best.over && em.head.Key() < best.head.Key()
-			if better || tie {
+			if em.over.Less(best.over) || tie {
 				best = em
 			}
 		}
@@ -599,8 +594,6 @@ func (m *Machine) fire(ri int, r *compiledRule, bf *bindFrame, matched []types.T
 		m.fireEvent(head, r.Name, body)
 	case ActStore:
 		m.storeFact(r, head, body)
-	case ActDelete:
-		m.removeStoredSupportsVia(head, r.Name, body)
 	}
 }
 
@@ -692,11 +685,7 @@ func (m *Machine) aggAddMatch(ri int, r *compiledRule, bf *bindFrame, body []typ
 		body:  body,
 		group: groupKeyC(r, bf),
 		over:  bf.vals[r.aggOverSlot],
-	}
-	if r.Agg.Fn != AggCount {
-		am.head = substituteC(r.Head.Rel, r.cHead, bf)
-	} else {
-		am.head = substituteCountC(r, bf, 0) // placeholder; count filled at recompute
+		head:  substituteC(r.Head.Rel, r.cHead, bf),
 	}
 	st.matches[id] = am
 	if st.byGroup[am.group] == nil {
@@ -761,29 +750,18 @@ func (m *Machine) aggRecompute(ri int, r *compiledRule, group string) {
 		heads[hid] = head
 	}
 	if len(ids) > 0 {
-		switch r.Agg.Fn {
-		case AggMin, AggMax:
-			best := st.matches[ids[0]].over
-			for _, id := range ids[1:] {
-				v := st.matches[id].over
-				if (r.Agg.Fn == AggMin && v.Less(best)) || (r.Agg.Fn == AggMax && best.Less(v)) {
-					best = v
-				}
+		best := st.matches[ids[0]].over
+		for _, id := range ids[1:] {
+			if v := st.matches[id].over; v.Less(best) {
+				best = v
 			}
-			for _, id := range ids {
-				am := st.matches[id]
-				if am.over != best {
-					continue
-				}
-				addDesired(am.head, support{kind: supDerive, rule: r.Name, body: am.body, since: m.now, noDeps: true})
+		}
+		for _, id := range ids {
+			am := st.matches[id]
+			if am.over != best {
+				continue
 			}
-		case AggCount:
-			n := int64(len(ids))
-			for _, id := range ids {
-				am := st.matches[id]
-				head := substituteCountTuple(am.head, r, n)
-				addDesired(head, support{kind: supDerive, rule: r.Name, body: am.body, since: m.now, noDeps: true})
-			}
+			addDesired(am.head, support{kind: supDerive, rule: r.Name, body: am.body, since: m.now, noDeps: true})
 		}
 	}
 
@@ -819,35 +797,6 @@ func (m *Machine) aggRecompute(ri int, r *compiledRule, group string) {
 	} else {
 		st.installed[group] = newInstalled
 	}
-}
-
-// substituteCountC builds a count-rule head with the count value substituted
-// for the Over variable's slot.
-func substituteCountC(r *compiledRule, bf *bindFrame, n int64) types.Tuple {
-	args := make([]types.Value, len(r.cHead))
-	for i, t := range r.cHead {
-		switch {
-		case t.slot == r.aggOverSlot:
-			args[i] = types.I(n)
-		case t.slot >= 0:
-			args[i] = bf.vals[t.slot]
-		default:
-			args[i] = t.val
-		}
-	}
-	return types.MakeTuple(r.Head.Rel, args...)
-}
-
-// substituteCountTuple rewrites the placeholder count in a previously built
-// head tuple. The Over variable's position is located from the rule head.
-func substituteCountTuple(head types.Tuple, r *compiledRule, n int64) types.Tuple {
-	args := append([]types.Value(nil), head.Args...)
-	for i, t := range r.Head.Terms {
-		if t.IsVar && t.Var == r.Agg.Over {
-			args[i] = types.I(n)
-		}
-	}
-	return types.MakeTuple(head.Rel, args...)
 }
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ func minCostProgram() *Program {
 		Name: "R3",
 		Head: A("bestCost", V("X"), V("Y"), V("K")),
 		Body: []Atom{A("cost", V("X"), V("Y"), V("Z"), V("K"))},
-		Agg:  &Agg{Fn: AggMin, Over: "K", GroupBy: []string{"X", "Y"}},
+		Agg:  &Agg{Over: "K", GroupBy: []string{"X", "Y"}},
 	})
 	return p
 }
@@ -302,32 +302,6 @@ func TestStoreReplace(t *testing.T) {
 	}
 }
 
-func TestDeleteRule(t *testing.T) {
-	p := NewProgram()
-	p.Relation("evict", 2, true)
-	p.Relation("slot", 2, false)
-	p.MustAddRule(Rule{
-		Name:   "evict",
-		Action: ActDelete,
-		Head:   A("slot", V("N"), V("K")),
-		Body:   []Atom{A("evict", V("N"), V("K"))},
-	})
-	m := NewMachine(p, "n1")
-	slot := types.MakeTuple("slot", types.N("n1"), types.S("x"))
-	m.Step(ins("n1", 1, slot))
-	outs := m.Step(ins("n1", 2, types.MakeTuple("evict", types.N("n1"), types.S("x"))))
-	if m.Lookup(slot) {
-		t.Error("slot survived delete rule")
-	}
-	// No underive output for base supports, but the fact must be gone; the
-	// GCA sees the del via the event log. Verify no send and no derive.
-	for _, o := range outs {
-		if o.Kind == types.OutSend {
-			t.Errorf("unexpected output %v", o)
-		}
-	}
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := minCostProgram()
 	m1 := NewMachine(p, "c")
@@ -430,43 +404,12 @@ func TestRuleValidation(t *testing.T) {
 		{"unknown builtin", Rule{Name: "r", Head: A("a", V("X")), Body: []Atom{A("a", V("X"))},
 			Conds: []Cond{{Fn: "nosuch", Args: []Term{V("X")}}}}},
 		{"agg on store", Rule{Name: "r", Action: ActStore, Head: A("a", V("X")),
-			Body: []Atom{A("ev", V("X"))}, Agg: &Agg{Fn: AggMin, Over: "X"}}},
+			Body: []Atom{A("ev", V("X"))}, Agg: &Agg{Over: "X"}}},
 	}
 	for _, c := range cases {
 		if err := p.AddRule(c.rule); err == nil {
 			t.Errorf("%s: invalid rule accepted", c.name)
 		}
-	}
-}
-
-func TestCountAggregate(t *testing.T) {
-	p := NewProgram()
-	p.Relation("item", 2, false) // item(@N, X)
-	p.Relation("total", 2, false)
-	p.MustAddRule(Rule{
-		Name: "count",
-		Head: A("total", V("N"), V("C")),
-		Body: []Atom{A("item", V("N"), V("X"))},
-		Agg:  &Agg{Fn: AggCount, Over: "C", GroupBy: []string{"N"}},
-	})
-	m := NewMachine(p, "n")
-	item := func(x int64) types.Tuple { return types.MakeTuple("item", types.N("n"), types.I(x)) }
-	total := func(c int64) types.Tuple { return types.MakeTuple("total", types.N("n"), types.I(c)) }
-	m.Step(ins("n", 1, item(10)))
-	if !m.Lookup(total(1)) {
-		t.Fatalf("total(1) missing: %v", slices.Collect(m.Tuples("total")))
-	}
-	m.Step(ins("n", 2, item(20)))
-	if !m.Lookup(total(2)) || m.Lookup(total(1)) {
-		t.Fatalf("total not updated to 2: %v", slices.Collect(m.Tuples("total")))
-	}
-	m.Step(del("n", 3, item(10)))
-	if !m.Lookup(total(1)) || m.Lookup(total(2)) {
-		t.Fatalf("total not updated back to 1: %v", slices.Collect(m.Tuples("total")))
-	}
-	m.Step(del("n", 4, item(20)))
-	if len(slices.Collect(m.Tuples("total"))) != 0 {
-		t.Fatalf("total should be empty: %v", slices.Collect(m.Tuples("total")))
 	}
 }
 

@@ -10,10 +10,10 @@
 // home node, which believes it — exactly the structure of Figure 2, where
 // router b derives cost(@c,d,b,5) locally and sends it to c.
 //
-// Four rule kinds cover the paper's needs:
+// Three rule kinds cover the paper's needs:
 //
 //   - derive rules (the default): classic ref-counted derivations that hold
-//     while their body holds, with optional min/max/count aggregation;
+//     while their body holds, with optional min aggregation;
 //   - event rules: the head is a transient event tuple that fires and
 //     immediately retracts (used for protocol messages such as Chord
 //     lookups);
@@ -21,8 +21,7 @@
 //     persistent fact when the body fires, optionally replacing an existing
 //     fact with the same key prefix (which produces the §3.4 constraint
 //     edge between the old tuple's disappearance and the new one's
-//     appearance);
-//   - delete rules: the dual of store rules.
+//     appearance).
 package dlog
 
 import (
@@ -90,24 +89,12 @@ type Assign struct {
 	Args []Term
 }
 
-// AggFunc enumerates supported aggregation functions.
-type AggFunc uint8
-
-// Aggregation functions.
-const (
-	AggMin AggFunc = iota
-	AggMax
-	AggCount
-)
-
-// Agg declares an aggregation on a derive rule. Over names the variable
-// being aggregated; GroupBy lists the variables forming the group. The rule
-// head is built from the binding of each *witness* (a body match achieving
-// the aggregate), so for min/max the head may mention witness variables
-// beyond the group (e.g. bestSucc(@N,S,SID) grouped by N). For count, Over
-// is replaced in the head by the group's match count.
+// Agg declares a min aggregation on a derive or event rule. Over names the
+// variable being minimised; GroupBy lists the variables forming the group.
+// The rule head is built from the binding of each *witness* (a body match
+// achieving the minimum), so the head may mention witness variables beyond
+// the group (e.g. bestSucc(@N,S,SID) grouped by N).
 type Agg struct {
-	Fn      AggFunc
 	Over    string
 	GroupBy []string
 }
@@ -120,7 +107,6 @@ const (
 	ActDerive ActionKind = iota
 	ActEvent
 	ActStore
-	ActDelete
 )
 
 func (k ActionKind) String() string {
@@ -131,8 +117,6 @@ func (k ActionKind) String() string {
 		return "event"
 	case ActStore:
 		return "store"
-	case ActDelete:
-		return "delete"
 	default:
 		return fmt.Sprintf("action(%d)", k)
 	}
@@ -230,7 +214,7 @@ type cCall struct {
 
 // compileSlots builds the positional binding plan for a validated rule.
 // Slot order follows first appearance (body in declaration order, then
-// assigns, then the count variable), which is arbitrary but fixed.
+// assigns), which is arbitrary but fixed.
 func (p *Program) compileSlots(cr *compiledRule) {
 	r := cr.Rule
 	cr.slots = make(map[string]int)
@@ -285,7 +269,7 @@ func (p *Program) compileSlots(cr *compiledRule) {
 }
 
 // NewProgram creates an empty program with the standard builtins
-// registered: add, sub, min2, eq, ne, lt, le, gt, ge.
+// registered: add, ne, lt, ge.
 func NewProgram() *Program {
 	p := &Program{
 		relations: make(map[string]Relation),
@@ -298,18 +282,8 @@ func NewProgram() *Program {
 		return types.I(0)
 	}
 	p.MustFunc("add", func(a []types.Value) types.Value { return types.I(a[0].Int + a[1].Int) })
-	p.MustFunc("sub", func(a []types.Value) types.Value { return types.I(a[0].Int - a[1].Int) })
-	p.MustFunc("min2", func(a []types.Value) types.Value {
-		if a[0].Int < a[1].Int {
-			return a[0]
-		}
-		return a[1]
-	})
-	p.MustFunc("eq", func(a []types.Value) types.Value { return b(a[0] == a[1]) })
 	p.MustFunc("ne", func(a []types.Value) types.Value { return b(a[0] != a[1]) })
 	p.MustFunc("lt", func(a []types.Value) types.Value { return b(a[0].Less(a[1])) })
-	p.MustFunc("le", func(a []types.Value) types.Value { return b(!a[1].Less(a[0])) })
-	p.MustFunc("gt", func(a []types.Value) types.Value { return b(a[1].Less(a[0])) })
 	p.MustFunc("ge", func(a []types.Value) types.Value { return b(!a[0].Less(a[1])) })
 	return p
 }
@@ -367,16 +341,13 @@ func (p *Program) AddRule(r Rule) error {
 		if !headRel.Event {
 			return fmt.Errorf("dlog: rule %s: event rule head %s is not an event relation", r.Name, r.Head.Rel)
 		}
-	case ActDerive, ActStore, ActDelete:
+	case ActDerive, ActStore:
 		if headRel.Event {
 			return fmt.Errorf("dlog: rule %s: %s rule head %s is an event relation", r.Name, r.Action, r.Head.Rel)
 		}
 	}
 	if r.Agg != nil && r.Action != ActDerive && r.Action != ActEvent {
 		return fmt.Errorf("dlog: rule %s: aggregation requires a derive or event rule", r.Name)
-	}
-	if r.Agg != nil && r.Action == ActEvent && r.Agg.Fn == AggCount {
-		return fmt.Errorf("dlog: rule %s: count aggregation is not supported on event rules", r.Name)
 	}
 	if r.ReplaceKey > 0 && r.Action != ActStore {
 		return fmt.Errorf("dlog: rule %s: ReplaceKey requires a store rule", r.Name)
@@ -399,7 +370,7 @@ func (p *Program) AddRule(r Rule) error {
 			events++
 			cr.eventAtom = i
 			if r.Action == ActDerive {
-				return fmt.Errorf("dlog: rule %s: derive rules may not match event relations (use event/store/delete rules)", r.Name)
+				return fmt.Errorf("dlog: rule %s: derive rules may not match event relations (use event/store rules)", r.Name)
 			}
 		}
 		for _, t := range a.Terms {
@@ -431,14 +402,6 @@ func (p *Program) AddRule(r Rule) error {
 				return fmt.Errorf("dlog: rule %s: condition uses unbound variable %s", r.Name, t.Var)
 			}
 		}
-	}
-	if r.Agg != nil && r.Agg.Fn == AggCount {
-		// For count, Over is produced by the aggregate itself and appears
-		// only in the head.
-		if bound[r.Agg.Over] {
-			return fmt.Errorf("dlog: rule %s: count variable %s must not be bound by the body", r.Name, r.Agg.Over)
-		}
-		bound[r.Agg.Over] = true
 	}
 	for _, t := range r.Head.Terms {
 		if t.IsVar && !bound[t.Var] {

@@ -1,7 +1,10 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -83,7 +86,8 @@ type Node struct {
 	ticks     int
 
 	// seeded is the wall-clock origin of the timeline; pending holds the
-	// actions still to fire, At advanced to each one's next firing.
+	// actions still to fire, At advanced to each one's next firing, in
+	// firing order: by At, then in the order the firings were armed.
 	seeded  time.Time
 	pending []workload.Action
 }
@@ -136,6 +140,7 @@ func (n *Node) Seed() error {
 			n.pending = append(n.pending, a)
 		}
 	}
+	slices.SortStableFunc(n.pending, func(a, b workload.Action) int { return cmp.Compare(a.At, b.At) })
 	n.seeded = time.Now()
 	var fault error
 	err := n.cluster.With(n.ID, func(cn *core.Node) {
@@ -151,25 +156,26 @@ func (n *Node) Seed() error {
 	return fault
 }
 
-// fire runs the pending actions that are due, in timeline order. A periodic
+// fire runs the pending actions that are due, in the order of
+// workload.Workload.Timeline: by due time, then in the order the firings
+// were armed. A periodic action's next firing is armed when it fires, so it
+// queues behind every action already pending for that instant. A periodic
 // action fires once however many periods a stalled process missed.
 func (n *Node) fire(cn *core.Node) {
 	now := types.Time(time.Since(n.seeded))
-	keep := n.pending[:0]
-	for _, a := range n.pending {
+	for len(n.pending) > 0 && n.pending[0].At <= now {
+		a := n.pending[0]
+		n.pending = slices.Delete(n.pending, 0, 1)
 		if a.Every > 0 && a.At >= a.Until {
 			continue // no firing is left before Until (none ever was if it started there)
 		}
-		if a.At <= now {
-			a.Do(cn)
-			if a.Every <= 0 {
-				continue
-			}
+		a.Do(cn)
+		if a.Every > 0 {
 			a.At += ((now-a.At)/a.Every + 1) * a.Every
+			i := sort.Search(len(n.pending), func(i int) bool { return n.pending[i].At > a.At })
+			n.pending = slices.Insert(n.pending, i, a)
 		}
-		keep = append(keep, a)
 	}
-	n.pending = keep
 }
 
 // Tick runs one driver step: the timeline's due actions, then the node's

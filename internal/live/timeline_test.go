@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -13,15 +14,16 @@ import (
 // TestFireTimeline drives Node.fire directly, the wall clock replaced by
 // moving the node's seeding time into the past: the live half of the one
 // timeline contract (workload.Action) whose simulator half is
-// simnet.Net.periodic.
+// simnet.Net.PeriodicNode.
 func TestFireTimeline(t *testing.T) {
 	const hour = types.Time(time.Hour)
 	fired := make(map[string]int)
 	count := func(name string) func(*core.Node) { return func(*core.Node) { fired[name]++ } }
 	var w workload.Workload
+	// Declared in due-time order: Seed sorts pending so, fire keeps it.
 	w.At("n", 0, count("at-0"))
-	w.At("n", 2*hour, count("at-2h"))
 	w.Every("n", 0, hour, 10*hour, count("hourly"))
+	w.At("n", 2*hour, count("at-2h"))
 	w.Every("n", 5*hour, hour, 5*hour, count("empty")) // start >= until: never, as under the simulator
 	w.Every("n", 7*hour, hour, 6*hour, count("empty"))
 	n := &Node{ID: "n", pending: w.Timeline["n"]}
@@ -53,6 +55,26 @@ func TestFireTimeline(t *testing.T) {
 	}
 	if len(n.pending) != 0 {
 		t.Errorf("%d actions still pending with every one fired or past its Until", len(n.pending))
+	}
+}
+
+// TestFireSameInstantOrder holds fire to the timeline order rule
+// (workload.Workload.Timeline) that simnet's TestTimelineSameInstantOrder
+// pins: P's 2s firing is armed when its 1s firing runs, after O, so O fires
+// first at 2s, as under the simulator.
+func TestFireSameInstantOrder(t *testing.T) {
+	var got []string
+	log := func(name string) func(*core.Node) { return func(*core.Node) { got = append(got, name) } }
+	var w workload.Workload
+	w.Every("a", 0, types.Second, 3*types.Second, log("P"))
+	w.At("a", 2*types.Second, log("O"))
+	n := &Node{ID: "a", pending: w.Timeline["a"]}
+	for _, elapsed := range []types.Time{0, types.Second, 2 * types.Second} {
+		n.seeded = time.Now().Add(-time.Duration(elapsed))
+		n.fire(nil)
+	}
+	if want := "[P P O P]"; fmt.Sprint(got) != want {
+		t.Errorf("timeline fired as %v, want %s", got, want)
 	}
 }
 

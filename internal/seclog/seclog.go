@@ -370,9 +370,6 @@ func New(node types.NodeID, suite cryptoutil.Suite, key cryptoutil.PrivateKey, s
 	return &Log{node: node, suite: suite, key: key, stats: stats, hotFirst: 1}
 }
 
-// Node returns the log owner.
-func (l *Log) Node() types.NodeID { return l.node }
-
 // Len returns the sequence number of the last entry (0 if empty).
 func (l *Log) Len() uint64 { return uint64(len(l.hashes)) }
 

@@ -128,6 +128,30 @@ func TestPeriodicReschedulesOnFire(t *testing.T) {
 	}
 }
 
+// TestTimelineSameInstantOrder pins the simulator half of the timeline
+// order rule (workload.Workload.Timeline): a node's actions fire by due
+// time, then in the order their firings were armed. P's 2s firing is armed
+// when its 1s firing runs, after Deploy armed O, so O fires first at 2s.
+// live's TestFireSameInstantOrder holds the wall-clock driver to the same
+// order.
+func TestTimelineSameInstantOrder(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig())
+	var got []string
+	log := func(name string) func(*core.Node) {
+		return func(*core.Node) { got = append(got, fmt.Sprintf("%s@%d", name, int64(net.Now()/types.Second))) }
+	}
+	w := figure2()
+	w.Every("a", 0, types.Second, 3*types.Second, log("P"))
+	w.At("a", 2*types.Second, log("O"))
+	if err := net.Deploy(w); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(5 * types.Second)
+	if want := "[P@0 P@1 O@2 P@2]"; fmt.Sprint(got) != want {
+		t.Errorf("timeline fired as %v, want %s", got, want)
+	}
+}
+
 // TestEveryEventHasANode pins the scheduler's one event class from the
 // outside: an input for a node the deployment does not have is reported, by
 // AtNode, PeriodicNode and Deploy, never dropped or run at a barrier.

@@ -380,8 +380,9 @@ func (n *Net) addNode(id types.NodeID, keySeed int64, machine types.Machine) (*c
 
 // Deploy runs a workload on this network: one node per w.Nodes entry, keyed
 // by its KeySeeds entry, and every node's timeline on that node's own event
-// shard in timeline order — so actions due at one instant fire in the order
-// the workload lists them, whatever the worker count. A machine that
+// shard, armed in slice order: its actions fire by due time, then in arming
+// order (workload.Workload.Timeline), whatever the worker count. A periodic
+// action's next firing is armed when the one before it fires. A machine that
 // reports a broken protocol definition (Err) fails the deployment, and so
 // does a timeline for a node the workload does not list.
 func (n *Net) Deploy(w *workload.Workload) error {

@@ -35,7 +35,7 @@ func TestStopReapsGoroutines(t *testing.T) {
 	s, err := supervisor.New(supervisor.Options{
 		Dir: workDir(t), Seed: 1, App: "mincost",
 		BackoffBase: 30 * time.Second, BackoffMax: 30 * time.Second,
-		QueryFront: "127.0.0.1:0", QueryFrontSessions: 1,
+		QueryFront: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,8 +26,7 @@ func TestQueryFrontHosting(t *testing.T) {
 		Behaviors: map[types.NodeID][]string{
 			"b": {"tamper-log"},
 		},
-		QueryFront:         "127.0.0.1:0",
-		QueryFrontSessions: 2,
+		QueryFront: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,23 +82,9 @@ func TestQueryFrontHosting(t *testing.T) {
 		}
 	}
 
-	// The concurrent audits may have run in lockstep and all missed; one
-	// more after them must be served from the cache they populated.
-	cl, err := queryfront.Dial(front.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Audit(); err != nil {
-		t.Fatalf("remote audit: %v", err)
-	}
-
 	stats := front.Stats()
 	t.Logf("front stats: %v", stats)
-	if stats.Served != clients+1 {
-		t.Errorf("stats.Served = %d, want %d", stats.Served, clients+1)
-	}
-	if stats.CacheHits == 0 {
-		t.Error("audits over the shared persistent cache recorded no hits")
+	if stats.Served != clients {
+		t.Errorf("stats.Served = %d, want %d", stats.Served, clients)
 	}
 }

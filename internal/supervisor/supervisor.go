@@ -53,11 +53,6 @@ type Options struct {
 	Crash *CrashPlan
 	// TickMs/SyncEvery are passed through to every child's NodeConfig.
 	TickMs, SyncEvery int
-	// MaxRestarts is the per-node restart-storm cap: more than this many
-	// restarts inside RestartWindow marks the node failed and stops
-	// respawning it (defaults 5 in 30s).
-	MaxRestarts   int
-	RestartWindow time.Duration
 	// BackoffBase/BackoffMax bound the jittered respawn backoff (defaults
 	// 50ms and 2s; the schedule is transport.Backoff).
 	BackoffBase time.Duration
@@ -65,21 +60,20 @@ type Options struct {
 	// QueryFront, when non-empty, hosts a query frontend on this listen
 	// address over the supervisor's probe cluster, so remote analysts can
 	// audit the deployment without their own key material: the frontend
-	// derives the directory from Seed exactly as the children do, and its
-	// sessions share a persistent audit cache under Dir/qfcache.
+	// derives the directory from Seed exactly as the children do. Its
+	// sessions replay every audit: the frontend opens no audit cache.
 	QueryFront string
-	// QueryFrontSessions bounds the frontend's querier pool
-	// (0: queryfront's default).
-	QueryFrontSessions int
 }
 
+// maxRestarts is the per-node restart-storm cap: more than this many
+// restarts inside restartWindow marks the node failed and stops respawning
+// it.
+const (
+	maxRestarts   = 5
+	restartWindow = 30 * time.Second
+)
+
 func (o Options) withDefaults() Options {
-	if o.MaxRestarts <= 0 {
-		o.MaxRestarts = 5
-	}
-	if o.RestartWindow <= 0 {
-		o.RestartWindow = 30 * time.Second
-	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 50 * time.Millisecond
 	}
@@ -131,11 +125,10 @@ type Supervisor struct {
 	log   *log.Logger
 	logF  *os.File
 
-	probe      *transport.Cluster
-	fetch      *transport.RemoteFetcher // health probes: short budgets
-	audit      *transport.RemoteFetcher // SyncNotes, VerifyRecovered: audit budgets
-	front      *queryfront.Server
-	frontCache *core.AuditCache
+	probe *transport.Cluster
+	fetch *transport.RemoteFetcher // health probes: short budgets
+	audit *transport.RemoteFetcher // SyncNotes, VerifyRecovered: audit budgets
+	front *queryfront.Server
 
 	mu       sync.Mutex
 	fetchers []*transport.RemoteFetcher // handed out by newFetcher, closed by Stop
@@ -201,24 +194,16 @@ func (s *Supervisor) Cluster() *transport.Cluster { return s.probe }
 func (s *Supervisor) Front() *queryfront.Server { return s.front }
 
 // startFront serves a frontend on the configured address over the probe
-// cluster, its sessions sharing a persistent audit cache of their own.
+// cluster.
 func (s *Supervisor) startFront() error {
-	base := s.dep.Cfg
-	cache, err := core.OpenAuditCache(filepath.Join(s.opts.Dir, "qfcache"), base.Suite)
-	if err != nil {
-		return err
-	}
-	base.AuditCache = cache
 	front, err := queryfront.Serve(queryfront.Config{
-		Cluster: s.probe, Base: base, Dir: s.dep.Dir,
+		Cluster: s.probe, Base: s.dep.Cfg, Dir: s.dep.Dir,
 		Factory: s.dep.App.Factory, ConfigureQuerier: s.dep.App.ConfigureQuerier,
-		Sessions: s.opts.QueryFrontSessions,
 	}, s.opts.QueryFront)
 	if err != nil {
-		_ = cache.Close()
 		return err
 	}
-	s.front, s.frontCache = front, cache
+	s.front = front
 	s.log.Printf("query frontend on %s", front.Addr())
 	return nil
 }
@@ -359,14 +344,14 @@ func (s *Supervisor) onExit(c *child, err error) {
 	now := time.Now()
 	keep := c.restarts[:0]
 	for _, t := range c.restarts {
-		if now.Sub(t) <= s.opts.RestartWindow {
+		if now.Sub(t) <= restartWindow {
 			keep = append(keep, t)
 		}
 	}
 	c.restarts = append(keep, now)
-	if len(c.restarts) > s.opts.MaxRestarts {
+	if len(c.restarts) > maxRestarts {
 		c.failed = fmt.Errorf("supervisor: %s restarted %d times in %v, giving up (last exit: %v)",
-			c.id, len(c.restarts), s.opts.RestartWindow, err)
+			c.id, len(c.restarts), restartWindow, err)
 		s.log.Print(c.failed)
 		s.mu.Unlock()
 		return
@@ -672,12 +657,9 @@ func (s *Supervisor) Stop(timeout time.Duration) error {
 		}
 	}
 	// The frontend's session fetchers live on the probe cluster: close it
-	// (and then the cache it was writing) before the cluster goes away.
+	// before the cluster goes away.
 	if s.front != nil {
 		s.front.Close()
-	}
-	if s.frontCache != nil {
-		_ = s.frontCache.Close()
 	}
 	s.mu.Lock()
 	fetchers := s.fetchers

@@ -127,20 +127,18 @@ func TestNodeConfigRoundTrip(t *testing.T) {
 }
 
 // TestRestartStormCap points the supervisor at a child image that exits
-// immediately, and requires it to give up after the configured number of
+// immediately, and requires it to give up after the cap's number of
 // restarts instead of spinning forever.
 func TestRestartStormCap(t *testing.T) {
 	if _, err := os.Stat("/bin/false"); err != nil {
 		t.Skip("/bin/false not available")
 	}
 	s, err := supervisor.New(supervisor.Options{
-		Dir:           workDir(t),
-		Binary:        "/bin/false",
-		App:           "mincost",
-		MaxRestarts:   2,
-		RestartWindow: time.Minute,
-		BackoffBase:   2 * time.Millisecond,
-		BackoffMax:    10 * time.Millisecond,
+		Dir:         workDir(t),
+		Binary:      "/bin/false",
+		App:         "mincost",
+		BackoffBase: 2 * time.Millisecond,
+		BackoffMax:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +158,7 @@ func TestRestartStormCap(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	for _, id := range s.Deployment().App.Nodes {
-		if got := s.Restarts(id); got < 2 {
+		if got := s.Restarts(id); got < supervisor.MaxRestarts {
 			t.Errorf("%s: %d restarts before giving up, want the cap's worth", id, got)
 		}
 		if s.Running(id) {

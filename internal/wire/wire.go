@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -102,11 +101,6 @@ func (w *Writer) Bool(v bool) {
 
 // Byte appends a single raw byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
-
-// Float appends a float64 as its IEEE-754 bits (big endian, fixed width).
-func (w *Writer) Float(v float64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
 
 // Bytes appends a length-prefixed byte string.
 func (w *Writer) BytesField(b []byte) {
@@ -229,15 +223,6 @@ func (r *Reader) Byte() byte {
 	b := r.buf[r.off]
 	r.off++
 	return b
-}
-
-// Float decodes a float64.
-func (r *Reader) Float() float64 {
-	b := r.Raw(8)
-	if r.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
 // Count decodes an element count and validates it against the undecoded

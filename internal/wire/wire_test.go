@@ -42,7 +42,6 @@ func TestMixedRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.BytesField([]byte{1, 2, 3})
 	w.Int(-7)
-	w.Float(3.5)
 	w.Byte(0xAB)
 
 	r := NewReader(w.Bytes())
@@ -63,9 +62,6 @@ func TestMixedRoundTrip(t *testing.T) {
 	}
 	if got := r.Int(); got != -7 {
 		t.Errorf("Int = %d", got)
-	}
-	if got := r.Float(); got != 3.5 {
-		t.Errorf("Float = %v", got)
 	}
 	if got := r.Byte(); got != 0xAB {
 		t.Errorf("Byte = %#x", got)

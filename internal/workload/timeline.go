@@ -25,8 +25,12 @@ type Workload struct {
 	// Factory builds a node's state machine, for the node itself and for
 	// every replay of its log.
 	Factory types.MachineFactory
-	// Timeline holds each node's actions in scheduling order: actions due
-	// at the same instant fire in slice order. Build it with At and Every.
+	// Timeline holds each node's actions. Every driver fires them by due
+	// time, then in the order their firings were armed: the entries in
+	// slice order at the start, and each later firing of a periodic action
+	// when the one before it fires. So an action due at an instant where a
+	// periodic action fires again runs before that firing, wherever it sits
+	// in the slice. Build it with At and Every.
 	Timeline map[types.NodeID][]Action
 	// Horizon is when the last scheduled action is over; the simulator
 	// runs to it, wall-clock drivers wait on Probe instead.
