@@ -36,7 +36,9 @@ type Config struct {
 	LogDir string
 	// LogHotTail bounds the number of decoded log entries kept resident
 	// when the log is store-backed; older entries are decoded from disk on
-	// demand. Zero (or negative) keeps every entry hot.
+	// demand. Zero (or negative) keeps every entry hot; DefaultConfig's 128
+	// lets paper-scale runs spill most of their history and keeps the
+	// online path out of the store.
 	LogHotTail int
 	// LogRecover makes NewNode reopen an existing segment store in LogDir
 	// (crash recovery: replay, chain re-verification, torn-tail repair)
@@ -67,6 +69,7 @@ func DefaultConfig() Config {
 		Tbatch:          0,
 		CheckpointEvery: types.Minute,
 		Suite:           cryptoutil.Ed25519SHA256,
+		LogHotTail:      128,
 	}
 }
 

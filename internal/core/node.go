@@ -145,10 +145,15 @@ func (c *rcvCache) remember(env *Envelope, ack *Packet) {
 }
 
 // NewNode assembles a node. net may be nil for single-node tests (sends are
-// then dropped). When cfg.LogDir is set the node's log is backed by an
-// on-disk segment store, which can fail to initialize.
+// then dropped). A machine that reports a broken protocol definition (Err,
+// as dlog.Machine does) is refused before any store is created. When
+// cfg.LogDir is set the node's log is backed by an on-disk segment store,
+// which can fail to initialize.
 func NewNode(id types.NodeID, cfg Config, key cryptoutil.PrivateKey, dir *Directory,
 	maint *Maintainer, clock Clock, net Sender, machine types.Machine) (*Node, error) {
+	if m, ok := machine.(interface{ Err() error }); ok && m.Err() != nil {
+		return nil, fmt.Errorf("core: %s runs a broken program: %w", id, m.Err())
+	}
 	stats := new(cryptoutil.Stats)
 	var lg *seclog.Log
 	switch {

@@ -97,10 +97,9 @@ type Options struct {
 	OnNode func(*core.Node)
 }
 
-// DefaultHotTail is a LogHotTail for store-backed runs: small enough that
-// paper-scale runs spill most of their history, large enough to keep the
-// online path out of the store.
-const DefaultHotTail = 128
+// DefaultHotTail is the LogHotTail of core.DefaultConfig, for store-backed
+// runs that set Options.LogHotTail.
+var DefaultHotTail = core.DefaultConfig().LogHotTail
 
 func (o Options) normalize() Options {
 	if o.Scale == 0 {

@@ -1,10 +1,7 @@
 package live
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -38,8 +35,12 @@ type Deployment struct {
 
 // NewDeployment derives the deployment parameters at DefaultTprop. The skew
 // bound is Tprop/2: live nodes share (or closely track) one machine clock,
-// and the margin absorbs injected delays.
+// and the margin absorbs injected delays. A workload that fails its Check
+// is refused.
 func NewDeployment(app *workload.Workload, seed int64) (*Deployment, error) {
+	if err := app.Check(); err != nil {
+		return nil, err
+	}
 	cfg := core.DefaultConfig()
 	cfg.Tprop = types.Time(DefaultTprop)
 	cfg.DeltaClock = cfg.Tprop / 2
@@ -85,11 +86,10 @@ type Node struct {
 	recovered bool
 	ticks     int
 
-	// seeded is the wall-clock origin of the timeline; pending holds the
-	// actions still to fire, At advanced to each one's next firing, in
-	// firing order: by At, then in the order the firings were armed.
-	seeded  time.Time
-	pending []workload.Action
+	// seeded is the wall-clock origin of the timeline, whose armed firings
+	// wait in timeline.
+	seeded   time.Time
+	timeline workload.Queue
 }
 
 // Start brings node id up on the cluster: build it (with recover, reopen
@@ -137,10 +137,9 @@ func (d *Deployment) Start(c *transport.Cluster, id types.NodeID, addr string, r
 func (n *Node) Seed() error {
 	for _, a := range n.app.Timeline[n.ID] {
 		if !n.recovered || a.Every > 0 {
-			n.pending = append(n.pending, a)
+			n.timeline.Arm(a)
 		}
 	}
-	slices.SortStableFunc(n.pending, func(a, b workload.Action) int { return cmp.Compare(a.At, b.At) })
 	n.seeded = time.Now()
 	var fault error
 	err := n.cluster.With(n.ID, func(cn *core.Node) {
@@ -156,27 +155,8 @@ func (n *Node) Seed() error {
 	return fault
 }
 
-// fire runs the pending actions that are due, in the order of
-// workload.Workload.Timeline: by due time, then in the order the firings
-// were armed. A periodic action's next firing is armed when it fires, so it
-// queues behind every action already pending for that instant. A periodic
-// action fires once however many periods a stalled process missed.
-func (n *Node) fire(cn *core.Node) {
-	now := types.Time(time.Since(n.seeded))
-	for len(n.pending) > 0 && n.pending[0].At <= now {
-		a := n.pending[0]
-		n.pending = slices.Delete(n.pending, 0, 1)
-		if a.Every > 0 && a.At >= a.Until {
-			continue // no firing is left before Until (none ever was if it started there)
-		}
-		a.Do(cn)
-		if a.Every > 0 {
-			a.At += ((now-a.At)/a.Every + 1) * a.Every
-			i := sort.Search(len(n.pending), func(i int) bool { return n.pending[i].At > a.At })
-			n.pending = slices.Insert(n.pending, i, a)
-		}
-	}
-}
+// fire runs the timeline's due firings at the wall-clock offset since Seed.
+func (n *Node) fire(cn *core.Node) { n.timeline.Fire(types.Time(time.Since(n.seeded)), cn) }
 
 // Tick runs one driver step: the timeline's due actions, then the node's
 // protocol Tick (batching, retransmission, missed-ack notification), then —

@@ -130,13 +130,7 @@ func (h *Harness) Converged() bool {
 }
 
 // RunFor drives the deployment for d of wall time.
-func (h *Harness) RunFor(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		h.tick()
-		time.Sleep(tickEvery)
-	}
-}
+func (h *Harness) RunFor(d time.Duration) { _ = h.RunUntil(func() bool { return false }, d) }
 
 // RunUntil drives the deployment until probe returns true or the timeout
 // passes, which is an error.

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps/mincost"
 	"repro/internal/core"
+	"repro/internal/dlog"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -138,6 +140,71 @@ func TestStartRefusesOutsider(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("the refused Start left %d entries in the log directory", len(entries))
+	}
+}
+
+// TestNewRefusesBrokenProgram: a workload whose machines run a broken dlog
+// program is refused, as the simulator refuses it, before any node opens a
+// log store.
+func TestNewRefusesBrokenProgram(t *testing.T) {
+	app := mustApp(t, "mincost")
+	prog := dlog.NewProgram()
+	prog.Relation("r", 2, false)
+	prog.Relation("r", 3, false) // redeclared with another shape
+	app.Factory = dlog.Factory(prog)
+	dir := t.TempDir()
+	h, err := New(app, Options{Seed: 1, LogDir: dir})
+	if err == nil {
+		h.Close()
+		t.Fatal("New started a deployment whose program is broken")
+	}
+	if !strings.Contains(err.Error(), "redeclared") {
+		t.Errorf("error %q does not carry the program's", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("the refused deployment left %d entries in the log directory", len(entries))
+	}
+}
+
+// TestNewRefusesUnlistedTimelineNode: a timeline entry for a node the
+// workload does not list, which no driver would fire, is refused as the
+// simulator refuses it.
+func TestNewRefusesUnlistedTimelineNode(t *testing.T) {
+	app := mustApp(t, "mincost")
+	app.At("zz", 0, func(*core.Node) { t.Error("an action for an unlisted node ran") })
+	h, err := New(app, Options{Seed: 1})
+	if err == nil {
+		h.Close()
+		t.Fatal("New accepted a timeline for a node the workload does not list")
+	}
+	if !strings.Contains(err.Error(), "zz") {
+		t.Errorf("error %q does not name the node", err)
+	}
+}
+
+// TestStoreBackedNodeBoundsHotTail: a live node's store-backed log keeps
+// only core.DefaultConfig's hot tail of decoded entries resident, as every
+// other store-backed run does; the rest is read back from the store.
+func TestStoreBackedNodeBoundsHotTail(t *testing.T) {
+	h, err := New(mustApp(t, "mincost"), Options{Seed: 1, LogDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	var length, cold uint64
+	err = h.With("d", func(n *core.Node) {
+		link := mincost.Link("d", "c", 9)
+		for n.Log.Len() < 300 {
+			n.InsertBase(link)
+			n.DeleteBase(link)
+		}
+		length, cold = n.Log.Len(), n.Log.ColdEntries()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := uint64(core.DefaultConfig().LogHotTail); cold == 0 || length-cold > tail {
+		t.Errorf("%d of %d log entries are resident, want at most the hot tail of %d", length-cold, length, tail)
 	}
 }
 

@@ -11,22 +11,31 @@ import (
 	"repro/internal/workload"
 )
 
+// armed returns a node whose schedule holds w's timeline for id, armed in
+// slice order as Seed arms a fresh node's.
+func armed(w *workload.Workload, id types.NodeID) *Node {
+	n := &Node{ID: id}
+	for _, a := range w.Timeline[id] {
+		n.timeline.Arm(a)
+	}
+	return n
+}
+
 // TestFireTimeline drives Node.fire directly, the wall clock replaced by
-// moving the node's seeding time into the past: the live half of the one
-// timeline contract (workload.Action) whose simulator half is
-// simnet.Net.PeriodicNode.
+// moving the node's seeding time into the past: the wall-clock offset a
+// live node hands its workload.Queue, which the simulator fires at virtual
+// time (simnet's TestPeriodicReschedulesOnFire).
 func TestFireTimeline(t *testing.T) {
 	const hour = types.Time(time.Hour)
 	fired := make(map[string]int)
 	count := func(name string) func(*core.Node) { return func(*core.Node) { fired[name]++ } }
 	var w workload.Workload
-	// Declared in due-time order: Seed sorts pending so, fire keeps it.
 	w.At("n", 0, count("at-0"))
 	w.Every("n", 0, hour, 10*hour, count("hourly"))
 	w.At("n", 2*hour, count("at-2h"))
 	w.Every("n", 5*hour, hour, 5*hour, count("empty")) // start >= until: never, as under the simulator
 	w.Every("n", 7*hour, hour, 6*hour, count("empty"))
-	n := &Node{ID: "n", pending: w.Timeline["n"]}
+	n := armed(&w, "n")
 
 	for _, step := range []struct {
 		elapsed types.Time
@@ -53,8 +62,8 @@ func TestFireTimeline(t *testing.T) {
 			}
 		}
 	}
-	if len(n.pending) != 0 {
-		t.Errorf("%d actions still pending with every one fired or past its Until", len(n.pending))
+	if due, ok := n.timeline.Next(); ok {
+		t.Errorf("a firing is still armed, due at %v, with every action fired or past its Until", time.Duration(due))
 	}
 }
 
@@ -68,7 +77,7 @@ func TestFireSameInstantOrder(t *testing.T) {
 	var w workload.Workload
 	w.Every("a", 0, types.Second, 3*types.Second, log("P"))
 	w.At("a", 2*types.Second, log("O"))
-	n := &Node{ID: "a", pending: w.Timeline["a"]}
+	n := armed(&w, "a")
 	for _, elapsed := range []types.Time{0, types.Second, 2 * types.Second} {
 		n.seeded = time.Now().Add(-time.Duration(elapsed))
 		n.fire(nil)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // runDigest captures every deterministic observable of a finished run: the
@@ -104,20 +105,19 @@ func TestShardedQueryAnswersMatchSerial(t *testing.T) {
 	}
 }
 
-// TestPeriodicReschedulesOnFire pins the reschedule-on-fire contract: a
-// periodic chain fires at start, start+i·interval strictly below end, keeps
-// only one queued event per live chain, and a later Run resumes cleanly.
+// TestPeriodicReschedulesOnFire pins the reschedule-on-fire contract under
+// the simulator: a periodic action fires at start, start+i·interval strictly
+// below Until, each firing at its due time, and a later Run resumes cleanly.
 func TestPeriodicReschedulesOnFire(t *testing.T) {
 	cfg := simnet.DefaultConfig()
-	cfg.TickEvery = 0 // no node ticks; only the chain under test
+	cfg.TickEvery = 0 // no node ticks; only the action under test
 	net := simnet.New(cfg)
-	if err := net.Deploy(figure2()); err != nil {
-		t.Fatal(err)
-	}
 	var fired []types.Time
-	if err := net.PeriodicNode("c", 2*types.Second, 3*types.Second, 14*types.Second, func() {
+	w := figure2()
+	w.Every("c", 2*types.Second, 3*types.Second, 14*types.Second, func(*core.Node) {
 		fired = append(fired, net.Now())
-	}); err != nil {
+	})
+	if err := net.Deploy(w); err != nil {
 		t.Fatal(err)
 	}
 	net.Run(6 * types.Second)
@@ -154,7 +154,8 @@ func TestTimelineSameInstantOrder(t *testing.T) {
 
 // TestEveryEventHasANode pins the scheduler's one event class from the
 // outside: an input for a node the deployment does not have is reported, by
-// AtNode, PeriodicNode and Deploy, never dropped or run at a barrier.
+// AtNode and by Deploy for one-shot and periodic actions alike, never
+// dropped or run at a barrier.
 func TestEveryEventHasANode(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig())
 	w := figure2()
@@ -164,17 +165,20 @@ func TestEveryEventHasANode(t *testing.T) {
 	if err := net.AtNode("z", types.Second, func() { t.Error("an event without a node ran") }); err == nil {
 		t.Error("AtNode on an unknown node returned no error")
 	}
-	if err := net.PeriodicNode("z", types.Second, types.Second, 3*types.Second, func() { t.Error("a periodic event without a node ran") }); err == nil {
-		t.Error("PeriodicNode on an unknown node returned no error")
-	}
 	if err := net.AtNode("c", types.Second, func() {}); err != nil {
 		t.Errorf("AtNode on a deployed node: %v", err)
 	}
 	net.Run(2 * types.Second)
 
-	w = figure2()
-	w.At("z", types.Second, func(*core.Node) {})
-	if err := simnet.New(simnet.DefaultConfig()).Deploy(w); err == nil {
-		t.Error("Deploy accepted a timeline for a node the workload does not list")
+	do := func(*core.Node) {}
+	for _, arm := range []func(*workload.Workload){
+		func(w *workload.Workload) { w.At("z", types.Second, do) },
+		func(w *workload.Workload) { w.Every("z", types.Second, types.Second, 3*types.Second, do) },
+	} {
+		w = figure2()
+		arm(w)
+		if err := simnet.New(simnet.DefaultConfig()).Deploy(w); err == nil {
+			t.Error("Deploy accepted a timeline for a node the workload does not list")
+		}
 	}
 }

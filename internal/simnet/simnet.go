@@ -7,23 +7,24 @@
 //
 // # Scheduling model
 //
-// Every node owns an event shard: a private queue of events ordered by
-// (time, source, per-source sequence), a private random stream per outgoing
-// link, and a private traffic meter. Cross-node interaction happens only
-// through Send, whose delivery delay is at least Cfg.MinDelay; the scheduler
-// exploits that bound conservatively. Run advances virtual time in windows
-// [T, T+MinDelay): within a window every shard executes its own events
-// independently (optionally on parallel workers — Config.Workers), because
-// nothing a shard does before T+MinDelay can affect another shard before
-// T+MinDelay. Deliveries produced during a window are staged in
-// per-destination mailboxes and merged into the target shards at the window
-// barrier, ordered by the same (time, source, sequence) key.
+// Every node owns an event shard: a private queue of deliveries ordered by
+// (time, source, per-source sequence), its schedule (workload.Queue), a
+// private random stream per outgoing link, and a private traffic meter.
+// Cross-node interaction happens only through Send, whose delivery delay is
+// at least Cfg.MinDelay; the scheduler exploits that bound conservatively.
+// Run advances virtual time in windows [T, T+MinDelay): within a window
+// every shard executes its own events independently (optionally on
+// parallel workers — Config.Workers), because nothing a shard does before
+// T+MinDelay can affect another shard before T+MinDelay. Deliveries
+// produced during a window are staged in per-destination mailboxes and
+// merged into the target shards at the window barrier, ordered by the same
+// (time, source, sequence) key.
 //
-// Every event has a node: a delivery belongs to its destination, a tick, a
-// workload action (Deploy) or an injected input (AtNode/PeriodicNode) to the
-// node it names, and it runs on that node's shard and touches only that
-// node. There is no event that stops the whole network, so a window is
-// bounded by MinDelay and the Run horizon alone.
+// Every event has a node: a delivery belongs to its destination, and a
+// timeline action (Deploy), tick (Run) or injected input (AtNode) is armed
+// in the schedule of the node it names; it runs on that node's shard and
+// touches only that node. There is no event that stops the whole network,
+// so a window is bounded by MinDelay and the Run horizon alone.
 //
 // # Verify-ahead
 //
@@ -69,15 +70,14 @@ import (
 	"repro/internal/workload"
 )
 
-// event is one scheduled simulator action on one node's shard. src is the
-// node that scheduled it (the sender of a delivery, the shard's own node
-// otherwise); seq is a per-source counter, so (at, src, seq) is a total
-// order that both the serial reference and the sharded scheduler sort by.
+// event is one delivery of pkt on its destination's shard. src is its
+// sender and seq the sender's counter, so (at, src, seq) is a total order
+// that both the serial reference and the sharded scheduler sort by.
 type event struct {
 	at  types.Time
 	src types.NodeID
 	seq uint64
-	fn  func()
+	pkt *core.Packet
 }
 
 func (e *event) before(o *event) bool {
@@ -232,16 +232,17 @@ type staged struct {
 	ev  *event
 }
 
-// shard is one node's slice of the simulation: its event queue, its outgoing
-// random streams, its traffic meter, and its outbox of cross-shard
-// deliveries. During a window a shard is touched only by the single worker
-// executing it; between windows only the coordinator touches it.
+// shard is one node's slice of the simulation: its delivery queue, its
+// schedule, its outgoing random streams, its traffic meter, and its outbox
+// of cross-shard deliveries. During a window a shard is touched only by the
+// single worker executing it; between windows only the coordinator does.
 type shard struct {
 	id   types.NodeID
 	node *core.Node
 
-	queue eventHeap
-	seq   uint64 // per-source counter for events this shard schedules
+	queue    eventHeap
+	timeline workload.Queue
+	seq      uint64 // per-source counter for the deliveries this node sends
 
 	// now is the timestamp of the event currently (or last) executed on
 	// this shard; the node's clock reads max(shard.now, Net.now).
@@ -255,10 +256,19 @@ type shard struct {
 	outbox  []staged
 }
 
-// schedule pushes an event sourced by this shard onto its own queue.
-func (sh *shard) schedule(at types.Time, fn func()) {
-	sh.seq++
-	heap.Push(&sh.queue, &event{at: at, src: sh.id, seq: sh.seq, fn: fn})
+// next reports the shard's next event: its time, and whether it is a
+// delivery rather than the node's due firings. Those run as one event (at,
+// node), after the deliveries due then from lower node IDs and before those
+// from higher ones, in the schedule's order. A node never sends to itself,
+// so that is the order one event per firing would take.
+func (sh *shard) next() (t types.Time, delivery, ok bool) {
+	due, armed := sh.timeline.Next()
+	if len(sh.queue) > 0 {
+		if ev := sh.queue[0]; !armed || ev.at < due || ev.at == due && ev.src < sh.id {
+			return ev.at, true, true
+		}
+	}
+	return due, false, armed
 }
 
 // Net is the simulated network plus all nodes attached to it.
@@ -379,40 +389,30 @@ func (n *Net) addNode(id types.NodeID, keySeed int64, machine types.Machine) (*c
 }
 
 // Deploy runs a workload on this network: one node per w.Nodes entry, keyed
-// by its KeySeeds entry, and every node's timeline on that node's own event
-// shard, armed in slice order: its actions fire by due time, then in arming
-// order (workload.Workload.Timeline), whatever the worker count. A periodic
-// action's next firing is armed when the one before it fires. A machine that
-// reports a broken protocol definition (Err) fails the deployment, and so
-// does a timeline for a node the workload does not list.
+// by its KeySeeds entry, with its timeline armed in slice order in its
+// shard's schedule, which fires it by due time, then in arming order
+// (workload.Workload.Timeline), whatever the worker count. A workload that
+// fails its Check fails the deployment, and so does a machine that
+// core.NewNode refuses.
 func (n *Net) Deploy(w *workload.Workload) error {
+	if err := w.Check(); err != nil {
+		return err
+	}
 	for i, id := range w.Nodes {
-		machine := w.Factory(id)
-		if m, ok := machine.(interface{ Err() error }); ok && m.Err() != nil {
-			return m.Err()
-		}
-		node, err := n.addNode(id, w.KeySeeds[i], machine)
-		if err != nil {
+		if _, err := n.addNode(id, w.KeySeeds[i], w.Factory(id)); err != nil {
 			return err
 		}
 		for _, a := range w.Timeline[id] {
-			fire := func() { a.Do(node) }
-			if a.Every > 0 {
-				err = n.PeriodicNode(id, a.At, a.Every, a.Until, fire)
-			} else {
-				err = n.AtNode(id, a.At, fire)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	for id := range w.Timeline {
-		if n.shards[id] == nil {
-			return fmt.Errorf("simnet: %s schedules actions on %s, which is not one of its nodes", w.Name, id)
+			n.arm(n.shards[id], a)
 		}
 	}
 	return nil
+}
+
+// arm queues a in sh's schedule, due no earlier than now.
+func (n *Net) arm(sh *shard, a workload.Action) {
+	a.At = max(a.At, n.timeAt(sh))
+	sh.timeline.Arm(a)
 }
 
 // Node returns a node by ID.
@@ -451,12 +451,7 @@ func (n *Net) Send(from, to types.NodeID, pkt *core.Packet) {
 		n.verifyAhead(from, pkt)
 	}
 	src.seq++
-	node := dst.node
-	ev := &event{at: n.timeAt(src) + delay, src: from, seq: src.seq, fn: func() {
-		// Delivery errors model dropped packets (bad signatures etc.); the
-		// commitment protocol's retransmit/notify path covers them.
-		_ = node.HandlePacket(from, pkt)
-	}}
+	ev := &event{at: n.timeAt(src) + delay, src: from, seq: src.seq, pkt: pkt}
 	src.outbox = append(src.outbox, staged{dst: dst, ev: ev})
 }
 
@@ -476,44 +471,18 @@ func (n *Net) verifyAhead(from types.NodeID, pkt *core.Packet) {
 	}
 }
 
-// AtNode schedules fn at virtual time t (clamped to now) on id's shard: it
-// executes inside id's event stream (in (time, source, sequence) order) and
-// may touch only that node. AtNode may be called between Runs or from id's
-// own execution — never from another node's execution. An id Deploy did not
-// create is an error: there is no event without a node.
+// AtNode arms fn as a one-shot at virtual time t (clamped to now) in id's
+// schedule: it runs inside id's event stream and may touch only that node.
+// AtNode may be called between Runs or from id's own execution — never from
+// another node's execution. An id Deploy did not create is an error: there
+// is no event without a node.
 func (n *Net) AtNode(id types.NodeID, t types.Time, fn func()) error {
 	sh := n.shards[id]
 	if sh == nil {
 		return fmt.Errorf("simnet: AtNode on unknown node %s", id)
 	}
-	if c := n.timeAt(sh); t < c {
-		t = c
-	}
-	sh.schedule(t, fn)
+	n.arm(sh, workload.Action{At: t, Do: func(*core.Node) { fn() }})
 	return nil
-}
-
-// PeriodicNode schedules fn every interval in [start, end) on id's shard
-// (see AtNode for the affiliation contract; an unknown id is an error, as
-// there). The next firing is scheduled when the previous one runs, so the
-// queue stays proportional to live work rather than the horizon.
-func (n *Net) PeriodicNode(id types.NodeID, start, interval, end types.Time, fn func()) error {
-	if n.shards[id] == nil {
-		return fmt.Errorf("simnet: PeriodicNode on unknown node %s", id)
-	}
-	if interval <= 0 || start >= end {
-		return nil
-	}
-	cur := start
-	var tick func()
-	tick = func() {
-		fn()
-		cur += interval
-		if cur < end {
-			_ = n.AtNode(id, cur, tick) // id is known
-		}
-	}
-	return n.AtNode(id, cur, tick)
 }
 
 // workers resolves the configured worker count.
@@ -528,17 +497,17 @@ func (n *Net) workers() int {
 	return w
 }
 
-// scheduleTicks starts one reschedule-on-fire tick chain per node for this
-// Run's horizon.
+// scheduleTicks arms every node's protocol tick, a periodic action over
+// this Run's horizon, in its schedule.
 func (n *Net) scheduleTicks(until types.Time) {
 	if n.Cfg.TickEvery <= 0 {
 		return
 	}
 	for _, sh := range n.byOrder {
-		node := sh.node
 		// Tick errors are local faults (e.g. a signing failure); the node
 		// keeps running and audits expose it (Node.Err holds it).
-		_ = n.PeriodicNode(sh.id, n.now+n.Cfg.TickEvery, n.Cfg.TickEvery, until, func() { _ = node.Tick() })
+		n.arm(sh, workload.Action{At: n.now + n.Cfg.TickEvery, Every: n.Cfg.TickEvery, Until: until,
+			Do: func(node *core.Node) { _ = node.Tick() }})
 	}
 }
 
@@ -560,8 +529,8 @@ func (n *Net) nextEventTime() (types.Time, bool) {
 	var best types.Time
 	ok := false
 	for _, sh := range n.byOrder {
-		if len(sh.queue) > 0 && (!ok || sh.queue[0].at < best) {
-			best, ok = sh.queue[0].at, true
+		if t, _, has := sh.next(); has && (!ok || t < best) {
+			best, ok = t, true
 		}
 	}
 	return best, ok
@@ -644,10 +613,20 @@ func (p *verifyPool) stop() {
 // cache), so the serial and parallel interleavings are observably
 // identical.
 func runShard(sh *shard, wEnd types.Time) {
-	for len(sh.queue) > 0 && sh.queue[0].at < wEnd {
+	for {
+		t, delivery, ok := sh.next()
+		if !ok || t >= wEnd {
+			return
+		}
+		sh.now = t
+		if !delivery {
+			sh.timeline.Fire(t, sh.node)
+			continue
+		}
 		ev := heap.Pop(&sh.queue).(*event)
-		sh.now = ev.at
-		ev.fn()
+		// Delivery errors model dropped packets (bad signatures etc.); the
+		// commitment protocol's retransmit/notify path covers them.
+		_ = sh.node.HandlePacket(ev.src, ev.pkt)
 	}
 }
 
@@ -691,7 +670,7 @@ func (n *Net) Run(until types.Time) {
 		}
 		runnable = runnable[:0]
 		for _, sh := range n.byOrder {
-			if len(sh.queue) > 0 && sh.queue[0].at < wEnd {
+			if t, _, ok := sh.next(); ok && t < wEnd {
 				runnable = append(runnable, sh)
 			}
 		}

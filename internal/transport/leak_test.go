@@ -79,7 +79,7 @@ func TestClusterCloseReapsGoroutines(t *testing.T) {
 				}
 			}
 			for i := 0; i < 5; i++ {
-				_ = cluster.TickAll()
+				tickAll(cluster, ids)
 				time.Sleep(5 * time.Millisecond)
 			}
 			// Audit RPCs keep server-side handler goroutines busy too.
@@ -100,7 +100,7 @@ func TestClusterCloseReapsGoroutines(t *testing.T) {
 			if err := cluster.StopNode(ids[2]); err != nil {
 				t.Fatal(err)
 			}
-			_ = cluster.TickAll()
+			tickAll(cluster, ids)
 		}()
 		// After Close every transport goroutine must be gone. Close waits on
 		// its WaitGroups, so there is nothing to poll for — but give the

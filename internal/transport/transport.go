@@ -33,7 +33,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -416,29 +415,6 @@ func (c *Cluster) With(id types.NodeID, fn func(*core.Node)) error {
 	defer m.mu.Unlock()
 	fn(m.node)
 	return nil
-}
-
-// TickAll drives every local node's timers once. It returns the first node
-// fault encountered (e.g. a signing failure on a batched flush — these used
-// to panic); every node is still ticked, and sticky faults remain readable
-// via Node.Err.
-func (c *Cluster) TickAll() error {
-	c.mu.Lock()
-	ids := make([]types.NodeID, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	c.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var first error
-	for _, id := range ids {
-		_ = c.With(id, func(n *core.Node) {
-			if err := n.Tick(); err != nil && first == nil {
-				first = fmt.Errorf("transport: %s: %w", id, err)
-			}
-		})
-	}
-	return first
 }
 
 // Stats snapshots the cluster's failure counters.

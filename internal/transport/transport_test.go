@@ -70,7 +70,7 @@ func TestMinCostOverTCP(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("MinCost did not converge over TCP within 10s")
 		}
-		cluster.TickAll()
+		tickAll(cluster, ids)
 		time.Sleep(20 * time.Millisecond)
 	}
 	// Let in-flight acks land before auditing.
@@ -95,5 +95,13 @@ func TestMinCostOverTCP(t *testing.T) {
 func TestFramingRejectsOversized(t *testing.T) {
 	if _, err := encodePacketFrame("a", &core.Packet{Kind: 99}, DefaultMaxFrame); err == nil {
 		t.Error("unknown packet kind framed")
+	}
+}
+
+// tickAll runs the timers of every listed node served on c once, as a live
+// driver's tick does; a node no longer served is skipped.
+func tickAll(c *Cluster, ids []types.NodeID) {
+	for _, id := range ids {
+		_ = c.With(id, func(n *core.Node) { _ = n.Tick() })
 	}
 }

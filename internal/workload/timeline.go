@@ -1,6 +1,11 @@
 package workload
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+	"sort"
+
 	"repro/internal/core"
 	"repro/internal/types"
 )
@@ -25,12 +30,10 @@ type Workload struct {
 	// Factory builds a node's state machine, for the node itself and for
 	// every replay of its log.
 	Factory types.MachineFactory
-	// Timeline holds each node's actions. Every driver fires them by due
-	// time, then in the order their firings were armed: the entries in
-	// slice order at the start, and each later firing of a periodic action
-	// when the one before it fires. So an action due at an instant where a
-	// periodic action fires again runs before that firing, wherever it sits
-	// in the slice. Build it with At and Every.
+	// Timeline holds each node's actions, built with At and Every. Every
+	// driver arms them in slice order into the node's Queue, which fires
+	// them by due time, then in arming order: a periodic action's next
+	// firing is armed when the one before it fires.
 	Timeline map[types.NodeID][]Action
 	// Horizon is when the last scheduled action is over; the simulator
 	// runs to it, wall-clock drivers wait on Probe instead.
@@ -76,6 +79,59 @@ func (w *Workload) Every(id types.NodeID, start, interval, until types.Time, do 
 		w.Timeline = make(map[types.NodeID][]Action)
 	}
 	w.Timeline[id] = append(w.Timeline[id], Action{At: start, Every: interval, Until: until, Do: do})
+}
+
+// Check reports a timeline entry for a node the workload does not list,
+// which no driver would ever fire.
+func (w *Workload) Check() error {
+	for _, id := range slices.Sorted(maps.Keys(w.Timeline)) {
+		if !slices.Contains(w.Nodes, id) {
+			return fmt.Errorf("workload: %s schedules actions on %s, which is not one of its nodes", w.Name, id)
+		}
+	}
+	return nil
+}
+
+// Queue is one node's armed firings, the one interpreter of its timeline:
+// the simulator and the live runtime arm its actions, ask Next when the
+// earliest is due and Fire at their own now, so the queue reads no clock.
+// The zero value is empty.
+type Queue struct {
+	armed []Action // by due time (At), then arming order
+}
+
+// Arm queues a's next firing, due at a.At, behind every firing already
+// armed for that instant. A periodic action with no firing left before
+// Until is dropped.
+func (q *Queue) Arm(a Action) {
+	if a.Every > 0 && a.At >= a.Until {
+		return
+	}
+	i := sort.Search(len(q.armed), func(i int) bool { return q.armed[i].At > a.At })
+	q.armed = slices.Insert(q.armed, i, a)
+}
+
+// Next reports when the earliest armed firing is due; false when none is.
+func (q *Queue) Next() (types.Time, bool) {
+	if len(q.armed) == 0 {
+		return 0, false
+	}
+	return q.armed[0].At, true
+}
+
+// Fire runs on n every firing due at or before now, in queue order, those
+// armed meanwhile included. A periodic action is re-armed as it fires, at
+// the first period boundary after now: a stalled driver fires it once.
+func (q *Queue) Fire(now types.Time, n *core.Node) {
+	for len(q.armed) > 0 && q.armed[0].At <= now {
+		a := q.armed[0]
+		q.armed = q.armed[1:]
+		a.Do(n)
+		if a.Every > 0 {
+			a.At += ((now-a.At)/a.Every + 1) * a.Every
+			q.Arm(a)
+		}
+	}
 }
 
 // NewQuerier builds an audit session for this workload over fetch: logs
