@@ -194,19 +194,22 @@ func NewNode(id types.NodeID, cfg Config, key cryptoutil.PrivateKey, dir *Direct
 		// report must see only the pre-crash snd entries, not the ones the
 		// re-staged outputs are about to append (those get acked through the
 		// normal protocol).
-		if err := n.recoverFromLog(); err != nil {
-			return nil, err
+		err := n.recoverFromLog()
+		if err == nil {
+			err = n.flushAll()
 		}
-		if err := n.flushAll(); err != nil {
+		if err != nil {
+			_ = lg.Close() // a refused node leaves no open store behind
 			return nil, err
 		}
 	}
 	return n, nil
 }
 
-// recoverFromLog restores, in one pass over the recovered log, what a crash
-// destroys: the machine's state, the outputs the crash kept out of the log,
-// and the pending-ack table.
+// recoverFromLog restores, in one pass over the recovered log (Log.Walk),
+// what a crash destroys: the machine's state, the outputs the crash kept out
+// of the log, and the pending-ack table. The same pass serves a simulated
+// redeploy and a live daemon's restart.
 //
 // The machine: the recovered log holds every input the machine ever
 // consumed, in order, so stepping a fresh machine through them reproduces
@@ -244,11 +247,7 @@ func (n *Node) recoverFromLog() error {
 			}
 		}
 	}
-	for seq := uint64(1); seq <= n.Log.Len(); seq++ {
-		e, err := n.Log.Entry(seq)
-		if err != nil {
-			return fmt.Errorf("core: recovery replay of %s at entry %d: %w", n.ID, seq, err)
-		}
+	if err := n.Log.Walk(func(_ uint64, e *seclog.Entry) {
 		// A recovered log already has timestamped history: new entries must
 		// not go backwards, or retrieve's monotonic-timestamp searches break.
 		n.lastEntryT = e.T
@@ -277,6 +276,8 @@ func (n *Node) recoverFromLog() error {
 				acked[e.AckIDs[0]] = true
 			}
 		}
+	}); err != nil {
+		return fmt.Errorf("core: recovery replay of %s: %w", n.ID, err)
 	}
 	// Re-stage the outputs the crash kept out of the log.
 	for _, m := range derived {

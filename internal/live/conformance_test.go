@@ -114,7 +114,7 @@ func faultPlans() []faultPlan {
 // AppNames(): those two react to what they receive, so the next update
 // repairs a dropped one, while chord and mapreduce run a timed schedule, and
 // what a fault plan may do to such a schedule needs the liveness contract of
-// ROADMAP item 5 before a verdict about it means anything.
+// ROADMAP item 13 before a verdict about it means anything.
 func TestLiveConformance(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {

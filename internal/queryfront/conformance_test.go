@@ -38,7 +38,7 @@ import (
 //
 // The partition rows name mincost and quagga; the registry's timed
 // workloads, chord and mapreduce, run the reachable case only (what a fault
-// plan may do to a timed schedule waits for ROADMAP item 5's liveness
+// plan may do to a timed schedule waits for ROADMAP item 13's liveness
 // contract).
 func TestFrontConformance(t *testing.T) {
 	names := []string{"mincost", "quagga"}

@@ -528,6 +528,30 @@ func (l *Log) Entry(seq uint64) (*Entry, error) {
 	return e, err
 }
 
+// Walk calls fn with every entry, 1 through Len, in order: the cold ones of a
+// store-backed log decoded in one pass over the store (see coldRecords), then
+// the resident ones. It returns the first read or decode error, which is
+// sticky, as in Entry. e is valid only during the call: fn must neither keep
+// nor modify it, and must not call into the log. Decoding gives every cold
+// entry fresh slices and tuples, so what fn copies out of e stays its own.
+func (l *Log) Walk(fn func(seq uint64, e *Entry)) error {
+	var cold Entry
+	if err := l.coldRecords(1, l.Len(), func(seq uint64, rec []byte) error {
+		cold = Entry{}
+		if err := wire.Decode(rec, &cold); err != nil {
+			return fmt.Errorf("seclog: store record %d: %w", seq, err)
+		}
+		fn(seq, &cold)
+		return nil
+	}); err != nil {
+		return err
+	}
+	for seq := l.hotFirst; seq <= l.Len(); seq++ {
+		fn(seq, l.entries[l.hotStart+int(seq-l.hotFirst)])
+	}
+	return nil
+}
+
 // Authenticator signs the current head (AuthenticatorAt signs an earlier
 // position).
 func (l *Log) Authenticator() (Authenticator, error) {

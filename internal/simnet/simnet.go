@@ -26,6 +26,10 @@
 // touches only that node. There is no event that stops the whole network,
 // so a window is bounded by MinDelay and the Run horizon alone.
 //
+// Deploy builds its nodes concurrently (a recovering node replays its log
+// then) and registers them in node order once all are built: what a node
+// sends while it is built goes nowhere.
+//
 // # Verify-ahead
 //
 // Run also owns a pool of GOMAXPROCS workers, whatever Workers says. The
@@ -61,6 +65,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
@@ -282,7 +287,7 @@ type Net struct {
 	Traffic *Traffic
 
 	shards  map[types.NodeID]*shard
-	order   []types.NodeID // sorted; maintained incrementally by addNode
+	order   []types.NodeID // sorted; maintained incrementally by Deploy
 	byOrder []*shard       // shards in order
 
 	now types.Time // committed global time (window barrier / Run horizon)
@@ -345,68 +350,94 @@ func (n *Net) timeAt(sh *shard) types.Time {
 	return n.now
 }
 
-// addNode creates a node with a pooled deterministic key, registers its
-// certificate, and gives it an event shard. keySeed should be unique per
-// node (e.g. its index).
-func (n *Net) addNode(id types.NodeID, keySeed int64, machine types.Machine) (*core.Node, error) {
-	if _, dup := n.shards[id]; dup {
-		return nil, fmt.Errorf("simnet: duplicate node %s", id)
-	}
-	key, err := cryptoutil.PooledKey(n.Cfg.Core.Suite, keySeed)
-	if err != nil {
-		return nil, err
-	}
-	n.Dir.Register(id, key.Public())
-	// Per-node clock skew in [−Δclock/2, +Δclock/2], drawn from the node's
-	// own derived stream so it does not depend on registration order.
-	skew := types.Time(0)
-	if n.Cfg.Core.DeltaClock > 0 {
-		rng := rand.New(rand.NewSource(derivedSeed(n.Cfg.Seed, "clock-skew", id, "")))
-		skew = types.Time(rng.Int63n(int64(n.Cfg.Core.DeltaClock))) - n.Cfg.Core.DeltaClock/2
-	}
-	sh := &shard{id: id, links: make(map[types.NodeID]*rand.Rand)}
-	clock := core.ClockFunc(func() types.Time {
-		t := n.timeAt(sh) + skew
-		if t < 0 {
-			t = 0
-		}
-		return t
-	})
-	node, err := core.NewNode(id, n.Cfg.Core, key, n.Dir, n.Maintainer, clock, n, machine)
-	if err != nil {
-		return nil, err
-	}
-	sh.node = node
-	n.shards[id] = sh
-	if i, found := slices.BinarySearch(n.order, id); !found {
-		n.order = slices.Insert(n.order, i, id)
-		n.byOrder = slices.Insert(n.byOrder, i, sh)
-	}
-	if n.Cfg.OnNode != nil {
-		n.Cfg.OnNode(node)
-	}
-	return node, nil
-}
-
 // Deploy runs a workload on this network: one node per w.Nodes entry, keyed
 // by its KeySeeds entry, with its timeline armed in slice order in its
 // shard's schedule, which fires it by due time, then in arming order
 // (workload.Workload.Timeline), whatever the worker count. A workload that
 // fails its Check fails the deployment, and so does a machine that
 // core.NewNode refuses.
+//
+// Only core.NewNode (for a recovering node, the store's Open and the replay
+// of its log) runs concurrently, on at most GOMAXPROCS goroutines; what
+// precedes it (prepare) and the registration after it run in w.Nodes order.
+// No shard is registered while nodes are built, so what a node sends then
+// (the outputs its recovery re-stages) goes nowhere. A failed Deploy returns
+// the error of the first failing node in w.Nodes order: the nodes before it
+// stay deployed, and the logs of those built after it are closed.
 func (n *Net) Deploy(w *workload.Workload) error {
 	if err := w.Check(); err != nil {
 		return err
 	}
-	for i, id := range w.Nodes {
-		if _, err := n.addNode(id, w.KeySeeds[i], w.Factory(id)); err != nil {
-			return err
+	shards, builds, err := n.prepare(w)
+	errs := make([]error, len(builds))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(builds)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(builds)); i = next.Add(1) - 1 {
+				shards[i].node, errs[i] = builds[i]()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, sh := range shards {
+		if errs[i] != nil {
+			for _, built := range shards[i+1:] {
+				if built.node != nil {
+					_ = built.node.Log.Close()
+				}
+			}
+			return errs[i]
 		}
-		for _, a := range w.Timeline[id] {
-			n.arm(n.shards[id], a)
+		n.shards[sh.id] = sh
+		at, _ := slices.BinarySearch(n.order, sh.id)
+		n.order = slices.Insert(n.order, at, sh.id)
+		n.byOrder = slices.Insert(n.byOrder, at, sh)
+		if n.Cfg.OnNode != nil {
+			n.Cfg.OnNode(sh.node)
+		}
+		for _, a := range w.Timeline[sh.id] {
+			n.arm(sh, a)
 		}
 	}
-	return nil
+	return err
+}
+
+// prepare gives every node of w, up to the first it refuses, a shard and its
+// core.NewNode call, with a pooled deterministic key registered in the
+// directory. It returns the refusal too. Factories may share driver state,
+// so they are called here, in node order.
+func (n *Net) prepare(w *workload.Workload) ([]*shard, []func() (*core.Node, error), error) {
+	var shards []*shard
+	var builds []func() (*core.Node, error)
+	for i, id := range w.Nodes {
+		if _, dup := n.shards[id]; dup || slices.ContainsFunc(shards, func(sh *shard) bool { return sh.id == id }) {
+			return shards, builds, fmt.Errorf("simnet: duplicate node %s", id)
+		}
+		key, err := cryptoutil.PooledKey(n.Cfg.Core.Suite, w.KeySeeds[i])
+		if err != nil {
+			return shards, builds, err
+		}
+		n.Dir.Register(id, key.Public())
+		// Per-node clock skew in [−Δclock/2, +Δclock/2], drawn from the
+		// node's own derived stream so it does not depend on registration
+		// order.
+		skew := types.Time(0)
+		if n.Cfg.Core.DeltaClock > 0 {
+			rng := rand.New(rand.NewSource(derivedSeed(n.Cfg.Seed, "clock-skew", id, "")))
+			skew = types.Time(rng.Int63n(int64(n.Cfg.Core.DeltaClock))) - n.Cfg.Core.DeltaClock/2
+		}
+		sh := &shard{id: id, links: make(map[types.NodeID]*rand.Rand)}
+		clock := core.ClockFunc(func() types.Time { return max(n.timeAt(sh)+skew, 0) })
+		machine := w.Factory(id)
+		shards = append(shards, sh)
+		builds = append(builds, func() (*core.Node, error) {
+			return core.NewNode(id, n.Cfg.Core, key, n.Dir, n.Maintainer, clock, n, machine)
+		})
+	}
+	return shards, builds, nil
 }
 
 // arm queues a in sh's schedule, due no earlier than now.
@@ -424,7 +455,7 @@ func (n *Net) Node(id types.NodeID) *core.Node {
 }
 
 // Nodes implements core.Fetcher's node listing (sorted). The order slice is
-// kept sorted by AddNode, so this is a plain copy.
+// kept sorted by Deploy, so this is a plain copy.
 func (n *Net) Nodes() []types.NodeID {
 	return append([]types.NodeID(nil), n.order...)
 }

@@ -72,7 +72,7 @@ func crashCaseFor(t *testing.T, name string) crashCase {
 // The apps are named, not ranged over live.AppNames(): a restarted node
 // resumes only the periodic part of its timeline, which is all mincost and
 // quagga need, while a crash row for a timed workload (chord, mapreduce)
-// needs the liveness contract of ROADMAP item 5 to say what a node that was
+// needs the liveness contract of ROADMAP item 13 to say what a node that was
 // down when its inputs were due owes afterwards.
 func TestCrashConformance(t *testing.T) {
 	seeds := []int64{1, 2}
