@@ -40,7 +40,7 @@ func main() {
 	config := flag.String("config", "", "run one node daemon from this NodeConfig file and exit when it stops")
 	app := flag.String("app", "", "supervise mode: workload to deploy ("+strings.Join(live.AppNames(), ", ")+")")
 	dir := flag.String("dir", "", "supervise mode: deployment root (configs, per-node logs, data stores)")
-	seed := flag.Int64("seed", 1, "supervise mode: deployment seed (keys, backoff jitter)")
+	seed := flag.Int64("seed", 1, "supervise mode: deployment seed (transport and backoff jitter)")
 	tickMs := flag.Int("tick-ms", 0, "supervise mode: per-node tick period in ms (0 = daemon default)")
 	syncEvery := flag.Int("sync-every", 0, "supervise mode: ticks between durable log syncs (0 = daemon default)")
 	queryFront := flag.String("queryfront", "", "supervise mode: also host a query frontend on this listen address (e.g. 127.0.0.1:7070); snp-query -connect dials it")

@@ -4,10 +4,10 @@
 //
 // Serve mode attaches a frontend to deployment daemons started elsewhere
 // (snp-node processes, or anything speaking the node RPC protocol). The
-// frontend needs no key material of its own: it re-derives the
-// deployment's directory from the seed, exactly as the daemons do.
+// frontend needs no key material of its own: it derives the deployment's
+// directory from the app's key seeds, exactly as the daemons do.
 //
-//	snp-query -serve -addr 127.0.0.1:7070 -app mincost -seed 1 \
+//	snp-query -serve -addr 127.0.0.1:7070 -app mincost \
 //	          -nodes "b=127.0.0.1:9001,c=127.0.0.1:9002,d=127.0.0.1:9003"
 //
 // Client mode audits through a frontend (this binary's serve mode, or the
@@ -38,7 +38,6 @@ func main() {
 	serve := flag.Bool("serve", false, "run a query frontend (needs -addr, -app, -nodes)")
 	addr := flag.String("addr", "127.0.0.1:7070", "serve: listen address for query clients")
 	app := flag.String("app", "", "serve: deployment workload ("+strings.Join(live.AppNames(), ", ")+")")
-	seed := flag.Int64("seed", 1, "serve: deployment seed (directory key derivation must match the daemons)")
 	nodes := flag.String("nodes", "", "serve: comma-separated id=host:port pairs for the deployment's daemons")
 	sessions := flag.Int("sessions", 0, "serve: querier-session pool size (0 = default)")
 	queueLen := flag.Int("queue", 0, "serve: admission-queue length (0 = default 4x sessions)")
@@ -51,7 +50,7 @@ func main() {
 
 	switch {
 	case *serve:
-		if err := runServe(*addr, *app, *nodes, *seed, *sessions, *queueLen); err != nil {
+		if err := runServe(*addr, *app, *nodes, *sessions, *queueLen); err != nil {
 			log.Fatal(err)
 		}
 	case *connect != "":
@@ -65,7 +64,7 @@ func main() {
 	}
 }
 
-func runServe(addr, appName, nodes string, seed int64, sessions, queueLen int) error {
+func runServe(addr, appName, nodes string, sessions, queueLen int) error {
 	if nodes == "" {
 		return fmt.Errorf("snp-query: -serve needs -nodes (id=host:port,...)")
 	}
@@ -88,10 +87,9 @@ func runServe(addr, appName, nodes string, seed int64, sessions, queueLen int) e
 		cluster.AddPeer(id, a)
 	}
 
-	// The directory and protocol parameters are the daemons' own derivation:
-	// key i belongs to the i-th node of the app's canonical node list,
-	// regardless of which subset -nodes lists.
-	dep, err := live.NewDeployment(app, seed)
+	// The directory and protocol parameters are the daemons' own derivation
+	// from the app, whichever subset of its nodes -nodes lists.
+	dep, err := live.NewDeployment(app)
 	if err != nil {
 		return err
 	}

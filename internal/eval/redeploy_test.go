@@ -11,6 +11,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/seclog"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -81,6 +82,40 @@ func TestRedeployRecoversEveryNode(t *testing.T) {
 		if err := net.CloseLogs(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRedeployIssuesNoInputTwice: a recovered Quagga deployment run past
+// its horizon resumes its periodic polls only. Its trace inputs are in the
+// recovered logs, so not one EIns entry is appended, and the deployment
+// stays clean under audit.
+func TestRedeployIssuesNoInputTwice(t *testing.T) {
+	res, _, lens := closedQuaggaRun(t, t.TempDir())
+	net, err := redeploy(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.CloseLogs()
+	net.Run(res.Workload.Horizon + 5*types.Second)
+	inserts := 0
+	for _, id := range net.Nodes() {
+		lg := net.Node(id).Log
+		for seq := lens[id] + 1; seq <= lg.Len(); seq++ {
+			e, err := lg.Entry(seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Type == seclog.EIns {
+				inserts++
+			}
+		}
+	}
+	if inserts != 0 {
+		t.Errorf("the recovered deployment appended %d EIns entries, want 0: it issued recovered inputs again", inserts)
+	}
+	v := adversary.AuditAll(net.QuerierFor(res.Workload), net.Maintainer)
+	if strong := v.StrongNodes(); len(strong) != 0 || len(v.Unresponsive) != 0 {
+		t.Errorf("audit implicates %v, unresponsive %v", strong, v.Unresponsive)
 	}
 }
 

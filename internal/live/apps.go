@@ -1,12 +1,14 @@
 // Package live is what every live (wall-clock, real-socket) driver of an SNP
 // deployment shares: the registry of workloads sized for wall-clock runs,
-// the deployment parameters every process must derive identically from
-// (app, seed, Tprop), and the one-node runtime — start or recover a
-// core.Node on a transport.Cluster, then drive it tick by tick, firing the
-// node's share of the workload's timeline by wall-clock offset. Harness runs
-// N of these nodes in one process on one loopback cluster, a supervisor
-// daemon runs one, and audit-side processes (the supervisor's parent side,
-// the query frontends) take only the parameters.
+// the deployment parameters every process derives identically from (app,
+// Tprop), and the one-node runtime — start or recover a core.Node on a
+// transport.Cluster, then drive it tick by tick, firing the node's share of
+// the workload's timeline by wall-clock offset. A node is keyed and resumed
+// by the rules the simulator uses (workload.Workload.Key and ArmNode), so a
+// simulated and a live deployment of one app share a key directory.
+// Harness runs N of these nodes in one process on one loopback cluster, a
+// supervisor daemon runs one, and audit-side processes (the supervisor's
+// parent side, the query frontends) take only the parameters.
 package live
 
 import (

@@ -2,10 +2,10 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cryptoutil"
 	"repro/internal/seclog"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -18,26 +18,24 @@ import (
 const DefaultTprop = 400 * time.Millisecond
 
 // Deployment is what every process of one live deployment derives
-// identically from (app, seed): the protocol configuration, the key
-// directory (key i belongs to the i-th node of the app's canonical node
-// list), and each node's private key. Maint is this process's maintainer —
-// the one its local nodes report missing acks to and its audits score
-// evidence against. Callers that back logs with a store or share an audit
-// cache set Cfg.LogDir / Cfg.AuditCache before starting nodes or queriers.
+// identically from its app: the protocol configuration and the key
+// directory (Nodes[i] holds the key of KeySeeds[i], workload.Workload.Key,
+// as under the simulator). Maint is this process's maintainer — the one its
+// local nodes report missing acks to and its audits score evidence
+// against. Callers that back logs with a store or share an audit cache set
+// Cfg.LogDir / Cfg.AuditCache before starting nodes or queriers.
 type Deployment struct {
 	App   *workload.Workload
 	Cfg   core.Config
 	Dir   *core.Directory
 	Maint *core.Maintainer
-
-	keys map[types.NodeID]cryptoutil.PrivateKey
 }
 
 // NewDeployment derives the deployment parameters at DefaultTprop. The skew
 // bound is Tprop/2: live nodes share (or closely track) one machine clock,
 // and the margin absorbs injected delays. A workload that fails its Check
 // is refused.
-func NewDeployment(app *workload.Workload, seed int64) (*Deployment, error) {
+func NewDeployment(app *workload.Workload) (*Deployment, error) {
 	if err := app.Check(); err != nil {
 		return nil, err
 	}
@@ -45,14 +43,12 @@ func NewDeployment(app *workload.Workload, seed int64) (*Deployment, error) {
 	cfg.Tprop = types.Time(DefaultTprop)
 	cfg.DeltaClock = cfg.Tprop / 2
 	cfg.CheckpointEvery = 0
-	d := &Deployment{App: app, Cfg: cfg, Dir: core.NewDirectory(), Maint: core.NewMaintainer(),
-		keys: make(map[types.NodeID]cryptoutil.PrivateKey, len(app.Nodes))}
+	d := &Deployment{App: app, Cfg: cfg, Dir: core.NewDirectory(), Maint: core.NewMaintainer()}
 	for i, id := range app.Nodes {
-		key, err := cryptoutil.PooledKey(cfg.Suite, seed*1000+int64(100+i))
+		key, err := app.Key(cfg.Suite, i)
 		if err != nil {
 			return nil, err
 		}
-		d.keys[id] = key
 		d.Dir.Register(id, key.Public())
 	}
 	return d, nil
@@ -100,9 +96,13 @@ type Node struct {
 // first sends find their peers listening — and Tick from then on.
 func (d *Deployment) Start(c *transport.Cluster, id types.NodeID, addr string, recover bool,
 	arm func(*core.Node) error) (*Node, error) {
-	key, ok := d.keys[id]
-	if !ok {
+	i := slices.Index(d.App.Nodes, id)
+	if i < 0 {
 		return nil, fmt.Errorf("live: node %s is not in the %s deployment %v", id, d.App.Name, d.App.Nodes)
+	}
+	key, err := d.App.Key(d.Cfg.Suite, i)
+	if err != nil {
+		return nil, err
 	}
 	cfg := d.Cfg
 	cfg.LogRecover = recover
@@ -129,23 +129,17 @@ func (d *Deployment) Start(c *transport.Cluster, id types.NodeID, addr string, r
 	return &Node{ID: id, app: d.App, cluster: c, log: node.Log, recovered: recover}, nil
 }
 
-// Seed starts the node's timeline: the whole of it on a fresh start; after
-// a crash restart the app re-derives its driver state from the recovered
-// machine (Recovered) and only the periodic actions resume — the one-shot
-// inputs are already in the recovered log. Actions due at offset zero fire
-// before Seed returns, and a node fault they cause is returned.
+// Seed starts the node's timeline at wall-clock offset zero by the one
+// rule every driver uses (workload.Workload.ArmNode): the whole of it on a
+// fresh start; after a crash restart the app re-derives its driver state
+// from the recovered machine and only the periodic actions resume, the
+// one-shot inputs being in the recovered log already. Actions due at offset
+// zero fire before Seed returns, and a node fault they cause is returned.
 func (n *Node) Seed() error {
-	for _, a := range n.app.Timeline[n.ID] {
-		if !n.recovered || a.Every > 0 {
-			n.timeline.Arm(a)
-		}
-	}
 	n.seeded = time.Now()
 	var fault error
 	err := n.cluster.With(n.ID, func(cn *core.Node) {
-		if n.recovered && n.app.Recovered != nil {
-			n.app.Recovered(cn)
-		}
+		n.app.ArmNode(cn, n.recovered, n.timeline.Arm)
 		n.fire(cn)
 		fault = cn.Err()
 	})

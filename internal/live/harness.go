@@ -16,9 +16,9 @@ const tickEvery = 10 * time.Millisecond
 // Options configures an in-process run. Zero values select defaults tuned
 // for loopback.
 type Options struct {
-	// Seed drives key generation, the transport's jitter streams, and the
-	// fault plan (runs with equal Seed and Fault rules make identical
-	// per-link fault decision sequences).
+	// Seed drives the transport's jitter streams and the fault plan (runs
+	// with equal Seed and Fault rules make identical per-link fault
+	// decision sequences).
 	Seed int64
 	// Fault, when non-nil, injects network faults on every link.
 	Fault *transport.FaultPlan
@@ -59,7 +59,7 @@ func New(app *workload.Workload, opts Options) (*Harness, error) {
 	}
 	tcfg.Seed = opts.Seed
 	tcfg.Fault = opts.Fault
-	d, err := NewDeployment(app, opts.Seed)
+	d, err := NewDeployment(app)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,10 @@ import (
 	"repro/internal/apps/mincost"
 	"repro/internal/core"
 	"repro/internal/dlog"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // TestRegistry holds every registry entry to what the live drivers assume
@@ -55,12 +57,13 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// directoryKeys marshals every node's public key, in the app's node order.
-func directoryKeys(t *testing.T, d *Deployment) [][]byte {
+// directoryKeys marshals every node's public key in dir, in the app's node
+// order.
+func directoryKeys(t *testing.T, app *workload.Workload, dir *core.Directory) [][]byte {
 	t.Helper()
 	var out [][]byte
-	for _, id := range d.App.Nodes {
-		key, err := d.Dir.Key(id)
+	for _, id := range app.Nodes {
+		key, err := dir.Key(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,33 +73,35 @@ func directoryKeys(t *testing.T, d *Deployment) [][]byte {
 }
 
 // TestNewDeploymentDerivation pins what lets separate processes agree
-// without talking: equal (app, seed) yield equal keys and protocol
-// configuration at DefaultTprop, and the seed is what tells two deployments
-// apart.
+// without talking: equal apps yield equal protocol configuration at
+// DefaultTprop, and every node holds the key the simulator gives it in a
+// deployment of the same workload, so an audit of one checks signatures
+// against the keys the other signs with.
 func TestNewDeploymentDerivation(t *testing.T) {
 	for _, name := range AppNames() {
 		app, err := AppByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		deploy := func(seed int64) *Deployment {
-			d, err := NewDeployment(app, seed)
+		deploy := func() *Deployment {
+			d, err := NewDeployment(app)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d
 		}
-		a, b, other := deploy(1), deploy(1), deploy(2)
+		a, b := deploy(), deploy()
 		if !reflect.DeepEqual(a.Cfg, b.Cfg) {
-			t.Errorf("%s: same seed, different Cfg:\n%+v\n%+v", name, a.Cfg, b.Cfg)
+			t.Errorf("%s: same app, different Cfg:\n%+v\n%+v", name, a.Cfg, b.Cfg)
 		}
-		ka, kb, ko := directoryKeys(t, a), directoryKeys(t, b), directoryKeys(t, other)
+		net := simnet.New(simnet.DefaultConfig())
+		if err := net.Deploy(app); err != nil {
+			t.Fatal(err)
+		}
+		live, sim := directoryKeys(t, app, a.Dir), directoryKeys(t, app, net.Dir)
 		for i, id := range app.Nodes {
-			if !bytes.Equal(ka[i], kb[i]) {
-				t.Errorf("%s: same seed, different key for %s", name, id)
-			}
-			if bytes.Equal(ka[i], ko[i]) {
-				t.Errorf("%s: seeds 1 and 2 give %s the same key", name, id)
+			if !bytes.Equal(live[i], sim[i]) {
+				t.Errorf("%s: %s has one key in a live deployment and another under the simulator", name, id)
 			}
 		}
 		if got := a.Cfg.Tprop; got != types.Time(DefaultTprop) {
@@ -115,7 +120,7 @@ func TestStartRefusesOutsider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDeployment(app, 1)
+	d, err := NewDeployment(app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestAppsAreIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDeployment(app, 1)
+		d, err := NewDeployment(app)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -552,7 +552,7 @@ func Open(dir string, node types.NodeID, suite cryptoutil.Suite, key cryptoutil.
 	base := r.Uint()
 	baseHash := r.BytesField()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("seclog: store header: %w", err)
+		return nil, fmt.Errorf("seclog: store %s header: %w", path, err)
 	}
 	if base == 0 {
 		return nil, fmt.Errorf("seclog: store %s has invalid base sequence 0", path)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -183,6 +184,27 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	}
 	if !bytes.Equal(mustHash(t, rec, 5), hash5) {
 		t.Error("recovered chain prefix diverges")
+	}
+}
+
+// TestStoreTornHeaderNamed: a closed store whose tail file is its header
+// alone, cut by one byte, is refused with an error naming the file, as
+// Open's other refusals do.
+func TestStoreTornHeaderNamed(t *testing.T) {
+	l, dir := newStoredTestLog(t, 0)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFileName("n1"))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, "n1", testSuite, nil, nil, 0); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open over a torn header: error %v, want one naming %s", err, path)
 	}
 }
 

@@ -3,6 +3,8 @@ package simnet_test
 import (
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -149,6 +151,81 @@ func TestTimelineSameInstantOrder(t *testing.T) {
 	net.Run(5 * types.Second)
 	if want := "[P@0 P@1 O@2 P@2]"; fmt.Sprint(got) != want {
 		t.Errorf("timeline fired as %v, want %s", got, want)
+	}
+}
+
+// storeBacked is a simulator over store-backed logs under dir, each node
+// reopening its store through crash recovery when recover is set.
+func storeBacked(dir string, recover bool) *simnet.Net {
+	cfg := simnet.DefaultConfig()
+	cfg.Core.LogDir = dir
+	cfg.Core.LogRecover = recover
+	return simnet.New(cfg)
+}
+
+// TestRedeployResumesPeriodicOnly mirrors live's
+// TestSeedAfterRecoveryResumesPeriodicOnly under the simulator: a
+// store-backed Deploy fires its whole timeline, while a redeploy that
+// recovers the closed stores calls Recovered once per node, re-fires no
+// one-shot action — those inputs are in the recovered logs — and resumes
+// the periodic ones.
+func TestRedeployResumesPeriodicOnly(t *testing.T) {
+	dir := t.TempDir()
+	w := figure2()
+	var once, periodic int
+	recovered := make(map[types.NodeID]int)
+	w.At("d", 0, func(*core.Node) { once++ })
+	w.Every("d", 0, types.Minute, 10*types.Minute, func(*core.Node) { periodic++ })
+	w.Recovered = func(n *core.Node) { recovered[n.ID]++ }
+	for round, recover := range []bool{false, true} {
+		net := storeBacked(dir, recover)
+		if err := net.Deploy(w); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		net.Run(5 * types.Second)
+		if err := net.CloseLogs(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if once != 1 {
+		t.Errorf("one-shot action fired %d times across a recovery, want 1", once)
+	}
+	if periodic != 2 {
+		t.Errorf("periodic action fired %d times, want 2 (once per Deploy)", periodic)
+	}
+	for _, id := range w.Nodes {
+		if recovered[id] != 1 {
+			t.Errorf("Recovered called %d times on %s, want once, by the recovering Deploy", recovered[id], id)
+		}
+	}
+}
+
+// TestTornStoreNamesNode: a redeploy over a store whose tail header is cut
+// short fails with an error that names the node and its store file.
+func TestTornStoreNamesNode(t *testing.T) {
+	dir := t.TempDir()
+	w := figure2()
+	net := storeBacked(dir, false)
+	if err := net.Deploy(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.CloseLogs(); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing ran, so c's tail file is its header alone.
+	path := filepath.Join(dir, "c.seglog")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	redeployed := storeBacked(dir, true)
+	err = redeployed.Deploy(figure2())
+	_ = redeployed.CloseLogs() // the nodes before c stay deployed
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "deploying c") {
+		t.Fatalf("redeploy over a torn header: error %v, want one naming c and %s", err, path)
 	}
 }
 

@@ -28,7 +28,8 @@
 //
 // Deploy builds its nodes concurrently (a recovering node replays its log
 // then) and registers them in node order once all are built: what a node
-// sends while it is built goes nowhere.
+// sends while it is built goes nowhere. It keys and resumes each node by the
+// rules a live deployment uses (workload.Workload.Key, ArmNode).
 //
 // # Verify-ahead
 //
@@ -351,11 +352,12 @@ func (n *Net) timeAt(sh *shard) types.Time {
 }
 
 // Deploy runs a workload on this network: one node per w.Nodes entry, keyed
-// by its KeySeeds entry, with its timeline armed in slice order in its
-// shard's schedule, which fires it by due time, then in arming order
-// (workload.Workload.Timeline), whatever the worker count. A workload that
-// fails its Check fails the deployment, and so does a machine that
-// core.NewNode refuses.
+// by w.Key, with its share of the timeline armed by w.ArmNode in its shard's
+// schedule, which fires it by due time, then in arming order, whatever the
+// worker count. With Core.LogDir and Core.LogRecover every node reopens its
+// store and resumes as a restarted live node does (ArmNode). A workload
+// that fails its Check fails the deployment, and so does a node that
+// core.NewNode refuses; the error names the node.
 //
 // Only core.NewNode (for a recovering node, the store's Open and the replay
 // of its log) runs concurrently, on at most GOMAXPROCS goroutines; what
@@ -369,6 +371,7 @@ func (n *Net) Deploy(w *workload.Workload) error {
 		return err
 	}
 	shards, builds, err := n.prepare(w)
+	recovered := n.Cfg.Core.LogDir != "" && n.Cfg.Core.LogRecover
 	errs := make([]error, len(builds))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -398,9 +401,7 @@ func (n *Net) Deploy(w *workload.Workload) error {
 		if n.Cfg.OnNode != nil {
 			n.Cfg.OnNode(sh.node)
 		}
-		for _, a := range w.Timeline[sh.id] {
-			n.arm(sh, a)
-		}
+		w.ArmNode(sh.node, recovered, func(a workload.Action) { n.arm(sh, a) })
 	}
 	return err
 }
@@ -416,7 +417,7 @@ func (n *Net) prepare(w *workload.Workload) ([]*shard, []func() (*core.Node, err
 		if _, dup := n.shards[id]; dup || slices.ContainsFunc(shards, func(sh *shard) bool { return sh.id == id }) {
 			return shards, builds, fmt.Errorf("simnet: duplicate node %s", id)
 		}
-		key, err := cryptoutil.PooledKey(n.Cfg.Core.Suite, w.KeySeeds[i])
+		key, err := w.Key(n.Cfg.Core.Suite, i)
 		if err != nil {
 			return shards, builds, err
 		}
@@ -434,7 +435,11 @@ func (n *Net) prepare(w *workload.Workload) ([]*shard, []func() (*core.Node, err
 		machine := w.Factory(id)
 		shards = append(shards, sh)
 		builds = append(builds, func() (*core.Node, error) {
-			return core.NewNode(id, n.Cfg.Core, key, n.Dir, n.Maintainer, clock, n, machine)
+			node, err := core.NewNode(id, n.Cfg.Core, key, n.Dir, n.Maintainer, clock, n, machine)
+			if err != nil {
+				return nil, fmt.Errorf("simnet: deploying %s: %w", id, err)
+			}
+			return node, nil
 		})
 	}
 	return shards, builds, nil

@@ -84,12 +84,11 @@ func (p *CrashPlan) RuleFor(node types.NodeID) (CrashRule, bool) {
 // via the SNP_NODE_CONFIG environment variable.
 type NodeConfig struct {
 	// ID is this daemon's node identity, one of the nodes of App — the
-	// workload's name in the live registry (live.AppByName), whose node
-	// order fixes each node's key index.
+	// workload's name in the live registry (live.AppByName), whose key
+	// seeds fix every node's key.
 	ID  types.NodeID `json:"id"`
 	App string       `json:"app"`
-	// Seed drives key derivation (shared by every process in the
-	// deployment) and the transport's jitter streams.
+	// Seed drives the transport's jitter streams.
 	Seed int64 `json:"seed"`
 	// Addrs maps every node (this one included) to its fixed listen
 	// address. Fixed ports are what let a restarted process rejoin: peers

@@ -148,7 +148,7 @@ func RunDaemon(cfg NodeConfig) error {
 		}
 	}
 
-	dep, err := live.NewDeployment(app, cfg.Seed)
+	dep, err := live.NewDeployment(app)
 	if err != nil {
 		return err
 	}

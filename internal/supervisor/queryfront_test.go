@@ -15,8 +15,8 @@ import (
 // story: `supervise` hosts a query frontend next to the daemons it spawns,
 // and remote clients auditing through it get the §4.2 verdict — the
 // tamperer provably exposed, honest nodes never accused — without any key
-// material of their own (the frontend derives the directory from the
-// deployment seed exactly as the children do).
+// material of their own (the frontend derives the directory from the app
+// exactly as the children do).
 func TestQueryFrontHosting(t *testing.T) {
 	dir := workDir(t)
 	sup, err := supervisor.New(supervisor.Options{

@@ -42,8 +42,8 @@ type Options struct {
 	// Binary is the child image (default: this executable, which must call
 	// MaybeChild first thing in main).
 	Binary string
-	// Seed drives key derivation, crash-plan resolution, and backoff
-	// jitter.
+	// Seed drives the respawn backoff jitter and, through NodeConfig.Seed,
+	// the children's transport jitter. The crash plan has its own Seed.
 	Seed int64
 	// App names the workload (see live.AppByName).
 	App string
@@ -60,7 +60,7 @@ type Options struct {
 	// QueryFront, when non-empty, hosts a query frontend on this listen
 	// address over the supervisor's probe cluster, so remote analysts can
 	// audit the deployment without their own key material: the frontend
-	// derives the directory from Seed exactly as the children do. Its
+	// derives the directory from the app exactly as the children do. Its
 	// sessions replay every audit: the frontend opens no audit cache.
 	QueryFront string
 }
@@ -149,7 +149,7 @@ func New(opts Options) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep, err := live.NewDeployment(app, opts.Seed)
+	dep, err := live.NewDeployment(app)
 	if err != nil {
 		return nil, err
 	}

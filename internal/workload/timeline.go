@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/cryptoutil"
 	"repro/internal/types"
 )
 
@@ -22,18 +23,18 @@ import (
 // caller sets afterwards (Compromised, Victim, Probe).
 type Workload struct {
 	Name string
-	// Nodes is the canonical node list: the order nodes are created in and
-	// the index live deployments derive keys by. KeySeeds[i] is the key
-	// seed of Nodes[i] under the simulator, which pools keys by seed.
+	// Nodes is the canonical node list, the order nodes are created in.
+	// KeySeeds[i] is the key seed of Nodes[i] under every driver (Key), so
+	// a process that lists the nodes knows the whole key directory.
 	Nodes    []types.NodeID
 	KeySeeds []int64
 	// Factory builds a node's state machine, for the node itself and for
 	// every replay of its log.
 	Factory types.MachineFactory
 	// Timeline holds each node's actions, built with At and Every. Every
-	// driver arms them in slice order into the node's Queue, which fires
-	// them by due time, then in arming order: a periodic action's next
-	// firing is armed when the one before it fires.
+	// driver arms a node's share through ArmNode, in slice order, into the
+	// node's Queue, which fires them by due time, then in arming order: a
+	// periodic action's next firing is armed when the one before it fires.
 	Timeline map[types.NodeID][]Action
 	// Horizon is when the last scheduled action is over; the simulator
 	// runs to it, wall-clock drivers wait on Probe instead.
@@ -47,7 +48,8 @@ type Workload struct {
 	Victim types.NodeID
 
 	// Recovered re-derives node-local driver state from the recovered
-	// machine after a crash restart. May be nil.
+	// machine after a crash restart; ArmNode calls it under every driver.
+	// May be nil.
 	Recovered func(n *core.Node)
 	// Probe reports the node-local convergence condition (true for nodes
 	// with nothing to wait for); served through the transport's health RPC.
@@ -81,15 +83,42 @@ func (w *Workload) Every(id types.NodeID, start, interval, until types.Time, do 
 	w.Timeline[id] = append(w.Timeline[id], Action{At: start, Every: interval, Until: until, Do: do})
 }
 
-// Check reports a timeline entry for a node the workload does not list,
-// which no driver would ever fire.
+// Check reports a node without exactly one key seed, and a timeline entry
+// for a node the workload does not list, which no driver would ever fire.
 func (w *Workload) Check() error {
+	if len(w.KeySeeds) != len(w.Nodes) {
+		return fmt.Errorf("workload: %s has %d key seeds for %d nodes", w.Name, len(w.KeySeeds), len(w.Nodes))
+	}
 	for _, id := range slices.Sorted(maps.Keys(w.Timeline)) {
 		if !slices.Contains(w.Nodes, id) {
 			return fmt.Errorf("workload: %s schedules actions on %s, which is not one of its nodes", w.Name, id)
 		}
 	}
 	return nil
+}
+
+// Key is the private key of Nodes[i], the one every driver gives it: the
+// pooled deterministic key of KeySeeds[i].
+func (w *Workload) Key(suite cryptoutil.Suite, i int) (cryptoutil.PrivateKey, error) {
+	return cryptoutil.PooledKey(suite, w.KeySeeds[i])
+}
+
+// ArmNode hands n's share of the timeline to arm, in slice order. On a
+// fresh start that is all of it. After a crash recovery the app first
+// re-derives its driver state from the recovered machine (Recovered), and
+// then only the periodic actions are armed: the one-shot inputs are already
+// in the recovered log. So under every driver a one-shot action that was
+// due after the crash is dropped, and a restarted node resumes its periodic
+// work alone.
+func (w *Workload) ArmNode(n *core.Node, recovered bool, arm func(Action)) {
+	if recovered && w.Recovered != nil {
+		w.Recovered(n)
+	}
+	for _, a := range w.Timeline[n.ID] {
+		if !recovered || a.Every > 0 {
+			arm(a)
+		}
+	}
 }
 
 // Queue is one node's armed firings, the one interpreter of its timeline:

@@ -8,12 +8,11 @@ import (
 	"repro/internal/types"
 )
 
-// queueOf arms id's timeline of w in slice order, as the drivers do.
+// queueOf arms id's timeline of w for a fresh start at 0, as the drivers
+// do.
 func queueOf(w *Workload, id types.NodeID) *Queue {
 	var q Queue
-	for _, a := range w.Timeline[id] {
-		q.Arm(a)
-	}
+	w.ArmNode(&core.Node{ID: id}, false, q.Arm)
 	return &q
 }
 
@@ -102,13 +101,52 @@ func TestQueueStartAtUntilNeverFires(t *testing.T) {
 	q.Fire(types.Minute, nil)
 }
 
+// TestArmNode: a fresh start arms the whole share; a recovered node calls
+// Recovered once, before anything fires, and arms only the periodic
+// actions.
+func TestArmNode(t *testing.T) {
+	var got []string
+	log := func(name string) func(*core.Node) { return func(*core.Node) { got = append(got, name) } }
+	recovered := 0
+	w := Workload{Recovered: func(n *core.Node) {
+		recovered++
+		got = append(got, "R:"+string(n.ID))
+	}}
+	w.At("a", types.Second, log("O"))
+	w.Every("a", 0, 2*types.Second, types.Minute, log("P"))
+	w.At("b", 0, log("B"))
+	for _, c := range []struct {
+		recovered bool
+		want      string
+		calls     int
+	}{
+		{false, "[P O]", 0},
+		{true, "[R:a P]", 1},
+	} {
+		got, recovered = nil, 0
+		var q Queue
+		w.ArmNode(&core.Node{ID: "a"}, c.recovered, q.Arm)
+		q.Fire(types.Second, nil)
+		if fmt.Sprint(got) != c.want || recovered != c.calls {
+			t.Errorf("recovered=%v: fired %v with %d Recovered calls, want %s and %d",
+				c.recovered, got, recovered, c.want, c.calls)
+		}
+	}
+}
+
 // TestCheck: a timeline entry for a node the workload does not list is
-// reported; one for a listed node is not.
+// reported, and so is a node without a key seed; a timeline for a listed,
+// keyed node is not.
 func TestCheck(t *testing.T) {
-	w := Workload{Name: "w", Nodes: []types.NodeID{"a"}}
+	w := Workload{Name: "w", Nodes: []types.NodeID{"a"}, KeySeeds: []int64{1}}
 	w.At("a", 0, func(*core.Node) {})
 	if err := w.Check(); err != nil {
 		t.Errorf("Check: %v", err)
+	}
+	unkeyed := w
+	unkeyed.Nodes = []types.NodeID{"a", "b"}
+	if err := unkeyed.Check(); err == nil {
+		t.Error("Check accepted two nodes with one key seed")
 	}
 	w.Every("z", 0, types.Second, types.Minute, func(*core.Node) {})
 	if err := w.Check(); err == nil {
