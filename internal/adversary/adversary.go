@@ -5,12 +5,14 @@
 // signature stripping, audit refusal — installable per node through the
 // core fault hooks without forking any honest code path.
 //
-// The package also carries the detection-guarantee conformance harness
-// (conformance.go): for every behavior × application × seed it asserts the
-// SNP invariant of §4.2 — the querier either surfaces evidence implicating a
-// compromised node (and provable evidence never implicates an honest one),
-// or the honest nodes' provenance answers are bit-identical to the
-// adversary-free run.
+// The package also carries the detection-guarantee conformance table
+// (conformance.go): for every behavior × application × seed the simulator
+// asserts the SNP invariant of §4.2 — the querier either surfaces evidence
+// implicating a compromised node (and provable evidence never implicates an
+// honest one), or the honest nodes' provenance answers are bit-identical to
+// the adversary-free run — and every other execution mode (a Column: live
+// TCP, the query frontend, supervised daemons, store-backed logs) must reach
+// the simulator's Outcome for each row it runs.
 package adversary
 
 import (

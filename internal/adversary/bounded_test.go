@@ -6,7 +6,26 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/simnet"
+	"repro/internal/workload"
 )
+
+// deploy runs w on a fresh simulator to its horizon with plan armed, on
+// store when non-nil.
+func deploy(t *testing.T, w *workload.Workload, seed int64, plan Plan, store *StoreBacking) *simnet.Net {
+	t.Helper()
+	cfg := simnet.DefaultConfig()
+	cfg.Seed, cfg.OnNode = seed, plan.Hook()
+	if store != nil {
+		cfg.Core.LogDir, cfg.Core.AuditCache = store.LogDir, store.Cache
+	}
+	net := simnet.New(cfg)
+	if err := net.Deploy(w); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(w.Horizon)
+	return net
+}
 
 // TestBoundedExplainMatchesFull: on an honest run of every conformance app,
 // in memory and on store with an audit cache, an Explain bounded the way the
@@ -34,10 +53,8 @@ func TestBoundedExplainMatchesFull(t *testing.T) {
 						defer cache.Close()
 						store = &StoreBacking{LogDir: filepath.Join(t.TempDir(), "logs"), Cache: cache}
 					}
-					w, net, err := run(app, seed, nil, store)
-					if err != nil {
-						t.Fatal(err)
-					}
+					w := app(seed)
+					net := deploy(t, w, seed, nil, store)
 					defer func() { _ = net.CloseLogs() }()
 					pick := net.QuerierFor(w)
 					if v := AuditAll(pick, net.Maintainer); len(v.StrongNodes()) != 0 {
@@ -79,19 +96,15 @@ func TestBoundedExplainMatchesFull(t *testing.T) {
 // whatever it serves — is red in both, on the same hosts.
 func TestBoundedExplainArmed(t *testing.T) {
 	for _, app := range Apps() {
-		w, net, err := run(app, 1, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := app(1)
+		net := deploy(t, w, 1, nil, nil)
 		pick := net.QuerierFor(w)
 		AuditAll(pick, net.Maintainer)
 		queries := ExplainQueries(pick, HonestNodes(net.Nodes(), w.Compromised))
 		for _, p := range Catalog() {
 			t.Run(w.Name+"/"+p.Name, func(t *testing.T) {
-				aw, anet, err := run(app, 1, &p, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				aw := app(1)
+				anet := deploy(t, aw, 1, p.On(aw.Compromised), nil)
 				red := 0
 				for _, qu := range queries {
 					full, ferr := anet.QuerierFor(aw).Explain(qu.Node, qu.Tuple, qu.Opts)

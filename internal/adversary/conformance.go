@@ -2,6 +2,8 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/apps/bgp"
 	"repro/internal/apps/chord"
@@ -14,14 +16,14 @@ import (
 	"repro/internal/workload"
 )
 
-// StoreBacking selects on-disk backing for conformance runs: store-backed
+// StoreBacking selects on-disk backing for simulated runs: store-backed
 // logs and (optionally) a persistent audit cache shared across runs. Sharing
-// one LogDir and Cache across a baseline and its adversarial re-runs is
-// deliberate: successive runs re-deploy the same node names, so the cache
-// accumulates entries for chains that no longer exist — exactly the stale
-// state that must never help an adversary look honest or frame an honest
-// node (cache keys pin the head chain hash, so a diverged chain can only
-// miss).
+// one LogDir and Cache across an app's adversary-free run and its armed
+// re-runs is deliberate: successive runs re-deploy the same node names, so
+// the cache accumulates entries for chains that no longer exist — exactly
+// the stale state that must never help an adversary look honest or frame an
+// honest node (cache keys pin the head chain hash, so a diverged chain can
+// only miss).
 type StoreBacking struct {
 	LogDir string
 	Cache  *core.AuditCache
@@ -83,6 +85,16 @@ func mapReduceApp(seed int64) *workload.Workload {
 	return w
 }
 
+// SimApp returns the Apps() entry named name, built for seed.
+func SimApp(name string, seed int64) *workload.Workload {
+	for _, app := range Apps() {
+		if w := app(seed); w.Name == name {
+			return w
+		}
+	}
+	return nil
+}
+
 // Query is one provenance question re-asked across runs.
 type Query struct {
 	Node  types.NodeID
@@ -92,38 +104,8 @@ type Query struct {
 
 func (q Query) String() string { return fmt.Sprintf("%s?%s", q.Node, q.Tuple) }
 
-// Baseline is one adversary-free reference run: the honest queries it
-// picked and their rendered answers.
-type Baseline struct {
-	Queries []Query
-	Answers []string
-}
-
-// maxQueries bounds how many honest-node queries a conformance run
-// compares.
+// maxQueries bounds how many honest-node questions a simulated row asks.
 const maxQueries = 3
-
-// run builds the app for seed, deploys it on a fresh network (arming p on
-// its compromised nodes, if non-nil; on store when non-nil), runs it to the
-// horizon, and returns both.
-func run(app func(int64) *workload.Workload, seed int64, p *Profile, store *StoreBacking) (*workload.Workload, *simnet.Net, error) {
-	w := app(seed)
-	cfg := simnet.DefaultConfig()
-	cfg.Seed = seed
-	if store != nil {
-		cfg.Core.LogDir = store.LogDir
-		cfg.Core.AuditCache = store.Cache
-	}
-	if p != nil {
-		cfg.OnNode = p.On(w.Compromised).Hook()
-	}
-	net := simnet.New(cfg)
-	if err := net.Deploy(w); err != nil {
-		return nil, nil, err
-	}
-	net.Run(w.Horizon)
-	return w, net, nil
-}
 
 // pickQueries selects up to maxQueries deterministic honest-node questions
 // from an audited baseline graph: for each honest node in sorted order, the
@@ -175,34 +157,8 @@ func HonestNodes(all, compromised []types.NodeID) []types.NodeID {
 	return out
 }
 
-// RunBaseline executes the adversary-free reference run for (app, seed), in
-// memory or on store. It fails if the honest run itself produces any
-// evidence — the no-false-alarm half of the accuracy guarantee.
-func RunBaseline(app func(int64) *workload.Workload, seed int64, store *StoreBacking) (*Baseline, error) {
-	a, net, err := run(app, seed, nil, store)
-	if err != nil {
-		return nil, err
-	}
-	// Store-backed runs re-deploy the same node names next run; release the
-	// mapped tables before then (a no-op for in-memory runs).
-	defer func() { _ = net.CloseLogs() }()
-	q := net.QuerierFor(a)
-	v := AuditAll(q, net.Maintainer)
-	if len(v.Failures) != 0 || len(v.RedHosts) != 0 || len(v.Unresponsive) != 0 {
-		return nil, fmt.Errorf("adversary: honest %s/seed=%d run yields evidence: %v", a.Name, seed, v)
-	}
-	if len(v.Notes) != 0 {
-		return nil, fmt.Errorf("adversary: honest %s/seed=%d run reported missing acks: %v", a.Name, seed, v.Notes)
-	}
-	base := &Baseline{Queries: pickQueries(q, HonestNodes(net.Nodes(), a.Compromised))}
-	if len(base.Queries) == 0 {
-		return nil, fmt.Errorf("adversary: %s/seed=%d baseline offers no honest queries", a.Name, seed)
-	}
-	base.Answers = answers(q, base.Queries)
-	return base, nil
-}
-
-// Result is one conformance run's outcome.
+// Result is one simulated row's outcome: its verdict, and its answers to
+// the honest questions of the app's adversary-free run.
 type Result struct {
 	App      string
 	Behavior string
@@ -213,9 +169,8 @@ type Result struct {
 	Verdict          *Verdict
 	Detected         bool
 	AnswersIdentical bool
-	// Violations lists every breach of the SNP invariant found in this run;
-	// a conforming implementation leaves it empty.
-	Violations []string
+	Queries          []Query
+	Answers          []string
 }
 
 func (r *Result) String() string {
@@ -223,31 +178,178 @@ func (r *Result) String() string {
 		r.App, r.Behavior, r.Seed, r.Class, r.Detected, r.AnswersIdentical, r.Verdict)
 }
 
-// RunConformance arms one behavior on the app's compromised nodes, repeats
-// the run and queries of base (RunBaseline of the same app, seed and store),
-// and holds the verdict to the §4.2 guarantee (Verdict.CheckGuarantee).
-func RunConformance(app func(int64) *workload.Workload, p Profile, seed int64, base *Baseline,
-	store *StoreBacking) (*Result, error) {
-	a, net, err := run(app, seed, &p, store)
-	if err != nil {
+// Simulate is the simulator's driver: it deploys w with row armed on a fresh
+// network (on store, when non-nil), runs it to the horizon, audits it whole
+// and asks base's questions again. base is the Result of the Honest row of
+// w's app and seed; for that row it is nil, and Simulate picks the questions
+// and fails unless the run yields no evidence and no note at all.
+func Simulate(w *workload.Workload, row Row, store *StoreBacking, base *Result) (*Result, error) {
+	cfg := simnet.DefaultConfig()
+	cfg.Seed, cfg.OnNode = row.Seed, row.Plan(w).Hook()
+	if store != nil {
+		cfg.Core.LogDir, cfg.Core.AuditCache = store.LogDir, store.Cache
+	}
+	net := simnet.New(cfg)
+	if err := net.Deploy(w); err != nil {
 		return nil, err
 	}
+	// A store-backed row's node names are re-deployed by the next row.
 	defer func() { _ = net.CloseLogs() }()
-	q := net.QuerierFor(a)
-	v := AuditAll(q, net.Maintainer)
-	got := answers(q, base.Queries)
-	v.Refresh(q, net.Maintainer) // queries may have appended evidence
+	net.Run(w.Horizon)
+	q := net.QuerierFor(w)
+	p, _ := ProfileByName(row.Behavior)
+	r := &Result{App: w.Name, Behavior: row.Behavior, Class: p.Class, Seed: row.Seed,
+		Compromised: row.Compromised(w), Verdict: AuditAll(q, net.Maintainer)}
+	if base == nil {
+		if v := r.Verdict; len(v.StrongNodes())+len(v.Unresponsive)+len(v.Notes) != 0 {
+			return nil, fmt.Errorf("adversary: honest %s/seed=%d run yields evidence: %v %v", w.Name, row.Seed, v, v.Notes)
+		}
+		base = &Result{Queries: pickQueries(q, HonestNodes(net.Nodes(), w.Compromised))}
+		if len(base.Queries) == 0 {
+			return nil, fmt.Errorf("adversary: %s/seed=%d baseline offers no honest queries", w.Name, row.Seed)
+		}
+		r.Class, base.Answers = Benign, answers(q, base.Queries)
+	}
+	r.Queries, r.Answers = base.Queries, answers(q, base.Queries)
+	r.Verdict.Refresh(q, net.Maintainer) // queries may have appended evidence
+	r.Detected = r.Verdict.Detected(r.Compromised)
+	r.AnswersIdentical = slices.Equal(r.Answers, base.Answers)
+	return r, nil
+}
 
-	r := &Result{App: a.Name, Behavior: p.Name, Class: p.Class, Seed: seed,
-		Compromised: a.Compromised, Verdict: v, Detected: v.Detected(a.Compromised)}
-	r.AnswersIdentical = len(got) == len(base.Answers)
-	for i := range got {
-		if got[i] != base.Answers[i] {
-			r.AnswersIdentical = false
-			break
+// Honest is the behaviour of a row that arms nothing and compromises
+// nobody: any provable evidence in it is a false accusation.
+const Honest = "honest"
+
+// Row is one line of the conformance table. Each column deploys its own
+// sizing of App, whose compromised set and Victim the row's are.
+type Row struct {
+	App      string
+	Behavior string // a Catalog() name, or Honest
+	Seed     int64
+	// Modifier names a fault plan, a crash plan or a partition only the
+	// column that declares it applies; "" for none. CutsVictim declares the
+	// one difference from the simulator a row may have: the modifier cuts
+	// the app's Victim off, which must then be an unresponsive lead.
+	Modifier   string
+	CutsVictim bool
+}
+
+// Compromised returns the nodes row arms in w: none for an Honest row.
+func (r Row) Compromised(w *workload.Workload) []types.NodeID {
+	if r.Behavior == Honest {
+		return nil
+	}
+	return w.Compromised
+}
+
+// Plan arms row's behaviour on row.Compromised(w).
+func (r Row) Plan(w *workload.Workload) Plan {
+	p, _ := ProfileByName(r.Behavior)
+	return p.On(r.Compromised(w))
+}
+
+// Tester is what a Column runs on: *testing.T, which the package takes as a
+// type parameter so that no binary importing it links the test framework.
+type Tester[T any] interface {
+	Run(name string, f func(T)) bool
+	Log(args ...any)
+	Errorf(format string, args ...any)
+	Fatalf(format string, args ...any)
+}
+
+// Column is one execution mode of the table: the whole catalog at seed 1 on
+// every app it hosts, fault-free, then its Extra rows. App builds the mode's
+// sizing of an app, Path names a row's subtest (one level per "/"), and
+// Drive deploys w with row armed (row.Plan, row.Modifier), runs and audits
+// it, and makes the checks that belong to its mode alone. A Short column
+// (a wire column under -short) runs its first app's tamper-log row alone.
+type Column[T Tester[T]] struct {
+	Apps  []string
+	Extra []Row
+	Short bool
+	App   func(name string, seed int64) *workload.Workload
+	Path  func(Row) string
+	Drive func(t T, row Row, w *workload.Workload) *Verdict // nil: the simulator's own column
+}
+
+// Run runs c's rows as subtests of t. Each row runs in memory on the
+// simulator first (in c's sizing, when c is the simulator's column), whose
+// Result is logged and held to Verdict.CheckGuarantee and to the outcome §4.2
+// owes: no honest node accused, the whole compromised set convicted for a
+// Provable behaviour and nobody otherwise. Then c drives it, and its Outcome
+// must equal the simulator's, plus the row's declared cut-off victim.
+func (c Column[T]) Run(t T) {
+	var rows []Row
+	for _, app := range c.Apps {
+		for _, p := range Catalog() {
+			rows = append(rows, Row{App: app, Behavior: p.Name, Seed: 1})
 		}
 	}
+	if rows = append(rows, c.Extra...); c.Short {
+		rows = []Row{{App: c.Apps[0], Behavior: "tamper-log", Seed: 1}}
+	}
+	slices.SortStableFunc(rows, func(a, b Row) int { return strings.Compare(c.Path(a), c.Path(b)) })
+	sim := SimApp
+	if c.Drive == nil {
+		sim = c.App
+	}
+	bases := map[Row]*Result{}
+	nest(t, rows, func(r Row) []string { return strings.Split(c.Path(r), "/") }, func(t T, row Row) {
+		key := Row{App: row.App, Behavior: Honest, Seed: row.Seed}
+		ref, err := bases[key], error(nil)
+		if ref == nil {
+			if ref, err = Simulate(sim(row.App, row.Seed), key, nil, nil); err != nil {
+				t.Fatalf("baseline: %v", err)
+			}
+			bases[key] = ref
+		}
+		if row.Behavior != Honest {
+			if ref, err = Simulate(sim(row.App, row.Seed), row, nil, ref); err != nil {
+				t.Fatalf("simulator: %v", err)
+			}
+		}
+		t.Log(ref)
+		for _, v := range ref.Verdict.CheckGuarantee(ref.Class, ref.Compromised, "", ref.AnswersIdentical) {
+			t.Errorf("invariant violated: %s", v)
+		}
+		convicted, want := 0, ref.Verdict.Outcome(ref.Compromised)
+		if ref.Class == Provable {
+			convicted = len(ref.Compromised)
+		}
+		if len(want.Accused) != 0 || want.Convicted != convicted {
+			t.Errorf("simulator outcome %+v, want no honest node accused and %d convicted", want, convicted)
+		}
+		if c.Drive == nil {
+			return
+		}
+		w := c.App(row.App, row.Seed)
+		if row.CutsVictim {
+			want.CutOff = append(want.CutOff, w.Victim)
+		}
+		v := c.Drive(t, row, w)
+		if got := v.Outcome(row.Compromised(w)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("outcome %+v, the simulator's %+v\nfailures: %v\nunresponsive: %v", got, want, v.Failures, v.Unresponsive)
+		}
+	})
+}
 
-	r.Violations = v.CheckGuarantee(p.Class, a.Compromised, "", r.AnswersIdentical)
-	return r, nil
+// nest runs rows, sorted by path, as subtests of t, one level per path
+// segment; the rows whose paths begin alike share a level.
+func nest[T Tester[T]](t T, rows []Row, path func(Row) []string, run func(T, Row)) {
+	for len(rows) > 0 {
+		head, n := path(rows[0])[0], 1
+		for n < len(rows) && path(rows[n])[0] == head {
+			n++
+		}
+		g := rows[:n]
+		rows = rows[n:]
+		t.Run(head, func(t T) {
+			if len(path(g[0])) == 1 {
+				run(t, g[0])
+				return
+			}
+			nest(t, g, func(r Row) []string { return path(r)[1:] }, run)
+		})
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -13,42 +12,39 @@ import (
 	"repro/internal/workload"
 )
 
-// conformanceSeeds returns the seed set the suite runs. The full matrix is
-// seeds 1..3 and -short trims it to one seed. One seed of the full matrix is
-// selected by subtest name: -run 'TestConformance$//seed=2'.
-func conformanceSeeds() []int64 {
-	if testing.Short() {
-		return []int64{1}
-	}
-	return []int64{1, 2, 3}
-}
-
-// appsExcept returns the conformance apps minus the named ones.
-func appsExcept(skip ...string) []func(int64) *workload.Workload {
-	var out []func(int64) *workload.Workload
-	for _, app := range adversary.Apps() {
-		if !slices.Contains(skip, app(1).Name) {
-			out = append(out, app)
-		}
-	}
-	return out
-}
-
-// conformanceApps is the matrix's app axis: every conformance app plus
-// Quagga with two compromised routers at once (k=2). -short drops chord,
-// the slowest deployment, and the k=2 row.
-func conformanceApps() []func(int64) *workload.Workload {
-	if testing.Short() {
-		return appsExcept("chord")
-	}
-	quagga := adversary.Apps()[1]
-	k2 := func(seed int64) *workload.Workload {
-		w := quagga(seed)
-		w.Name = "quagga-k2"
-		w.Compromised = []types.NodeID{"as30", "as40"}
+// simApp is the simulator column's sizing: adversary.SimApp, and quagga-k2,
+// Quagga with two compromised routers at once.
+func simApp(name string, seed int64) *workload.Workload {
+	if name == "quagga-k2" {
+		w := adversary.SimApp("quagga", seed)
+		w.Name, w.Compromised = name, []types.NodeID{"as30", "as40"}
 		return w
 	}
-	return append(adversary.Apps(), k2)
+	return adversary.SimApp(name, seed)
+}
+
+func simPath(r adversary.Row) string { return fmt.Sprintf("%s/seed=%d/%s", r.App, r.Seed, r.Behavior) }
+
+// TestConformance is the simulator's column of the conformance table: every
+// behavior of the catalog on every conformance app and quagga-k2, at seeds
+// 1..3, either yields evidence implicating only compromised nodes or leaves
+// the honest nodes' provenance answers bit-identical to the adversary-free
+// run's. -short trims it to seed 1 without chord, the slowest deployment,
+// and quagga-k2. One seed: -run 'TestConformance$//seed=2'.
+func TestConformance(t *testing.T) {
+	col := adversary.Column[*testing.T]{Apps: []string{"mincost", "quagga", "chord", "mapreduce", "quagga-k2"}, App: simApp, Path: simPath}
+	if testing.Short() {
+		col.Apps = []string{"mincost", "quagga", "mapreduce"}
+	} else {
+		for _, seed := range []int64{2, 3} {
+			for _, app := range col.Apps {
+				for _, p := range adversary.Catalog() {
+					col.Extra = append(col.Extra, adversary.Row{App: app, Behavior: p.Name, Seed: seed})
+				}
+			}
+		}
+	}
+	col.Run(t)
 }
 
 // corruptDir flips a byte in every regular file under dir (cache tables and
@@ -82,19 +78,19 @@ func corruptDir(t *testing.T, dir string) {
 	}
 }
 
-// TestConformanceStored re-runs the conformance matrix with every node's
-// log spilled to an on-disk segment store and the persistent audit cache
-// armed — the satellite dimension the in-memory matrix misses. One variant
-// shares a healthy cache across the baseline and every adversarial re-run
-// (each re-run makes the accumulated entries stale: same node names, new
-// chains); the other corrupts the cache files on disk in between. Either
-// way the §4.2 guarantee must hold exactly as it does in memory: a stale or
-// poisoned cache entry may cost a fresh replay, never a provable accusation
-// of an honest node.
+// TestConformanceStored is the simulator's column with every node's log in
+// an on-disk segment store and the persistent audit cache armed, in two
+// variants. One shares a healthy cache between an app's adversary-free run
+// and every row after it (each row makes the entries before it stale: same
+// node names, new chains); the other corrupts the cache files on disk after
+// the adversary-free run. Either way each row holds to the §4.2 guarantee
+// against the stored adversary-free run's answers and to the in-memory
+// simulator's outcome: a stale or poisoned entry may cost a fresh replay,
+// never an accusation or a missed fault.
 func TestConformanceStored(t *testing.T) {
-	apps := appsExcept("chord") // chord adds the least here
+	apps := []string{"mincost", "quagga", "mapreduce"} // chord adds the least here
 	if testing.Short() {
-		apps = appsExcept("chord", "quagga")
+		apps = []string{"mincost", "mapreduce"}
 	}
 	for _, poison := range []bool{false, true} {
 		name := "cache"
@@ -102,88 +98,63 @@ func TestConformanceStored(t *testing.T) {
 			name = "poisoned-cache"
 		}
 		t.Run(name, func(t *testing.T) {
-			for _, app := range apps {
-				t.Run(app(1).Name, func(t *testing.T) {
-					root := t.TempDir()
-					cacheDir := filepath.Join(root, "auditcache")
-					cache, err := core.OpenAuditCache(cacheDir, nil)
+			outer := t
+			stores := map[string]*adversary.StoreBacking{}
+			bases := map[string]*adversary.Result{}
+			adversary.Column[*testing.T]{Apps: apps, App: adversary.SimApp,
+				Path: func(r adversary.Row) string { return r.App + "/" + r.Behavior },
+				Drive: func(t *testing.T, row adversary.Row, w *workload.Workload) *adversary.Verdict {
+					if stores[row.App] == nil {
+						stores[row.App], bases[row.App] = openStore(outer, t, row, poison)
+					}
+					res, err := adversary.Simulate(w, row, stores[row.App], bases[row.App])
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("row on store: %v", err)
 					}
-					store := &adversary.StoreBacking{
-						LogDir: filepath.Join(root, "logs"), Cache: cache}
-					base, err := adversary.RunBaseline(app, 1, store)
-					if err != nil {
-						t.Fatalf("baseline: %v", err)
+					t.Logf("on store: %v", res)
+					for _, v := range res.Verdict.CheckGuarantee(res.Class, res.Compromised, "", res.AnswersIdentical) {
+						t.Errorf("on store: invariant violated: %s", v)
 					}
-					if cache.Misses() == 0 {
-						t.Fatal("baseline never consulted the audit cache")
-					}
-					if poison {
-						// Seal the baseline's entries to disk, corrupt every
-						// cache file, and reopen: the adversarial runs below
-						// then audit against a fully poisoned cache.
-						if err := cache.Sync(); err != nil {
-							t.Fatal(err)
-						}
-						if err := cache.Close(); err != nil {
-							t.Fatal(err)
-						}
-						corruptDir(t, cacheDir)
-						if cache, err = core.OpenAuditCache(cacheDir, nil); err != nil {
-							t.Fatal(err)
-						}
-						store.Cache = cache
-					}
-					defer cache.Close()
-					for _, p := range adversary.Catalog() {
-						p := p
-						t.Run(p.Name, func(t *testing.T) {
-							res, err := adversary.RunConformance(app, p, 1, base, store)
-							if err != nil {
-								t.Fatalf("conformance run: %v", err)
-							}
-							t.Log(res)
-							for _, v := range res.Violations {
-								t.Errorf("invariant violated: %s", v)
-							}
-						})
-					}
-				})
-			}
+					return res.Verdict
+				}}.Run(t)
 		})
 	}
 }
 
-// TestConformance pins the paper's detection guarantee: every behavior in
-// the adversary library, across every conformance app and seed, either
-// yields evidence implicating only compromised nodes or leaves the honest
-// nodes' provenance answers bit-identical to the adversary-free baseline.
-func TestConformance(t *testing.T) {
-	for _, app := range conformanceApps() {
-		t.Run(app(1).Name, func(t *testing.T) {
-			for _, seed := range conformanceSeeds() {
-				seed := seed
-				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					base, err := adversary.RunBaseline(app, seed, nil)
-					if err != nil {
-						t.Fatalf("baseline: %v", err)
-					}
-					for _, p := range adversary.Catalog() {
-						p := p
-						t.Run(p.Name, func(t *testing.T) {
-							res, err := adversary.RunConformance(app, p, seed, base, nil)
-							if err != nil {
-								t.Fatalf("conformance run: %v", err)
-							}
-							t.Log(res)
-							for _, v := range res.Violations {
-								t.Errorf("invariant violated: %s", v)
-							}
-						})
-					}
-				})
-			}
-		})
+// openStore opens a log store and an audit cache under outer's temporary
+// directory, which closes the cache when it ends, and runs row's app and
+// seed adversary-free on them; that run must consult the cache. With poison
+// it then corrupts every cache file and reopens the cache.
+func openStore(outer, t *testing.T, row adversary.Row, poison bool) (*adversary.StoreBacking, *adversary.Result) {
+	root := outer.TempDir()
+	cacheDir := filepath.Join(root, "auditcache")
+	cache, err := core.OpenAuditCache(cacheDir, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	store := &adversary.StoreBacking{LogDir: filepath.Join(root, "logs"), Cache: cache}
+	outer.Cleanup(func() { store.Cache.Close() })
+	honest := adversary.Row{App: row.App, Behavior: adversary.Honest, Seed: row.Seed}
+	base, err := adversary.Simulate(adversary.SimApp(row.App, row.Seed), honest, store, nil)
+	if err != nil {
+		t.Fatalf("baseline on store: %v", err)
+	}
+	if cache.Misses() == 0 {
+		t.Fatal("baseline never consulted the audit cache")
+	}
+	if poison {
+		// Seal the baseline's entries to disk, corrupt every cache file and
+		// reopen: the rows then audit against a fully poisoned cache.
+		if err := cache.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.Close(); err != nil {
+			t.Fatal(err)
+		}
+		corruptDir(t, cacheDir)
+		if store.Cache, err = core.OpenAuditCache(cacheDir, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store, base
 }

@@ -86,10 +86,33 @@ func (v *Verdict) FalselyAccused(compromised []types.NodeID) []types.NodeID {
 	return out
 }
 
+// Outcome is a verdict read against the compromised set of its run: what
+// every execution mode must agree on for one conformance row.
+type Outcome struct {
+	Accused   []types.NodeID // honest nodes with provable evidence against them
+	Convicted int            // compromised nodes with provable evidence against them
+	Detected  bool
+	CutOff    []types.NodeID // honest nodes in the unresponsive tier
+}
+
+// Outcome reads v against compromised.
+func (v *Verdict) Outcome(compromised []types.NodeID) Outcome {
+	o := Outcome{Accused: v.FalselyAccused(compromised), Detected: v.Detected(compromised)}
+	o.Convicted = len(v.StrongNodes()) - len(o.Accused)
+	for id := range v.Unresponsive {
+		if !slices.Contains(compromised, id) {
+			o.CutOff = append(o.CutOff, id)
+		}
+	}
+	slices.Sort(o.CutOff)
+	return o
+}
+
 // CheckGuarantee holds the verdict to the §4.2 detection guarantee and
-// returns every breach (empty for a conforming run). It is the one oracle
-// every execution mode — simulator, live TCP, multi-process, the query
-// frontend — is judged by:
+// returns every breach (empty for a conforming run). It judges the
+// simulator's row of every conformance-table row (Column.Run), where honest
+// answers can be compared with the adversary-free run's; every other mode is
+// held to the simulator's Outcome for the row:
 //
 //   - accuracy, always: provable evidence (failures, red vertices) never
 //     implicates a node outside compromised;

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/provgraph"
 	"repro/internal/transport"
-	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -33,122 +32,73 @@ func querierWithin(h *Harness, retryDeadline time.Duration) *core.Querier {
 	return q
 }
 
-// faultPlan is one row of the live fault matrix. cutsVictim marks the plan
-// that cuts the app's Victim off (rules receives it); the guarantee demands
-// such a node surface as an unattributable lead, never as provable evidence.
-type faultPlan struct {
-	name       string
-	cutsVictim bool
-	rules      func(victim types.NodeID) []transport.FaultRule
-	tcfg       func() *transport.Config
-}
-
-// victim returns the node the plan cuts off in app ("" when none).
-func (fp faultPlan) victim(app *workload.Workload) types.NodeID {
-	if fp.cutsVictim {
-		return app.Victim
-	}
-	return ""
-}
-
-func faultPlans() []faultPlan {
-	return []faultPlan{
-		{
-			name:  "none",
-			rules: func(types.NodeID) []transport.FaultRule { return nil },
-		},
-		{
-			name: "drop+delay",
-			rules: func(types.NodeID) []transport.FaultRule {
-				return []transport.FaultRule{{
-					From: "*", To: "*",
-					Drop:     0.03,
-					DelayMin: time.Millisecond, DelayMax: 10 * time.Millisecond,
-					Reorder: 0.02,
-				}}
-			},
-		},
-		{
-			// One-way partition of an honest node: everything sent to it —
-			// data plane and audit retrievals alike — vanishes. Chosen so
-			// its own announcements still propagate (outbound is open).
-			name:       "partition",
-			cutsVictim: true,
-			rules: func(victim types.NodeID) []transport.FaultRule {
-				return []transport.FaultRule{{From: "*", To: string(victim), Partition: true}}
-			},
-		},
-		{
-			name: "reset+slow-reader",
-			rules: func(types.NodeID) []transport.FaultRule {
-				return []transport.FaultRule{{
-					From: "*", To: "*",
-					ResetEvery: 7,
-					StallEvery: 9, StallFor: 600 * time.Millisecond,
-				}}
-			},
-			tcfg: func() *transport.Config {
-				cfg := transport.DefaultConfig()
-				cfg.WriteTimeout = 250 * time.Millisecond // stalls must trip it
-				cfg.RetryMax = 300 * time.Millisecond
-				return &cfg
-			},
-		},
-	}
-}
-
-// TestLiveConformance reruns the adversary conformance slice over loopback
-// TCP under the fault-plan matrix (its fault-free row included):
-// tamper-log (a Provable behavior) armed on the app's compromised node,
-// across fault plans × {mincost, quagga} × 2 seeds, plus chord and mapreduce
-// on the fault-free plan at one seed, each verdict held to the §4.2
-// guarantee's live form by the one check (Verdict.CheckGuarantee):
+// TestLiveConformance is the live column of the conformance table
+// (adversary.Column): every catalog behaviour on each registry app over
+// loopback TCP, fault-free (modifier "none"); tamper-log on mincost and
+// quagga at seeds 1 and 2 under each fault plan (and fault-free at seed 2);
+// and the adversary-free row, mincost at seed 7 under drop+delay at 5% loss
+// (1–8 ms delay, no reordering), where lossy networking alone must never
+// produce evidence. Each verdict's outcome
+// must equal the simulator's for the row: no honest node accused whatever
+// the network does, the compromised node convicted exactly when its
+// behaviour is Provable, detection alike, and the partitioned victim an
+// unresponsive lead, never a suspect.
 //
-//   - provable evidence (audit failures, red hosts) never names an honest
-//     node, no matter what the network does;
-//   - the armed node is still provably exposed;
-//   - honest nodes the plan makes unreachable degrade to the verdict's
-//     Unresponsive tier — unattributable leads.
-//
-// The lossy plans name mincost and quagga instead of ranging over
+// The fault plans name mincost and quagga instead of ranging over
 // AppNames(): those two react to what they receive, so the next update
 // repairs a dropped one, while chord and mapreduce run a timed schedule, and
 // what a fault plan may do to such a schedule needs the liveness contract of
 // ROADMAP item 13 before a verdict about it means anything.
 func TestLiveConformance(t *testing.T) {
-	seeds := []int64{1, 2}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, fp := range faultPlans() {
-		for _, name := range []string{"mincost", "quagga"} {
-			for _, seed := range seeds {
-				t.Run(fmt.Sprintf("%s/%s/seed=%d", fp.name, name, seed), func(t *testing.T) {
-					runLiveCase(t, fp, mustApp(t, name), seed)
-				})
+	var extra []adversary.Row
+	for _, plan := range []string{"", "drop+delay", "partition", "reset+slow-reader"} {
+		for _, app := range []string{"mincost", "quagga"} {
+			for _, seed := range []int64{1, 2} {
+				if plan != "" || seed != 1 { // the catalog's own row
+					extra = append(extra, adversary.Row{App: app, Behavior: "tamper-log", Seed: seed,
+						Modifier: plan, CutsVictim: plan == "partition"})
+				}
 			}
 		}
 	}
-	for _, name := range []string{"chord", "mapreduce"} {
-		t.Run(fmt.Sprintf("none/%s/seed=1", name), func(t *testing.T) {
-			runLiveCase(t, faultPlans()[0], mustApp(t, name), 1)
-		})
-	}
+	extra = append(extra, adversary.Row{App: "mincost", Behavior: adversary.Honest, Seed: 7, Modifier: "drop+delay"})
+	adversary.Column[*testing.T]{Apps: AppNames(), Extra: extra, Short: testing.Short(),
+		App: func(name string, _ int64) *workload.Workload { w, _ := AppByName(name); return w },
+		Path: func(r adversary.Row) string {
+			plan := r.Modifier
+			if plan == "" {
+				plan = "none"
+			}
+			return fmt.Sprintf("%s/%s/seed=%d/%s", plan, r.App, r.Seed, r.Behavior)
+		},
+		Drive: driveLive}.Run(t)
 }
 
-func runLiveCase(t *testing.T, fp faultPlan, app *workload.Workload, seed int64) {
-	profile, ok := adversary.ProfileByName("tamper-log")
-	if !ok {
-		t.Fatal("tamper-log profile missing from catalog")
-	}
-	victim := fp.victim(app)
-	opts := Options{
-		Seed:   seed,
-		Fault:  transport.NewFaultPlan(seed, fp.rules(victim)...),
-		OnNode: profile.On(app.Compromised).Hook(),
-	}
-	if fp.tcfg != nil {
-		opts.Transport = fp.tcfg()
+// driveLive runs one row on a Harness under its fault plan and sweeps it
+// over the wire.
+func driveLive(t *testing.T, row adversary.Row, app *workload.Workload) *adversary.Verdict {
+	opts := Options{Seed: row.Seed, OnNode: row.Plan(app).Hook()}
+	switch row.Modifier {
+	case "drop+delay":
+		rule := transport.FaultRule{From: "*", To: "*", Drop: 0.03,
+			DelayMin: time.Millisecond, DelayMax: 10 * time.Millisecond, Reorder: 0.02}
+		if row.Behavior == adversary.Honest {
+			// Losses alone must never accuse: the adversary-free row runs lossier.
+			rule.Drop, rule.DelayMax, rule.Reorder = 0.05, 8*time.Millisecond, 0
+		}
+		opts.Fault = transport.NewFaultPlan(row.Seed, rule)
+	case "partition":
+		// One-way: everything sent to the victim — data plane and audit
+		// retrievals alike — vanishes, while its own announcements still
+		// propagate.
+		opts.Fault = transport.NewFaultPlan(row.Seed, transport.FaultRule{From: "*", To: string(app.Victim), Partition: true})
+	case "reset+slow-reader":
+		opts.Fault = transport.NewFaultPlan(row.Seed, transport.FaultRule{From: "*", To: "*",
+			ResetEvery: 7, StallEvery: 9, StallFor: 600 * time.Millisecond})
+		cfg := transport.DefaultConfig()
+		cfg.WriteTimeout = 250 * time.Millisecond // stalls must trip it
+		cfg.RetryMax = 300 * time.Millisecond
+		opts.Transport = &cfg
 	}
 	h, err := New(app, opts)
 	if err != nil {
@@ -156,11 +106,11 @@ func runLiveCase(t *testing.T, fp faultPlan, app *workload.Workload, seed int64)
 	}
 	defer h.Close()
 
-	// Convergence is best-effort under faults: a plan may legitimately
-	// keep updates from some node, but must never corrupt the verdict.
+	// Convergence is best-effort: a fault plan or a behaviour may keep
+	// updates from some node, but must never corrupt the verdict.
 	start := time.Now()
 	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
-		t.Logf("note: %v (acceptable under plan %s)", err, fp.name)
+		t.Logf("note: %v", err)
 	}
 	converge := time.Since(start)
 	h.Settle()
@@ -168,51 +118,14 @@ func runLiveCase(t *testing.T, fp faultPlan, app *workload.Workload, seed int64)
 	q := querierWithin(h, time.Second)
 	auditStart := time.Now()
 	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
-	audit := time.Since(auditStart)
-	t.Logf("verdict: %v; unreachable: %v", v, q.Unreachable())
-	for _, breach := range v.CheckGuarantee(profile.Class, app.Compromised, victim, false) {
-		t.Errorf("§4.2 violated: %s\nfailures: %v\nred: %v", breach, v.Failures, v.RedHosts)
-	}
 	stats := h.Cluster.Stats()
-	t.Logf("converge=%v audit=%v frames=%d drops=%d reconnects=%d",
-		converge.Round(time.Millisecond), audit.Round(time.Millisecond),
+	t.Logf("live verdict: %v; unreachable: %v; converge=%v audit=%v frames=%d drops=%d reconnects=%d",
+		v, q.Unreachable(), converge.Round(time.Millisecond), time.Since(auditStart).Round(time.Millisecond),
 		stats.FramesSent, stats.Dropped(), stats.Reconnects)
 	if stats.FramesSent == 0 {
 		t.Error("no frames crossed the wire — the run did not exercise TCP")
 	}
-}
-
-// TestLiveHonestBaseline runs the drop+delay plan with no adversary at
-// all: lossy networking alone must never produce provable evidence
-// against anyone (the no-false-alarm half of accuracy). Missing-ack
-// notes and yellow vertices are expected — that is what graceful
-// degradation looks like.
-func TestLiveHonestBaseline(t *testing.T) {
-	app := mustApp(t, "mincost")
-	h, err := New(app, Options{
-		Seed: 7,
-		Fault: transport.NewFaultPlan(7, transport.FaultRule{
-			From: "*", To: "*",
-			Drop:     0.05,
-			DelayMin: time.Millisecond, DelayMax: 8 * time.Millisecond,
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
-		t.Logf("note: %v", err)
-	}
-	h.Settle()
-	q := querierWithin(h, time.Second)
-	v := adversary.Sweep(q, h.Maint, nil, time.Now().Add(2*time.Second), 300*time.Millisecond)
-	for _, breach := range v.CheckGuarantee(adversary.Benign, nil, "", true) {
-		t.Errorf("honest lossy run: %s: %v\nfailures: %v", breach, v, v.Failures)
-	}
-	if len(v.Unresponsive) != 0 {
-		t.Errorf("every node serves audits, none should be unresponsive: %v", v.Unresponsive)
-	}
+	return v
 }
 
 // TestLiveQuerierDegradation pins the query-level view of a partition: an

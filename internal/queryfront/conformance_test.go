@@ -18,56 +18,54 @@ import (
 	"repro/internal/queryfront"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
-// TestFrontConformance re-proves the §4.2 guarantee through the query
-// frontend for the registry's workloads: concurrent remote clients audit a
-// live deployment with an armed tamperer and its Victim cut off by a one-way
-// partition (data plane and audit traffic alike), and
-// every verdict that comes back over the wire is held to the same check as
-// an in-process one (Verdict.CheckGuarantee): the tamperer exposed with
-// provable evidence, no honest node accused, the partitioned victim parked
-// in the unreachable-leads tier.
+// TestFrontConformance is the query frontend's column of the conformance
+// table (adversary.Column): every catalog behaviour on each registry app,
+// fault-free ("reachable"), and tamper-log on mincost and quagga with the
+// app's Victim cut off by a one-way partition (data plane and audit traffic
+// alike). Concurrent remote clients audit the deployment through one
+// frontend, and every verdict that comes back over the wire must have the
+// simulator's outcome for the row, the partitioned victim parked in the
+// unreachable-leads tier.
 //
-// Every node is then audited on its own, twice over, and both verdicts are held
-// to the same check. Under the partition the victim's §5.4 reports cannot be
-// merged, so no audit may be answered from the ledger of audited heads; the
-// "reachable" cases run the tamperer without the partition, where the second
-// audit of every honest node is answered from the ledger and must equal the
-// first, and the tamperer's never is.
+// The frontend's own checks ride along: the six whole audits are served and
+// hit the shared persistent cache but never the ledger of audited heads;
+// every node is then audited on its own, twice, both verdicts equal and
+// accusing no honest node. Under the partition the victim's §5.4 reports
+// cannot be merged, so no such audit may be answered from the ledger;
+// fault-free, the second audit of a node is exactly when the first found
+// nothing (tamper-log: every honest node's, never the tamperer's). On mincost one Explain over the wire names no honest
+// node faulty.
 //
-// The partition rows name mincost and quagga; the registry's timed
-// workloads, chord and mapreduce, run the reachable case only (what a fault
-// plan may do to a timed schedule waits for ROADMAP item 13's liveness
-// contract).
+// The partition rows name mincost and quagga; what a fault plan may do to
+// the timed workloads, chord and mapreduce, waits for ROADMAP item 13's
+// liveness contract.
 func TestFrontConformance(t *testing.T) {
-	names := []string{"mincost", "quagga"}
-	if testing.Short() {
-		names = names[:1]
+	var partitioned []adversary.Row
+	for _, app := range []string{"mincost", "quagga"} {
+		partitioned = append(partitioned, adversary.Row{App: app, Behavior: "tamper-log", Seed: 1, Modifier: "partition", CutsVictim: true})
 	}
-	for _, name := range names {
-		t.Run(name+"/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, true) })
-		t.Run(name+"/reachable/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, false) })
-	}
-	for _, name := range []string{"chord", "mapreduce"} {
-		t.Run(name+"/reachable/seed=1", func(t *testing.T) { runFrontCase(t, name, 1, false) })
-	}
+	adversary.Column[*testing.T]{Apps: live.AppNames(), Extra: partitioned, Short: testing.Short(),
+		App: func(name string, _ int64) *workload.Workload { w, _ := live.AppByName(name); return w },
+		Path: func(r adversary.Row) string {
+			if r.Modifier == "" {
+				return fmt.Sprintf("%s/reachable/seed=%d/%s", r.App, r.Seed, r.Behavior)
+			}
+			return fmt.Sprintf("%s/seed=%d/%s", r.App, r.Seed, r.Behavior)
+		},
+		Drive: driveFront}.Run(t)
 }
 
-func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
-	app, err := live.AppByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile, ok := adversary.ProfileByName("tamper-log")
-	if !ok {
-		t.Fatal("tamper-log profile missing from catalog")
-	}
-	opts := live.Options{Seed: seed, OnNode: profile.On(app.Compromised).Hook()}
+// driveFront deploys one row live, serves a frontend over its cluster and
+// audits the deployment through it.
+func driveFront(t *testing.T, row adversary.Row, app *workload.Workload) *adversary.Verdict {
+	opts := live.Options{Seed: row.Seed, OnNode: row.Plan(app).Hook()}
 	victim := types.NodeID("")
-	if partition {
+	if row.CutsVictim {
 		victim = app.Victim
-		opts.Fault = transport.NewFaultPlan(seed, transport.FaultRule{From: "*", To: string(victim), Partition: true})
+		opts.Fault = transport.NewFaultPlan(row.Seed, transport.FaultRule{From: "*", To: string(victim), Partition: true})
 	}
 	h, err := live.New(app, opts)
 	if err != nil {
@@ -75,10 +73,10 @@ func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 	}
 	defer h.Close()
 
-	// Convergence is best-effort under the partition; it must never
-	// corrupt the verdict.
+	// Convergence is best-effort under a partition or a behaviour; it must
+	// never corrupt the verdict.
 	if err := h.RunUntil(h.Converged, 8*time.Second); err != nil {
-		t.Logf("note: %v (acceptable under a partition)", err)
+		t.Logf("note: %v", err)
 	}
 	h.Settle()
 
@@ -136,14 +134,16 @@ func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 	if len(verdicts) != clients*perClient {
 		t.Fatalf("got %d verdicts, want %d", len(verdicts), clients*perClient)
 	}
-	for i, res := range verdicts {
-		for _, breach := range res.Verdict().CheckGuarantee(profile.Class, app.Compromised, victim, false) {
-			t.Errorf("verdict %d: §4.2 violated: %s\nfailures: %v\nred: %v", i, breach, res.Failures, res.RedHosts)
+	compromised := row.Compromised(app)
+	first := verdicts[0].Verdict()
+	for i, res := range verdicts[1:] {
+		if got, want := res.Verdict().Outcome(compromised), first.Outcome(compromised); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("verdict %d: outcome %+v, the first verdict's %+v", i+1, got, want)
 		}
 	}
 
 	stats := srv.Stats()
-	t.Logf("front stats: %v", stats)
+	t.Logf("front verdict: %v; stats: %v", first, stats)
 	if stats.Served != clients*perClient {
 		t.Errorf("stats.Served = %d, want %d", stats.Served, clients*perClient)
 	}
@@ -155,12 +155,8 @@ func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 	}
 
 	// Every node on its own, twice, the targets side by side.
-	var honest uint64
+	var clean uint64
 	for _, id := range app.Nodes {
-		compromised := slices.Contains(app.Compromised, id)
-		if !compromised {
-			honest++
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -178,16 +174,23 @@ func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 					return
 				}
 				// A verdict on one node owes evidence only when that node is
-				// the tamperer, and the cut-off tier only when it is the victim.
+				// the tamperer (the catalog's other behaviours need not show
+				// in one node's audit), and the cut-off tier only when it is
+				// the victim; none accuses an honest node.
 				class, cutOff, identical := adversary.Traceable, types.NodeID(""), true
-				if compromised {
-					class, identical = profile.Class, false
+				if slices.Contains(compromised, id) && row.Behavior == "tamper-log" {
+					class, identical = adversary.Provable, false
 				}
 				if id == victim {
 					cutOff = victim
 				}
-				for _, breach := range res.Verdict().CheckGuarantee(class, app.Compromised, cutOff, identical) {
+				for _, breach := range res.Verdict().CheckGuarantee(class, compromised, cutOff, identical) {
 					t.Errorf("audit %d of %s: §4.2 violated: %s\nfailures: %v\nred: %v", i, id, breach, res.Failures, res.RedHosts)
+				}
+				if i == 0 && len(res.Failures)+len(res.RedHosts)+len(res.Unreachable) == 0 {
+					mu.Lock()
+					clean++
+					mu.Unlock()
 				}
 				res.Elapsed = 0
 				for j := range res.Unreachable {
@@ -206,15 +209,17 @@ func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 	if got := single.LedgerHits + single.LedgerMisses; got != 2*uint64(len(app.Nodes)) {
 		t.Errorf("ledger counted %d single-node audits, want %d", got, 2*len(app.Nodes))
 	}
-	if partition {
+	if victim != "" {
 		if single.LedgerHits != 0 || single.LedgerBytes != 0 {
 			t.Errorf("audits over a partial notes merge used the ledger: %v", single)
 		}
 		if single.NotesSyncErrors == 0 {
 			t.Error("no notes-sync error counted with the victim cut off")
 		}
-	} else if single.LedgerHits != honest {
-		t.Errorf("ledger hits = %d, want one per honest node (%d)", single.LedgerHits, honest)
+	} else if single.LedgerHits != clean {
+		t.Errorf("ledger hits = %d, want one per node whose first audit found nothing (%d)", single.LedgerHits, clean)
+	} else if honest := len(app.Nodes) - len(compromised); row.Behavior == "tamper-log" && clean != uint64(honest) {
+		t.Errorf("%d single-node audits found nothing, want one per honest node (%d)", clean, honest)
 	}
 
 	// One Explain macroquery over the wire: the converged route on a
@@ -231,23 +236,24 @@ func runFrontCase(t *testing.T, name string, seed int64, partition bool) {
 			Tuple: mincost.BestCost("c", "d", 5),
 			Scope: 8,
 		})
-		if err != nil {
-			// The tuple may not exist if the partition kept mincost from
+		switch {
+		case err != nil:
+			// The tuple may not exist if the row kept mincost from
 			// converging; that is a checked answer, not a failure.
 			if !errors.Is(err, queryfront.ErrOverloaded) {
 				t.Logf("note: explain: %v", err)
 			}
-			return
-		}
-		if res.Rendered == "" || res.Vertices == 0 {
+		case res.Rendered == "" || res.Vertices == 0:
 			t.Errorf("explain returned an empty tree: %+v", res)
+		default:
+			faulty := &adversary.Verdict{RedHosts: res.Faulty}
+			if accused := faulty.FalselyAccused(compromised); len(accused) != 0 {
+				t.Errorf("explain names honest nodes %v as faulty", accused)
+			}
+			t.Logf("explain: %d vertices, faulty=%v, unreachable=%v", res.Vertices, res.Faulty, res.Unreachable)
 		}
-		faulty := &adversary.Verdict{RedHosts: res.Faulty}
-		if accused := faulty.FalselyAccused(app.Compromised); len(accused) != 0 {
-			t.Errorf("explain names honest nodes %v as faulty", accused)
-		}
-		t.Logf("explain: %d vertices, faulty=%v, unreachable=%v", res.Vertices, res.Faulty, res.Unreachable)
 	}
+	return first
 }
 
 // TestFrontSessionParallelism pins the frontend's concurrency contract: a

@@ -3,12 +3,14 @@ package simnet_test
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/eval"
+	"repro/internal/seclog"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -61,18 +63,62 @@ func TestVerifyAheadAnswersEveryCheck(t *testing.T) {
 }
 
 // TestRunLeavesNoGoroutine: Run joins its verify-ahead pool before it
-// returns, so no check lands in the verification cache after it (a Reset
-// then empties it for good).
+// returns, so no check the pool was handed lands in the verification cache
+// after it: once a Reset follows Run, every commitment sent during the run
+// is neither cached nor being checked. The horizons cut MinCost's exchange
+// every 20 ms from 1 s to 3 s, mostly with envelopes and acks in
+// flight, whose checks a pool left running would still be finishing.
 func TestRunLeavesNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
-	net := simnet.New(simnet.DefaultConfig())
+	type commitment struct {
+		from types.NodeID
+		t    types.Time
+		hash []byte
+		sig  string
+	}
+	var (
+		mu    sync.Mutex
+		sent  []commitment
+		total int
+	)
+	cfg := simnet.DefaultConfig()
+	cfg.OnNode = func(n *core.Node) {
+		n.TamperPacket = func(_ types.NodeID, pkt *core.Packet) []*core.Packet {
+			if ct, hash, sig := pkt.Commitment(); hash != nil {
+				mu.Lock()
+				sent = append(sent, commitment{n.ID, ct, hash, string(sig)})
+				mu.Unlock()
+			}
+			return []*core.Packet{pkt}
+		}
+	}
+	net := simnet.New(cfg)
 	if err := net.Deploy(figure2()); err != nil {
 		t.Fatal(err)
 	}
-	net.Run(10 * types.Second)
-	net.Run(30 * types.Second)
-	// Goroutines of earlier tests may still be exiting, never starting.
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines before Run, %d after", before, after)
+	for horizon := types.Second; horizon < 3*types.Second; horizon += 20 * types.Millisecond {
+		sent = sent[:0]
+		net.Run(horizon)
+		cryptoutil.DefaultVerifyCache.Reset()
+		checked := map[string]bool{}
+		for _, c := range sent {
+			if checked[c.sig] {
+				continue // a retransmission
+			}
+			checked[c.sig] = true
+			pub, err := net.Dir.Key(c.from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := seclog.ReserveCommitment(pub, c.t, c.hash, []byte(c.sig))
+			if check == nil {
+				t.Fatalf("%s's commitment at %v is cached or being checked after Run and Reset", c.from, c.t)
+			}
+			check()
+		}
+		cryptoutil.DefaultVerifyCache.Reset()
+		total += len(checked)
+	}
+	if total == 0 {
+		t.Fatal("no commitment sent: the test checked nothing")
 	}
 }

@@ -13,61 +13,30 @@ import (
 	"repro/internal/workload"
 )
 
-// crashCase is one app's seeded crash plan, killing distinct honest nodes:
-// one clean SIGKILL mid-run on the first, one SIGKILL in the middle of a
-// split segment write on the last (a genuinely torn tail for recovery to
-// truncate), and, on an app with an honest node to spare, one SIGKILL on the
-// compactor goroutine mid-fold (replacement table durable, the tables it
-// replaced not yet deleted; recovery must walk through the replacement and
-// remove the replaced tables).
-type crashCase struct {
-	app     *workload.Workload
-	rules   []supervisor.CrashRule
-	kill    types.NodeID // the ModeKill target
-	torn    types.NodeID // the ModeTorn target
-	compact types.NodeID // the ModeCompact target (empty: none in this case)
+// supervisedColumn is the supervised daemons' column of the conformance
+// table (adversary.Column): the catalog on apps, fault-free, and extra.
+func supervisedColumn(apps []string, extra []adversary.Row) adversary.Column[*testing.T] {
+	return adversary.Column[*testing.T]{Apps: apps, Extra: extra, Short: testing.Short(),
+		App:   func(name string, _ int64) *workload.Workload { w, _ := live.AppByName(name); return w },
+		Path:  func(r adversary.Row) string { return fmt.Sprintf("%s/seed=%d/%s", r.App, r.Seed, r.Behavior) },
+		Drive: driveSupervised}
 }
 
-// crashCaseFor derives the case from the registry entry alone. The kill and
-// torn triggers sit well below the converged heads of the registry's
-// workloads, so they fire mid-exchange even when the other crash disrupts
-// the workload. The compact rule needs a couple of appends past its trigger
-// to seal the tables its fold dies in, so its trigger sits lowest. mincost
-// deploys only three processes (b compromised), so only quagga has an
-// honest node free for it.
-func crashCaseFor(t *testing.T, name string) crashCase {
-	t.Helper()
-	app, err := live.AppByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	honest := adversary.HonestNodes(app.Nodes, app.Compromised)
-	if len(honest) < 2 {
-		t.Fatalf("%s: no crash plan (needs two honest nodes)", name)
-	}
-	cc := crashCase{app: app, kill: honest[0], torn: honest[len(honest)-1]}
-	cc.rules = []supervisor.CrashRule{
-		{Node: cc.kill, Mode: supervisor.ModeKill, AtAppend: 3, Jitter: 1},
-		{Node: cc.torn, Mode: supervisor.ModeTorn, AtAppend: 3, Jitter: 1},
-	}
-	if len(honest) > 2 {
-		cc.compact = honest[1]
-		cc.rules = append(cc.rules, supervisor.CrashRule{Node: cc.compact, Mode: supervisor.ModeCompact, AtAppend: 2, Jitter: 1})
-	}
-	return cc
-}
+// TestSupervisedConformance runs every catalog behaviour on each registry
+// app as supervised daemons, one OS process per node, audited over the wire
+// from the parent: each verdict must have the simulator's outcome for the
+// row.
+func TestSupervisedConformance(t *testing.T) { supervisedColumn(live.AppNames(), nil).Run(t) }
 
-// TestCrashConformance re-proves the §4.2 detection guarantee when the
-// failure unit is an OS process: tamper-log armed on each app's compromised
-// node, a seeded crash plan SIGKILLing two honest nodes (one mid-append,
-// leaving a torn tail), supervised recovery bringing them back, and a full
-// over-the-wire audit afterwards. The invariant, process-crash form:
-//
-//   - provable evidence still never names an honest node — crashing is not
-//     tampering, and recovery must not make it look like tampering;
-//   - the tamperer is still provably exposed;
-//   - recovered nodes' chains still pass through their last pre-crash
-//     synced state, and healed nodes are not stuck in the lead tiers.
+// TestCrashConformance is the supervised column's crash-plan rows, where the
+// failure unit is an OS process: tamper-log on mincost and quagga at seeds 1
+// and 2, with a seeded crash plan SIGKILLing honest nodes (one mid-append,
+// leaving a torn tail) and supervised recovery bringing them back. Crashing
+// is not tampering, and recovery must not make it look like tampering: the
+// outcome stays the simulator's. Recovered chains must still pass through
+// their last pre-crash synced state, and healed nodes must answer audits
+// again. -short runs the supervised column's one row in
+// TestSupervisedConformance instead.
 //
 // The apps are named, not ranged over live.AppNames(): a restarted node
 // resumes only the periodic part of its timeline, which is all mincost and
@@ -75,32 +44,50 @@ func crashCaseFor(t *testing.T, name string) crashCase {
 // needs the liveness contract of ROADMAP item 13 to say what a node that was
 // down when its inputs were due owes afterwards.
 func TestCrashConformance(t *testing.T) {
-	seeds := []int64{1, 2}
 	if testing.Short() {
-		seeds = seeds[:1]
+		t.Skip("the supervised column runs one row under -short")
 	}
-	for _, name := range []string{"mincost", "quagga"} {
-		for _, seed := range seeds {
-			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				runCrashCase(t, crashCaseFor(t, name), seed)
-			})
+	var rows []adversary.Row
+	for _, app := range []string{"mincost", "quagga"} {
+		for _, seed := range []int64{1, 2} {
+			rows = append(rows, adversary.Row{App: app, Behavior: "tamper-log", Seed: seed, Modifier: "crash"})
 		}
 	}
+	supervisedColumn(nil, rows).Run(t)
 }
 
-// TestSupervisedConformance is the crash-free row for the registry's timed
-// workloads: chord and mapreduce as supervised daemons, tamper-log armed on
-// the compromised node, audited over the wire and held to the same check.
-func TestSupervisedConformance(t *testing.T) {
-	for _, name := range []string{"chord", "mapreduce"} {
-		t.Run(name+"/seed=1", func(t *testing.T) {
-			app, err := live.AppByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runCrashCase(t, crashCase{app: app}, 1)
-		})
+// crashPlan is an app's seeded crash plan, killing distinct honest nodes:
+// one clean SIGKILL mid-run on the first, one SIGKILL in the middle of a
+// split segment write on the last (a genuinely torn tail for recovery to
+// truncate), and, on an app with an honest node to spare, one SIGKILL on the
+// compactor goroutine mid-fold (replacement table durable, the tables it
+// replaced not yet deleted; recovery must walk through the replacement and
+// remove the replaced tables). The kill and torn triggers sit well below the
+// converged heads of the registry's workloads, so they fire mid-exchange
+// even when the other crash disrupts the workload. The compact rule needs a
+// couple of appends past its trigger to seal the tables its fold dies in, so
+// its trigger sits lowest. mincost deploys only three processes (b
+// compromised), so only quagga has an honest node free for it.
+type crashPlan struct {
+	rules               []supervisor.CrashRule
+	kill, torn, compact types.NodeID // compact: "" when the app has none
+}
+
+func crashPlanFor(t *testing.T, app *workload.Workload) crashPlan {
+	honest := adversary.HonestNodes(app.Nodes, app.Compromised)
+	if len(honest) < 2 {
+		t.Fatalf("%s: no crash plan (needs two honest nodes)", app.Name)
 	}
+	cp := crashPlan{kill: honest[0], torn: honest[len(honest)-1]}
+	cp.rules = []supervisor.CrashRule{
+		{Node: cp.kill, Mode: supervisor.ModeKill, AtAppend: 3, Jitter: 1},
+		{Node: cp.torn, Mode: supervisor.ModeTorn, AtAppend: 3, Jitter: 1},
+	}
+	if len(honest) > 2 {
+		cp.compact = honest[1]
+		cp.rules = append(cp.rules, supervisor.CrashRule{Node: cp.compact, Mode: supervisor.ModeCompact, AtAppend: 2, Jitter: 1})
+	}
+	return cp
 }
 
 // startSupervised launches a supervised deployment and stops it (children,
@@ -118,16 +105,16 @@ func startSupervised(t *testing.T, opts supervisor.Options) *supervisor.Supervis
 	return s
 }
 
-// runCrashCase runs one supervised deployment under cc's crash plan — none,
-// when cc has no rules — and audits it.
-func runCrashCase(t *testing.T, cc crashCase, seed int64) {
-	app := cc.app
+// driveSupervised runs one row as supervised daemons — under the app's
+// crash plan when the row's modifier is "crash" — and audits it over the
+// wire from the parent.
+func driveSupervised(t *testing.T, row adversary.Row, app *workload.Workload) *adversary.Verdict {
 	behaviors := make(map[types.NodeID][]string)
-	for _, id := range app.Compromised {
-		behaviors[id] = []string{"tamper-log"}
+	for _, id := range row.Compromised(app) {
+		behaviors[id] = []string{row.Behavior}
 	}
 	opts := supervisor.Options{
-		Seed:        seed,
+		Seed:        row.Seed,
 		Dir:         workDir(t),
 		App:         app.Name,
 		Behaviors:   behaviors,
@@ -135,8 +122,10 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 		SyncEvery:   5,
 		BackoffBase: 20 * time.Millisecond,
 	}
-	if len(cc.rules) > 0 {
-		opts.Crash = &supervisor.CrashPlan{Seed: seed, Rules: cc.rules}
+	var cp crashPlan
+	if row.Modifier == "crash" {
+		cp = crashPlanFor(t, app)
+		opts.Crash = &supervisor.CrashPlan{Seed: row.Seed, Rules: cp.rules}
 	}
 	start := time.Now()
 	h := startSupervised(t, opts)
@@ -149,18 +138,18 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 		if pre, err = h.WaitCrashed(45 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if len(pre) != len(cc.rules) {
-			t.Fatalf("crash plan hit %d nodes, want %d: %v", len(pre), len(cc.rules), pre)
+		if len(pre) != len(cp.rules) {
+			t.Fatalf("crash plan hit %d nodes, want %d: %v", len(pre), len(cp.rules), pre)
 		}
 	}
 	if err := h.WaitHealthy(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("time-to-heal=%v (launch to every node healthy again)", time.Since(start).Round(time.Millisecond))
-	// Convergence is best-effort with a tamperer in the mix; it must never
-	// corrupt the verdict below.
-	if err := h.WaitConverged(30 * time.Second); err != nil {
-		t.Logf("note: %v (acceptable with tamper-log armed)", err)
+	// Convergence is best-effort with a behaviour armed (some keep a
+	// workload from converging at all); it must never corrupt the verdict.
+	if err := h.WaitConverged(10 * time.Second); err != nil {
+		t.Logf("note: %v", err)
 	}
 	h.Settle()
 
@@ -173,25 +162,14 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 			continue
 		}
 		t.Logf("%s: restarts=%d start-to-healthy=%v torn=%dB", id, h.Restarts(id), h.StartToHealthy(id), hr.TornBytes)
-		switch id {
-		case cc.torn:
-			if hr.TornBytes == 0 {
-				t.Errorf("%s died mid-flush but recovery truncated no torn tail", id)
-			}
-		case cc.kill:
-			if hr.TornBytes != 0 {
-				t.Errorf("%s died record-aligned but recovery saw %d torn bytes", id, hr.TornBytes)
-			}
-		case cc.compact:
-			// The compact rule only ever dies inside the MidCompact hook, so
-			// reaching here means the process was killed with a durable
-			// replacement table next to the tables it replaced; VerifyRecovered
-			// above already proved the fold never moved the synced head
-			// off-chain. The tail was fully synced when the fold started, so
-			// recovery must not have needed to truncate anything.
-			if hr.TornBytes != 0 {
-				t.Errorf("%s died mid-compaction but recovery saw %d torn bytes", id, hr.TornBytes)
-			}
+		switch {
+		case id == cp.torn && hr.TornBytes == 0:
+			t.Errorf("%s died mid-flush but recovery truncated no torn tail", id)
+		case id != cp.torn && hr.TornBytes != 0:
+			// The kill rule dies record-aligned, and the compact rule only
+			// inside the MidCompact hook, with the tail fully synced when
+			// the fold started: neither leaves anything to truncate.
+			t.Errorf("%s died record-aligned but recovery saw %d torn bytes", id, hr.TornBytes)
 		}
 	}
 
@@ -201,25 +179,14 @@ func runCrashCase(t *testing.T, cc crashCase, seed int64) {
 		t.Logf("note: %v", err)
 	}
 	q := h.NewQuerier()
-	v := adversary.Sweep(q, h.Deployment().Maint, nil, time.Now().Add(30*time.Second), 500*time.Millisecond)
-	t.Logf("verdict: %v; unreachable: %v", v, q.Unreachable())
-
-	// The §4.2 guarantee, process-crash form: provable evidence only ever
-	// names the compromised set — crashing is not tampering — and crashes
-	// elsewhere in the deployment do not mask the (Provable) tamperer.
-	for _, breach := range v.CheckGuarantee(adversary.Provable, app.Compromised, "", false) {
-		t.Errorf("§4.2 violated: %s\nfailures: %v\nred: %v", breach, v.Failures, v.RedHosts)
-	}
-	// Healed crash victims answer audits again: they are neither provable
-	// evidence (checked above) nor stuck unresponsive leads.
-	for id := range pre {
-		if why, lead := v.Unresponsive[id]; lead {
-			t.Errorf("recovered node %s still unresponsive after heal: %v", id, why)
-		}
-	}
+	// Every node answered a health probe, so the deadline only bounds how
+	// long a node that refuses audits is asked again.
+	v := adversary.Sweep(q, h.Deployment().Maint, nil, time.Now().Add(10*time.Second), 500*time.Millisecond)
+	t.Logf("supervised verdict: %v; unreachable: %v", v, q.Unreachable())
 	if failed := h.Failed(); len(failed) != 0 {
 		t.Errorf("supervisor gave up on nodes: %v", failed)
 	}
+	return v
 }
 
 // TestUnreachableHealsAcrossRestart pins the querier-side degradation story

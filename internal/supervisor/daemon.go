@@ -170,6 +170,22 @@ func RunDaemon(cfg NodeConfig) error {
 		return err
 	}
 	logger.Printf("serving on %s", cfg.Addrs[cfg.ID])
+	if !cfg.Recover {
+		// Seed only once every peer is serving (live.New's rule): an
+		// envelope sent before its link is up is lost and only its
+		// retransmission arrives, which a behaviour that acts once
+		// (equivocate) never touched. A peer that does not answer within
+		// the settle window is left to retransmission.
+		f := cluster.NewFetcher(cfg.ID)
+		deadline := time.Now().Add(dep.SettleWindow())
+		for id := range cfg.Addrs {
+			if left := time.Until(deadline); id != cfg.ID && left > 0 {
+				f.CallTimeout, f.RetryDeadline = left, left
+				_, _ = f.Health(id, 0)
+			}
+		}
+		f.Close()
+	}
 	if err := node.Seed(); err != nil {
 		return err
 	}
